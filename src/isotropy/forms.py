@@ -13,7 +13,10 @@ normalization.  From it we build, all exactly:
   * the block-coordinate backward identity F = Omega^T E Omega.
 
 symmetric_block computes P J P^{-1} and cross-checks it against the
-independent entrywise description on every call.
+independent entrywise description.  symmetric_form, transition_form and
+transition_form_inverse build their matrix once per structure and then
+hand out the same immutable object, so the cross-check runs once per
+structure.
 """
 
 from __future__ import annotations
@@ -231,6 +234,27 @@ def interleave_permutation(alpha: int, m: int) -> ExactMatrix:
 # whole-structure builders
 # ---------------------------------------------------------------------------
 
+# Canonical matrices are immutable and depend only on the structure, so each
+# cached builder keeps its last _CACHE_LIMIT results, oldest evicted first.
+# Callers work on one structure at a time (a multi-eigenvalue structure
+# fills one slot per part and one for itself), so a few slots catch the
+# repeats while the cached matrices add little to peak memory.
+_CACHE_LIMIT = 4
+_SYMMETRIC: dict = {}
+_TRANSITION: dict = {}
+_TRANSITION_INVERSE: dict = {}
+
+
+def _cached(cache: dict, key, build):
+    """cache[key], computed by build() on a miss."""
+    value = cache.get(key)
+    if value is None:
+        value = build()
+        if len(cache) >= _CACHE_LIMIT:
+            del cache[next(iter(cache))]
+        cache[key] = value
+    return value
+
 
 def _per_copy(structure: SegreStructure, block_fn) -> ExactMatrix:
     pieces = []
@@ -247,15 +271,28 @@ def jordan_form(structure: Structure) -> ExactMatrix:
 
 
 def symmetric_form(structure: Structure) -> ExactMatrix:
-    if isinstance(structure, MultiSegreStructure):
-        return direct_sum([symmetric_form(p) for p in structure.parts])
-    return _per_copy(structure, lambda a: symmetric_block(a, structure.lam))
+    def build():
+        if isinstance(structure, MultiSegreStructure):
+            return direct_sum([symmetric_form(p) for p in structure.parts])
+        return _per_copy(structure, lambda a: symmetric_block(a, structure.lam))
+
+    return _cached(_SYMMETRIC, structure, build)
 
 
 def transition_form(structure: Structure) -> ExactMatrix:
-    if isinstance(structure, MultiSegreStructure):
-        return direct_sum([transition_form(p) for p in structure.parts])
-    return _per_copy(structure, transition_matrix)
+    def build():
+        if isinstance(structure, MultiSegreStructure):
+            return direct_sum([transition_form(p) for p in structure.parts])
+        return _per_copy(structure, transition_matrix)
+
+    return _cached(_TRANSITION, structure, build)
+
+
+def transition_form_inverse(structure: Structure) -> ExactMatrix:
+    """P^{-1}, which is conj_i(P) since every block is (1/sqrt2)(I + i E)
+    with E^2 = I."""
+    return _cached(_TRANSITION_INVERSE, structure,
+                   lambda: transition_form(structure).conjugate_i())
 
 
 def backward_form(structure: Structure) -> ExactMatrix:
@@ -309,13 +346,3 @@ def enumerate_structures(n: int, lam=0) -> Iterator[SegreStructure]:
             merged[p] = merged.get(p, 0) + 1
         yield SegreStructure(lam, sorted(merged.items(), key=lambda t: -t[0]))
 
-
-def structure_to_dense_layout(structure: SegreStructure) -> list[tuple[int, int, int]]:
-    """(row index r, copy index, dense offset) for every canonical block copy."""
-    out = []
-    off = 0
-    for r, (alpha, m) in enumerate(structure.blocks):
-        for k in range(m):
-            out.append((r, k, off))
-            off += alpha
-    return out

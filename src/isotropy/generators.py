@@ -29,7 +29,8 @@ from .errors import (
     ParameterError,
 )
 from .forms import SegreStructure
-from .matrices import ExactMatrix, identity as dense_identity, zeros as dense_zeros
+from .matrices import (ExactMatrix, _is_member, identity as dense_identity,
+                       zeros as dense_zeros)
 from .scalars import ExactScalar, HALF, rat
 from .solver import CongruenceData, verify_congruence
 from .toeplitz import ToeplitzForm
@@ -98,7 +99,10 @@ def _checked_b_diag(structure: SegreStructure,
 def constant_data(structure: SegreStructure,
                   b_diag: Sequence[ExactMatrix] | None = None) -> CongruenceData:
     """Self-congruence data with constant diagonal blocks: B = C, group r
-    coefficients (B_r, 0, ..., 0)."""
+    coefficients (B_r, 0, ..., 0).  Without b_diag this is the identity
+    data, built once per structure."""
+    if b_diag is None:
+        return CongruenceData.identity(structure)
     b_diag = _checked_b_diag(structure, b_diag)
     side = []
     for r, (alpha, m) in enumerate(structure.blocks):
@@ -142,11 +146,11 @@ def gen_V(structure: SegreStructure, b_diag: Sequence[ExactMatrix] | None,
     Group r is the Toeplitz block T(I, V_1, ..., V_{alpha_r - 1}) with
     V_n = 1/2 B_r^{-1} (Z_n - sum_{j=1}^{n-1} V_j^T B_r V_{n-j}).
     """
-    b_diag = _checked_b_diag(structure, b_diag)
+    data = constant_data(structure, b_diag)
     skews = _checked_skews(structure, skews)
     per_group: list[list[ExactMatrix]] = []
     for r, (alpha, m) in enumerate(structure.blocks):
-        b = b_diag[r]
+        b = data.b(r, 0)
         binv = b.inverse()
         coeffs = [dense_identity(m)]
         for n in range(1, alpha):
@@ -162,7 +166,7 @@ def gen_V(structure: SegreStructure, b_diag: Sequence[ExactMatrix] | None,
         return dense_zeros(structure.mults[r], structure.mults[s])
 
     form = ToeplitzForm.build(structure, cell)
-    _assert_member(constant_data(structure, b_diag), form, "diagonal generator")
+    _assert_member(data, form, "diagonal generator")
     return form
 
 
@@ -237,9 +241,13 @@ def _check_two_block_args(alpha, beta, k, coupling, b, c):
         raise ParameterError("left diagonal block must be symmetric nonsingular")
     if not c.is_symmetric or c.rank() != c.rows:
         raise ParameterError("right diagonal block must be symmetric nonsingular")
-    if coupling.rows != c.rows or coupling.cols != b.rows:
+    _check_coupling_shape(coupling, c.rows, b.rows)
+
+
+def _check_coupling_shape(coupling, rows, cols):
+    if coupling.rows != rows or coupling.cols != cols:
         raise ParameterError(
-            f"coupling must be {c.rows}x{b.rows}, got "
+            f"coupling must be {rows}x{cols}, got "
             f"{coupling.rows}x{coupling.cols}")
 
 
@@ -275,12 +283,15 @@ def gen_G(structure: SegreStructure, p: int, t: int, k: int,
     count = structure.part_count
     if not (0 <= p < t < count):
         raise ParameterError(f"need 0 <= p < t < {count}, got ({p}, {t})")
-    b_diag = _checked_b_diag(structure, b_diag)
+    data = constant_data(structure, b_diag)
     alpha_p, alpha_t = structure.alphas[p], structure.alphas[t]
     if not (0 <= k <= alpha_t - 1):
         raise ParameterError(f"offset k = {k} outside [0, {alpha_t - 1}]")
-    _check_two_block_args(alpha_p, alpha_t, k, coupling, b_diag[p], b_diag[t])
-    pair = _two_block_cells(alpha_p, alpha_t, k, coupling, b_diag[p], b_diag[t])
+    # p < t gives alpha_p > alpha_t, and constant_data has checked the
+    # diagonal blocks, so only the coupling's shape is left to check.
+    _check_coupling_shape(coupling, structure.mults[t], structure.mults[p])
+    pair = _two_block_cells(alpha_p, alpha_t, k, coupling,
+                            data.b(p, 0), data.b(t, 0))
     remap = {p: 0, t: 1}
 
     def cell(r, s, j):
@@ -292,7 +303,7 @@ def gen_G(structure: SegreStructure, p: int, t: int, k: int,
         return dense_zeros(structure.mults[r], structure.mults[s])
 
     form = ToeplitzForm.build(structure, cell)
-    _assert_member(constant_data(structure, b_diag), form, "coupling generator")
+    _assert_member(data, form, "coupling generator")
     return form
 
 
@@ -369,15 +380,18 @@ def factor_unipotent(structure: SegreStructure, y: ToeplitzForm,
     group index with a nonzero coefficient is cleared first (right-
     multiplying by the coupling generator at the negated coefficient).
     """
-    b_diag = _checked_b_diag(structure, b_diag)
+    if b_diag is not None:
+        b_diag = _checked_b_diag(structure, b_diag)
     data = constant_data(structure, b_diag)
     if y.structure != structure:
         raise MembershipError("form lives on a different structure")
     if not y.has_identity_diagonal:
         raise MembershipError("leading diagonal coefficients must be I")
-    ok, report = verify_congruence(data, y)
-    if not ok:
-        raise MembershipError(f"input fails the defining congruence: {report}")
+    if not (b_diag is None and _is_member(y, structure)):
+        ok, report = verify_congruence(data, y)
+        if not ok:
+            raise MembershipError(
+                f"input fails the defining congruence: {report}")
 
     count = structure.part_count
     alphas = structure.alphas

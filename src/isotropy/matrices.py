@@ -16,7 +16,9 @@ from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _coerce
 
 
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "_m")
+    # _member_of is unset until an exact membership check succeeds; it then
+    # names the structure whose isotropy group the matrix belongs to.
+    __slots__ = ("rows", "cols", "_m", "_member_of")
 
     def __init__(self, rows: int, cols: int, entries: tuple):
         # entries: tuple of row tuples, already validated by constructors
@@ -281,6 +283,18 @@ class ExactMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self._m)
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
+
+
+def _mark_member(x, structure):
+    """Record on an immutable matrix or form that an exact membership check
+    for structure has just succeeded."""
+    object.__setattr__(x, "_member_of", structure)
+
+
+def _is_member(x, structure) -> bool:
+    """True when x carries the mark of a successful check for an equal
+    structure."""
+    return getattr(x, "_member_of", None) == structure
 
 
 def _as_scalar(x) -> ExactScalar:

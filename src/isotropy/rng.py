@@ -38,10 +38,6 @@ class SplitMix64:
         """Integer in [lo, hi], inclusive."""
         return lo + self.below(hi - lo + 1)
 
-    def fork(self) -> "SplitMix64":
-        """Independent child stream (consumes one draw)."""
-        return SplitMix64(self.next_u64())
-
 
 class RandomSource:
     """Draws of exact scalars, matrices and structures from one stream."""

@@ -23,8 +23,9 @@ from .errors import (
     SingularMatrixError,
     StructureError,
 )
-from .forms import SegreStructure
-from .matrices import ExactMatrix, identity as dense_identity, zeros as dense_zeros
+from .forms import SegreStructure, _cached
+from .matrices import (ExactMatrix, _mark_member, identity as dense_identity,
+                       zeros as dense_zeros)
 from .rng import RandomSource
 from .scalars import HALF
 from .toeplitz import ToeplitzForm
@@ -67,6 +68,9 @@ def _check_side(structure: SegreStructure, coeffs, label: str):
     return tuple(out)
 
 
+_IDENTITY_DATA: dict = {}
+
+
 class CongruenceData:
     """Right-hand data of the congruence: block-diagonal forms B and C.
 
@@ -91,11 +95,15 @@ class CongruenceData:
 
     @classmethod
     def identity(cls, structure: SegreStructure) -> "CongruenceData":
-        """B = C = the identity form (leading I, higher coefficients 0)."""
-        side = []
-        for alpha, m in structure.blocks:
-            side.append([dense_identity(m)] + [dense_zeros(m, m)] * (alpha - 1))
-        return cls(structure, side, [list(entry) for entry in side])
+        """B = C = the identity form (leading I, higher coefficients 0),
+        built and checked once per structure."""
+        def build():
+            side = []
+            for alpha, m in structure.blocks:
+                side.append([dense_identity(m)] + [dense_zeros(m, m)] * (alpha - 1))
+            return cls(structure, side, side)
+
+        return _cached(_IDENTITY_DATA, structure, build)
 
     def b(self, r: int, j: int) -> ExactMatrix:
         """B_j^r, zero-padded outside [0, alpha_r)."""
@@ -132,6 +140,13 @@ class CongruenceData:
     @property
     def sides_equal(self) -> bool:
         return self.b_coeffs == self.c_coeffs
+
+    @property
+    def is_identity(self) -> bool:
+        """True when B = C = the identity form."""
+        return self.sides_equal and all(
+            entry[0].is_identity and all(mat.is_zero for mat in entry[1:])
+            for entry in self.b_coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, CongruenceData):
@@ -388,7 +403,9 @@ def verify_congruence(data: CongruenceData,
     """Exact check of F X^T F B X = C.
 
     Returns (True, "") on success, else (False, report) naming the first
-    mismatching block coefficient in (r, s, offset) order.
+    mismatching block coefficient in (r, s, offset) order.  It always
+    computes; when B = C = I a success marks x as a verified member of its
+    structure's group, so that group operations need not check it again.
     """
     if x.structure != data.structure:
         raise StructureError("form and data live on different structures")
@@ -404,6 +421,8 @@ def verify_congruence(data: CongruenceData,
                     return False, (
                         f"block ({r}, {s}) coefficient {j}: "
                         f"got {got.to_lists()}, want {want.to_lists()}")
+    if data.is_identity:
+        _mark_member(x, st)
     return True, ""
 
 

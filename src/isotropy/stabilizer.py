@@ -10,8 +10,9 @@ basis exchanges the two, so membership checks never approximate.
 from .errors import (DimensionMismatchError, IntegrityError, MembershipError,
                      ParameterError, StructureError)
 from .forms import (MultiSegreStructure, SegreStructure, symmetric_form,
-                    transition_form)
-from .matrices import ExactMatrix, direct_sum, identity
+                    transition_form, transition_form_inverse)
+from .matrices import ExactMatrix, _is_member, _mark_member, direct_sum
+from .scalars import ONE, ZERO, ExactScalar
 from .solver import (CongruenceData, FreeParams, random_free_params,
                      solution_dimension, solve_congruence, verify_congruence)
 from .toeplitz import ToeplitzForm, conjugate_by_omega
@@ -112,30 +113,71 @@ def _first_mismatch(a: ExactMatrix, b: ExactMatrix):
     return None
 
 
+def _dot(u, v) -> ExactScalar:
+    acc = ZERO
+    for a, b in zip(u, v):
+        if not (a.is_zero or b.is_zero):
+            acc = acc + a * b
+    return acc
+
+
+def _commutes(s: ExactMatrix, q: ExactMatrix) -> bool:
+    """S Q = Q S for symmetric S, summing only over the nonzeros of S."""
+    n = s.rows
+    sparse = [[(k, x) for k, x in enumerate(s.row(i)) if not x.is_zero]
+              for i in range(n)]
+    rows = [q.row(i) for i in range(n)]
+    for i in range(n):
+        q_i = rows[i]
+        for j in range(n):
+            sq = qs = ZERO
+            for k, x in sparse[i]:
+                y = rows[k][j]
+                if not y.is_zero:
+                    sq = sq + x * y
+            for k, x in sparse[j]:
+                y = q_i[k]
+                if not y.is_zero:
+                    qs = qs + y * x
+            if sq != qs:
+                return False
+    return True
+
+
 def verify_isotropy(structure, q: ExactMatrix):
     """Exact membership test.  Returns (bool, report).
 
     The report names the first condition that fails, orthogonality
-    before congruence, with the first offending entry.
+    before congruence, with the first offending entry of Q^T Q or
+    Q^T S Q in row-major order.  Q^T Q is symmetric, so its first
+    mismatch lies in the upper triangle, the only part computed; the
+    scan stops there.  Once Q^T Q = I holds, Q is invertible
+    with Q^{-1} = Q^T, so Q^T S Q = S holds exactly when S Q = Q S, which
+    costs O(n^2) since S has a few nonzeros per row; Q^T S Q is formed
+    only to report a failure.  The test always computes; on success it
+    marks q as a verified member of structure, so that the group
+    operations need not check it again.
     """
     n = structure.n
     if q.rows != n or q.cols != n:
         raise DimensionMismatchError(
             f"matrix is {q.rows}x{q.cols}, structure needs {n}x{n}")
-    gram = q.transpose() * q
-    eye = identity(n)
-    spot = _first_mismatch(gram, eye)
-    if spot is not None:
-        i, j = spot
-        return False, (f"orthogonality fails first: (Q^T Q)[{i}][{j}] = "
-                       f"{gram[i, j]}, expected {eye[i, j]}")
+    cols = q.transpose()
+    for i in range(n):
+        col_i = cols.row(i)
+        for j in range(i, n):
+            entry = _dot(col_i, cols.row(j))
+            want = ONE if i == j else ZERO
+            if entry != want:
+                return False, (f"orthogonality fails first: (Q^T Q)[{i}][{j}] = "
+                               f"{entry}, expected {want}")
     s = symmetric_form(structure)
-    cong = q.transpose() * s * q
-    spot = _first_mismatch(cong, s)
-    if spot is not None:
-        i, j = spot
+    if not _commutes(s, q):
+        cong = cols * s * q
+        i, j = _first_mismatch(cong, s)
         return False, (f"congruence fails first: (Q^T S Q)[{i}][{j}] = "
                        f"{cong[i, j]}, expected {s[i, j]}")
+    _mark_member(q, structure)
     return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"
 
 
@@ -145,14 +187,23 @@ def _assert_membership(structure, q: ExactMatrix):
         raise IntegrityError(f"constructed element failed: {report}")
 
 
+def _check_member(structure, q: ExactMatrix, prefix: str):
+    """MembershipError, its report after prefix, unless q is a verified
+    member of structure."""
+    if _is_member(q, structure):
+        return
+    ok, report = verify_isotropy(structure, q)
+    if not ok:
+        raise MembershipError(prefix + report)
+
+
 def from_toeplitz_coordinates(structure: SegreStructure,
                               form: ToeplitzForm) -> ExactMatrix:
     """Dense member Q from a coefficient-level solution."""
     if form.structure != structure:
         raise StructureError("form was built for a different structure")
     x = conjugate_by_omega(form.assemble(), structure, "to_dense")
-    p = transition_form(structure)
-    q = p * x * p.inverse()
+    q = transition_form(structure) * x * transition_form_inverse(structure)
     _assert_membership(structure, q)
     return q
 
@@ -164,12 +215,10 @@ def to_toeplitz_coordinates(structure: SegreStructure,
         raise StructureError(
             "coefficient coordinates exist per eigenvalue; split the "
             "matrix along parts first")
-    ok, report = verify_isotropy(structure, q)
-    if not ok:
-        raise MembershipError(report)
-    p = transition_form(structure)
-    dense = conjugate_by_omega(p.inverse() * q * p, structure,
-                               "to_toeplitz")
+    _check_member(structure, q, "")
+    dense = conjugate_by_omega(
+        transition_form_inverse(structure) * q * transition_form(structure),
+        structure, "to_toeplitz")
     return ToeplitzForm.extract(dense, structure)
 
 
@@ -230,16 +279,19 @@ def _check_level(structure, elems):
 def _check_form_member(structure, form, label):
     if form.structure != structure:
         raise MembershipError(f"{label}: built for a different structure")
+    if _is_member(form, structure):
+        return
     ok, report = verify_congruence(CongruenceData.identity(structure), form)
     if not ok:
         raise MembershipError(f"{label}: {report}")
 
 
 def group_element_mul(structure, elems) -> ExactMatrix | ToeplitzForm:
-    """Product of verified members; the result is re-verified.
+    """Product of members; the product is verified before it is returned.
 
     Accepts dense matrices or coefficient-level forms, never mixed.
-    Inputs that fail membership raise MembershipError; a failing product
+    Inputs that fail membership raise MembershipError; an input already
+    verified for this structure is not checked again.  A failing product
     would be an internal fault and raises IntegrityError.
     """
     elems = list(elems)
@@ -248,9 +300,7 @@ def group_element_mul(structure, elems) -> ExactMatrix | ToeplitzForm:
     level = _check_level(structure, elems)
     if level == "dense":
         for i, q in enumerate(elems):
-            ok, report = verify_isotropy(structure, q)
-            if not ok:
-                raise MembershipError(f"element {i}: {report}")
+            _check_member(structure, q, f"element {i}: ")
         product = elems[0]
         for q in elems[1:]:
             product = product * q
@@ -269,12 +319,10 @@ def group_element_mul(structure, elems) -> ExactMatrix | ToeplitzForm:
 
 
 def group_element_inv(structure, elem) -> ExactMatrix | ToeplitzForm:
-    """Inverse of a verified member: Q^T dense, flip transpose on forms."""
+    """Inverse of a member: Q^T dense, flip transpose on forms."""
     level = _check_level(structure, [elem])
     if level == "dense":
-        ok, report = verify_isotropy(structure, elem)
-        if not ok:
-            raise MembershipError(report)
+        _check_member(structure, elem, "")
         inverse = elem.transpose()
         _assert_membership(structure, inverse)
         return inverse

@@ -25,7 +25,7 @@ from .errors import (
     ShapeViolationError,
     StructureError,
 )
-from .forms import SegreStructure, interleave_form
+from .forms import MultiSegreStructure, SegreStructure
 from .matrices import ExactMatrix, identity as dense_identity, zeros as dense_zeros
 from .scalars import ZERO
 
@@ -34,9 +34,6 @@ __all__ = [
     "commutant_basis",
     "commutant_dimension",
     "conjugate_by_omega",
-    "toeplitz_assemble",
-    "toeplitz_extract",
-    "toeplitz_mul",
 ]
 
 
@@ -55,7 +52,9 @@ class ToeplitzForm:
     A_{v - u - shift(r, s)}, with out-of-range indices reading as zero.
     """
 
-    __slots__ = ("structure", "coeffs")
+    # _member_of: see ExactMatrix; on a form it means F X^T F X = I was
+    # checked exactly for that structure.
+    __slots__ = ("structure", "coeffs", "_member_of")
 
     def __init__(self, structure: SegreStructure, coeffs: Mapping):
         if not isinstance(structure, SegreStructure):
@@ -400,16 +399,19 @@ class ToeplitzForm:
 # ---------------------------------------------------------------------------
 
 
-def toeplitz_assemble(tf: ToeplitzForm) -> ExactMatrix:
-    return tf.assemble()
-
-
-def toeplitz_extract(dense: ExactMatrix, structure: SegreStructure) -> ToeplitzForm:
-    return ToeplitzForm.extract(dense, structure)
-
-
-def toeplitz_mul(a: ToeplitzForm, b: ToeplitzForm) -> ToeplitzForm:
-    return a * b
+def _omega_indices(structure) -> list[int]:
+    """Omega as indices: Omega e_c = e_{perm[c]}.  Within each eigenvalue row
+    (alpha, m), position-major index i*m + k is copy-major index k*alpha + i."""
+    parts = (structure.parts if isinstance(structure, MultiSegreStructure)
+             else (structure,))
+    perm = []
+    offset = 0
+    for part in parts:
+        for alpha, m in part.blocks:
+            perm.extend(offset + k * alpha + i
+                        for i in range(alpha) for k in range(m))
+            offset += alpha * m
+    return perm
 
 
 def conjugate_by_omega(dense: ExactMatrix, structure: SegreStructure,
@@ -418,17 +420,21 @@ def conjugate_by_omega(dense: ExactMatrix, structure: SegreStructure,
 
     to_toeplitz: Omega^T X Omega, copy-major to position-major;
     to_dense:    Omega X Omega^T, the inverse map.
+    Omega is applied as an index permutation, without arithmetic.
     """
     n = structure.n
     if dense.rows != n or dense.cols != n:
         raise DimensionMismatchError(
             f"matrix is {dense.rows}x{dense.cols}, structure needs {n}x{n}")
-    omega = interleave_form(structure)
-    if direction == "to_toeplitz":
-        return omega.transpose() * dense * omega
+    perm = _omega_indices(structure)
     if direction == "to_dense":
-        return omega * dense * omega.transpose()
-    raise ParameterError(f"unknown direction {direction!r}")
+        inverse = [0] * n
+        for c, r in enumerate(perm):
+            inverse[r] = c
+        perm = inverse
+    elif direction != "to_toeplitz":
+        raise ParameterError(f"unknown direction {direction!r}")
+    return ExactMatrix.build(n, n, lambda a, b: dense[perm[a], perm[b]])
 
 
 def commutant_dimension(structure: SegreStructure) -> int:

@@ -2,7 +2,9 @@
 
 Deliberately written against fractions.Fraction pairs (re + im) with its own
 tiny Gaussian elimination, importing nothing from the package under test, so
-that rank/nullity expectations come from a second code path.
+that rank/nullity expectations come from a second code path.  The one
+exception is two_product_membership, which works on the package's own
+matrices so that its reports can be compared byte for byte.
 """
 
 from fractions import Fraction
@@ -161,3 +163,32 @@ def block_diag(*mats):
                 out[off + i][off + j] = x
         off += len(m)
     return out
+
+
+def two_product_membership(s, q):
+    """Membership of Q in the isotropy group of S from the full products
+    Q^T Q and Q^T S Q: (ok, report), naming the first mismatching entry in
+    row-major order, orthogonality first.  The reference for the package's
+    verify_isotropy; s and q are the package's matrices, used only through
+    their own arithmetic."""
+    def first_mismatch(a, b):
+        for i in range(a.rows):
+            for j in range(a.cols):
+                if a[i, j] != b[i, j]:
+                    return i, j
+        return None
+
+    gram = q.transpose() * q
+    eye = s.power(0)
+    spot = first_mismatch(gram, eye)
+    if spot is not None:
+        i, j = spot
+        return False, (f"orthogonality fails first: (Q^T Q)[{i}][{j}] = "
+                       f"{gram[i, j]}, expected {eye[i, j]}")
+    cong = q.transpose() * s * q
+    spot = first_mismatch(cong, s)
+    if spot is not None:
+        i, j = spot
+        return False, (f"congruence fails first: (Q^T S Q)[{i}][{j}] = "
+                       f"{cong[i, j]}, expected {s[i, j]}")
+    return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"

@@ -7,8 +7,9 @@ from isotropy.forms import (
     MultiSegreStructure, SegreStructure, backward_form, backward_identity,
     block_backward_form, enumerate_structures, interleave_form,
     interleave_permutation, jordan_block, jordan_form, symmetric_block,
-    symmetric_form, transition_form, transition_matrix,
+    symmetric_form, transition_form, transition_form_inverse, transition_matrix,
 )
+from isotropy import forms
 from isotropy.matrices import ExactMatrix, identity
 from isotropy.rng import RandomSource
 from isotropy.scalars import ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, rat
@@ -169,6 +170,17 @@ def test_forms_shapes_and_symmetry():
         assert e * e == identity(n)
         om = interleave_form(s)
         assert (om.T * om).is_identity
+
+
+def test_canonical_matrices_built_once_in_a_bounded_cache():
+    st = MultiSegreStructure([SegreStructure(IMAG, [(3, 1), (1, 2)]),
+                              SegreStructure(0, [(2, 2)])])
+    assert symmetric_form(st) is symmetric_form(st)
+    assert transition_form_inverse(st) == transition_form(st).inverse()
+    for n in range(1, 9):
+        for s in enumerate_structures(n):
+            symmetric_form(s)
+    assert len(forms._SYMMETRIC) <= forms._CACHE_LIMIT
 
 
 def test_block_backward_form_matches_conjugated_backward_form():

@@ -6,7 +6,7 @@ from isotropy.errors import (DimensionMismatchError, MembershipError,
                              ParameterError, StructureError)
 from isotropy.forms import (MultiSegreStructure, SegreStructure,
                             enumerate_structures, symmetric_form)
-from isotropy.generators import gen_W
+from isotropy.generators import factor_unipotent, gen_W
 from isotropy.matrices import (ExactMatrix, cayley_orthogonal, diagonal,
                                identity, zeros)
 from isotropy.rng import RandomSource
@@ -17,6 +17,8 @@ from isotropy.stabilizer import (describe_isotropy, from_toeplitz_coordinates,
                                  group_element_inv, group_element_mul,
                                  sample_isotropy_element,
                                  to_toeplitz_coordinates, verify_isotropy)
+
+import _oracles as oracle
 
 
 def _st(blocks, lam=IMAG):
@@ -197,6 +199,46 @@ def test_verify_rejects_wrong_shape():
         verify_isotropy(_st([(2, 1)]), identity(3))
 
 
+def _membership_probes(q):
+    """A member q, then non-members: a scaled identity, orthogonal matrices
+    (a sign flip alone, q times it, the reversal) and q with one entry
+    changed at several positions."""
+    n = q.rows
+
+    def unit(i, j):
+        return ExactMatrix.build(n, n, lambda r, c: ONE if (r, c) == (i, j) else ZERO)
+
+    flip = diagonal([-ONE] + [ONE] * (n - 1))
+    yield q
+    yield identity(n).scale(rat(2))
+    yield flip
+    yield q * flip
+    yield ExactMatrix.build(n, n, lambda i, j: ONE if i + j == n - 1 else ZERO)
+    for i, j in sorted({(0, 0), (0, n - 1), (n // 2, n // 3), (n - 1, n - 1)}):
+        yield q + unit(i, j)
+
+
+def test_verify_matches_two_product_reference():
+    rnd = RandomSource(20240862)
+    structures = [st for n in range(1, 7) for lam in (ZERO, ONE, IMAG)
+                  for st in enumerate_structures(n, lam)]
+    structures.append(MultiSegreStructure([_st([(2, 1), (1, 1)], 0),
+                                           _st([(2, 1)], 1)]))
+    for st in structures:
+        q = sample_isotropy_element(st, rnd=rnd, max_num=2, max_den=2)
+        s = symmetric_form(st)
+        for probe in _membership_probes(q):
+            assert verify_isotropy(st, probe) == oracle.two_product_membership(s, probe)
+
+
+def test_forged_mark_is_not_trusted_by_verify():
+    st = _st([(2, 1)])
+    fake = identity(2).scale(rat(2))
+    object.__setattr__(fake, "_member_of", st)
+    ok, report = verify_isotropy(st, fake)
+    assert not ok and "orthogonality" in report
+
+
 # ---------------------------------------------------------------------------
 # coordinate round trips
 # ---------------------------------------------------------------------------
@@ -297,3 +339,32 @@ def test_orthogonal_conjugate_preserves_unipotent_shape():
         st, [o_form, v_form, group_element_inv(st, o_form)])
     assert conj.has_identity_diagonal
     assert not conj.is_identity
+
+
+def test_member_of_another_structure_is_checked_again():
+    rnd = RandomSource(20240863)
+    st0 = SegreStructure(0, [(2, 1), (1, 1)])
+    st1 = SegreStructure(1, [(3, 1)])
+    q = sample_isotropy_element(st0, rnd=rnd)
+    assert not verify_isotropy(st1, q)[0]
+    with pytest.raises(MembershipError, match=r"^element 1: "):
+        group_element_mul(st1, [identity(3), q])
+    with pytest.raises(MembershipError):
+        group_element_inv(st1, q)
+    with pytest.raises(MembershipError):
+        to_toeplitz_coordinates(st1, q)
+
+
+def test_changed_form_is_checked_again():
+    rnd = RandomSource(20240864)
+    st = _st([(3, 2), (2, 1)])
+    w = gen_W(st, {(0, 1): rnd.skew(2), (0, 2): rnd.skew(2), (1, 1): rnd.skew(1)})
+    bad = w.with_coefficient(1, 1, 1, ExactMatrix.from_rows([[1]]))
+    assert bad.has_identity_diagonal
+    assert group_element_mul(st, [w, w]) == w * w
+    with pytest.raises(MembershipError, match=r"^element 1: block"):
+        group_element_mul(st, [w, bad])
+    with pytest.raises(MembershipError):
+        group_element_inv(st, bad)
+    with pytest.raises(MembershipError):
+        factor_unipotent(st, bad)

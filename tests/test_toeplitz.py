@@ -14,7 +14,6 @@ from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, ZERO, rat
 from isotropy.toeplitz import (
     ToeplitzForm, commutant_basis, commutant_dimension, conjugate_by_omega,
-    toeplitz_assemble, toeplitz_extract, toeplitz_mul,
 )
 
 import _oracles as oracle
@@ -145,7 +144,7 @@ def test_frozen_interleaving_example():
         for j in range(6):
             assert toep[i, 6 + j] == rat(expected_block[i][j])
 
-    tf = toeplitz_extract(toep, st)
+    tf = ToeplitzForm.extract(toep, st)
     assert tf.coefficient(0, 1, 0).to_lists() == [["1", "2", "3"], ["4", "5", "6"]]
     assert tf.coefficient(0, 1, 1).to_lists() == [["11", "12", "13"],
                                                   ["14", "15", "16"]]
@@ -161,8 +160,8 @@ def test_extract_round_trip_random():
     for _ in range(200):
         st = rnd.structure(max_n=10, max_parts=3)
         tf = _random_form(rnd, st)
-        dense = toeplitz_assemble(tf)
-        assert toeplitz_extract(dense, st) == tf
+        dense = tf.assemble()
+        assert ToeplitzForm.extract(dense, st) == tf
 
 
 def _bump(dense, i, j):
@@ -180,18 +179,18 @@ def test_extract_rejects_first_offending_entry():
     dense = tf.assemble()
 
     with pytest.raises(ShapeViolationError) as info:
-        toeplitz_extract(_bump(dense, 1, 0), st)  # must stay zero
+        ToeplitzForm.extract(_bump(dense, 1, 0), st)  # must stay zero
     assert (info.value.row, info.value.col) == (1, 0)
 
     with pytest.raises(ShapeViolationError) as info:
-        toeplitz_extract(_bump(dense, 1, 1), st)  # must repeat entry (0, 0)
+        ToeplitzForm.extract(_bump(dense, 1, 1), st)  # must repeat entry (0, 0)
     assert (info.value.row, info.value.col) == (1, 1)
 
 
 def test_extract_rejects_wrong_size():
     st = SegreStructure(0, [(2, 1)])
     with pytest.raises(DimensionMismatchError):
-        toeplitz_extract(identity(3), st)
+        ToeplitzForm.extract(identity(3), st)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,7 @@ def test_mul_matches_dense_product():
         st = rnd.structure(max_n=9, max_parts=3)
         x = _random_form(rnd, st)
         y = _random_form(rnd, st)
-        z = toeplitz_mul(x, y)
+        z = x * y
         assert z.assemble() == x.assemble() * y.assemble()
 
 
@@ -225,7 +224,7 @@ def test_mul_requires_same_structure():
     a = ToeplitzForm.identity(SegreStructure(0, [(2, 1)]))
     b = ToeplitzForm.identity(SegreStructure(0, [(1, 2)]))
     with pytest.raises(DimensionMismatchError):
-        toeplitz_mul(a, b)
+        a * b
 
 
 def test_flip_transpose_matches_dense_conjugation():
@@ -368,6 +367,15 @@ def test_conjugate_by_omega_round_trip():
         conjugate_by_omega(identity(2), SegreStructure(0, [(2, 1)]), "sideways")
     with pytest.raises(DimensionMismatchError):
         conjugate_by_omega(identity(3), SegreStructure(0, [(2, 1)]), "to_dense")
+
+
+def test_conjugate_by_omega_matches_dense_interleave():
+    for n in range(1, 8):
+        x = ExactMatrix.build(n, n, lambda i, j: i * n + j + 1)
+        for st in enumerate_structures(n):
+            om = interleave_form(st)
+            assert conjugate_by_omega(x, st, "to_toeplitz") == om.T * x * om
+            assert conjugate_by_omega(x, st, "to_dense") == om * x * om.T
 
 
 def test_single_copy_groups_need_no_interleaving():
