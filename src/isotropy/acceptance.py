@@ -15,7 +15,7 @@ from .generators import (catalan_coeff, catalan_series, constant_data,
                          factor_unipotent, gen_G, gen_two_block, gen_V,
                          gen_W, generator_from_spec)
 from .matrices import ExactMatrix, identity
-from .orbit import codim_formula, tangent_oracle
+from .orbit import _components, _split_rank, codim_formula, tangent_oracle
 from .rng import RandomSource
 from .scalars import ExactScalar, HALF, IMAG, ONE, ZERO
 from .solver import (CongruenceData, FreeParams, solution_dimension,
@@ -284,12 +284,14 @@ def check_catalan_identities() -> CheckResult:
 
 def _commutant_nullity(s: ExactMatrix) -> int:
     n = s.rows
-    # columns indexed by E_ij, rows by entries of S E_ij - E_ij S
+    comp = _components(s)
+    # columns indexed by E_ij, rows by entries of S E_ij - E_ij S; both
+    # split by the ordered component pair (comp(i), comp(j))
     pairs = [(i, j) for i in range(n) for j in range(n)]
 
     def entry(row, col):
-        k, l = pairs[row]
-        i, j = pairs[col]
+        k, l = row
+        i, j = col
         val = ZERO
         if l == j:
             val = val + s[k, i]
@@ -297,8 +299,9 @@ def _commutant_nullity(s: ExactMatrix) -> int:
             val = val - s[j, l]
         return val
 
-    system = ExactMatrix.build(n * n, n * n, entry)
-    return n * n - system.rank()
+    rank = _split_rank(pairs, pairs, lambda p: (comp[p[0]], comp[p[1]]),
+                       entry)
+    return n * n - rank
 
 
 def check_commutant_count(max_n=8) -> CheckResult:

@@ -151,7 +151,7 @@ def gen_V(structure: SegreStructure, b_diag: Sequence[ExactMatrix] | None,
     per_group: list[list[ExactMatrix]] = []
     for r, (alpha, m) in enumerate(structure.blocks):
         b = data.b(r, 0)
-        binv = b.inverse()
+        binv = b if b.is_identity else b.inverse()
         coeffs = [dense_identity(m)]
         for n in range(1, alpha):
             acc = skews[(r, n)]
@@ -203,7 +203,7 @@ def _two_block_cells(alpha: int, beta: int, k: int, coupling: ExactMatrix,
     block (0,1): -B^-1 F^T C at offset k; block (1,0): F at offset k.
     """
     m1, m2 = b.rows, c.rows
-    binv = b.inverse()
+    binv = b if b.is_identity else b.inverse()
     upper = -(binv * coupling.transpose() * c)
     x = (-upper) * coupling  # B^-1 F^T C F
     y = coupling * binv * coupling.transpose() * c

@@ -5,6 +5,14 @@ symmetric matrix has a closed formula in the structure data.  An
 independent check comes from the tangent space at S: the image of the
 linear map sending a skew matrix X to X^T S + S X inside the symmetric
 matrices.  Both are computed exactly and must always agree.
+
+The oracle ranks that map one pair of components at a time.  The
+components are the connected components of the nonzero pattern of S
+(for a canonical S, its direct-sum blocks; a dense S is one component).
+The entry of X at (u, v) only reaches image entries (i, j) whose unordered
+component pair {comp(i), comp(j)} equals {comp(u), comp(v)}, so the map
+is block diagonal after a permutation and its rank is the sum of the
+ranks of the blocks.
 """
 
 from .errors import IntegrityError, ParameterError, StructureError
@@ -70,12 +78,54 @@ def codim_formula(structure) -> int:
     return total
 
 
-def _skew_pairs(n):
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+def _components(s: ExactMatrix) -> list:
+    """Label each index of the symmetric matrix s by the connected component
+    of the nonzero pattern of s that holds it: its smallest index."""
+    n = s.rows
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        row = s.row(i)
+        for j in range(i + 1, n):
+            if not row[j].is_zero:
+                a, b = find(i), find(j)
+                if a != b:
+                    # the smaller root wins, so each root is its set's minimum
+                    parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(n)]
 
 
-def _sym_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
+def _split_rank(rows, columns, key, entry) -> int:
+    """Exact rank of the matrix with entries entry(row, col), given that an
+    entry vanishes unless key(row) == key(col).
+
+    Rows and columns are grouped by key, each group's subsystem is ranked
+    and the ranks are summed; equal subsystems are ranked once per call.
+    """
+    row_groups: dict = {}
+    for r in rows:
+        row_groups.setdefault(key(r), []).append(r)
+    col_groups: dict = {}
+    for c in columns:
+        col_groups.setdefault(key(c), []).append(c)
+    ranks: dict = {}
+    total = 0
+    for k, cols in col_groups.items():
+        rws = row_groups.get(k)
+        if not rws:
+            continue
+        system = ExactMatrix.build(
+            len(rws), len(cols), lambda r, c: entry(rws[r], cols[c]))
+        if system not in ranks:
+            ranks[system] = system.rank()
+        total += ranks[system]
+    return total
 
 
 def tangent_oracle(s: ExactMatrix):
@@ -84,37 +134,38 @@ def tangent_oracle(s: ExactMatrix):
     Vectorizes X -> X^T S + S X from skew to symmetric matrices over the
     canonical coordinate bases (strictly upper entries; upper triangle)
     and returns (tangent_dim, oracle_codim, kernel_dim) from its exact
-    rank.  Works for any exact symmetric S, canonical or not.
+    rank, summed over the pairs of components of S.  Works for any exact
+    symmetric S, canonical or not.
     """
     if not s.is_square:
         raise ParameterError(f"matrix is {s.rows}x{s.cols}, need square")
     if not s.is_symmetric:
         raise ParameterError("tangent oracle needs a symmetric matrix")
     n = s.rows
-    skew_pairs = _skew_pairs(n)
-    sym_pairs = _sym_pairs(n)
-    columns = []
-    for (u, v) in skew_pairs:
-        # image of E_uv - E_vu; X^T S + S X = S X - X S for skew X
-        image = [ZERO] * len(sym_pairs)
-        for row, (i, j) in enumerate(sym_pairs):
-            val = ZERO
-            if j == u:
-                val = val - s[i, v]
-            if j == v:
-                val = val + s[i, u]
-            if i == u:
-                val = val - s[v, j]
-            if i == v:
-                val = val + s[u, j]
-            image[row] = val
-        columns.append(image)
-    if columns:
-        system = ExactMatrix.build(
-            len(sym_pairs), len(columns), lambda r, c: columns[c][r])
-        rank = system.rank()
-    else:
-        rank = 0
+    comp = _components(s)
+    skew_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    sym_pairs = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def component_pair(pair):
+        a, b = comp[pair[0]], comp[pair[1]]
+        return (a, b) if a <= b else (b, a)
+
+    def image(sym, skew):
+        # entry (i, j) of the image of E_uv - E_vu;
+        # X^T S + S X = S X - X S for skew X
+        (i, j), (u, v) = sym, skew
+        val = ZERO
+        if j == u:
+            val = val - s[i, v]
+        if j == v:
+            val = val + s[i, u]
+        if i == u:
+            val = val - s[v, j]
+        if i == v:
+            val = val + s[u, j]
+        return val
+
+    rank = _split_rank(sym_pairs, skew_pairs, component_pair, image)
     kernel_dim = len(skew_pairs) - rank
     tangent_dim = rank
     oracle_codim = n * (n + 1) // 2 - tangent_dim

@@ -142,11 +142,15 @@ class CongruenceData:
         return self.b_coeffs == self.c_coeffs
 
     @property
+    def b_is_identity(self) -> bool:
+        """True when B is the identity form (leading I, higher coefficients 0)."""
+        return all(entry[0].is_identity and all(mat.is_zero for mat in entry[1:])
+                   for entry in self.b_coeffs)
+
+    @property
     def is_identity(self) -> bool:
         """True when B = C = the identity form."""
-        return self.sides_equal and all(
-            entry[0].is_identity and all(mat.is_zero for mat in entry[1:])
-            for entry in self.b_coeffs)
+        return self.sides_equal and self.b_is_identity
 
     def __eq__(self, other):
         if not isinstance(other, CongruenceData):
@@ -365,7 +369,8 @@ def solve_congruence(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
                 f"seed {r} does not satisfy the leading congruence "
                 "C_0 = A^T B_0 A")
         coeffs[(r, r, 0)] = seed
-        ginv.append(seed * data.c(r, 0).inverse())
+        c0 = data.c(r, 0)
+        ginv.append(seed if c0.is_identity else seed * c0.inverse())
 
     for key, mat in params.sub_blocks.items():
         coeffs[key] = mat
@@ -404,12 +409,14 @@ def verify_congruence(data: CongruenceData,
 
     Returns (True, "") on success, else (False, report) naming the first
     mismatching block coefficient in (r, s, offset) order.  It always
-    computes; when B = C = I a success marks x as a verified member of its
+    computes (when B is the identity form, B X is X itself and is not
+    formed); when B = C = I a success marks x as a verified member of its
     structure's group, so that group operations need not check it again.
     """
     if x.structure != data.structure:
         raise StructureError("form and data live on different structures")
-    lhs = x.flip_transpose() * (data.b_form() * x)
+    bx = x if data.b_is_identity else data.b_form() * x
+    lhs = x.flip_transpose() * bx
     rhs = data.c_form()
     st = data.structure
     for r in range(st.part_count):

@@ -1,18 +1,22 @@
 """Orbit codimension formula against the exact tangent oracle."""
 
+import random
+
 import pytest
 
+from isotropy.acceptance import _commutant_nullity
 from isotropy.errors import IntegrityError, ParameterError, StructureError
 from isotropy.forms import (MultiSegreStructure, SegreStructure,
                             enumerate_structures, symmetric_form)
 from isotropy.matrices import ExactMatrix, cayley_orthogonal, direct_sum
-from isotropy.orbit import (OrbitReport, codim_formula, consistency_check,
-                            tangent_oracle)
+from isotropy.orbit import (OrbitReport, _components, codim_formula,
+                            consistency_check, tangent_oracle)
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, ZERO
 from isotropy.solver import solution_dimension
 
-from _oracles import nullity, vectorize_tangent_system
+from _oracles import (nullity, vectorize_commutant_system,
+                      vectorize_tangent_system)
 
 
 def _st(blocks, lam=IMAG):
@@ -128,7 +132,80 @@ def test_oracle_is_congruence_invariant():
     base = tangent_oracle(s)
     for _ in range(3):
         q = cayley_orthogonal(rnd.skew(st.n))
-        assert tangent_oracle(q.transpose() * s * q) == base
+        dense = q.transpose() * s * q
+        # one component: the oracle ranks the whole system at once
+        assert set(_components(dense)) == {0}
+        assert tangent_oracle(dense) == base
+
+
+def _dense_tangent_reference(s):
+    n = s.rows
+    kernel_dim = nullity(vectorize_tangent_system(_to_oracle(s)))
+    tangent_dim = n * (n - 1) // 2 - kernel_dim
+    return tangent_dim, n * (n + 1) // 2 - tangent_dim, kernel_dim
+
+
+_MULTI_STRUCTURES = (
+    # two equal-sized block pairs whose subsystems differ: same eigenvalue
+    # (rank 2) and different eigenvalues (rank 4)
+    MultiSegreStructure([_st([(2, 2)], 0), _st([(2, 1)], 1)]),
+    MultiSegreStructure([_st([(2, 1), (1, 1)], 0), _st([(1, 2)], 1)]),
+    MultiSegreStructure([_st([(3, 1), (1, 1)]), _st([(2, 1)], 0),
+                         _st([(1, 1)], 1)]),
+)
+
+
+def test_block_oracle_matches_dense_reference():
+    structures = [st for n in range(1, 9) for lam in (0, 1, IMAG)
+                  for st in enumerate_structures(n, lam)]
+    for st in structures + list(_MULTI_STRUCTURES):
+        s = symmetric_form(st)
+        assert tangent_oracle(s) == _dense_tangent_reference(s), st
+
+
+def _permuted(s, perm):
+    return ExactMatrix.build(s.rows, s.cols,
+                             lambda i, j: s[perm[i], perm[j]])
+
+
+def test_block_oracle_on_permuted_block_diagonal():
+    rnd = random.Random(20240864)
+    for st in (_st([(3, 2), (2, 1), (1, 1)]), _MULTI_STRUCTURES[0],
+               _MULTI_STRUCTURES[2]):
+        s = symmetric_form(st)
+        base = tangent_oracle(s)
+        scattered = False
+        for _ in range(3):
+            perm = list(range(st.n))
+            rnd.shuffle(perm)
+            p = _permuted(s, perm)
+            members = {}
+            for i, label in enumerate(_components(p)):
+                members.setdefault(label, []).append(i)
+            assert len(members) == len(set(_components(s)))
+            scattered |= any(idx[-1] - idx[0] + 1 != len(idx)
+                             for idx in members.values())
+            assert tangent_oracle(p) == base
+        # at least one draw spreads a block over non-contiguous indices
+        assert scattered
+
+
+def test_split_commutant_nullity_matches_dense_reference():
+    for n in range(1, 7):
+        for lam in (0, 1, IMAG):
+            for st in enumerate_structures(n, lam):
+                s = symmetric_form(st)
+                want = nullity(vectorize_commutant_system(_to_oracle(s)))
+                assert _commutant_nullity(s) == want, st
+    s = symmetric_form(_MULTI_STRUCTURES[0])
+    assert _commutant_nullity(s) == nullity(
+        vectorize_commutant_system(_to_oracle(s)))
+
+
+def test_consistency_check_at_n_40():
+    report = consistency_check(_st([(6, 2), (4, 3), (2, 4), (1, 8)], 0))
+    assert report.n == 40
+    assert report.codim_formula == report.oracle_codim == 234
 
 
 def test_orbit_report_validates_invariants():
