@@ -14,8 +14,9 @@ from .forms import (MultiSegreStructure, SegreStructure,
 from .generators import (catalan_coeff, catalan_series, constant_data,
                          factor_unipotent, gen_G, gen_two_block, gen_V,
                          gen_W, generator_from_spec)
-from .matrices import ExactMatrix, identity
-from .orbit import _components, _split_rank, codim_formula, tangent_oracle
+from .matrices import ExactMatrix, _integer_grid, identity
+from .orbit import (_components, _signed_sum, _split_rank, codim_formula,
+                    tangent_oracle)
 from .rng import RandomSource
 from .scalars import ExactScalar, HALF, IMAG, ONE, ZERO
 from .solver import (CongruenceData, FreeParams, solution_dimension,
@@ -285,6 +286,7 @@ def check_catalan_identities() -> CheckResult:
 def _commutant_nullity(s: ExactMatrix) -> int:
     n = s.rows
     comp = _components(s)
+    si = _integer_grid(s)
     # columns indexed by E_ij, rows by entries of S E_ij - E_ij S; both
     # split by the ordered component pair (comp(i), comp(j))
     pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -292,12 +294,12 @@ def _commutant_nullity(s: ExactMatrix) -> int:
     def entry(row, col):
         k, l = row
         i, j = col
-        val = ZERO
+        terms = []
         if l == j:
-            val = val + s[k, i]
+            terms.append((1, si[k][i]))
         if k == i:
-            val = val - s[j, l]
-        return val
+            terms.append((-1, si[j][l]))
+        return _signed_sum(terms)
 
     rank = _split_rank(pairs, pairs, lambda p: (comp[p[0]], comp[p[1]]),
                        entry)

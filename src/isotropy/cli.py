@@ -226,8 +226,16 @@ _COMMANDS = {
 }
 
 
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a JSON error on stderr, exit 2,
+    like every other bad input."""
+
+    def error(self, message):
+        self.exit(2, dumps_canonical({"error": message}))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonErrorParser(
         prog="isotropy",
         description="Exact isotropy groups of canonical complex "
                     "symmetric matrices.")

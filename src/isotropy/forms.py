@@ -12,18 +12,17 @@ normalization.  From it we build, all exactly:
     from "m copies of size alpha" to "alpha positions of size m", and
   * the block-coordinate backward identity F = Omega^T E Omega.
 
-symmetric_block computes P J P^{-1} and cross-checks it against the
-independent entrywise description.  symmetric_form, transition_form and
+symmetric_block builds the block entrywise; that it equals P J P^{-1} is
+checked by the tests, not at run time.  symmetric_form, transition_form and
 transition_form_inverse build their matrix once per structure and then
-hand out the same immutable object, so the cross-check runs once per
-structure.
+hand out the same immutable object.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import IntegrityError, StructureError
+from .errors import StructureError
 from .matrices import ExactMatrix, direct_sum, identity, zeros
 from .scalars import ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, _coerce
 
@@ -182,12 +181,13 @@ def transition_matrix(alpha: int) -> ExactMatrix:
     return ExactMatrix.build(alpha, alpha, entry)
 
 
-def _symmetric_block_entrywise(n: int, lam: ExactScalar) -> ExactMatrix:
-    """Independent entrywise description of the symmetric canonical block.
+def symmetric_block(n: int, lam) -> ExactMatrix:
+    """Symmetric canonical block P J P^{-1}, built entrywise.
 
     lam on the diagonal, 1/2 on both first off-diagonals, -i/2 where
     row + col = n - 2 and +i/2 where row + col = n (0-based).
     """
+    lam = _as_eigenvalue(lam)
     ihalf = IMAG * HALF
 
     def entry(i, j):
@@ -203,16 +203,6 @@ def _symmetric_block_entrywise(n: int, lam: ExactScalar) -> ExactMatrix:
         return x
 
     return ExactMatrix.build(n, n, entry)
-
-
-def symmetric_block(n: int, lam) -> ExactMatrix:
-    """Symmetric canonical block: P J P^{-1}, cross-checked entrywise."""
-    lam = _as_eigenvalue(lam)
-    p = transition_matrix(n)
-    k = p * jordan_block(n, lam) * p.conjugate_i()
-    if k != _symmetric_block_entrywise(n, lam):
-        raise IntegrityError("transition and entrywise block constructions disagree")
-    return k
 
 
 def interleave_permutation(alpha: int, m: int) -> ExactMatrix:

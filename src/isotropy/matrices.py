@@ -1,17 +1,23 @@
 """Exact dense matrices over Q(i, sqrt2).
 
-Immutable, row-major, with exact Gauss-Jordan inversion, rank and nullspace.
-Pivot selection is the first row with a nonzero entry: exact arithmetic
-needs no magnitude heuristics, and a fixed rule keeps every run
-deterministic.  Degenerate 0 x n shapes are first-class so direct sums over
-empty lists work uniformly.
+Immutable, row-major.  Inversion and the nullspace use exact Gauss-Jordan
+elimination over the field.  The rank uses forward-only fraction-free
+(Bareiss) elimination over the ring Z[i, sqrt2]: each row is scaled to
+integers by the lcm of its denominators, which keeps the rank, and entries
+become integer 4-tuples (a, b, c, d) meaning (a + b i) + (c + d i) sqrt2
+(E. H. Bareiss, Sylvester's identity and multistep integer-preserving
+Gaussian elimination, Math. Comp. 22, 1968).  Pivot selection is the first
+row with a nonzero entry: exact arithmetic needs no magnitude heuristics,
+and a fixed rule keeps every run deterministic.  Degenerate 0 x n shapes
+are first-class so direct sums over empty lists work uniformly.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, IntegrityError, SingularMatrixError
 from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _coerce
 
 
@@ -225,8 +231,16 @@ class ExactMatrix:
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
         return ExactMatrix(n, n, tuple(tuple(row[n:]) for row in aug))
 
-    def _rref(self):
-        """Reduced row echelon form; returns (rows, pivot_columns)."""
+    def rank(self) -> int:
+        return _fraction_free_rank([_integer_tuples(r) for r in self._m])
+
+    def nullspace(self) -> list["ExactMatrix"]:
+        """Basis of the right kernel, as column vectors; deterministic order.
+
+        The matrix is brought to reduced row echelon form by Gauss-Jordan;
+        each free column f gives the vector with 1 at f and minus the
+        reduced entries of column f at the pivot columns.
+        """
         m = [list(r) for r in self._m]
         pivots = []
         lead = 0
@@ -251,14 +265,6 @@ class ExactMatrix:
             lead += 1
             if lead == self.rows:
                 break
-        return m, pivots
-
-    def rank(self) -> int:
-        return len(self._rref()[1])
-
-    def nullspace(self) -> list["ExactMatrix"]:
-        """Basis of the right kernel, as column vectors; deterministic order."""
-        m, pivots = self._rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
@@ -307,6 +313,116 @@ def _as_scalar(x) -> ExactScalar:
 def _as_scalar_or_none(x):
     s = _coerce(x)
     return None if s is NotImplemented else s
+
+
+# -- the integer rank kernel -------------------------------------------------
+
+
+def _integer_tuples(entries: Sequence[ExactScalar]) -> list:
+    """The scalars of entries times the lcm of all their denominators, as
+    integer 4-tuples (a, b, c, d) meaning (a + b i) + (c + d i) sqrt2."""
+    parts = [(x.a, x.b, x.c, x.d) for x in entries]
+    den = lcm(*(int(q.denominator) for p in parts for q in p))
+    return [tuple(int(q.numerator) * (den // int(q.denominator)) for q in p)
+            for p in parts]
+
+
+def _integer_grid(m: ExactMatrix) -> list:
+    """m times the lcm of all its denominators, as rows of integer 4-tuples.
+    A linear system built from these entries has the rank of the one built
+    from m."""
+    flat = _integer_tuples([x for r in m._m for x in r])
+    return [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+
+
+def _mul4(x: tuple, y: tuple) -> tuple:
+    """Product in Z[i, sqrt2] of two integer 4-tuples."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    if not (c1 or d1 or c2 or d2):
+        # Gaussian fast path: the systems of Gaussian eigenvalues live here.
+        return (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 0, 0)
+    # (g1 + h1 r2)(g2 + h2 r2) = (g1 g2 + 2 h1 h2) + (g1 h2 + h1 g2) r2
+    return (a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+            a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+            a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
+            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+
+
+def _divisor(y: tuple) -> tuple:
+    """(m, norm) with y m = norm, a positive integer, for nonzero y.
+
+    A divisor with a sqrt2 part is first multiplied by its sqrt2-conjugate,
+    which leaves the Gaussian number g = y conj_sqrt2(y); then g conj_i(g) is
+    the integer norm.  Dividing x by y exactly is x m divided by norm.
+    """
+    if y[2] or y[3]:
+        conj2 = (y[0], y[1], -y[2], -y[3])
+        g = _mul4(y, conj2)
+        return _mul4(conj2, (g[0], -g[1], 0, 0)), g[0] * g[0] + g[1] * g[1]
+    return (y[0], -y[1], 0, 0), y[0] * y[0] + y[1] * y[1]
+
+
+def _fraction_free_rank(rows: Sequence[Sequence[tuple]]) -> int:
+    """Exact rank of a matrix over Z[i, sqrt2], given as rows of integer
+    4-tuples, by forward-only Bareiss elimination.
+
+    Step k takes the first row with a nonzero entry in the next column as
+    the pivot row (a column with none is skipped) and updates every row
+    below it to (p r - f prow) / prev, p the pivot, f the row's entry in
+    the pivot column and prev the previous pivot (1 at the first step).
+    Every entry so formed is a minor of the input, so the division is exact
+    in Z[i, sqrt2]; a remainder is an internal fault and raises
+    IntegrityError.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    # dividing by the previous pivot is multiplying by mult, then dividing
+    # each integer component exactly by norm
+    mult, norm = (1, 0, 0, 0), 1
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, n_rows) if any(m[r][col])), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        prow = m[rank]
+        p = _mul4(prow[col], mult)
+        for r in range(rank + 1, n_rows):
+            row = m[r]
+            f = _mul4(row[col], mult)
+            f_zero = not any(f)
+            for j in range(col + 1, n_cols):
+                x, y = row[j], prow[j]
+                # the terms p x and f y, skipped when they vanish
+                px_zero, fy_zero = not any(x), f_zero or not any(y)
+                if px_zero and fy_zero:
+                    continue
+                if px_zero:
+                    v = _mul4(f, y)
+                    v = (-v[0], -v[1], -v[2], -v[3])
+                elif fy_zero:
+                    v = _mul4(p, x)
+                else:
+                    u, w = _mul4(p, x), _mul4(f, y)
+                    v = (u[0] - w[0], u[1] - w[1], u[2] - w[2], u[3] - w[3])
+                if norm != 1:
+                    q0, r0 = divmod(v[0], norm)
+                    q1, r1 = divmod(v[1], norm)
+                    q2, r2 = divmod(v[2], norm)
+                    q3, r3 = divmod(v[3], norm)
+                    if r0 or r1 or r2 or r3:
+                        raise IntegrityError(
+                            "fraction-free elimination left a remainder")
+                    v = (q0, q1, q2, q3)
+                row[j] = v
+        mult, norm = _divisor(prow[col])
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
 
 
 # -- free constructors ------------------------------------------------------

@@ -12,13 +12,14 @@ components are the connected components of the nonzero pattern of S
 The entry of X at (u, v) only reaches image entries (i, j) whose unordered
 component pair {comp(i), comp(j)} equals {comp(u), comp(v)}, so the map
 is block diagonal after a permutation and its rank is the sum of the
-ranks of the blocks.
+ranks of the blocks.  S is scaled once by the lcm of its denominators, so
+every block is built directly as rows of integer 4-tuples and ranked by the
+fraction-free kernel of matrices.py; scaling a linear map keeps its rank.
 """
 
 from .errors import IntegrityError, ParameterError, StructureError
 from .forms import MultiSegreStructure, SegreStructure, symmetric_form
-from .matrices import ExactMatrix
-from .scalars import ZERO
+from .matrices import ExactMatrix, _fraction_free_rank, _integer_grid
 from .stabilizer import describe_isotropy
 
 
@@ -101,9 +102,20 @@ def _components(s: ExactMatrix) -> list:
     return [find(i) for i in range(n)]
 
 
+def _signed_sum(terms) -> tuple:
+    """Sum of the integer 4-tuples x over the (sign, x) in terms."""
+    a = b = c = d = 0
+    for sign, (x0, x1, x2, x3) in terms:
+        a += sign * x0
+        b += sign * x1
+        c += sign * x2
+        d += sign * x3
+    return (a, b, c, d)
+
+
 def _split_rank(rows, columns, key, entry) -> int:
-    """Exact rank of the matrix with entries entry(row, col), given that an
-    entry vanishes unless key(row) == key(col).
+    """Exact rank of the matrix with integer 4-tuple entries entry(row, col),
+    given that an entry vanishes unless key(row) == key(col).
 
     Rows and columns are grouped by key, each group's subsystem is ranked
     and the ranks are summed; equal subsystems are ranked once per call.
@@ -120,10 +132,9 @@ def _split_rank(rows, columns, key, entry) -> int:
         rws = row_groups.get(k)
         if not rws:
             continue
-        system = ExactMatrix.build(
-            len(rws), len(cols), lambda r, c: entry(rws[r], cols[c]))
+        system = tuple(tuple(entry(r, c) for c in cols) for r in rws)
         if system not in ranks:
-            ranks[system] = system.rank()
+            ranks[system] = _fraction_free_rank(system)
         total += ranks[system]
     return total
 
@@ -143,6 +154,7 @@ def tangent_oracle(s: ExactMatrix):
         raise ParameterError("tangent oracle needs a symmetric matrix")
     n = s.rows
     comp = _components(s)
+    si = _integer_grid(s)
     skew_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     sym_pairs = [(i, j) for i in range(n) for j in range(i, n)]
 
@@ -154,16 +166,16 @@ def tangent_oracle(s: ExactMatrix):
         # entry (i, j) of the image of E_uv - E_vu;
         # X^T S + S X = S X - X S for skew X
         (i, j), (u, v) = sym, skew
-        val = ZERO
+        terms = []
         if j == u:
-            val = val - s[i, v]
+            terms.append((-1, si[i][v]))
         if j == v:
-            val = val + s[i, u]
+            terms.append((1, si[i][u]))
         if i == u:
-            val = val - s[v, j]
+            terms.append((-1, si[v][j]))
         if i == v:
-            val = val + s[u, j]
-        return val
+            terms.append((1, si[u][j]))
+        return _signed_sum(terms)
 
     rank = _split_rank(sym_pairs, skew_pairs, component_pair, image)
     kernel_dim = len(skew_pairs) - rank

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
-Deliberately written against fractions.Fraction pairs (re + im) with its own
-tiny Gaussian elimination, importing nothing from the package under test, so
-that rank/nullity expectations come from a second code path.  The one
+Deliberately written against fractions.Fraction pairs (re + im), and
+Fraction 4-tuples for Q(i, sqrt2), with its own tiny Gauss-Jordan
+elimination, importing nothing from the package under test, so that
+rank/nullity expectations come from a second code path.  The one
 exception is two_product_membership, which works on the package's own
 matrices so that its reports can be compared byte for byte.
 """
@@ -83,6 +84,60 @@ def rank(mat):
         rk += 1
         lead += 1
         if lead == rows:
+            break
+    return rk
+
+
+def q(a=0, b=0, c_=0, d=0):
+    """(a + b i) + (c_ + d i) sqrt2 as a 4-tuple of Fractions."""
+    return (Fraction(a), Fraction(b), Fraction(c_), Fraction(d))
+
+
+def qsub(x, y):
+    return tuple(u - v for u, v in zip(x, y))
+
+
+def qmul(x, y):
+    # (g1 + h1 sqrt2)(g2 + h2 sqrt2) with Gaussian g, h
+    g1, h1, g2, h2 = x[:2], x[2:], y[:2], y[2:]
+    gg = cadd(cmul(g1, g2), cmul(c(2), cmul(h1, h2)))
+    return gg + cadd(cmul(g1, h2), cmul(h1, g2))
+
+
+def qdiv(x, y):
+    # 1 / (g + h sqrt2) = (g - h sqrt2) / (g^2 - 2 h^2), a Gaussian denominator
+    g, h = y[:2], y[2:]
+    den = csub(cmul(g, g), cmul(c(2), cmul(h, h)))
+    inv = cdiv(g, den) + cdiv(csub(C0, h), den)
+    return qmul(x, inv)
+
+
+def q_is_zero(x):
+    return all(v == 0 for v in x)
+
+
+def qrank(mat):
+    """Gauss-Jordan rank over Q(i, sqrt2) on rows of Fraction 4-tuples;
+    first-nonzero pivoting."""
+    m = [row[:] for row in mat]
+    if not m:
+        return 0
+    rows, cols = len(m), len(m[0])
+    rk = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rk, rows) if not q_is_zero(m[r][col])),
+                     None)
+        if pivot is None:
+            continue
+        m[rk], m[pivot] = m[pivot], m[rk]
+        pv = m[rk][col]
+        m[rk] = [qdiv(x, pv) for x in m[rk]]
+        for r in range(rows):
+            if r != rk and not q_is_zero(m[r][col]):
+                f = m[r][col]
+                m[r] = [qsub(x, qmul(f, y)) for x, y in zip(m[r], m[rk])]
+        rk += 1
+        if rk == rows:
             break
     return rk
 

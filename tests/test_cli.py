@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from isotropy.cli import main
 from isotropy.forms import SegreStructure, symmetric_form
 from isotropy.generators import generator_from_spec
@@ -176,6 +178,20 @@ def test_bad_json_and_missing_file_exit_two(capsys):
     assert code == 2
     code, _, _ = _run(capsys, "dim", "--structure", "/no/such/file.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--structure", RIGID, "--seed", "abc"],
+    ["nonesuch", "--structure", RIGID],
+    ["dim", "--structure", RIGID, "--no-such-flag"],
+])
+def test_malformed_command_line_exits_two_with_json(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    captured = capsys.readouterr()
+    assert stop.value.code == 2
+    assert captured.out == ""
+    assert set(json.loads(captured.err)) == {"error"}
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

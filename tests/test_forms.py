@@ -123,6 +123,15 @@ def test_symmetric_block_against_oracle():
                 assert x.is_gaussian
 
 
+def test_symmetric_block_equals_transition_conjugate_of_jordan():
+    # symmetric_block is built entrywise; P J P^-1 is the definition
+    for lam in (ZERO, ONE, IMAG, ExactScalar(rat(1, 3), 1, rat(-2, 5), 2)):
+        for n in range(1, 13):
+            p = transition_matrix(n)
+            assert p * jordan_block(n, lam) * p.conjugate_i() \
+                == symmetric_block(n, lam)
+
+
 def test_symmetric_block_is_similar_to_jordan():
     rs = RandomSource(12)
     for n in range(1, 7):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from isotropy.errors import DimensionMismatchError, SingularMatrixError
@@ -6,14 +8,13 @@ from isotropy.matrices import (
     identity, zeros,
 )
 from isotropy.rng import RandomSource
-from isotropy.scalars import ExactScalar, IMAG, ONE, ZERO, rat
+from isotropy.scalars import ExactScalar, IMAG, ONE, SQRT2, ZERO, rat
 
 import _oracles as oracle
 
 
 def _to_oracle(m):
     # package matrix -> oracle (Fraction re, Fraction im) grid; sqrt2-free only
-    from fractions import Fraction
     out = []
     for i in range(m.rows):
         row = []
@@ -119,6 +120,106 @@ def test_rank_matches_oracle():
         assert m.nullity() == oracle.nullity(_to_oracle(m))
         for v in m.nullspace():
             assert (m * v).is_zero
+
+
+def _to_q(m):
+    # package matrix -> oracle grid of Fraction 4-tuples (a, b, c, d)
+    def frac(r):
+        return Fraction(int(r.numerator), int(r.denominator))
+    return [[tuple(frac(v) for v in (x.a, x.b, x.c, x.d)) for x in m.row(i)]
+            for i in range(m.rows)]
+
+
+def _assert_rank_matches_q_oracle(m):
+    want = oracle.qrank(_to_q(m))
+    assert m.rank() == want
+    assert m.nullity() == m.cols - want
+    return want
+
+
+def _sparse(rs, rows, cols, **kw):
+    # about half the entries zero, so pivots often need a row swap
+    return ExactMatrix.from_rows(
+        [[ZERO if rs.stream.below(2) else rs.scalar(**kw)
+          for _ in range(cols)] for _ in range(rows)])
+
+
+def test_rank_matches_q_oracle_with_sqrt2_entries():
+    rs = RandomSource(606)
+    for _ in range(30):
+        r, c = rs.stream.randint(1, 6), rs.stream.randint(1, 6)
+        _assert_rank_matches_q_oracle(rs.matrix(r, c, with_sqrt2=True))
+        _assert_rank_matches_q_oracle(_sparse(rs, r, c, with_sqrt2=True))
+
+
+def test_rank_of_rank_deficient_products():
+    rs = RandomSource(607)
+    for _ in range(25):
+        n, m = rs.stream.randint(2, 6), rs.stream.randint(2, 6)
+        k = rs.stream.randint(1, min(n, m) - 1)
+        a = rs.matrix(n, k, with_sqrt2=True)
+        b = _sparse(rs, k, m, with_sqrt2=True)
+        assert _assert_rank_matches_q_oracle(a * b) <= k
+
+
+def test_rank_with_zero_rows_and_columns():
+    rs = RandomSource(608)
+    for _ in range(20):
+        r, c = rs.stream.randint(1, 5), rs.stream.randint(1, 5)
+        grid = _sparse(rs, r, c, with_sqrt2=True).to_lists()
+        for _ in range(rs.stream.randint(1, 2)):
+            at = rs.stream.randint(0, len(grid))
+            grid.insert(at, [ZERO] * c)
+        zero_col = rs.stream.randint(0, c)
+        grid = [row[:zero_col] + [ZERO] + row[zero_col:] for row in grid]
+        _assert_rank_matches_q_oracle(ExactMatrix.from_rows(grid))
+    assert zeros(4, 3).rank() == 0
+    assert ExactMatrix.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).rank() == 3
+
+
+def test_rank_of_empty_shapes():
+    for n in range(5):
+        assert zeros(0, n).rank() == 0 and zeros(0, n).nullity() == n
+        assert zeros(n, 0).rank() == 0 and zeros(n, 0).nullity() == 0
+
+
+def test_rank_divides_through_the_sqrt2_conjugate():
+    # pivots with a sqrt2 part, and with no Gaussian part at all, so the
+    # exact division needs the sqrt2-conjugate and a zero test reading only
+    # the Gaussian part misses them
+    r2 = SQRT2
+    assert ExactMatrix.from_rows([[r2, 1], [0, r2]]).rank() == 2
+    assert ExactMatrix.from_rows([[r2, 2], [1, r2]]).rank() == 1
+    assert ExactMatrix.from_rows([[1 + r2, 1], [1, r2 - 1]]).rank() == 1
+    rs = RandomSource(609)
+    for _ in range(20):
+        n = rs.stream.randint(2, 5)
+        _assert_rank_matches_q_oracle(r2 * rs.matrix(n, n + 1))
+        k = rs.stream.randint(1, n - 1)
+        a = r2 * rs.matrix(n, k)
+        b = rs.matrix(k, n, with_sqrt2=True)
+        assert _assert_rank_matches_q_oracle(a * b + r2 * (a * b)) <= k
+        _assert_rank_matches_q_oracle(
+            ExactMatrix.build(n, n, lambda i, j: rs.scalar(with_sqrt2=True)
+                              + (1 + r2 if i == j else ZERO)))
+
+
+def test_rank_with_large_denominators():
+    rs = RandomSource(610)
+
+    def big():
+        return ExactScalar(*(rat(rs.stream.randint(-10**4, 10**4),
+                                 rs.stream.randint(1, 10**10))
+                             for _ in range(4)))
+
+    for _ in range(8):
+        n, m = rs.stream.randint(2, 4), rs.stream.randint(2, 4)
+        a = ExactMatrix.build(n, m, lambda i, j: big())
+        _assert_rank_matches_q_oracle(a)
+        k = rs.stream.randint(1, min(n, m) - 1)
+        a = ExactMatrix.build(n, k, lambda i, j: big())
+        b = ExactMatrix.build(k, m, lambda i, j: big())
+        assert _assert_rank_matches_q_oracle(a * b) <= k
 
 
 def test_rank_plus_nullity():
