@@ -490,6 +490,8 @@ def check_multi_composition(cases=None) -> CheckResult:
 def run_all(max_n=8, cases=None):
     """All ten checks in order.  max_n trims the enumerations (2, 3, 7);
     cases overrides the randomized case counts (smoke runs)."""
+    if not isinstance(max_n, int) or max_n < 1:
+        raise ValueError("max_n must be a positive integer")
     sweep = _oracle_sweep(max_n)
     return [
         check_membership_sampling(cases),

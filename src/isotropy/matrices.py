@@ -1,12 +1,12 @@
 """Exact dense matrices over Q(i, sqrt2).
 
-Immutable, row-major.  Inversion and the nullspace use exact Gauss-Jordan
-elimination over the field.  The rank uses forward-only fraction-free
-(Bareiss) elimination over the ring Z[i, sqrt2]: each row is scaled to
-integers by the lcm of its denominators, which keeps the rank, and entries
-become integer 4-tuples (a, b, c, d) meaning (a + b i) + (c + d i) sqrt2
-(E. H. Bareiss, Sylvester's identity and multistep integer-preserving
-Gaussian elimination, Math. Comp. 22, 1968).  Pivot selection is the first
+Immutable, row-major.  Inversion uses exact Gauss-Jordan elimination over
+the field.  The rank uses forward-only fraction-free (Bareiss) elimination
+over the ring Z[i, sqrt2]: each row is scaled to integers by the lcm of its
+denominators, which keeps the rank, and entries become integer 4-tuples
+(a, b, c, d) meaning (a + b i) + (c + d i) sqrt2 (E. H. Bareiss,
+Sylvester's identity and multistep integer-preserving Gaussian
+elimination, Math. Comp. 22, 1968).  Pivot selection is the first
 row with a nonzero entry: exact arithmetic needs no magnitude heuristics,
 and a fixed rule keeps every run deterministic.  Degenerate 0 x n shapes
 are first-class so direct sums over empty lists work uniformly.
@@ -233,48 +233,6 @@ class ExactMatrix:
 
     def rank(self) -> int:
         return _fraction_free_rank([_integer_tuples(r) for r in self._m])
-
-    def nullspace(self) -> list["ExactMatrix"]:
-        """Basis of the right kernel, as column vectors; deterministic order.
-
-        The matrix is brought to reduced row echelon form by Gauss-Jordan;
-        each free column f gives the vector with 1 at f and minus the
-        reduced entries of column f at the pivot columns.
-        """
-        m = [list(r) for r in self._m]
-        pivots = []
-        lead = 0
-        for col in range(self.cols):
-            pivot_row = None
-            for r in range(lead, self.rows):
-                if not m[r][col].is_zero:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            m[lead], m[pivot_row] = m[pivot_row], m[lead]
-            inv = m[lead][col].inverse()
-            m[lead] = [x * inv for x in m[lead]]
-            for r in range(self.rows):
-                if r == lead:
-                    continue
-                f = m[r][col]
-                if not f.is_zero:
-                    m[r] = [x - f * y for x, y in zip(m[r], m[lead])]
-            pivots.append(col)
-            lead += 1
-            if lead == self.rows:
-                break
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for i, p in enumerate(pivots):
-                v[p] = -m[i][f]
-            basis.append(ExactMatrix(self.cols, 1, tuple((x,) for x in v)))
-        return basis
 
     def nullity(self) -> int:
         return self.cols - self.rank()

@@ -33,8 +33,6 @@ from .toeplitz import ToeplitzForm
 __all__ = [
     "CongruenceData",
     "FreeParams",
-    "accum_phi",
-    "accum_psi",
     "free_parameter_count",
     "random_free_params",
     "solution_dimension",
@@ -257,6 +255,8 @@ def _lookup(structure: SegreStructure, partial: Mapping, r: int, s: int, j: int,
 
 def _phi(data: CongruenceData, partial: Mapping, n: int, k: int, s: int,
          skip) -> ExactMatrix:
+    """Convolution of group k of B with block (k, s):
+    sum_{j=0}^{n} B_{n-j}^k A_j^{ks}; the zero matrix when n < 0."""
     st = data.structure
     acc = dense_zeros(st.mults[k], st.mults[s])
     if n < 0:
@@ -274,6 +274,8 @@ def _phi(data: CongruenceData, partial: Mapping, n: int, k: int, s: int,
 
 def _psi(data: CongruenceData, partial: Mapping, n: int, k: int, r: int, s: int,
          skip) -> ExactMatrix:
+    """Congruence contribution of middle group k to block (r, s):
+    sum_{u=0}^{n} (A_u^{kr})^T Phi_{n-u}^{ks}; the zero matrix when n < 0."""
     st = data.structure
     acc = dense_zeros(st.mults[r], st.mults[s])
     if n < 0:
@@ -284,20 +286,6 @@ def _psi(data: CongruenceData, partial: Mapping, n: int, k: int, r: int, s: int,
             continue
         acc = acc + a.transpose() * _phi(data, partial, n - u, k, s, skip)
     return acc
-
-
-def accum_phi(data: CongruenceData, partial: Mapping, n: int, k: int,
-              s: int) -> ExactMatrix:
-    """Convolution of group k of B with block (k, s):
-    sum_{j=0}^{n} B_{n-j}^k A_j^{ks}; the zero matrix when n < 0."""
-    return _phi(data, partial, n, k, s, None)
-
-
-def accum_psi(data: CongruenceData, partial: Mapping, n: int, k: int, r: int,
-              s: int) -> ExactMatrix:
-    """Congruence contribution of middle group k to block (r, s):
-    sum_{u=0}^{n} (A_u^{kr})^T Phi_{n-u}^{ks}; the zero matrix when n < 0."""
-    return _psi(data, partial, n, k, r, s, None)
 
 
 def _rhs_without(data: CongruenceData, partial: Mapping, r: int, s: int, j: int,

@@ -10,6 +10,11 @@ sums and products computed in coefficient space, the transpose twisted
 by the backward block form, inverses of identity-diagonal forms, and
 the additive weight filtration that controls nilpotency.
 
+A product is formed once, in coefficient space, with no dense pass.
+Membership of a product or inverse is checked where it is returned
+(solver.verify_congruence); that the coefficient product equals the
+dense product of the assemblies is a property the test suite checks.
+
 Coordinates are 0-based throughout: group indices r, s in
 [0, part_count), coefficient index j in [0, depth(r, s)).
 """
@@ -265,8 +270,9 @@ class ToeplitzForm:
     # -- multiplicative structure ----------------------------------------
 
     def __mul__(self, other):
-        """Product in coefficient space, cross-checked against the dense
-        product of the assemblies."""
+        """Product in coefficient space:
+        C_j^{rs} = sum_k sum_l A_l^{rk} B_{j + offset - l}^{ks}, where
+        offset = shift(r, s) - shift(r, k) - shift(k, s)."""
         if not isinstance(other, ToeplitzForm):
             return NotImplemented
         st = self.structure
@@ -297,11 +303,7 @@ class ToeplitzForm:
                             acc = acc + lhs * rhs
                     entry.append(acc)
                 coeffs[(r, s)] = entry
-        product = ToeplitzForm(st, coeffs)
-        if product.assemble() != self.assemble() * other.assemble():
-            raise IntegrityError(
-                "coefficient-space product disagrees with dense product")
-        return product
+        return ToeplitzForm(st, coeffs)
 
     def flip_transpose(self) -> "ToeplitzForm":
         """F X^T F for the backward block form F: coefficient (r, s, j)
@@ -389,8 +391,7 @@ class ToeplitzForm:
             inverse = inverse + term if sign > 0 else inverse - term
             term = term * nilpotent
             sign = -sign
-        if not (self * inverse).is_identity:
-            raise IntegrityError("series inverse failed the product check")
+        # N^k = 0 exactly here, so (I + N) sum_{j<k} (-N)^j = I - (-N)^k = I.
         return inverse
 
 

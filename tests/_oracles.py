@@ -167,20 +167,21 @@ def vectorize_tangent_system(s):
     """Map skew(n) -> sym(n), X -> X^T S + S X, as a matrix on the skew basis.
 
     Basis of skew(n): E_uv - E_vu for u < v, in lexicographic order.  Rows are
-    the sym entries (i <= j), lexicographic.
+    the sym entries (i <= j), lexicographic.  Both products are summed over
+    the two nonzeros of X only: X_ab = x adds x S_ak to (X^T S)_bk and
+    S_ka x to (S X)_kb.
     """
     n = len(s)
-    skew_basis = [(u, v) for u in range(n) for v in range(u + 1, n)]
     sym_slots = [(i, j) for i in range(n) for j in range(i, n)]
     cols = []
-    for (u, v) in skew_basis:
-        x = [[C0] * n for _ in range(n)]
-        x[u][v] = C1
-        x[v][u] = (Fraction(-1), Fraction(0))
-        xt = [[x[j][i] for j in range(n)] for i in range(n)]
-        img = [[cadd(a, b) for a, b in zip(ra, rb)]
-               for ra, rb in zip(mat_mul(xt, s), mat_mul(s, x))]
-        cols.append([img[i][j] for (i, j) in sym_slots])
+    for u in range(n):
+        for v in range(u + 1, n):
+            img = [[C0] * n for _ in range(n)]
+            for a, b, x in ((u, v, C1), (v, u, c(-1))):
+                for k in range(n):
+                    img[b][k] = cadd(img[b][k], cmul(x, s[a][k]))
+                    img[k][b] = cadd(img[k][b], cmul(s[k][a], x))
+            cols.append([img[i][j] for (i, j) in sym_slots])
     # transpose columns into a rows-first matrix
     return [[cols[k][r] for k in range(len(cols))] for r in range(len(sym_slots))]
 

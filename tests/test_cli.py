@@ -194,6 +194,14 @@ def test_malformed_command_line_exits_two_with_json(capsys, argv):
     assert set(json.loads(captured.err)) == {"error"}
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_selftest_rejects_max_n_below_one(capsys, max_n):
+    code, out, err = _run(capsys, "selftest", "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert set(json.loads(err)) == {"error"}
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "result.json"
     code, out, _ = _run(capsys, "dim", "--structure", O3,

@@ -104,10 +104,6 @@ def test_rank_nullity():
     assert identity(4).nullity() == 0
     m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     assert m.rank() == 2
-    basis = m.nullspace()
-    assert len(basis) == 1
-    for v in basis:
-        assert (m * v).is_zero
 
 
 def test_rank_matches_oracle():
@@ -118,8 +114,6 @@ def test_rank_matches_oracle():
         m = rs.matrix(r, c)
         assert m.rank() == oracle.rank(_to_oracle(m))
         assert m.nullity() == oracle.nullity(_to_oracle(m))
-        for v in m.nullspace():
-            assert (m * v).is_zero
 
 
 def _to_q(m):

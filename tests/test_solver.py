@@ -19,8 +19,8 @@ from isotropy.scalars import IMAG, ONE, rat
 from isotropy.solver import (
     CongruenceData,
     FreeParams,
-    accum_phi,
-    accum_psi,
+    _phi,
+    _psi,
     free_parameter_count,
     random_free_params,
     solution_dimension,
@@ -147,13 +147,13 @@ def test_accum_phi_hand_example():
     )
     partial = {(0, 0, 0): ExactMatrix.from_rows([[5]]),
                (0, 0, 1): ExactMatrix.from_rows([[7]])}
-    assert accum_phi(data, partial, 0, 0, 0) == ExactMatrix.from_rows([[10]])
+    assert _phi(data, partial, 0, 0, 0, None) == ExactMatrix.from_rows([[10]])
     # B_1 A_0 + B_0 A_1 = 15 + 14
-    assert accum_phi(data, partial, 1, 0, 0) == ExactMatrix.from_rows([[29]])
-    assert accum_phi(data, partial, -1, 0, 0).is_zero
+    assert _phi(data, partial, 1, 0, 0, None) == ExactMatrix.from_rows([[29]])
+    assert _phi(data, partial, -1, 0, 0, None).is_zero
     # A_0^T Phi_1 + A_1^T Phi_0 = 5*29 + 7*10
-    assert accum_psi(data, partial, 1, 0, 0, 0) == ExactMatrix.from_rows([[215]])
-    assert accum_psi(data, partial, -3, 0, 0, 0).is_zero
+    assert _psi(data, partial, 1, 0, 0, 0, None) == ExactMatrix.from_rows([[215]])
+    assert _psi(data, partial, -3, 0, 0, 0, None).is_zero
 
 
 def test_accum_identity_data_reduces_to_coefficients():
@@ -165,7 +165,7 @@ def test_accum_identity_data_reduces_to_coefficients():
     for k in range(2):
         for s in range(2):
             for n in range(st.depth(k, s)):
-                assert accum_phi(data, partial, n, k, s) == partial[(k, s, n)]
+                assert _phi(data, partial, n, k, s, None) == partial[(k, s, n)]
 
 
 def test_accum_psi_transpose_symmetry():
@@ -180,8 +180,8 @@ def test_accum_psi_transpose_symmetry():
             for r in range(st.part_count):
                 for s in range(st.part_count):
                     for n in range(3):
-                        lhs = accum_psi(data, partial, n, k, r, s)
-                        rhs = accum_psi(data, partial, n, k, s, r)
+                        lhs = _psi(data, partial, n, k, r, s, None)
+                        rhs = _psi(data, partial, n, k, s, r, None)
                         assert lhs == rhs.transpose()
 
 
@@ -189,11 +189,11 @@ def test_accum_raises_on_undetermined_slot():
     st = _st([(2, 1), (1, 1)])
     data = CongruenceData.identity(st)
     with pytest.raises(SequencingError):
-        accum_phi(data, {}, 0, 0, 0)
+        _phi(data, {}, 0, 0, 0, None)
     partial = {(0, 0, 0): identity(1), (0, 0, 1): identity(1)}
     # block (1, 0) is in range but absent
     with pytest.raises(SequencingError):
-        accum_psi(data, partial, 0, 1, 0, 0)
+        _psi(data, partial, 0, 1, 0, 0, None)
 
 
 # ---------------------------------------------------------------------------

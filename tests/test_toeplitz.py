@@ -9,9 +9,11 @@ from isotropy.forms import (
     SegreStructure, block_backward_form, enumerate_structures, interleave_form,
     jordan_form,
 )
+from isotropy.generators import gen_G, gen_W
 from isotropy.matrices import ExactMatrix, identity, zeros
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, ZERO, rat
+from isotropy.solver import CongruenceData, random_free_params, solve_congruence
 from isotropy.toeplitz import (
     ToeplitzForm, commutant_basis, commutant_dimension, conjugate_by_omega,
 )
@@ -197,14 +199,43 @@ def test_extract_rejects_wrong_size():
 # products
 # ---------------------------------------------------------------------------
 
+# Four- and five-group shapes of the benchmark's group ladder, and two of
+# its shapes with multiplicities, where gen_W is not the identity.
+_LADDER_SHAPES = (
+    [(7, 1), (5, 1), (3, 1), (1, 1)],
+    [(6, 1), (4, 1), (3, 1), (2, 1), (1, 1)],
+    [(5, 2), (3, 1), (1, 3)],
+    [(4, 2), (3, 2), (1, 2)],
+)
+
+
+def _assert_matches_dense(x, y):
+    assert (x * y).assemble() == x.assemble() * y.assemble()
+
+
 def test_mul_matches_dense_product():
+    # the only check of the coefficient product against the dense one
     rnd = RandomSource(20240822)
     for _ in range(100):
         st = rnd.structure(max_n=9, max_parts=3)
-        x = _random_form(rnd, st)
-        y = _random_form(rnd, st)
-        z = x * y
-        assert z.assemble() == x.assemble() * y.assemble()
+        _assert_matches_dense(_random_form(rnd, st), _random_form(rnd, st))
+    for blocks in _LADDER_SHAPES:
+        for lam in (ZERO, ONE, IMAG):
+            st = SegreStructure(lam, blocks)
+            _assert_matches_dense(_random_form(rnd, st), _random_form(rnd, st))
+            skews = {(r, j): rnd.skew(m, max_num=2)
+                     for r, (alpha, m) in enumerate(st.blocks)
+                     for j in range(1, alpha)}
+            w = gen_W(st, skews)
+            g = gen_G(st, 0, 1, 1, rnd.matrix(st.mults[1], st.mults[0],
+                                              max_num=2))
+            _assert_matches_dense(w, g)
+            _assert_matches_dense(g, w)
+            data = CongruenceData.identity(st)
+            x = solve_congruence(data, random_free_params(data, rnd, max_num=2,
+                                                          max_den=2))
+            _assert_matches_dense(x.flip_transpose(), x)
+            _assert_matches_dense(x, g)
 
 
 def test_mul_identity_neutral_and_linear_ops():
