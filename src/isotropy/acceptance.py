@@ -14,7 +14,7 @@ from .forms import (MultiSegreStructure, SegreStructure,
 from .generators import (catalan_coeff, catalan_series, constant_data,
                          factor_unipotent, gen_G, gen_two_block, gen_V,
                          gen_W, generator_from_spec)
-from .matrices import ExactMatrix, _integer_grid, identity
+from .matrices import ExactMatrix, _scaled, identity
 from .orbit import (_components, _signed_sum, _split_rank, codim_formula,
                     tangent_oracle)
 from .rng import RandomSource
@@ -286,7 +286,7 @@ def check_catalan_identities() -> CheckResult:
 def _commutant_nullity(s: ExactMatrix) -> int:
     n = s.rows
     comp = _components(s)
-    si = _integer_grid(s)
+    si, _ = _scaled(s)
     # columns indexed by E_ij, rows by entries of S E_ij - E_ij S; both
     # split by the ordered component pair (comp(i), comp(j))
     pairs = [(i, j) for i in range(n) for j in range(n)]

@@ -1,15 +1,28 @@
 """Exact dense matrices over Q(i, sqrt2).
 
 Immutable, row-major.  Inversion uses exact Gauss-Jordan elimination over
-the field.  The rank uses forward-only fraction-free (Bareiss) elimination
-over the ring Z[i, sqrt2]: each row is scaled to integers by the lcm of its
-denominators, which keeps the rank, and entries become integer 4-tuples
-(a, b, c, d) meaning (a + b i) + (c + d i) sqrt2 (E. H. Bareiss,
-Sylvester's identity and multistep integer-preserving Gaussian
-elimination, Math. Comp. 22, 1968).  Pivot selection is the first
-row with a nonzero entry: exact arithmetic needs no magnitude heuristics,
-and a fixed rule keeps every run deterministic.  Degenerate 0 x n shapes
-are first-class so direct sums over empty lists work uniformly.
+the field.  Everything else that multiplies runs on one private integer
+kernel over the ring Z[i, sqrt2]: a matrix m is scaled once to m = G / den,
+den the lcm of all its denominators and G its entries as integer 4-tuples
+(a, b, c, d) meaning (a + b i) + (c + d i) sqrt2 (_scaled).
+
+- Products and sums of products (_sum_of_products, behind
+  ExactMatrix.__mul__, the Toeplitz coefficient product and the solver's
+  sums) multiply the integer grids, skipping zero entries, accumulate every
+  term over the lcm of the term denominators and normalize once per
+  result: one reduction per entry of the result (_from_grid).
+- The rank uses forward-only fraction-free (Bareiss) elimination over the
+  same grids; scaling keeps the rank (E. H. Bareiss, Sylvester's identity
+  and multistep integer-preserving Gaussian elimination, Math. Comp. 22,
+  1968).  Pivot selection is the first row with a nonzero entry: exact
+  arithmetic needs no magnitude heuristics, and a fixed rule keeps every
+  run deterministic.
+- The membership test of stabilizer.verify_isotropy compares integer grids
+  too.
+
+The grids are transient: nothing caches them on a matrix.  Degenerate
+0 x n shapes are first-class so direct sums over empty lists work
+uniformly.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatchError, IntegrityError, SingularMatrixError
-from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _coerce
+from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _coerce, _from_ints
 
 
 class ExactMatrix:
@@ -132,21 +145,7 @@ class ExactMatrix:
             if self.cols != other.rows:
                 raise DimensionMismatchError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            acc = [[ZERO] * other.cols for _ in range(self.rows)]
-            om = other._m
-            for i in range(self.rows):
-                row_i = self._m[i]
-                acc_i = acc[i]
-                for k in range(self.cols):
-                    a = row_i[k]
-                    if a.is_zero:
-                        continue
-                    brow = om[k]
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if not b.is_zero:
-                            acc_i[j] = acc_i[j] + a * b
-            return ExactMatrix(self.rows, other.cols, tuple(tuple(r) for r in acc))
+            return _sum_of_products(((self, other),), self.rows, other.cols)
         scalar = _as_scalar_or_none(other)
         if scalar is None:
             return NotImplemented
@@ -232,7 +231,7 @@ class ExactMatrix:
         return ExactMatrix(n, n, tuple(tuple(row[n:]) for row in aug))
 
     def rank(self) -> int:
-        return _fraction_free_rank([_integer_tuples(r) for r in self._m])
+        return _fraction_free_rank(_scaled(self)[0])
 
     def nullity(self) -> int:
         return self.cols - self.rank()
@@ -273,24 +272,86 @@ def _as_scalar_or_none(x):
     return None if s is NotImplemented else s
 
 
-# -- the integer rank kernel -------------------------------------------------
+# -- the integer kernel -----------------------------------------------------
+
+_Z4 = (0, 0, 0, 0)
 
 
-def _integer_tuples(entries: Sequence[ExactScalar]) -> list:
-    """The scalars of entries times the lcm of all their denominators, as
-    integer 4-tuples (a, b, c, d) meaning (a + b i) + (c + d i) sqrt2."""
-    parts = [(x.a, x.b, x.c, x.d) for x in entries]
-    den = lcm(*(int(q.denominator) for p in parts for q in p))
-    return [tuple(int(q.numerator) * (den // int(q.denominator)) for q in p)
-            for p in parts]
+def _scaled(m: ExactMatrix) -> tuple:
+    """(grid, den) with m = grid / den: den is the lcm of all denominators
+    of m and grid its rows of integer 4-tuples (a, b, c, d), meaning
+    (a + b i) + (c + d i) sqrt2.  A linear system built from grid has the
+    rank of the one built from m."""
+    parts = [[(x.a, x.b, x.c, x.d) for x in r] for r in m._m]
+    dens = {q.denominator for r in parts for x in r for q in x}
+    den = lcm(*map(int, dens))
+    f = {q: den // int(q) for q in dens}
+    return [[(int(a.numerator) * f[a.denominator],
+              int(b.numerator) * f[b.denominator],
+              int(c.numerator) * f[c.denominator],
+              int(d.numerator) * f[d.denominator])
+             if a or b or c or d else _Z4 for a, b, c, d in r]
+            for r in parts], den
 
 
-def _integer_grid(m: ExactMatrix) -> list:
-    """m times the lcm of all its denominators, as rows of integer 4-tuples.
-    A linear system built from these entries has the rank of the one built
-    from m."""
-    flat = _integer_tuples([x for r in m._m for x in r])
-    return [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+def _grid_mul(x: Sequence, y: Sequence, cols: int, acc: list | None = None) -> list:
+    """Add the product in Z[i, sqrt2] of the grids x and y (y has cols
+    columns) into acc, rows of four integer component lists [a, b, c, d],
+    and return it; a fresh zero acc when None.
+
+    Zero entries of x and y are skipped, and a Gaussian entry of x times a
+    Gaussian row of y takes the two-component path.
+    """
+    # the nonzeros of each row of y, and whether that row is Gaussian
+    sparse = []
+    for row in y:
+        nz = [(j,) + e for j, e in enumerate(row) if e != _Z4]
+        sparse.append((nz, not any(e[3] or e[4] for e in nz)))
+    if acc is None:
+        acc = [[[0] * cols for _ in range(4)] for _ in range(len(x))]
+    for xrow, (ta, tb, tc, td) in zip(x, acc):
+        for (a1, b1, c1, d1), (nz, gaussian) in zip(xrow, sparse):
+            if not nz or not (a1 or b1 or c1 or d1):
+                continue
+            if gaussian and not (c1 or d1):
+                for j, a2, b2, _, _ in nz:
+                    ta[j] += a1 * a2 - b1 * b2
+                    tb[j] += a1 * b2 + b1 * a2
+                continue
+            # (g1 + h1 r2)(g2 + h2 r2) = (g1 g2 + 2 h1 h2) + (g1 h2 + h1 g2) r2
+            for j, a2, b2, c2, d2 in nz:
+                ta[j] += a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
+                tb[j] += a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
+                tc[j] += a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2
+                td[j] += a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
+    return acc
+
+
+def _from_grid(acc: list, den: int, cols: int) -> ExactMatrix:
+    """The matrix acc / den from rows of four integer component lists, one
+    reduction per entry."""
+    return ExactMatrix(len(acc), cols, tuple(
+        tuple(_from_ints(a, b, c, d, den) for a, b, c, d in zip(*row))
+        for row in acc))
+
+
+def _sum_of_products(pairs: Iterable, rows: int, cols: int) -> ExactMatrix:
+    """sum of x y over the (x, y) in pairs, a rows x cols matrix (zero for
+    no pairs).  Each term is formed in integers over the lcm of the term
+    denominators, by scaling its left grid, and the sum is normalized once.
+    """
+    terms = []
+    for x, y in pairs:
+        (xg, dx), (yg, dy) = _scaled(x), _scaled(y)
+        terms.append((xg, yg, dx * dy))
+    den = lcm(*(d for _, _, d in terms))
+    acc = [[[0] * cols for _ in range(4)] for _ in range(rows)]
+    for xg, yg, d in terms:
+        f = den // d
+        if f != 1:
+            xg = [[(a * f, b * f, c * f, e * f) for a, b, c, e in r] for r in xg]
+        _grid_mul(xg, yg, cols, acc)
+    return _from_grid(acc, den, cols)
 
 
 def _mul4(x: tuple, y: tuple) -> tuple:

@@ -12,14 +12,15 @@ components are the connected components of the nonzero pattern of S
 The entry of X at (u, v) only reaches image entries (i, j) whose unordered
 component pair {comp(i), comp(j)} equals {comp(u), comp(v)}, so the map
 is block diagonal after a permutation and its rank is the sum of the
-ranks of the blocks.  S is scaled once by the lcm of its denominators, so
-every block is built directly as rows of integer 4-tuples and ranked by the
-fraction-free kernel of matrices.py; scaling a linear map keeps its rank.
+ranks of the blocks.  S is scaled once by the lcm of its denominators
+(matrices._scaled), so every block is built directly as rows of integer
+4-tuples and ranked by the fraction-free kernel of matrices.py; scaling a
+linear map keeps its rank.
 """
 
 from .errors import IntegrityError, ParameterError, StructureError
 from .forms import MultiSegreStructure, SegreStructure, symmetric_form
-from .matrices import ExactMatrix, _fraction_free_rank, _integer_grid
+from .matrices import ExactMatrix, _fraction_free_rank, _scaled
 from .stabilizer import describe_isotropy
 
 
@@ -154,7 +155,7 @@ def tangent_oracle(s: ExactMatrix):
         raise ParameterError("tangent oracle needs a symmetric matrix")
     n = s.rows
     comp = _components(s)
-    si = _integer_grid(s)
+    si, _ = _scaled(s)
     skew_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     sym_pairs = [(i, j) for i in range(n) for j in range(i, n)]
 

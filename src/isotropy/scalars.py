@@ -208,6 +208,24 @@ SQRT2 = ExactScalar(0, 0, 1)
 HALF = ExactScalar(_mpq(1, 2))
 
 
+def _from_ints(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
+    """(a + b i + (c + d i) sqrt2) / den for integers a, b, c, d and a
+    positive integer den: the trusted constructor of the integer kernel.
+
+    Each nonzero part is reduced once and __init__'s checks and
+    re-coercion are skipped; an all-zero entry is the shared ZERO.
+    """
+    if not (a or b or c or d):
+        return ZERO
+    x = object.__new__(ExactScalar)
+    put = object.__setattr__
+    put(x, "a", _mpq(a, den) if a else _R0)
+    put(x, "b", _mpq(b, den) if b else _R0)
+    put(x, "c", _mpq(c, den) if c else _R0)
+    put(x, "d", _mpq(d, den) if d else _R0)
+    return x
+
+
 # ---------------------------------------------------------------------
 # String grammar
 #

@@ -24,8 +24,8 @@ from .errors import (
     StructureError,
 )
 from .forms import SegreStructure, _cached
-from .matrices import (ExactMatrix, _mark_member, identity as dense_identity,
-                       zeros as dense_zeros)
+from .matrices import (ExactMatrix, _mark_member, _sum_of_products,
+                       identity as dense_identity, zeros as dense_zeros)
 from .rng import RandomSource
 from .scalars import HALF
 from .toeplitz import ToeplitzForm
@@ -258,18 +258,27 @@ def _phi(data: CongruenceData, partial: Mapping, n: int, k: int, s: int,
     """Convolution of group k of B with block (k, s):
     sum_{j=0}^{n} B_{n-j}^k A_j^{ks}; the zero matrix when n < 0."""
     st = data.structure
-    acc = dense_zeros(st.mults[k], st.mults[s])
-    if n < 0:
-        return acc
+    pairs = []
     for j in range(n + 1):
         b = data.b(k, n - j)
         if b.is_zero:
             continue
         a = _lookup(st, partial, k, s, j, skip)
-        if a.is_zero:
-            continue
-        acc = acc + b * a
-    return acc
+        if not a.is_zero:
+            pairs.append((b, a))
+    return _sum_of_products(pairs, st.mults[k], st.mults[s])
+
+
+def _psi_pairs(data: CongruenceData, partial: Mapping, n: int, k: int, r: int,
+               s: int, skip) -> list:
+    """The terms ((A_u^{kr})^T, Phi_{n-u}^{ks}) of Psi_n^{k, rs}."""
+    st = data.structure
+    pairs = []
+    for u in range(n + 1):
+        a = _lookup(st, partial, k, r, u, skip)
+        if not a.is_zero:
+            pairs.append((a.transpose(), _phi(data, partial, n - u, k, s, skip)))
+    return pairs
 
 
 def _psi(data: CongruenceData, partial: Mapping, n: int, k: int, r: int, s: int,
@@ -277,27 +286,21 @@ def _psi(data: CongruenceData, partial: Mapping, n: int, k: int, r: int, s: int,
     """Congruence contribution of middle group k to block (r, s):
     sum_{u=0}^{n} (A_u^{kr})^T Phi_{n-u}^{ks}; the zero matrix when n < 0."""
     st = data.structure
-    acc = dense_zeros(st.mults[r], st.mults[s])
-    if n < 0:
-        return acc
-    for u in range(n + 1):
-        a = _lookup(st, partial, k, r, u, skip)
-        if a.is_zero:
-            continue
-        acc = acc + a.transpose() * _phi(data, partial, n - u, k, s, skip)
-    return acc
+    return _sum_of_products(_psi_pairs(data, partial, n, k, r, s, skip),
+                            st.mults[r], st.mults[s])
 
 
 def _rhs_without(data: CongruenceData, partial: Mapping, r: int, s: int, j: int,
                  skip) -> ExactMatrix:
-    """Coefficient (r, s, j) of F X^T F B X with the slot `skip` read as zero."""
+    """Coefficient (r, s, j) of F X^T F B X with the slot `skip` read as zero:
+    the sum over k of Psi_{j + offset}^{k, rs}, as one sum of products."""
     st = data.structure
-    acc = dense_zeros(st.mults[r], st.mults[s])
     shift_rs = st.shift(r, s)
+    pairs = []
     for k in range(st.part_count):
         offset = shift_rs - st.shift(r, k) - st.shift(k, s)
-        acc = acc + _psi(data, partial, j + offset, k, r, s, skip)
-    return acc
+        pairs += _psi_pairs(data, partial, j + offset, k, r, s, skip)
+    return _sum_of_products(pairs, st.mults[r], st.mults[s])
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from .errors import (DimensionMismatchError, IntegrityError, MembershipError,
                      ParameterError, StructureError)
 from .forms import (MultiSegreStructure, SegreStructure, symmetric_form,
                     transition_form, transition_form_inverse)
-from .matrices import ExactMatrix, _is_member, _mark_member, direct_sum
-from .scalars import ONE, ZERO, ExactScalar
+from .matrices import (ExactMatrix, _Z4, _grid_mul, _is_member, _mark_member,
+                       _scaled, direct_sum)
+from .scalars import ONE, ZERO, _from_ints
 from .solver import (CongruenceData, FreeParams, random_free_params,
                      solution_dimension, solve_congruence, verify_congruence)
 from .toeplitz import ToeplitzForm, conjugate_by_omega
@@ -113,67 +114,49 @@ def _first_mismatch(a: ExactMatrix, b: ExactMatrix):
     return None
 
 
-def _dot(u, v) -> ExactScalar:
-    acc = ZERO
-    for a, b in zip(u, v):
-        if not (a.is_zero or b.is_zero):
-            acc = acc + a * b
-    return acc
-
-
-def _commutes(s: ExactMatrix, q: ExactMatrix) -> bool:
-    """S Q = Q S for symmetric S, summing only over the nonzeros of S."""
-    n = s.rows
-    sparse = [[(k, x) for k, x in enumerate(s.row(i)) if not x.is_zero]
-              for i in range(n)]
-    rows = [q.row(i) for i in range(n)]
-    for i in range(n):
-        q_i = rows[i]
-        for j in range(n):
-            sq = qs = ZERO
-            for k, x in sparse[i]:
-                y = rows[k][j]
-                if not y.is_zero:
-                    sq = sq + x * y
-            for k, x in sparse[j]:
-                y = q_i[k]
-                if not y.is_zero:
-                    qs = qs + y * x
-            if sq != qs:
-                return False
-    return True
-
-
 def verify_isotropy(structure, q: ExactMatrix):
     """Exact membership test.  Returns (bool, report).
 
     The report names the first condition that fails, orthogonality
     before congruence, with the first offending entry of Q^T Q or
-    Q^T S Q in row-major order.  Q^T Q is symmetric, so its first
-    mismatch lies in the upper triangle, the only part computed; the
-    scan stops there.  Once Q^T Q = I holds, Q is invertible
+    Q^T S Q in row-major order.  Both tests run on the integer kernel of
+    matrices.py: Q = G / d with G over Z[i, sqrt2].  Q^T Q is symmetric,
+    so its first mismatch lies in the upper triangle, the only part
+    computed, as integer dot products of columns of G compared with
+    d^2 I; the scan stops there.  Once Q^T Q = I holds, Q is invertible
     with Q^{-1} = Q^T, so Q^T S Q = S holds exactly when S Q = Q S, which
-    costs O(n^2) since S has a few nonzeros per row; Q^T S Q is formed
-    only to report a failure.  The test always computes; on success it
-    marks q as a verified member of structure, so that the group
-    operations need not check it again.
+    is compared in integers over the nonzeros of S at O(n^2) cost, since
+    S has a few nonzeros per row; Q^T S Q is formed only to report a
+    failure.  The test always computes; on success it marks q as a
+    verified member of structure, so that the group operations need not
+    check it again.
     """
     n = structure.n
     if q.rows != n or q.cols != n:
         raise DimensionMismatchError(
             f"matrix is {q.rows}x{q.cols}, structure needs {n}x{n}")
-    cols = q.transpose()
+    grid, den = _scaled(q)
+    one = den * den
+    cols = list(zip(*grid))
     for i in range(n):
-        col_i = cols.row(i)
+        col_i = [(k, x) for k, x in enumerate(cols[i]) if x != _Z4]
         for j in range(i, n):
-            entry = _dot(col_i, cols.row(j))
-            want = ONE if i == j else ZERO
-            if entry != want:
+            col_j = cols[j]
+            a = b = c = d = 0
+            for k, (a1, b1, c1, d1) in col_i:
+                a2, b2, c2, d2 = col_j[k]
+                a += a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
+                b += a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
+                c += a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2
+                d += a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
+            if a != (one if i == j else 0) or b or c or d:
                 return False, (f"orthogonality fails first: (Q^T Q)[{i}][{j}] = "
-                               f"{entry}, expected {want}")
+                               f"{_from_ints(a, b, c, d, one)}, expected "
+                               f"{ONE if i == j else ZERO}")
     s = symmetric_form(structure)
-    if not _commutes(s, q):
-        cong = cols * s * q
+    si, _ = _scaled(s)
+    if _grid_mul(si, grid, n) != _grid_mul(grid, si, n):
+        cong = q.transpose() * s * q
         i, j = _first_mismatch(cong, s)
         return False, (f"congruence fails first: (Q^T S Q)[{i}][{j}] = "
                        f"{cong[i, j]}, expected {s[i, j]}")

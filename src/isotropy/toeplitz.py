@@ -31,7 +31,8 @@ from .errors import (
     StructureError,
 )
 from .forms import MultiSegreStructure, SegreStructure
-from .matrices import ExactMatrix, identity as dense_identity, zeros as dense_zeros
+from .matrices import (ExactMatrix, _sum_of_products, identity as dense_identity,
+                       zeros as dense_zeros)
 from .scalars import ZERO
 
 __all__ = [
@@ -272,7 +273,8 @@ class ToeplitzForm:
     def __mul__(self, other):
         """Product in coefficient space:
         C_j^{rs} = sum_k sum_l A_l^{rk} B_{j + offset - l}^{ks}, where
-        offset = shift(r, s) - shift(r, k) - shift(k, s)."""
+        offset = shift(r, s) - shift(r, k) - shift(k, s).  Each C_j^{rs} is
+        one sum of products on the integer kernel of matrices.py."""
         if not isinstance(other, ToeplitzForm):
             return NotImplemented
         st = self.structure
@@ -286,7 +288,7 @@ class ToeplitzForm:
                 shift_rs = st.shift(r, s)
                 entry = []
                 for j in range(st.depth(r, s)):
-                    acc = dense_zeros(mults[r], mults[s])
+                    pairs = []
                     for k in range(count):
                         offset = shift_rs - st.shift(r, k) - st.shift(k, s)
                         depth_ks = st.depth(k, s)
@@ -300,8 +302,8 @@ class ToeplitzForm:
                             rhs = other.coeffs[(k, s)][idx]
                             if rhs.is_zero:
                                 continue
-                            acc = acc + lhs * rhs
-                    entry.append(acc)
+                            pairs.append((lhs, rhs))
+                    entry.append(_sum_of_products(pairs, mults[r], mults[s]))
                 coeffs[(r, s)] = entry
         return ToeplitzForm(st, coeffs)
 

@@ -3,9 +3,9 @@
 Deliberately written against fractions.Fraction pairs (re + im), and
 Fraction 4-tuples for Q(i, sqrt2), with its own tiny Gauss-Jordan
 elimination, importing nothing from the package under test, so that
-rank/nullity expectations come from a second code path.  The one
-exception is two_product_membership, which works on the package's own
-matrices so that its reports can be compared byte for byte.
+rank/nullity and product expectations come from a second code path.
+two_product_membership takes the package's matrices but reads their
+entries only through .a/.b/.c/.d and does all its arithmetic here.
 """
 
 from fractions import Fraction
@@ -93,6 +93,10 @@ def q(a=0, b=0, c_=0, d=0):
     return (Fraction(a), Fraction(b), Fraction(c_), Fraction(d))
 
 
+def qadd(x, y):
+    return tuple(u + v for u, v in zip(x, y))
+
+
 def qsub(x, y):
     return tuple(u - v for u, v in zip(x, y))
 
@@ -100,6 +104,8 @@ def qsub(x, y):
 def qmul(x, y):
     # (g1 + h1 sqrt2)(g2 + h2 sqrt2) with Gaussian g, h
     g1, h1, g2, h2 = x[:2], x[2:], y[:2], y[2:]
+    if is_zero(h1) and is_zero(h2):
+        return cmul(g1, g2) + C0
     gg = cadd(cmul(g1, g2), cmul(c(2), cmul(h1, h2)))
     return gg + cadd(cmul(g1, h2), cmul(h1, g2))
 
@@ -114,6 +120,47 @@ def qdiv(x, y):
 
 def q_is_zero(x):
     return all(v == 0 for v in x)
+
+
+def qmat_mul(a, b, cols):
+    """Product of grids of Fraction 4-tuples; b has cols columns."""
+    out = [[q()] * cols for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            if q_is_zero(x):
+                continue
+            for j, y in enumerate(b[k]):
+                if not q_is_zero(y):
+                    out[i][j] = qadd(out[i][j], qmul(x, y))
+    return out
+
+
+def q_grid(m):
+    """A package matrix as a grid of Fraction 4-tuples, read only through
+    the parts .a/.b/.c/.d of its entries."""
+    def frac(r):
+        return Fraction(int(r.numerator), int(r.denominator))
+    return [[tuple(frac(v) for v in (x.a, x.b, x.c, x.d)) for x in m.row(i)]
+            for i in range(m.rows)]
+
+
+def q_str(x):
+    """The package's string form of (a + b i) + (c + d i) sqrt2."""
+    a, b, c, d = x
+    terms = []
+    if a:
+        terms.append(("-" if a < 0 else "+", str(abs(a))))
+    if b:
+        terms.append(("-" if b < 0 else "+", f"{abs(b)} i"))
+    if c or d:
+        if not d:
+            terms.append(("-" if c < 0 else "+", f"{abs(c)} r2"))
+        else:
+            terms.append(("+", f"({c} {'-' if d < 0 else '+'} {abs(d)} i) r2"))
+    if not terms:
+        return "0"
+    out = ("-" if terms[0][0] == "-" else "") + terms[0][1]
+    return out + "".join(f" {sign} {body}" for sign, body in terms[1:])
 
 
 def qrank(mat):
@@ -223,28 +270,32 @@ def block_diag(*mats):
 
 def two_product_membership(s, q):
     """Membership of Q in the isotropy group of S from the full products
-    Q^T Q and Q^T S Q: (ok, report), naming the first mismatching entry in
-    row-major order, orthogonality first.  The reference for the package's
-    verify_isotropy; s and q are the package's matrices, used only through
-    their own arithmetic."""
+    Q^T Q and Q^T S Q over Fraction 4-tuples: (ok, report), naming the first
+    mismatching entry in row-major order, orthogonality first.  The
+    reference for the package's verify_isotropy; s and q are the package's
+    matrices, read only through the parts of their entries."""
     def first_mismatch(a, b):
-        for i in range(a.rows):
-            for j in range(a.cols):
-                if a[i, j] != b[i, j]:
+        for i, (ra, rb) in enumerate(zip(a, b)):
+            for j, (x, y) in enumerate(zip(ra, rb)):
+                if x != y:
                     return i, j
         return None
 
-    gram = q.transpose() * q
-    eye = s.power(0)
+    n = q.rows
+    qg, sg = q_grid(q), q_grid(s)
+    qt = [list(col) for col in zip(*qg)]
+    gram = qmat_mul(qt, qg, n)
+    one, zero = (Fraction(1),) + (Fraction(0),) * 3, (Fraction(0),) * 4
+    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
     spot = first_mismatch(gram, eye)
     if spot is not None:
         i, j = spot
         return False, (f"orthogonality fails first: (Q^T Q)[{i}][{j}] = "
-                       f"{gram[i, j]}, expected {eye[i, j]}")
-    cong = q.transpose() * s * q
-    spot = first_mismatch(cong, s)
+                       f"{q_str(gram[i][j])}, expected {q_str(eye[i][j])}")
+    cong = qmat_mul(qmat_mul(qt, sg, n), qg, n)
+    spot = first_mismatch(cong, sg)
     if spot is not None:
         i, j = spot
         return False, (f"congruence fails first: (Q^T S Q)[{i}][{j}] = "
-                       f"{cong[i, j]}, expected {s[i, j]}")
+                       f"{q_str(cong[i][j])}, expected {q_str(sg[i][j])}")
     return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"

@@ -4,11 +4,11 @@ import pytest
 
 from isotropy.errors import DimensionMismatchError, SingularMatrixError
 from isotropy.matrices import (
-    ExactMatrix, block_assemble, cayley_orthogonal, diagonal, direct_sum,
-    identity, zeros,
+    ExactMatrix, _sum_of_products, block_assemble, cayley_orthogonal,
+    diagonal, direct_sum, identity, zeros,
 )
 from isotropy.rng import RandomSource
-from isotropy.scalars import ExactScalar, IMAG, ONE, SQRT2, ZERO, rat
+from isotropy.scalars import ExactScalar, IMAG, ONE, SQRT2, ZERO, _from_ints, rat
 
 import _oracles as oracle
 
@@ -66,6 +66,101 @@ def test_mul_matches_oracle_on_random_pairs():
         assert got == want
 
 
+def _big(rs):
+    # a scalar whose four parts have denominators up to 1e10
+    return ExactScalar(*(rat(rs.stream.randint(-10**4, 10**4),
+                             rs.stream.randint(1, 10**10))
+                         for _ in range(4)))
+
+
+def _with_zero_lines(rs, m):
+    # m with a zero row and a zero column inserted at random places
+    grid = m.to_lists()
+    grid.insert(rs.stream.randint(0, len(grid)), [ZERO] * m.cols)
+    at = rs.stream.randint(0, m.cols)
+    return ExactMatrix.from_rows([row[:at] + [ZERO] + row[at:] for row in grid])
+
+
+def _assert_mul_matches_q_oracle(a, b):
+    assert _to_q(a * b) == oracle.qmat_mul(_to_q(a), _to_q(b), b.cols)
+
+
+def test_mul_matches_q_oracle_with_sqrt2_entries():
+    rs = RandomSource(556)
+    for _ in range(15):
+        r, k, c = (rs.stream.randint(1, 5) for _ in range(3))
+        for left, right in ((True, False), (False, True), (True, True)):
+            a = rs.matrix(r, k, with_sqrt2=left)
+            b = rs.matrix(k, c, with_sqrt2=right)
+            _assert_mul_matches_q_oracle(a, b)
+    # sqrt2 parts with no Gaussian part: the 2 (c1 c2 - d1 d2) term alone
+    r2 = ExactMatrix.from_rows([[SQRT2, SQRT2 * IMAG], [ZERO, SQRT2]])
+    _assert_mul_matches_q_oracle(r2, r2)
+    assert (r2 * r2)[0, 0] == ExactScalar(2)
+
+
+def test_mul_matches_q_oracle_with_large_mixed_denominators():
+    rs = RandomSource(557)
+    for _ in range(10):
+        r, k, c = (rs.stream.randint(1, 4) for _ in range(3))
+        a = ExactMatrix.build(r, k, lambda i, j: _big(rs))
+        b = ExactMatrix.build(k, c, lambda i, j: _big(rs)
+                              if rs.stream.below(2) else rs.scalar())
+        _assert_mul_matches_q_oracle(a, b)
+
+
+def test_mul_with_zero_rows_and_columns():
+    rs = RandomSource(558)
+    for _ in range(15):
+        r, k, c = (rs.stream.randint(1, 4) for _ in range(3))
+        a = _with_zero_lines(rs, rs.matrix(r, k, with_sqrt2=True))
+        b = _with_zero_lines(rs, rs.matrix(k, c, with_sqrt2=True))
+        _assert_mul_matches_q_oracle(a, b)
+    assert (zeros(3, 2) * identity(2)).is_zero
+
+
+def test_mul_of_empty_shapes():
+    for k in range(4):
+        assert zeros(0, k) * zeros(k, 0) == zeros(0, 0)
+        for m in range(4):
+            assert zeros(k, 0) * zeros(0, m) == zeros(k, m)
+            assert (zeros(k, 0) * zeros(0, m)).is_zero
+
+
+def test_sum_of_products_matches_term_by_term_sum():
+    rs = RandomSource(559)
+    assert _sum_of_products([], 2, 3) == zeros(2, 3)
+    assert _sum_of_products([], 0, 0) == zeros(0, 0)
+    for _ in range(15):
+        r, c = rs.stream.randint(1, 3), rs.stream.randint(1, 3)
+        pairs = []
+        for _ in range(rs.stream.randint(1, 4)):
+            k = rs.stream.randint(1, 3)
+            kw = {"with_sqrt2": bool(rs.stream.below(2)),
+                  "max_den": rs.stream.randint(1, 9)}
+            pairs.append((rs.matrix(r, k, **kw), rs.matrix(k, c, **kw)))
+        want = [[oracle.q() for _ in range(c)] for _ in range(r)]
+        for a, b in pairs:
+            term = oracle.qmat_mul(_to_q(a), _to_q(b), c)
+            want = [[oracle.qadd(x, y) for x, y in zip(rw, rt)]
+                    for rw, rt in zip(want, term)]
+        assert _to_q(_sum_of_products(pairs, r, c)) == want
+
+
+def test_from_ints_matches_the_public_constructor():
+    rs = RandomSource(560)
+    assert _from_ints(0, 0, 0, 0, 7) is ZERO
+    for _ in range(40):
+        parts = [rs.stream.randint(-50, 50) if rs.stream.below(3) else 0
+                 for _ in range(4)]
+        den = rs.stream.randint(1, 10**10)
+        x = _from_ints(*parts, den)
+        want = ExactScalar(*(Fraction(p, den) for p in parts))
+        assert x == want and hash(x) == hash(want) and str(x) == str(want)
+        with pytest.raises(AttributeError):
+            x.b = 1
+
+
 def test_inverse_by_adjugate_cross_check():
     # independent 2x2 inverse: adj / det
     rs = RandomSource(77)
@@ -116,12 +211,7 @@ def test_rank_matches_oracle():
         assert m.nullity() == oracle.nullity(_to_oracle(m))
 
 
-def _to_q(m):
-    # package matrix -> oracle grid of Fraction 4-tuples (a, b, c, d)
-    def frac(r):
-        return Fraction(int(r.numerator), int(r.denominator))
-    return [[tuple(frac(v) for v in (x.a, x.b, x.c, x.d)) for x in m.row(i)]
-            for i in range(m.rows)]
+_to_q = oracle.q_grid
 
 
 def _assert_rank_matches_q_oracle(m):
@@ -202,9 +292,7 @@ def test_rank_with_large_denominators():
     rs = RandomSource(610)
 
     def big():
-        return ExactScalar(*(rat(rs.stream.randint(-10**4, 10**4),
-                                 rs.stream.randint(1, 10**10))
-                             for _ in range(4)))
+        return _big(rs)
 
     for _ in range(8):
         n, m = rs.stream.randint(2, 4), rs.stream.randint(2, 4)

@@ -10,7 +10,7 @@ from isotropy.generators import factor_unipotent, gen_W
 from isotropy.matrices import (ExactMatrix, cayley_orthogonal, diagonal,
                                identity, zeros)
 from isotropy.rng import RandomSource
-from isotropy.scalars import IMAG, ONE, ZERO, rat
+from isotropy.scalars import IMAG, ONE, SQRT2, ZERO, rat
 from isotropy.solver import (CongruenceData, FreeParams, random_free_params,
                              solution_dimension, solve_congruence)
 from isotropy.stabilizer import (describe_isotropy, from_toeplitz_coordinates,
@@ -202,7 +202,8 @@ def test_verify_rejects_wrong_shape():
 def _membership_probes(q):
     """A member q, then non-members: a scaled identity, orthogonal matrices
     (a sign flip alone, q times it, the reversal) and q with one entry
-    changed at several positions."""
+    changed at several positions, by 1 and by sqrt2 (which leaves Gram
+    entries with a sqrt2 part and no Gaussian part)."""
     n = q.rows
 
     def unit(i, j):
@@ -216,6 +217,7 @@ def _membership_probes(q):
     yield ExactMatrix.build(n, n, lambda i, j: ONE if i + j == n - 1 else ZERO)
     for i, j in sorted({(0, 0), (0, n - 1), (n // 2, n // 3), (n - 1, n - 1)}):
         yield q + unit(i, j)
+        yield q + unit(i, j).scale(SQRT2)
 
 
 def test_verify_matches_two_product_reference():
