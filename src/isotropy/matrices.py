@@ -299,24 +299,15 @@ def _grid_mul(x: Sequence, y: Sequence, cols: int, acc: list | None = None) -> l
     columns) into acc, rows of four integer component lists [a, b, c, d],
     and return it; a fresh zero acc when None.
 
-    Zero entries of x and y are skipped, and a Gaussian entry of x times a
-    Gaussian row of y takes the two-component path.
+    Zero entries of x and y are skipped.
     """
-    # the nonzeros of each row of y, and whether that row is Gaussian
-    sparse = []
-    for row in y:
-        nz = [(j,) + e for j, e in enumerate(row) if e != _Z4]
-        sparse.append((nz, not any(e[3] or e[4] for e in nz)))
+    # the nonzeros of each row of y
+    sparse = [[(j,) + e for j, e in enumerate(row) if e != _Z4] for row in y]
     if acc is None:
         acc = [[[0] * cols for _ in range(4)] for _ in range(len(x))]
     for xrow, (ta, tb, tc, td) in zip(x, acc):
-        for (a1, b1, c1, d1), (nz, gaussian) in zip(xrow, sparse):
+        for (a1, b1, c1, d1), nz in zip(xrow, sparse):
             if not nz or not (a1 or b1 or c1 or d1):
-                continue
-            if gaussian and not (c1 or d1):
-                for j, a2, b2, _, _ in nz:
-                    ta[j] += a1 * a2 - b1 * b2
-                    tb[j] += a1 * b2 + b1 * a2
                 continue
             # (g1 + h1 r2)(g2 + h2 r2) = (g1 g2 + 2 h1 h2) + (g1 h2 + h1 g2) r2
             for j, a2, b2, c2, d2 in nz:

@@ -271,7 +271,9 @@ def _phi(data: CongruenceData, partial: Mapping, n: int, k: int, s: int,
 
 def _psi_pairs(data: CongruenceData, partial: Mapping, n: int, k: int, r: int,
                s: int, skip) -> list:
-    """The terms ((A_u^{kr})^T, Phi_{n-u}^{ks}) of Psi_n^{k, rs}."""
+    """The terms ((A_u^{kr})^T, Phi_{n-u}^{ks}) of Psi_n^{k, rs}, the
+    congruence contribution of middle group k to block (r, s):
+    sum_{u=0}^{n} (A_u^{kr})^T Phi_{n-u}^{ks}; no terms when n < 0."""
     st = data.structure
     pairs = []
     for u in range(n + 1):
@@ -279,15 +281,6 @@ def _psi_pairs(data: CongruenceData, partial: Mapping, n: int, k: int, r: int,
         if not a.is_zero:
             pairs.append((a.transpose(), _phi(data, partial, n - u, k, s, skip)))
     return pairs
-
-
-def _psi(data: CongruenceData, partial: Mapping, n: int, k: int, r: int, s: int,
-         skip) -> ExactMatrix:
-    """Congruence contribution of middle group k to block (r, s):
-    sum_{u=0}^{n} (A_u^{kr})^T Phi_{n-u}^{ks}; the zero matrix when n < 0."""
-    st = data.structure
-    return _sum_of_products(_psi_pairs(data, partial, n, k, r, s, skip),
-                            st.mults[r], st.mults[s])
 
 
 def _rhs_without(data: CongruenceData, partial: Mapping, r: int, s: int, j: int,

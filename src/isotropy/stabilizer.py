@@ -11,7 +11,7 @@ from .errors import (DimensionMismatchError, IntegrityError, MembershipError,
                      ParameterError, StructureError)
 from .forms import (MultiSegreStructure, SegreStructure, symmetric_form,
                     transition_form, transition_form_inverse)
-from .matrices import (ExactMatrix, _Z4, _grid_mul, _is_member, _mark_member,
+from .matrices import (ExactMatrix, _grid_mul, _is_member, _mark_member,
                        _scaled, direct_sum)
 from .scalars import ONE, ZERO, _from_ints
 from .solver import (CongruenceData, FreeParams, random_free_params,
@@ -120,10 +120,8 @@ def verify_isotropy(structure, q: ExactMatrix):
     The report names the first condition that fails, orthogonality
     before congruence, with the first offending entry of Q^T Q or
     Q^T S Q in row-major order.  Both tests run on the integer kernel of
-    matrices.py: Q = G / d with G over Z[i, sqrt2].  Q^T Q is symmetric,
-    so its first mismatch lies in the upper triangle, the only part
-    computed, as integer dot products of columns of G compared with
-    d^2 I; the scan stops there.  Once Q^T Q = I holds, Q is invertible
+    matrices.py: Q = G / d with G over Z[i, sqrt2], and G^T G is compared
+    with d^2 I entry by entry.  Once Q^T Q = I holds, Q is invertible
     with Q^{-1} = Q^T, so Q^T S Q = S holds exactly when S Q = Q S, which
     is compared in integers over the nonzeros of S at O(n^2) cost, since
     S has a few nonzeros per row; Q^T S Q is formed only to report a
@@ -137,21 +135,13 @@ def verify_isotropy(structure, q: ExactMatrix):
             f"matrix is {q.rows}x{q.cols}, structure needs {n}x{n}")
     grid, den = _scaled(q)
     one = den * den
-    cols = list(zip(*grid))
-    for i in range(n):
-        col_i = [(k, x) for k, x in enumerate(cols[i]) if x != _Z4]
-        for j in range(i, n):
-            col_j = cols[j]
-            a = b = c = d = 0
-            for k, (a1, b1, c1, d1) in col_i:
-                a2, b2, c2, d2 = col_j[k]
-                a += a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
-                b += a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
-                c += a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2
-                d += a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-            if a != (one if i == j else 0) or b or c or d:
+    gram = _grid_mul(list(zip(*grid)), grid, n)
+    for i, (ga, gb, gc, gd) in enumerate(gram):
+        for j in range(n):
+            if ga[j] != (one if i == j else 0) or gb[j] or gc[j] or gd[j]:
+                entry = _from_ints(ga[j], gb[j], gc[j], gd[j], one)
                 return False, (f"orthogonality fails first: (Q^T Q)[{i}][{j}] = "
-                               f"{_from_ints(a, b, c, d, one)}, expected "
+                               f"{entry}, expected "
                                f"{ONE if i == j else ZERO}")
     s = symmetric_form(structure)
     si, _ = _scaled(s)

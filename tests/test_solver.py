@@ -13,14 +13,14 @@ from isotropy.errors import (
     StructureError,
 )
 from isotropy.forms import SegreStructure, enumerate_structures, symmetric_form
-from isotropy.matrices import ExactMatrix, identity, zeros
+from isotropy.matrices import ExactMatrix, _sum_of_products, identity, zeros
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, rat
 from isotropy.solver import (
     CongruenceData,
     FreeParams,
     _phi,
-    _psi,
+    _psi_pairs,
     free_parameter_count,
     random_free_params,
     solution_dimension,
@@ -136,6 +136,13 @@ def test_free_params_completeness_checked():
 # ---------------------------------------------------------------------------
 # accumulators
 # ---------------------------------------------------------------------------
+
+
+def _psi(data, partial, n, k, r, s, skip):
+    # Psi_n^{k, rs}, summed from its terms as the solver sums them
+    mults = data.structure.mults
+    return _sum_of_products(_psi_pairs(data, partial, n, k, r, s, skip),
+                            mults[r], mults[s])
 
 
 def test_accum_phi_hand_example():
