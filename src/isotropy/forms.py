@@ -20,6 +20,7 @@ hand out the same immutable object.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import StructureError
@@ -224,27 +225,6 @@ def interleave_permutation(alpha: int, m: int) -> ExactMatrix:
 # whole-structure builders
 # ---------------------------------------------------------------------------
 
-# Canonical matrices are immutable and depend only on the structure, so each
-# cached builder keeps its last _CACHE_LIMIT results, oldest evicted first.
-# Callers work on one structure at a time (a multi-eigenvalue structure
-# fills one slot per part and one for itself), so a few slots catch the
-# repeats while the cached matrices add little to peak memory.
-_CACHE_LIMIT = 4
-_SYMMETRIC: dict = {}
-_TRANSITION: dict = {}
-_TRANSITION_INVERSE: dict = {}
-
-
-def _cached(cache: dict, key, build):
-    """cache[key], computed by build() on a miss."""
-    value = cache.get(key)
-    if value is None:
-        value = build()
-        if len(cache) >= _CACHE_LIMIT:
-            del cache[next(iter(cache))]
-        cache[key] = value
-    return value
-
 
 def _per_copy(structure: SegreStructure, block_fn) -> ExactMatrix:
     pieces = []
@@ -260,29 +240,44 @@ def jordan_form(structure: Structure) -> ExactMatrix:
     return _per_copy(structure, lambda a: jordan_block(a, structure.lam))
 
 
-def symmetric_form(structure: Structure) -> ExactMatrix:
-    def build():
-        if isinstance(structure, MultiSegreStructure):
-            return direct_sum([symmetric_form(p) for p in structure.parts])
-        return _per_copy(structure, lambda a: symmetric_block(a, structure.lam))
+# Canonical matrices are immutable and depend only on the structure, so each
+# private builder keeps its last few results.  Callers work on one structure
+# at a time (a multi-eigenvalue structure fills one slot per part and one for
+# itself), so four slots catch the repeats while the cached matrices add
+# little to peak memory.  The public names stay plain functions, which a
+# tracer can wrap by name (perfbench/spans.py counts their calls).
 
-    return _cached(_SYMMETRIC, structure, build)
+@lru_cache(maxsize=4)
+def _symmetric_form(structure: Structure) -> ExactMatrix:
+    if isinstance(structure, MultiSegreStructure):
+        return direct_sum([symmetric_form(p) for p in structure.parts])
+    return _per_copy(structure, lambda a: symmetric_block(a, structure.lam))
+
+
+@lru_cache(maxsize=4)
+def _transition_form(structure: Structure) -> ExactMatrix:
+    if isinstance(structure, MultiSegreStructure):
+        return direct_sum([transition_form(p) for p in structure.parts])
+    return _per_copy(structure, transition_matrix)
+
+
+@lru_cache(maxsize=4)
+def _transition_form_inverse(structure: Structure) -> ExactMatrix:
+    return transition_form(structure).conjugate_i()
+
+
+def symmetric_form(structure: Structure) -> ExactMatrix:
+    return _symmetric_form(structure)
 
 
 def transition_form(structure: Structure) -> ExactMatrix:
-    def build():
-        if isinstance(structure, MultiSegreStructure):
-            return direct_sum([transition_form(p) for p in structure.parts])
-        return _per_copy(structure, transition_matrix)
-
-    return _cached(_TRANSITION, structure, build)
+    return _transition_form(structure)
 
 
 def transition_form_inverse(structure: Structure) -> ExactMatrix:
     """P^{-1}, which is conj_i(P) since every block is (1/sqrt2)(I + i E)
     with E^2 = I."""
-    return _cached(_TRANSITION_INVERSE, structure,
-                   lambda: transition_form(structure).conjugate_i())
+    return _transition_form_inverse(structure)
 
 
 def backward_form(structure: Structure) -> ExactMatrix:

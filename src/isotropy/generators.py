@@ -5,7 +5,8 @@ F X^T F B X = B (B block-diagonal with constant symmetric nonsingular
 diagonal blocks):
 
   * diagonal generators gen_W / gen_V, parameterized by skew matrices, one
-    per higher diagonal offset of each group;
+    per higher diagonal offset of each group: the congruence solver's sweep
+    at zero sub-blocks, identity seeds and half the skews;
   * coupling generators gen_G, embedding a two-group solution that couples
     a longer group p to a shorter group t through one rectangular
     coefficient F.
@@ -32,7 +33,8 @@ from .forms import SegreStructure
 from .matrices import (ExactMatrix, _is_member, identity as dense_identity,
                        zeros as dense_zeros)
 from .scalars import ExactScalar, HALF, rat
-from .solver import CongruenceData, verify_congruence
+from .solver import (CongruenceData, FreeParams, solve_congruence,
+                     verify_congruence)
 from .toeplitz import ToeplitzForm
 
 __all__ = [
@@ -144,30 +146,16 @@ def gen_V(structure: SegreStructure, b_diag: Sequence[ExactMatrix] | None,
     """Block-diagonal generator from skew parameters.
 
     Group r is the Toeplitz block T(I, V_1, ..., V_{alpha_r - 1}) with
-    V_n = 1/2 B_r^{-1} (Z_n - sum_{j=1}^{n-1} V_j^T B_r V_{n-j}).
+    V_n = 1/2 B_r^{-1} (Z_n - sum_{j=1}^{n-1} V_j^T B_r V_{n-j}).  This is
+    the sweep of solve_congruence at zero sub-blocks, identity seeds and
+    skews Z_n / 2, which verifies the result once.
     """
     data = constant_data(structure, b_diag)
     skews = _checked_skews(structure, skews)
-    per_group: list[list[ExactMatrix]] = []
-    for r, (alpha, m) in enumerate(structure.blocks):
-        b = data.b(r, 0)
-        binv = b if b.is_identity else b.inverse()
-        coeffs = [dense_identity(m)]
-        for n in range(1, alpha):
-            acc = skews[(r, n)]
-            for j in range(1, n):
-                acc = acc - coeffs[j].transpose() * b * coeffs[n - j]
-            coeffs.append((binv * acc).scale(HALF))
-        per_group.append(coeffs)
-
-    def cell(r, s, j):
-        if r == s:
-            return per_group[r][j]
-        return dense_zeros(structure.mults[r], structure.mults[s])
-
-    form = ToeplitzForm.build(structure, cell)
-    _assert_member(data, form, "diagonal generator")
-    return form
+    zero = FreeParams.zero(structure)
+    return solve_congruence(data, FreeParams(
+        zero.sub_blocks, zero.diag_seeds,
+        {key: mat.scale(HALF) for key, mat in skews.items()}))
 
 
 def gen_W(structure: SegreStructure, skews: Mapping) -> ToeplitzForm:

@@ -125,14 +125,25 @@ def toeplitz_to_json(form: ToeplitzForm) -> dict:
     return {"structure": structure_to_json(st), "coeffs": coeffs}
 
 
-def _parse_group_key(key, pieces, what):
-    parts = key.split(",")
-    if len(parts) != pieces:
-        raise ParameterError(f"{what}: bad key {key!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ParameterError(f"{what}: bad key {key!r}") from None
+def _group_keys(mapping, pieces, what):
+    """(slot, key, value) for each entry of a wire mapping whose keys are
+    `pieces` comma-separated integers.  A malformed key, or a second key
+    naming a slot already seen (such as "1,1" after "01,1"), raises
+    ParameterError."""
+    seen = {}
+    for key, value in mapping.items():
+        parts = key.split(",")
+        if len(parts) != pieces:
+            raise ParameterError(f"{what}: bad key {key!r}")
+        try:
+            slot = tuple(int(p) for p in parts)
+        except ValueError:
+            raise ParameterError(f"{what}: bad key {key!r}") from None
+        if slot in seen:
+            raise ParameterError(
+                f"{what}: keys {seen[slot]!r} and {key!r} name the same slot")
+        seen[slot] = key
+        yield slot, key, value
 
 
 def toeplitz_from_json(payload) -> ToeplitzForm:
@@ -143,8 +154,7 @@ def toeplitz_from_json(payload) -> ToeplitzForm:
                              "structure")
     coeffs_json = _expect_mapping(payload.get("coeffs"), "coeffs")
     coeffs = {}
-    for key, lst in coeffs_json.items():
-        r1, s1 = _parse_group_key(key, 2, "coeffs")
+    for (r1, s1), key, lst in _group_keys(coeffs_json, 2, "coeffs"):
         r, s = r1 - 1, s1 - 1
         if not (0 <= r < st.part_count and 0 <= s < st.part_count):
             raise ParameterError(f"coeffs: group key {key!r} out of range")
@@ -182,8 +192,7 @@ def congruence_data_from_json(payload) -> CongruenceData:
     def one_side(key):
         side_json = _expect_mapping(payload.get(key), key)
         side = [None] * st.part_count
-        for group_key, lst in side_json.items():
-            (r1,) = _parse_group_key(group_key, 1, key)
+        for (r1,), group_key, lst in _group_keys(side_json, 1, key):
             r = r1 - 1
             if not 0 <= r < st.part_count:
                 raise ParameterError(
@@ -220,19 +229,16 @@ def free_params_from_json(payload) -> FreeParams:
     seeds_json = _expect_mapping(payload.get("seeds", {}), "seeds")
     skews_json = _expect_mapping(payload.get("skews", {}), "skews")
     sub = {}
-    for key, mat in sub_json.items():
-        r1, s1, j = _parse_group_key(key, 3, "sub")
+    for (r1, s1, j), _, mat in _group_keys(sub_json, 3, "sub"):
         sub[(r1 - 1, s1 - 1, j)] = matrix_from_json(mat)
     seeds_by_group = {}
-    for key, mat in seeds_json.items():
-        (r1,) = _parse_group_key(key, 1, "seeds")
+    for (r1,), _, mat in _group_keys(seeds_json, 1, "seeds"):
         seeds_by_group[r1 - 1] = matrix_from_json(mat)
     if sorted(seeds_by_group) != list(range(len(seeds_by_group))):
         raise ParameterError("seeds: group keys must cover 1..N")
     seeds = [seeds_by_group[r] for r in range(len(seeds_by_group))]
     skews = {}
-    for key, mat in skews_json.items():
-        r1, j = _parse_group_key(key, 2, "skews")
+    for (r1, j), _, mat in _group_keys(skews_json, 2, "skews"):
         skews[(r1 - 1, j)] = matrix_from_json(mat)
     return FreeParams(sub, seeds, skews)
 
@@ -252,8 +258,7 @@ def generator_spec_from_json(payload) -> GeneratorSpec:
     if kind == "W":
         skews_json = _expect_mapping(payload.get("skews"), "skews")
         skews = {}
-        for key, mat in skews_json.items():
-            r1, j = _parse_group_key(key, 2, "skews")
+        for (r1, j), _, mat in _group_keys(skews_json, 2, "skews"):
             skews[(r1 - 1, j)] = matrix_from_json(mat)
         return GeneratorSpec("diagonal_W", skews=skews)
     if kind == "G":

@@ -196,10 +196,6 @@ def consistency_check(structure) -> OrbitReport:
     isotropy_dim = describe_isotropy(structure).dimension
     tangent_dim, oracle_codim, kernel_dim = tangent_oracle(
         symmetric_form(structure))
-    if codim != n + isotropy_dim:
-        raise IntegrityError(
-            f"formula codim {codim} != n + isotropy dim "
-            f"{n} + {isotropy_dim}")
     if codim != oracle_codim:
         raise IntegrityError(
             f"formula codim {codim} != tangent oracle codim {oracle_codim}")

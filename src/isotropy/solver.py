@@ -8,11 +8,15 @@ C_0^r = A^T B_0^r A), one skew matrix per higher diagonal coefficient,
 and every sub-diagonal block coefficient free.  The sweep determines
 all remaining coefficients in the order offset j ascending, block
 distance p = 0 first and then ascending, and verifies the full
-congruence on the result before returning it.
+congruence on the result before returning it.  Each step reads one
+coefficient of F X^T F B X off the partial solution, by the product rule
+of toeplitz._product_pairs applied twice: to B and X, then to F X^T F
+and B X.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -23,12 +27,12 @@ from .errors import (
     SingularMatrixError,
     StructureError,
 )
-from .forms import SegreStructure, _cached
+from .forms import SegreStructure
 from .matrices import (ExactMatrix, _mark_member, _sum_of_products,
                        identity as dense_identity, zeros as dense_zeros)
 from .rng import RandomSource
 from .scalars import HALF
-from .toeplitz import ToeplitzForm
+from .toeplitz import ToeplitzForm, _product_pairs
 
 __all__ = [
     "CongruenceData",
@@ -66,9 +70,6 @@ def _check_side(structure: SegreStructure, coeffs, label: str):
     return tuple(out)
 
 
-_IDENTITY_DATA: dict = {}
-
-
 class CongruenceData:
     """Right-hand data of the congruence: block-diagonal forms B and C.
 
@@ -95,13 +96,7 @@ class CongruenceData:
     def identity(cls, structure: SegreStructure) -> "CongruenceData":
         """B = C = the identity form (leading I, higher coefficients 0),
         built and checked once per structure."""
-        def build():
-            side = []
-            for alpha, m in structure.blocks:
-                side.append([dense_identity(m)] + [dense_zeros(m, m)] * (alpha - 1))
-            return cls(structure, side, side)
-
-        return _cached(_IDENTITY_DATA, structure, build)
+        return _identity_data(structure)
 
     def b(self, r: int, j: int) -> ExactMatrix:
         """B_j^r, zero-padded outside [0, alpha_r)."""
@@ -156,6 +151,14 @@ class CongruenceData:
         return (self.structure == other.structure
                 and self.b_coeffs == other.b_coeffs
                 and self.c_coeffs == other.c_coeffs)
+
+
+@lru_cache(maxsize=4)
+def _identity_data(structure: SegreStructure) -> CongruenceData:
+    side = []
+    for alpha, m in structure.blocks:
+        side.append([dense_identity(m)] + [dense_zeros(m, m)] * (alpha - 1))
+    return CongruenceData(structure, side, side)
 
 
 class FreeParams:
@@ -238,13 +241,10 @@ class FreeParams:
 # ---------------------------------------------------------------------------
 
 
-def _lookup(structure: SegreStructure, partial: Mapping, r: int, s: int, j: int,
-            skip) -> ExactMatrix:
-    # out-of-range coefficient slots read as zero; in-range slots must exist
-    if j < 0 or j >= structure.depth(r, s):
-        return dense_zeros(structure.mults[r], structure.mults[s])
-    if skip is not None and (r, s, j) == skip:
-        return dense_zeros(structure.mults[r], structure.mults[s])
+def _lookup(partial: Mapping, skip, r: int, s: int, j: int):
+    # the slot `skip` reads as zero; every other slot must be determined
+    if (r, s, j) == skip:
+        return None
     try:
         return partial[(r, s, j)]
     except KeyError:
@@ -255,44 +255,29 @@ def _lookup(structure: SegreStructure, partial: Mapping, r: int, s: int, j: int,
 
 def _phi(data: CongruenceData, partial: Mapping, n: int, k: int, s: int,
          skip) -> ExactMatrix:
-    """Convolution of group k of B with block (k, s):
-    sum_{j=0}^{n} B_{n-j}^k A_j^{ks}; the zero matrix when n < 0."""
+    """Coefficient (k, s, n) of B X, the product rule on the block-diagonal
+    B and the partial X: sum_l B_l^k A_{n-l}^{ks}; zero when n < 0."""
     st = data.structure
-    pairs = []
-    for j in range(n + 1):
-        b = data.b(k, n - j)
-        if b.is_zero:
-            continue
-        a = _lookup(st, partial, k, s, j, skip)
-        if not a.is_zero:
-            pairs.append((b, a))
+    pairs = _product_pairs(
+        st, lambda a, b, l: data.b_coeffs[a][l] if a == b else None,
+        lambda a, b, l: _lookup(partial, skip, a, b, l), k, s, n)
     return _sum_of_products(pairs, st.mults[k], st.mults[s])
-
-
-def _psi_pairs(data: CongruenceData, partial: Mapping, n: int, k: int, r: int,
-               s: int, skip) -> list:
-    """The terms ((A_u^{kr})^T, Phi_{n-u}^{ks}) of Psi_n^{k, rs}, the
-    congruence contribution of middle group k to block (r, s):
-    sum_{u=0}^{n} (A_u^{kr})^T Phi_{n-u}^{ks}; no terms when n < 0."""
-    st = data.structure
-    pairs = []
-    for u in range(n + 1):
-        a = _lookup(st, partial, k, r, u, skip)
-        if not a.is_zero:
-            pairs.append((a.transpose(), _phi(data, partial, n - u, k, s, skip)))
-    return pairs
 
 
 def _rhs_without(data: CongruenceData, partial: Mapping, r: int, s: int, j: int,
                  skip) -> ExactMatrix:
     """Coefficient (r, s, j) of F X^T F B X with the slot `skip` read as zero:
-    the sum over k of Psi_{j + offset}^{k, rs}, as one sum of products."""
+    the product rule on F X^T F, whose coefficient (r, k, u) is
+    (A_u^{kr})^T, and B X (_phi)."""
     st = data.structure
-    shift_rs = st.shift(r, s)
-    pairs = []
-    for k in range(st.part_count):
-        offset = shift_rs - st.shift(r, k) - st.shift(k, s)
-        pairs += _psi_pairs(data, partial, j + offset, k, r, s, skip)
+
+    def flipped(a, b, u):
+        mat = _lookup(partial, skip, b, a, u)
+        return None if mat is None or mat.is_zero else mat.transpose()
+
+    pairs = _product_pairs(
+        st, flipped, lambda a, b, n: _phi(data, partial, n, a, b, skip),
+        r, s, j)
     return _sum_of_products(pairs, st.mults[r], st.mults[s])
 
 

@@ -10,7 +10,9 @@ sums and products computed in coefficient space, the transpose twisted
 by the backward block form, inverses of identity-diagonal forms, and
 the additive weight filtration that controls nilpotency.
 
-A product is formed once, in coefficient space, with no dense pass.
+A product is formed once, in coefficient space, with no dense pass.  The
+rule for one coefficient of a product (_product_pairs) is written once,
+here; the congruence solver applies the same rule to its partial forms.
 Membership of a product or inverse is checked where it is returned
 (solver.verify_congruence); that the coefficient product equals the
 dense product of the assemblies is a property the test suite checks.
@@ -48,6 +50,33 @@ def _block_keys(structure: SegreStructure) -> Iterator[tuple[int, int]]:
     for r in range(count):
         for s in range(count):
             yield r, s
+
+
+def _product_pairs(structure: SegreStructure, left, right,
+                   r: int, s: int, j: int) -> list:
+    """The nonzero term pairs (A_l^{rk}, B_{n - l}^{ks}) of coefficient
+    C_j^{rs} of the product of two block Toeplitz forms A and B:
+    C_j^{rs} = sum_k sum_l A_l^{rk} B_{n - l}^{ks}, with
+    n = j + shift(r, s) - shift(r, k) - shift(k, s), over 0 <= l < depth(r, k)
+    and 0 <= n - l < depth(k, s).
+
+    left(r, k, l) and right(k, s, l) are only asked for in-range slots, and
+    return the coefficient there or None for a zero one; right is only asked
+    once its left partner is nonzero.  A j < 0 gives no pairs.
+    """
+    shift_rs = structure.shift(r, s)
+    pairs = []
+    for k in range(structure.part_count):
+        n = j + shift_rs - structure.shift(r, k) - structure.shift(k, s)
+        for l in range(max(0, n - structure.depth(k, s) + 1),
+                       min(structure.depth(r, k), n + 1)):
+            lhs = left(r, k, l)
+            if lhs is None or lhs.is_zero:
+                continue
+            rhs = right(k, s, n - l)
+            if rhs is not None and not rhs.is_zero:
+                pairs.append((lhs, rhs))
+    return pairs
 
 
 class ToeplitzForm:
@@ -271,40 +300,28 @@ class ToeplitzForm:
     # -- multiplicative structure ----------------------------------------
 
     def __mul__(self, other):
-        """Product in coefficient space:
-        C_j^{rs} = sum_k sum_l A_l^{rk} B_{j + offset - l}^{ks}, where
-        offset = shift(r, s) - shift(r, k) - shift(k, s).  Each C_j^{rs} is
-        one sum of products on the integer kernel of matrices.py."""
+        """Product in coefficient space: each C_j^{rs} is one sum, on the
+        integer kernel of matrices.py, of the term pairs _product_pairs
+        lists."""
         if not isinstance(other, ToeplitzForm):
             return NotImplemented
         st = self.structure
         if st != other.structure:
             raise DimensionMismatchError("forms live on different structures")
-        count = st.part_count
         mults = st.mults
+
+        def left(r, k, l):
+            return self.coeffs[(r, k)][l]
+
+        def right(k, s, l):
+            return other.coeffs[(k, s)][l]
+
         coeffs = {}
-        for r in range(count):
-            for s in range(count):
-                shift_rs = st.shift(r, s)
-                entry = []
-                for j in range(st.depth(r, s)):
-                    pairs = []
-                    for k in range(count):
-                        offset = shift_rs - st.shift(r, k) - st.shift(k, s)
-                        depth_ks = st.depth(k, s)
-                        for l in range(st.depth(r, k)):
-                            idx = j + offset - l
-                            if not (0 <= idx < depth_ks):
-                                continue
-                            lhs = self.coeffs[(r, k)][l]
-                            if lhs.is_zero:
-                                continue
-                            rhs = other.coeffs[(k, s)][idx]
-                            if rhs.is_zero:
-                                continue
-                            pairs.append((lhs, rhs))
-                    entry.append(_sum_of_products(pairs, mults[r], mults[s]))
-                coeffs[(r, s)] = entry
+        for r, s in _block_keys(st):
+            coeffs[(r, s)] = [
+                _sum_of_products(_product_pairs(st, left, right, r, s, j),
+                                 mults[r], mults[s])
+                for j in range(st.depth(r, s))]
         return ToeplitzForm(st, coeffs)
 
     def flip_transpose(self) -> "ToeplitzForm":

@@ -167,6 +167,25 @@ def test_factor_rejects_non_unipotent_member(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("command, params", [
+    ("sample", '{"seeds": {"1": {"rows": 1, "cols": 1, "entries": ["1"]}},'
+               ' "skews": {"1,1": {"rows": 1, "cols": 1, "entries": ["0"]},'
+               ' "1,1 ": {"rows": 1, "cols": 1, "entries": ["0"]}}}'),
+    ("sample", '{"seeds": {"1": {"rows": 1, "cols": 1, "entries": ["1"]},'
+               ' "01": {"rows": 1, "cols": 1, "entries": ["-1"]}},'
+               ' "skews": {"1,1": {"rows": 1, "cols": 1, "entries": ["0"]}}}'),
+    ("generators", '{"kind": "W", "skews": {'
+                   '"1,1": {"rows": 1, "cols": 1, "entries": ["0"]},'
+                   ' "+1,1": {"rows": 1, "cols": 1, "entries": ["0"]}}}'),
+], ids=["sample-skews", "sample-seeds", "generators-W"])
+def test_keys_naming_one_slot_exit_two(capsys, command, params):
+    code, out, err = _run(capsys, command, "--structure", RIGID,
+                          "--params", params)
+    assert code == 2
+    assert out == ""
+    assert "name the same slot" in json.loads(err)["error"]
+
+
 def test_missing_required_flag_exits_two(capsys):
     code, _, err = _run(capsys, "dim")
     assert code == 2

@@ -189,7 +189,8 @@ def test_canonical_matrices_built_once_in_a_bounded_cache():
     for n in range(1, 9):
         for s in enumerate_structures(n):
             symmetric_form(s)
-    assert len(forms._SYMMETRIC) <= forms._CACHE_LIMIT
+    info = forms._symmetric_form.cache_info()
+    assert info.maxsize == 4 and info.currsize <= info.maxsize
 
 
 def test_block_backward_form_matches_conjugated_backward_form():

@@ -20,7 +20,7 @@ from isotropy.generators import (
 from isotropy.matrices import ExactMatrix, identity, zeros
 from isotropy.rng import RandomSource
 from isotropy.scalars import ExactScalar, HALF, IMAG, ZERO, rat
-from isotropy.solver import FreeParams, solve_congruence, verify_congruence
+from isotropy.solver import verify_congruence
 from isotropy.toeplitz import ToeplitzForm
 
 
@@ -138,19 +138,23 @@ def test_gen_v_satisfies_congruence_for_random_blocks():
         assert ok, report
 
 
-def test_gen_v_matches_solver_at_half_skews():
-    # the sweep's skew parameter enters once, the generator recursion halves it
+def test_gen_v_matches_the_paper_recursion():
+    # group r: V_0 = I, V_n = 1/2 B_r^{-1} (Z_n - sum_{j=1}^{n-1} V_j^T B_r V_{n-j})
     rnd = RandomSource(20240844)
     st = _st([(4, 2), (2, 1)])
     b_diag = [rnd.symmetric_nonsingular(2), rnd.symmetric_nonsingular(1)]
     skews = _random_skews(st, rnd)
-    data = constant_data(st, b_diag)
-    params = FreeParams(
-        {(1, 0, j): zeros(1, 2) for j in range(2)},
-        [identity(2), identity(1)],
-        {key: mat.scale(HALF) for key, mat in skews.items()},
-    )
-    assert solve_congruence(data, params) == gen_V(st, b_diag, skews)
+    entries = {}
+    for r, (alpha, m) in enumerate(st.blocks):
+        b = b_diag[r]
+        coeffs = [identity(m)]
+        for n in range(1, alpha):
+            acc = skews[(r, n)]
+            for j in range(1, n):
+                acc = acc - coeffs[j].transpose() * b * coeffs[n - j]
+            coeffs.append((b.inverse() * acc).scale(HALF))
+        entries.update({(r, r, j): mat for j, mat in enumerate(coeffs)})
+    assert gen_V(st, b_diag, skews) == ToeplitzForm.from_sparse(st, entries)
 
 
 def test_diagonal_skew_recovery_round_trip():

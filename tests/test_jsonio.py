@@ -118,6 +118,34 @@ def test_free_params_round_trip_and_keys():
     assert back.skews == params.skews
 
 
+def test_keys_naming_one_slot_are_rejected():
+    # "1,1", "01,1", "+1,1" and "1,1 " all parse to slot (1, 1)
+    rnd = RandomSource(20240867)
+    st = _st([(3, 1), (1, 2)])
+    data = CongruenceData.identity(st)
+    form = solve_congruence(data, random_free_params(data, rnd))
+    params = free_params_to_json(random_free_params(data, rnd))
+    for payload, wire, key, twin in [
+            (toeplitz_to_json(form), "coeffs", "1,2", "01,2"),
+            (congruence_data_to_json(data), "b", "2", "+2"),
+            (congruence_data_to_json(data), "c", "1", " 1"),
+            (params, "sub", "2,1,0", "2,1,00"),
+            (params, "seeds", "2", "02"),
+            (params, "skews", "1,1", "1,1 ")]:
+        section = payload[wire]
+        section[twin] = section[key]
+        parse = {"coeffs": toeplitz_from_json, "b": congruence_data_from_json,
+                 "c": congruence_data_from_json}.get(wire, free_params_from_json)
+        with pytest.raises(ParameterError, match="name the same slot"):
+            parse(payload)
+        del section[twin]
+    spec = generator_spec_to_json(GeneratorSpec(
+        "diagonal_W", skews={(0, 1): rnd.skew(1), (0, 2): rnd.skew(1)}))
+    spec["skews"]["+1,1"] = spec["skews"]["1,1"]
+    with pytest.raises(ParameterError, match="name the same slot"):
+        generator_spec_from_json(spec)
+
+
 def test_generator_spec_round_trip():
     z = ExactMatrix.from_rows([[0, 1], [-1, 0]])
     w_spec = GeneratorSpec("diagonal_W", skews={(0, 1): z})

@@ -12,15 +12,16 @@ from isotropy.errors import (
     SingularMatrixError,
     StructureError,
 )
-from isotropy.forms import SegreStructure, enumerate_structures, symmetric_form
-from isotropy.matrices import ExactMatrix, _sum_of_products, identity, zeros
+from isotropy.forms import (SegreStructure, block_backward_form,
+                            enumerate_structures, symmetric_form)
+from isotropy.matrices import ExactMatrix, identity, zeros
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, rat
 from isotropy.solver import (
     CongruenceData,
     FreeParams,
     _phi,
-    _psi_pairs,
+    _rhs_without,
     free_parameter_count,
     random_free_params,
     solution_dimension,
@@ -138,11 +139,15 @@ def test_free_params_completeness_checked():
 # ---------------------------------------------------------------------------
 
 
-def _psi(data, partial, n, k, r, s, skip):
-    # Psi_n^{k, rs}, summed from its terms as the solver sums them
-    mults = data.structure.mults
-    return _sum_of_products(_psi_pairs(data, partial, n, k, r, s, skip),
-                            mults[r], mults[s])
+def _psi(data, partial, n, k, r, s):
+    # Psi_n^{k, rs} = sum_u (A_u^{kr})^T Phi_{n-u}^{ks}: the contribution of
+    # middle group k to block (r, s) of F X^T F B X; zero when n < 0
+    st = data.structure
+    total = zeros(st.mults[r], st.mults[s])
+    for u in range(min(n + 1, st.depth(k, r))):
+        phi = _phi(data, partial, n - u, k, s, None)
+        total = total + partial[(k, r, u)].transpose() * phi
+    return total
 
 
 def test_accum_phi_hand_example():
@@ -159,8 +164,14 @@ def test_accum_phi_hand_example():
     assert _phi(data, partial, 1, 0, 0, None) == ExactMatrix.from_rows([[29]])
     assert _phi(data, partial, -1, 0, 0, None).is_zero
     # A_0^T Phi_1 + A_1^T Phi_0 = 5*29 + 7*10
-    assert _psi(data, partial, 1, 0, 0, 0, None) == ExactMatrix.from_rows([[215]])
-    assert _psi(data, partial, -3, 0, 0, 0, None).is_zero
+    assert _psi(data, partial, 1, 0, 0, 0) == ExactMatrix.from_rows([[215]])
+    assert _psi(data, partial, -3, 0, 0, 0).is_zero
+    # one group: the sweep's right-hand side is Psi itself
+    assert _rhs_without(data, partial, 0, 0, 1, None) == \
+        _psi(data, partial, 1, 0, 0, 0)
+    # the skipped slot reads as zero: A_0^T B_1 A_0 = 5*3*5
+    assert _rhs_without(data, partial, 0, 0, 1, (0, 0, 1)) == \
+        ExactMatrix.from_rows([[75]])
 
 
 def test_accum_identity_data_reduces_to_coefficients():
@@ -187,8 +198,8 @@ def test_accum_psi_transpose_symmetry():
             for r in range(st.part_count):
                 for s in range(st.part_count):
                     for n in range(3):
-                        lhs = _psi(data, partial, n, k, r, s, None)
-                        rhs = _psi(data, partial, n, k, s, r, None)
+                        lhs = _psi(data, partial, n, k, r, s)
+                        rhs = _psi(data, partial, n, k, s, r)
                         assert lhs == rhs.transpose()
 
 
@@ -200,7 +211,27 @@ def test_accum_raises_on_undetermined_slot():
     partial = {(0, 0, 0): identity(1), (0, 0, 1): identity(1)}
     # block (1, 0) is in range but absent
     with pytest.raises(SequencingError):
-        _psi(data, partial, 0, 1, 0, 0, None)
+        _psi(data, partial, 0, 1, 0, 0)
+
+
+def test_rhs_is_a_coefficient_of_the_dense_congruence_product():
+    # F X^T F B X formed densely, away from the shared product rule
+    rnd = RandomSource(20240836)
+    for st in (_st([(3, 1), (2, 2)]), _st([(4, 1), (2, 2), (1, 1)])):
+        side = [[rnd.symmetric_nonsingular(m)] + [rnd.symmetric(m)
+                                                  for _ in range(alpha - 1)]
+                for alpha, m in st.blocks]
+        data = CongruenceData(st, side, side)
+        partial = _full_coeffs(rnd, st, max_num=2, max_den=2)
+        x = ToeplitzForm.from_sparse(st, partial).assemble()
+        flip = block_backward_form(st)
+        dense = flip * x.transpose() * flip * data.b_form().assemble() * x
+        want = ToeplitzForm.extract(dense, st)
+        for r in range(st.part_count):
+            for s in range(st.part_count):
+                for j in range(st.depth(r, s)):
+                    assert _rhs_without(data, partial, r, s, j, None) == \
+                        want.coefficient(r, s, j)
 
 
 # ---------------------------------------------------------------------------
