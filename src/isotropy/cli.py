@@ -35,12 +35,25 @@ from .stabilizer import (describe_isotropy, sample_isotropy_element,
 from .toeplitz import commutant_basis
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key that appears twice (plain
+    json.loads would keep the last value)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise IsotropyError(
+                f"JSON object repeats the key {key!r}: both copies name the "
+                "same slot")
+        out[key] = value
+    return out
+
+
 def _load_json_argument(value: str):
     text = value.strip()
     if not text.startswith(("{", "[")):
         with open(value, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text)
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def _require(args, flag, what):
@@ -268,6 +281,7 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         payload, code = handler(args)
+        _emit(dumps_canonical(payload), args.out)
     except IntegrityError as exc:
         sys.stderr.write(dumps_canonical({"error": str(exc)}))
         return 3
@@ -277,7 +291,6 @@ def main(argv=None) -> int:
     except (IsotropyError, json.JSONDecodeError, OSError, ValueError) as exc:
         sys.stderr.write(dumps_canonical({"error": str(exc)}))
         return 2
-    _emit(dumps_canonical(payload), args.out)
     return code
 
 

@@ -7,10 +7,14 @@ den the lcm of all its denominators and G its entries as integer 4-tuples
 (a, b, c, d) meaning (a + b i) + (c + d i) sqrt2 (_scaled).
 
 - Products and sums of products (_sum_of_products, behind
-  ExactMatrix.__mul__, the Toeplitz coefficient product and the solver's
-  sums) multiply the integer grids, skipping zero entries, accumulate every
-  term over the lcm of the term denominators and normalize once per
-  result: one reduction per entry of the result (_from_grid).
+  ExactMatrix.__mul__ and the sums of the solver's sweep) multiply the
+  integer grids, skipping zero entries, accumulate every term over the lcm
+  of the term denominators and normalize once per result: one reduction
+  per entry of the result (_from_grid).
+- The product of two Toeplitz forms is one grid product (_grid_mul): each
+  operand's coefficients are scaled once onto one denominator
+  (_scaled_all), and the first cell-rows of the left operand multiply the
+  assembled right operand (toeplitz.ToeplitzForm.__mul__).
 - The rank uses forward-only fraction-free (Bareiss) elimination over the
   same grids; scaling keeps the rank (E. H. Bareiss, Sylvester's identity
   and multistep integer-preserving Gaussian elimination, Math. Comp. 22,
@@ -282,16 +286,24 @@ def _scaled(m: ExactMatrix) -> tuple:
     of m and grid its rows of integer 4-tuples (a, b, c, d), meaning
     (a + b i) + (c + d i) sqrt2.  A linear system built from grid has the
     rank of the one built from m."""
-    parts = [[(x.a, x.b, x.c, x.d) for x in r] for r in m._m]
-    dens = {q.denominator for r in parts for x in r for q in x}
+    (grid,), den = _scaled_all((m,))
+    return grid, den
+
+
+def _scaled_all(mats: Sequence[ExactMatrix]) -> tuple:
+    """(grids, den) with mats[t] = grids[t] / den for every t, on the one
+    denominator den, the lcm of all denominators of all the matrices
+    (1 for none)."""
+    parts = [[[(x.a, x.b, x.c, x.d) for x in r] for r in m._m] for m in mats]
+    dens = {q.denominator for p in parts for r in p for x in r for q in x}
     den = lcm(*map(int, dens))
     f = {q: den // int(q) for q in dens}
-    return [[(int(a.numerator) * f[a.denominator],
-              int(b.numerator) * f[b.denominator],
-              int(c.numerator) * f[c.denominator],
-              int(d.numerator) * f[d.denominator])
-             if a or b or c or d else _Z4 for a, b, c, d in r]
-            for r in parts], den
+    return [[[(int(a.numerator) * f[a.denominator],
+               int(b.numerator) * f[b.denominator],
+               int(c.numerator) * f[c.denominator],
+               int(d.numerator) * f[d.denominator])
+              if a or b or c or d else _Z4 for a, b, c, d in r]
+             for r in p] for p in parts], den
 
 
 def _grid_mul(x: Sequence, y: Sequence, cols: int, acc: list | None = None) -> list:

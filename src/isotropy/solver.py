@@ -11,7 +11,10 @@ distance p = 0 first and then ascending, and verifies the full
 congruence on the result before returning it.  Each step reads one
 coefficient of F X^T F B X off the partial solution, by the product rule
 of toeplitz._product_pairs applied twice: to B and X, then to F X^T F
-and B X.
+and B X.  When B is the identity form (every sample and every gen_W /
+gen_V), B X is X, and the second application reads X directly.  Whole
+forms (the verification's F X^T F X) are multiplied by
+ToeplitzForm.__mul__, one integer product each.
 """
 
 from __future__ import annotations
@@ -75,10 +78,11 @@ class CongruenceData:
 
     b_coeffs[r][j] and c_coeffs[r][j] are the symmetric m_r x m_r
     coefficients of group r at offset j; leading coefficients must be
-    nonsingular.
+    nonsingular.  b_is_identity is True when B is the identity form
+    (leading I, higher coefficients 0); B X is then X itself.
     """
 
-    __slots__ = ("structure", "b_coeffs", "c_coeffs")
+    __slots__ = ("structure", "b_coeffs", "c_coeffs", "b_is_identity")
 
     def __init__(self, structure: SegreStructure,
                  b_coeffs: Sequence[Sequence[ExactMatrix]],
@@ -88,6 +92,9 @@ class CongruenceData:
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "b_coeffs", _check_side(structure, b_coeffs, "B"))
         object.__setattr__(self, "c_coeffs", _check_side(structure, c_coeffs, "C"))
+        object.__setattr__(self, "b_is_identity", all(
+            entry[0].is_identity and all(mat.is_zero for mat in entry[1:])
+            for entry in self.b_coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("CongruenceData is immutable")
@@ -133,12 +140,6 @@ class CongruenceData:
     @property
     def sides_equal(self) -> bool:
         return self.b_coeffs == self.c_coeffs
-
-    @property
-    def b_is_identity(self) -> bool:
-        """True when B is the identity form (leading I, higher coefficients 0)."""
-        return all(entry[0].is_identity and all(mat.is_zero for mat in entry[1:])
-                   for entry in self.b_coeffs)
 
     @property
     def is_identity(self) -> bool:
@@ -268,16 +269,21 @@ def _rhs_without(data: CongruenceData, partial: Mapping, r: int, s: int, j: int,
                  skip) -> ExactMatrix:
     """Coefficient (r, s, j) of F X^T F B X with the slot `skip` read as zero:
     the product rule on F X^T F, whose coefficient (r, k, u) is
-    (A_u^{kr})^T, and B X (_phi)."""
+    (A_u^{kr})^T, and B X (_phi), read off X itself when B = I."""
     st = data.structure
 
     def flipped(a, b, u):
         mat = _lookup(partial, skip, b, a, u)
         return None if mat is None or mat.is_zero else mat.transpose()
 
-    pairs = _product_pairs(
-        st, flipped, lambda a, b, n: _phi(data, partial, n, a, b, skip),
-        r, s, j)
+    if data.b_is_identity:
+        def bx(a, b, n):
+            return _lookup(partial, skip, a, b, n)
+    else:
+        def bx(a, b, n):
+            return _phi(data, partial, n, a, b, skip)
+
+    pairs = _product_pairs(st, flipped, bx, r, s, j)
     return _sum_of_products(pairs, st.mults[r], st.mults[s])
 
 

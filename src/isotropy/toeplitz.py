@@ -6,16 +6,22 @@ alpha_r x alpha_s grid of m_r x m_s cells, constant along cell diagonals
 and zero below a leading offset.  ToeplitzForm stores one rectangular
 coefficient per cell diagonal.  This module provides the exact algebra
 of such forms: assembly to dense matrices and strict extraction back,
-sums and products computed in coefficient space, the transpose twisted
+sums in coefficient space, products, the transpose twisted
 by the backward block form, inverses of identity-diagonal forms, and
 the additive weight filtration that controls nilpotency.
 
-A product is formed once, in coefficient space, with no dense pass.  The
-rule for one coefficient of a product (_product_pairs) is written once,
-here; the congruence solver applies the same rule to its partial forms.
-Membership of a product or inverse is checked where it is returned
-(solver.verify_congruence); that the coefficient product equals the
-dense product of the assemblies is a property the test suite checks.
+A product of two forms is one integer product on the kernel of
+matrices.py: each operand's coefficients are scaled once onto one
+denominator, and the first cell-row of each group of the left operand
+(an M x n strip, M = sum m_r) multiplies the assembled right operand.
+Coefficient C_j^{rs} is cell (0, j + shift(r, s)) of block (r, s) of the
+dense product, so the strip holds every coefficient.  The product and
+assemble share one assembly walk (_layout).  The rule for one
+coefficient of a product (_product_pairs) is the congruence solver's: its
+sweep determines a partial form one coefficient at a time.  Membership
+of a product or inverse is checked where it is returned
+(solver.verify_congruence); that the product equals the dense product of
+the assemblies is a property the test suite checks.
 
 Coordinates are 0-based throughout: group indices r, s in
 [0, part_count), coefficient index j in [0, depth(r, s)).
@@ -33,8 +39,8 @@ from .errors import (
     StructureError,
 )
 from .forms import MultiSegreStructure, SegreStructure
-from .matrices import (ExactMatrix, _sum_of_products, identity as dense_identity,
-                       zeros as dense_zeros)
+from .matrices import (ExactMatrix, _Z4, _from_grid, _grid_mul, _scaled_all,
+                       identity as dense_identity, zeros as dense_zeros)
 from .scalars import ZERO
 
 __all__ = [
@@ -55,7 +61,8 @@ def _block_keys(structure: SegreStructure) -> Iterator[tuple[int, int]]:
 def _product_pairs(structure: SegreStructure, left, right,
                    r: int, s: int, j: int) -> list:
     """The nonzero term pairs (A_l^{rk}, B_{n - l}^{ks}) of coefficient
-    C_j^{rs} of the product of two block Toeplitz forms A and B:
+    C_j^{rs} of the product of two block Toeplitz forms A and B, the
+    congruence solver's rule for one coefficient of a partial product:
     C_j^{rs} = sum_k sum_l A_l^{rk} B_{n - l}^{ks}, with
     n = j + shift(r, s) - shift(r, k) - shift(k, s), over 0 <= l < depth(r, k)
     and 0 <= n - l < depth(k, s).
@@ -77,6 +84,36 @@ def _product_pairs(structure: SegreStructure, left, right,
             if rhs is not None and not rhs.is_zero:
                 pairs.append((lhs, rhs))
     return pairs
+
+
+def _layout(structure: SegreStructure, cells: Mapping, zero,
+            first_rows: bool = False) -> list:
+    """Rows of the dense assembly of a form, or only of the first cell-row
+    of each group when first_rows: the one assembly walk.
+
+    cells[(r, s)][j] holds the rows of coefficient j of block (r, s), and
+    `zero` fills every other entry; assemble lays out scalars, the product
+    integer 4-tuples.  In cell-row u of block (r, s) the first
+    u + shift(r, s) cells are zero and coefficients 0, 1, ... follow.
+    """
+    blocks = structure.blocks
+    rows = []
+    for r, (alpha_r, m_r) in enumerate(blocks):
+        for u in range(1 if first_rows else alpha_r):
+            # per block s: the leading zeros and the coefficients after them
+            parts = []
+            for s, (alpha_s, m_s) in enumerate(blocks):
+                lead = min(u + structure.shift(r, s), alpha_s)
+                parts.append(((zero,) * (lead * m_s),
+                              cells[(r, s)][:alpha_s - lead]))
+            for i in range(m_r):
+                row = []
+                for blank, coeffs in parts:
+                    row.extend(blank)
+                    for mat in coeffs:
+                        row.extend(mat[i])
+                rows.append(row)
+    return rows
 
 
 class ToeplitzForm:
@@ -237,28 +274,10 @@ class ToeplitzForm:
         """Dense n x n matrix with cell (u, v) of block (r, s) equal to
         coefficient v - u - shift(r, s)."""
         st = self.structure
-        n = st.n
-        grid = [[ZERO] * n for _ in range(n)]
-        for r, s in _block_keys(st):
-            alpha_r, m_r = st.blocks[r]
-            alpha_s, m_s = st.blocks[s]
-            shift = st.shift(r, s)
-            depth = st.depth(r, s)
-            row0 = st.group_offset(r)
-            col0 = st.group_offset(s)
-            for u in range(alpha_r):
-                for v in range(alpha_s):
-                    j = v - u - shift
-                    if not (0 <= j < depth):
-                        continue
-                    mat = self.coeffs[(r, s)][j]
-                    if mat.is_zero:
-                        continue
-                    for i in range(m_r):
-                        dst = grid[row0 + u * m_r + i]
-                        for l in range(m_s):
-                            dst[col0 + v * m_s + l] = mat[i, l]
-        return ExactMatrix.from_rows(grid)
+        cells = {key: [mat._m for mat in entry]
+                 for key, entry in self.coeffs.items()}
+        return ExactMatrix(st.n, st.n, tuple(
+            tuple(row) for row in _layout(st, cells, ZERO)))
 
     @classmethod
     def extract(cls, dense: ExactMatrix,
@@ -300,29 +319,42 @@ class ToeplitzForm:
     # -- multiplicative structure ----------------------------------------
 
     def __mul__(self, other):
-        """Product in coefficient space: each C_j^{rs} is one sum, on the
-        integer kernel of matrices.py, of the term pairs _product_pairs
-        lists."""
+        """Product by one grid product on the integer kernel of
+        matrices.py: C_j^{rs} is cell (0, j + shift(r, s)) of block (r, s)
+        of the dense product, so the first cell-row of each group of the
+        left operand times the assembled right operand holds every
+        coefficient."""
         if not isinstance(other, ToeplitzForm):
             return NotImplemented
         st = self.structure
         if st != other.structure:
             raise DimensionMismatchError("forms live on different structures")
-        mults = st.mults
-
-        def left(r, k, l):
-            return self.coeffs[(r, k)][l]
-
-        def right(k, s, l):
-            return other.coeffs[(k, s)][l]
-
+        left, left_den = self._scaled_cells()
+        right, right_den = other._scaled_cells()
+        acc = _grid_mul(_layout(st, left, _Z4, first_rows=True),
+                        _layout(st, right, _Z4), st.n)
+        den = left_den * right_den
         coeffs = {}
-        for r, s in _block_keys(st):
-            coeffs[(r, s)] = [
-                _sum_of_products(_product_pairs(st, left, right, r, s, j),
-                                 mults[r], mults[s])
-                for j in range(st.depth(r, s))]
+        row0 = 0
+        for r, m_r in enumerate(st.mults):
+            strip = acc[row0:row0 + m_r]
+            for s, m_s in enumerate(st.mults):
+                col0 = st.group_offset(s) + st.shift(r, s) * m_s
+                coeffs[(r, s)] = [
+                    _from_grid([[part[c:c + m_s] for part in row]
+                                for row in strip], den, m_s)
+                    for c in range(col0, col0 + st.depth(r, s) * m_s, m_s)]
+            row0 += m_r
         return ToeplitzForm(st, coeffs)
+
+    def _scaled_cells(self) -> tuple:
+        """(cells, den): every coefficient as rows of integer 4-tuples over
+        the one denominator den, keyed like coeffs."""
+        grids, den = _scaled_all([mat for entry in self.coeffs.values()
+                                  for mat in entry])
+        it = iter(grids)
+        return {key: [next(it) for _ in entry]
+                for key, entry in self.coeffs.items()}, den
 
     def flip_transpose(self) -> "ToeplitzForm":
         """F X^T F for the backward block form F: coefficient (r, s, j)

@@ -167,20 +167,35 @@ def test_factor_rejects_non_unipotent_member(capsys):
     assert "error" in json.loads(err)
 
 
-@pytest.mark.parametrize("command, params", [
-    ("sample", '{"seeds": {"1": {"rows": 1, "cols": 1, "entries": ["1"]}},'
-               ' "skews": {"1,1": {"rows": 1, "cols": 1, "entries": ["0"]},'
-               ' "1,1 ": {"rows": 1, "cols": 1, "entries": ["0"]}}}'),
-    ("sample", '{"seeds": {"1": {"rows": 1, "cols": 1, "entries": ["1"]},'
-               ' "01": {"rows": 1, "cols": 1, "entries": ["-1"]}},'
-               ' "skews": {"1,1": {"rows": 1, "cols": 1, "entries": ["0"]}}}'),
-    ("generators", '{"kind": "W", "skews": {'
-                   '"1,1": {"rows": 1, "cols": 1, "entries": ["0"]},'
-                   ' "+1,1": {"rows": 1, "cols": 1, "entries": ["0"]}}}'),
-], ids=["sample-skews", "sample-seeds", "generators-W"])
-def test_keys_naming_one_slot_exit_two(capsys, command, params):
-    code, out, err = _run(capsys, command, "--structure", RIGID,
-                          "--params", params)
+@pytest.mark.parametrize("command, structure, params", [
+    ("sample", RIGID,
+     '{"seeds": {"1": {"rows": 1, "cols": 1, "entries": ["1"]}},'
+     ' "skews": {"1,1": {"rows": 1, "cols": 1, "entries": ["0"]},'
+     ' "1,1 ": {"rows": 1, "cols": 1, "entries": ["0"]}}}'),
+    ("sample", RIGID,
+     '{"seeds": {"1": {"rows": 1, "cols": 1, "entries": ["1"]},'
+     ' "01": {"rows": 1, "cols": 1, "entries": ["-1"]}},'
+     ' "skews": {"1,1": {"rows": 1, "cols": 1, "entries": ["0"]}}}'),
+    ("generators", RIGID,
+     '{"kind": "W", "skews": {'
+     '"1,1": {"rows": 1, "cols": 1, "entries": ["0"]},'
+     ' "+1,1": {"rows": 1, "cols": 1, "entries": ["0"]}}}'),
+    # a literally repeated key: plain json.loads would keep the last value
+    ("sample", RIGID,
+     '{"seeds": {"1": {"rows": 1, "cols": 1, "entries": ["1"]}},'
+     ' "skews": {"1,1": {"rows": 1, "cols": 1, "entries": ["0"]},'
+     ' "1,1": {"rows": 1, "cols": 1, "entries": ["1"]}}}'),
+    ("dim", '{"lambda": "0", "blocks": [{"alpha": 2, "m": 1}],'
+            ' "blocks": [{"alpha": 3, "m": 1}]}', None),
+    ("dim", '{"lambda": "0", "blocks": [{"alpha": 2, "m": 1, "alpha": 3}]}',
+     None),
+], ids=["sample-skews", "sample-seeds", "generators-W", "sample-repeated-skew",
+        "dim-repeated-blocks", "dim-repeated-alpha"])
+def test_keys_naming_one_slot_exit_two(capsys, command, structure, params):
+    argv = [command, "--structure", structure]
+    if params is not None:
+        argv += ["--params", params]
+    code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "name the same slot" in json.loads(err)["error"]
@@ -228,6 +243,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text()) == {"dimension": 3}
+
+
+def test_out_flag_write_failure_exits_two(capsys, tmp_path):
+    # tmp_path is a directory: the write fails after the command succeeded
+    code, out, err = _run(capsys, "sample", "--structure", RIGID,
+                          "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert set(json.loads(err)) == {"error"}
 
 
 def test_selftest_smoke(capsys, tmp_path):

@@ -33,12 +33,13 @@ def _to_oracle(m):
     return out
 
 
-def _random_form(rnd, structure, keep=2):
+def _random_form(rnd, structure, keep=2, **scalar_kw):
     # roughly keep/(keep+1) of the coefficients populated
     def cell(r, s, j):
         if rnd.stream.below(keep + 1) == 0:
             return zeros(structure.mults[r], structure.mults[s])
-        return rnd.matrix(structure.mults[r], structure.mults[s], max_num=2)
+        return rnd.matrix(structure.mults[r], structure.mults[s], max_num=2,
+                          **scalar_kw)
 
     return ToeplitzForm.build(structure, cell)
 
@@ -219,6 +220,13 @@ def test_mul_matches_dense_product():
     for _ in range(100):
         st = rnd.structure(max_n=9, max_parts=3)
         _assert_matches_dense(_random_form(rnd, st), _random_form(rnd, st))
+    # sqrt2 parts and denominators that differ from coefficient to
+    # coefficient, so each operand's common denominator is a real lcm
+    for _ in range(40):
+        st = rnd.structure(max_n=9, max_parts=3)
+        _assert_matches_dense(
+            _random_form(rnd, st, with_sqrt2=True, max_den=5),
+            _random_form(rnd, st, with_sqrt2=True, max_den=5))
     for blocks in _LADDER_SHAPES:
         for lam in (ZERO, ONE, IMAG):
             st = SegreStructure(lam, blocks)
