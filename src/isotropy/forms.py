@@ -45,7 +45,7 @@ class SegreStructure:
     decreasing size, and non-positive sizes or multiplicities are rejected.
     """
 
-    __slots__ = ("lam", "blocks")
+    __slots__ = ("lam", "blocks", "alphas", "mults", "n")
 
     def __init__(self, lam, blocks: Iterable[Sequence[int]]):
         merged: dict[int, int] = {}
@@ -58,9 +58,14 @@ class SegreStructure:
             merged[alpha] = merged.get(alpha, 0) + m
         if not merged:
             raise StructureError("a structure needs at least one block")
+        blocks = tuple(sorted(merged.items(), key=lambda t: -t[0]))
         object.__setattr__(self, "lam", _as_eigenvalue(lam))
-        object.__setattr__(self, "blocks",
-                           tuple(sorted(merged.items(), key=lambda t: -t[0])))
+        object.__setattr__(self, "blocks", blocks)
+        # derived once: the solver and the form constructors read these
+        # on every block
+        object.__setattr__(self, "alphas", tuple(a for a, _ in blocks))
+        object.__setattr__(self, "mults", tuple(m for _, m in blocks))
+        object.__setattr__(self, "n", sum(a * m for a, m in blocks))
 
     def __setattr__(self, name, value):
         raise AttributeError("SegreStructure is immutable")
@@ -68,18 +73,6 @@ class SegreStructure:
     @property
     def part_count(self) -> int:
         return len(self.blocks)
-
-    @property
-    def alphas(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.blocks)
-
-    @property
-    def mults(self) -> tuple[int, ...]:
-        return tuple(m for _, m in self.blocks)
-
-    @property
-    def n(self) -> int:
-        return sum(a * m for a, m in self.blocks)
 
     def depth(self, r: int, s: int) -> int:
         """Coefficient count of block (r, s): min(alpha_r, alpha_s)."""

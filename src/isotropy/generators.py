@@ -220,18 +220,6 @@ def _two_block_cells(alpha: int, beta: int, k: int, coupling: ExactMatrix,
     return cell
 
 
-def _check_two_block_args(alpha, beta, k, coupling, b, c):
-    if not (alpha > beta >= 1):
-        raise ParameterError("need alpha > beta >= 1")
-    if not (0 <= k <= beta - 1):
-        raise ParameterError(f"offset k = {k} outside [0, {beta - 1}]")
-    if not b.is_symmetric or b.rank() != b.rows:
-        raise ParameterError("left diagonal block must be symmetric nonsingular")
-    if not c.is_symmetric or c.rank() != c.rows:
-        raise ParameterError("right diagonal block must be symmetric nonsingular")
-    _check_coupling_shape(coupling, c.rows, b.rows)
-
-
 def _check_coupling_shape(coupling, rows, cols):
     if coupling.rows != rows or coupling.cols != cols:
         raise ParameterError(
@@ -244,19 +232,15 @@ def gen_two_block(alpha: int, beta: int, k: int, coupling: ExactMatrix,
                   ) -> tuple[ExactMatrix, ExactMatrix]:
     """Dense two-group solution and its inverse (the same family at -F).
 
-    Lives on the structure ((alpha, rows of b), (beta, rows of c)); both
-    outputs are checked against the defining congruence and against each
-    other before returning.
+    Both are gen_G on the structure ((alpha, rows of b), (beta, rows of c))
+    at the groups (0, 1), so both are verified against the defining
+    congruence.
     """
-    _check_two_block_args(alpha, beta, k, coupling, b, c)
+    if not (alpha > beta >= 1):
+        raise ParameterError("need alpha > beta >= 1")
     st = SegreStructure(0, [(alpha, b.rows), (beta, c.rows)])
-    form = ToeplitzForm.build(st, _two_block_cells(alpha, beta, k, coupling, b, c))
-    inverse = ToeplitzForm.build(
-        st, _two_block_cells(alpha, beta, k, -coupling, b, c))
-    if not (inverse * form).is_identity:  # pragma: no cover
-        raise IntegrityError("two-group inverse pair does not multiply to I")
-    _assert_member(constant_data(st, [b, c]), form, "two-group generator")
-    return form.assemble(), inverse.assemble()
+    return tuple(gen_G(st, 0, 1, k, f, [b, c]).assemble()
+                 for f in (coupling, -coupling))
 
 
 def gen_G(structure: SegreStructure, p: int, t: int, k: int,

@@ -1,10 +1,10 @@
 """Exact dense matrices over Q(i, sqrt2).
 
-Immutable, row-major.  Inversion uses exact Gauss-Jordan elimination over
-the field.  Everything else that multiplies runs on one private integer
-kernel over the ring Z[i, sqrt2]: a matrix m is scaled once to m = G / den,
-den the lcm of all its denominators and G its entries as integer 4-tuples
-(a, b, c, d) meaning (a + b i) + (c + d i) sqrt2 (_scaled).
+Immutable, row-major.  Products, rank and inverse run on one private
+integer kernel over the ring Z[i, sqrt2]: a matrix m is scaled once to
+m = G / den, den the lcm of all its denominators and G its entries as
+integer 4-tuples (a, b, c, d) meaning (a + b i) + (c + d i) sqrt2
+(_scaled).
 
 - Products and sums of products (_sum_of_products, behind
   ExactMatrix.__mul__ and the sums of the solver's sweep) multiply the
@@ -15,12 +15,15 @@ den the lcm of all its denominators and G its entries as integer 4-tuples
   operand's coefficients are scaled once onto one denominator
   (_scaled_all), and the first cell-rows of the left operand multiply the
   assembled right operand (toeplitz.ToeplitzForm.__mul__).
-- The rank uses forward-only fraction-free (Bareiss) elimination over the
-  same grids; scaling keeps the rank (E. H. Bareiss, Sylvester's identity
-  and multistep integer-preserving Gaussian elimination, Math. Comp. 22,
-  1968).  Pivot selection is the first row with a nonzero entry: exact
-  arithmetic needs no magnitude heuristics, and a fixed rule keeps every
-  run deterministic.
+- Rank and inverse share one fraction-free (Bareiss) elimination
+  (_fraction_free; E. H. Bareiss, Sylvester's identity and multistep
+  integer-preserving Gaussian elimination, Math. Comp. 22, 1968) over
+  grids scaled row by row, each row on its own denominator (_scaled_rows).
+  The rank runs it forward only; scaling rows keeps the rank.  The
+  inverse runs it Gauss-Jordan style on [G | I] and divides once at the
+  end, through the exact-division rule scalars._divisor.  Pivot selection is the first row
+  with a nonzero entry: exact arithmetic needs no magnitude heuristics,
+  and a fixed rule keeps every run deterministic.
 - The membership test of stabilizer.verify_isotropy compares integer grids
   too.
 
@@ -35,7 +38,8 @@ from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatchError, IntegrityError, SingularMatrixError
-from .scalars import ExactScalar, MINUS_ONE, ONE, ZERO, _coerce, _from_ints
+from .scalars import (ExactScalar, MINUS_ONE, ONE, ZERO, _coerce, _divisor,
+                      _from_ints, _mul4)
 
 
 class ExactMatrix:
@@ -207,35 +211,26 @@ class ExactMatrix:
     # -- elimination ------------------------------------------------------
 
     def inverse(self) -> "ExactMatrix":
-        """Exact inverse by Gauss-Jordan on [A | I]."""
+        """Exact inverse by fraction-free Gauss-Jordan elimination on
+        [G | I] (_fraction_free), where self = D^-1 G, D the diagonal of the
+        row denominators (_scaled_rows): it leaves d G^-1 on the right for
+        the last pivot d, so self^-1 = (d G^-1) D m / norm with (m, norm) =
+        _divisor(d)."""
         if not self.is_square:
             raise DimensionMismatchError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(self._m[i]) + [ONE if i == j else ZERO for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if not aug[r][col].is_zero:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise SingularMatrixError(f"matrix is singular (no pivot in column {col})")
-            if pivot_row != col:
-                aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = aug[r][col]
-                if f.is_zero:
-                    continue
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return ExactMatrix(n, n, tuple(tuple(row[n:]) for row in aug))
+        grid, dens = _scaled_rows(self)
+        for i, row in enumerate(grid):
+            row.extend((1, 0, 0, 0) if i == j else _Z4 for j in range(n))
+        _, mult, norm = _fraction_free(grid, jordan=True)
+        scales = [tuple(den * v for v in mult) for den in dens]
+        return ExactMatrix(n, n, tuple(
+            tuple(_from_ints(*_mul4(x, scale), norm)
+                  for x, scale in zip(row[n:], scales))
+            for row in grid))
 
     def rank(self) -> int:
-        return _fraction_free_rank(_scaled(self)[0])
+        return _fraction_free(_scaled_rows(self)[0])[0]
 
     def nullity(self) -> int:
         return self.cols - self.rank()
@@ -288,6 +283,19 @@ def _scaled(m: ExactMatrix) -> tuple:
     rank of the one built from m."""
     (grid,), den = _scaled_all((m,))
     return grid, den
+
+
+def _scaled_rows(m: ExactMatrix) -> tuple:
+    """(grid, dens) with row i of m = grid[i] / dens[i], dens[i] the lcm of
+    the denominators of row i: the input of an elimination.  With one lcm
+    over all entries, every entry of the grid, and so every pivot, would
+    carry the digits of all the denominators together."""
+    grid, dens = [], []
+    for i in range(m.rows):
+        (row,), den = _scaled(m.submatrix(i, i + 1, 0, m.cols))
+        grid.append(row)
+        dens.append(den)
+    return grid, dens
 
 
 def _scaled_all(mats: Sequence[ExactMatrix]) -> tuple:
@@ -357,62 +365,48 @@ def _sum_of_products(pairs: Iterable, rows: int, cols: int) -> ExactMatrix:
     return _from_grid(acc, den, cols)
 
 
-def _mul4(x: tuple, y: tuple) -> tuple:
-    """Product in Z[i, sqrt2] of two integer 4-tuples."""
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    if not (c1 or d1 or c2 or d2):
-        # Gaussian fast path: the systems of Gaussian eigenvalues live here.
-        return (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 0, 0)
-    # (g1 + h1 r2)(g2 + h2 r2) = (g1 g2 + 2 h1 h2) + (g1 h2 + h1 g2) r2
-    return (a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
-            a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
-            a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
-            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+def _fraction_free(m: list, jordan: bool = False) -> tuple:
+    """Fraction-free (Bareiss) elimination, in place, on the rows m (lists
+    of integer 4-tuples) of a matrix over Z[i, sqrt2]; returns (rank, mult,
+    norm), where (mult, norm) = _divisor(the last pivot), or ((1, 0, 0, 0),
+    1) with no pivot.
 
+    Step k takes the first row from k on with a nonzero entry in the next
+    column as the pivot row and updates the rows to (p r - f prow) / prev,
+    p the pivot, f the row's entry in the pivot column and prev the
+    previous pivot (1 at the first step), in every column after the
+    pivot's.  Every entry so formed is a minor of the input, so the
+    division is exact in Z[i, sqrt2]; a remainder is an internal fault and
+    raises IntegrityError.
 
-def _divisor(y: tuple) -> tuple:
-    """(m, norm) with y m = norm, a positive integer, for nonzero y.
-
-    A divisor with a sqrt2 part is first multiplied by its sqrt2-conjugate,
-    which leaves the Gaussian number g = y conj_sqrt2(y); then g conj_i(g) is
-    the integer norm.  Dividing x by y exactly is x m divided by norm.
+    The rank mode (jordan False) updates the rows below the pivot and skips
+    a column with no pivot.  The Gauss-Jordan mode is for a square G
+    augmented to [G | I]: it updates every other row, pivots in the first
+    len(m) columns only and raises SingularMatrixError on one with no
+    pivot.  It leaves d G^-1 on the right, d the last pivot; the entries
+    of the left part are then stale.
     """
-    if y[2] or y[3]:
-        conj2 = (y[0], y[1], -y[2], -y[3])
-        g = _mul4(y, conj2)
-        return _mul4(conj2, (g[0], -g[1], 0, 0)), g[0] * g[0] + g[1] * g[1]
-    return (y[0], -y[1], 0, 0), y[0] * y[0] + y[1] * y[1]
-
-
-def _fraction_free_rank(rows: Sequence[Sequence[tuple]]) -> int:
-    """Exact rank of a matrix over Z[i, sqrt2], given as rows of integer
-    4-tuples, by forward-only Bareiss elimination.
-
-    Step k takes the first row with a nonzero entry in the next column as
-    the pivot row (a column with none is skipped) and updates every row
-    below it to (p r - f prow) / prev, p the pivot, f the row's entry in
-    the pivot column and prev the previous pivot (1 at the first step).
-    Every entry so formed is a minor of the input, so the division is exact
-    in Z[i, sqrt2]; a remainder is an internal fault and raises
-    IntegrityError.
-    """
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
     rank = 0
     # dividing by the previous pivot is multiplying by mult, then dividing
     # each integer component exactly by norm
     mult, norm = (1, 0, 0, 0), 1
-    for col in range(n_cols):
+    for col in range(n_rows if jordan else n_cols):
+        if rank == n_rows:
+            break
         pivot = next((r for r in range(rank, n_rows) if any(m[r][col])), None)
         if pivot is None:
+            if jordan:
+                raise SingularMatrixError(
+                    f"matrix is singular (no pivot in column {col})")
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         prow = m[rank]
         p = _mul4(prow[col], mult)
-        for r in range(rank + 1, n_rows):
+        for r in range(0 if jordan else rank + 1, n_rows):
+            if r == rank:
+                continue
             row = m[r]
             f = _mul4(row[col], mult)
             f_zero = not any(f)
@@ -442,9 +436,7 @@ def _fraction_free_rank(rows: Sequence[Sequence[tuple]]) -> int:
                 row[j] = v
         mult, norm = _divisor(prow[col])
         rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return rank, mult, norm
 
 
 # -- free constructors ------------------------------------------------------

@@ -20,7 +20,7 @@ linear map keeps its rank.
 
 from .errors import IntegrityError, ParameterError, StructureError
 from .forms import MultiSegreStructure, SegreStructure, symmetric_form
-from .matrices import ExactMatrix, _fraction_free_rank, _scaled
+from .matrices import ExactMatrix, _fraction_free, _scaled
 from .stabilizer import describe_isotropy
 
 
@@ -135,7 +135,7 @@ def _split_rank(rows, columns, key, entry) -> int:
             continue
         system = tuple(tuple(entry(r, c) for c in cols) for r in rws)
         if system not in ranks:
-            ranks[system] = _fraction_free_rank(system)
+            ranks[system] = _fraction_free([list(r) for r in system])[0]
         total += ranks[system]
     return total
 

@@ -12,7 +12,7 @@ and both print as "n" or "n/d", which the string grammar below relies on.
 
 from __future__ import annotations
 
-from typing import Union
+from math import lcm
 
 from .errors import ScalarParseError
 
@@ -24,7 +24,6 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 Rational = _mpq
 
 _R0 = _mpq(0)
-_R1 = _mpq(1)
 _R2 = _mpq(2)
 
 
@@ -60,22 +59,9 @@ class ExactScalar:
         return not (self.a or self.b or self.c or self.d)
 
     @property
-    def is_one(self) -> bool:
-        return self.a == _R1 and not (self.b or self.c or self.d)
-
-    @property
-    def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
-
-    @property
     def is_gaussian(self) -> bool:
         """True when the sqrt2 part vanishes."""
         return not (self.c or self.d)
-
-    def rational_value(self) -> Rational:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.a
 
     # -- arithmetic ---------------------------------------------------
 
@@ -124,23 +110,16 @@ class ExactScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
-        """Exact multiplicative inverse.
-
-        With x = g + h*sqrt2 (g, h Gaussian), x * (g - h*sqrt2) = g^2 - 2 h^2
-        lies in Q(i), and g^2 - 2h^2 = 0 forces x = 0 since sqrt2 is not in
-        Q(i).  So one Gaussian inversion finishes the job.
-        """
+        """Exact multiplicative inverse: with self = y / den, y its parts
+        scaled to integers, self^-1 = den m / norm for (m, norm) =
+        _divisor(y)."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero scalar")
-        a, b, c, d = self.a, self.b, self.c, self.d
-        # n = g^2 - 2 h^2 as a Gaussian number (na + nb*i)
-        na = a * a - b * b - _R2 * (c * c - d * d)
-        nb = _R2 * (a * b - _R2 * c * d)
-        norm = na * na + nb * nb
-        # (g - h*sqrt2) * conj(n) / |n|^2
-        ia, ib = na / norm, -nb / norm
-        return ExactScalar(a * ia - b * ib, a * ib + b * ia,
-                           -(c * ia - d * ib), -(c * ib + d * ia))
+        parts = (self.a, self.b, self.c, self.d)
+        den = lcm(*(int(q.denominator) for q in parts))
+        m, norm = _divisor(tuple(int(q.numerator) * (den // int(q.denominator))
+                                 for q in parts))
+        return _from_ints(den * m[0], den * m[1], den * m[2], den * m[3], norm)
 
     def __truediv__(self, other) -> "ExactScalar":
         other = _coerce(other)
@@ -224,6 +203,36 @@ def _from_ints(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
     put(x, "c", _mpq(c, den) if c else _R0)
     put(x, "d", _mpq(d, den) if d else _R0)
     return x
+
+
+def _mul4(x: tuple, y: tuple) -> tuple:
+    """Product in Z[i, sqrt2] of two integer 4-tuples."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    if not (c1 or d1 or c2 or d2):
+        # Gaussian fast path: the systems of Gaussian eigenvalues live here.
+        return (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 0, 0)
+    # (g1 + h1 r2)(g2 + h2 r2) = (g1 g2 + 2 h1 h2) + (g1 h2 + h1 g2) r2
+    return (a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+            a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+            a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
+            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+
+
+def _divisor(y: tuple) -> tuple:
+    """(m, norm) with y m = norm, a positive integer, for a nonzero integer
+    4-tuple y: the one exact-division rule of the package.
+
+    A divisor with a sqrt2 part is first multiplied by its sqrt2-conjugate,
+    which leaves the Gaussian number g = y conj_sqrt2(y), nonzero since
+    sqrt2 is not in Q(i); then g conj_i(g) is the integer norm.  Dividing
+    x by y exactly is x m divided by norm.
+    """
+    if y[2] or y[3]:
+        conj2 = (y[0], y[1], -y[2], -y[3])
+        g = _mul4(y, conj2)
+        return _mul4(conj2, (g[0], -g[1], 0, 0)), g[0] * g[0] + g[1] * g[1]
+    return (y[0], -y[1], 0, 0), y[0] * y[0] + y[1] * y[1]
 
 
 # ---------------------------------------------------------------------

@@ -336,16 +336,22 @@ def solve_congruence(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
     count = st.part_count
     coeffs: dict[tuple[int, int, int], ExactMatrix] = {}
 
+    # ginv[r] = A_0^r (C_0^r)^-1, None when it is the identity: every
+    # gen_W and every gen_V without diagonal blocks, whose products by it
+    # are then skipped
     ginv = []
     for r in range(count):
         seed = params.diag_seeds[r]
-        if seed.transpose() * data.b(r, 0) * seed != data.c(r, 0):
+        c0 = data.c(r, 0)
+        lead = seed.transpose() * (
+            seed if data.b_is_identity else data.b(r, 0) * seed)
+        if lead != c0:
             raise SeedConstraintError(
                 f"seed {r} does not satisfy the leading congruence "
                 "C_0 = A^T B_0 A")
         coeffs[(r, r, 0)] = seed
-        c0 = data.c(r, 0)
-        ginv.append(seed if c0.is_identity else seed * c0.inverse())
+        g = seed if c0.is_identity else seed * c0.inverse()
+        ginv.append(None if g.is_identity else g)
 
     for key, mat in params.sub_blocks.items():
         coeffs[key] = mat
@@ -359,13 +365,14 @@ def solve_congruence(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
                 if not m.is_symmetric:
                     raise IntegrityError(
                         f"diagonal step ({r}, {j}) lost symmetry")
-                coeffs[(r, r, j)] = ginv[r] * (m.scale(HALF) + params.skews[(r, j)])
+                m = m.scale(HALF) + params.skews[(r, j)]
+                coeffs[(r, r, j)] = m if ginv[r] is None else ginv[r] * m
         for p in range(1, count):
             for r in range(count - p):
                 s = r + p
                 if j < st.alphas[s]:
                     d = _rhs_without(data, coeffs, r, s, j, (r, s, j))
-                    coeffs[(r, s, j)] = -(ginv[r] * d)
+                    coeffs[(r, s, j)] = -d if ginv[r] is None else -(ginv[r] * d)
 
     try:
         solution = ToeplitzForm.build(st, lambda r, s, j: coeffs[(r, s, j)])

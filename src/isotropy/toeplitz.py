@@ -385,7 +385,10 @@ class ToeplitzForm:
 
         Weights add under multiplication and never exceed alpha_1 - 1, so
         a form whose nonzero coefficients all have weight >= 1 is nilpotent
-        of index at most alpha_1.
+        of index at most alpha_1.  The bound needs every nonzero coefficient
+        at weight >= 1: the upper coupling cell (r, s, 0), r < s, has
+        weight 0, so it does not cover X - I for a unipotent member X with
+        such a cell (README, "Known limitation").
         """
         return j + self.structure.shift(r, s)
 

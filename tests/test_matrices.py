@@ -194,6 +194,99 @@ def test_inverse_random_sizes():
         done += 1
 
 
+def _assert_inverse(m):
+    # m inv == inv m == I when m has full rank, SingularMatrixError otherwise
+    n = m.rows
+    if m.rank() < n:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        return False
+    inv = m.inverse()
+    assert m * inv == identity(n) and inv * m == identity(n)
+    return True
+
+
+def _big_gaussian(rs):
+    # a scalar with no sqrt2 part whose parts have denominators up to 1e10
+    return ExactScalar(*(rat(rs.stream.randint(-10**4, 10**4),
+                             rs.stream.randint(1, 10**10))
+                         for _ in range(2)))
+
+
+def test_inverse_sizes_one_to_eight():
+    # with and without sqrt2 parts, and with denominators up to 1e10 (up to
+    # n = 6 with sqrt2 parts, where the product checks grow slow)
+    rs = RandomSource(611)
+    inverted = 0
+    for n in range(1, 9):
+        draws = [lambda: rs.scalar(), lambda: rs.scalar(with_sqrt2=True),
+                 lambda: _big_gaussian(rs)]
+        if n <= 6:
+            draws.append(lambda: _big(rs))
+        for draw in draws:
+            inverted += _assert_inverse(ExactMatrix.build(
+                n, n, lambda i, j: draw()))
+    assert inverted >= 28
+
+
+def test_inverse_with_zero_pivot_entries():
+    # a zero (0, 0) entry forces a row swap; sqrt2-only pivots need the
+    # sqrt2-conjugate in the exact division
+    r2 = SQRT2
+    swap = ExactMatrix.from_rows([[0, 1], [1, 0]])
+    assert swap.inverse() == swap
+    m = ExactMatrix.from_rows([[0, r2, 1], [r2, 1, 0], [2, r2 + r2, r2]])
+    assert _assert_inverse(m)
+    half = rat(1, 2)
+    assert ExactMatrix.from_rows([[r2, 1], [0, r2]]).inverse() == \
+        ExactMatrix.from_rows([[half * r2, -half], [0, half * r2]])
+    rs = RandomSource(612)
+    for n in range(2, 6):
+        for _ in range(3):
+            _assert_inverse(_sparse(rs, n, n, with_sqrt2=True))
+            _assert_inverse(r2 * rs.matrix(n, n))
+
+
+@pytest.mark.parametrize("rows, column", [
+    ([[1, 2], [2, 4]], 1),
+    ([[0, 0], [0, 0]], 0),
+    ([[0, 0, 0], [1, 2, 3], [4, 5, 6]], 2),
+    ([[1, 2, 3], [2, 4, 5], [0, 0, 1]], 1),
+    ([[1, 2, 3], [4, 5, 6], [5, 7, 9]], 2),
+    ([[SQRT2, 2], [1, SQRT2]], 1),
+    ([[0, SQRT2, 1], [SQRT2, 1, 0], [SQRT2, 1 + SQRT2, 1]], 2),
+    ([[1, IMAG], [IMAG, -1]], 1),
+    ([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 3]], 3),
+])
+def test_inverse_of_singular_matrix_names_the_column(rows, column):
+    m = ExactMatrix.from_rows(rows)
+    with pytest.raises(SingularMatrixError) as err:
+        m.inverse()
+    assert str(err.value) == f"matrix is singular (no pivot in column {column})"
+
+
+def test_inverse_of_empty_and_non_square_shapes():
+    assert zeros(0, 0).inverse() == zeros(0, 0)
+    with pytest.raises(DimensionMismatchError):
+        zeros(2, 3).inverse()
+
+
+def test_inverse_makes_no_scalar_arithmetic(monkeypatch):
+    # the inverse runs on integer grids: no ExactScalar product, difference
+    # or inverse is formed on the way
+    rs = RandomSource(613)
+    m = rs.matrix(5, 5, with_sqrt2=True)
+
+    def refuse(*args):
+        raise AssertionError("ExactScalar arithmetic inside ExactMatrix.inverse")
+
+    for name in ("__mul__", "__rmul__", "__sub__", "__rsub__", "inverse"):
+        monkeypatch.setattr(ExactScalar, name, refuse)
+    inv = m.inverse()
+    monkeypatch.undo()
+    assert m * inv == identity(5)
+
+
 def test_rank_nullity():
     assert zeros(3, 3).nullity() == 3
     assert identity(4).nullity() == 0

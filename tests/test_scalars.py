@@ -42,6 +42,25 @@ def test_inverse_examples():
         ZERO.inverse()
 
 
+def test_inverse_with_large_denominators():
+    rs = RandomSource(4242)
+
+    def big(parts):
+        return ExactScalar(*(rat(rs.stream.randint(-10**6, 10**6),
+                                 rs.stream.randint(1, 10**10))
+                             if k in parts else 0 for k in range(4)))
+
+    for parts in ((0,), (1,), (0, 1), (2,), (3,), (2, 3), (0, 1, 2, 3)):
+        for _ in range(10):
+            x, y = big(parts), big((0, 1, 2, 3))
+            if x.is_zero:
+                continue
+            assert x * x.inverse() == ONE
+            assert x.inverse().inverse() == x
+            assert (x * y).inverse() == x.inverse() * y.inverse()
+            assert y / x == y * x.inverse()
+
+
 def test_div_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
