@@ -29,7 +29,7 @@ from .jsonio import (description_to_json, dumps_canonical,
 from .matrices import ExactMatrix
 from .orbit import codim_formula, consistency_check
 from .rng import RandomSource
-from .solver import CongruenceData, random_free_params
+from .solver import CongruenceData, random_free_params, solution_dimension
 from .stabilizer import (describe_isotropy, sample_isotropy_element,
                          to_toeplitz_coordinates, verify_isotropy)
 from .toeplitz import commutant_basis
@@ -96,7 +96,11 @@ def _cmd_describe(args):
 
 
 def _cmd_dim(args):
-    return {"dimension": describe_isotropy(_structure_of(args)).dimension}, 0
+    # the closed form, summed over the parts: describe_isotropy would list
+    # one recipe per coefficient slot, in memory proportional to alpha
+    st = _structure_of(args)
+    parts = st.parts if isinstance(st, MultiSegreStructure) else (st,)
+    return {"dimension": sum(solution_dimension(p) for p in parts)}, 0
 
 
 def _cmd_codim(args):

@@ -1,40 +1,53 @@
 """Exact dense matrices over Q(i, sqrt2).
 
-Immutable, row-major.  Products, rank and inverse run on one private
-integer kernel over the ring Z[i, sqrt2]: a matrix m is scaled once to
-m = G / den, den the lcm of all its denominators and G its entries as
-integer 4-tuples (a, b, c, d) meaning (a + b i) + (c + d i) sqrt2
-(_scaled).
+Immutable, row-major.  A matrix is stored as an integer grid over one
+denominator, m = G / den: G holds its entries as integer 4-tuples
+(a, b, c, d), meaning (a + b i) + (c + d i) sqrt2, and den is a positive
+integer.  The pair is kept in canonical form: the gcd of den and every
+component of G is 1, so the zero matrix has den = 1 and two matrices are
+equal exactly when their shapes, dens and grids are; equality and hashing
+are tuple operations.  ExactScalar entries are made only at the boundary:
+__getitem__, row, to_lists and repr read them off the grid, and from_rows
+and build scale scalars onto it.  Nothing else keeps a second copy of the
+entries.
 
+Every operation works on the grid, on one private integer kernel over the
+ring Z[i, sqrt2]:
+
+- transpose, negation, conjugate_i, direct_sum, block_assemble and the
+  predicates move, negate or compare 4-tuples; laying canonical matrices
+  out over the lcm of their dens keeps the result canonical.  Sums,
+  scaling and submatrices reduce once, by one gcd over the result
+  (_reduced).
 - Products and sums of products (_sum_of_products, behind
   ExactMatrix.__mul__ and the sums of the solver's sweep) multiply the
-  integer grids, skipping zero entries, accumulate every term over the lcm
-  of the term denominators and normalize once per result: one reduction
-  per entry of the result (_from_grid).
+  grids, skipping zero entries, accumulate every term over the lcm of the
+  term denominators and reduce once per result (_reduced).
 - The product of two Toeplitz forms is one grid product (_grid_mul): each
-  operand's coefficients are scaled once onto one denominator
+  operand's coefficients are rescaled once onto the lcm of their dens
   (_scaled_all), and the first cell-rows of the left operand multiply the
   assembled right operand (toeplitz.ToeplitzForm.__mul__).
 - Rank and inverse share one fraction-free (Bareiss) elimination
   (_fraction_free; E. H. Bareiss, Sylvester's identity and multistep
   integer-preserving Gaussian elimination, Math. Comp. 22, 1968) over
-  grids scaled row by row, each row on its own denominator (_scaled_rows).
-  The rank runs it forward only; scaling rows keeps the rank.  The
-  inverse runs it Gauss-Jordan style on [G | I] and divides once at the
-  end, through the exact-division rule scalars._divisor.  Pivot selection is the first row
-  with a nonzero entry: exact arithmetic needs no magnitude heuristics,
-  and a fixed rule keeps every run deterministic.
+  grids scaled row by row, each row reduced on its own denominator by one
+  gcd (_scaled_rows).  The rank runs it forward only; scaling rows keeps
+  the rank.  The inverse runs it Gauss-Jordan style on [G | I] and divides
+  once at the end, through the exact-division rule scalars._divisor.
+  Pivot selection is the first row with a nonzero entry: exact arithmetic
+  needs no magnitude heuristics, and a fixed rule keeps every run
+  deterministic.
 - The membership test of stabilizer.verify_isotropy compares integer grids
   too.
 
-The grids are transient: nothing caches them on a matrix.  Degenerate
-0 x n shapes are first-class so direct sums over empty lists work
-uniformly.
+Degenerate 0 x n shapes are first-class so direct sums over empty lists
+work uniformly.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatchError, IntegrityError, SingularMatrixError
@@ -43,15 +56,18 @@ from .scalars import (ExactScalar, MINUS_ONE, ONE, ZERO, _coerce, _divisor,
 
 
 class ExactMatrix:
+    # _g and _den: the canonical grid and denominator (module docstring).
     # _member_of is unset until an exact membership check succeeds; it then
     # names the structure whose isotropy group the matrix belongs to.
-    __slots__ = ("rows", "cols", "_m", "_member_of")
+    __slots__ = ("rows", "cols", "_g", "_den", "_member_of")
 
-    def __init__(self, rows: int, cols: int, entries: tuple):
-        # entries: tuple of row tuples, already validated by constructors
+    def __init__(self, rows: int, cols: int, grid: tuple, den: int = 1):
+        # grid: tuple of row tuples of integer 4-tuples, with (grid, den)
+        # canonical; the constructors and kernel helpers ensure both
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_m", entries)
+        object.__setattr__(self, "_g", grid)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -66,60 +82,61 @@ class ExactMatrix:
         for row in data:
             if len(row) != cols:
                 raise DimensionMismatchError("ragged rows")
-            out.append(tuple(_as_scalar(x) for x in row))
-        return cls(rows, cols, tuple(out))
+            out.append([_as_scalar(x) for x in row])
+        return _from_scalars(rows, cols, out)
 
     @classmethod
     def build(cls, rows: int, cols: int, fn: Callable[[int, int], ExactScalar]) -> "ExactMatrix":
-        return cls(rows, cols,
-                   tuple(tuple(_as_scalar(fn(i, j)) for j in range(cols))
-                         for i in range(rows)))
+        return _from_scalars(rows, cols,
+                             [[_as_scalar(fn(i, j)) for j in range(cols)]
+                              for i in range(rows)])
 
     # -- access ---------------------------------------------------------
 
     def __getitem__(self, key) -> ExactScalar:
         i, j = key
-        return self._m[i][j]
+        return _from_ints(*self._g[i][j], self._den)
 
     def row(self, i: int) -> tuple:
-        return self._m[i]
+        den = self._den
+        return tuple(_from_ints(*x, den) for x in self._g[i])
 
     def to_lists(self) -> list:
-        return [list(r) for r in self._m]
+        den = self._den
+        return [[_from_ints(*x, den) for x in r] for r in self._g]
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def submatrix(self, row_start: int, row_stop: int, col_start: int, col_stop: int) -> "ExactMatrix":
-        return ExactMatrix(row_stop - row_start, col_stop - col_start,
-                           tuple(r[col_start:col_stop] for r in self._m[row_start:row_stop]))
+        return _reduced(row_stop - row_start, col_stop - col_start,
+                        tuple(r[col_start:col_stop]
+                              for r in self._g[row_start:row_stop]),
+                        self._den)
 
     # -- predicates -------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return all(x.is_zero for r in self._m for x in r)
+        return not any(map(any, chain.from_iterable(self._g)))
 
     @property
     def is_symmetric(self) -> bool:
-        return self.is_square and all(self._m[i][j] == self._m[j][i]
-                                      for i in range(self.rows) for j in range(i + 1, self.cols))
+        return self.is_square and tuple(zip(*self._g)) == self._g
 
     @property
     def is_skew(self) -> bool:
-        if not self.is_square:
-            return False
-        if any(not self._m[i][i].is_zero for i in range(self.rows)):
-            return False
-        return all(self._m[i][j] == -self._m[j][i]
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
+        # x = -x only for x = 0, so the diagonal vanishes too
+        return self.is_square and tuple(
+            tuple((-a, -b, -c, -d) for a, b, c, d in r)
+            for r in zip(*self._g)) == self._g
 
     @property
     def is_identity(self) -> bool:
-        return self.is_square and all(
-            self._m[i][j] == (ONE if i == j else ZERO)
-            for i in range(self.rows) for j in range(self.cols))
+        return self.is_square and self._den == 1 and all(
+            x == (_ONE4 if i == j else _Z4)
+            for i, r in enumerate(self._g) for j, x in enumerate(r))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -127,26 +144,32 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
-                and self._m == other._m)
+                and self._den == other._den and self._g == other._g)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._m))
+        return hash((self.rows, self.cols, self._den, self._g))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._need_same_shape(other)
-        return ExactMatrix(self.rows, self.cols,
-                           tuple(tuple(a + b for a, b in zip(ra, rb))
-                                 for ra, rb in zip(self._m, other._m)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        """self + sign other over the lcm of the two dens."""
         self._need_same_shape(other)
-        return ExactMatrix(self.rows, self.cols,
-                           tuple(tuple(a - b for a, b in zip(ra, rb))
-                                 for ra, rb in zip(self._m, other._m)))
+        den = lcm(self._den, other._den)
+        f, h = den // self._den, sign * (den // other._den)
+        return _reduced(self.rows, self.cols, tuple(
+            tuple((a1 * f + a2 * h, b1 * f + b2 * h,
+                   c1 * f + c2 * h, d1 * f + d2 * h)
+                  for (a1, b1, c1, d1), (a2, b2, c2, d2) in zip(r1, r2))
+            for r1, r2 in zip(self._g, other._g)), den)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols,
-                           tuple(tuple(-a for a in r) for r in self._m))
+        return ExactMatrix(self.rows, self.cols, tuple(
+            tuple((-a, -b, -c, -d) for a, b, c, d in r) for r in self._g),
+            self._den)
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -166,13 +189,19 @@ class ExactMatrix:
         return self.scale(scalar)
 
     def scale(self, scalar) -> "ExactMatrix":
-        s = _as_scalar(scalar)
-        return ExactMatrix(self.rows, self.cols,
-                           tuple(tuple(s * a for a in r) for r in self._m))
+        s = _from_scalars(1, 1, [[_as_scalar(scalar)]])
+        y, den = s._g[0][0], s._den
+        if y[1] or y[2] or y[3]:
+            g = tuple(tuple(_mul4(x, y) for x in r) for r in self._g)
+        else:
+            k = y[0]
+            g = tuple(tuple((a * k, b * k, c * k, d * k) for a, b, c, d in r)
+                      for r in self._g)
+        return _reduced(self.rows, self.cols, g, self._den * den)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows, tuple(zip(*self._m)) if self.rows else
-                           tuple(() for _ in range(self.cols)))
+        return ExactMatrix(self.cols, self.rows, tuple(zip(*self._g)) if self.rows else
+                           tuple(() for _ in range(self.cols)), self._den)
 
     @property
     def T(self) -> "ExactMatrix":
@@ -181,17 +210,14 @@ class ExactMatrix:
     def trace(self) -> ExactScalar:
         if not self.is_square:
             raise DimensionMismatchError("trace of a non-square matrix")
-        t = ZERO
-        for i in range(self.rows):
-            t = t + self._m[i][i]
-        return t
-
-    def map(self, fn: Callable[[ExactScalar], ExactScalar]) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols,
-                           tuple(tuple(fn(a) for a in r) for r in self._m))
+        diag = [self._g[i][i] for i in range(self.rows)]
+        return _from_ints(*(sum(x[k] for x in diag) for k in range(4)),
+                          self._den)
 
     def conjugate_i(self) -> "ExactMatrix":
-        return self.map(lambda x: x.conjugate_i())
+        return ExactMatrix(self.rows, self.cols, tuple(
+            tuple((a, -b, c, -d) for a, b, c, d in r) for r in self._g),
+            self._den)
 
     def power(self, k: int) -> "ExactMatrix":
         if not self.is_square:
@@ -221,13 +247,12 @@ class ExactMatrix:
         n = self.rows
         grid, dens = _scaled_rows(self)
         for i, row in enumerate(grid):
-            row.extend((1, 0, 0, 0) if i == j else _Z4 for j in range(n))
+            row.extend(_ONE4 if i == j else _Z4 for j in range(n))
         _, mult, norm = _fraction_free(grid, jordan=True)
         scales = [tuple(den * v for v in mult) for den in dens]
-        return ExactMatrix(n, n, tuple(
-            tuple(_from_ints(*_mul4(x, scale), norm)
-                  for x, scale in zip(row[n:], scales))
-            for row in grid))
+        return _reduced(n, n, tuple(
+            tuple(_mul4(x, scale) for x, scale in zip(row[n:], scales))
+            for row in grid), norm)
 
     def rank(self) -> int:
         return _fraction_free(_scaled_rows(self)[0])[0]
@@ -243,7 +268,7 @@ class ExactMatrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in r) for r in self._m)
+        body = "; ".join(" ".join(str(x) for x in r) for r in self.to_lists())
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
@@ -274,44 +299,75 @@ def _as_scalar_or_none(x):
 # -- the integer kernel -----------------------------------------------------
 
 _Z4 = (0, 0, 0, 0)
+_ONE4 = (1, 0, 0, 0)
+
+
+def _reduced(rows: int, cols: int, grid: tuple, den: int) -> ExactMatrix:
+    """The matrix grid / den, for rows of integer 4-tuples and a positive
+    den, in canonical form: divided through by one gcd of den and every
+    component, and den 1 for the zero matrix."""
+    if not any(map(any, chain.from_iterable(grid))):
+        return ExactMatrix(rows, cols, grid, 1)
+    g = _gcd_with(den, chain.from_iterable(grid))
+    if g != 1:
+        grid = tuple(tuple((a // g, b // g, c // g, d // g)
+                           for a, b, c, d in r) for r in grid)
+        den //= g
+    return ExactMatrix(rows, cols, grid, den)
+
+
+def _from_scalars(rows: int, cols: int, entries: list) -> ExactMatrix:
+    """The matrix with the given rows of ExactScalars: the way in.  Its den
+    is the lcm of all their denominators (1 for none), which leaves the
+    grid canonical: each prime power of den divides exactly the
+    denominator of some part, whose scaled numerator it leaves coprime."""
+    parts = [[(x.a, x.b, x.c, x.d) for x in r] for r in entries]
+    dens = {q.denominator for r in parts for x in r for q in x}
+    den = lcm(*dens)
+    f = {q: den // q for q in dens}
+    return ExactMatrix(rows, cols, tuple(
+        tuple((a.numerator * f[a.denominator], b.numerator * f[b.denominator],
+               c.numerator * f[c.denominator], d.numerator * f[d.denominator])
+              if a or b or c or d else _Z4 for a, b, c, d in r)
+        for r in parts), den)
 
 
 def _scaled(m: ExactMatrix) -> tuple:
-    """(grid, den) with m = grid / den: den is the lcm of all denominators
-    of m and grid its rows of integer 4-tuples (a, b, c, d), meaning
-    (a + b i) + (c + d i) sqrt2.  A linear system built from grid has the
-    rank of the one built from m."""
-    (grid,), den = _scaled_all((m,))
-    return grid, den
+    """(grid, den) with m = grid / den, its stored canonical form: rows of
+    integer 4-tuples (a, b, c, d), meaning (a + b i) + (c + d i) sqrt2.  A
+    linear system built from grid has the rank of the one built from m."""
+    return m._g, m._den
 
 
 def _scaled_rows(m: ExactMatrix) -> tuple:
-    """(grid, dens) with row i of m = grid[i] / dens[i], dens[i] the lcm of
-    the denominators of row i: the input of an elimination.  With one lcm
-    over all entries, every entry of the grid, and so every pivot, would
-    carry the digits of all the denominators together."""
+    """(grid, dens) with row i of m = grid[i] / dens[i], reduced by one gcd
+    per row, so dens[i] is the lcm of the denominators of row i: the input
+    of an elimination, rows as lists.  With one denominator over all
+    entries, every entry of the grid, and so every pivot, would carry the
+    digits of all the denominators together."""
     grid, dens = [], []
-    for i in range(m.rows):
-        (row,), den = _scaled(m.submatrix(i, i + 1, 0, m.cols))
-        grid.append(row)
-        dens.append(den)
+    for row in m._g:
+        g = _gcd_with(m._den, row)
+        grid.append([(a // g, b // g, c // g, d // g) for a, b, c, d in row]
+                    if g != 1 else list(row))
+        dens.append(m._den // g)
     return grid, dens
+
+
+def _rescaled(grid: Sequence, f: int) -> Sequence:
+    """grid with every component multiplied by f."""
+    if f == 1 or not any(map(any, chain.from_iterable(grid))):
+        return grid
+    return tuple(tuple((a * f, b * f, c * f, d * f) for a, b, c, d in r)
+                 for r in grid)
 
 
 def _scaled_all(mats: Sequence[ExactMatrix]) -> tuple:
     """(grids, den) with mats[t] = grids[t] / den for every t, on the one
-    denominator den, the lcm of all denominators of all the matrices
-    (1 for none)."""
-    parts = [[[(x.a, x.b, x.c, x.d) for x in r] for r in m._m] for m in mats]
-    dens = {q.denominator for p in parts for r in p for x in r for q in x}
-    den = lcm(*map(int, dens))
-    f = {q: den // int(q) for q in dens}
-    return [[[(int(a.numerator) * f[a.denominator],
-               int(b.numerator) * f[b.denominator],
-               int(c.numerator) * f[c.denominator],
-               int(d.numerator) * f[d.denominator])
-              if a or b or c or d else _Z4 for a, b, c, d in r]
-             for r in p] for p in parts], den
+    denominator den, the lcm of the dens of the matrices (1 for none):
+    each grid is rescaled, none is reduced."""
+    den = lcm(*(m._den for m in mats))
+    return [_rescaled(m._g, den // m._den) for m in mats], den
 
 
 def _grid_mul(x: Sequence, y: Sequence, cols: int, acc: list | None = None) -> list:
@@ -319,15 +375,24 @@ def _grid_mul(x: Sequence, y: Sequence, cols: int, acc: list | None = None) -> l
     columns) into acc, rows of four integer component lists [a, b, c, d],
     and return it; a fresh zero acc when None.
 
-    Zero entries of x and y are skipped.
+    Zero entries of x and y are skipped, and a Gaussian entry of x times a
+    Gaussian row of y forms only the Gaussian parts.
     """
-    # the nonzeros of each row of y
-    sparse = [[(j,) + e for j, e in enumerate(row) if e != _Z4] for row in y]
+    # the nonzeros of each row of y, and whether the row is Gaussian
+    sparse = []
+    for row in y:
+        nz = [(j,) + e for j, e in enumerate(row) if e != _Z4]
+        sparse.append((nz, not any(e[3] or e[4] for e in nz)))
     if acc is None:
         acc = [[[0] * cols for _ in range(4)] for _ in range(len(x))]
     for xrow, (ta, tb, tc, td) in zip(x, acc):
-        for (a1, b1, c1, d1), nz in zip(xrow, sparse):
+        for (a1, b1, c1, d1), (nz, gaussian) in zip(xrow, sparse):
             if not nz or not (a1 or b1 or c1 or d1):
+                continue
+            if gaussian and not (c1 or d1):
+                for j, a2, b2, _, _ in nz:
+                    ta[j] += a1 * a2 - b1 * b2
+                    tb[j] += a1 * b2 + b1 * a2
                 continue
             # (g1 + h1 r2)(g2 + h2 r2) = (g1 g2 + 2 h1 h2) + (g1 h2 + h1 g2) r2
             for j, a2, b2, c2, d2 in nz:
@@ -338,31 +403,27 @@ def _grid_mul(x: Sequence, y: Sequence, cols: int, acc: list | None = None) -> l
     return acc
 
 
-def _from_grid(acc: list, den: int, cols: int) -> ExactMatrix:
-    """The matrix acc / den from rows of four integer component lists, one
-    reduction per entry."""
-    return ExactMatrix(len(acc), cols, tuple(
-        tuple(_from_ints(a, b, c, d, den) for a, b, c, d in zip(*row))
-        for row in acc))
+def _gcd_with(den: int, parts: Iterable) -> int:
+    """gcd of den and every integer tuple in parts, stopping at 1."""
+    g = den
+    for part in parts:
+        if g == 1:
+            break
+        g = gcd(g, *part)
+    return g
 
 
 def _sum_of_products(pairs: Iterable, rows: int, cols: int) -> ExactMatrix:
     """sum of x y over the (x, y) in pairs, a rows x cols matrix (zero for
     no pairs).  Each term is formed in integers over the lcm of the term
-    denominators, by scaling its left grid, and the sum is normalized once.
+    denominators, by scaling its left grid, and the sum is reduced once.
     """
-    terms = []
-    for x, y in pairs:
-        (xg, dx), (yg, dy) = _scaled(x), _scaled(y)
-        terms.append((xg, yg, dx * dy))
+    terms = [(x._g, y._g, x._den * y._den) for x, y in pairs]
     den = lcm(*(d for _, _, d in terms))
     acc = [[[0] * cols for _ in range(4)] for _ in range(rows)]
     for xg, yg, d in terms:
-        f = den // d
-        if f != 1:
-            xg = [[(a * f, b * f, c * f, e * f) for a, b, c, e in r] for r in xg]
-        _grid_mul(xg, yg, cols, acc)
-    return _from_grid(acc, den, cols)
+        _grid_mul(_rescaled(xg, den // d), yg, cols, acc)
+    return _reduced(rows, cols, tuple(tuple(zip(*row)) for row in acc), den)
 
 
 def _fraction_free(m: list, jordan: bool = False) -> tuple:
@@ -443,12 +504,12 @@ def _fraction_free(m: list, jordan: bool = False) -> tuple:
 
 
 def zeros(rows: int, cols: int) -> ExactMatrix:
-    return ExactMatrix(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
+    return ExactMatrix(rows, cols, ((_Z4,) * cols,) * rows)
 
 
 def identity(n: int) -> ExactMatrix:
-    return ExactMatrix(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                                   for i in range(n)))
+    return ExactMatrix(n, n, tuple(
+        (_Z4,) * i + (_ONE4,) + (_Z4,) * (n - 1 - i) for i in range(n)))
 
 
 def diagonal(values: Iterable) -> ExactMatrix:
@@ -459,18 +520,15 @@ def diagonal(values: Iterable) -> ExactMatrix:
 
 def direct_sum(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
     """Block-diagonal stacking; empty input gives the 0x0 matrix."""
-    total_r = sum(b.rows for b in blocks)
     total_c = sum(b.cols for b in blocks)
-    out = [[ZERO] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            row = b.row(i)
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = row[j]
-        r0 += b.rows
+    grids, den = _scaled_all(blocks)
+    out = []
+    c0 = 0
+    for b, grid in zip(blocks, grids):
+        left, right = (_Z4,) * c0, (_Z4,) * (total_c - c0 - b.cols)
+        out.extend(left + tuple(r) + right for r in grid)
         c0 += b.cols
-    return ExactMatrix(total_r, total_c, tuple(tuple(r) for r in out))
+    return ExactMatrix(len(out), total_c, tuple(out), den)
 
 
 def block_assemble(grid: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
@@ -487,11 +545,22 @@ def block_assemble(grid: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
                 raise DimensionMismatchError(
                     f"block ({i},{j}) is {b.rows}x{b.cols}, expected "
                     f"{row_heights[i]}x{col_widths[j]}")
+    grids, den = _scaled_all([b for row in grid for b in row])
     out = []
+    k = 0
     for i, row in enumerate(grid):
-        for ii in range(row_heights[i]):
-            out.append(tuple(x for b in row for x in b.row(ii)))
-    return ExactMatrix(sum(row_heights), sum(col_widths), tuple(out))
+        cells = grids[k:k + len(row)]
+        k += len(row)
+        out.extend(tuple(chain.from_iterable(c[ii] for c in cells))
+                   for ii in range(row_heights[i]))
+    return ExactMatrix(sum(row_heights), sum(col_widths), tuple(out), den)
+
+
+def _permuted(m: ExactMatrix, perm: Sequence[int]) -> ExactMatrix:
+    """The square matrix with entry (a, b) equal to m[perm[a], perm[b]]."""
+    return ExactMatrix(m.rows, m.cols, tuple(
+        tuple(row[p] for p in perm) for row in (m._g[p] for p in perm)),
+        m._den)
 
 
 def cayley_orthogonal(z: ExactMatrix, signs: Sequence[int] | None = None) -> ExactMatrix:

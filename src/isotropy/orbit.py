@@ -12,10 +12,10 @@ components are the connected components of the nonzero pattern of S
 The entry of X at (u, v) only reaches image entries (i, j) whose unordered
 component pair {comp(i), comp(j)} equals {comp(u), comp(v)}, so the map
 is block diagonal after a permutation and its rank is the sum of the
-ranks of the blocks.  S is scaled once by the lcm of its denominators
-(matrices._scaled), so every block is built directly as rows of integer
-4-tuples and ranked by the fraction-free kernel of matrices.py; scaling a
-linear map keeps its rank.
+ranks of the blocks.  S is read as its integer grid over its one
+denominator (matrices._scaled), so every block is built directly as rows
+of integer 4-tuples and ranked by the fraction-free kernel of
+matrices.py; scaling a linear map keeps its rank.
 """
 
 from .errors import IntegrityError, ParameterError, StructureError
@@ -83,6 +83,7 @@ def codim_formula(structure) -> int:
 def _components(s: ExactMatrix) -> list:
     """Label each index of the symmetric matrix s by the connected component
     of the nonzero pattern of s that holds it: its smallest index."""
+    grid, _ = _scaled(s)
     n = s.rows
     parent = list(range(n))
 
@@ -92,10 +93,9 @@ def _components(s: ExactMatrix) -> list:
             i = parent[i]
         return i
 
-    for i in range(n):
-        row = s.row(i)
+    for i, row in enumerate(grid):
         for j in range(i + 1, n):
-            if not row[j].is_zero:
+            if any(row[j]):
                 a, b = find(i), find(j)
                 if a != b:
                     # the smaller root wins, so each root is its set's minimum

@@ -5,26 +5,24 @@ field is closed under all constructions in this package: i/2 enters through
 the symmetric canonical blocks and 1/sqrt2 through the transition matrices.
 Arithmetic is exact; there are no floats anywhere.
 
-Rationals are gmpy2.mpq when available (about an order of magnitude faster),
-fractions.Fraction otherwise.  Both are arbitrary precision and auto-reduced,
-and both print as "n" or "n/d", which the string grammar below relies on.
+Rationals are fractions.Fraction: arbitrary precision, auto-reduced, and
+printed as "n" or "n/d", which the string grammar below relies on.  Dense
+matrices do not hold scalars at all: matrices.ExactMatrix keeps an integer
+grid over one denominator and makes an ExactScalar only when an entry is
+read.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from .errors import ScalarParseError
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _mpq
+Rational = Fraction
 
-Rational = _mpq
-
-_R0 = _mpq(0)
-_R2 = _mpq(2)
+_R0 = Fraction(0)
+_R2 = Fraction(2)
 
 
 def rat(num, den=None) -> Rational:
@@ -32,8 +30,8 @@ def rat(num, den=None) -> Rational:
     if isinstance(num, float) or isinstance(den, float):
         raise TypeError("floats are not exact; pass ints, strings or rationals")
     if den is None:
-        return _mpq(num)
-    return _mpq(num, den)
+        return Fraction(num)
+    return Fraction(num, den)
 
 
 class ExactScalar:
@@ -44,10 +42,10 @@ class ExactScalar:
     def __init__(self, a=0, b=0, c=0, d=0):
         if any(isinstance(v, float) for v in (a, b, c, d)):
             raise TypeError("floats are not exact; pass ints, strings or rationals")
-        object.__setattr__(self, "a", _mpq(a))
-        object.__setattr__(self, "b", _mpq(b))
-        object.__setattr__(self, "c", _mpq(c))
-        object.__setattr__(self, "d", _mpq(d))
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(self, "d", Fraction(d))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
@@ -116,8 +114,8 @@ class ExactScalar:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero scalar")
         parts = (self.a, self.b, self.c, self.d)
-        den = lcm(*(int(q.denominator) for q in parts))
-        m, norm = _divisor(tuple(int(q.numerator) * (den // int(q.denominator))
+        den = lcm(*(q.denominator for q in parts))
+        m, norm = _divisor(tuple(q.numerator * (den // q.denominator)
                                  for q in parts))
         return _from_ints(den * m[0], den * m[1], den * m[2], den * m[3], norm)
 
@@ -168,13 +166,13 @@ class ExactScalar:
 def _coerce(value) -> ExactScalar:
     if isinstance(value, ExactScalar):
         return value
-    if isinstance(value, int) or type(value) is _mpq:
+    if isinstance(value, int) or type(value) is Fraction:
         return ExactScalar(value)
     if isinstance(value, float):
         return NotImplemented
     try:
         # Fractions (and ints behind abstract types) still coerce exactly.
-        return ExactScalar(_mpq(value))
+        return ExactScalar(Fraction(value))
     except TypeError:
         return NotImplemented
 
@@ -184,7 +182,7 @@ ONE = ExactScalar(1)
 MINUS_ONE = ExactScalar(-1)
 IMAG = ExactScalar(0, 1)
 SQRT2 = ExactScalar(0, 0, 1)
-HALF = ExactScalar(_mpq(1, 2))
+HALF = ExactScalar(Fraction(1, 2))
 
 
 def _from_ints(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
@@ -198,10 +196,10 @@ def _from_ints(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
         return ZERO
     x = object.__new__(ExactScalar)
     put = object.__setattr__
-    put(x, "a", _mpq(a, den) if a else _R0)
-    put(x, "b", _mpq(b, den) if b else _R0)
-    put(x, "c", _mpq(c, den) if c else _R0)
-    put(x, "d", _mpq(d, den) if d else _R0)
+    put(x, "a", Fraction(a, den) if a else _R0)
+    put(x, "b", Fraction(b, den) if b else _R0)
+    put(x, "c", Fraction(c, den) if c else _R0)
+    put(x, "d", Fraction(d, den) if d else _R0)
     return x
 
 
@@ -316,8 +314,8 @@ def _parse_rat(ts: _TokenStream, sign: int) -> Rational:
         den = int(value2)
         if den <= 0:
             raise ScalarParseError("denominator must be positive", ts.text, pos2)
-        return _mpq(sign * num, den)
-    return _mpq(sign * num)
+        return Fraction(sign * num, den)
+    return Fraction(sign * num)
 
 
 def _parse_gauss(ts: _TokenStream):

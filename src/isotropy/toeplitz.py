@@ -10,8 +10,15 @@ sums in coefficient space, products, the transpose twisted
 by the backward block form, inverses of identity-diagonal forms, and
 the additive weight filtration that controls nilpotency.
 
+Each coefficient is an ExactMatrix, so an integer grid over its own
+canonical denominator (matrices.py), and the dense bridge moves those
+integers without forming a scalar: assemble lays out every coefficient
+over the lcm of the coefficient denominators (canonical as it stands),
+extract slices the dense grid and reduces each coefficient by one gcd, and
+conjugate_by_omega permutes the grid.
+
 A product of two forms is one integer product on the kernel of
-matrices.py: each operand's coefficients are scaled once onto one
+matrices.py: each operand's coefficients are rescaled once onto one
 denominator, and the first cell-row of each group of the left operand
 (an M x n strip, M = sum m_r) multiplies the assembled right operand.
 Coefficient C_j^{rs} is cell (0, j + shift(r, s)) of block (r, s) of the
@@ -39,9 +46,9 @@ from .errors import (
     StructureError,
 )
 from .forms import MultiSegreStructure, SegreStructure
-from .matrices import (ExactMatrix, _Z4, _from_grid, _grid_mul, _scaled_all,
+from .matrices import (ExactMatrix, _Z4, _grid_mul, _permuted,
+                       _reduced, _scaled, _scaled_all,
                        identity as dense_identity, zeros as dense_zeros)
-from .scalars import ZERO
 
 __all__ = [
     "ToeplitzForm",
@@ -86,15 +93,15 @@ def _product_pairs(structure: SegreStructure, left, right,
     return pairs
 
 
-def _layout(structure: SegreStructure, cells: Mapping, zero,
+def _layout(structure: SegreStructure, cells: Mapping,
             first_rows: bool = False) -> list:
     """Rows of the dense assembly of a form, or only of the first cell-row
     of each group when first_rows: the one assembly walk.
 
-    cells[(r, s)][j] holds the rows of coefficient j of block (r, s), and
-    `zero` fills every other entry; assemble lays out scalars, the product
-    integer 4-tuples.  In cell-row u of block (r, s) the first
-    u + shift(r, s) cells are zero and coefficients 0, 1, ... follow.
+    cells[(r, s)][j] holds the rows of integer 4-tuples of coefficient j of
+    block (r, s), and zero fills every other entry.  In cell-row u of block
+    (r, s) the first u + shift(r, s) cells are zero and coefficients 0, 1,
+    ... follow.
     """
     blocks = structure.blocks
     rows = []
@@ -104,7 +111,7 @@ def _layout(structure: SegreStructure, cells: Mapping, zero,
             parts = []
             for s, (alpha_s, m_s) in enumerate(blocks):
                 lead = min(u + structure.shift(r, s), alpha_s)
-                parts.append(((zero,) * (lead * m_s),
+                parts.append(((_Z4,) * (lead * m_s),
                               cells[(r, s)][:alpha_s - lead]))
             for i in range(m_r):
                 row = []
@@ -114,6 +121,22 @@ def _layout(structure: SegreStructure, cells: Mapping, zero,
                         row.extend(mat[i])
                 rows.append(row)
     return rows
+
+
+def _read_cells(structure: SegreStructure, strips: list, den: int) -> dict:
+    """Coefficients keyed like ToeplitzForm.coeffs, read off the first
+    cell-row of each group over the denominator den: strips[r] holds the
+    m_r rows (integer 4-tuples) of the first cell-row of group r, and
+    coefficient (r, s, j) is its cell j + shift(r, s) in block (r, s),
+    reduced on its own."""
+    coeffs = {}
+    for r, s in _block_keys(structure):
+        m_r, m_s = structure.mults[r], structure.mults[s]
+        col0 = structure.group_offset(s) + structure.shift(r, s) * m_s
+        coeffs[(r, s)] = [
+            _reduced(m_r, m_s, tuple(row[c:c + m_s] for row in strips[r]), den)
+            for c in range(col0, col0 + structure.depth(r, s) * m_s, m_s)]
+    return coeffs
 
 
 class ToeplitzForm:
@@ -272,12 +295,12 @@ class ToeplitzForm:
 
     def assemble(self) -> ExactMatrix:
         """Dense n x n matrix with cell (u, v) of block (r, s) equal to
-        coefficient v - u - shift(r, s)."""
+        coefficient v - u - shift(r, s).  It lays out every coefficient in
+        full over the lcm of their dens, so it is canonical as it stands."""
         st = self.structure
-        cells = {key: [mat._m for mat in entry]
-                 for key, entry in self.coeffs.items()}
+        cells, den = self._scaled_cells()
         return ExactMatrix(st.n, st.n, tuple(
-            tuple(row) for row in _layout(st, cells, ZERO)))
+            tuple(row) for row in _layout(st, cells)), den)
 
     @classmethod
     def extract(cls, dense: ExactMatrix,
@@ -291,23 +314,13 @@ class ToeplitzForm:
         if dense.rows != n or dense.cols != n:
             raise DimensionMismatchError(
                 f"matrix is {dense.rows}x{dense.cols}, structure needs {n}x{n}")
-        coeffs = {}
-        for r, s in _block_keys(structure):
-            m_r = structure.mults[r]
-            m_s = structure.mults[s]
-            shift = structure.shift(r, s)
-            row0 = structure.group_offset(r)
-            col0 = structure.group_offset(s)
-            entry = []
-            # canonical cell for coefficient j is (u, v) = (0, j + shift)
-            for j in range(structure.depth(r, s)):
-                v = j + shift
-                entry.append(ExactMatrix.build(
-                    m_r, m_s,
-                    lambda i, l: dense[row0 + i, col0 + v * m_s + l]))
-            coeffs[(r, s)] = entry
-        candidate = cls(structure, coeffs)
+        grid, den = _scaled(dense)
+        strips = [grid[structure.group_offset(r):][:m]
+                  for r, m in enumerate(structure.mults)]
+        candidate = cls(structure, _read_cells(structure, strips, den))
         expected = candidate.assemble()
+        if expected == dense:
+            return candidate
         for i in range(n):
             for j in range(n):
                 if dense[i, j] != expected[i, j]:
@@ -331,21 +344,14 @@ class ToeplitzForm:
             raise DimensionMismatchError("forms live on different structures")
         left, left_den = self._scaled_cells()
         right, right_den = other._scaled_cells()
-        acc = _grid_mul(_layout(st, left, _Z4, first_rows=True),
-                        _layout(st, right, _Z4), st.n)
-        den = left_den * right_den
-        coeffs = {}
-        row0 = 0
-        for r, m_r in enumerate(st.mults):
-            strip = acc[row0:row0 + m_r]
-            for s, m_s in enumerate(st.mults):
-                col0 = st.group_offset(s) + st.shift(r, s) * m_s
-                coeffs[(r, s)] = [
-                    _from_grid([[part[c:c + m_s] for part in row]
-                                for row in strip], den, m_s)
-                    for c in range(col0, col0 + st.depth(r, s) * m_s, m_s)]
-            row0 += m_r
-        return ToeplitzForm(st, coeffs)
+        acc = _grid_mul(_layout(st, left, first_rows=True),
+                        _layout(st, right), st.n)
+        rows = [tuple(zip(*row)) for row in acc]
+        strips = []
+        for m_r in st.mults:
+            strips.append(rows[:m_r])
+            rows = rows[m_r:]
+        return ToeplitzForm(st, _read_cells(st, strips, left_den * right_den))
 
     def _scaled_cells(self) -> tuple:
         """(cells, den): every coefficient as rows of integer 4-tuples over
@@ -489,7 +495,7 @@ def conjugate_by_omega(dense: ExactMatrix, structure: SegreStructure,
         perm = inverse
     elif direction != "to_toeplitz":
         raise ParameterError(f"unknown direction {direction!r}")
-    return ExactMatrix.build(n, n, lambda a, b: dense[perm[a], perm[b]])
+    return _permuted(dense, perm)
 
 
 def commutant_dimension(structure: SegreStructure) -> int:

@@ -1,9 +1,13 @@
 """CLI behavior: exit codes, JSON shapes, byte-identical determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import isotropy
 from isotropy.cli import main
 from isotropy.forms import SegreStructure, symmetric_form
 from isotropy.generators import generator_from_spec
@@ -29,6 +33,28 @@ def test_dim_example(capsys):
     code, out, _ = _run(capsys, "dim", "--structure", O3)
     assert code == 0
     assert json.loads(out) == {"dimension": 3}
+
+
+_CAPPED_DIM = """
+import resource, sys
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from isotropy.cli import main
+sys.exit(main(["dim", "--structure", sys.argv[1]]))
+"""
+
+
+def test_dim_of_huge_alpha_runs_in_bounded_memory():
+    # dim answers from the closed form, so alpha = 10^9 fits in a 1 GB
+    # address space; listing one recipe per coefficient slot would not
+    structure = '{"lambda": "0", "blocks": [{"alpha": 1000000000, "m": 2}]}'
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isotropy.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_DIM, structure],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"dimension": 10**9}
 
 
 def test_codim_example(capsys):

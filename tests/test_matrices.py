@@ -1,14 +1,21 @@
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from isotropy import scalars
 from isotropy.errors import DimensionMismatchError, SingularMatrixError
+from isotropy.forms import SegreStructure, symmetric_form
 from isotropy.matrices import (
-    ExactMatrix, _sum_of_products, block_assemble, cayley_orthogonal,
+    ExactMatrix, _scaled, _sum_of_products, block_assemble, cayley_orthogonal,
     diagonal, direct_sum, identity, zeros,
 )
 from isotropy.rng import RandomSource
 from isotropy.scalars import ExactScalar, IMAG, ONE, SQRT2, ZERO, _from_ints, rat
+from isotropy.stabilizer import (sample_isotropy_element,
+                                 to_toeplitz_coordinates, verify_isotropy)
+from isotropy.toeplitz import ToeplitzForm, conjugate_by_omega
 
 import _oracles as oracle
 
@@ -469,3 +476,110 @@ def test_symmetry_predicates():
     assert s.is_symmetric and not s.is_skew
     assert k.is_skew and (k + k.T).is_zero
     assert rat(1, 2) * (s + s.T) == s
+
+
+# ---------------------------------------------------------------------------
+# the stored form: one canonical integer grid over one denominator
+# ---------------------------------------------------------------------------
+
+def _assert_canonical(m):
+    # den > 0, gcd(den, every component) == 1, and den == 1 when zero
+    grid, den = _scaled(m)
+    assert den > 0
+    assert len(grid) == m.rows and all(len(r) == m.cols for r in grid)
+    assert gcd(den, *(v for r in grid for x in r for v in x)) == 1
+    if m.is_zero:
+        assert den == 1
+
+
+def _assert_same(a, b):
+    _assert_canonical(a)
+    _assert_canonical(b)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_storage_is_canonical_on_every_route():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    part = st.one_of(st.just(Fraction(0)),
+                     st.fractions(min_value=-4, max_value=4,
+                                  max_denominator=6))
+    scalar = st.builds(ExactScalar, part, part, part, part)
+
+    @st.composite
+    def matrices(draw):
+        rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        entries = draw(st.lists(st.lists(scalar, min_size=cols, max_size=cols),
+                                min_size=rows, max_size=rows))
+        return ExactMatrix.build(rows, cols, lambda i, j: entries[i][j])
+
+    @hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
+    @hypothesis.given(matrices())
+    @hypothesis.example(zeros(0, 3))
+    @hypothesis.example(zeros(3, 0))
+    @hypothesis.example(zeros(0, 0))
+    @hypothesis.example(zeros(2, 3))
+    @hypothesis.example(ExactMatrix.from_rows([[rat(1, 2), 0], [0, rat(1, 2)]]))
+    @hypothesis.example(ExactMatrix.from_rows([[rat(2, 3) * SQRT2, IMAG]]))
+    def check(m):
+        _assert_canonical(m)
+        halves = ExactMatrix.build(m.rows, m.cols,
+                                   lambda i, j: m[i, j] * rat(1, 2))
+        _assert_same(halves, m.scale(rat(1, 2)))
+        _assert_same(m.scale(2).scale(rat(1, 2)), m)
+        _assert_same(m.T.T, m)
+        _assert_same(m * identity(m.cols), m)
+        _assert_same(identity(m.rows) * m, m)
+        _assert_same(m + zeros(m.rows, m.cols), m)
+        _assert_same(m - m, zeros(m.rows, m.cols))
+        _assert_same(-(-m), m)
+        _assert_same(m.conjugate_i().conjugate_i(), m)
+        if m.rows:
+            # from_rows reads the column count off the first row
+            _assert_same(ExactMatrix.from_rows(m.to_lists()), m)
+        _assert_same(ExactMatrix.build(m.rows, m.cols, lambda i, j: m[i, j]),
+                     m)
+        _assert_same(direct_sum([m]), m)
+        _assert_same(block_assemble([[m]]), m)
+        for i in range(m.rows):
+            assert m.row(i) == tuple(m[i, j] for j in range(m.cols))
+            _assert_canonical(m.submatrix(i, i + 1, 0, m.cols))
+        if m.is_square:
+            try:
+                inv = m.inverse()
+            except SingularMatrixError:
+                return
+            _assert_canonical(inv)
+            _assert_same(inv.inverse(), m)
+
+    check()
+
+
+def test_hot_path_makes_no_scalars(monkeypatch):
+    # a form product, a sum of products, the membership test, extraction
+    # and the Omega permutation all work on the integer grids: none of them
+    # makes an ExactScalar
+    st = SegreStructure(IMAG, [(3, 1), (2, 2), (1, 1)])
+    q = sample_isotropy_element(st, rnd=RandomSource(614))
+    x = to_toeplitz_coordinates(st, q)
+    dense = conjugate_by_omega(x.assemble(), st, "to_dense")
+    symmetric_form(st)  # built once per structure, before the patch
+    pairs = [(x.coefficient(1, 0, j), x.coefficient(0, 1, j)) for j in range(2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ExactScalar was made on the hot path")
+
+    monkeypatch.setattr(scalars.ExactScalar, "__init__", refuse)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("isotropy")
+                and hasattr(module, "_from_ints")):
+            monkeypatch.setattr(module, "_from_ints", refuse)
+    square = x * x
+    total = _sum_of_products(pairs, 2, 2)
+    ok, _ = verify_isotropy(st, q)
+    back = conjugate_by_omega(dense, st, "to_toeplitz")
+    extracted = ToeplitzForm.extract(back, st)
+    monkeypatch.undo()
+    assert ok and extracted == x
+    assert square.assemble() == x.assemble() * x.assemble()
+    assert total == pairs[0][0] * pairs[0][1] + pairs[1][0] * pairs[1][1]
