@@ -53,7 +53,10 @@ def _load_json_argument(value: str):
     if not text.startswith(("{", "[")):
         with open(value, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise IsotropyError("JSON argument is nested too deeply") from None
 
 
 def _require(args, flag, what):

@@ -12,7 +12,8 @@ normalization.  From it we build, all exactly:
     from "m copies of size alpha" to "alpha positions of size m", and
   * the block-coordinate backward identity F = Omega^T E Omega.
 
-symmetric_block builds the block entrywise; that it equals P J P^{-1} is
+symmetric_block and transition_matrix build their block from entries
+formed before the walk; that the symmetric block equals P J P^{-1} is
 checked by the tests, not at run time.  symmetric_form, transition_form and
 transition_form_inverse build their matrix once per structure and then
 hand out the same immutable object.
@@ -25,12 +26,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import StructureError
 from .matrices import ExactMatrix, direct_sum, identity, zeros
-from .scalars import ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, _coerce
+from .scalars import (ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, _coerce,
+                      parse_scalar)
 
 
 def _as_eigenvalue(lam) -> ExactScalar:
     if isinstance(lam, str):
-        from .scalars import parse_scalar
         return parse_scalar(lam)
     s = _coerce(lam)
     if s is NotImplemented:
@@ -155,22 +156,24 @@ def jordan_block(n: int, lam) -> ExactMatrix:
         n, n, lambda i, j: lam if i == j else (ONE if j == i + 1 else ZERO))
 
 
+# block-independent entries: 1/sqrt2, i/sqrt2 and their sum, and +-i/2
+_W = SQRT2.inverse()
+_IW = IMAG * _W
+_CENTRE = _W + _IW
+_IHALF = IMAG * HALF
+_MINUS_IHALF = -_IHALF
+
+
 def transition_matrix(alpha: int) -> ExactMatrix:
     """P = (1/sqrt2)(I + i E): symmetric, P^2 = i E, P^{-1} = conj_i(P).
 
     For odd alpha the diagonal and anti-diagonal overlap in the center, so
     the two contributions add there.
     """
-    w = SQRT2.inverse()
-    iw = IMAG * w
-
     def entry(i, j):
-        x = ZERO
-        if i == j:
-            x = x + w
         if i + j == alpha - 1:
-            x = x + iw
-        return x
+            return _CENTRE if i == j else _IW
+        return _W if i == j else ZERO
 
     return ExactMatrix.build(alpha, alpha, entry)
 
@@ -179,22 +182,21 @@ def symmetric_block(n: int, lam) -> ExactMatrix:
     """Symmetric canonical block P J P^{-1}, built entrywise.
 
     lam on the diagonal, 1/2 on both first off-diagonals, -i/2 where
-    row + col = n - 2 and +i/2 where row + col = n (0-based).
+    row + col = n - 2 and +i/2 where row + col = n (0-based).  Where these
+    meet (the diagonal for even n, the first off-diagonals for odd n) the
+    sum is formed once per block; it may be zero (lam = +-i/2).
     """
     lam = _as_eigenvalue(lam)
-    ihalf = IMAG * HALF
+    anti = {n - 2: _MINUS_IHALF, n: _IHALF}
+    meet = {k: (HALF if n % 2 else lam) + x for k, x in anti.items()}
 
     def entry(i, j):
-        x = ZERO
+        k = i + j
+        if abs(i - j) <= 1 and k in meet:
+            return meet[k]
         if i == j:
-            x = x + lam
-        if abs(i - j) == 1:
-            x = x + HALF
-        if i + j == n - 2:
-            x = x - ihalf
-        elif i + j == n:
-            x = x + ihalf
-        return x
+            return lam
+        return HALF if abs(i - j) == 1 else anti.get(k, ZERO)
 
     return ExactMatrix.build(n, n, entry)
 

@@ -23,10 +23,10 @@ ring Z[i, sqrt2]:
   ExactMatrix.__mul__ and the sums of the solver's sweep) multiply the
   grids, skipping zero entries, accumulate every term over the lcm of the
   term denominators and reduce once per result (_reduced).
-- The product of two Toeplitz forms is one grid product (_grid_mul): each
-  operand's coefficients are rescaled once onto the lcm of their dens
-  (_scaled_all), and the first cell-rows of the left operand multiply the
-  assembled right operand (toeplitz.ToeplitzForm.__mul__).
+- The product of two Toeplitz forms is one grid product (_grid_mul): a
+  form is one canonical matrix, its strip, and the left strip multiplies
+  the dense rows of the right operand, all on one grid each
+  (toeplitz.ToeplitzForm.__mul__).
 - Rank and inverse share one fraction-free (Bareiss) elimination
   (_fraction_free; E. H. Bareiss, Sylvester's identity and multistep
   integer-preserving Gaussian elimination, Math. Comp. 22, 1968) over

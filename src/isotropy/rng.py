@@ -10,7 +10,10 @@ ranges used here and keeps the stream layout trivial to reproduce.
 
 from __future__ import annotations
 
-from .scalars import ExactScalar, rat
+from .errors import SingularMatrixError
+from .forms import SegreStructure
+from .matrices import ExactMatrix, cayley_orthogonal, identity
+from .scalars import ZERO, ExactScalar, rat
 
 _MASK = (1 << 64) - 1
 
@@ -63,13 +66,10 @@ class RandomSource:
     # -- matrices -----------------------------------------------------
 
     def matrix(self, rows: int, cols: int, **kw):
-        from .matrices import ExactMatrix
         return ExactMatrix.from_rows(
             [[self.scalar(**kw) for _ in range(cols)] for _ in range(rows)])
 
     def skew(self, n: int, **kw):
-        from .matrices import ExactMatrix
-        from .scalars import ZERO
         entries = [[ZERO] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
@@ -79,7 +79,6 @@ class RandomSource:
         return ExactMatrix.from_rows(entries)
 
     def symmetric(self, n: int, **kw):
-        from .matrices import ExactMatrix
         entries = [[None] * n for _ in range(n)]
         for i in range(n):
             entries[i][i] = self.scalar(**kw)
@@ -91,7 +90,6 @@ class RandomSource:
 
     def symmetric_nonsingular(self, n: int, **kw):
         """Random exact symmetric invertible matrix (deterministic retry)."""
-        from .matrices import identity
         for _ in range(64):
             m = self.symmetric(n, **kw)
             if m.rank() == n:
@@ -103,14 +101,12 @@ class RandomSource:
 
     def orthogonal(self, n: int, **kw):
         """Exact orthogonal matrix: Cayley transform of a skew draw, times signs."""
-        from .matrices import cayley_orthogonal, SingularMatrixError
         for _ in range(64):
             z = self.skew(n, **kw)
             try:
                 return cayley_orthogonal(z, self.signs(n))
             except SingularMatrixError:
                 continue
-        from .matrices import identity
         return identity(n)  # pragma: no cover
 
     def twisted_orthogonal(self, n: int, b, **kw):
@@ -119,7 +115,6 @@ class RandomSource:
         Uses the twisted Cayley map X = (I - b^{-1}Z)(I + b^{-1}Z)^{-1} with
         skew Z; stays inside the field, no square roots needed.
         """
-        from .matrices import identity, SingularMatrixError
         ident = identity(n)
         b_inv = b.inverse()
         for _ in range(64):
@@ -134,7 +129,6 @@ class RandomSource:
 
     def structure(self, max_n: int, max_parts: int = 3, lam: ExactScalar | None = None):
         """Random block structure with total size <= max_n, <= max_parts rows."""
-        from .forms import SegreStructure
         if lam is None:
             lam = self.scalar(with_i=True, with_sqrt2=False, max_num=2, max_den=1)
         want = self.stream.randint(1, max_parts)

@@ -3,32 +3,30 @@
 Matrices commuting with a nilpotent Jordan layout become, after the
 interleaving change of basis, block matrices whose (r, s) block is an
 alpha_r x alpha_s grid of m_r x m_s cells, constant along cell diagonals
-and zero below a leading offset.  ToeplitzForm stores one rectangular
-coefficient per cell diagonal.  This module provides the exact algebra
+and zero below a leading offset.  This module provides the exact algebra
 of such forms: assembly to dense matrices and strict extraction back,
-sums in coefficient space, products, the transpose twisted
-by the backward block form, inverses of identity-diagonal forms, and
-the additive weight filtration that controls nilpotency.
+sums, products, the transpose twisted by the backward block form,
+inverses of identity-diagonal forms, and the additive weight filtration
+that controls nilpotency.
 
-Each coefficient is an ExactMatrix, so an integer grid over its own
-canonical denominator (matrices.py), and the dense bridge moves those
-integers without forming a scalar: assemble lays out every coefficient
-over the lcm of the coefficient denominators (canonical as it stands),
-extract slices the dense grid and reduces each coefficient by one gcd, and
-conjugate_by_omega permutes the grid.
+A ToeplitzForm is stored as its strip: the first cell-row of each group
+of its dense matrix, one M x n ExactMatrix (M = sum m_r).  In the rows of
+group r, coefficient (r, s, j) is cell j + shift(r, s) of block (r, s),
+the weight of the coefficient, and the cells before it are zero.  As
+shift(r, s) + depth(r, s) = alpha_s, the strip holds every coefficient
+once, on one canonical integer grid (matrices.py).  Sums, scaling,
+equality and the zero test are the strip's; flip_transpose permutes its
+entries.  Cell-row u of a group of the dense matrix is its strip moved
+right by u cells in every block (assemble), and extract reads the strip
+back, zeroing the cells before each first coefficient; both are one walk
+(_cell_rows).  A product is one integer product (_grid_mul): the left
+strip times the dense rows of the right operand is the product's strip.
 
-A product of two forms is one integer product on the kernel of
-matrices.py: each operand's coefficients are rescaled once onto one
-denominator, and the first cell-row of each group of the left operand
-(an M x n strip, M = sum m_r) multiplies the assembled right operand.
-Coefficient C_j^{rs} is cell (0, j + shift(r, s)) of block (r, s) of the
-dense product, so the strip holds every coefficient.  The product and
-assemble share one assembly walk (_layout).  The rule for one
-coefficient of a product (_product_pairs) is the congruence solver's: its
-sweep determines a partial form one coefficient at a time.  Membership
-of a product or inverse is checked where it is returned
-(solver.verify_congruence); that the product equals the dense product of
-the assemblies is a property the test suite checks.
+The rule for one coefficient of a product (_product_pairs) is the
+congruence solver's: its sweep determines a partial form one coefficient
+at a time.  Membership of a product or inverse is checked where it is
+returned (solver.verify_congruence); that the product equals the dense
+product of the assemblies is a property the test suite checks.
 
 Coordinates are 0-based throughout: group indices r, s in
 [0, part_count), coefficient index j in [0, depth(r, s)).
@@ -36,6 +34,7 @@ Coordinates are 0-based throughout: group indices r, s in
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Iterator, Mapping
 
 from .errors import (
@@ -46,9 +45,9 @@ from .errors import (
     StructureError,
 )
 from .forms import MultiSegreStructure, SegreStructure
-from .matrices import (ExactMatrix, _Z4, _grid_mul, _permuted,
-                       _reduced, _scaled, _scaled_all,
-                       identity as dense_identity, zeros as dense_zeros)
+from .matrices import (ExactMatrix, _ONE4, _Z4, _grid_mul, _permuted,
+                       _reduced, _scaled, block_assemble,
+                       zeros as dense_zeros)
 
 __all__ = [
     "ToeplitzForm",
@@ -59,10 +58,7 @@ __all__ = [
 
 
 def _block_keys(structure: SegreStructure) -> Iterator[tuple[int, int]]:
-    count = structure.part_count
-    for r in range(count):
-        for s in range(count):
-            yield r, s
+    return product(range(structure.part_count), repeat=2)
 
 
 def _product_pairs(structure: SegreStructure, left, right,
@@ -93,50 +89,27 @@ def _product_pairs(structure: SegreStructure, left, right,
     return pairs
 
 
-def _layout(structure: SegreStructure, cells: Mapping,
-            first_rows: bool = False) -> list:
-    """Rows of the dense assembly of a form, or only of the first cell-row
-    of each group when first_rows: the one assembly walk.
-
-    cells[(r, s)][j] holds the rows of integer 4-tuples of coefficient j of
-    block (r, s), and zero fills every other entry.  In cell-row u of block
-    (r, s) the first u + shift(r, s) cells are zero and coefficients 0, 1,
-    ... follow.
-    """
-    blocks = structure.blocks
-    rows = []
-    for r, (alpha_r, m_r) in enumerate(blocks):
-        for u in range(1 if first_rows else alpha_r):
-            # per block s: the leading zeros and the coefficients after them
-            parts = []
-            for s, (alpha_s, m_s) in enumerate(blocks):
-                lead = min(u + structure.shift(r, s), alpha_s)
-                parts.append(((_Z4,) * (lead * m_s),
-                              cells[(r, s)][:alpha_s - lead]))
-            for i in range(m_r):
-                row = []
-                for blank, coeffs in parts:
-                    row.extend(blank)
-                    for mat in coeffs:
-                        row.extend(mat[i])
-                rows.append(row)
-    return rows
+def _cell_rows(structure: SegreStructure, rows, leads, moved: bool) -> list:
+    """rows (of integer 4-tuples, n wide) with the first leads[s] cells of
+    each block s zero: the block moved right by leads[s] cells when moved
+    (assembly), else kept in place (extraction).  The one assembly walk."""
+    out = []
+    for row in rows:
+        new = []
+        col = 0
+        for (alpha, m), lead in zip(structure.blocks, leads):
+            width, zero = alpha * m, min(lead, alpha) * m
+            new.extend((_Z4,) * zero)
+            new.extend(row[col:col + width - zero] if moved
+                       else row[col + zero:col + width])
+            col += width
+        out.append(tuple(new))
+    return out
 
 
-def _read_cells(structure: SegreStructure, strips: list, den: int) -> dict:
-    """Coefficients keyed like ToeplitzForm.coeffs, read off the first
-    cell-row of each group over the denominator den: strips[r] holds the
-    m_r rows (integer 4-tuples) of the first cell-row of group r, and
-    coefficient (r, s, j) is its cell j + shift(r, s) in block (r, s),
-    reduced on its own."""
-    coeffs = {}
-    for r, s in _block_keys(structure):
-        m_r, m_s = structure.mults[r], structure.mults[s]
-        col0 = structure.group_offset(s) + structure.shift(r, s) * m_s
-        coeffs[(r, s)] = [
-            _reduced(m_r, m_s, tuple(row[c:c + m_s] for row in strips[r]), den)
-            for c in range(col0, col0 + structure.depth(r, s) * m_s, m_s)]
-    return coeffs
+def _need_segre(structure):
+    if not isinstance(structure, SegreStructure):
+        raise StructureError("ToeplitzForm needs a single-eigenvalue structure")
 
 
 class ToeplitzForm:
@@ -145,19 +118,19 @@ class ToeplitzForm:
     Block (r, s) holds depth(r, s) = min(alpha_r, alpha_s) coefficients
     of size m_r x m_s; its dense cell at grid position (u, v) equals
     A_{v - u - shift(r, s)}, with out-of-range indices reading as zero.
+    The form is stored as its strip (module docstring): canonical, and
+    zero in the cells before each block's first coefficient.
     """
 
     # _member_of: see ExactMatrix; on a form it means F X^T F X = I was
     # checked exactly for that structure.
-    __slots__ = ("structure", "coeffs", "_member_of")
+    __slots__ = ("structure", "_strip", "_member_of")
 
     def __init__(self, structure: SegreStructure, coeffs: Mapping):
-        if not isinstance(structure, SegreStructure):
-            raise StructureError("ToeplitzForm needs a single-eigenvalue structure")
-        normalized: dict[tuple[int, int], tuple[ExactMatrix, ...]] = {}
-        seen = set()
-        for key in coeffs:
-            seen.add(key)
+        _need_segre(structure)
+        # per group, the cells of its strip: zeros, then the coefficients
+        cells = [[] for _ in structure.mults]
+        seen = set(coeffs)
         for r, s in _block_keys(structure):
             if (r, s) not in seen:
                 raise StructureError(f"missing coefficient list for block ({r}, {s})")
@@ -166,8 +139,7 @@ class ToeplitzForm:
             if len(entry) != depth:
                 raise StructureError(
                     f"block ({r}, {s}) needs {depth} coefficients, got {len(entry)}")
-            m_r = structure.mults[r]
-            m_s = structure.mults[s]
+            m_r, m_s = structure.mults[r], structure.mults[s]
             for j, mat in enumerate(entry):
                 if not isinstance(mat, ExactMatrix):
                     raise StructureError(
@@ -176,12 +148,22 @@ class ToeplitzForm:
                     raise DimensionMismatchError(
                         f"coefficient ({r}, {s}, {j}) must be {m_r}x{m_s}, "
                         f"got {mat.rows}x{mat.cols}")
-            normalized[(r, s)] = entry
-        if len(seen) != len(normalized):
-            extra = sorted(seen - set(normalized))
+            cells[r] += [dense_zeros(m_r, m_s)] * structure.shift(r, s) + list(entry)
+        if len(seen) != structure.part_count ** 2:
+            extra = sorted(seen - set(_block_keys(structure)))
             raise StructureError(f"unknown block keys {extra}")
         object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "coeffs", normalized)
+        # laid out over the lcm of the coefficient dens: canonical as it is
+        object.__setattr__(self, "_strip", block_assemble(cells))
+
+    @classmethod
+    def _from_strip(cls, structure: SegreStructure,
+                    strip: ExactMatrix) -> "ToeplitzForm":
+        """The form with this strip, trusted: what the class computes."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "structure", structure)
+        object.__setattr__(form, "_strip", strip)
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError("ToeplitzForm is immutable")
@@ -199,19 +181,17 @@ class ToeplitzForm:
 
     @classmethod
     def zero(cls, structure: SegreStructure) -> "ToeplitzForm":
-        mults = structure.mults
-        return cls.build(structure, lambda r, s, j: dense_zeros(mults[r], mults[s]))
+        _need_segre(structure)
+        return cls._from_strip(structure, dense_zeros(sum(structure.mults), structure.n))
 
     @classmethod
     def identity(cls, structure: SegreStructure) -> "ToeplitzForm":
-        mults = structure.mults
-
-        def cell(r, s, j):
-            if r == s and j == 0:
-                return dense_identity(mults[r])
-            return dense_zeros(mults[r], mults[s])
-
-        return cls.build(structure, cell)
+        _need_segre(structure)
+        n = structure.n
+        ones = [structure.group_offset(r) + i
+                for r, m in enumerate(structure.mults) for i in range(m)]
+        return cls._from_strip(structure, ExactMatrix(len(ones), n, tuple(
+            (_Z4,) * c + (_ONE4,) + (_Z4,) * (n - 1 - c) for c in ones)))
 
     @classmethod
     def from_sparse(cls, structure: SegreStructure,
@@ -226,18 +206,32 @@ class ToeplitzForm:
                 raise ParameterError(
                     f"coefficient index {j} out of range for block ({r}, {s})")
         mults = structure.mults
-
-        def cell(r, s, j):
-            return entries.get((r, s, j), dense_zeros(mults[r], mults[s]))
-
-        return cls.build(structure, cell)
+        return cls.build(structure, lambda r, s, j: entries.get(
+            (r, s, j), dense_zeros(mults[r], mults[s])))
 
     # -- access -------------------------------------------------------
+
+    def _cell(self, r: int, s: int, j: int) -> ExactMatrix:
+        # coefficient (r, s, j), 0 <= j < depth(r, s), sliced off the strip
+        st = self.structure
+        grid, den = _scaled(self._strip)
+        top = sum(st.mults[:r])
+        m_r, m_s = st.mults[r], st.mults[s]
+        col = st.group_offset(s) + (j + st.shift(r, s)) * m_s
+        return _reduced(m_r, m_s, tuple(row[col:col + m_s]
+                                        for row in grid[top:top + m_r]), den)
+
+    @property
+    def coeffs(self) -> dict:
+        """{(r, s): (A_0, A_1, ...)}, read off the strip."""
+        st = self.structure
+        return {(r, s): tuple(self._cell(r, s, j) for j in range(st.depth(r, s)))
+                for r, s in _block_keys(st)}
 
     def coefficient(self, r: int, s: int, j: int) -> ExactMatrix:
         """A_j^{rs}; indices outside [0, depth) read as the zero matrix."""
         if 0 <= j < self.structure.depth(r, s):
-            return self.coeffs[(r, s)][j]
+            return self._cell(r, s, j)
         return dense_zeros(self.structure.mults[r], self.structure.mults[s])
 
     def with_coefficient(self, r: int, s: int, j: int,
@@ -245,7 +239,7 @@ class ToeplitzForm:
         if not (0 <= j < self.structure.depth(r, s)):
             raise ParameterError(
                 f"coefficient index {j} out of range for block ({r}, {s})")
-        coeffs = dict(self.coeffs)
+        coeffs = self.coeffs
         entry = list(coeffs[(r, s)])
         entry[j] = mat
         coeffs[(r, s)] = tuple(entry)
@@ -254,7 +248,10 @@ class ToeplitzForm:
     def __eq__(self, other):
         if not isinstance(other, ToeplitzForm):
             return NotImplemented
-        return self.structure == other.structure and self.coeffs == other.coeffs
+        return self.structure == other.structure and self._strip == other._strip
+
+    def __hash__(self):
+        return hash((self.structure, self._strip))
 
     def __repr__(self):
         nonzero = sum(1 for entry in self.coeffs.values()
@@ -264,43 +261,49 @@ class ToeplitzForm:
 
     # -- linear structure ----------------------------------------------
 
-    def _zip(self, other: "ToeplitzForm", op) -> "ToeplitzForm":
+    def _same_structure(self, other: "ToeplitzForm"):
         if self.structure != other.structure:
             raise DimensionMismatchError("forms live on different structures")
-        coeffs = {}
-        for key, entry in self.coeffs.items():
-            coeffs[key] = [op(a, b) for a, b in zip(entry, other.coeffs[key])]
-        return ToeplitzForm(self.structure, coeffs)
 
     def __add__(self, other):
         if not isinstance(other, ToeplitzForm):
             return NotImplemented
-        return self._zip(other, lambda a, b: a + b)
+        self._same_structure(other)
+        return ToeplitzForm._from_strip(self.structure, self._strip + other._strip)
 
     def __sub__(self, other):
         if not isinstance(other, ToeplitzForm):
             return NotImplemented
-        return self._zip(other, lambda a, b: a - b)
+        self._same_structure(other)
+        return ToeplitzForm._from_strip(self.structure, self._strip - other._strip)
 
     def __neg__(self):
-        coeffs = {key: [-mat for mat in entry] for key, entry in self.coeffs.items()}
-        return ToeplitzForm(self.structure, coeffs)
+        return ToeplitzForm._from_strip(self.structure, -self._strip)
 
     def scale(self, scalar) -> "ToeplitzForm":
-        coeffs = {key: [mat.scale(scalar) for mat in entry]
-                  for key, entry in self.coeffs.items()}
-        return ToeplitzForm(self.structure, coeffs)
+        return ToeplitzForm._from_strip(self.structure, self._strip.scale(scalar))
 
     # -- dense bridge ---------------------------------------------------
 
+    def _dense_rows(self) -> tuple:
+        """(rows, den) of the dense matrix rows / den: cell-row u of group r
+        is the strip rows of group r moved right by u cells per block."""
+        st = self.structure
+        grid, den = _scaled(self._strip)
+        rows, top = [], 0
+        for alpha_r, m_r in st.blocks:
+            for u in range(alpha_r):
+                rows += _cell_rows(st, grid[top:top + m_r], [u] * len(st.blocks), True)
+            top += m_r
+        return rows, den
+
     def assemble(self) -> ExactMatrix:
         """Dense n x n matrix with cell (u, v) of block (r, s) equal to
-        coefficient v - u - shift(r, s).  It lays out every coefficient in
-        full over the lcm of their dens, so it is canonical as it stands."""
-        st = self.structure
-        cells, den = self._scaled_cells()
-        return ExactMatrix(st.n, st.n, tuple(
-            tuple(row) for row in _layout(st, cells)), den)
+        coefficient v - u - shift(r, s).  It holds the strip's entries and
+        zeros, so it is canonical over the strip's den."""
+        n = self.structure.n
+        rows, den = self._dense_rows()
+        return ExactMatrix(n, n, tuple(rows), den)
 
     @classmethod
     def extract(cls, dense: ExactMatrix,
@@ -315,9 +318,13 @@ class ToeplitzForm:
             raise DimensionMismatchError(
                 f"matrix is {dense.rows}x{dense.cols}, structure needs {n}x{n}")
         grid, den = _scaled(dense)
-        strips = [grid[structure.group_offset(r):][:m]
-                  for r, m in enumerate(structure.mults)]
-        candidate = cls(structure, _read_cells(structure, strips, den))
+        rows = []
+        for r, m in enumerate(structure.mults):
+            top = structure.group_offset(r)
+            rows += _cell_rows(structure, grid[top:top + m], [
+                structure.shift(r, s) for s in range(structure.part_count)], False)
+        candidate = cls._from_strip(
+            structure, _reduced(len(rows), n, tuple(rows), den))
         expected = candidate.assemble()
         if expected == dense:
             return candidate
@@ -332,47 +339,46 @@ class ToeplitzForm:
     # -- multiplicative structure ----------------------------------------
 
     def __mul__(self, other):
-        """Product by one grid product on the integer kernel of
-        matrices.py: C_j^{rs} is cell (0, j + shift(r, s)) of block (r, s)
-        of the dense product, so the first cell-row of each group of the
-        left operand times the assembled right operand holds every
-        coefficient."""
+        """Product by one integer grid product: the left strip times the
+        dense rows of the right operand is the product's strip."""
         if not isinstance(other, ToeplitzForm):
             return NotImplemented
+        self._same_structure(other)
         st = self.structure
-        if st != other.structure:
-            raise DimensionMismatchError("forms live on different structures")
-        left, left_den = self._scaled_cells()
-        right, right_den = other._scaled_cells()
-        acc = _grid_mul(_layout(st, left, first_rows=True),
-                        _layout(st, right), st.n)
-        rows = [tuple(zip(*row)) for row in acc]
-        strips = []
-        for m_r in st.mults:
-            strips.append(rows[:m_r])
-            rows = rows[m_r:]
-        return ToeplitzForm(st, _read_cells(st, strips, left_den * right_den))
-
-    def _scaled_cells(self) -> tuple:
-        """(cells, den): every coefficient as rows of integer 4-tuples over
-        the one denominator den, keyed like coeffs."""
-        grids, den = _scaled_all([mat for entry in self.coeffs.values()
-                                  for mat in entry])
-        it = iter(grids)
-        return {key: [next(it) for _ in entry]
-                for key, entry in self.coeffs.items()}, den
+        grid, den = _scaled(self._strip)
+        right, right_den = other._dense_rows()
+        acc = _grid_mul(grid, right, st.n)
+        return ToeplitzForm._from_strip(st, _reduced(
+            len(acc), st.n, tuple(tuple(zip(*row)) for row in acc),
+            den * right_den))
 
     def flip_transpose(self) -> "ToeplitzForm":
         """F X^T F for the backward block form F: coefficient (r, s, j)
-        becomes the transpose of coefficient (s, r, j)."""
-        return ToeplitzForm.build(
-            self.structure, lambda r, s, j: self.coeffs[(s, r)][j].transpose())
+        becomes the transpose of coefficient (s, r, j).  The strip's entries
+        are permuted, so the result is canonical over the same den."""
+        st = self.structure
+        grid, den = _scaled(self._strip)
+        tops = [sum(st.mults[:r]) for r in range(st.part_count)]
+        rows = []
+        for r, m_r in enumerate(st.mults):
+            for a in range(m_r):
+                row = []
+                for s, m_s in enumerate(st.mults):
+                    row.extend((_Z4,) * (st.shift(r, s) * m_s))
+                    # column a of each coefficient (s, r, j), read down
+                    source = grid[tops[s]:tops[s] + m_s]
+                    col = st.group_offset(r) + st.shift(s, r) * m_r + a
+                    for c in range(col, col + st.depth(r, s) * m_r, m_r):
+                        row.extend(x[c] for x in source)
+                rows.append(tuple(row))
+        return ToeplitzForm._from_strip(
+            st, ExactMatrix(len(rows), st.n, tuple(rows), den))
 
     # -- predicates -------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return all(mat.is_zero for entry in self.coeffs.values() for mat in entry)
+        return self._strip.is_zero
 
     @property
     def is_identity(self) -> bool:
@@ -381,7 +387,7 @@ class ToeplitzForm:
     @property
     def has_identity_diagonal(self) -> bool:
         """True when every leading diagonal coefficient A_0^{rr} is I."""
-        return all(self.coeffs[(r, r)][0].is_identity
+        return all(self._cell(r, r, 0).is_identity
                    for r in range(self.structure.part_count))
 
     # -- weight filtration -------------------------------------------------
@@ -400,26 +406,18 @@ class ToeplitzForm:
 
     def min_weight(self) -> int | None:
         """Smallest weight carrying a nonzero coefficient; None if zero."""
-        best = None
-        for (r, s), entry in self.coeffs.items():
-            for j, mat in enumerate(entry):
-                if mat.is_zero:
-                    continue
-                w = self.weight(r, s, j)
-                if best is None or w < best:
-                    best = w
-        return best
+        return next((w for w in range(self.structure.alphas[0])
+                     if not self.weight_component(w).is_zero), None)
 
     def weight_component(self, w: int) -> "ToeplitzForm":
-        """Restriction to coefficient slots of weight exactly w."""
-        mults = self.structure.mults
-
-        def cell(r, s, j):
-            if self.weight(r, s, j) == w:
-                return self.coeffs[(r, s)][j]
-            return dense_zeros(mults[r], mults[s])
-
-        return ToeplitzForm.build(self.structure, cell)
+        """Restriction to coefficient slots of weight exactly w: the strip's
+        cell w in every block."""
+        st = self.structure
+        grid, den = _scaled(self._strip)
+        cells = [v for alpha, m in st.blocks for v in range(alpha) for _ in range(m)]
+        return ToeplitzForm._from_strip(st, _reduced(len(grid), st.n, tuple(
+            tuple(x if cells[c] == w else _Z4 for c, x in enumerate(row))
+            for row in grid), den))
 
     # -- inverse ------------------------------------------------------------
 

@@ -233,6 +233,35 @@ def test_missing_required_flag_exits_two(capsys):
     assert "structure" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("text", ["[" * 100000, '{"a": ' * 100000,
+                                  '{"lambda": "0", "blocks": ' + "[" * 100000],
+                         ids=["lists", "objects", "blocks"])
+@pytest.mark.parametrize("from_file", [False, True], ids=["inline", "file"])
+def test_deeply_nested_json_exits_two(capsys, tmp_path, text, from_file):
+    # the JSON parser gives up with a RecursionError, which must not escape
+    argument = text
+    if from_file:
+        argument = str(tmp_path / "deep.json")
+        with open(argument, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    for argv in (["dim", "--structure", argument],
+                 ["sample", "--structure", RIGID, "--params", argument]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in json.loads(err)["error"]
+
+
+def test_nested_parts_chain_exits_two(capsys):
+    structure = RIGID
+    for _ in range(480):
+        structure = '{"parts": [' + structure + "]}"
+    code, out, err = _run(capsys, "dim", "--structure", structure)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
 def test_bad_json_and_missing_file_exit_two(capsys):
     code, _, _ = _run(capsys, "dim", "--structure", '{"lambda": ')
     assert code == 2

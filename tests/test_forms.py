@@ -125,7 +125,9 @@ def test_symmetric_block_against_oracle():
 
 def test_symmetric_block_equals_transition_conjugate_of_jordan():
     # symmetric_block is built entrywise; P J P^-1 is the definition
-    for lam in (ZERO, ONE, IMAG, ExactScalar(rat(1, 3), 1, rat(-2, 5), 2)):
+    # at lam = -+i/2 a diagonal entry where the patterns overlap is zero
+    for lam in (ZERO, ONE, IMAG, IMAG * HALF, -(IMAG * HALF),
+                ExactScalar(rat(1, 3), 1, rat(-2, 5), 2)):
         for n in range(1, 13):
             p = transition_matrix(n)
             assert p * jordan_block(n, lam) * p.conjugate_i() \

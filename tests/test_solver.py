@@ -391,6 +391,33 @@ def test_verify_reports_first_bad_block():
     assert "block (" in report and "coefficient" in report
 
 
+def test_verify_report_names_the_first_mismatch_exactly():
+    # two tampered coefficients of a member: F X^T F X then differs from I
+    # at (0, 1, 0), (1, 0, 0) and (1, 1, 0), and the report names the first
+    st = _st([(2, 1), (1, 1)])
+    data = CongruenceData.identity(st)
+    x = solve_congruence(data, FreeParams.zero(st))
+    tampered = (x.with_coefficient(1, 1, 0, ExactMatrix.from_rows([[3]]))
+                .with_coefficient(0, 1, 0, ExactMatrix.from_rows([[2]])))
+    assert verify_congruence(data, tampered) == (
+        False, "block (0, 1) coefficient 0: "
+               "got [[ExactScalar(2)]], want [[ExactScalar(0)]]")
+    # C other than the identity form: the identity misses C at (0, 0, 1)
+    # and at (1, 1, 0)
+    st = SegreStructure(0, [(2, 2), (1, 1)])
+    third = rat(1, 3)
+    data = CongruenceData(
+        st, [[identity(2), zeros(2, 2)], [identity(1)]],
+        [[identity(2), ExactMatrix.from_rows([[0, third], [third, 0]])],
+         [ExactMatrix.from_rows([[2]])]])
+    assert verify_congruence(data, ToeplitzForm.identity(st)) == (
+        False, "block (0, 0) coefficient 1: "
+               "got [[ExactScalar(0), ExactScalar(0)], "
+               "[ExactScalar(0), ExactScalar(0)]], "
+               "want [[ExactScalar(0), ExactScalar(1/3)], "
+               "[ExactScalar(1/3), ExactScalar(0)]]")
+
+
 def test_verify_requires_matching_structure():
     data = CongruenceData.identity(_st([(2, 1)]))
     other = ToeplitzForm.identity(_st([(1, 2)]))

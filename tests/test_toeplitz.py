@@ -197,6 +197,126 @@ def test_extract_rejects_wrong_size():
 
 
 # ---------------------------------------------------------------------------
+# properties of the strip
+# ---------------------------------------------------------------------------
+
+def _property_tools():
+    """(hypothesis, a block-list strategy for n <= 9, the test settings)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    hs = hypothesis.strategies
+
+    @hs.composite
+    def blocks(draw, budget=9):
+        # up to three rows (alpha, m); SegreStructure merges repeated sizes
+        out = []
+        for _ in range(draw(hs.integers(1, 3))):
+            if budget == 0:
+                break
+            alpha = draw(hs.integers(1, budget))
+            m = draw(hs.integers(1, budget // alpha))
+            out.append((alpha, m))
+            budget -= alpha * m
+        return out
+
+    return hypothesis, blocks(), hypothesis.settings(
+        derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def _mixed_form(rnd, st):
+    # sqrt2 parts, and denominators that differ from entry to entry
+    return _random_form(rnd, st, with_sqrt2=True, max_den=5)
+
+
+def test_strip_properties():
+    hypothesis, blocks, settings = _property_tools()
+    seeds = hypothesis.strategies.integers(0, 2**32)
+
+    @settings
+    @hypothesis.given(blocks, seeds)
+    def check(blocks, seed):
+        st = SegreStructure(IMAG, blocks)
+        rnd = RandomSource(seed)
+        x, y = _mixed_form(rnd, st), _mixed_form(rnd, st)
+        dense = x.assemble()
+        assert ToeplitzForm.extract(dense, st) == x
+        assert (x * y).assemble() == dense * y.assemble()
+        flip = block_backward_form(st)
+        assert x.flip_transpose().assemble() == flip * dense.transpose() * flip
+        # the same form reached by other routes compares and hashes equal
+        total = ToeplitzForm.zero(st)
+        for w in range(st.alphas[0]):
+            total = total + x.weight_component(w)
+        for other in (ToeplitzForm(st, x.coeffs), ToeplitzForm.extract(dense, st),
+                      (x + y) - y, x.scale(rat(2)) - x, -(-x),
+                      x * ToeplitzForm.identity(st),
+                      x.flip_transpose().flip_transpose(), total):
+            assert other == x and hash(other) == hash(x)
+
+    check()
+
+
+def _in_strip(st, i, j):
+    """True when dense entry (i, j) lies in the strip: the first cell-row
+    of its group, at or after the first coefficient of its block."""
+    def place(k):
+        for r, (alpha, m) in enumerate(st.blocks):
+            if k < st.group_offset(r) + alpha * m:
+                return r, (k - st.group_offset(r)) // m
+    (r, u), (s, v) = place(i), place(j)
+    return u == 0 and v >= st.shift(r, s)
+
+
+def test_extract_names_a_changed_entry():
+    # off the strip, a changed dense entry is the first one extract reports;
+    # in the strip it changes a coefficient, so the first violation, if
+    # any, is in a later row.  The example changes the cell before the
+    # first coefficient of block (1, 0), which extract must read as zero.
+    hypothesis, blocks, settings = _property_tools()
+    hs = hypothesis.strategies
+
+    @settings
+    @hypothesis.given(blocks, hs.integers(0, 2**32), hs.integers(0, 8),
+                      hs.integers(0, 8))
+    @hypothesis.example([(2, 1), (1, 1)], 0, 2, 0)
+    def check(blocks, seed, i, j):
+        st = SegreStructure(0, blocks)
+        i, j = i % st.n, j % st.n
+        changed = _bump(_mixed_form(RandomSource(seed), st).assemble(), i, j)
+        if not _in_strip(st, i, j):
+            with pytest.raises(ShapeViolationError) as info:
+                ToeplitzForm.extract(changed, st)
+            assert (info.value.row, info.value.col) == (i, j)
+            return
+        try:
+            assert ToeplitzForm.extract(changed, st).assemble() == changed
+        except ShapeViolationError as exc:
+            assert exc.row > i
+
+    check()
+
+
+def test_computed_forms_skip_the_constructor(monkeypatch):
+    st = SegreStructure(0, [(3, 1), (2, 2), (1, 1)])
+    rnd = RandomSource(20240834)
+    x, y = _random_form(rnd, st), _random_form(rnd, st)
+    dense = x.assemble()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a computed form went through the constructor")
+
+    monkeypatch.setattr(ToeplitzForm, "__init__", refuse)
+    product, total, difference = x * y, x + y, x - y
+    negated, doubled = -x, x.scale(rat(2))
+    zero, flipped = ToeplitzForm.zero(st), x.flip_transpose()
+    extracted = ToeplitzForm.extract(dense, st)
+    monkeypatch.undo()
+    assert product.assemble() == dense * y.assemble()
+    assert total - y == x and difference + y == x
+    assert negated + x == zero and doubled == x + x
+    assert zero.is_zero and flipped.flip_transpose() == x and extracted == x
+
+
+# ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
 
