@@ -11,16 +11,16 @@ from collections import namedtuple
 
 from .forms import (MultiSegreStructure, SegreStructure,
                     enumerate_structures, symmetric_form)
-from .generators import (catalan_coeff, catalan_series, constant_data,
-                         factor_unipotent, gen_G, gen_two_block, gen_V,
-                         gen_W, generator_from_spec)
+from .generators import (catalan_coeff, catalan_series, factor_unipotent,
+                         gen_G, gen_two_block, gen_V, gen_W,
+                         generator_from_spec)
 from .matrices import ExactMatrix, _scaled, identity
 from .orbit import (_components, _signed_sum, _split_rank, codim_formula,
                     tangent_oracle)
 from .rng import RandomSource
 from .scalars import ExactScalar, HALF, IMAG, ONE, ZERO
-from .solver import (CongruenceData, FreeParams, solution_dimension,
-                     verify_congruence)
+from .solver import (CongruenceData, FreeParams, constant_data,
+                     solution_dimension, verify_congruence)
 from .stabilizer import (describe_isotropy, group_element_inv,
                          group_element_mul, sample_isotropy_element,
                          verify_isotropy)

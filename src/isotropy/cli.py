@@ -5,8 +5,8 @@ commutant, factor, selftest.  All input and output is JSON; dumps are
 canonical (sorted keys, fixed indent), so identical requests with the
 same seed produce byte-identical bytes.
 
-Exit codes: 0 success, 1 verification answered false, 2 bad input,
-3 internal integrity failure.
+Exit codes: 0 success, 1 verification answered false, 2 bad input
+(a request too large for memory included), 3 internal integrity failure.
 """
 
 import argparse
@@ -297,6 +297,10 @@ def main(argv=None) -> int:
         return 1
     except (IsotropyError, json.JSONDecodeError, OSError, ValueError) as exc:
         sys.stderr.write(dumps_canonical({"error": str(exc)}))
+        return 2
+    except MemoryError:
+        sys.stderr.write(dumps_canonical(
+            {"error": "request too large: out of memory"}))
         return 2
     return code
 

@@ -17,6 +17,10 @@ offset n(2k + alpha - beta) is a_{n-1} times the n-th power of a fixed
 product matrix.  factor_unipotent runs the reverse direction, peeling
 coupling generators off an arbitrary identity-diagonal solution until only
 a block-diagonal (gen_V shaped) core remains.
+
+Each function takes its congruence data from solver.constant_data, which
+checks the diagonal blocks once per structure and blocks, and reads B_r
+off that data; every generator is verified by solver._require_congruence.
 """
 
 from __future__ import annotations
@@ -30,18 +34,17 @@ from .errors import (
     ParameterError,
 )
 from .forms import SegreStructure
-from .matrices import (ExactMatrix, _is_member, identity as dense_identity,
+from .matrices import (ExactMatrix, identity as dense_identity,
                        zeros as dense_zeros)
 from .scalars import ExactScalar, HALF, rat
-from .solver import (CongruenceData, FreeParams, solve_congruence,
-                     verify_congruence)
+from .solver import (FreeParams, _require_congruence, constant_data,
+                     solve_congruence)
 from .toeplitz import ToeplitzForm
 
 __all__ = [
     "GeneratorSpec",
     "catalan_coeff",
     "catalan_series",
-    "constant_data",
     "diagonal_skews",
     "factor_unipotent",
     "gen_G",
@@ -79,39 +82,6 @@ def catalan_series(count: int) -> list[ExactScalar]:
 # ---------------------------------------------------------------------------
 
 
-def _checked_b_diag(structure: SegreStructure,
-                    b_diag: Sequence[ExactMatrix] | None):
-    if b_diag is None:
-        return [dense_identity(m) for m in structure.mults]
-    b_diag = list(b_diag)
-    if len(b_diag) != structure.part_count:
-        raise ParameterError(
-            f"need {structure.part_count} diagonal blocks, got {len(b_diag)}")
-    for r, mat in enumerate(b_diag):
-        m = structure.mults[r]
-        if mat.rows != m or mat.cols != m:
-            raise ParameterError(f"diagonal block {r} must be {m}x{m}")
-        if not mat.is_symmetric:
-            raise ParameterError(f"diagonal block {r} is not symmetric")
-        if mat.rank() != m:
-            raise ParameterError(f"diagonal block {r} is singular")
-    return b_diag
-
-
-def constant_data(structure: SegreStructure,
-                  b_diag: Sequence[ExactMatrix] | None = None) -> CongruenceData:
-    """Self-congruence data with constant diagonal blocks: B = C, group r
-    coefficients (B_r, 0, ..., 0).  Without b_diag this is the identity
-    data, built once per structure."""
-    if b_diag is None:
-        return CongruenceData.identity(structure)
-    b_diag = _checked_b_diag(structure, b_diag)
-    side = []
-    for r, (alpha, m) in enumerate(structure.blocks):
-        side.append([b_diag[r]] + [dense_zeros(m, m)] * (alpha - 1))
-    return CongruenceData(structure, side, [list(entry) for entry in side])
-
-
 def _checked_skews(structure: SegreStructure, skews: Mapping) -> dict:
     want = set()
     for r, (alpha, m) in enumerate(structure.blocks):
@@ -128,12 +98,6 @@ def _checked_skews(structure: SegreStructure, skews: Mapping) -> dict:
         if not mat.is_skew:
             raise ParameterError(f"skew ({r}, {j}) is not skew-symmetric")
     return dict(skews)
-
-
-def _assert_member(data: CongruenceData, form: ToeplitzForm, what: str):
-    ok, report = verify_congruence(data, form)
-    if not ok:  # pragma: no cover - the constructions satisfy the equation
-        raise IntegrityError(f"{what} failed the defining congruence: {report}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +132,11 @@ def diagonal_skews(structure: SegreStructure, v: ToeplitzForm,
                    b_diag: Sequence[ExactMatrix] | None = None) -> dict:
     """Recover the skew parameters of a block-diagonal member:
     Z_n = B_r V_n - (B_r V_n)^T.  Inverse of gen_V (tested round-trip)."""
-    b_diag = _checked_b_diag(structure, b_diag)
+    data = constant_data(structure, b_diag)
     out = {}
     for r, (alpha, m) in enumerate(structure.blocks):
         for j in range(1, alpha):
-            prod = b_diag[r] * v.coefficient(r, r, j)
+            prod = data.b(r, 0) * v.coefficient(r, r, j)
             out[(r, j)] = prod - prod.transpose()
     return out
 
@@ -275,7 +239,8 @@ def gen_G(structure: SegreStructure, p: int, t: int, k: int,
         return dense_zeros(structure.mults[r], structure.mults[s])
 
     form = ToeplitzForm.build(structure, cell)
-    _assert_member(data, form, "coupling generator")
+    _require_congruence(data, form, IntegrityError,
+                        "coupling generator failed the defining congruence: ")
     return form
 
 
@@ -352,18 +317,13 @@ def factor_unipotent(structure: SegreStructure, y: ToeplitzForm,
     group index with a nonzero coefficient is cleared first (right-
     multiplying by the coupling generator at the negated coefficient).
     """
-    if b_diag is not None:
-        b_diag = _checked_b_diag(structure, b_diag)
     data = constant_data(structure, b_diag)
     if y.structure != structure:
         raise MembershipError("form lives on a different structure")
     if not y.has_identity_diagonal:
         raise MembershipError("leading diagonal coefficients must be I")
-    if not (b_diag is None and _is_member(y, structure)):
-        ok, report = verify_congruence(data, y)
-        if not ok:
-            raise MembershipError(
-                f"input fails the defining congruence: {report}")
+    _require_congruence(data, y, MembershipError,
+                        "input fails the defining congruence: ")
 
     count = structure.part_count
     alphas = structure.alphas

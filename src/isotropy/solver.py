@@ -15,6 +15,12 @@ and B X.  When B is the identity form (every sample and every gen_W /
 gen_V), B X is X, and the second application reads X directly.  Whole
 forms (the verification's F X^T F X) are multiplied by
 ToeplitzForm.__mul__, one integer product each.
+
+CongruenceData checks B and C and lays out their forms once, when it is
+made; constant_data is the one constructor of the self-congruence data
+B = C = diag(B_r, 0, ..., 0), cached per structure and diagonal blocks.
+_require_congruence is the one "verify, else raise" of the package for
+forms: the solver, the generators and the group operations all call it.
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ from .errors import (
     StructureError,
 )
 from .forms import SegreStructure
-from .matrices import (ExactMatrix, _mark_member, _sum_of_products,
-                       identity as dense_identity, zeros as dense_zeros)
+from .matrices import (ExactMatrix, _is_member, _mark_member,
+                       _sum_of_products, identity as dense_identity,
+                       zeros as dense_zeros)
 from .rng import RandomSource
 from .scalars import HALF
 from .toeplitz import ToeplitzForm, _product_pairs
@@ -40,6 +47,7 @@ from .toeplitz import ToeplitzForm, _product_pairs
 __all__ = [
     "CongruenceData",
     "FreeParams",
+    "constant_data",
     "free_parameter_count",
     "random_free_params",
     "solution_dimension",
@@ -73,37 +81,53 @@ def _check_side(structure: SegreStructure, coeffs, label: str):
     return tuple(out)
 
 
+def _diagonal_form(structure: SegreStructure, side) -> ToeplitzForm:
+    mults = structure.mults
+    return ToeplitzForm.build(structure, lambda r, s, j: (
+        side[r][j] if r == s else dense_zeros(mults[r], mults[s])))
+
+
 class CongruenceData:
     """Right-hand data of the congruence: block-diagonal forms B and C.
 
     b_coeffs[r][j] and c_coeffs[r][j] are the symmetric m_r x m_r
     coefficients of group r at offset j; leading coefficients must be
     nonsingular.  b_is_identity is True when B is the identity form
-    (leading I, higher coefficients 0); B X is then X itself.
+    (leading I, higher coefficients 0); B X is then X itself.  Both sides
+    are checked and laid out as forms once, here; equal sides are stored
+    once, as one coefficient tuple and one form.
     """
 
-    __slots__ = ("structure", "b_coeffs", "c_coeffs", "b_is_identity")
+    __slots__ = ("structure", "b_coeffs", "c_coeffs", "b_is_identity",
+                 "_b_form", "_c_form")
 
     def __init__(self, structure: SegreStructure,
                  b_coeffs: Sequence[Sequence[ExactMatrix]],
                  c_coeffs: Sequence[Sequence[ExactMatrix]]):
         if not isinstance(structure, SegreStructure):
             raise StructureError("CongruenceData needs a single-eigenvalue structure")
+        b = _check_side(structure, b_coeffs, "B")
+        c = b if c_coeffs is b_coeffs else _check_side(structure, c_coeffs, "C")
+        if c == b:
+            c = b
+        b_form = _diagonal_form(structure, b)
         object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "b_coeffs", _check_side(structure, b_coeffs, "B"))
-        object.__setattr__(self, "c_coeffs", _check_side(structure, c_coeffs, "C"))
+        object.__setattr__(self, "b_coeffs", b)
+        object.__setattr__(self, "c_coeffs", c)
         object.__setattr__(self, "b_is_identity", all(
             entry[0].is_identity and all(mat.is_zero for mat in entry[1:])
-            for entry in self.b_coeffs))
+            for entry in b))
+        object.__setattr__(self, "_b_form", b_form)
+        object.__setattr__(self, "_c_form",
+                           b_form if c is b else _diagonal_form(structure, c))
 
     def __setattr__(self, name, value):
         raise AttributeError("CongruenceData is immutable")
 
     @classmethod
     def identity(cls, structure: SegreStructure) -> "CongruenceData":
-        """B = C = the identity form (leading I, higher coefficients 0),
-        built and checked once per structure."""
-        return _identity_data(structure)
+        """B = C = the identity form (leading I, higher coefficients 0)."""
+        return constant_data(structure)
 
     def b(self, r: int, j: int) -> ExactMatrix:
         """B_j^r, zero-padded outside [0, alpha_r)."""
@@ -120,26 +144,15 @@ class CongruenceData:
         m = self.structure.mults[r]
         return dense_zeros(m, m)
 
-    def _side_form(self, coeffs) -> ToeplitzForm:
-        st = self.structure
-        mults = st.mults
-
-        def cell(r, s, j):
-            if r == s:
-                return coeffs[r][j]
-            return dense_zeros(mults[r], mults[s])
-
-        return ToeplitzForm.build(st, cell)
-
     def b_form(self) -> ToeplitzForm:
-        return self._side_form(self.b_coeffs)
+        return self._b_form
 
     def c_form(self) -> ToeplitzForm:
-        return self._side_form(self.c_coeffs)
+        return self._c_form
 
     @property
     def sides_equal(self) -> bool:
-        return self.b_coeffs == self.c_coeffs
+        return self.c_coeffs is self.b_coeffs
 
     @property
     def is_identity(self) -> bool:
@@ -154,11 +167,31 @@ class CongruenceData:
                 and self.c_coeffs == other.c_coeffs)
 
 
+def constant_data(structure: SegreStructure,
+                  b_diag: Sequence[ExactMatrix] | None = None) -> CongruenceData:
+    """Self-congruence data with constant diagonal blocks: B = C, group r
+    coefficients (B_r, 0, ..., 0); without b_diag, B_r = I and this is the
+    identity data.  Built and checked once per structure and blocks."""
+    return _constant_data(structure, None if b_diag is None else tuple(b_diag))
+
+
 @lru_cache(maxsize=4)
-def _identity_data(structure: SegreStructure) -> CongruenceData:
-    side = []
-    for alpha, m in structure.blocks:
-        side.append([dense_identity(m)] + [dense_zeros(m, m)] * (alpha - 1))
+def _constant_data(structure: SegreStructure, b_diag) -> CongruenceData:
+    if b_diag is not None:
+        if len(b_diag) != structure.part_count:
+            raise ParameterError(
+                f"need {structure.part_count} diagonal blocks, got {len(b_diag)}")
+        for r, mat in enumerate(b_diag):
+            m = structure.mults[r]
+            if mat.rows != m or mat.cols != m:
+                raise ParameterError(f"diagonal block {r} must be {m}x{m}")
+            if not mat.is_symmetric:
+                raise ParameterError(f"diagonal block {r} is not symmetric")
+            if mat.rank() != m:
+                raise ParameterError(f"diagonal block {r} is singular")
+    side = [[dense_identity(m) if b_diag is None else b_diag[r]]
+            + [dense_zeros(m, m)] * (alpha - 1)
+            for r, (alpha, m) in enumerate(structure.blocks)]
     return CongruenceData(structure, side, side)
 
 
@@ -379,9 +412,8 @@ def solve_congruence(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
     except KeyError as missing:  # pragma: no cover - sweep covers all slots
         raise IntegrityError(f"sweep left slot {missing} undetermined") from None
 
-    ok, report = verify_congruence(data, solution)
-    if not ok:  # pragma: no cover - the sweep enforces every block equation
-        raise IntegrityError(f"solver output failed the congruence: {report}")
+    _require_congruence(data, solution, IntegrityError,
+                        "solver output failed the congruence: ")
     return solution
 
 
@@ -392,8 +424,9 @@ def verify_congruence(data: CongruenceData,
     Returns (True, "") on success, else (False, report) naming the first
     mismatching block coefficient in (r, s, offset) order.  It always
     computes (when B is the identity form, B X is X itself and is not
-    formed); when B = C = I a success marks x as a verified member of its
-    structure's group, so that group operations need not check it again.
+    formed) and builds no form of B or C: data laid them out once.  When
+    B = C = I a success marks x as a verified member of its structure's
+    group, so that group operations need not check it again.
     """
     if x.structure != data.structure:
         raise StructureError("form and data live on different structures")
@@ -414,6 +447,18 @@ def verify_congruence(data: CongruenceData,
     if data.is_identity:
         _mark_member(x, st)
     return True, ""
+
+
+def _require_congruence(data: CongruenceData, x: ToeplitzForm, error,
+                        prefix: str):
+    """Raise error(prefix + report) unless x solves the congruence.  A form
+    already verified as a member of the identity data's group is not
+    checked again."""
+    if data.is_identity and _is_member(x, data.structure):
+        return
+    ok, report = verify_congruence(data, x)
+    if not ok:
+        raise error(prefix + report)
 
 
 def random_free_params(data: CongruenceData, rnd: RandomSource,

@@ -14,8 +14,8 @@ from .forms import (MultiSegreStructure, SegreStructure, symmetric_form,
 from .matrices import (ExactMatrix, _grid_mul, _is_member, _mark_member,
                        _scaled, direct_sum)
 from .scalars import ONE, ZERO, _from_ints
-from .solver import (CongruenceData, FreeParams, random_free_params,
-                     solution_dimension, solve_congruence, verify_congruence)
+from .solver import (FreeParams, _require_congruence, constant_data,
+                     random_free_params, solution_dimension, solve_congruence)
 from .toeplitz import ToeplitzForm, conjugate_by_omega
 
 
@@ -154,20 +154,22 @@ def verify_isotropy(structure, q: ExactMatrix):
     return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"
 
 
-def _assert_membership(structure, q: ExactMatrix):
-    ok, report = verify_isotropy(structure, q)
-    if not ok:
-        raise IntegrityError(f"constructed element failed: {report}")
+_BUILT = "constructed element failed: "
 
 
-def _check_member(structure, q: ExactMatrix, prefix: str):
-    """MembershipError, its report after prefix, unless q is a verified
-    member of structure."""
-    if _is_member(q, structure):
-        return
-    ok, report = verify_isotropy(structure, q)
-    if not ok:
-        raise MembershipError(prefix + report)
+def _require_member(structure, x, error, prefix: str):
+    """Raise error(prefix + report) unless x is a member of the group of
+    structure: a dense matrix by verify_isotropy, a form by the congruence
+    against the identity data, once its structure matches.  A member
+    already verified for structure is not checked again."""
+    if isinstance(x, ToeplitzForm):
+        if x.structure != structure:
+            raise error(prefix + "built for a different structure")
+        _require_congruence(constant_data(structure), x, error, prefix)
+    elif not _is_member(x, structure):
+        ok, report = verify_isotropy(structure, x)
+        if not ok:
+            raise error(prefix + report)
 
 
 def from_toeplitz_coordinates(structure: SegreStructure,
@@ -177,7 +179,7 @@ def from_toeplitz_coordinates(structure: SegreStructure,
         raise StructureError("form was built for a different structure")
     x = conjugate_by_omega(form.assemble(), structure, "to_dense")
     q = transition_form(structure) * x * transition_form_inverse(structure)
-    _assert_membership(structure, q)
+    _require_member(structure, q, IntegrityError, _BUILT)
     return q
 
 
@@ -188,7 +190,7 @@ def to_toeplitz_coordinates(structure: SegreStructure,
         raise StructureError(
             "coefficient coordinates exist per eigenvalue; split the "
             "matrix along parts first")
-    _check_member(structure, q, "")
+    _require_member(structure, q, MembershipError, "")
     dense = conjugate_by_omega(
         transition_form_inverse(structure) * q * transition_form(structure),
         structure, "to_toeplitz")
@@ -196,7 +198,7 @@ def to_toeplitz_coordinates(structure: SegreStructure,
 
 
 def _sample_single(st, params, seeds, rnd, scalar_kw):
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     if params is None:
         if rnd is None:
             raise ParameterError(
@@ -232,7 +234,7 @@ def sample_isotropy_element(structure, params=None, seeds=None, rnd=None,
     q = direct_sum([
         _sample_single(part, params_list[i], seeds_list[i], rnd, scalar_kw)
         for i, part in enumerate(structure.parts)])
-    _assert_membership(structure, q)
+    _require_member(structure, q, IntegrityError, _BUILT)
     return q
 
 
@@ -249,16 +251,6 @@ def _check_level(structure, elems):
         "elements must be all dense matrices or all Toeplitz forms")
 
 
-def _check_form_member(structure, form, label):
-    if form.structure != structure:
-        raise MembershipError(f"{label}: built for a different structure")
-    if _is_member(form, structure):
-        return
-    ok, report = verify_congruence(CongruenceData.identity(structure), form)
-    if not ok:
-        raise MembershipError(f"{label}: {report}")
-
-
 def group_element_mul(structure, elems) -> ExactMatrix | ToeplitzForm:
     """Product of members; the product is verified before it is returned.
 
@@ -270,39 +262,23 @@ def group_element_mul(structure, elems) -> ExactMatrix | ToeplitzForm:
     elems = list(elems)
     if not elems:
         raise ParameterError("need at least one element")
-    level = _check_level(structure, elems)
-    if level == "dense":
-        for i, q in enumerate(elems):
-            _check_member(structure, q, f"element {i}: ")
-        product = elems[0]
-        for q in elems[1:]:
-            product = product * q
-        _assert_membership(structure, product)
-        return product
-    for i, form in enumerate(elems):
-        _check_form_member(structure, form, f"element {i}")
+    form = _check_level(structure, elems) == "form"
+    for i, x in enumerate(elems):
+        _require_member(structure, x, MembershipError, f"element {i}: ")
     product = elems[0]
-    for form in elems[1:]:
-        product = product * form
-    ok, report = verify_congruence(
-        CongruenceData.identity(structure), product)
-    if not ok:
-        raise IntegrityError(f"product left the group: {report}")
+    for x in elems[1:]:
+        product = product * x
+    _require_member(structure, product, IntegrityError,
+                    "product left the group: " if form else _BUILT)
     return product
 
 
 def group_element_inv(structure, elem) -> ExactMatrix | ToeplitzForm:
     """Inverse of a member: Q^T dense, flip transpose on forms."""
-    level = _check_level(structure, [elem])
-    if level == "dense":
-        _check_member(structure, elem, "")
-        inverse = elem.transpose()
-        _assert_membership(structure, inverse)
-        return inverse
-    _check_form_member(structure, elem, "element")
-    inverse = elem.flip_transpose()
-    ok, report = verify_congruence(
-        CongruenceData.identity(structure), inverse)
-    if not ok:
-        raise IntegrityError(f"inverse left the group: {report}")
+    form = _check_level(structure, [elem]) == "form"
+    _require_member(structure, elem, MembershipError,
+                    "element: " if form else "")
+    inverse = elem.flip_transpose() if form else elem.transpose()
+    _require_member(structure, inverse, IntegrityError,
+                    "inverse left the group: " if form else _BUILT)
     return inverse

@@ -35,26 +35,43 @@ def test_dim_example(capsys):
     assert json.loads(out) == {"dimension": 3}
 
 
-_CAPPED_DIM = """
+_CAPPED = """
 import resource, sys
 cap = 1 << 30
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from isotropy.cli import main
-sys.exit(main(["dim", "--structure", sys.argv[1]]))
+sys.exit(main([sys.argv[1], "--structure", sys.argv[2]]))
 """
+
+
+def _run_capped(command, structure):
+    """The CLI in a fresh interpreter limited to a 1 GB address space."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isotropy.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED, command, structure],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+
+
+_HUGE_ALPHA = '{"lambda": "0", "blocks": [{"alpha": 1000000000, "m": 2}]}'
 
 
 def test_dim_of_huge_alpha_runs_in_bounded_memory():
     # dim answers from the closed form, so alpha = 10^9 fits in a 1 GB
     # address space; listing one recipe per coefficient slot would not
-    structure = '{"lambda": "0", "blocks": [{"alpha": 1000000000, "m": 2}]}'
-    src = os.path.dirname(os.path.dirname(os.path.abspath(isotropy.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_DIM, structure],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=src))
+    proc = _run_capped("dim", _HUGE_ALPHA)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout) == {"dimension": 10**9}
+
+
+def test_request_too_large_for_memory_exits_two():
+    # describe lists one recipe per coefficient slot, which at alpha = 10^9
+    # does not fit: a JSON error and exit 2, not a traceback and exit 1
+    proc = _run_capped("describe", _HUGE_ALPHA)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "error": "request too large: out of memory"}
 
 
 def test_codim_example(capsys):

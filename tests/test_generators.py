@@ -8,7 +8,6 @@ from isotropy.generators import (
     GeneratorSpec,
     catalan_coeff,
     catalan_series,
-    constant_data,
     diagonal_skews,
     factor_unipotent,
     gen_G,
@@ -20,7 +19,8 @@ from isotropy.generators import (
 from isotropy.matrices import ExactMatrix, identity, zeros
 from isotropy.rng import RandomSource
 from isotropy.scalars import ExactScalar, HALF, IMAG, ZERO, rat
-from isotropy.solver import verify_congruence
+from isotropy import solver
+from isotropy.solver import constant_data, verify_congruence
 from isotropy.toeplitz import ToeplitzForm
 
 
@@ -417,6 +417,60 @@ def test_factor_rejects_non_members():
         0, 1, 0, ExactMatrix.from_rows([[1]]))
     with pytest.raises(MembershipError):
         factor_unipotent(st, tilted)
+
+
+def _rank_calls_of_factoring(monkeypatch, st, y, b_diag):
+    calls = []
+    rank = ExactMatrix.rank
+
+    def counted(self):
+        calls.append(self)
+        return rank(self)
+
+    solver._constant_data.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(ExactMatrix, "rank", counted)
+        _, specs = factor_unipotent(st, y, b_diag)
+    return len(calls), len(specs)
+
+
+def test_b_diag_is_checked_once_per_distinct_data(monkeypatch):
+    rnd = RandomSource(20240856)
+    st = _st([(3, 1), (2, 2), (1, 1)])
+    b_diag = [rnd.symmetric_nonsingular(m) for m in st.mults]
+    assert constant_data(st, tuple(b_diag)) is constant_data(st, list(b_diag))
+    one = gen_G(st, 0, 1, 0, rnd.matrix(2, 1), b_diag)
+    four = one
+    for p, t, k in ((0, 2, 0), (1, 2, 0), (0, 1, 1)):
+        four = four * gen_G(st, p, t, k, rnd.matrix(st.mults[t], st.mults[p]),
+                            b_diag)
+    ranks_one, peels_one = _rank_calls_of_factoring(monkeypatch, st, one, b_diag)
+    ranks_four, peels_four = _rank_calls_of_factoring(
+        monkeypatch, st, four, b_diag)
+    assert (peels_one, peels_four) == (1, 4)
+    assert ranks_four == ranks_one <= 2 * st.part_count
+
+
+@pytest.mark.parametrize("b_diag, message", [
+    ([identity(2)], "need 2 diagonal blocks, got 1"),
+    ([identity(2), identity(2)], "diagonal block 1 must be 1x1"),
+    ([ExactMatrix.from_rows([[1, 1], [0, 1]]), identity(1)],
+     "diagonal block 0 is not symmetric"),
+    ([ExactMatrix.from_rows([[1, 1], [1, 1]]), identity(1)],
+     "diagonal block 0 is singular"),
+])
+def test_b_diag_errors_are_pinned(b_diag, message):
+    st = _st([(2, 2), (1, 1)])
+    calls = [
+        lambda: gen_V(st, b_diag, _zero_skews(st)),
+        lambda: gen_G(st, 0, 1, 0, zeros(1, 2), b_diag),
+        lambda: diagonal_skews(st, ToeplitzForm.identity(st), b_diag),
+        lambda: factor_unipotent(st, ToeplitzForm.identity(st), b_diag),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 def test_generator_spec_validation_and_dispatch():

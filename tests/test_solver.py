@@ -418,6 +418,41 @@ def test_verify_report_names_the_first_mismatch_exactly():
                "[ExactScalar(1/3), ExactScalar(0)]]")
 
 
+def test_data_is_laid_out_once(monkeypatch):
+    # B and C are laid out when the data is made, so verify_congruence
+    # builds no form: after ToeplitzForm.__init__ is made to raise it still
+    # accepts a member and names the first mismatch of a non-member
+    rnd = RandomSource(20240841)
+    st = _st([(3, 2), (2, 1)])
+    ident = CongruenceData.identity(st)
+    member = solve_congruence(ident, random_free_params(ident, rnd))
+    tampered = member.with_coefficient(1, 0, 0, ExactMatrix.from_rows([[5, 7]]))
+    b_side = [[rnd.symmetric_nonsingular(m)] + [rnd.symmetric(m)] * (alpha - 1)
+              for alpha, m in st.blocks]
+    seeds = [identity(2), identity(1)]
+    c_side = [[b_side[0][0], rnd.symmetric(2), rnd.symmetric(2)],
+              [b_side[1][0], rnd.symmetric(1)]]
+    general = CongruenceData(st, b_side, c_side)
+    solution = solve_congruence(
+        general, random_free_params(general, rnd, seeds=seeds))
+
+    assert ident.c_form() is ident.b_form()
+    assert general.c_form() is not general.b_form()
+    equal = CongruenceData(st, b_side, [list(entry) for entry in b_side])
+    assert equal.sides_equal and equal.c_form() is equal.b_form()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a form was built")
+
+    monkeypatch.setattr(ToeplitzForm, "__init__", refuse)
+    assert verify_congruence(ident, member) == (True, "")
+    assert verify_congruence(general, solution) == (True, "")
+    ok, report = verify_congruence(ident, tampered)
+    assert not ok and report.startswith("block (")
+    ok, report = verify_congruence(general, member)
+    assert not ok and report.startswith("block (")
+
+
 def test_verify_requires_matching_structure():
     data = CongruenceData.identity(_st([(2, 1)]))
     other = ToeplitzForm.identity(_st([(1, 2)]))
