@@ -10,12 +10,10 @@ Exit codes: 0 success, 1 verification answered false, 2 bad input
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 
-from .acceptance import format_results, run_all
 from .errors import IntegrityError, IsotropyError, MembershipError
 from .forms import (MultiSegreStructure, SegreStructure, backward_form,
                     interleave_form, symmetric_form, transition_form)
@@ -133,6 +131,9 @@ def _params_for_sampling(structure, args, rnd):
 
 
 def _params_digest(params) -> str:
+    # imported here, so that start-up does not load hashlib
+    import hashlib
+
     if isinstance(params, list):
         blob = dumps_canonical([free_params_to_json(p) for p in params])
     else:
@@ -217,6 +218,9 @@ def _cmd_factor(args):
 
 
 def _cmd_selftest(args):
+    # imported here, so that start-up does not compile the checks
+    from .acceptance import format_results, run_all
+
     results = run_all(max_n=args.max_n, cases=args.cases)
     print(format_results(results), file=sys.stderr)
     payload = {

@@ -20,7 +20,9 @@ a block-diagonal (gen_V shaped) core remains.
 
 Each function takes its congruence data from solver.constant_data, which
 checks the diagonal blocks once per structure and blocks, and reads B_r
-off that data; every generator is verified by solver._require_congruence.
+off that data.  Every form a function here returns is verified once by
+solver._require_congruence: each generator, and factor_unipotent's core;
+the coupling forms factor_unipotent peels off internally are not.
 """
 
 from __future__ import annotations
@@ -220,14 +222,25 @@ def gen_G(structure: SegreStructure, p: int, t: int, k: int,
     if not (0 <= p < t < count):
         raise ParameterError(f"need 0 <= p < t < {count}, got ({p}, {t})")
     data = constant_data(structure, b_diag)
-    alpha_p, alpha_t = structure.alphas[p], structure.alphas[t]
+    alpha_t = structure.alphas[t]
     if not (0 <= k <= alpha_t - 1):
         raise ParameterError(f"offset k = {k} outside [0, {alpha_t - 1}]")
     # p < t gives alpha_p > alpha_t, and constant_data has checked the
     # diagonal blocks, so only the coupling's shape is left to check.
     _check_coupling_shape(coupling, structure.mults[t], structure.mults[p])
-    pair = _two_block_cells(alpha_p, alpha_t, k, coupling,
-                            data.b(p, 0), data.b(t, 0))
+    form = _coupling_form(data, p, t, k, coupling)
+    _require_congruence(data, form, IntegrityError,
+                        "coupling generator failed the defining congruence: ")
+    return form
+
+
+def _coupling_form(data, p: int, t: int, k: int,
+                   coupling: ExactMatrix) -> ToeplitzForm:
+    """gen_G's form on data's structure, unchecked: the caller has checked
+    p, t, k and the coupling's shape, and checks what it returns."""
+    structure = data.structure
+    pair = _two_block_cells(structure.alphas[p], structure.alphas[t], k,
+                            coupling, data.b(p, 0), data.b(t, 0))
     remap = {p: 0, t: 1}
 
     def cell(r, s, j):
@@ -238,10 +251,7 @@ def gen_G(structure: SegreStructure, p: int, t: int, k: int,
             return dense_identity(m) if j == 0 else dense_zeros(m, m)
         return dense_zeros(structure.mults[r], structure.mults[s])
 
-    form = ToeplitzForm.build(structure, cell)
-    _require_congruence(data, form, IntegrityError,
-                        "coupling generator failed the defining congruence: ")
-    return form
+    return ToeplitzForm.build(structure, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +326,13 @@ def factor_unipotent(structure: SegreStructure, y: ToeplitzForm,
     column the dense positions ascend, and at each position the largest
     group index with a nonzero coefficient is cleared first (right-
     multiplying by the coupling generator at the negated coefficient).
+
+    Y is checked against the defining congruence on the way in (a form
+    already verified as a member is not checked again).  The peeled
+    generators are built unchecked, since they are not returned; a caller
+    that rebuilds one from its spec goes through gen_G, which checks.  The
+    core V is checked once before it is returned; with no peel V is Y
+    itself.
     """
     data = constant_data(structure, b_diag)
     if y.structure != structure:
@@ -346,8 +363,8 @@ def factor_unipotent(structure: SegreStructure, y: ToeplitzForm,
                     break
                 t, slot, coeff = hit
                 used.append((p, t, slot, coeff))
-                residual = residual * gen_G(structure, p, t, slot, -coeff,
-                                            b_diag)
+                residual = residual * _coupling_form(data, p, t, slot,
+                                                     -coeff)
 
     for r in range(count):
         for s in range(count):
@@ -357,6 +374,9 @@ def factor_unipotent(structure: SegreStructure, y: ToeplitzForm,
                 if not residual.coefficient(r, s, j).is_zero:
                     raise IntegrityError(
                         f"sweep left block ({r}, {s}) coefficient {j} nonzero")
+    if used:
+        _require_congruence(data, residual, IntegrityError,
+                            "factorization core failed the congruence: ")
 
     specs = [GeneratorSpec("two_block_G", p=p, t=t, k=slot, coupling=coeff)
              for (p, t, slot, coeff) in reversed(used)]

@@ -7,8 +7,9 @@ FreeParams: one leading diagonal seed per group (any exact solution of
 C_0^r = A^T B_0^r A), one skew matrix per higher diagonal coefficient,
 and every sub-diagonal block coefficient free.  The sweep determines
 all remaining coefficients in the order offset j ascending, block
-distance p = 0 first and then ascending, and verifies the full
-congruence on the result before returning it.  Each step reads one
+distance p = 0 first and then ascending (_sweep); solve_congruence
+verifies the full congruence on the result before returning it, while
+sampling checks the dense matrix it returns instead.  Each step reads one
 coefficient of F X^T F B X off the partial solution, by the product rule
 of toeplitz._product_pairs applied twice: to B and X, then to F X^T F
 and B X.  When B is the identity form (every sample and every gen_W /
@@ -356,14 +357,15 @@ def free_parameter_count(structure: SegreStructure) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def solve_congruence(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
-    """Sweep out the unique solution determined by the free parameters.
+def _sweep(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
+    """The unique solution determined by the free parameters, unchecked.
 
     Offsets j ascend; within an offset the diagonal blocks come first
     (distance p = 0), then the super-diagonal distances ascend.  Every
-    quantity a step reads is determined by earlier steps, and the result
-    is verified against the full congruence before it is returned.
-"""
+    quantity a step reads is determined by earlier steps.  The caller
+    checks what it returns: solve_congruence the form itself, sampling
+    the dense matrix it maps the form to.
+    """
     st = data.structure
     params.validate_for(st)
     count = st.part_count
@@ -411,7 +413,14 @@ def solve_congruence(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
         solution = ToeplitzForm.build(st, lambda r, s, j: coeffs[(r, s, j)])
     except KeyError as missing:  # pragma: no cover - sweep covers all slots
         raise IntegrityError(f"sweep left slot {missing} undetermined") from None
+    return solution
 
+
+def solve_congruence(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
+    """Sweep out the unique solution determined by the free parameters
+    (_sweep) and verify it against the full congruence, once, before it is
+    returned."""
+    solution = _sweep(data, params)
     _require_congruence(data, solution, IntegrityError,
                         "solver output failed the congruence: ")
     return solution

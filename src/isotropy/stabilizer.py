@@ -14,8 +14,8 @@ from .forms import (MultiSegreStructure, SegreStructure, symmetric_form,
 from .matrices import (ExactMatrix, _grid_mul, _is_member, _mark_member,
                        _scaled, direct_sum)
 from .scalars import ONE, ZERO, _from_ints
-from .solver import (FreeParams, _require_congruence, constant_data,
-                     random_free_params, solution_dimension, solve_congruence)
+from .solver import (FreeParams, _require_congruence, _sweep, constant_data,
+                     random_free_params, solution_dimension)
 from .toeplitz import ToeplitzForm, conjugate_by_omega
 
 
@@ -114,20 +114,53 @@ def _first_mismatch(a: ExactMatrix, b: ExactMatrix):
     return None
 
 
+def _chain_tops(structure) -> list:
+    """Dense index of the last basis vector of each block copy, in layout
+    order (parts in order, then blocks, then copies)."""
+    parts = (structure.parts if isinstance(structure, MultiSegreStructure)
+             else (structure,))
+    tops, end = [], 0
+    for part in parts:
+        for alpha, m in part.blocks:
+            for _ in range(m):
+                end += alpha
+                tops.append(end - 1)
+    return tops
+
+
 def verify_isotropy(structure, q: ExactMatrix):
     """Exact membership test.  Returns (bool, report).
 
     The report names the first condition that fails, orthogonality
     before congruence, with the first offending entry of Q^T Q or
-    Q^T S Q in row-major order.  Both tests run on the integer kernel of
-    matrices.py: Q = G / d with G over Z[i, sqrt2], and G^T G is compared
-    with d^2 I entry by entry.  Once Q^T Q = I holds, Q is invertible
-    with Q^{-1} = Q^T, so Q^T S Q = S holds exactly when S Q = Q S, which
-    is compared in integers over the nonzeros of S at O(n^2) cost, since
-    S has a few nonzeros per row; Q^T S Q is formed only to report a
-    failure.  The test always computes; on success it marks q as a
-    verified member of structure, so that the group operations need not
-    check it again.
+    Q^T S Q in row-major order.  Every test runs on the integer kernel of
+    matrices.py, with Q = G / d and G over Z[i, sqrt2].
+
+    A member is accepted at O(M n^2) cost, M the number of block copies,
+    by two tests:
+
+    1. S Q = Q S, compared in integers over the nonzeros of S at O(n^2)
+       cost, since S has a few nonzeros per row;
+    2. the M columns of G^T G at the chain tops (the last index of each
+       block copy, in layout order) equal d^2 times the unit columns.
+
+    Together they are exact.  Transposing S Q = Q S with S^T = S gives
+    Q^T S = S Q^T, so C = Q^T Q - I commutes with S and with every
+    polynomial in S.  On each block copy S - lam I = P N P^{-1}, with N
+    the nilpotent Jordan block (N e_k = e_{k-1}) and
+    P^{-1} = (1/sqrt2)(I - i E); since (P^{-1})_{a-1,a-1} is nonzero, the
+    chain top e_{a-1} is a cyclic vector of S - lam I on that copy, and
+    the vectors (S - lam I)^k e_c over all chain tops c span the whole
+    space.  C (S - lam I)^k e_c = (S - lam I)^k C e_c, so C e_c = 0 at
+    every chain top forces C = 0, and then Q^T Q = I with Q^{-1} = Q^T
+    turns S Q = Q S into Q^T S Q = S.
+
+    When either test fails, the full product G^T G is compared with
+    d^2 I entry by entry, and Q^T S Q is formed only if that holds, to
+    name the first failing entry; the chain-top columns are columns of
+    G^T G, so the two paths cannot disagree.  The test always computes;
+    on success it marks q as a verified member of structure, so that the
+    group operations need not check it again.
     """
     n = structure.n
     if q.rows != n or q.cols != n:
@@ -135,7 +168,19 @@ def verify_isotropy(structure, q: ExactMatrix):
             f"matrix is {q.rows}x{q.cols}, structure needs {n}x{n}")
     grid, den = _scaled(q)
     one = den * den
-    gram = _grid_mul(list(zip(*grid)), grid, n)
+    s = symmetric_form(structure)
+    si, _ = _scaled(s)
+    gt = list(zip(*grid))
+    if _grid_mul(si, grid, n) == _grid_mul(grid, si, n):
+        tops = _chain_tops(structure)
+        zero = [0] * len(tops)
+        columns = _grid_mul(gt, [[row[c] for c in tops] for row in grid],
+                            len(tops))
+        if columns == [[[one if i == c else 0 for c in tops], zero, zero, zero]
+                       for i in range(n)]:
+            _mark_member(q, structure)
+            return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"
+    gram = _grid_mul(gt, grid, n)
     for i, (ga, gb, gc, gd) in enumerate(gram):
         for j in range(n):
             if ga[j] != (one if i == j else 0) or gb[j] or gc[j] or gd[j]:
@@ -143,15 +188,10 @@ def verify_isotropy(structure, q: ExactMatrix):
                 return False, (f"orthogonality fails first: (Q^T Q)[{i}][{j}] = "
                                f"{entry}, expected "
                                f"{ONE if i == j else ZERO}")
-    s = symmetric_form(structure)
-    si, _ = _scaled(s)
-    if _grid_mul(si, grid, n) != _grid_mul(grid, si, n):
-        cong = q.transpose() * s * q
-        i, j = _first_mismatch(cong, s)
-        return False, (f"congruence fails first: (Q^T S Q)[{i}][{j}] = "
-                       f"{cong[i, j]}, expected {s[i, j]}")
-    _mark_member(q, structure)
-    return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"
+    cong = q.transpose() * s * q
+    i, j = _first_mismatch(cong, s)
+    return False, (f"congruence fails first: (Q^T S Q)[{i}][{j}] = "
+                   f"{cong[i, j]}, expected {s[i, j]}")
 
 
 _BUILT = "constructed element failed: "
@@ -172,13 +212,18 @@ def _require_member(structure, x, error, prefix: str):
             raise error(prefix + report)
 
 
+def _dense(structure: SegreStructure, form: ToeplitzForm) -> ExactMatrix:
+    """The dense matrix P Omega(X) P^{-1} of a form, unchecked."""
+    x = conjugate_by_omega(form.assemble(), structure, "to_dense")
+    return transition_form(structure) * x * transition_form_inverse(structure)
+
+
 def from_toeplitz_coordinates(structure: SegreStructure,
                               form: ToeplitzForm) -> ExactMatrix:
-    """Dense member Q from a coefficient-level solution."""
+    """Dense member Q from a coefficient-level solution; Q is verified."""
     if form.structure != structure:
         raise StructureError("form was built for a different structure")
-    x = conjugate_by_omega(form.assemble(), structure, "to_dense")
-    q = transition_form(structure) * x * transition_form_inverse(structure)
+    q = _dense(structure, form)
     _require_member(structure, q, IntegrityError, _BUILT)
     return q
 
@@ -206,8 +251,7 @@ def _sample_single(st, params, seeds, rnd, scalar_kw):
         params = random_free_params(data, rnd, seeds=seeds, **scalar_kw)
     elif seeds is not None:
         params = FreeParams(params.sub_blocks, seeds, params.skews)
-    x = solve_congruence(data, params)
-    return from_toeplitz_coordinates(st, x)
+    return _dense(st, _sweep(data, params))
 
 
 def sample_isotropy_element(structure, params=None, seeds=None, rnd=None,
@@ -216,24 +260,28 @@ def sample_isotropy_element(structure, params=None, seeds=None, rnd=None,
 
     params / seeds may be omitted when a RandomSource is supplied; for a
     multi-eigenvalue structure pass per-part sequences (or nothing).
-    The result always satisfies Q^T Q = I and Q^T S Q = S exactly; both
-    are asserted before returning.
+    Each part is swept out (solver._sweep, unchecked) and mapped to dense
+    coordinates; the returned Q, the direct sum of the parts, is the one
+    object checked: verify_isotropy asserts Q^T Q = I and Q^T S Q = S
+    exactly, once, before Q is returned.
     """
     if isinstance(structure, SegreStructure):
-        return _sample_single(structure, params, seeds, rnd, scalar_kw)
-    if not isinstance(structure, MultiSegreStructure):
+        q = _sample_single(structure, params, seeds, rnd, scalar_kw)
+    elif isinstance(structure, MultiSegreStructure):
+        count = len(structure.parts)
+        params_list = list(params) if params is not None else [None] * count
+        seeds_list = list(seeds) if seeds is not None else [None] * count
+        if len(params_list) != count or len(seeds_list) != count:
+            raise ParameterError(
+                f"need one params/seeds entry per part ({count})")
+        q = direct_sum([
+            _sample_single(part, params_list[i], seeds_list[i], rnd,
+                           scalar_kw)
+            for i, part in enumerate(structure.parts)])
+    else:
         raise StructureError(
             "expected SegreStructure or MultiSegreStructure, "
             f"got {type(structure).__name__}")
-    count = len(structure.parts)
-    params_list = list(params) if params is not None else [None] * count
-    seeds_list = list(seeds) if seeds is not None else [None] * count
-    if len(params_list) != count or len(seeds_list) != count:
-        raise ParameterError(
-            f"need one params/seeds entry per part ({count})")
-    q = direct_sum([
-        _sample_single(part, params_list[i], seeds_list[i], rnd, scalar_kw)
-        for i, part in enumerate(structure.parts)])
     _require_member(structure, q, IntegrityError, _BUILT)
     return q
 

@@ -1,0 +1,82 @@
+"""Every element a public function returns is checked exactly once: the
+dense membership test and the form congruence are counted around
+sampling and factorization."""
+
+import pytest
+
+from isotropy import generators, solver, stabilizer
+from isotropy.errors import IntegrityError
+from isotropy.forms import MultiSegreStructure, SegreStructure
+from isotropy.matrices import ExactMatrix
+from isotropy.rng import RandomSource
+from isotropy.scalars import IMAG
+from isotropy.solver import FreeParams, constant_data, solve_congruence
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Counts of dense (verify_isotropy) and form (verify_congruence)
+    membership checks made while the test runs."""
+    counts = {"dense": 0, "form": 0}
+
+    def counting(fn, kind):
+        def counted(*args):
+            counts[kind] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(stabilizer, "verify_isotropy",
+                        counting(stabilizer.verify_isotropy, "dense"))
+    monkeypatch.setattr(solver, "verify_congruence",
+                        counting(solver.verify_congruence, "form"))
+    return counts
+
+
+_SINGLE = SegreStructure(IMAG, [(3, 1), (2, 2), (1, 1)])
+_MULTI = MultiSegreStructure([SegreStructure(0, [(3, 1), (1, 1)]),
+                              SegreStructure(1, [(2, 2)])])
+
+
+@pytest.mark.parametrize("st", [_SINGLE, _MULTI], ids=["single", "multi"])
+def test_a_sample_is_checked_once_densely(checks, st):
+    q = stabilizer.sample_isotropy_element(st, rnd=RandomSource(20241016))
+    assert checks == {"dense": 1, "form": 0}
+    assert stabilizer.verify_isotropy(st, q)[0]
+
+
+def _identity_diagonal_member(st, rnd):
+    """A verified member with identity seeds, zero skews and random
+    sub-blocks, so that factoring it peels several couplings."""
+    zero = FreeParams.zero(st)
+    sub = {key: rnd.matrix(mat.rows, mat.cols)
+           for key, mat in zero.sub_blocks.items()}
+    return solve_congruence(constant_data(st),
+                            FreeParams(sub, zero.diag_seeds, zero.skews))
+
+
+def test_factoring_a_member_checks_only_the_core(checks):
+    rnd = RandomSource(20241017)
+    st = SegreStructure(0, [(3, 1), (2, 1), (1, 1)])
+    one = generators.gen_G(st, 0, 1, 0, rnd.matrix(1, 1))
+    many = _identity_diagonal_member(st, rnd)
+    for y, peels in ((one, 1), (many, 4)):
+        checks["form"] = 0
+        core, specs = generators.factor_unipotent(st, y)
+        assert len(specs) == peels
+        assert checks == {"dense": 0, "form": 1}
+
+
+def test_a_corrupted_peel_fails_the_core_check(monkeypatch):
+    rnd = RandomSource(20241018)
+    st = SegreStructure(0, [(3, 1), (2, 1), (1, 1)])
+    y = _identity_diagonal_member(st, rnd)
+    built = generators._coupling_form
+
+    def corrupted(data, p, t, k, coupling):
+        return built(data, p, t, k, coupling).with_coefficient(
+            0, 0, 2, ExactMatrix.from_rows([[1]]))
+
+    monkeypatch.setattr(generators, "_coupling_form", corrupted)
+    with pytest.raises(IntegrityError,
+                       match=r"^factorization core failed the congruence: "):
+        generators.factor_unipotent(st, y)

@@ -35,6 +35,9 @@ def test_dim_example(capsys):
     assert json.loads(out) == {"dimension": 3}
 
 
+# the directory that holds the package, for fresh interpreters
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(isotropy.__file__)))
+
 _CAPPED = """
 import resource, sys
 cap = 1 << 30
@@ -46,11 +49,22 @@ sys.exit(main([sys.argv[1], "--structure", sys.argv[2]]))
 
 def _run_capped(command, structure):
     """The CLI in a fresh interpreter limited to a 1 GB address space."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(isotropy.__file__)))
     return subprocess.run(
         [sys.executable, "-c", _CAPPED, command, structure],
         capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=src))
+        env=dict(os.environ, PYTHONPATH=_SRC))
+
+
+def test_start_up_loads_neither_the_checks_nor_hashlib():
+    # only selftest needs acceptance and only sample needs hashlib, so a
+    # fresh process that imports the CLI loads neither
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, isotropy.cli; print(sorted("
+         "m for m in ('hashlib', 'isotropy.acceptance') if m in sys.modules))"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=_SRC))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "[]\n"
 
 
 _HUGE_ALPHA = '{"lambda": "0", "blocks": [{"alpha": 1000000000, "m": 2}]}'

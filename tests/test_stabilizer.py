@@ -8,7 +8,7 @@ from isotropy.forms import (MultiSegreStructure, SegreStructure,
                             enumerate_structures, symmetric_form)
 from isotropy.generators import factor_unipotent, gen_W
 from isotropy.matrices import (ExactMatrix, cayley_orthogonal, diagonal,
-                               identity, zeros)
+                               direct_sum, identity, zeros)
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, SQRT2, ZERO, rat
 from isotropy.solver import (CongruenceData, FreeParams, random_free_params,
@@ -199,11 +199,32 @@ def test_verify_rejects_wrong_shape():
         verify_isotropy(_st([(2, 1)]), identity(3))
 
 
-def _membership_probes(q):
+def _commuting_probes(st):
+    """Per block copy, I + N^(alpha-1) with N = S - lam I on that copy and
+    zero elsewhere: it commutes with S but is not orthogonal, and
+    Q^T Q - I is zero outside two columns of that copy, its first and its
+    chain top (its last)."""
+    parts = st.parts if isinstance(st, MultiSegreStructure) else (st,)
+    s = symmetric_form(st)
+    n = s.rows
+    off = 0
+    for part in parts:
+        for alpha, m in part.blocks:
+            for _ in range(m):
+                lam = identity(alpha).scale(part.lam)
+                nil = s.submatrix(off, off + alpha, off, off + alpha) - lam
+                rest = n - off - alpha
+                yield identity(n) + direct_sum([
+                    zeros(off, off), nil.power(alpha - 1), zeros(rest, rest)])
+                off += alpha
+
+
+def _membership_probes(st, q):
     """A member q, then non-members: a scaled identity, orthogonal matrices
-    (a sign flip alone, q times it, the reversal) and q with one entry
+    (a sign flip alone, q times it, the reversal), q with one entry
     changed at several positions, by 1 and by sqrt2 (which leaves Gram
-    entries with a sqrt2 part and no Gaussian part)."""
+    entries with a sqrt2 part and no Gaussian part), and the commuting
+    non-members of _commuting_probes."""
     n = q.rows
 
     def unit(i, j):
@@ -218,18 +239,25 @@ def _membership_probes(q):
     for i, j in sorted({(0, 0), (0, n - 1), (n // 2, n // 3), (n - 1, n - 1)}):
         yield q + unit(i, j)
         yield q + unit(i, j).scale(SQRT2)
+    yield from _commuting_probes(st)
 
 
 def test_verify_matches_two_product_reference():
+    # exhaustive over every partition with n <= 7 at eigenvalues 0, 1 and
+    # i, plus multi-eigenvalue structures
     rnd = RandomSource(20240862)
-    structures = [st for n in range(1, 7) for lam in (ZERO, ONE, IMAG)
+    structures = [st for n in range(1, 8) for lam in (ZERO, ONE, IMAG)
                   for st in enumerate_structures(n, lam)]
     structures.append(MultiSegreStructure([_st([(2, 1), (1, 1)], 0),
                                            _st([(2, 1)], 1)]))
+    structures.append(MultiSegreStructure([_st([(3, 1), (1, 1)], 0),
+                                           _st([(2, 2)], IMAG)]))
+    structures.append(MultiSegreStructure([_st([(4, 1)], 1),
+                                           _st([(3, 1), (2, 1)], 0)]))
     for st in structures:
         q = sample_isotropy_element(st, rnd=rnd, max_num=2, max_den=2)
         s = symmetric_form(st)
-        for probe in _membership_probes(q):
+        for probe in _membership_probes(st, q):
             assert verify_isotropy(st, probe) == oracle.two_product_membership(s, probe)
 
 
