@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import StructureError
-from .matrices import ExactMatrix, direct_sum, identity, zeros
+from .matrices import ExactMatrix, direct_sum
 from .scalars import (ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, _coerce,
                       parse_scalar)
 
@@ -39,11 +39,19 @@ def _as_eigenvalue(lam) -> ExactScalar:
     return s
 
 
+def _positive_count(value, what) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise StructureError(f"{what} must be an integer, got {value!r}")
+    if value <= 0:
+        raise StructureError(f"{what} must be positive, got {value}")
+    return value
+
+
 class SegreStructure:
     """One eigenvalue with its block sizes; normalized on construction.
 
-    Duplicate sizes are merged (multiplicities added), rows are sorted by
-    decreasing size, and non-positive sizes or multiplicities are rejected.
+    Duplicate sizes are merged (multiplicities added) and rows are sorted
+    by decreasing size; each size and multiplicity must be a positive int.
     """
 
     __slots__ = ("lam", "blocks", "alphas", "mults", "n")
@@ -51,11 +59,8 @@ class SegreStructure:
     def __init__(self, lam, blocks: Iterable[Sequence[int]]):
         merged: dict[int, int] = {}
         for pair in blocks:
-            alpha, m = int(pair[0]), int(pair[1])
-            if alpha <= 0:
-                raise StructureError(f"block size must be positive, got {alpha}")
-            if m <= 0:
-                raise StructureError(f"multiplicity must be positive, got {m}")
+            alpha = _positive_count(pair[0], "block size")
+            m = _positive_count(pair[1], "multiplicity")
             merged[alpha] = merged.get(alpha, 0) + m
         if not merged:
             raise StructureError("a structure needs at least one block")

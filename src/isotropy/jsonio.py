@@ -1,4 +1,5 @@
-"""JSON encoding and decoding for every public object.
+"""JSON encoding of the objects the CLI reports, and decoding of the ones it
+reads.
 
 Wire conventions: scalars are strings in the exact-scalar grammar;
 matrices are {"rows", "cols", "entries"} with row-major entry strings;
@@ -15,8 +16,8 @@ from .forms import MultiSegreStructure, SegreStructure
 from .generators import GeneratorSpec
 from .matrices import ExactMatrix
 from .orbit import OrbitReport
-from .scalars import ExactScalar, format_scalar, parse_scalar
-from .solver import CongruenceData, FreeParams
+from .scalars import format_scalar, parse_scalar
+from .solver import FreeParams
 from .stabilizer import IsotropyDescription
 from .toeplitz import ToeplitzForm
 
@@ -110,7 +111,7 @@ def structure_from_json(payload):
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz forms and congruence data
+# Toeplitz forms
 # ---------------------------------------------------------------------------
 
 
@@ -123,6 +124,11 @@ def toeplitz_to_json(form: ToeplitzForm) -> dict:
                 matrix_to_json(form.coefficient(r, s, j))
                 for j in range(st.depth(r, s))]
     return {"structure": structure_to_json(st), "coeffs": coeffs}
+
+
+# ---------------------------------------------------------------------------
+# free parameters and generator specs
+# ---------------------------------------------------------------------------
 
 
 def _group_keys(mapping, pieces, what):
@@ -144,72 +150,6 @@ def _group_keys(mapping, pieces, what):
                 f"{what}: keys {seen[slot]!r} and {key!r} name the same slot")
         seen[slot] = key
         yield slot, key, value
-
-
-def toeplitz_from_json(payload) -> ToeplitzForm:
-    payload = _expect_mapping(payload, "toeplitz form")
-    st = structure_from_json(payload.get("structure"))
-    if not isinstance(st, SegreStructure):
-        raise StructureError("toeplitz form: needs a single-eigenvalue "
-                             "structure")
-    coeffs_json = _expect_mapping(payload.get("coeffs"), "coeffs")
-    coeffs = {}
-    for (r1, s1), key, lst in _group_keys(coeffs_json, 2, "coeffs"):
-        r, s = r1 - 1, s1 - 1
-        if not (0 <= r < st.part_count and 0 <= s < st.part_count):
-            raise ParameterError(f"coeffs: group key {key!r} out of range")
-        if not isinstance(lst, list) or len(lst) != st.depth(r, s):
-            raise ParameterError(
-                f"coeffs: key {key!r} needs {st.depth(r, s)} matrices")
-        coeffs[(r, s)] = [matrix_from_json(m) for m in lst]
-    for r in range(st.part_count):
-        for s in range(st.part_count):
-            if (r, s) not in coeffs:
-                raise ParameterError(f"coeffs: missing key {r + 1},{s + 1}")
-    flat = {(r, s, j): mat
-            for (r, s), lst in coeffs.items()
-            for j, mat in enumerate(lst)}
-    return ToeplitzForm.from_sparse(st, flat)
-
-
-def congruence_data_to_json(data: CongruenceData) -> dict:
-    st = data.structure
-    return {
-        "structure": structure_to_json(st),
-        "b": {str(r + 1): [matrix_to_json(data.b(r, j))
-                           for j in range(st.alphas[r])]
-              for r in range(st.part_count)},
-        "c": {str(r + 1): [matrix_to_json(data.c(r, j))
-                           for j in range(st.alphas[r])]
-              for r in range(st.part_count)},
-    }
-
-
-def congruence_data_from_json(payload) -> CongruenceData:
-    payload = _expect_mapping(payload, "congruence data")
-    st = structure_from_json(payload.get("structure"))
-
-    def one_side(key):
-        side_json = _expect_mapping(payload.get(key), key)
-        side = [None] * st.part_count
-        for (r1,), group_key, lst in _group_keys(side_json, 1, key):
-            r = r1 - 1
-            if not 0 <= r < st.part_count:
-                raise ParameterError(
-                    f"{key}: group key {group_key!r} out of range")
-            if not isinstance(lst, list):
-                raise ParameterError(f"{key}: need a list of matrices")
-            side[r] = [matrix_from_json(m) for m in lst]
-        if any(entry is None for entry in side):
-            raise ParameterError(f"{key}: missing groups")
-        return side
-
-    return CongruenceData(st, one_side("b"), one_side("c"))
-
-
-# ---------------------------------------------------------------------------
-# free parameters and generator specs
-# ---------------------------------------------------------------------------
 
 
 def free_params_to_json(params: FreeParams) -> dict:

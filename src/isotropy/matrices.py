@@ -16,9 +16,8 @@ ring Z[i, sqrt2]:
 
 - transpose, negation, conjugate_i, direct_sum, block_assemble and the
   predicates move, negate or compare 4-tuples; laying canonical matrices
-  out over the lcm of their dens keeps the result canonical.  Sums,
-  scaling and submatrices reduce once, by one gcd over the result
-  (_reduced).
+  out over the lcm of their dens keeps the result canonical.  Sums and
+  scaling reduce once, by one gcd over the result (_reduced).
 - Products and sums of products (_sum_of_products, behind
   ExactMatrix.__mul__ and the sums of the solver's sweep) multiply the
   grids, skipping zero entries, accumulate every term over the lcm of the
@@ -108,12 +107,6 @@ class ExactMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def submatrix(self, row_start: int, row_stop: int, col_start: int, col_stop: int) -> "ExactMatrix":
-        return _reduced(row_stop - row_start, col_stop - col_start,
-                        tuple(r[col_start:col_stop]
-                              for r in self._g[row_start:row_stop]),
-                        self._den)
 
     # -- predicates -------------------------------------------------------
 

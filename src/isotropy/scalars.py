@@ -56,11 +56,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
 
-    @property
-    def is_gaussian(self) -> bool:
-        """True when the sqrt2 part vanishes."""
-        return not (self.c or self.d)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "ExactScalar":
@@ -136,10 +131,6 @@ class ExactScalar:
     def conjugate_i(self) -> "ExactScalar":
         """Field automorphism i -> -i."""
         return ExactScalar(self.a, -self.b, self.c, -self.d)
-
-    def conjugate_sqrt2(self) -> "ExactScalar":
-        """Field automorphism sqrt2 -> -sqrt2."""
-        return ExactScalar(self.a, self.b, -self.c, -self.d)
 
     # -- comparisons / hashing ----------------------------------------
 

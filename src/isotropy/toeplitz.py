@@ -5,9 +5,8 @@ interleaving change of basis, block matrices whose (r, s) block is an
 alpha_r x alpha_s grid of m_r x m_s cells, constant along cell diagonals
 and zero below a leading offset.  This module provides the exact algebra
 of such forms: assembly to dense matrices and strict extraction back,
-sums, products, the transpose twisted by the backward block form,
-inverses of identity-diagonal forms, and the additive weight filtration
-that controls nilpotency.
+sums, products, the transpose twisted by the backward block form, and
+the additive weight filtration that controls nilpotency.
 
 A ToeplitzForm is stored as its strip: the first cell-row of each group
 of its dense matrix, one M x n ExactMatrix (M = sum m_r).  In the rows of
@@ -39,7 +38,6 @@ from typing import Callable, Iterator, Mapping
 
 from .errors import (
     DimensionMismatchError,
-    IntegrityError,
     ParameterError,
     ShapeViolationError,
     StructureError,
@@ -234,17 +232,6 @@ class ToeplitzForm:
             return self._cell(r, s, j)
         return dense_zeros(self.structure.mults[r], self.structure.mults[s])
 
-    def with_coefficient(self, r: int, s: int, j: int,
-                         mat: ExactMatrix) -> "ToeplitzForm":
-        if not (0 <= j < self.structure.depth(r, s)):
-            raise ParameterError(
-                f"coefficient index {j} out of range for block ({r}, {s})")
-        coeffs = self.coeffs
-        entry = list(coeffs[(r, s)])
-        entry[j] = mat
-        coeffs[(r, s)] = tuple(entry)
-        return ToeplitzForm(self.structure, coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, ToeplitzForm):
             return NotImplemented
@@ -392,65 +379,23 @@ class ToeplitzForm:
 
     # -- weight filtration -------------------------------------------------
 
-    def weight(self, r: int, s: int, j: int) -> int:
-        """Filtration weight of coefficient slot (r, s, j): j + shift(r, s).
-
-        Weights add under multiplication and never exceed alpha_1 - 1, so
-        a form whose nonzero coefficients all have weight >= 1 is nilpotent
-        of index at most alpha_1.  The bound needs every nonzero coefficient
-        at weight >= 1: the upper coupling cell (r, s, 0), r < s, has
-        weight 0, so it does not cover X - I for a unipotent member X with
-        such a cell (README, "Known limitation").
-        """
-        return j + self.structure.shift(r, s)
-
-    def min_weight(self) -> int | None:
-        """Smallest weight carrying a nonzero coefficient; None if zero."""
-        return next((w for w in range(self.structure.alphas[0])
-                     if not self.weight_component(w).is_zero), None)
-
     def weight_component(self, w: int) -> "ToeplitzForm":
         """Restriction to coefficient slots of weight exactly w: the strip's
-        cell w in every block."""
+        cell w in every block.  Slot (r, s, j) has weight j + shift(r, s).
+
+        Weights add under multiplication and never exceed alpha_1 - 1, so a
+        form whose nonzero coefficients all have weight >= 1 is nilpotent of
+        index at most alpha_1.  The bound needs every nonzero coefficient at
+        weight >= 1: the upper coupling cell (r, s, 0), r < s, has weight 0,
+        so it does not cover X - I for a unipotent member X with such a cell
+        (README, "Known limitation").
+        """
         st = self.structure
         grid, den = _scaled(self._strip)
         cells = [v for alpha, m in st.blocks for v in range(alpha) for _ in range(m)]
         return ToeplitzForm._from_strip(st, _reduced(len(grid), st.n, tuple(
             tuple(x if cells[c] == w else _Z4 for c, x in enumerate(row))
             for row in grid), den))
-
-    # -- inverse ------------------------------------------------------------
-
-    def neumann_inverse(self) -> "ToeplitzForm":
-        """Inverse of an identity-diagonal form by the alternating series
-        I - N + N^2 - ... with N = self - I, iterated until the power of N
-        vanishes exactly.
-
-        The series always terminates within n = dim steps; weight counting
-        alone would allow alpha_1 terms only when N has no weight-0 part,
-        and products of weight-0 coupling cells can genuinely survive past
-        that, so the loop keys on the computed power, not on alpha_1.
-        """
-        if not self.has_identity_diagonal:
-            raise ParameterError(
-                "series inverse requires identity diagonal coefficients")
-        st = self.structure
-        eye = ToeplitzForm.identity(st)
-        nilpotent = self - eye
-        inverse = eye
-        term = nilpotent
-        sign = -1
-        steps = 0
-        while not term.is_zero:
-            steps += 1
-            if steps > st.n:
-                raise IntegrityError(
-                    "series inverse failed to terminate within dense size")
-            inverse = inverse + term if sign > 0 else inverse - term
-            term = term * nilpotent
-            sign = -sign
-        # N^k = 0 exactly here, so (I + N) sum_{j<k} (-N)^j = I - (-N)^k = I.
-        return inverse
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ entries only through .a/.b/.c/.d and does all its arithmetic here.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def c(re=0, im=0):
@@ -122,16 +123,41 @@ def q_is_zero(x):
     return all(v == 0 for v in x)
 
 
+def _over_one_denominator(rows):
+    """(den, grid): rows of Fraction 4-tuples as integer 4-tuples over one
+    common denominator den."""
+    den = 1
+    for row in rows:
+        for x in row:
+            for v in x:
+                den = lcm(den, v.denominator)
+    return den, [[tuple(v.numerator * (den // v.denominator) for v in x)
+                  for x in row] for row in rows]
+
+
 def qmat_mul(a, b, cols):
-    """Product of grids of Fraction 4-tuples; b has cols columns."""
-    out = [[q()] * cols for _ in a]
-    for i, row in enumerate(a):
-        for k, x in enumerate(row):
-            if q_is_zero(x):
+    """Product of grids of Fraction 4-tuples; b has cols columns.  Each row
+    of a, and all of b, is put over one integer denominator, the sums run
+    in plain integers, and each output Fraction is made once."""
+    b_den, b_int = _over_one_denominator(b)
+    out = []
+    for row in a:
+        a_den, (a_row,) = _over_one_denominator([row])
+        acc = [[0, 0, 0, 0] for _ in range(cols)]
+        for k, (p, q_, r, s) in enumerate(a_row):
+            if not (p or q_ or r or s):
                 continue
-            for j, y in enumerate(b[k]):
-                if not q_is_zero(y):
-                    out[i][j] = qadd(out[i][j], qmul(x, y))
+            for j, (e, f, g, h) in enumerate(b_int[k]):
+                if not (e or f or g or h):
+                    continue
+                # (p + q i + (r + s i) sqrt2)(e + f i + (g + h i) sqrt2)
+                t = acc[j]
+                t[0] += p * e - q_ * f + 2 * (r * g - s * h)
+                t[1] += p * f + q_ * e + 2 * (r * h + s * g)
+                t[2] += p * g - q_ * h + r * e - s * f
+                t[3] += p * h + q_ * g + r * f + s * e
+        den = a_den * b_den
+        out.append([tuple(Fraction(v, den) for v in t) for t in acc])
     return out
 
 

@@ -11,6 +11,7 @@ from isotropy.matrices import ExactMatrix
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG
 from isotropy.solver import FreeParams, constant_data, solve_congruence
+from isotropy.toeplitz import ToeplitzForm
 
 
 @pytest.fixture
@@ -73,8 +74,10 @@ def test_a_corrupted_peel_fails_the_core_check(monkeypatch):
     built = generators._coupling_form
 
     def corrupted(data, p, t, k, coupling):
-        return built(data, p, t, k, coupling).with_coefficient(
-            0, 0, 2, ExactMatrix.from_rows([[1]]))
+        form = built(data, p, t, k, coupling)
+        one = ExactMatrix.from_rows([[1]])
+        return ToeplitzForm.build(form.structure, lambda r, s, j: (
+            one if (r, s, j) == (0, 0, 2) else form.coefficient(r, s, j)))
 
     monkeypatch.setattr(generators, "_coupling_form", corrupted)
     with pytest.raises(IntegrityError,

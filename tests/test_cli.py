@@ -12,10 +12,10 @@ from isotropy.cli import main
 from isotropy.forms import SegreStructure, symmetric_form
 from isotropy.generators import generator_from_spec
 from isotropy.jsonio import (generator_spec_from_json, matrix_from_json,
-                             matrix_to_json, toeplitz_from_json)
+                             matrix_to_json, structure_from_json)
 from isotropy.scalars import IMAG
 from isotropy.stabilizer import from_toeplitz_coordinates, verify_isotropy
-from isotropy.toeplitz import commutant_dimension
+from isotropy.toeplitz import ToeplitzForm, commutant_dimension
 
 O3 = '{"lambda": "i", "blocks": [{"alpha": 1, "m": 3}]}'
 RIGID = '{"lambda": "0", "blocks": [{"alpha": 2, "m": 1}]}'
@@ -208,7 +208,10 @@ def test_factor_round_trip_through_wire(capsys):
                         "--matrix", json.dumps(matrix_to_json(q)))
     assert code == 0
     payload = json.loads(out)
-    core = toeplitz_from_json(payload["core"])
+    wire = payload["core"]["coeffs"]
+    core = ToeplitzForm.build(
+        structure_from_json(payload["core"]["structure"]),
+        lambda r, s, j: matrix_from_json(wire[f"{r + 1},{s + 1}"][j]))
     rebuilt = core
     for spec_json in payload["factors"]:
         rebuilt = rebuilt * generator_from_spec(

@@ -83,7 +83,7 @@ def _to_oracle(mat):
         row = []
         for j in range(mat.cols):
             x = mat[i, j]
-            assert x.is_gaussian
+            assert not (x.c or x.d)
             row.append((Fraction(int(x.a.numerator), int(x.a.denominator)),
                         Fraction(int(x.b.numerator), int(x.b.denominator))))
         out.append(row)

@@ -17,6 +17,7 @@ from isotropy.stabilizer import (describe_isotropy, from_toeplitz_coordinates,
                                  group_element_inv, group_element_mul,
                                  sample_isotropy_element,
                                  to_toeplitz_coordinates, verify_isotropy)
+from isotropy.toeplitz import ToeplitzForm
 
 import _oracles as oracle
 
@@ -212,7 +213,8 @@ def _commuting_probes(st):
         for alpha, m in part.blocks:
             for _ in range(m):
                 lam = identity(alpha).scale(part.lam)
-                nil = s.submatrix(off, off + alpha, off, off + alpha) - lam
+                nil = ExactMatrix.build(
+                    alpha, alpha, lambda i, j: s[off + i, off + j]) - lam
                 rest = n - off - alpha
                 yield identity(n) + direct_sum([
                     zeros(off, off), nil.power(alpha - 1), zeros(rest, rest)])
@@ -389,7 +391,9 @@ def test_changed_form_is_checked_again():
     rnd = RandomSource(20240864)
     st = _st([(3, 2), (2, 1)])
     w = gen_W(st, {(0, 1): rnd.skew(2), (0, 2): rnd.skew(2), (1, 1): rnd.skew(1)})
-    bad = w.with_coefficient(1, 1, 1, ExactMatrix.from_rows([[1]]))
+    one = ExactMatrix.from_rows([[1]])
+    bad = ToeplitzForm.build(st, lambda r, s, j: (
+        one if (r, s, j) == (1, 1, 1) else w.coefficient(r, s, j)))
     assert bad.has_identity_diagonal
     assert group_element_mul(st, [w, w]) == w * w
     with pytest.raises(MembershipError, match=r"^element 1: block"):
