@@ -14,9 +14,8 @@ from .forms import (MultiSegreStructure, SegreStructure,
 from .generators import (catalan_coeff, catalan_series, factor_unipotent,
                          gen_G, gen_two_block, gen_V, gen_W,
                          generator_from_spec)
-from .matrices import ExactMatrix, _scaled, identity
-from .orbit import (_components, _signed_sum, _split_rank, codim_formula,
-                    tangent_oracle)
+from .matrices import ExactMatrix, identity
+from .orbit import _pairwise_rank, codim_formula, tangent_oracle
 from .rng import RandomSource
 from .scalars import ExactScalar, HALF, IMAG, ONE, ZERO
 from .solver import (CongruenceData, FreeParams, constant_data,
@@ -284,26 +283,8 @@ def check_catalan_identities() -> CheckResult:
 
 
 def _commutant_nullity(s: ExactMatrix) -> int:
-    n = s.rows
-    comp = _components(s)
-    si, _ = _scaled(s)
-    # columns indexed by E_ij, rows by entries of S E_ij - E_ij S; both
-    # split by the ordered component pair (comp(i), comp(j))
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-
-    def entry(row, col):
-        k, l = row
-        i, j = col
-        terms = []
-        if l == j:
-            terms.append((1, si[k][i]))
-        if k == i:
-            terms.append((-1, si[j][l]))
-        return _signed_sum(terms)
-
-    rank = _split_rank(pairs, pairs, lambda p: (comp[p[0]], comp[p[1]]),
-                       entry)
-    return n * n - rank
+    # the kernel of X -> S X - X S on all n x n matrices X
+    return s.rows * s.rows - _pairwise_rank(s, False)
 
 
 def check_commutant_count(max_n=8) -> CheckResult:

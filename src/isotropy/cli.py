@@ -69,6 +69,22 @@ def _structure_of(args):
         _load_json_argument(_require(args, "structure", args.command)))
 
 
+# canonical and codim build dense n x n matrices.  canonical takes about 3 s
+# and 115 MB at n = 512, and four times that per doubling of n, so n = 1024
+# (some 12 s and 450 MB) is the largest structure they accept; a larger one
+# is refused from the structure alone, before any matrix is built.
+_MAX_DENSE_N = 1024
+
+
+def _dense_structure_of(args):
+    st = _structure_of(args)
+    if st.n > _MAX_DENSE_N:
+        raise IsotropyError(
+            f"request too large: n = {st.n}, and {args.command} builds "
+            f"dense matrices only up to n = {_MAX_DENSE_N}")
+    return st
+
+
 def _seed_of(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -83,7 +99,7 @@ def _seed_of(args) -> int:
 
 
 def _cmd_canonical(args):
-    st = _structure_of(args)
+    st = _dense_structure_of(args)
     return {
         "symmetric": matrix_to_json(symmetric_form(st)),
         "transition": matrix_to_json(transition_form(st)),
@@ -105,7 +121,7 @@ def _cmd_dim(args):
 
 
 def _cmd_codim(args):
-    st = _structure_of(args)
+    st = _dense_structure_of(args)
     report = consistency_check(st)
     payload = orbit_report_to_json(report)
     return {"codimension": codim_formula(st), "report": payload}, 0

@@ -14,9 +14,10 @@ normalization.  From it we build, all exactly:
 
 symmetric_block and transition_matrix build their block from entries
 formed before the walk; that the symmetric block equals P J P^{-1} is
-checked by the tests, not at run time.  symmetric_form, transition_form and
-transition_form_inverse build their matrix once per structure and then
-hand out the same immutable object.
+checked by the tests, not at run time.  symmetric_block builds each
+(alpha, lam) block once, and symmetric_form, transition_form and
+transition_form_inverse build their matrix once per structure; each then
+hands out the same immutable object.
 """
 
 from __future__ import annotations
@@ -191,7 +192,11 @@ def symmetric_block(n: int, lam) -> ExactMatrix:
     meet (the diagonal for even n, the first off-diagonals for odd n) the
     sum is formed once per block; it may be zero (lam = +-i/2).
     """
-    lam = _as_eigenvalue(lam)
+    return _symmetric_block(n, _as_eigenvalue(lam))
+
+
+@lru_cache(maxsize=64)
+def _symmetric_block(n: int, lam: ExactScalar) -> ExactMatrix:
     anti = {n - 2: _MINUS_IHALF, n: _IHALF}
     meet = {k: (HALF if n % 2 else lam) + x for k, x in anti.items()}
 
@@ -244,14 +249,18 @@ def jordan_form(structure: Structure) -> ExactMatrix:
 # private builder keeps its last few results.  Callers work on one structure
 # at a time (a multi-eigenvalue structure fills one slot per part and one for
 # itself), so four slots catch the repeats while the cached matrices add
-# little to peak memory.  The public names stay plain functions, which a
-# tracer can wrap by name (perfbench/spans.py counts their calls).
+# little to peak memory.  The symmetric blocks they are assembled from depend
+# only on (alpha, lam) and recur across structures, so _symmetric_block keeps
+# 64 of them, more than twice the 27 (9 sizes at 3 eigenvalues) of the
+# benchmark's ladders; sharing one is safe, since an ExactMatrix is immutable.
+# The public names stay plain functions, which a tracer can wrap by name
+# (perfbench/spans.py counts their calls).
 
 @lru_cache(maxsize=4)
 def _symmetric_form(structure: Structure) -> ExactMatrix:
     if isinstance(structure, MultiSegreStructure):
         return direct_sum([symmetric_form(p) for p in structure.parts])
-    return _per_copy(structure, lambda a: symmetric_block(a, structure.lam))
+    return _per_copy(structure, lambda a: _symmetric_block(a, structure.lam))
 
 
 @lru_cache(maxsize=4)

@@ -12,15 +12,33 @@ components are the connected components of the nonzero pattern of S
 The entry of X at (u, v) only reaches image entries (i, j) whose unordered
 component pair {comp(i), comp(j)} equals {comp(u), comp(v)}, so the map
 is block diagonal after a permutation and its rank is the sum of the
-ranks of the blocks.  S is read as its integer grid over its one
-denominator (matrices._scaled), so every block is built directly as rows
-of integer 4-tuples and ranked by the fraction-free kernel of
-matrices.py; scaling a linear map keeps its rank.
+ranks of the blocks.  The block of a pair A, B (A != B) is the Sylvester
+map Y -> S_A Y - Y S_B on the |A| x |B| block Y of X, the block of A
+with itself is X -> S_A X - X S_A on skew X, and neither reads S outside
+A and B: a pair's rank is a function of its local data.
+
+That local data is S on each of the two components, read as the integer
+grid of S over its one denominator (matrices._scaled), since scaling a
+linear map keeps its rank, and shifted by a multiple of I, which leaves
+S X - X S unchanged: each component's grid is taken less its first
+diagonal entry, and the pair keeps the difference of the two entries.
+So two blocks of given sizes and one eigenvalue have the same key
+whatever the eigenvalue is.  _pair_rank builds its system from that key
+alone, as rows of integer 4-tuples, and ranks it by the fraction-free
+kernel of matrices.py.  As it reads nothing else, a rank cached under a
+key is exact for every pair with that key, in any structure: the key
+holds the full grids, never a digest of them.  The cache keeps 1024
+ranks; a ladder of canonical structures up to n = 18 needs a few dozen.
+Acceptance check 7 (the commutant: the kernel of X -> S X - X S on all
+X) goes through the same routine over ordered pairs, with the block of A
+with itself taken on all X.
 """
+
+from functools import lru_cache
 
 from .errors import IntegrityError, ParameterError, StructureError
 from .forms import MultiSegreStructure, SegreStructure, symmetric_form
-from .matrices import ExactMatrix, _fraction_free, _scaled
+from .matrices import _Z4, ExactMatrix, _fraction_free, _scaled
 from .stabilizer import describe_isotropy
 
 
@@ -103,40 +121,85 @@ def _components(s: ExactMatrix) -> list:
     return [find(i) for i in range(n)]
 
 
-def _signed_sum(terms) -> tuple:
-    """Sum of the integer 4-tuples x over the (sign, x) in terms."""
-    a = b = c = d = 0
-    for sign, (x0, x1, x2, x3) in terms:
-        a += sign * x0
-        b += sign * x1
-        c += sign * x2
-        d += sign * x3
-    return (a, b, c, d)
+def _component_grids(s: ExactMatrix) -> list:
+    """(c, S - c I) on each component of s, c the component's first diagonal
+    entry, as integer grids over the one denominator of s (matrices._scaled):
+    S at that component's rows and columns, in index order.  Components come
+    in order of their smallest index."""
+    grid, _ = _scaled(s)
+    members: dict = {}
+    for i, label in enumerate(_components(s)):
+        members.setdefault(label, []).append(i)
+    out = []
+    for idx in members.values():
+        c = grid[idx[0]][idx[0]]
+        out.append((c, tuple(
+            tuple(_diff(grid[i][j], c) if i == j else grid[i][j] for j in idx)
+            for i in idx)))
+    return out
 
 
-def _split_rank(rows, columns, key, entry) -> int:
-    """Exact rank of the matrix with integer 4-tuple entries entry(row, col),
-    given that an entry vanishes unless key(row) == key(col).
+def _diff(x, y):
+    """x - y, for integer 4-tuples."""
+    return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
 
-    Rows and columns are grouped by key, each group's subsystem is ranked
-    and the ranks are summed; equal subsystems are ranked once per call.
+
+def _add(row, col, sign, x):
+    """row[col] += sign * x, for integer 4-tuples."""
+    if any(x):
+        r = row[col]
+        row[col] = (r[0] + sign * x[0], r[1] + sign * x[1],
+                    r[2] + sign * x[2], r[3] + sign * x[3])
+
+
+@lru_cache(maxsize=1024)
+def _pair_rank(a: tuple, b: tuple, shift: tuple, skew: bool) -> int:
+    """Exact rank of the part of X -> S X - X S that couples two components
+    A and B of S, given as integer grids over one denominator: a is S - c I
+    on A, b is S - (c + shift) I on B, for some scalar c.
+
+    S X - X S does not change when c I is taken from S, so without skew this
+    is the Sylvester map Y -> a Y - Y (b + shift I) on all |A| x |B|
+    matrices Y, the block of X between A and B.  With skew, B is A (b is a,
+    shift is 0) and the map takes the skew Y to the upper triangle of its
+    symmetric image.  The system is built from the key alone and ranked by
+    _fraction_free, so a cached rank is the rank of every pair with this
+    key, such as two blocks of given sizes and one eigenvalue, whatever the
+    eigenvalue.
     """
-    row_groups: dict = {}
-    for r in rows:
-        row_groups.setdefault(key(r), []).append(r)
-    col_groups: dict = {}
-    for c in columns:
-        col_groups.setdefault(key(c), []).append(c)
-    ranks: dict = {}
+    na, nb = len(a), len(b)
+    rows = []
+    for k in range(na):
+        # with skew the image is symmetric: its upper triangle holds it all
+        for l in range(k if skew else 0, nb):
+            # (a Y - Y b - shift Y)[k][l]; column p * nb + q is the unit E_pq
+            row = [_Z4] * (na * nb)
+            for p in range(na):
+                _add(row, p * nb + l, 1, a[k][p])
+            for q in range(nb):
+                _add(row, k * nb + q, -1, b[q][l])
+            _add(row, k * nb + l, -1, shift)
+            if skew:
+                # column (u, v), u < v, is the skew unit E_uv - E_vu
+                row = [_diff(row[u * na + v], row[v * na + u])
+                       for u in range(na) for v in range(u + 1, na)]
+            rows.append(row)
+    return _fraction_free(rows)[0]
+
+
+def _pairwise_rank(s: ExactMatrix, skew: bool) -> int:
+    """Exact rank of X -> S X - X S for a symmetric s, summed over the pairs
+    of components of s: on skew X into symmetric matrices over unordered
+    pairs (the image's block between B and A is the transpose of the one
+    between A and B), or on all X over ordered pairs."""
+    grids = _component_grids(s)
     total = 0
-    for k, cols in col_groups.items():
-        rws = row_groups.get(k)
-        if not rws:
-            continue
-        system = tuple(tuple(entry(r, c) for c in cols) for r in rws)
-        if system not in ranks:
-            ranks[system] = _fraction_free([list(r) for r in system])[0]
-        total += ranks[system]
+    for x, (ca, a) in enumerate(grids):
+        for y, (cb, b) in enumerate(grids):
+            if x == y:
+                total += _pair_rank(a, a, _Z4, skew)
+            elif x < y or not skew:
+                total += _pair_rank(a, b, _diff(cb, ca), False)
     return total
 
 
@@ -154,33 +217,9 @@ def tangent_oracle(s: ExactMatrix):
     if not s.is_symmetric:
         raise ParameterError("tangent oracle needs a symmetric matrix")
     n = s.rows
-    comp = _components(s)
-    si, _ = _scaled(s)
-    skew_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    sym_pairs = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def component_pair(pair):
-        a, b = comp[pair[0]], comp[pair[1]]
-        return (a, b) if a <= b else (b, a)
-
-    def image(sym, skew):
-        # entry (i, j) of the image of E_uv - E_vu;
-        # X^T S + S X = S X - X S for skew X
-        (i, j), (u, v) = sym, skew
-        terms = []
-        if j == u:
-            terms.append((-1, si[i][v]))
-        if j == v:
-            terms.append((1, si[i][u]))
-        if i == u:
-            terms.append((-1, si[v][j]))
-        if i == v:
-            terms.append((1, si[u][j]))
-        return _signed_sum(terms)
-
-    rank = _split_rank(sym_pairs, skew_pairs, component_pair, image)
-    kernel_dim = len(skew_pairs) - rank
-    tangent_dim = rank
+    # X^T S + S X = S X - X S for skew X
+    tangent_dim = _pairwise_rank(s, True)
+    kernel_dim = n * (n - 1) // 2 - tangent_dim
     oracle_codim = n * (n + 1) // 2 - tangent_dim
     return tangent_dim, oracle_codim, kernel_dim
 

@@ -5,8 +5,7 @@ interleaving change of basis, block matrices whose (r, s) block is an
 alpha_r x alpha_s grid of m_r x m_s cells, constant along cell diagonals
 and zero below a leading offset.  This module provides the exact algebra
 of such forms: assembly to dense matrices and strict extraction back,
-sums, products, the transpose twisted by the backward block form, and
-the additive weight filtration that controls nilpotency.
+sums, products and the transpose twisted by the backward block form.
 
 A ToeplitzForm is stored as its strip: the first cell-row of each group
 of its dense matrix, one M x n ExactMatrix (M = sum m_r).  In the rows of
@@ -20,6 +19,12 @@ right by u cells in every block (assemble), and extract reads the strip
 back, zeroing the cells before each first coefficient; both are one walk
 (_cell_rows).  A product is one integer product (_grid_mul): the left
 strip times the dense rows of the right operand is the product's strip.
+
+Weights add under products and stay below alpha_1, so a form whose
+nonzero coefficients all have weight >= 1 is nilpotent of index at most
+alpha_1.  The upper coupling cell (r, s, 0), r < s, has weight 0, so the
+bound does not cover X - I for every unipotent member X (README, "Known
+limitation").
 
 The rule for one coefficient of a product (_product_pairs) is the
 congruence solver's: its sweep determines a partial form one coefficient
@@ -376,26 +381,6 @@ class ToeplitzForm:
         """True when every leading diagonal coefficient A_0^{rr} is I."""
         return all(self._cell(r, r, 0).is_identity
                    for r in range(self.structure.part_count))
-
-    # -- weight filtration -------------------------------------------------
-
-    def weight_component(self, w: int) -> "ToeplitzForm":
-        """Restriction to coefficient slots of weight exactly w: the strip's
-        cell w in every block.  Slot (r, s, j) has weight j + shift(r, s).
-
-        Weights add under multiplication and never exceed alpha_1 - 1, so a
-        form whose nonzero coefficients all have weight >= 1 is nilpotent of
-        index at most alpha_1.  The bound needs every nonzero coefficient at
-        weight >= 1: the upper coupling cell (r, s, 0), r < s, has weight 0,
-        so it does not cover X - I for a unipotent member X with such a cell
-        (README, "Known limitation").
-        """
-        st = self.structure
-        grid, den = _scaled(self._strip)
-        cells = [v for alpha, m in st.blocks for v in range(alpha) for _ in range(m)]
-        return ToeplitzForm._from_strip(st, _reduced(len(grid), st.n, tuple(
-            tuple(x if cells[c] == w else _Z4 for c, x in enumerate(row))
-            for row in grid), den))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -86,6 +87,27 @@ def test_request_too_large_for_memory_exits_two():
     assert proc.stdout == ""
     assert json.loads(proc.stderr) == {
         "error": "request too large: out of memory"}
+
+
+@pytest.mark.parametrize("command", ["canonical", "codim"])
+def test_dense_commands_refuse_an_oversize_structure_at_once(capsys, command):
+    # n = 200000 is refused from the structure, before any n x n matrix
+    # is built, so the refusal is quick and fits in 1 GB
+    structure = '{"lambda": "0", "blocks": [{"alpha": 100000, "m": 2}]}'
+    start = time.monotonic()
+    proc = _run_capped(command, structure)
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "error": f"request too large: n = 200000, and {command} builds "
+                 "dense matrices only up to n = 1024"}
+    # the bound is n = 1024: one more is refused, on several parts too
+    multi = ('{"parts": [{"lambda": "0", "blocks": [{"alpha": 1024, "m": 1}]},'
+             ' {"lambda": "1", "blocks": [{"alpha": 1, "m": 1}]}]}')
+    code, out, err = _run(capsys, command, "--structure", multi)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith("request too large: n = 1025,")
 
 
 def test_codim_example(capsys):

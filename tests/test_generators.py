@@ -299,9 +299,11 @@ def test_gen_g_rejects_bad_indices():
 
 
 def _min_weight(x):
-    """Smallest weight carrying a nonzero coefficient; None if x is zero."""
-    return next((w for w in range(x.structure.alphas[0])
-                 if not x.weight_component(w).is_zero), None)
+    """Smallest weight j + shift(r, s) of a nonzero coefficient (r, s, j);
+    None if x is zero."""
+    st = x.structure
+    return min((j + st.shift(r, s) for (r, s), cells in x.coeffs.items()
+                for j, c in enumerate(cells) if not c.is_zero), default=None)
 
 
 def _power_vanishes(form, exponent):

@@ -9,8 +9,8 @@ from isotropy.errors import IntegrityError, ParameterError, StructureError
 from isotropy.forms import (MultiSegreStructure, SegreStructure,
                             enumerate_structures, symmetric_form)
 from isotropy.matrices import ExactMatrix, cayley_orthogonal, direct_sum
-from isotropy.orbit import (OrbitReport, _components, codim_formula,
-                            consistency_check, tangent_oracle)
+from isotropy.orbit import (OrbitReport, _components, _pair_rank,
+                            codim_formula, consistency_check, tangent_oracle)
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, ZERO
 from isotropy.solver import solution_dimension
@@ -200,6 +200,37 @@ def test_split_commutant_nullity_matches_dense_reference():
     s = symmetric_form(_MULTI_STRUCTURES[0])
     assert _commutant_nullity(s) == nullity(
         vectorize_commutant_system(_to_oracle(s)))
+
+
+def test_pair_rank_cache_cold_equals_warm():
+    # a rank cached for one structure is reused by every later structure
+    # with a pair of the same key; ranking each structure, and each kind of
+    # map, from an empty cache must give what one warm pass gives
+    structures = [st for n in range(1, 8) for lam in (0, 1, IMAG)
+                  for st in enumerate_structures(n, lam)]
+    structures += list(_MULTI_STRUCTURES)
+    cold = []
+    for st in structures:
+        s = symmetric_form(st)
+        _pair_rank.cache_clear()
+        tangent = tangent_oracle(s)
+        _pair_rank.cache_clear()
+        cold.append((tangent, _commutant_nullity(s)))
+    _pair_rank.cache_clear()
+    warm = [(tangent_oracle(symmetric_form(st)),
+             _commutant_nullity(symmetric_form(st))) for st in structures]
+    assert _pair_rank.cache_info().hits > 0
+    for st, c, w in zip(structures, cold, warm):
+        assert c == w, st
+
+
+def test_consistency_check_on_one_long_block():
+    # one component: its whole tangent system is ranked at once
+    for lam in (0, IMAG):
+        st = _st([(12, 1)], lam)
+        report = consistency_check(st)
+        assert report.oracle_codim == codim_formula(st) == 12
+        assert report.isotropy_dim == 0
 
 
 def test_consistency_check_at_n_40():
