@@ -69,19 +69,27 @@ def _structure_of(args):
         _load_json_argument(_require(args, "structure", args.command)))
 
 
-# canonical and codim build dense n x n matrices.  canonical takes about 3 s
-# and 115 MB at n = 512, and four times that per doubling of n, so n = 1024
-# (some 12 s and 450 MB) is the largest structure they accept; a larger one
-# is refused from the structure alone, before any matrix is built.
+# Every command but describe, dim and selftest builds dense n x n matrices
+# and refuses, from the structure alone and before it reads --params or
+# --matrix, a structure over its bounds.  Single runs in 1 GB (README has
+# the table): canonical, verify and factor take 11-25 s and 400-430 MB at
+# n = 1024; sample runs out of memory there (m = 2), and at n = 512 takes
+# 3-24 s and up to 318 MB for m <= 32, 722 MB for m = 64.  codim ranks a
+# dense system in a(a - 1)/2 unknowns for a block of size a, a^2 for two:
+# 151 s at a = 40 (top of the ROADMAP ladder), 87 s for [(24, 2)].  commutant
+# prints about 90 bytes an entry: 2^22 entries take 9 s and 391 MB.
 _MAX_DENSE_N = 1024
+_MAX_SAMPLE_N, _MAX_SAMPLE_M = 512, 32
+_MAX_CODIM_ALPHA = 40
+_MAX_COMMUTANT_ENTRIES = 1 << 22
 
 
-def _dense_structure_of(args):
+def _bounded_structure_of(args, max_n=_MAX_DENSE_N):
     st = _structure_of(args)
-    if st.n > _MAX_DENSE_N:
+    if st.n > max_n:
         raise IsotropyError(
             f"request too large: n = {st.n}, and {args.command} builds "
-            f"dense matrices only up to n = {_MAX_DENSE_N}")
+            f"dense matrices only up to n = {max_n}")
     return st
 
 
@@ -99,7 +107,7 @@ def _seed_of(args) -> int:
 
 
 def _cmd_canonical(args):
-    st = _dense_structure_of(args)
+    st = _bounded_structure_of(args)
     return {
         "symmetric": matrix_to_json(symmetric_form(st)),
         "transition": matrix_to_json(transition_form(st)),
@@ -116,12 +124,17 @@ def _cmd_dim(args):
     # the closed form, summed over the parts: describe_isotropy would list
     # one recipe per coefficient slot, in memory proportional to alpha
     st = _structure_of(args)
-    parts = st.parts if isinstance(st, MultiSegreStructure) else (st,)
-    return {"dimension": sum(solution_dimension(p) for p in parts)}, 0
+    return {"dimension": sum(solution_dimension(p) for p in st.parts)}, 0
 
 
 def _cmd_codim(args):
-    st = _dense_structure_of(args)
+    st = _bounded_structure_of(args)
+    alpha = max(p.alphas[0] for p in st.parts)
+    if alpha > _MAX_CODIM_ALPHA:
+        raise IsotropyError(
+            f"request too large: the largest block has size {alpha}, and "
+            "codim ranks tangent systems only for blocks up to size "
+            f"{_MAX_CODIM_ALPHA}")
     report = consistency_check(st)
     payload = orbit_report_to_json(report)
     return {"codimension": codim_formula(st), "report": payload}, 0
@@ -158,7 +171,12 @@ def _params_digest(params) -> str:
 
 
 def _cmd_sample(args):
-    st = _structure_of(args)
+    st = _bounded_structure_of(args, _MAX_SAMPLE_N)
+    m = max(max(p.mults) for p in st.parts)
+    if m > _MAX_SAMPLE_M:
+        raise IsotropyError(
+            f"request too large: the largest multiplicity is {m}, and "
+            f"sample takes orthogonal seeds only up to size {_MAX_SAMPLE_M}")
     seed = _seed_of(args)
     rnd = RandomSource(seed)
     params = _params_for_sampling(st, args, rnd)
@@ -174,7 +192,7 @@ def _cmd_sample(args):
 
 
 def _cmd_generators(args):
-    st = _structure_of(args)
+    st = _bounded_structure_of(args)
     if not isinstance(st, SegreStructure):
         raise IsotropyError(
             "generators act within one eigenvalue; pass a single "
@@ -189,7 +207,7 @@ def _cmd_generators(args):
 
 
 def _cmd_verify(args):
-    st = _structure_of(args)
+    st = _bounded_structure_of(args)
     q = matrix_from_json(
         _load_json_argument(_require(args, "matrix", "verify")))
     member, report = verify_isotropy(st, q)
@@ -197,12 +215,17 @@ def _cmd_verify(args):
 
 
 def _cmd_commutant(args):
-    st = _structure_of(args)
+    st = _bounded_structure_of(args)
     if not isinstance(st, SegreStructure):
         raise IsotropyError(
             "the commutant parameterization is per eigenvalue; pass a "
             "single structure")
     dimension, builder = commutant_basis(st)
+    if dimension * st.n * st.n > _MAX_COMMUTANT_ENTRIES:
+        raise IsotropyError(
+            f"request too large: the commutant basis has {dimension} "
+            f"matrices of {st.n} x {st.n}, and commutant prints at most "
+            f"{_MAX_COMMUTANT_ENTRIES} entries")
     basis = []
     for r in range(st.part_count):
         for s in range(st.part_count):
@@ -219,7 +242,7 @@ def _cmd_commutant(args):
 
 
 def _cmd_factor(args):
-    st = _structure_of(args)
+    st = _bounded_structure_of(args)
     if not isinstance(st, SegreStructure):
         raise IsotropyError(
             "factorization is per eigenvalue; pass a single structure")

@@ -1,15 +1,22 @@
-"""Block structures and canonical matrices.
+"""Block structures, the dense layout and canonical matrices.
 
 A SegreStructure fixes one eigenvalue lam and rows (alpha_r, m_r): m_r
 copies of the size-alpha_r block, alpha strictly decreasing after
-normalization.  From it we build, all exactly:
+normalization.  A MultiSegreStructure joins several with distinct
+eigenvalues.  A SegreStructure is its own single part, so code that only
+sums or concatenates over eigenvalues walks structure.parts.
+
+This module alone owns the dense layout (_layout: parts, then rows by
+decreasing alpha, then copies) and the interleaving permutation Omega
+(_omega_indices), which regroups each eigenvalue row from "m copies of
+size alpha" to "alpha positions of size m".  From them we build, all
+exactly:
 
   * the Jordan form J (direct sum of Jordan blocks),
   * the symmetric canonical form S (direct sum of symmetric blocks),
   * the transition P with S = P J P^{-1}, entries in (1/sqrt2) Q(i),
   * the dense backward identity E (per-block reversals),
-  * the interleaving permutation Omega that regroups each eigenvalue row
-    from "m copies of size alpha" to "alpha positions of size m", and
+  * Omega as a matrix, and
   * the block-coordinate backward identity F = Omega^T E Omega.
 
 symmetric_block and transition_matrix build their block from entries
@@ -17,7 +24,8 @@ formed before the walk; that the symmetric block equals P J P^{-1} is
 checked by the tests, not at run time.  symmetric_block builds each
 (alpha, lam) block once, and symmetric_form, transition_form and
 transition_form_inverse build their matrix once per structure; each then
-hands out the same immutable object.
+hands out the same immutable object.  E, Omega and F are laid out from
+index lists.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import StructureError
-from .matrices import ExactMatrix, direct_sum
+from .matrices import ExactMatrix, _permutation, direct_sum
 from .scalars import (ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, _coerce,
                       parse_scalar)
 
@@ -76,6 +84,11 @@ class SegreStructure:
 
     def __setattr__(self, name, value):
         raise AttributeError("SegreStructure is immutable")
+
+    @property
+    def parts(self) -> tuple:
+        """(self,): one eigenvalue is its own single part."""
+        return (self,)
 
     @property
     def part_count(self) -> int:
@@ -153,7 +166,7 @@ Structure = SegreStructure | MultiSegreStructure
 
 def backward_identity(n: int) -> ExactMatrix:
     """Ones on the anti-diagonal."""
-    return ExactMatrix.build(n, n, lambda i, j: ONE if i + j == n - 1 else ZERO)
+    return _permutation(range(n - 1, -1, -1))
 
 
 def jordan_block(n: int, lam) -> ExactMatrix:
@@ -211,44 +224,46 @@ def _symmetric_block(n: int, lam: ExactScalar) -> ExactMatrix:
     return ExactMatrix.build(n, n, entry)
 
 
-def interleave_permutation(alpha: int, m: int) -> ExactMatrix:
-    """Permutation regrouping m stacked size-alpha blocks by position.
-
-    Column i*m + k is the standard basis vector e_{k*alpha + i}: the k-th
-    copy's position i is sent to slot (position i, copy k).
-    """
-    size = alpha * m
-    cols = {}
-    for i in range(alpha):
-        for k in range(m):
-            cols[i * m + k] = k * alpha + i
-    return ExactMatrix.build(size, size,
-                             lambda r, c: ONE if cols[c] == r else ZERO)
-
-
 # ---------------------------------------------------------------------------
 # whole-structure builders
 # ---------------------------------------------------------------------------
 
 
-def _per_copy(structure: SegreStructure, block_fn) -> ExactMatrix:
+def _layout(structure: Structure) -> Iterator[tuple]:
+    """(lam, alpha, m, offset) for each eigenvalue row, in dense order:
+    parts, then rows by decreasing alpha.  The row's m copies of the
+    size-alpha block follow one another from dense index offset on."""
+    offset = 0
+    for part in structure.parts:
+        for alpha, m in part.blocks:
+            yield part.lam, alpha, m, offset
+            offset += alpha * m
+
+
+def _per_copy(structure: Structure, block_fn) -> ExactMatrix:
+    """Direct sum of block_fn(alpha, lam), once per block copy."""
     pieces = []
-    for alpha, m in structure.blocks:
-        piece = block_fn(alpha)
-        pieces.extend([piece] * m)
+    for lam, alpha, m, _ in _layout(structure):
+        pieces.extend([block_fn(alpha, lam)] * m)
     return direct_sum(pieces)
 
 
+def _omega_indices(structure: Structure) -> list[int]:
+    """Omega as indices, Omega e_c = e_{perm[c]}: in each eigenvalue row
+    (alpha, m), position-major i*m + k is copy-major k*alpha + i."""
+    return [offset + k * alpha + i
+            for _, alpha, m, offset in _layout(structure)
+            for i in range(alpha) for k in range(m)]
+
+
 def jordan_form(structure: Structure) -> ExactMatrix:
-    if isinstance(structure, MultiSegreStructure):
-        return direct_sum([jordan_form(p) for p in structure.parts])
-    return _per_copy(structure, lambda a: jordan_block(a, structure.lam))
+    return _per_copy(structure, jordan_block)
 
 
 # Canonical matrices are immutable and depend only on the structure, so each
 # private builder keeps its last few results.  Callers work on one structure
-# at a time (a multi-eigenvalue structure fills one slot per part and one for
-# itself), so four slots catch the repeats while the cached matrices add
+# at a time (a multi-eigenvalue structure may fill one slot per part and one
+# for itself), so four slots catch the repeats while the cached matrices add
 # little to peak memory.  The symmetric blocks they are assembled from depend
 # only on (alpha, lam) and recur across structures, so _symmetric_block keeps
 # 64 of them, more than twice the 27 (9 sizes at 3 eigenvalues) of the
@@ -258,16 +273,12 @@ def jordan_form(structure: Structure) -> ExactMatrix:
 
 @lru_cache(maxsize=4)
 def _symmetric_form(structure: Structure) -> ExactMatrix:
-    if isinstance(structure, MultiSegreStructure):
-        return direct_sum([symmetric_form(p) for p in structure.parts])
-    return _per_copy(structure, lambda a: _symmetric_block(a, structure.lam))
+    return _per_copy(structure, _symmetric_block)
 
 
 @lru_cache(maxsize=4)
 def _transition_form(structure: Structure) -> ExactMatrix:
-    if isinstance(structure, MultiSegreStructure):
-        return direct_sum([transition_form(p) for p in structure.parts])
-    return _per_copy(structure, transition_matrix)
+    return _per_copy(structure, lambda alpha, _: transition_matrix(alpha))
 
 
 @lru_cache(maxsize=4)
@@ -291,30 +302,20 @@ def transition_form_inverse(structure: Structure) -> ExactMatrix:
 
 def backward_form(structure: Structure) -> ExactMatrix:
     """Dense-order direct sum of per-copy backward identities."""
-    if isinstance(structure, MultiSegreStructure):
-        return direct_sum([backward_form(p) for p in structure.parts])
-    return _per_copy(structure, backward_identity)
+    return _per_copy(structure, lambda alpha, _: backward_identity(alpha))
 
 
 def interleave_form(structure: Structure) -> ExactMatrix:
-    if isinstance(structure, MultiSegreStructure):
-        return direct_sum([interleave_form(p) for p in structure.parts])
-    return direct_sum([interleave_permutation(a, m) for a, m in structure.blocks])
+    """Omega: column c is e_{_omega_indices(structure)[c]}."""
+    return _permutation(_omega_indices(structure))
 
 
 def block_backward_form(structure: Structure) -> ExactMatrix:
     """Backward identity in block coordinates: per row, I_m blocks on the
     block anti-diagonal.  Equals Omega^T E Omega (tested, not assumed)."""
-    if isinstance(structure, MultiSegreStructure):
-        return direct_sum([block_backward_form(p) for p in structure.parts])
-
-    def one_row(alpha, m):
-        return ExactMatrix.build(
-            alpha * m, alpha * m,
-            lambda r, c: ONE if (r % m == c % m and r // m + c // m == alpha - 1)
-            else ZERO)
-
-    return direct_sum([one_row(a, m) for a, m in structure.blocks])
+    return _permutation([offset + (alpha - 1 - i) * m + k
+                         for _, alpha, m, offset in _layout(structure)
+                         for i in range(alpha) for k in range(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +336,6 @@ def enumerate_structures(n: int, lam=0) -> Iterator[SegreStructure]:
                 yield [part] + rest
 
     for parts in partitions(n, n):
-        merged: dict[int, int] = {}
-        for p in parts:
-            merged[p] = merged.get(p, 0) + 1
-        yield SegreStructure(lam, sorted(merged.items(), key=lambda t: -t[0]))
+        # the structure merges equal sizes into one row
+        yield SegreStructure(lam, [(p, 1) for p in parts])
 

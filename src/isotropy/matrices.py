@@ -325,13 +325,6 @@ def _from_scalars(rows: int, cols: int, entries: list) -> ExactMatrix:
         for r in parts), den)
 
 
-def _scaled(m: ExactMatrix) -> tuple:
-    """(grid, den) with m = grid / den, its stored canonical form: rows of
-    integer 4-tuples (a, b, c, d), meaning (a + b i) + (c + d i) sqrt2.  A
-    linear system built from grid has the rank of the one built from m."""
-    return m._g, m._den
-
-
 def _scaled_rows(m: ExactMatrix) -> tuple:
     """(grid, dens) with row i of m = grid[i] / dens[i], reduced by one gcd
     per row, so dens[i] is the lcm of the denominators of row i: the input
@@ -500,9 +493,19 @@ def zeros(rows: int, cols: int) -> ExactMatrix:
     return ExactMatrix(rows, cols, ((_Z4,) * cols,) * rows)
 
 
-def identity(n: int) -> ExactMatrix:
+def _permutation(perm: Iterable[int]) -> ExactMatrix:
+    """The permutation matrix P with P e_c = e_{perm[c]}, no arithmetic."""
+    perm = list(perm)
+    n = len(perm)
+    cols = [0] * n
+    for c, r in enumerate(perm):
+        cols[r] = c
     return ExactMatrix(n, n, tuple(
-        (_Z4,) * i + (_ONE4,) + (_Z4,) * (n - 1 - i) for i in range(n)))
+        (_Z4,) * c + (_ONE4,) + (_Z4,) * (n - 1 - c) for c in cols))
+
+
+def identity(n: int) -> ExactMatrix:
+    return _permutation(range(n))
 
 
 def diagonal(values: Iterable) -> ExactMatrix:

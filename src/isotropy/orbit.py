@@ -18,7 +18,7 @@ with itself is X -> S_A X - X S_A on skew X, and neither reads S outside
 A and B: a pair's rank is a function of its local data.
 
 That local data is S on each of the two components, read as the integer
-grid of S over its one denominator (matrices._scaled), since scaling a
+grid of S over its one denominator (ExactMatrix._g), since scaling a
 linear map keeps its rank, and shifted by a multiple of I, which leaves
 S X - X S unchanged: each component's grid is taken less its first
 diagonal entry, and the pair keeps the difference of the two entries.
@@ -37,8 +37,8 @@ with itself taken on all X.
 from functools import lru_cache
 
 from .errors import IntegrityError, ParameterError, StructureError
-from .forms import MultiSegreStructure, SegreStructure, symmetric_form
-from .matrices import _Z4, ExactMatrix, _fraction_free, _scaled
+from .forms import Structure, symmetric_form
+from .matrices import _Z4, ExactMatrix, _fraction_free
 from .stabilizer import describe_isotropy
 
 
@@ -81,27 +81,25 @@ class OrbitReport:
 def codim_formula(structure) -> int:
     """Orbit codimension from the structure data alone.
 
-    Single eigenvalue: sum over groups of alpha_r m_r times
-    ((m_r + 1)/2 plus the multiplicities of all deeper groups).
-    Several eigenvalues add up part by part.
+    Per eigenvalue: sum over groups of alpha_r m_r times ((m_r + 1)/2
+    plus the multiplicities of all deeper groups).  Several eigenvalues
+    add up part by part.
     """
-    if isinstance(structure, MultiSegreStructure):
-        return sum(codim_formula(p) for p in structure.parts)
-    if not isinstance(structure, SegreStructure):
+    if not isinstance(structure, Structure):
         raise StructureError(
             "expected SegreStructure or MultiSegreStructure, "
             f"got {type(structure).__name__}")
     total = 0
-    for r, (alpha, m) in enumerate(structure.blocks):
-        deeper = sum(structure.mults[s] for s in range(r))
-        total += alpha * m * (m + 1) // 2 + alpha * m * deeper
+    for part in structure.parts:
+        for r, (alpha, m) in enumerate(part.blocks):
+            total += alpha * m * (m + 1) // 2 + alpha * m * sum(part.mults[:r])
     return total
 
 
 def _components(s: ExactMatrix) -> list:
     """Label each index of the symmetric matrix s by the connected component
     of the nonzero pattern of s that holds it: its smallest index."""
-    grid, _ = _scaled(s)
+    grid = s._g
     n = s.rows
     parent = list(range(n))
 
@@ -123,10 +121,10 @@ def _components(s: ExactMatrix) -> list:
 
 def _component_grids(s: ExactMatrix) -> list:
     """(c, S - c I) on each component of s, c the component's first diagonal
-    entry, as integer grids over the one denominator of s (matrices._scaled):
+    entry, as integer grids over the one denominator of s (its stored grid):
     S at that component's rows and columns, in index order.  Components come
     in order of their smallest index."""
-    grid, _ = _scaled(s)
+    grid = s._g
     members: dict = {}
     for i, label in enumerate(_components(s)):
         members.setdefault(label, []).append(i)

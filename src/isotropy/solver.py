@@ -10,12 +10,12 @@ all remaining coefficients in the order offset j ascending, block
 distance p = 0 first and then ascending (_sweep); solve_congruence
 verifies the full congruence on the result before returning it, while
 sampling checks the dense matrix it returns instead.  Each step reads one
-coefficient of F X^T F B X off the partial solution, by the product rule
-of toeplitz._product_pairs applied twice: to B and X, then to F X^T F
-and B X.  When B is the identity form (every sample and every gen_W /
-gen_V), B X is X, and the second application reads X directly.  Whole
-forms (the verification's F X^T F X) are multiplied by
-ToeplitzForm.__mul__, one integer product each.
+coefficient of F X^T F B X off the partial solution, by the rule for one
+coefficient of a form product (_product_pairs, the sweep's alone) applied
+twice: to B and X, then to F X^T F and B X.  When B is the identity form
+(every sample and every gen_W / gen_V), B X is X, and the second
+application reads X directly.  Whole forms (the verification's F X^T F X)
+are multiplied by ToeplitzForm.__mul__, one integer product each.
 
 CongruenceData checks B and C and lays out their forms once, when it is
 made; constant_data is the one constructor of the self-congruence data
@@ -43,7 +43,7 @@ from .matrices import (ExactMatrix, _is_member, _mark_member,
                        zeros as dense_zeros)
 from .rng import RandomSource
 from .scalars import HALF
-from .toeplitz import ToeplitzForm, _product_pairs
+from .toeplitz import ToeplitzForm
 
 __all__ = [
     "CongruenceData",
@@ -274,6 +274,34 @@ class FreeParams:
 # ---------------------------------------------------------------------------
 # accumulators
 # ---------------------------------------------------------------------------
+
+
+def _product_pairs(structure: SegreStructure, left, right,
+                   r: int, s: int, j: int) -> list:
+    """The nonzero term pairs (A_l^{rk}, B_{n - l}^{ks}) of coefficient
+    C_j^{rs} of the product of two block Toeplitz forms A and B, the
+    sweep's rule for one coefficient of a partial product:
+    C_j^{rs} = sum_k sum_l A_l^{rk} B_{n - l}^{ks}, with
+    n = j + shift(r, s) - shift(r, k) - shift(k, s), over 0 <= l < depth(r, k)
+    and 0 <= n - l < depth(k, s).
+
+    left(r, k, l) and right(k, s, l) are only asked for in-range slots, and
+    return the coefficient there or None for a zero one; right is only asked
+    once its left partner is nonzero.  A j < 0 gives no pairs.
+    """
+    shift_rs = structure.shift(r, s)
+    pairs = []
+    for k in range(structure.part_count):
+        n = j + shift_rs - structure.shift(r, k) - structure.shift(k, s)
+        for l in range(max(0, n - structure.depth(k, s) + 1),
+                       min(structure.depth(r, k), n + 1)):
+            lhs = left(r, k, l)
+            if lhs is None or lhs.is_zero:
+                continue
+            rhs = right(k, s, n - l)
+            if rhs is not None and not rhs.is_zero:
+                pairs.append((lhs, rhs))
+    return pairs
 
 
 def _lookup(partial: Mapping, skip, r: int, s: int, j: int):

@@ -9,10 +9,10 @@ basis exchanges the two, so membership checks never approximate.
 
 from .errors import (DimensionMismatchError, IntegrityError, MembershipError,
                      ParameterError, StructureError)
-from .forms import (MultiSegreStructure, SegreStructure, symmetric_form,
-                    transition_form, transition_form_inverse)
+from .forms import (MultiSegreStructure, SegreStructure, _layout,
+                    symmetric_form, transition_form, transition_form_inverse)
 from .matrices import (ExactMatrix, _grid_mul, _is_member, _mark_member,
-                       _scaled, direct_sum)
+                       direct_sum)
 from .scalars import ONE, ZERO, _from_ints
 from .solver import (FreeParams, _require_congruence, _sweep, constant_data,
                      random_free_params, solution_dimension)
@@ -116,16 +116,9 @@ def _first_mismatch(a: ExactMatrix, b: ExactMatrix):
 
 def _chain_tops(structure) -> list:
     """Dense index of the last basis vector of each block copy, in layout
-    order (parts in order, then blocks, then copies)."""
-    parts = (structure.parts if isinstance(structure, MultiSegreStructure)
-             else (structure,))
-    tops, end = [], 0
-    for part in parts:
-        for alpha, m in part.blocks:
-            for _ in range(m):
-                end += alpha
-                tops.append(end - 1)
-    return tops
+    order (forms._layout: parts, then rows, then copies)."""
+    return [offset + (k + 1) * alpha - 1
+            for _, alpha, m, offset in _layout(structure) for k in range(m)]
 
 
 def verify_isotropy(structure, q: ExactMatrix):
@@ -166,10 +159,10 @@ def verify_isotropy(structure, q: ExactMatrix):
     if q.rows != n or q.cols != n:
         raise DimensionMismatchError(
             f"matrix is {q.rows}x{q.cols}, structure needs {n}x{n}")
-    grid, den = _scaled(q)
+    grid, den = q._g, q._den
     one = den * den
     s = symmetric_form(structure)
-    si, _ = _scaled(s)
+    si = s._g
     gt = list(zip(*grid))
     if _grid_mul(si, grid, n) == _grid_mul(grid, si, n):
         tops = _chain_tops(structure)

@@ -26,11 +26,9 @@ alpha_1.  The upper coupling cell (r, s, 0), r < s, has weight 0, so the
 bound does not cover X - I for every unipotent member X (README, "Known
 limitation").
 
-The rule for one coefficient of a product (_product_pairs) is the
-congruence solver's: its sweep determines a partial form one coefficient
-at a time.  Membership of a product or inverse is checked where it is
-returned (solver.verify_congruence); that the product equals the dense
-product of the assemblies is a property the test suite checks.
+Membership of a product or inverse is checked where it is returned
+(solver.verify_congruence); that the product equals the dense product of
+the assemblies is a property the test suite checks.
 
 Coordinates are 0-based throughout: group indices r, s in
 [0, part_count), coefficient index j in [0, depth(r, s)).
@@ -47,10 +45,9 @@ from .errors import (
     ShapeViolationError,
     StructureError,
 )
-from .forms import MultiSegreStructure, SegreStructure
+from .forms import SegreStructure, _omega_indices
 from .matrices import (ExactMatrix, _ONE4, _Z4, _grid_mul, _permuted,
-                       _reduced, _scaled, block_assemble,
-                       zeros as dense_zeros)
+                       _reduced, block_assemble, zeros as dense_zeros)
 
 __all__ = [
     "ToeplitzForm",
@@ -62,34 +59,6 @@ __all__ = [
 
 def _block_keys(structure: SegreStructure) -> Iterator[tuple[int, int]]:
     return product(range(structure.part_count), repeat=2)
-
-
-def _product_pairs(structure: SegreStructure, left, right,
-                   r: int, s: int, j: int) -> list:
-    """The nonzero term pairs (A_l^{rk}, B_{n - l}^{ks}) of coefficient
-    C_j^{rs} of the product of two block Toeplitz forms A and B, the
-    congruence solver's rule for one coefficient of a partial product:
-    C_j^{rs} = sum_k sum_l A_l^{rk} B_{n - l}^{ks}, with
-    n = j + shift(r, s) - shift(r, k) - shift(k, s), over 0 <= l < depth(r, k)
-    and 0 <= n - l < depth(k, s).
-
-    left(r, k, l) and right(k, s, l) are only asked for in-range slots, and
-    return the coefficient there or None for a zero one; right is only asked
-    once its left partner is nonzero.  A j < 0 gives no pairs.
-    """
-    shift_rs = structure.shift(r, s)
-    pairs = []
-    for k in range(structure.part_count):
-        n = j + shift_rs - structure.shift(r, k) - structure.shift(k, s)
-        for l in range(max(0, n - structure.depth(k, s) + 1),
-                       min(structure.depth(r, k), n + 1)):
-            lhs = left(r, k, l)
-            if lhs is None or lhs.is_zero:
-                continue
-            rhs = right(k, s, n - l)
-            if rhs is not None and not rhs.is_zero:
-                pairs.append((lhs, rhs))
-    return pairs
 
 
 def _cell_rows(structure: SegreStructure, rows, leads, moved: bool) -> list:
@@ -217,7 +186,7 @@ class ToeplitzForm:
     def _cell(self, r: int, s: int, j: int) -> ExactMatrix:
         # coefficient (r, s, j), 0 <= j < depth(r, s), sliced off the strip
         st = self.structure
-        grid, den = _scaled(self._strip)
+        grid, den = self._strip._g, self._strip._den
         top = sum(st.mults[:r])
         m_r, m_s = st.mults[r], st.mults[s]
         col = st.group_offset(s) + (j + st.shift(r, s)) * m_s
@@ -281,7 +250,7 @@ class ToeplitzForm:
         """(rows, den) of the dense matrix rows / den: cell-row u of group r
         is the strip rows of group r moved right by u cells per block."""
         st = self.structure
-        grid, den = _scaled(self._strip)
+        grid, den = self._strip._g, self._strip._den
         rows, top = [], 0
         for alpha_r, m_r in st.blocks:
             for u in range(alpha_r):
@@ -309,7 +278,7 @@ class ToeplitzForm:
         if dense.rows != n or dense.cols != n:
             raise DimensionMismatchError(
                 f"matrix is {dense.rows}x{dense.cols}, structure needs {n}x{n}")
-        grid, den = _scaled(dense)
+        grid, den = dense._g, dense._den
         rows = []
         for r, m in enumerate(structure.mults):
             top = structure.group_offset(r)
@@ -337,7 +306,7 @@ class ToeplitzForm:
             return NotImplemented
         self._same_structure(other)
         st = self.structure
-        grid, den = _scaled(self._strip)
+        grid, den = self._strip._g, self._strip._den
         right, right_den = other._dense_rows()
         acc = _grid_mul(grid, right, st.n)
         return ToeplitzForm._from_strip(st, _reduced(
@@ -349,7 +318,7 @@ class ToeplitzForm:
         becomes the transpose of coefficient (s, r, j).  The strip's entries
         are permuted, so the result is canonical over the same den."""
         st = self.structure
-        grid, den = _scaled(self._strip)
+        grid, den = self._strip._g, self._strip._den
         tops = [sum(st.mults[:r]) for r in range(st.part_count)]
         rows = []
         for r, m_r in enumerate(st.mults):
@@ -386,21 +355,6 @@ class ToeplitzForm:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def _omega_indices(structure) -> list[int]:
-    """Omega as indices: Omega e_c = e_{perm[c]}.  Within each eigenvalue row
-    (alpha, m), position-major index i*m + k is copy-major index k*alpha + i."""
-    parts = (structure.parts if isinstance(structure, MultiSegreStructure)
-             else (structure,))
-    perm = []
-    offset = 0
-    for part in parts:
-        for alpha, m in part.blocks:
-            perm.extend(offset + k * alpha + i
-                        for i in range(alpha) for k in range(m))
-            offset += alpha * m
-    return perm
 
 
 def conjugate_by_omega(dense: ExactMatrix, structure: SegreStructure,

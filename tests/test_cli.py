@@ -89,10 +89,27 @@ def test_request_too_large_for_memory_exits_two():
         "error": "request too large: out of memory"}
 
 
-@pytest.mark.parametrize("command", ["canonical", "codim"])
+def _blocks(*pairs, lam="0"):
+    return json.dumps({"lambda": lam, "blocks": [
+        {"alpha": a, "m": m} for a, m in pairs]})
+
+
+def _parts(*parts):
+    return '{"parts": [' + ", ".join(parts) + "]}"
+
+
+# every command that builds dense n x n matrices
+_BOUNDED = ["canonical", "codim", "sample", "generators", "verify",
+            "commutant", "factor"]
+
+
+@pytest.mark.parametrize("command", _BOUNDED)
 def test_dense_commands_refuse_an_oversize_structure_at_once(capsys, command):
     # n = 200000 is refused from the structure, before any n x n matrix
-    # is built, so the refusal is quick and fits in 1 GB
+    # is built and before --params or --matrix is read (none is passed),
+    # so the refusal is quick and fits in 1 GB
+    # sample runs out of 1 GB sooner, so it stops at n = 512
+    bound = 512 if command == "sample" else 1024
     structure = '{"lambda": "0", "blocks": [{"alpha": 100000, "m": 2}]}'
     start = time.monotonic()
     proc = _run_capped(command, structure)
@@ -101,13 +118,54 @@ def test_dense_commands_refuse_an_oversize_structure_at_once(capsys, command):
     assert proc.stdout == ""
     assert json.loads(proc.stderr) == {
         "error": f"request too large: n = 200000, and {command} builds "
-                 "dense matrices only up to n = 1024"}
-    # the bound is n = 1024: one more is refused, on several parts too
-    multi = ('{"parts": [{"lambda": "0", "blocks": [{"alpha": 1024, "m": 1}]},'
-             ' {"lambda": "1", "blocks": [{"alpha": 1, "m": 1}]}]}')
+                 f"dense matrices only up to n = {bound}"}
+    # one more than the bound is refused, on several parts too
+    multi = _parts(_blocks((bound, 1)), _blocks((1, 1), lam="1"))
     code, out, err = _run(capsys, command, "--structure", multi)
     assert (code, out) == (2, "")
-    assert json.loads(err)["error"].startswith("request too large: n = 1025,")
+    assert json.loads(err)["error"].startswith(
+        f"request too large: n = {bound + 1},")
+
+
+_CODIM_BOUND = "codim ranks tangent systems only for blocks up to size 40"
+_SAMPLE_BOUND = "sample takes orthogonal seeds only up to size 32"
+_COMMUTANT_BOUND = "commutant prints at most 4194304 entries"
+
+
+@pytest.mark.parametrize("command, over, over_error, edge, edge_error", [
+    # codim ranks the tangent system of a block of size a densely, about
+    # a^2/2 rows of a^2/2 entries
+    ("codim", _blocks((150, 1)),
+     f"the largest block has size 150, and {_CODIM_BOUND}",
+     _parts(_blocks((2, 1)), _blocks((41, 1), (1, 2), lam="1")),
+     f"the largest block has size 41, and {_CODIM_BOUND}"),
+    # sample works on an m x m orthogonal seed per group
+    ("sample", _blocks((1, 512)),
+     f"the largest multiplicity is 512, and {_SAMPLE_BOUND}",
+     _parts(_blocks((2, 1)), _blocks((2, 1), (1, 33), lam="i")),
+     f"the largest multiplicity is 33, and {_SAMPLE_BOUND}"),
+    # the basis has 4 * 200 = 800 dense 400 x 400 matrices; at the bound,
+    # [(64, 2)] has 256 of 128 x 128, and one more row tips it over
+    ("commutant", _blocks((200, 2)),
+     "the commutant basis has 800 matrices of 400 x 400, and "
+     f"{_COMMUTANT_BOUND}",
+     _blocks((64, 2), (1, 1)),
+     "the commutant basis has 261 matrices of 129 x 129, and "
+     f"{_COMMUTANT_BOUND}"),
+], ids=["codim", "sample", "commutant"])
+def test_commands_refuse_beyond_their_own_bound_at_once(
+        capsys, command, over, over_error, edge, edge_error):
+    # far below the n bound, but over the command's own bound: refused from
+    # the structure alone, so quickly and in 1 GB
+    start = time.monotonic()
+    proc = _run_capped(command, over)
+    assert time.monotonic() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-2000:]
+    assert json.loads(proc.stderr) == {
+        "error": "request too large: " + over_error}
+    code, out, err = _run(capsys, command, "--structure", edge)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "request too large: " + edge_error}
 
 
 def test_codim_example(capsys):

@@ -6,13 +6,14 @@ from isotropy.errors import StructureError
 from isotropy.forms import (
     MultiSegreStructure, SegreStructure, backward_form, backward_identity,
     block_backward_form, enumerate_structures, interleave_form,
-    interleave_permutation, jordan_block, jordan_form, symmetric_block,
+    jordan_block, jordan_form, symmetric_block,
     symmetric_form, transition_form, transition_form_inverse, transition_matrix,
 )
 from isotropy import forms
 from isotropy.matrices import ExactMatrix, identity
 from isotropy.rng import RandomSource
 from isotropy.scalars import ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, rat
+from isotropy.stabilizer import _chain_tops
 
 import _oracles as oracle
 
@@ -60,6 +61,23 @@ def test_multi_structure_rejects_duplicates():
         MultiSegreStructure([a, b])
     multi = MultiSegreStructure([a, SegreStructure(1, [(1, 1)])])
     assert multi.n == 3
+
+
+_BUILDERS = (jordan_form, symmetric_form, transition_form, backward_form,
+             interleave_form, block_backward_form)
+
+
+def test_a_structure_is_its_own_single_part():
+    # every walk over parts gives the same on st and on the one-part
+    # MultiSegreStructure([st])
+    for n in range(1, 7):
+        for lam in (0, 1, IMAG):
+            for st in enumerate_structures(n, lam):
+                assert st.parts == (st,)
+                multi = MultiSegreStructure([st])
+                for build in _BUILDERS:
+                    assert build(st) == build(multi), (build.__name__, st)
+                assert _chain_tops(st) == _chain_tops(multi), st
 
 
 def test_enumerate_structures_counts():
@@ -155,9 +173,23 @@ def test_symmetric_block_is_similar_to_jordan():
             assert not nilp.power(n - 1).is_zero
 
 
+def interleave_permutation(alpha, m):
+    # Omega of one eigenvalue row, entry by entry: column i*m + k is
+    # e_{k*alpha + i}
+    cols = {i * m + k: k * alpha + i for i in range(alpha) for k in range(m)}
+    return ExactMatrix.build(alpha * m, alpha * m,
+                             lambda r, c: ONE if cols[c] == r else ZERO)
+
+
+def test_interleave_form_is_the_row_permutation():
+    for alpha, m in [(2, 3), (4, 1), (1, 5), (3, 2)]:
+        assert interleave_form(SegreStructure(0, [(alpha, m)])) \
+            == interleave_permutation(alpha, m)
+
+
 def test_interleave_permutation_frozen_2_3():
     # columns e_1, e_3, e_5, e_2, e_4, e_6
-    om = interleave_permutation(2, 3)
+    om = interleave_form(SegreStructure(0, [(2, 3)]))
     want_cols = [0, 2, 4, 1, 3, 5]
     for c, r in enumerate(want_cols):
         assert om[r, c] == ONE
@@ -165,8 +197,8 @@ def test_interleave_permutation_frozen_2_3():
 
 
 def test_interleave_permutation_degenerate():
-    assert interleave_permutation(4, 1).is_identity
-    assert interleave_permutation(1, 5).is_identity
+    assert interleave_form(SegreStructure(0, [(4, 1)])).is_identity
+    assert interleave_form(SegreStructure(0, [(1, 5)])).is_identity
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from isotropy import scalars
 from isotropy.errors import DimensionMismatchError, SingularMatrixError
 from isotropy.forms import SegreStructure, symmetric_form
 from isotropy.matrices import (
-    ExactMatrix, _scaled, _sum_of_products, block_assemble, cayley_orthogonal,
+    ExactMatrix, _sum_of_products, block_assemble, cayley_orthogonal,
     diagonal, direct_sum, identity, zeros,
 )
 from isotropy.rng import RandomSource
@@ -484,7 +484,7 @@ def test_symmetry_predicates():
 
 def _assert_canonical(m):
     # den > 0, gcd(den, every component) == 1, and den == 1 when zero
-    grid, den = _scaled(m)
+    grid, den = m._g, m._den
     assert den > 0
     assert len(grid) == m.rows and all(len(r) == m.cols for r in grid)
     assert gcd(den, *(v for r in grid for x in r for v in x)) == 1

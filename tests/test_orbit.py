@@ -7,13 +7,15 @@ import pytest
 from isotropy.acceptance import _commutant_nullity
 from isotropy.errors import IntegrityError, ParameterError, StructureError
 from isotropy.forms import (MultiSegreStructure, SegreStructure,
-                            enumerate_structures, symmetric_form)
+                            enumerate_structures, interleave_form,
+                            symmetric_form)
 from isotropy.matrices import ExactMatrix, cayley_orthogonal, direct_sum
 from isotropy.orbit import (OrbitReport, _components, _pair_rank,
                             codim_formula, consistency_check, tangent_oracle)
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, ZERO
 from isotropy.solver import solution_dimension
+from isotropy.stabilizer import _chain_tops
 
 from _oracles import (nullity, vectorize_commutant_system,
                       vectorize_tangent_system)
@@ -153,6 +155,27 @@ _MULTI_STRUCTURES = (
     MultiSegreStructure([_st([(3, 1), (1, 1)]), _st([(2, 1)], 0),
                          _st([(1, 1)], 1)]),
 )
+
+
+def test_interleave_form_and_chain_tops_on_several_parts():
+    # a cumulative walk over parts, then rows, then copies: in the row
+    # (alpha, m) starting at dense index offset, column offset + i*m + k of
+    # Omega is e_{offset + k*alpha + i}, and copy k ends at
+    # offset + (k + 1)*alpha - 1
+    for st in _MULTI_STRUCTURES:
+        om = interleave_form(st)
+        tops, offset = [], 0
+        for part in st.parts:
+            for alpha, m in part.blocks:
+                for i in range(alpha):
+                    for k in range(m):
+                        c, hot = offset + i * m + k, offset + k * alpha + i
+                        assert [om[r, c] for r in range(st.n)] \
+                            == [ONE if r == hot else ZERO for r in range(st.n)]
+                tops += [offset + (k + 1) * alpha - 1 for k in range(m)]
+                offset += alpha * m
+        assert offset == st.n
+        assert _chain_tops(st) == tops, st
 
 
 def test_block_oracle_matches_dense_reference():
