@@ -93,17 +93,23 @@ def _bounded_structure_of(args, max_n=_MAX_DENSE_N):
     return st
 
 
+def _checked_seed(seed: int, source: str) -> int:
+    # SplitMix64 keeps 64 bits: -1 would draw as 2^64 - 1 but record -1
+    if not 0 <= seed < 1 << 64:
+        raise IsotropyError(f"{source} must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _seed_of(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("ISOTROPY_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise IsotropyError(
-                f"ISOTROPY_SEED must be an integer, got {env!r}") from None
-    return 0
+    env = os.environ.get("ISOTROPY_SEED", "0")
+    try:
+        seed = int(env)
+    except ValueError:
+        raise IsotropyError(
+            f"ISOTROPY_SEED must be an integer, got {env!r}") from None
+    return _checked_seed(seed, "ISOTROPY_SEED")
 
 
 def _cmd_canonical(args):
@@ -303,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--structure", metavar="FILE|JSON",
                         help="structure as inline JSON or a file path")
     parser.add_argument("--seed", type=int, metavar="N",
-                        help="64-bit seed (fallback: env ISOTROPY_SEED, "
-                             "then 0)")
+                        help="seed in [0, 2**64) (fallback: env "
+                             "ISOTROPY_SEED, then 0)")
     parser.add_argument("--params", metavar="FILE|JSON",
                         help="free parameters or generator spec")
     parser.add_argument("--matrix", metavar="FILE|JSON",
@@ -327,9 +333,19 @@ def _emit(text: str, out_path):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse reads "--flag=--" as []
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     handler = _COMMANDS[args.command]
     try:
+        if args.seed is not None:
+            _checked_seed(args.seed, "--seed")
+        # refused before any work, which selftest would report on stderr
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(
+                os.path.dirname(args.out) or ".")):
+            raise IsotropyError(f"--out cannot be written: {args.out!r}")
         payload, code = handler(args)
         _emit(dumps_canonical(payload), args.out)
     except IntegrityError as exc:

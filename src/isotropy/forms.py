@@ -22,10 +22,10 @@ exactly:
 symmetric_block and transition_matrix build their block from entries
 formed before the walk; that the symmetric block equals P J P^{-1} is
 checked by the tests, not at run time.  symmetric_block builds each
-(alpha, lam) block once, and symmetric_form, transition_form and
-transition_form_inverse build their matrix once per structure; each then
-hands out the same immutable object.  E, Omega and F are laid out from
-index lists.
+(alpha, lam) block once and symmetric_form each S once per structure,
+handing out the same immutable object.  E, Omega and F are laid out from
+index lists, and Q = P Omega X Omega^T P^{-1} is formed from a block
+Toeplitz X by index too (_conjugate_by_transition), without building P.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import StructureError
-from .matrices import ExactMatrix, _permutation, direct_sum
+from .matrices import ExactMatrix, _permutation, _reduced, direct_sum
 from .scalars import (ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, _coerce,
                       parse_scalar)
 
@@ -164,11 +164,6 @@ Structure = SegreStructure | MultiSegreStructure
 # ---------------------------------------------------------------------------
 
 
-def backward_identity(n: int) -> ExactMatrix:
-    """Ones on the anti-diagonal."""
-    return _permutation(range(n - 1, -1, -1))
-
-
 def jordan_block(n: int, lam) -> ExactMatrix:
     lam = _as_eigenvalue(lam)
     return ExactMatrix.build(
@@ -256,34 +251,57 @@ def _omega_indices(structure: Structure) -> list[int]:
             for i in range(alpha) for k in range(m)]
 
 
+def _backward_indices(structure: Structure) -> list[int]:
+    """E as indices, E e_c = e_{perm[c]}: each block copy reversed."""
+    return [offset + k * alpha + alpha - 1 - i
+            for _, alpha, m, offset in _layout(structure)
+            for k in range(m) for i in range(alpha)]
+
+
+def _conjugate_by_transition(structure: Structure, x: ExactMatrix,
+                             to_dense: bool) -> ExactMatrix:
+    """P Omega X Omega^T P^{-1} when to_dense, else its inverse
+    Omega^T P^{-1} X P Omega, by index: no product, no sqrt2 part.
+
+    P = (I + i E)/sqrt2 and P^{-1} = (I - i E)/sqrt2 with E^2 = I give
+    P Y P^{-1} = (Y + E Y E + i (E Y - Y E))/2, and P^{-1} Y P the same
+    with -i.  (E Y)[a][b] = Y[e(a)][b], so each entry reads four of x, at
+    the index lists s (Omega moved) and t (s after E)."""
+    omega, back = _omega_indices(structure), _backward_indices(structure)
+    if to_dense:
+        # Omega X Omega^T has entry (a, b) = X[s[a]][s[b]], s = Omega^{-1}
+        s = sorted(range(len(omega)), key=omega.__getitem__)
+        t, sign = [s[e] for e in back], 1
+    else:
+        s, t, sign = omega, [back[o] for o in omega], -1
+    rows = []
+    for ys, yt in zip(map(x._g.__getitem__, s), map(x._g.__getitem__, t)):
+        # v = Y[a][b] + Y[e a][e b], w = Y[e a][b] - Y[a][e b]; v + sign i w
+        rows.append(tuple(
+            (a1 + a2 - sign * (b3 - b4), b1 + b2 + sign * (a3 - a4),
+             c1 + c2 - sign * (d3 - d4), d1 + d2 + sign * (c3 - c4))
+            for (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3),
+            (a4, b4, c4, d4) in zip(
+                map(ys.__getitem__, s), map(yt.__getitem__, t),
+                map(yt.__getitem__, s), map(ys.__getitem__, t))))
+    return _reduced(x.rows, x.cols, tuple(rows), 2 * x._den)
+
+
 def jordan_form(structure: Structure) -> ExactMatrix:
     return _per_copy(structure, jordan_block)
 
 
-# Canonical matrices are immutable and depend only on the structure, so each
-# private builder keeps its last few results.  Callers work on one structure
-# at a time (a multi-eigenvalue structure may fill one slot per part and one
-# for itself), so four slots catch the repeats while the cached matrices add
-# little to peak memory.  The symmetric blocks they are assembled from depend
-# only on (alpha, lam) and recur across structures, so _symmetric_block keeps
-# 64 of them, more than twice the 27 (9 sizes at 3 eigenvalues) of the
-# benchmark's ladders; sharing one is safe, since an ExactMatrix is immutable.
-# The public names stay plain functions, which a tracer can wrap by name
-# (perfbench/spans.py counts their calls).
+# Every membership check reads S, so _symmetric_form keeps its last four:
+# callers work on one structure at a time (a multi-eigenvalue structure may
+# fill one slot per part and one for itself).  Its blocks depend only on
+# (alpha, lam) and recur across structures, so _symmetric_block keeps 64, more
+# than twice the 27 (9 sizes at 3 eigenvalues) of the benchmark's ladders.
+# Sharing one is safe, since an ExactMatrix is immutable.  The public name
+# stays a plain function, which a tracer can wrap (perfbench/spans.py).
 
 @lru_cache(maxsize=4)
 def _symmetric_form(structure: Structure) -> ExactMatrix:
     return _per_copy(structure, _symmetric_block)
-
-
-@lru_cache(maxsize=4)
-def _transition_form(structure: Structure) -> ExactMatrix:
-    return _per_copy(structure, lambda alpha, _: transition_matrix(alpha))
-
-
-@lru_cache(maxsize=4)
-def _transition_form_inverse(structure: Structure) -> ExactMatrix:
-    return transition_form(structure).conjugate_i()
 
 
 def symmetric_form(structure: Structure) -> ExactMatrix:
@@ -291,18 +309,12 @@ def symmetric_form(structure: Structure) -> ExactMatrix:
 
 
 def transition_form(structure: Structure) -> ExactMatrix:
-    return _transition_form(structure)
-
-
-def transition_form_inverse(structure: Structure) -> ExactMatrix:
-    """P^{-1}, which is conj_i(P) since every block is (1/sqrt2)(I + i E)
-    with E^2 = I."""
-    return _transition_form_inverse(structure)
+    return _per_copy(structure, lambda alpha, _: transition_matrix(alpha))
 
 
 def backward_form(structure: Structure) -> ExactMatrix:
     """Dense-order direct sum of per-copy backward identities."""
-    return _per_copy(structure, lambda alpha, _: backward_identity(alpha))
+    return _permutation(_backward_indices(structure))
 
 
 def interleave_form(structure: Structure) -> ExactMatrix:

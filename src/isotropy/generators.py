@@ -36,8 +36,7 @@ from .errors import (
     ParameterError,
 )
 from .forms import SegreStructure
-from .matrices import (ExactMatrix, identity as dense_identity,
-                       zeros as dense_zeros)
+from .matrices import ExactMatrix, identity as dense_identity
 from .scalars import ExactScalar, HALF, rat
 from .solver import (FreeParams, _require_congruence, constant_data,
                      solve_congruence)
@@ -148,42 +147,29 @@ def diagonal_skews(structure: SegreStructure, v: ToeplitzForm,
 # ---------------------------------------------------------------------------
 
 
-def _two_block_cells(alpha: int, beta: int, k: int, coupling: ExactMatrix,
-                     b: ExactMatrix, c: ExactMatrix):
-    """Coefficient lookup for the two-group solution with F = coupling.
+def _two_block_cells(alpha: int, beta: int, p: int, t: int, k: int,
+                     coupling: ExactMatrix, b: ExactMatrix,
+                     c: ExactMatrix) -> dict:
+    """The nonzero coefficients (r, s, j) of the two-group solution with
+    F = coupling, at groups p (size alpha) and t (size beta).
 
-    Block (0,0): corrections a_{n-1} (B^-1 F^T C F)^n at offsets n(2k+alpha-beta);
-    block (1,1): a_{n-1} (F B^-1 F^T C)^n at the same offsets;
-    block (0,1): -B^-1 F^T C at offset k; block (1,0): F at offset k.
+    Block (p,p): corrections a_{n-1} (B^-1 F^T C F)^n at offsets n(2k+alpha-beta);
+    block (t,t): a_{n-1} (F B^-1 F^T C)^n at the same offsets;
+    block (p,t): -B^-1 F^T C at offset k; block (t,p): F at offset k.
     """
-    m1, m2 = b.rows, c.rows
     binv = b if b.is_identity else b.inverse()
     upper = -(binv * coupling.transpose() * c)
     x = (-upper) * coupling  # B^-1 F^T C F
     y = coupling * binv * coupling.transpose() * c
     step = 2 * k + alpha - beta
-
-    diag_a = {0: dense_identity(m1)}
-    n = 1
-    while n * step <= alpha - 1:
-        diag_a[n * step] = x.power(n).scale(catalan_coeff(n - 1))
-        n += 1
-    diag_d = {0: dense_identity(m2)}
-    n = 1
-    while n * step <= beta - 1:
-        diag_d[n * step] = y.power(n).scale(catalan_coeff(n - 1))
-        n += 1
-
-    def cell(r, s, j):
-        if r == 0 and s == 0:
-            return diag_a.get(j, dense_zeros(m1, m1))
-        if r == 1 and s == 1:
-            return diag_d.get(j, dense_zeros(m2, m2))
-        if r == 0 and s == 1:
-            return upper if j == k else dense_zeros(m1, m2)
-        return coupling if j == k else dense_zeros(m2, m1)
-
-    return cell
+    cells = {(p, p, 0): dense_identity(b.rows), (t, t, 0): dense_identity(c.rows),
+             (p, t, k): upper, (t, p, k): coupling}
+    for r, size, z in ((p, alpha, x), (t, beta, y)):
+        n = 1
+        while n * step <= size - 1:
+            cells[(r, r, n * step)] = z.power(n).scale(catalan_coeff(n - 1))
+            n += 1
+    return cells
 
 
 def _check_coupling_shape(coupling, rows, cols):
@@ -239,19 +225,10 @@ def _coupling_form(data, p: int, t: int, k: int,
     """gen_G's form on data's structure, unchecked: the caller has checked
     p, t, k and the coupling's shape, and checks what it returns."""
     structure = data.structure
-    pair = _two_block_cells(structure.alphas[p], structure.alphas[t], k,
-                            coupling, data.b(p, 0), data.b(t, 0))
-    remap = {p: 0, t: 1}
-
-    def cell(r, s, j):
-        if r in remap and s in remap:
-            return pair(remap[r], remap[s], j)
-        if r == s:
-            m = structure.mults[r]
-            return dense_identity(m) if j == 0 else dense_zeros(m, m)
-        return dense_zeros(structure.mults[r], structure.mults[s])
-
-    return ToeplitzForm.build(structure, cell)
+    cells = {(r, r, 0): dense_identity(m) for r, m in enumerate(structure.mults)}
+    cells.update(_two_block_cells(structure.alphas[p], structure.alphas[t], p, t,
+                                  k, coupling, data.b(p, 0), data.b(t, 0)))
+    return ToeplitzForm.from_sparse(structure, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ entries.
 Every operation works on the grid, on one private integer kernel over the
 ring Z[i, sqrt2]:
 
-- transpose, negation, conjugate_i, direct_sum, block_assemble and the
-  predicates move, negate or compare 4-tuples; laying canonical matrices
-  out over the lcm of their dens keeps the result canonical.  Sums and
+- transpose, negation, conjugate_i, direct_sum and the predicates move,
+  negate or compare 4-tuples; laying canonical matrices out over the lcm
+  of their dens keeps the result canonical (so does the strip of a
+  toeplitz.ToeplitzForm, written from its coefficients).  Sums and
   scaling reduce once, by one gcd over the result (_reduced).
 - Products and sums of products (_sum_of_products, behind
   ExactMatrix.__mul__ and the sums of the solver's sweep) multiply the
@@ -525,31 +526,6 @@ def direct_sum(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
         out.extend(left + tuple(r) + right for r in grid)
         c0 += b.cols
     return ExactMatrix(len(out), total_c, tuple(out), den)
-
-
-def block_assemble(grid: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
-    """Assemble a matrix from a 2-D grid of blocks (row sizes must agree)."""
-    if not grid:
-        return zeros(0, 0)
-    row_heights = [row[0].rows for row in grid]
-    col_widths = [b.cols for b in grid[0]]
-    for i, row in enumerate(grid):
-        if len(row) != len(col_widths):
-            raise DimensionMismatchError("ragged block grid")
-        for j, b in enumerate(row):
-            if b.rows != row_heights[i] or b.cols != col_widths[j]:
-                raise DimensionMismatchError(
-                    f"block ({i},{j}) is {b.rows}x{b.cols}, expected "
-                    f"{row_heights[i]}x{col_widths[j]}")
-    grids, den = _scaled_all([b for row in grid for b in row])
-    out = []
-    k = 0
-    for i, row in enumerate(grid):
-        cells = grids[k:k + len(row)]
-        k += len(row)
-        out.extend(tuple(chain.from_iterable(c[ii] for c in cells))
-                   for ii in range(row_heights[i]))
-    return ExactMatrix(sum(row_heights), sum(col_widths), tuple(out), den)
 
 
 def _permuted(m: ExactMatrix, perm: Sequence[int]) -> ExactMatrix:

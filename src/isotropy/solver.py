@@ -83,9 +83,8 @@ def _check_side(structure: SegreStructure, coeffs, label: str):
 
 
 def _diagonal_form(structure: SegreStructure, side) -> ToeplitzForm:
-    mults = structure.mults
-    return ToeplitzForm.build(structure, lambda r, s, j: (
-        side[r][j] if r == s else dense_zeros(mults[r], mults[s])))
+    return ToeplitzForm.from_sparse(structure, {
+        (r, r, j): c for r, entry in enumerate(side) for j, c in enumerate(entry)})
 
 
 class CongruenceData:

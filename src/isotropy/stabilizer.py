@@ -9,14 +9,14 @@ basis exchanges the two, so membership checks never approximate.
 
 from .errors import (DimensionMismatchError, IntegrityError, MembershipError,
                      ParameterError, StructureError)
-from .forms import (MultiSegreStructure, SegreStructure, _layout,
-                    symmetric_form, transition_form, transition_form_inverse)
+from .forms import (MultiSegreStructure, SegreStructure,
+                    _conjugate_by_transition, _layout, symmetric_form)
 from .matrices import (ExactMatrix, _grid_mul, _is_member, _mark_member,
                        direct_sum)
 from .scalars import ONE, ZERO, _from_ints
 from .solver import (FreeParams, _require_congruence, _sweep, constant_data,
                      random_free_params, solution_dimension)
-from .toeplitz import ToeplitzForm, conjugate_by_omega
+from .toeplitz import ToeplitzForm
 
 
 class IsotropyDescription:
@@ -205,18 +205,12 @@ def _require_member(structure, x, error, prefix: str):
             raise error(prefix + report)
 
 
-def _dense(structure: SegreStructure, form: ToeplitzForm) -> ExactMatrix:
-    """The dense matrix P Omega(X) P^{-1} of a form, unchecked."""
-    x = conjugate_by_omega(form.assemble(), structure, "to_dense")
-    return transition_form(structure) * x * transition_form_inverse(structure)
-
-
 def from_toeplitz_coordinates(structure: SegreStructure,
                               form: ToeplitzForm) -> ExactMatrix:
     """Dense member Q from a coefficient-level solution; Q is verified."""
     if form.structure != structure:
         raise StructureError("form was built for a different structure")
-    q = _dense(structure, form)
+    q = _conjugate_by_transition(structure, form.assemble(), True)
     _require_member(structure, q, IntegrityError, _BUILT)
     return q
 
@@ -229,10 +223,8 @@ def to_toeplitz_coordinates(structure: SegreStructure,
             "coefficient coordinates exist per eigenvalue; split the "
             "matrix along parts first")
     _require_member(structure, q, MembershipError, "")
-    dense = conjugate_by_omega(
-        transition_form_inverse(structure) * q * transition_form(structure),
-        structure, "to_toeplitz")
-    return ToeplitzForm.extract(dense, structure)
+    return ToeplitzForm.extract(
+        _conjugate_by_transition(structure, q, False), structure)
 
 
 def _sample_single(st, params, seeds, rnd, scalar_kw):
@@ -244,7 +236,7 @@ def _sample_single(st, params, seeds, rnd, scalar_kw):
         params = random_free_params(data, rnd, seeds=seeds, **scalar_kw)
     elif seeds is not None:
         params = FreeParams(params.sub_blocks, seeds, params.skews)
-    return _dense(st, _sweep(data, params))
+    return _conjugate_by_transition(st, _sweep(data, params).assemble(), True)
 
 
 def sample_isotropy_element(structure, params=None, seeds=None, rnd=None,

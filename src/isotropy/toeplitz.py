@@ -37,6 +37,7 @@ Coordinates are 0-based throughout: group indices r, s in
 from __future__ import annotations
 
 from itertools import product
+from math import lcm
 from typing import Callable, Iterator, Mapping
 
 from .errors import (
@@ -46,8 +47,9 @@ from .errors import (
     StructureError,
 )
 from .forms import SegreStructure, _omega_indices
-from .matrices import (ExactMatrix, _ONE4, _Z4, _grid_mul, _permuted,
-                       _reduced, block_assemble, zeros as dense_zeros)
+from .matrices import (ExactMatrix, _Z4, _grid_mul, _permuted, _reduced,
+                       _rescaled, identity as dense_identity,
+                       zeros as dense_zeros)
 
 __all__ = [
     "ToeplitzForm",
@@ -79,6 +81,41 @@ def _cell_rows(structure: SegreStructure, rows, leads, moved: bool) -> list:
     return out
 
 
+def _check_cell(structure: SegreStructure, r: int, s: int, j: int, mat):
+    if not isinstance(mat, ExactMatrix):
+        raise StructureError(f"coefficient ({r}, {s}, {j}) is not an ExactMatrix")
+    m_r, m_s = structure.mults[r], structure.mults[s]
+    if mat.rows != m_r or mat.cols != m_s:
+        raise DimensionMismatchError(
+            f"coefficient ({r}, {s}, {j}) must be {m_r}x{m_s}, "
+            f"got {mat.rows}x{mat.cols}")
+
+
+def _strip_of(structure: SegreStructure, cells: Mapping) -> ExactMatrix:
+    """The strip with coefficient (r, s, j) = cells[(r, s, j)], a checked
+    ExactMatrix, zero where cells has none, written in one pass over the
+    lcm of the coefficient dens: canonical as it is (matrices.py).  A
+    missing coefficient, like the cells before a block's first one, is a
+    run of zero tuples."""
+    den = lcm(*(x._den for x in cells.values()))
+    alphas, mults = structure.alphas, structure.mults
+    rows = []
+    for r, m_r in enumerate(mults):
+        group, zero = [[] for _ in range(m_r)], 0  # zero: columns to write
+        for s, m_s in enumerate(mults):
+            zero += max(0, alphas[s] - alphas[r]) * m_s  # shift(r, s) cells
+            for j in range(min(alphas[r], alphas[s])):  # depth(r, s)
+                x = cells.get((r, s, j))
+                if x is None:
+                    zero += m_s
+                    continue
+                pad, zero = (_Z4,) * zero, 0
+                for row, part in zip(group, _rescaled(x._g, den // x._den)):
+                    row += pad + part
+        rows.extend(tuple(row) + (_Z4,) * zero for row in group)
+    return ExactMatrix(len(rows), structure.n, tuple(rows), den)
+
+
 def _need_segre(structure):
     if not isinstance(structure, SegreStructure):
         raise StructureError("ToeplitzForm needs a single-eigenvalue structure")
@@ -100,8 +137,7 @@ class ToeplitzForm:
 
     def __init__(self, structure: SegreStructure, coeffs: Mapping):
         _need_segre(structure)
-        # per group, the cells of its strip: zeros, then the coefficients
-        cells = [[] for _ in structure.mults]
+        cells = {}
         seen = set(coeffs)
         for r, s in _block_keys(structure):
             if (r, s) not in seen:
@@ -111,22 +147,14 @@ class ToeplitzForm:
             if len(entry) != depth:
                 raise StructureError(
                     f"block ({r}, {s}) needs {depth} coefficients, got {len(entry)}")
-            m_r, m_s = structure.mults[r], structure.mults[s]
             for j, mat in enumerate(entry):
-                if not isinstance(mat, ExactMatrix):
-                    raise StructureError(
-                        f"coefficient ({r}, {s}, {j}) is not an ExactMatrix")
-                if mat.rows != m_r or mat.cols != m_s:
-                    raise DimensionMismatchError(
-                        f"coefficient ({r}, {s}, {j}) must be {m_r}x{m_s}, "
-                        f"got {mat.rows}x{mat.cols}")
-            cells[r] += [dense_zeros(m_r, m_s)] * structure.shift(r, s) + list(entry)
+                _check_cell(structure, r, s, j, mat)
+                cells[(r, s, j)] = mat
         if len(seen) != structure.part_count ** 2:
             extra = sorted(seen - set(_block_keys(structure)))
             raise StructureError(f"unknown block keys {extra}")
         object.__setattr__(self, "structure", structure)
-        # laid out over the lcm of the coefficient dens: canonical as it is
-        object.__setattr__(self, "_strip", block_assemble(cells))
+        object.__setattr__(self, "_strip", _strip_of(structure, cells))
 
     @classmethod
     def _from_strip(cls, structure: SegreStructure,
@@ -159,17 +187,15 @@ class ToeplitzForm:
     @classmethod
     def identity(cls, structure: SegreStructure) -> "ToeplitzForm":
         _need_segre(structure)
-        n = structure.n
-        ones = [structure.group_offset(r) + i
-                for r, m in enumerate(structure.mults) for i in range(m)]
-        return cls._from_strip(structure, ExactMatrix(len(ones), n, tuple(
-            (_Z4,) * c + (_ONE4,) + (_Z4,) * (n - 1 - c) for c in ones)))
+        return cls._from_strip(structure, _strip_of(structure, {
+            (r, r, 0): dense_identity(m) for r, m in enumerate(structure.mults)}))
 
     @classmethod
     def from_sparse(cls, structure: SegreStructure,
                     entries: Mapping[tuple[int, int, int], ExactMatrix]
                     ) -> "ToeplitzForm":
         """Form with the given (r, s, j) -> matrix entries, zeros elsewhere."""
+        _need_segre(structure)
         count = structure.part_count
         for (r, s, j) in entries:
             if not (0 <= r < count and 0 <= s < count):
@@ -177,9 +203,9 @@ class ToeplitzForm:
             if not (0 <= j < structure.depth(r, s)):
                 raise ParameterError(
                     f"coefficient index {j} out of range for block ({r}, {s})")
-        mults = structure.mults
-        return cls.build(structure, lambda r, s, j: entries.get(
-            (r, s, j), dense_zeros(mults[r], mults[s])))
+        for key in sorted(entries):
+            _check_cell(structure, *key, entries[key])
+        return cls._from_strip(structure, _strip_of(structure, entries))
 
     # -- access -------------------------------------------------------
 

@@ -239,6 +239,27 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert via_env == via_flag
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_64_bits_is_refused(capsys, monkeypatch, seed):
+    # the stream keeps 64 bits: -1 would alias 2^64 - 1 and 2^64 alias 0,
+    # each with a different provenance seed
+    monkeypatch.delenv("ISOTROPY_SEED", raising=False)
+    code, out, err = _run(capsys, "sample", "--structure", PAIR,
+                          "--seed", str(seed))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": f"--seed must be in [0, 2**64), got {seed}"}
+    monkeypatch.setenv("ISOTROPY_SEED", str(seed))
+    code, out, err = _run(capsys, "sample", "--structure", PAIR)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": f"ISOTROPY_SEED must be in [0, 2**64), got {seed}"}
+    monkeypatch.setenv("ISOTROPY_SEED", str((1 << 64) - 1))
+    code, out, _ = _run(capsys, "sample", "--structure", PAIR)
+    assert code == 0
+    assert json.loads(out)["provenance"]["seed"] == (1 << 64) - 1
+
+
 def test_sample_multi_structure(capsys):
     multi = ('{"parts": [{"lambda": "0", "blocks": [{"alpha": 2, "m": 1}]},'
              ' {"lambda": "1", "blocks": [{"alpha": 1, "m": 2}]}]}')

@@ -1,14 +1,20 @@
-"""Property test: no malformed request makes the CLI escape.
+"""Property tests: no malformed request makes the CLI escape.
 
 One leaf of a valid request's JSON is replaced by a small JSON value.
 Whatever the result, main returns 0, 1 or 2 and never raises; a request
 it refuses leaves stdout empty and one JSON object with "error" on
-stderr, and an answer is one JSON object on stdout.
+stderr, and an answer is one JSON object on stdout.  A bad command line
+(an unknown flag, a seed that is not an integer in [0, 2^64), an --out
+that cannot be written, a flag with no value) exits 2 the same way, on
+every command.
 """
 
 import contextlib
 import io
 import json
+import os
+import string
+import tempfile
 
 import pytest
 
@@ -16,7 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from isotropy.cli import main  # noqa: E402
+from isotropy.cli import _COMMANDS, _build_parser, main  # noqa: E402
 
 PAIR = {"lambda": "i", "blocks": [{"alpha": 2, "m": 1}, {"alpha": 1, "m": 1}]}
 WIDE = {"lambda": "1", "blocks": [{"alpha": 2, "m": 2}]}
@@ -103,3 +109,69 @@ def test_cli_never_escapes(leaf, new):
     else:
         assert code != 2
         assert isinstance(json.loads(out), dict)
+
+
+# one valid request per command, so that the bad flag is the only fault
+_VALID = {
+    "canonical": {"structure": PAIR}, "describe": {"structure": PAIR},
+    "dim": {"structure": PAIR}, "codim": {"structure": PAIR},
+    "sample": {"structure": PAIR}, "commutant": {"structure": PAIR},
+    "generators": REQUESTS[4][1], "verify": REQUESTS[6][1],
+    "factor": REQUESTS[7][1],
+}
+_OPTIONS = [o for a in _build_parser()._actions for o in a.option_strings]
+
+UNKNOWN_FLAG = st.text(string.ascii_lowercase + "-", min_size=1, max_size=8).map(
+    lambda t: "--" + t).filter(lambda f: not any(o.startswith(f) for o in _OPTIONS))
+BAD_SEED = st.one_of(
+    st.integers(max_value=-1), st.integers(min_value=1 << 64),
+    st.sampled_from(["", "x", "1.5", "0x10", "1e3", "--", "7 7"]))
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# ten drawn faults per command, and one of each kind kept fixed
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=10, derandomize=True, deadline=None)
+@example(fault=("flag", "--bogus"))
+@example(fault=("seed", 1 << 64))
+@example(fault=("out", "missing"))
+@example(fault=("dashes", "--structure"))
+@given(fault=st.one_of(
+    st.tuples(st.just("flag"), UNKNOWN_FLAG),
+    st.tuples(st.just("seed"), BAD_SEED),
+    st.tuples(st.just("out"), st.sampled_from(["directory", "missing"])),
+    # argparse reads "--flag=--" as an empty list of values
+    st.tuples(st.just("dashes"), st.sampled_from(
+        [o for o in _OPTIONS if o.startswith("--") and o != "--help"]))))
+def test_bad_command_line_exits_two(command, fault):
+    kind, value = fault
+    argv = [command]
+    for name, payload in _VALID.get(command, {}).items():
+        argv += [f"--{name}", json.dumps(payload)]
+    if command == "selftest":
+        argv += ["--max-n", "1", "--cases", "1"]
+    with tempfile.TemporaryDirectory() as folder:
+        if kind == "flag":
+            argv.append(value)
+        elif kind == "seed":
+            argv.append(f"--seed={value}")
+        elif kind == "dashes":
+            argv.append(f"{value}=--")
+        elif value == "directory":
+            argv += ["--out", folder]
+        else:
+            argv += ["--out", os.path.join(folder, "missing", "out.json")]
+        code, out, err = _exit_code(argv)
+        assert os.listdir(folder) == []
+    assert (code, out) == (2, ""), argv
+    assert "Traceback" not in err
+    assert list(json.loads(err)) == ["error"]

@@ -4,10 +4,10 @@ import pytest
 
 from isotropy.errors import StructureError
 from isotropy.forms import (
-    MultiSegreStructure, SegreStructure, backward_form, backward_identity,
+    MultiSegreStructure, SegreStructure, backward_form,
     block_backward_form, enumerate_structures, interleave_form,
     jordan_block, jordan_form, symmetric_block,
-    symmetric_form, transition_form, transition_form_inverse, transition_matrix,
+    symmetric_form, transition_form, transition_matrix,
 )
 from isotropy import forms
 from isotropy.matrices import ExactMatrix, identity
@@ -93,6 +93,11 @@ def test_enumerate_structures_counts():
 # ---------------------------------------------------------------------------
 # elementary blocks
 # ---------------------------------------------------------------------------
+
+def backward_identity(n):
+    """Ones on the anti-diagonal: the backward form of one block."""
+    return backward_form(SegreStructure(0, [(n, 1)]))
+
 
 def test_backward_identity():
     e = backward_identity(3)
@@ -226,7 +231,8 @@ def test_canonical_matrices_built_once_in_a_bounded_cache():
     st = MultiSegreStructure([SegreStructure(IMAG, [(3, 1), (1, 2)]),
                               SegreStructure(0, [(2, 2)])])
     assert symmetric_form(st) is symmetric_form(st)
-    assert transition_form_inverse(st) == transition_form(st).inverse()
+    p = transition_form(st)
+    assert p.conjugate_i() == p.inverse()
     for n in range(1, 9):
         for s in enumerate_structures(n):
             symmetric_form(s)
@@ -241,6 +247,25 @@ def test_block_backward_form_matches_conjugated_backward_form():
         s = SegreStructure(0, blocks)
         om = interleave_form(s)
         assert om.T * backward_form(s) * om == block_backward_form(s)
+
+
+@pytest.mark.parametrize("lam", [ZERO, ONE, IMAG])
+def test_transition_by_index_equals_the_two_products(lam):
+    # Y with sqrt2 parts and denominators 1 to 6 from entry to entry; the
+    # index map must give the same den and grid as the dense products
+    rnd = RandomSource(19)
+    structures = [st for n in range(1, 8) for st in enumerate_structures(n, lam)]
+    structures.append(MultiSegreStructure([
+        SegreStructure(lam, [(3, 2), (1, 1)]),
+        SegreStructure(lam + 2, [(2, 1), (1, 2)])]))
+    for st in structures:
+        p, om = transition_form(st), interleave_form(st)
+        y = rnd.matrix(st.n, st.n, with_sqrt2=True, max_den=6)
+        for to_dense, want in (
+                (True, p * (om * y * om.T) * p.conjugate_i()),
+                (False, om.T * (p.conjugate_i() * y * p) * om)):
+            got = forms._conjugate_by_transition(st, y, to_dense)
+            assert (got._den, got._g) == (want._den, want._g), (st, to_dense)
 
 
 def test_block_backward_form_squares_to_identity():

@@ -8,12 +8,13 @@ from isotropy import scalars
 from isotropy.errors import DimensionMismatchError, SingularMatrixError
 from isotropy.forms import SegreStructure, symmetric_form
 from isotropy.matrices import (
-    ExactMatrix, _sum_of_products, block_assemble, cayley_orthogonal,
+    ExactMatrix, _sum_of_products, cayley_orthogonal,
     diagonal, direct_sum, identity, zeros,
 )
 from isotropy.rng import RandomSource
 from isotropy.scalars import ExactScalar, IMAG, ONE, SQRT2, ZERO, _from_ints, rat
-from isotropy.stabilizer import (sample_isotropy_element,
+from isotropy.stabilizer import (from_toeplitz_coordinates,
+                                 sample_isotropy_element,
                                  to_toeplitz_coordinates, verify_isotropy)
 from isotropy.toeplitz import ToeplitzForm, conjugate_by_omega
 
@@ -421,6 +422,19 @@ def test_commutant_nullity_of_small_canonical_form():
     assert oracle.nullity(system) == 5
 
 
+def block_assemble(grid):
+    """A matrix laid out from a 2-D grid of blocks, entry by entry."""
+    heights = [row[0].rows for row in grid]
+    widths = [b.cols for b in grid[0]] if grid else []
+    for row, height in zip(grid, heights):
+        if [b.cols for b in row] != widths or any(b.rows != height for b in row):
+            raise DimensionMismatchError("blocks do not line up")
+    rows = [[x for b in row for x in b.row(ii)]
+            for row, height in zip(grid, heights) for ii in range(height)]
+    return ExactMatrix.build(sum(heights), sum(widths),
+                             lambda i, j: rows[i][j])
+
+
 def test_block_assemble():
     g = block_assemble([[identity(2), zeros(2, 1)], [zeros(1, 2), identity(1)]])
     assert g.is_identity
@@ -578,7 +592,12 @@ def test_hot_path_makes_no_scalars(monkeypatch):
     ok, _ = verify_isotropy(st, q)
     back = conjugate_by_omega(dense, st, "to_toeplitz")
     extracted = ToeplitzForm.extract(back, st)
+    # the transition P applied by index, both ways, and a form written
+    # from its coefficients
+    coords, member = to_toeplitz_coordinates(st, q), from_toeplitz_coordinates(st, x)
+    sparse = ToeplitzForm.from_sparse(st, {(1, 0, 0): pairs[0][0]})
     monkeypatch.undo()
-    assert ok and extracted == x
+    assert ok and extracted == x and coords == x and member == q
+    assert sparse.coefficient(1, 0, 0) == pairs[0][0]
     assert square.assemble() == x.assemble() * x.assemble()
     assert total == pairs[0][0] * pairs[0][1] + pairs[1][0] * pairs[1][1]

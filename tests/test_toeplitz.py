@@ -112,6 +112,46 @@ def test_from_sparse_validates_indices():
     assert tf.coefficient(0, 0, 5).is_zero
 
 
+def _block_assembled_strip(st, coeff):
+    """Per group, its zero cells and coefficients coeff(r, s, j) side by
+    side, laid out entry by entry: the first cell-row of each group."""
+    rows = []
+    for r, m_r in enumerate(st.mults):
+        cells = []
+        for s, m_s in enumerate(st.mults):
+            cells += [zeros(m_r, m_s)] * st.shift(r, s)
+            cells += [coeff(r, s, j) for j in range(st.depth(r, s))]
+        rows += [[x for cell in cells for x in cell.row(a)] for a in range(m_r)]
+    return ExactMatrix.build(len(rows), st.n, lambda i, j: rows[i][j])
+
+
+def test_constructors_write_the_block_assembled_strip():
+    rnd = RandomSource(1919)
+    for n in range(1, 7):
+        for st in enumerate_structures(n, IMAG):
+            # a third of the coefficients zero; sqrt2 parts and
+            # denominators 1 to 5 in the rest
+            cells = {(r, s, j): zeros(m_r, m_s) if rnd.stream.below(3) == 0
+                     else rnd.matrix(m_r, m_s, with_sqrt2=True, max_den=5)
+                     for r, m_r in enumerate(st.mults)
+                     for s, m_s in enumerate(st.mults)
+                     for j in range(st.depth(r, s))}
+            want = _block_assembled_strip(st, lambda r, s, j: cells[(r, s, j)])
+            coeffs = {(r, s): [cells[(r, s, j)] for j in range(st.depth(r, s))]
+                      for r, s, _ in cells}
+            # from_sparse gets the nonzero coefficients and the zero ones
+            # at j = 0
+            sparse = {k: v for k, v in cells.items() if k[2] == 0 or not v.is_zero}
+            for form in (ToeplitzForm(st, coeffs),
+                         ToeplitzForm.build(st, lambda r, s, j: cells[(r, s, j)]),
+                         ToeplitzForm.from_sparse(st, sparse)):
+                assert (form._strip._den, form._strip._g) == (want._den, want._g)
+            empty = ToeplitzForm.from_sparse(st, {})
+            assert empty._strip == _block_assembled_strip(
+                st, lambda r, s, j: zeros(st.mults[r], st.mults[s]))
+            assert empty == ToeplitzForm.zero(st)
+
+
 def test_identity_and_zero_assemble():
     st = SegreStructure(0, [(3, 2), (2, 1)])
     assert ToeplitzForm.identity(st).assemble() == identity(st.n)
