@@ -18,8 +18,8 @@ from .matrices import ExactMatrix, identity
 from .orbit import _pairwise_rank, codim_formula, tangent_oracle
 from .rng import RandomSource
 from .scalars import ExactScalar, HALF, IMAG, ONE, ZERO
-from .solver import (CongruenceData, FreeParams, constant_data,
-                     solution_dimension, verify_congruence)
+from .solver import (FreeParams, _slots, constant_data, solution_dimension,
+                     verify_congruence)
 from .stabilizer import (describe_isotropy, group_element_inv,
                          group_element_mul, sample_isotropy_element,
                          verify_isotropy)
@@ -160,9 +160,8 @@ def _draw_structure(rnd, max_n, max_alpha, min_groups=1):
 
 
 def _random_skews(st, rnd):
-    return {(r, j): rnd.skew(m, max_num=2, max_den=2)
-            for r, (alpha, m) in enumerate(st.blocks)
-            for j in range(1, alpha)}
+    return {key: rnd.skew(m, max_num=2, max_den=2)
+            for key, m, _ in _slots(st) if len(key) == 2}
 
 
 def _nilpotent_within(form, exponent):
@@ -186,7 +185,7 @@ def check_generator_congruence(cases=None) -> CheckResult:
         kind = i % 4
         if kind == 0:
             st = _draw_structure(rnd, 8, 6)
-            data = CongruenceData.identity(st)
+            data = constant_data(st)
             form = gen_W(st, _random_skews(st, rnd))
             label = f"W on {list(st.blocks)}"
         elif kind == 1:

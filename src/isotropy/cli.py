@@ -27,7 +27,7 @@ from .jsonio import (description_to_json, dumps_canonical,
 from .matrices import ExactMatrix
 from .orbit import codim_formula, consistency_check
 from .rng import RandomSource
-from .solver import CongruenceData, random_free_params, solution_dimension
+from .solver import constant_data, random_free_params, solution_dimension
 from .stabilizer import (describe_isotropy, sample_isotropy_element,
                          to_toeplitz_coordinates, verify_isotropy)
 from .toeplitz import commutant_basis
@@ -127,10 +127,9 @@ def _cmd_describe(args):
 
 
 def _cmd_dim(args):
-    # the closed form, summed over the parts: describe_isotropy would list
-    # one recipe per coefficient slot, in memory proportional to alpha
-    st = _structure_of(args)
-    return {"dimension": sum(solution_dimension(p) for p in st.parts)}, 0
+    # the closed form: describe_isotropy would list one recipe per
+    # coefficient slot, in memory proportional to alpha
+    return {"dimension": solution_dimension(_structure_of(args))}, 0
 
 
 def _cmd_codim(args):
@@ -158,10 +157,10 @@ def _params_for_sampling(structure, args, rnd):
             return [free_params_from_json(p) for p in payload]
         return free_params_from_json(payload)
     if isinstance(structure, MultiSegreStructure):
-        return [random_free_params(CongruenceData.identity(p), rnd,
+        return [random_free_params(constant_data(p), rnd,
                                    max_num=2, max_den=2)
                 for p in structure.parts]
-    return random_free_params(CongruenceData.identity(structure), rnd,
+    return random_free_params(constant_data(structure), rnd,
                               max_num=2, max_den=2)
 
 

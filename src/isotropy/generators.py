@@ -20,9 +20,12 @@ a block-diagonal (gen_V shaped) core remains.
 
 Each function takes its congruence data from solver.constant_data, which
 checks the diagonal blocks once per structure and blocks, and reads B_r
-off that data.  Every form a function here returns is verified once by
-solver._require_congruence: each generator, and factor_unipotent's core;
-the coupling forms factor_unipotent peels off internally are not.
+off that data; the skew slots come from solver._slots.  A coupling form
+is written as a strip from cells the package computed out of checked
+inputs, without a second check of their ranges and shapes.  Every form a
+function here returns is verified once by solver._require_congruence:
+each generator, and factor_unipotent's core; the coupling forms
+factor_unipotent peels off internally are not.
 """
 
 from __future__ import annotations
@@ -38,15 +41,14 @@ from .errors import (
 from .forms import SegreStructure
 from .matrices import ExactMatrix, identity as dense_identity
 from .scalars import ExactScalar, HALF, rat
-from .solver import (FreeParams, _require_congruence, constant_data,
+from .solver import (FreeParams, _require_congruence, _slots, constant_data,
                      solve_congruence)
-from .toeplitz import ToeplitzForm
+from .toeplitz import ToeplitzForm, _strip_of
 
 __all__ = [
     "GeneratorSpec",
     "catalan_coeff",
     "catalan_series",
-    "diagonal_skews",
     "factor_unipotent",
     "gen_G",
     "gen_V",
@@ -84,10 +86,7 @@ def catalan_series(count: int) -> list[ExactScalar]:
 
 
 def _checked_skews(structure: SegreStructure, skews: Mapping) -> dict:
-    want = set()
-    for r, (alpha, m) in enumerate(structure.blocks):
-        for j in range(1, alpha):
-            want.add((r, j))
+    want = {key for key, _, _ in _slots(structure) if len(key) == 2}
     if set(skews) != want:
         missing = sorted(want - set(skews))
         extra = sorted(set(skews) - want)
@@ -129,19 +128,6 @@ def gen_W(structure: SegreStructure, skews: Mapping) -> ToeplitzForm:
     return gen_V(structure, None, skews)
 
 
-def diagonal_skews(structure: SegreStructure, v: ToeplitzForm,
-                   b_diag: Sequence[ExactMatrix] | None = None) -> dict:
-    """Recover the skew parameters of a block-diagonal member:
-    Z_n = B_r V_n - (B_r V_n)^T.  Inverse of gen_V (tested round-trip)."""
-    data = constant_data(structure, b_diag)
-    out = {}
-    for r, (alpha, m) in enumerate(structure.blocks):
-        for j in range(1, alpha):
-            prod = data.b(r, 0) * v.coefficient(r, r, j)
-            out[(r, j)] = prod - prod.transpose()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coupling family
 # ---------------------------------------------------------------------------
@@ -165,10 +151,11 @@ def _two_block_cells(alpha: int, beta: int, p: int, t: int, k: int,
     cells = {(p, p, 0): dense_identity(b.rows), (t, t, 0): dense_identity(c.rows),
              (p, t, k): upper, (t, p, k): coupling}
     for r, size, z in ((p, alpha, x), (t, beta, y)):
-        n = 1
-        while n * step <= size - 1:
-            cells[(r, r, n * step)] = z.power(n).scale(catalan_coeff(n - 1))
-            n += 1
+        power = z  # z^n, one product per further offset
+        for n in range(1, (size - 1) // step + 1):
+            if n > 1:
+                power = power * z
+            cells[(r, r, n * step)] = power.scale(catalan_coeff(n - 1))
     return cells
 
 
@@ -223,12 +210,14 @@ def gen_G(structure: SegreStructure, p: int, t: int, k: int,
 def _coupling_form(data, p: int, t: int, k: int,
                    coupling: ExactMatrix) -> ToeplitzForm:
     """gen_G's form on data's structure, unchecked: the caller has checked
-    p, t, k and the coupling's shape, and checks what it returns."""
+    p, t, k and the coupling's shape, and checks what it returns, so the
+    cells are in range and of their slots' shapes."""
     structure = data.structure
     cells = {(r, r, 0): dense_identity(m) for r, m in enumerate(structure.mults)}
     cells.update(_two_block_cells(structure.alphas[p], structure.alphas[t], p, t,
-                                  k, coupling, data.b(p, 0), data.b(t, 0)))
-    return ToeplitzForm.from_sparse(structure, cells)
+                                  k, coupling, data.b_coeffs[p][0],
+                                  data.b_coeffs[t][0]))
+    return ToeplitzForm._from_strip(structure, _strip_of(structure, cells))
 
 
 # ---------------------------------------------------------------------------

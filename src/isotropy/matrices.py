@@ -201,32 +201,10 @@ class ExactMatrix:
     def T(self) -> "ExactMatrix":
         return self.transpose()
 
-    def trace(self) -> ExactScalar:
-        if not self.is_square:
-            raise DimensionMismatchError("trace of a non-square matrix")
-        diag = [self._g[i][i] for i in range(self.rows)]
-        return _from_ints(*(sum(x[k] for x in diag) for k in range(4)),
-                          self._den)
-
     def conjugate_i(self) -> "ExactMatrix":
         return ExactMatrix(self.rows, self.cols, tuple(
             tuple((a, -b, c, -d) for a, b, c, d in r) for r in self._g),
             self._den)
-
-    def power(self, k: int) -> "ExactMatrix":
-        if not self.is_square:
-            raise DimensionMismatchError("power of a non-square matrix")
-        if k < 0:
-            return self.inverse().power(-k)
-        out = identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
 
     # -- elimination ------------------------------------------------------
 

@@ -39,7 +39,7 @@ from functools import lru_cache
 from .errors import IntegrityError, ParameterError, StructureError
 from .forms import Structure, symmetric_form
 from .matrices import _Z4, ExactMatrix, _fraction_free
-from .stabilizer import describe_isotropy
+from .solver import solution_dimension
 
 
 class OrbitReport:
@@ -230,7 +230,7 @@ def consistency_check(structure) -> OrbitReport:
     """
     n = structure.n
     codim = codim_formula(structure)
-    isotropy_dim = describe_isotropy(structure).dimension
+    isotropy_dim = solution_dimension(structure)
     tangent_dim, oracle_codim, kernel_dim = tangent_oracle(
         symmetric_form(structure))
     if codim != oracle_codim:

@@ -17,11 +17,19 @@ twice: to B and X, then to F X^T F and B X.  When B is the identity form
 application reads X directly.  Whole forms (the verification's F X^T F X)
 are multiplied by ToeplitzForm.__mul__, one integer product each.
 
-CongruenceData checks B and C and lays out their forms once, when it is
-made; constant_data is the one constructor of the self-congruence data
-B = C = diag(B_r, 0, ..., 0), cached per structure and diagonal blocks.
-_require_congruence is the one "verify, else raise" of the package for
-forms: the solver, the generators and the group operations all call it.
+The solver owns its inputs.  CongruenceData checks B and C and lays out
+their forms once, when it is made; constant_data is the one constructor
+of the self-congruence data B = C = diag(B_r, 0, ..., 0), cached per
+structure and diagonal blocks: it checks each diagonal block once and
+lays the data out without a second check (CongruenceData._lay_out), so
+identity data ranks nothing.  The free-parameter slots are walked in one
+place (_slots): FreeParams, random_free_params and the skew checks of
+the generators and of the acceptance checks all read them from there.
+Forms the solver builds from coefficients it computed or checked (the
+sweep's result, the data's forms) are written as strips directly, and
+membership is checked once, on what is returned.  _require_congruence is
+the one "verify, else raise" of the package for forms: the solver, the
+generators and the group operations all call it.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .matrices import (ExactMatrix, _is_member, _mark_member,
                        zeros as dense_zeros)
 from .rng import RandomSource
 from .scalars import HALF
-from .toeplitz import ToeplitzForm
+from .toeplitz import ToeplitzForm, _strip_of
 
 __all__ = [
     "CongruenceData",
@@ -83,8 +91,9 @@ def _check_side(structure: SegreStructure, coeffs, label: str):
 
 
 def _diagonal_form(structure: SegreStructure, side) -> ToeplitzForm:
-    return ToeplitzForm.from_sparse(structure, {
-        (r, r, j): c for r, entry in enumerate(side) for j, c in enumerate(entry)})
+    # side holds checked m_r x m_r coefficients, alpha_r of group r
+    return ToeplitzForm._from_strip(structure, _strip_of(structure, {
+        (r, r, j): c for r, entry in enumerate(side) for j, c in enumerate(entry)}))
 
 
 class CongruenceData:
@@ -92,14 +101,15 @@ class CongruenceData:
 
     b_coeffs[r][j] and c_coeffs[r][j] are the symmetric m_r x m_r
     coefficients of group r at offset j; leading coefficients must be
-    nonsingular.  b_is_identity is True when B is the identity form
-    (leading I, higher coefficients 0); B X is then X itself.  Both sides
-    are checked and laid out as forms once, here; equal sides are stored
-    once, as one coefficient tuple and one form.
+    nonsingular.  b_form and c_form are B and C as forms.  b_is_identity
+    is True when B is the identity form (leading I, higher coefficients
+    0); B X is then X itself.  Both sides are checked and laid out once,
+    here; equal sides are stored once, as one coefficient tuple and one
+    form.
     """
 
     __slots__ = ("structure", "b_coeffs", "c_coeffs", "b_is_identity",
-                 "_b_form", "_c_form")
+                 "b_form", "c_form")
 
     def __init__(self, structure: SegreStructure,
                  b_coeffs: Sequence[Sequence[ExactMatrix]],
@@ -108,6 +118,10 @@ class CongruenceData:
             raise StructureError("CongruenceData needs a single-eigenvalue structure")
         b = _check_side(structure, b_coeffs, "B")
         c = b if c_coeffs is b_coeffs else _check_side(structure, c_coeffs, "C")
+        self._lay_out(structure, b, c)
+
+    def _lay_out(self, structure, b, c):
+        # b and c: checked sides, tuples of coefficient tuples
         if c == b:
             c = b
         b_form = _diagonal_form(structure, b)
@@ -117,47 +131,17 @@ class CongruenceData:
         object.__setattr__(self, "b_is_identity", all(
             entry[0].is_identity and all(mat.is_zero for mat in entry[1:])
             for entry in b))
-        object.__setattr__(self, "_b_form", b_form)
-        object.__setattr__(self, "_c_form",
+        object.__setattr__(self, "b_form", b_form)
+        object.__setattr__(self, "c_form",
                            b_form if c is b else _diagonal_form(structure, c))
 
     def __setattr__(self, name, value):
         raise AttributeError("CongruenceData is immutable")
 
-    @classmethod
-    def identity(cls, structure: SegreStructure) -> "CongruenceData":
-        """B = C = the identity form (leading I, higher coefficients 0)."""
-        return constant_data(structure)
-
-    def b(self, r: int, j: int) -> ExactMatrix:
-        """B_j^r, zero-padded outside [0, alpha_r)."""
-        entry = self.b_coeffs[r]
-        if 0 <= j < len(entry):
-            return entry[j]
-        m = self.structure.mults[r]
-        return dense_zeros(m, m)
-
-    def c(self, r: int, j: int) -> ExactMatrix:
-        entry = self.c_coeffs[r]
-        if 0 <= j < len(entry):
-            return entry[j]
-        m = self.structure.mults[r]
-        return dense_zeros(m, m)
-
-    def b_form(self) -> ToeplitzForm:
-        return self._b_form
-
-    def c_form(self) -> ToeplitzForm:
-        return self._c_form
-
-    @property
-    def sides_equal(self) -> bool:
-        return self.c_coeffs is self.b_coeffs
-
     @property
     def is_identity(self) -> bool:
         """True when B = C = the identity form."""
-        return self.sides_equal and self.b_is_identity
+        return self.c_coeffs is self.b_coeffs and self.b_is_identity
 
     def __eq__(self, other):
         if not isinstance(other, CongruenceData):
@@ -189,10 +173,25 @@ def _constant_data(structure: SegreStructure, b_diag) -> CongruenceData:
                 raise ParameterError(f"diagonal block {r} is not symmetric")
             if mat.rank() != m:
                 raise ParameterError(f"diagonal block {r} is singular")
-    side = [[dense_identity(m) if b_diag is None else b_diag[r]]
-            + [dense_zeros(m, m)] * (alpha - 1)
-            for r, (alpha, m) in enumerate(structure.blocks)]
-    return CongruenceData(structure, side, side)
+    side = tuple((dense_identity(m) if b_diag is None else b_diag[r],)
+                 + (dense_zeros(m, m),) * (alpha - 1)
+                 for r, (alpha, m) in enumerate(structure.blocks))
+    # checked above, or identity blocks: laid out without _check_side
+    data = object.__new__(CongruenceData)
+    data._lay_out(structure, side, side)
+    return data
+
+
+def _slots(structure: SegreStructure):
+    """Every free-parameter slot as (key, rows, cols), group by group: the
+    skews (r, j), 1 <= j < alpha_r, then the sub-blocks (r, s, j), s < r,
+    0 <= j < alpha_r.  random_free_params draws them in this order."""
+    for r, (alpha, m) in enumerate(structure.blocks):
+        for j in range(1, alpha):
+            yield (r, j), m, m
+        for s, m_s in enumerate(structure.mults[:r]):
+            for j in range(alpha):
+                yield (r, s, j), m, m_s
 
 
 class FreeParams:
@@ -222,18 +221,10 @@ class FreeParams:
     @classmethod
     def zero(cls, structure: SegreStructure) -> "FreeParams":
         """Identity seeds, zero sub-blocks, zero skews."""
-        sub = {}
-        skews = {}
-        count = structure.part_count
-        for r in range(count):
-            alpha_r, m_r = structure.blocks[r]
-            for j in range(1, alpha_r):
-                skews[(r, j)] = dense_zeros(m_r, m_r)
-            for s in range(r):
-                for j in range(alpha_r):
-                    sub[(r, s, j)] = dense_zeros(m_r, structure.mults[s])
-        seeds = [dense_identity(m) for _, m in structure.blocks]
-        return cls(sub, seeds, skews)
+        sub, skews = {}, {}
+        for key, rows, cols in _slots(structure):
+            (skews if len(key) == 2 else sub)[key] = dense_zeros(rows, cols)
+        return cls(sub, [dense_identity(m) for m in structure.mults], skews)
 
     def validate_for(self, structure: SegreStructure):
         """Exact completeness check against the structure."""
@@ -241,32 +232,23 @@ class FreeParams:
         if len(self.diag_seeds) != count:
             raise ParameterError(
                 f"need {count} diagonal seeds, got {len(self.diag_seeds)}")
-        want_sub = set()
-        want_skew = set()
-        for r in range(count):
-            alpha_r, m_r = structure.blocks[r]
-            seed = self.diag_seeds[r]
+        for r, (seed, m_r) in enumerate(zip(self.diag_seeds, structure.mults)):
             if seed.rows != m_r or seed.cols != m_r:
                 raise ParameterError(f"seed {r} must be {m_r}x{m_r}")
-            for j in range(1, alpha_r):
-                want_skew.add((r, j))
-            for s in range(r):
-                for j in range(alpha_r):
-                    want_sub.add((r, s, j))
-        if set(self.sub_blocks) != want_sub:
-            missing = sorted(want_sub - set(self.sub_blocks))
-            extra = sorted(set(self.sub_blocks) - want_sub)
-            raise ParameterError(
-                f"sub-block keys off: missing {missing}, extra {extra}")
-        if set(self.skews) != want_skew:
-            missing = sorted(want_skew - set(self.skews))
-            extra = sorted(set(self.skews) - want_skew)
-            raise ParameterError(f"skew keys off: missing {missing}, extra {extra}")
+        shapes = {key: (rows, cols) for key, rows, cols in _slots(structure)}
+        for kind, given, width in (("sub-block", self.sub_blocks, 3),
+                                   ("skew", self.skews, 2)):
+            want = {key for key in shapes if len(key) == width}
+            if set(given) != want:
+                missing = sorted(want - set(given))
+                extra = sorted(set(given) - want)
+                raise ParameterError(
+                    f"{kind} keys off: missing {missing}, extra {extra}")
         for (r, s, j), mat in self.sub_blocks.items():
-            if mat.rows != structure.mults[r] or mat.cols != structure.mults[s]:
+            if (mat.rows, mat.cols) != shapes[(r, s, j)]:
                 raise ParameterError(f"sub-block ({r}, {s}, {j}) has wrong shape")
         for (r, j), mat in self.skews.items():
-            if mat.rows != structure.mults[r] or mat.cols != structure.mults[r]:
+            if (mat.rows, mat.cols) != shapes[(r, j)]:
                 raise ParameterError(f"skew ({r}, {j}) has wrong shape")
 
 
@@ -353,14 +335,16 @@ def _rhs_without(data: CongruenceData, partial: Mapping, r: int, s: int, j: int,
 # ---------------------------------------------------------------------------
 
 
-def solution_dimension(structure: SegreStructure) -> int:
-    """Dimension of the solution space:
+def solution_dimension(structure) -> int:
+    """Dimension of the solution space, summed over the parts of a single
+    or multi-eigenvalue structure: per part,
     sum_r alpha_r m_r ((m_r - 1)/2 + sum_{s<r} m_s)."""
     total = 0
-    below = 0
-    for alpha, m in structure.blocks:
-        total += alpha * m * (m - 1) // 2 + alpha * m * below
-        below += m
+    for part in structure.parts:
+        below = 0
+        for alpha, m in part.blocks:
+            total += alpha * m * (m - 1) // 2 + alpha * m * below
+            below += m
     return total
 
 
@@ -404,9 +388,9 @@ def _sweep(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
     ginv = []
     for r in range(count):
         seed = params.diag_seeds[r]
-        c0 = data.c(r, 0)
+        c0 = data.c_coeffs[r][0]
         lead = seed.transpose() * (
-            seed if data.b_is_identity else data.b(r, 0) * seed)
+            seed if data.b_is_identity else data.b_coeffs[r][0] * seed)
         if lead != c0:
             raise SeedConstraintError(
                 f"seed {r} does not satisfy the leading congruence "
@@ -423,7 +407,7 @@ def _sweep(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
             # p = 0: diagonal coefficient at offset j >= 1
             if 1 <= j < st.alphas[r]:
                 d = _rhs_without(data, coeffs, r, r, j, (r, r, j))
-                m = data.c(r, j) - d
+                m = data.c_coeffs[r][j] - d
                 if not m.is_symmetric:
                     raise IntegrityError(
                         f"diagonal step ({r}, {j}) lost symmetry")
@@ -436,11 +420,8 @@ def _sweep(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
                     d = _rhs_without(data, coeffs, r, s, j, (r, s, j))
                     coeffs[(r, s, j)] = -d if ginv[r] is None else -(ginv[r] * d)
 
-    try:
-        solution = ToeplitzForm.build(st, lambda r, s, j: coeffs[(r, s, j)])
-    except KeyError as missing:  # pragma: no cover - sweep covers all slots
-        raise IntegrityError(f"sweep left slot {missing} undetermined") from None
-    return solution
+    # every slot is set, by a checked parameter or a step of the sweep
+    return ToeplitzForm._from_strip(st, _strip_of(st, coeffs))
 
 
 def solve_congruence(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
@@ -466,9 +447,9 @@ def verify_congruence(data: CongruenceData,
     """
     if x.structure != data.structure:
         raise StructureError("form and data live on different structures")
-    bx = x if data.b_is_identity else data.b_form() * x
+    bx = x if data.b_is_identity else data.b_form * x
     lhs = x.flip_transpose() * bx
-    rhs = data.c_form()
+    rhs = data.c_form
     st = data.structure
     if lhs != rhs:
         for r in range(st.part_count):
@@ -507,21 +488,17 @@ def random_free_params(data: CongruenceData, rnd: RandomSource,
     and C agree; callers must supply exact seeds otherwise.
     """
     st = data.structure
-    count = st.part_count
     if seeds is None:
-        for r in range(count):
-            if data.b(r, 0) != data.c(r, 0):
-                raise ParameterError(
-                    "leading coefficients differ; supply explicit seeds")
-        seeds = [rnd.twisted_orthogonal(st.mults[r], data.b(r, 0), **scalar_kw)
-                 for r in range(count)]
-    sub = {}
-    skews = {}
-    for r in range(count):
-        alpha_r, m_r = st.blocks[r]
-        for j in range(1, alpha_r):
-            skews[(r, j)] = rnd.skew(m_r, **scalar_kw)
-        for s in range(r):
-            for j in range(alpha_r):
-                sub[(r, s, j)] = rnd.matrix(m_r, st.mults[s], **scalar_kw)
+        leads = [entry[0] for entry in data.b_coeffs]
+        if leads != [entry[0] for entry in data.c_coeffs]:
+            raise ParameterError(
+                "leading coefficients differ; supply explicit seeds")
+        seeds = [rnd.twisted_orthogonal(b0.rows, b0, **scalar_kw)
+                 for b0 in leads]
+    sub, skews = {}, {}
+    for key, rows, cols in _slots(st):
+        if len(key) == 2:
+            skews[key] = rnd.skew(rows, **scalar_kw)
+        else:
+            sub[key] = rnd.matrix(rows, cols, **scalar_kw)
     return FreeParams(sub, seeds, skews)

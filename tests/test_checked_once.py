@@ -1,6 +1,7 @@
 """Every element a public function returns is checked exactly once: the
 dense membership test and the form congruence are counted around
-sampling and factorization."""
+sampling and factorization.  Inputs are checked once too: the ranks
+constant_data takes are counted."""
 
 import pytest
 
@@ -83,3 +84,23 @@ def test_a_corrupted_peel_fails_the_core_check(monkeypatch):
     with pytest.raises(IntegrityError,
                        match=r"^factorization core failed the congruence: "):
         generators.factor_unipotent(st, y)
+
+
+def test_constant_data_ranks_each_leading_block_once(monkeypatch):
+    ranked = []
+    rank = ExactMatrix.rank
+
+    def counted(self):
+        ranked.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(ExactMatrix, "rank", counted)
+    st = SegreStructure(0, [(3, 2), (2, 1), (1, 1)])
+    b_diag = [ExactMatrix.from_rows([[1, 2], [2, 1]]),
+              ExactMatrix.from_rows([[3]]), ExactMatrix.from_rows([[5]])]
+    solver._constant_data.cache_clear()
+    solver.constant_data(st, b_diag)
+    assert ranked == b_diag
+    ranked.clear()
+    solver.constant_data(st)  # identity blocks are not ranked
+    assert ranked == []

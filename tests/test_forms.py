@@ -18,6 +18,14 @@ from isotropy.stabilizer import _chain_tops
 import _oracles as oracle
 
 
+def _power(m, n):
+    """m^n by repeated products."""
+    out = identity(m.rows)
+    for _ in range(n):
+        out = out * m
+    return out
+
+
 # ---------------------------------------------------------------------------
 # structures
 # ---------------------------------------------------------------------------
@@ -170,12 +178,12 @@ def test_symmetric_block_is_similar_to_jordan():
         lam = rs.scalar()
         k = symmetric_block(n, lam)
         assert k.T == k
-        assert k.trace() == n * lam
+        assert sum((k[i, i] for i in range(n)), ZERO) == n * lam
         # (K - lam I)^n = 0 but (K - lam I)^{n-1} != 0
         nilp = k - lam * identity(n)
-        assert nilp.power(n).is_zero
+        assert _power(nilp, n).is_zero
         if n > 1:
-            assert not nilp.power(n - 1).is_zero
+            assert not _power(nilp, n - 1).is_zero
 
 
 def interleave_permutation(alpha, m):
@@ -279,8 +287,8 @@ def test_nilpotency_order_of_symmetric_form():
     s = SegreStructure(IMAG, [(3, 1), (2, 2)])
     sm = symmetric_form(s)
     nilp = sm - IMAG * identity(s.n)
-    assert nilp.power(3).is_zero
-    assert not nilp.power(2).is_zero
+    assert _power(nilp, 3).is_zero
+    assert not _power(nilp, 2).is_zero
 
 
 def test_multi_forms_are_direct_sums():

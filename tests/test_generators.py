@@ -8,7 +8,6 @@ from isotropy.generators import (
     GeneratorSpec,
     catalan_coeff,
     catalan_series,
-    diagonal_skews,
     factor_unipotent,
     gen_G,
     gen_V,
@@ -33,6 +32,17 @@ def _zero_skews(structure):
     for r, (alpha, m) in enumerate(structure.blocks):
         for j in range(1, alpha):
             out[(r, j)] = zeros(m, m)
+    return out
+
+
+def _diagonal_skews(structure, v, b_diag):
+    """The skew parameters of a block-diagonal member, the inverse of gen_V:
+    Z_n = B_r V_n - (B_r V_n)^T."""
+    out = {}
+    for r, (alpha, _) in enumerate(structure.blocks):
+        for j in range(1, alpha):
+            prod = b_diag[r] * v.coefficient(r, r, j)
+            out[(r, j)] = prod - prod.transpose()
     return out
 
 
@@ -163,7 +173,7 @@ def test_diagonal_skew_recovery_round_trip():
     b_diag = [rnd.symmetric_nonsingular(2), rnd.symmetric_nonsingular(3)]
     skews = _random_skews(st, rnd)
     v = gen_V(st, b_diag, skews)
-    assert diagonal_skews(st, v, b_diag) == skews
+    assert _diagonal_skews(st, v, b_diag) == skews
 
 
 def test_gen_w_validates_skews():
@@ -408,7 +418,7 @@ def test_factor_core_is_gen_v_shaped():
     y = gen_V(st, b_diag, _random_skews(st, rnd))
     y = y * gen_G(st, 0, 1, 0, rnd.matrix(2, 1), b_diag)
     v, specs = factor_unipotent(st, y, b_diag)
-    assert gen_V(st, b_diag, diagonal_skews(st, v, b_diag)) == v
+    assert gen_V(st, b_diag, _diagonal_skews(st, v, b_diag)) == v
     rebuilt = v
     for spec in specs:
         rebuilt = rebuilt * generator_from_spec(st, spec, b_diag)
@@ -472,7 +482,7 @@ def test_b_diag_errors_are_pinned(b_diag, message):
     calls = [
         lambda: gen_V(st, b_diag, _zero_skews(st)),
         lambda: gen_G(st, 0, 1, 0, zeros(1, 2), b_diag),
-        lambda: diagonal_skews(st, ToeplitzForm.identity(st), b_diag),
+        lambda: constant_data(st, b_diag),
         lambda: factor_unipotent(st, ToeplitzForm.identity(st), b_diag),
     ]
     for call in calls:

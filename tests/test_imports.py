@@ -1,6 +1,7 @@
-"""Every name a package module imports is used there: read off the syntax
-tree of each src/isotropy/*.py, with names listed in __all__ counting as
-used."""
+"""Lint of the package, read off the syntax tree of each src/isotropy/*.py:
+every name a module imports is used there (names listed in __all__ count
+as used), every private module-level name is read somewhere in the
+package, and every __all__ entry is bound in its module."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,50 @@ def test_every_import_is_used(path):
                     for name, line in _imported(tree).items()
                     if name not in used)
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _defined(tree):
+    """{name: line} for every name a module-level def, class or assignment
+    binds."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for leaf in (n for t in targets for n in ast.walk(t)):
+                if isinstance(leaf, ast.Name):
+                    names[leaf.id] = node.lineno
+    return names
+
+
+def test_every_private_name_is_read():
+    # a private module-level name that nothing in the package reads is dead
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(_PACKAGE.glob("*.py"))}
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    dead = sorted(f"{name}:{line} {binding}"
+                  for name, tree in trees.items()
+                  for binding, line in _defined(tree).items()
+                  if binding.startswith("_") and not binding.startswith("__")
+                  and binding not in read)
+    assert not dead, "private names never read: " + ", ".join(dead)
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set(_defined(tree)) | {
+        alias.asname or alias.name.split(".")[0] for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)
+                for name in ast.literal_eval(node.value)}
+    stale = sorted(exported - bound)
+    assert not stale, f"{path.name}: __all__ names unbound: {stale}"

@@ -15,7 +15,7 @@ from isotropy.matrices import ExactMatrix, identity
 from isotropy.orbit import consistency_check
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, SQRT2, rat
-from isotropy.solver import (CongruenceData, FreeParams, random_free_params,
+from isotropy.solver import (FreeParams, constant_data, random_free_params,
                              solve_congruence)
 from isotropy.stabilizer import describe_isotropy
 from isotropy.toeplitz import ToeplitzForm
@@ -87,7 +87,7 @@ def test_structure_json_rejections():
 def test_toeplitz_round_trip():
     rnd = RandomSource(20240864)
     st = _st([(3, 1), (2, 2)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     form = solve_congruence(data, random_free_params(data, rnd))
     assert _toeplitz_from_wire(toeplitz_to_json(form)) == form
 
@@ -95,7 +95,7 @@ def test_toeplitz_round_trip():
 def test_free_params_round_trip_and_keys():
     rnd = RandomSource(20240866)
     st = _st([(3, 1), (1, 2)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     params = random_free_params(data, rnd)
     payload = free_params_to_json(params)
     assert set(payload) == {"sub", "seeds", "skews"}
@@ -112,7 +112,7 @@ def test_keys_naming_one_slot_are_rejected():
     # "1,1", "01,1", "+1,1" and "1,1 " all parse to slot (1, 1)
     rnd = RandomSource(20240867)
     st = _st([(3, 1), (1, 2)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     payload = free_params_to_json(random_free_params(data, rnd))
     for wire, key, twin in [("sub", "2,1,0", "2,1,00"), ("seeds", "2", "02"),
                             ("skews", "1,1", "1,1 ")]:

@@ -60,7 +60,6 @@ def test_arithmetic_against_hand_values():
     assert a * b == ExactMatrix.from_rows([[2, 1], [4, 3]])
     assert a + b - b == a
     assert (a * IMAG)[0, 0] == IMAG
-    assert a.trace() == ExactScalar(5)
     assert (-a + a).is_zero
 
 
@@ -474,13 +473,6 @@ def test_cayley_singular_raises():
     z = ExactMatrix.from_rows([[ZERO, IMAG], [-IMAG, ZERO]])
     with pytest.raises(SingularMatrixError):
         cayley_orthogonal(z)
-
-
-def test_power():
-    m = ExactMatrix.from_rows([[1, 1], [0, 1]])
-    assert m.power(5) == ExactMatrix.from_rows([[1, 5], [0, 1]])
-    assert m.power(0).is_identity
-    assert m.power(-2) == m.inverse() * m.inverse()
 
 
 def test_symmetry_predicates():

@@ -12,8 +12,9 @@ from isotropy.errors import (
     SingularMatrixError,
     StructureError,
 )
-from isotropy.forms import (SegreStructure, block_backward_form,
-                            enumerate_structures, symmetric_form)
+from isotropy.forms import (MultiSegreStructure, SegreStructure,
+                            block_backward_form, enumerate_structures,
+                            symmetric_form)
 from isotropy.matrices import ExactMatrix, identity, zeros
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, rat
@@ -22,6 +23,7 @@ from isotropy.solver import (
     FreeParams,
     _phi,
     _rhs_without,
+    constant_data,
     free_parameter_count,
     random_free_params,
     solution_dimension,
@@ -106,12 +108,10 @@ def test_data_rejects_non_structure():
 
 def test_identity_data_forms():
     st = _st([(3, 2), (2, 3)])
-    data = CongruenceData.identity(st)
-    assert data.sides_equal
-    assert data.b_form() == ToeplitzForm.identity(st)
-    assert data.c_form() == ToeplitzForm.identity(st)
-    assert data.b(0, 5).is_zero  # padded beyond alpha_0
-    assert data.c(1, -1).is_zero
+    data = constant_data(st)
+    assert data.c_coeffs is data.b_coeffs and data.is_identity
+    assert data.b_form == ToeplitzForm.identity(st)
+    assert data.c_form == ToeplitzForm.identity(st)
 
 
 def test_free_params_reject_non_skew():
@@ -183,7 +183,7 @@ def test_accum_phi_hand_example():
 def test_accum_identity_data_reduces_to_coefficients():
     # with B = identity data, Phi_n^{ks} is just A_n^{ks}
     st = _st([(3, 2), (2, 1)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     rnd = RandomSource(20240833)
     partial = _full_coeffs(rnd, st, max_num=3, max_den=2)
     for k in range(2):
@@ -211,7 +211,7 @@ def test_accum_psi_transpose_symmetry():
 
 def test_accum_raises_on_undetermined_slot():
     st = _st([(2, 1), (1, 1)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     with pytest.raises(SequencingError):
         _phi(data, {}, 0, 0, 0, None)
     partial = {(0, 0, 0): identity(1), (0, 0, 1): identity(1)}
@@ -231,7 +231,7 @@ def test_rhs_is_a_coefficient_of_the_dense_congruence_product():
         partial = _full_coeffs(rnd, st, max_num=2, max_den=2)
         x = ToeplitzForm.from_sparse(st, partial).assemble()
         flip = block_backward_form(st)
-        dense = flip * x.transpose() * flip * data.b_form().assemble() * x
+        dense = flip * x.transpose() * flip * data.b_form.assemble() * x
         want = ToeplitzForm.extract(dense, st)
         for r in range(st.part_count):
             for s in range(st.part_count):
@@ -247,7 +247,7 @@ def test_rhs_is_a_coefficient_of_the_dense_congruence_product():
 
 def test_single_jordan_block_solutions_are_plus_minus_identity():
     st = _st([(2, 1)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     for sign in (1, -1):
         seed = ExactMatrix.from_rows([[sign]])
         params = FreeParams({}, [seed], {(0, 1): zeros(1, 1)})
@@ -258,7 +258,7 @@ def test_single_jordan_block_solutions_are_plus_minus_identity():
 def test_semisimple_block_solution_is_the_seed():
     # alpha = 1: the solution is exactly the orthogonal-like seed
     st = _st([(1, 4)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     rnd = RandomSource(20240835)
     params = random_free_params(data, rnd)
     x = solve_congruence(data, params)
@@ -270,14 +270,14 @@ def test_semisimple_block_solution_is_the_seed():
 def test_zero_params_give_identity_solution():
     for blocks in ([(2, 1)], [(3, 2), (1, 1)], [(4, 2), (2, 3), (1, 1)]):
         st = _st(blocks)
-        data = CongruenceData.identity(st)
+        data = constant_data(st)
         x = solve_congruence(data, FreeParams.zero(st))
         assert x.is_identity
 
 
 def test_seed_constraint_enforced():
     st = _st([(1, 2)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     bad = ExactMatrix.from_rows([[1, 1], [0, 1]])
     with pytest.raises(SeedConstraintError):
         solve_congruence(data, FreeParams({}, [bad], {}))
@@ -288,7 +288,7 @@ def test_solve_and_verify_random_structures():
     checked = 0
     for n in range(1, 7):
         for st in enumerate_structures(n, lam=IMAG):
-            data = CongruenceData.identity(st)
+            data = constant_data(st)
             params = random_free_params(data, rnd, max_num=3, max_den=2)
             x = solve_congruence(data, params)
             ok, report = verify_congruence(data, x)
@@ -313,7 +313,7 @@ def test_solve_and_verify_larger_structures():
     for blocks in shapes:
         for _ in range(4):
             st = _st(blocks)
-            data = CongruenceData.identity(st)
+            data = constant_data(st)
             params = random_free_params(data, rnd, max_num=2, max_den=2)
             x = solve_congruence(data, params)
             assert verify_congruence(data, x)[0]
@@ -323,7 +323,7 @@ def test_solve_and_verify_larger_structures():
 
 def test_solution_respects_sub_diagonal_inputs():
     st = _st([(3, 1), (1, 2)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     rnd = RandomSource(20240838)
     params = random_free_params(data, rnd)
     x = solve_congruence(data, params)
@@ -335,7 +335,7 @@ def test_solution_respects_sub_diagonal_inputs():
 
 def test_determinism_bit_for_bit():
     st = _st([(4, 2), (2, 3), (1, 1)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     first = solve_congruence(data, random_free_params(data, RandomSource(99)))
     second = solve_congruence(data, random_free_params(data, RandomSource(99)))
     assert first == second
@@ -357,7 +357,7 @@ def test_general_data_with_constructed_seed():
     c0 = a0.transpose() * b0 * a0
     c1 = rnd.symmetric(2)
     data = CongruenceData(st, [[b0, b1]], [[c0, c1]])
-    assert not data.sides_equal
+    assert data.c_coeffs is not data.b_coeffs
     with pytest.raises(ParameterError):
         random_free_params(data, rnd)
     params = random_free_params(data, rnd, seeds=[a0])
@@ -389,7 +389,7 @@ def test_general_data_multi_group():
 
 def test_verify_reports_first_bad_block():
     st = _st([(2, 1), (1, 1)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     x = solve_congruence(data, FreeParams.zero(st))
     tampered = _tampered(x, {(1, 0, 0): ExactMatrix.from_rows([[1]])})
     ok, report = verify_congruence(data, tampered)
@@ -401,7 +401,7 @@ def test_verify_report_names_the_first_mismatch_exactly():
     # two tampered coefficients of a member: F X^T F X then differs from I
     # at (0, 1, 0), (1, 0, 0) and (1, 1, 0), and the report names the first
     st = _st([(2, 1), (1, 1)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     x = solve_congruence(data, FreeParams.zero(st))
     tampered = _tampered(x, {(1, 1, 0): ExactMatrix.from_rows([[3]]),
                              (0, 1, 0): ExactMatrix.from_rows([[2]])})
@@ -430,7 +430,7 @@ def test_data_is_laid_out_once(monkeypatch):
     # accepts a member and names the first mismatch of a non-member
     rnd = RandomSource(20240841)
     st = _st([(3, 2), (2, 1)])
-    ident = CongruenceData.identity(st)
+    ident = constant_data(st)
     member = solve_congruence(ident, random_free_params(ident, rnd))
     tampered = _tampered(member, {(1, 0, 0): ExactMatrix.from_rows([[5, 7]])})
     b_side = [[rnd.symmetric_nonsingular(m)] + [rnd.symmetric(m)] * (alpha - 1)
@@ -442,10 +442,10 @@ def test_data_is_laid_out_once(monkeypatch):
     solution = solve_congruence(
         general, random_free_params(general, rnd, seeds=seeds))
 
-    assert ident.c_form() is ident.b_form()
-    assert general.c_form() is not general.b_form()
+    assert ident.c_form is ident.b_form
+    assert general.c_form is not general.b_form
     equal = CongruenceData(st, b_side, [list(entry) for entry in b_side])
-    assert equal.sides_equal and equal.c_form() is equal.b_form()
+    assert equal.c_coeffs is equal.b_coeffs and equal.c_form is equal.b_form
 
     def refuse(*args, **kwargs):
         raise AssertionError("a form was built")
@@ -460,7 +460,7 @@ def test_data_is_laid_out_once(monkeypatch):
 
 
 def test_verify_requires_matching_structure():
-    data = CongruenceData.identity(_st([(2, 1)]))
+    data = constant_data(_st([(2, 1)]))
     other = ToeplitzForm.identity(_st([(1, 2)]))
     with pytest.raises(StructureError):
         verify_congruence(data, other)
@@ -478,6 +478,10 @@ def test_solution_dimension_examples():
     assert solution_dimension(_st([(4, 2), (2, 3), (1, 1)])) == 27
     for n in range(1, 9):
         assert solution_dimension(_st([(1, n)])) == n * (n - 1) // 2
+    # several eigenvalues add up part by part
+    assert solution_dimension(MultiSegreStructure([
+        SegreStructure(0, [(4, 2), (2, 3), (1, 1)]),
+        SegreStructure(1, [(2, 1), (1, 1)])])) == 28
 
 
 def test_free_parameter_count_matches_dimension():
@@ -497,7 +501,7 @@ def test_solution_dimension_against_tangent_oracle():
 
 def test_random_params_are_complete_and_deterministic():
     st = _st([(3, 2), (2, 1), (1, 3)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     p1 = random_free_params(data, RandomSource(7))
     p2 = random_free_params(data, RandomSource(7))
     p1.validate_for(st)

@@ -11,7 +11,7 @@ from isotropy.matrices import (ExactMatrix, cayley_orthogonal, diagonal,
                                direct_sum, identity, zeros)
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, SQRT2, ZERO, rat
-from isotropy.solver import (CongruenceData, FreeParams, random_free_params,
+from isotropy.solver import (FreeParams, constant_data, random_free_params,
                              solution_dimension, solve_congruence)
 from isotropy.stabilizer import (describe_isotropy, from_toeplitz_coordinates,
                                  group_element_inv, group_element_mul,
@@ -20,6 +20,14 @@ from isotropy.stabilizer import (describe_isotropy, from_toeplitz_coordinates,
 from isotropy.toeplitz import ToeplitzForm
 
 import _oracles as oracle
+
+
+def _power(m, n):
+    """m^n by repeated products."""
+    out = identity(m.rows)
+    for _ in range(n):
+        out = out * m
+    return out
 
 
 def _st(blocks, lam=IMAG):
@@ -217,7 +225,7 @@ def _commuting_probes(st):
                     alpha, alpha, lambda i, j: s[off + i, off + j]) - lam
                 rest = n - off - alpha
                 yield identity(n) + direct_sum([
-                    zeros(off, off), nil.power(alpha - 1), zeros(rest, rest)])
+                    zeros(off, off), _power(nil, alpha - 1), zeros(rest, rest)])
                 off += alpha
 
 
@@ -280,7 +288,7 @@ def test_coordinate_maps_invert_each_other():
     rnd = RandomSource(20240857)
     for blocks in ([(3, 2)], [(2, 1), (1, 2)], [(4, 1), (2, 1)]):
         st = _st(blocks)
-        data = CongruenceData.identity(st)
+        data = constant_data(st)
         x = solve_congruence(data, random_free_params(data, rnd))
         q = from_toeplitz_coordinates(st, x)
         assert to_toeplitz_coordinates(st, q) == x
@@ -321,7 +329,7 @@ def test_mul_rejects_non_member_input():
 
 def test_mul_rejects_mixed_or_empty():
     st = _st([(2, 1)])
-    form = solve_congruence(CongruenceData.identity(st),
+    form = solve_congruence(constant_data(st),
                             FreeParams.zero(st))
     with pytest.raises(ParameterError):
         group_element_mul(st, [identity(2), form])
@@ -332,7 +340,7 @@ def test_mul_rejects_mixed_or_empty():
 def test_form_level_products_and_inverses():
     rnd = RandomSource(20240859)
     st = _st([(3, 2), (2, 1)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     x1 = solve_congruence(data, random_free_params(data, rnd))
     x2 = solve_congruence(data, random_free_params(data, rnd))
     prod = group_element_mul(st, [x1, x2])
@@ -345,7 +353,7 @@ def test_form_level_products_and_inverses():
 def test_leading_diagonal_projection_is_homomorphism():
     rnd = RandomSource(20240860)
     st = _st([(3, 1), (2, 2), (1, 1)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     for _ in range(4):
         x1 = solve_congruence(data, random_free_params(data, rnd))
         x2 = solve_congruence(data, random_free_params(data, rnd))
@@ -360,7 +368,7 @@ def test_leading_diagonal_projection_is_homomorphism():
 def test_orthogonal_conjugate_preserves_unipotent_shape():
     rnd = RandomSource(20240861)
     st = _st([(3, 1), (2, 2)])
-    data = CongruenceData.identity(st)
+    data = constant_data(st)
     o_params = random_free_params(data, rnd)
     base = FreeParams.zero(st)
     o_form = solve_congruence(
