@@ -117,7 +117,8 @@ def gen_V(structure: SegreStructure, b_diag: Sequence[ExactMatrix] | None,
     data = constant_data(structure, b_diag)
     skews = _checked_skews(structure, skews)
     zero = FreeParams.zero(structure)
-    return solve_congruence(data, FreeParams(
+    # half a checked skew is skew: the skews are not checked again
+    return solve_congruence(data, FreeParams._of_skews(
         zero.sub_blocks, zero.diag_seeds,
         {key: mat.scale(HALF) for key, mat in skews.items()}))
 

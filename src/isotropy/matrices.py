@@ -34,9 +34,12 @@ ring Z[i, sqrt2]:
   gcd (_scaled_rows).  The rank runs it forward only; scaling rows keeps
   the rank.  The inverse runs it Gauss-Jordan style on [G | I] and divides
   once at the end, through the exact-division rule scalars._divisor.
-  Pivot selection is the first row with a nonzero entry: exact arithmetic
-  needs no magnitude heuristics, and a fixed rule keeps every run
-  deterministic.
+  A step updates only the rows with a nonzero entry in the pivot column;
+  the others keep their entries and catch up when next touched.  The
+  pivot row is the candidate with the fewest nonzero entries, the first
+  such row on a tie: exact arithmetic needs no magnitude heuristics, a
+  sparse pivot row makes a step touch fewer entries, and a fixed rule
+  keeps every run deterministic.
 - The membership test of stabilizer.verify_isotropy compares integer grids
   too.
 
@@ -397,72 +400,121 @@ def _fraction_free(m: list, jordan: bool = False) -> tuple:
     norm), where (mult, norm) = _divisor(the last pivot), or ((1, 0, 0, 0),
     1) with no pivot.
 
-    Step k takes the first row from k on with a nonzero entry in the next
-    column as the pivot row and updates the rows to (p r - f prow) / prev,
-    p the pivot, f the row's entry in the pivot column and prev the
-    previous pivot (1 at the first step), in every column after the
-    pivot's.  Every entry so formed is a minor of the input, so the
-    division is exact in Z[i, sqrt2]; a remainder is an internal fault and
-    raises IntegrityError.
+    Step k picks, among the rows from k on with a nonzero entry in the next
+    column (the candidates), the one with the fewest nonzero entries from
+    that column on, the first such row on a tie, as the pivot row y with
+    pivot p_k.  Plain Bareiss would then set every other row x to
+    (p_k x - f y) / p_{k-1}, f the row's entry in the pivot column and
+    p_{-1} = 1, in every column after the pivot's.  Each entry so formed
+    is a minor of the row-permuted input, so the division is exact in
+    Z[i, sqrt2]; a remainder is an internal fault and raises
+    IntegrityError.
+
+    A row with f = 0 would only be scaled by p_k / p_{k-1}, so it is left
+    alone: each row keeps the level s of its last update, and as the ratios
+    telescope its plain-Bareiss value at step k is its stored value times
+    p_{k-1} / p_{s-1}.  So its next update is (p_k x_s - f_s y) / p_{s-1},
+    on its stored entries x_s and f_s, and the row that becomes the pivot
+    row is first brought to level k by that same ratio, in the columns from
+    the pivot's on.  Both results are plain-Bareiss entries of a
+    row-permuted input, so each division stays exact.
 
     The rank mode (jordan False) updates the rows below the pivot and skips
     a column with no pivot.  The Gauss-Jordan mode is for a square G
-    augmented to [G | I]: it updates every other row, pivots in the first
-    len(m) columns only and raises SingularMatrixError on one with no
-    pivot.  It leaves d G^-1 on the right, d the last pivot; the entries
-    of the left part are then stale.
+    augmented to [G | I]: it updates the other rows, the earlier pivot
+    rows too, pivots in the first len(m) columns only and raises
+    SingularMatrixError on one with no pivot.  Its pivot row is not
+    rescaled: plain Bareiss leaves it as it is, so it counts as updated to
+    level k + 1.  At the end each row's right block is brought to the last
+    level, which leaves d G^-1 on the right, d the last pivot; the left
+    block is stale, and its entries are not minors, so it is not scaled.
     """
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     rank = 0
-    # dividing by the previous pivot is multiplying by mult, then dividing
-    # each integer component exactly by norm
-    mult, norm = (1, 0, 0, 0), 1
+    # level[r]: the steps row r has seen; nnz[r]: its nonzeros from the
+    # current column on; divs[s]: (mult, norm) = _divisor(p_{s-1}), so that
+    # dividing by p_{s-1} is multiplying by mult, then dividing each integer
+    # component exactly by norm
+    level = [0] * n_rows
+    nnz = [n_cols - row.count(_Z4) for row in m]
+    divs = [(_ONE4, 1)]
+    p = _ONE4
     for col in range(n_rows if jordan else n_cols):
         if rank == n_rows:
             break
-        pivot = next((r for r in range(rank, n_rows) if any(m[r][col])), None)
-        if pivot is None:
+        cands = [r for r in range(rank, n_rows) if m[r][col] != _Z4]
+        if not cands:
             if jordan:
                 raise SingularMatrixError(
                     f"matrix is singular (no pivot in column {col})")
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
+        pivot = min(cands, key=nnz.__getitem__)
+        for seq in (m, level, nnz):
+            seq[rank], seq[pivot] = seq[pivot], seq[rank]
         prow = m[rank]
-        p = _mul4(prow[col], mult)
+        s = level[rank]
+        if s != rank:
+            mult, norm = divs[s]
+            prow[col:] = _times_exact(prow[col:], _mul4(p, mult), norm)
+        p = prow[col]
         for r in range(0 if jordan else rank + 1, n_rows):
-            if r == rank:
-                continue
             row = m[r]
-            f = _mul4(row[col], mult)
-            f_zero = not any(f)
+            f = row[col]
+            if f == _Z4 or r == rank:
+                continue
+            mult, norm = divs[level[r]]
+            pm, fm = _mul4(p, mult), _mul4(f, mult)
+            count = 0
             for j in range(col + 1, n_cols):
                 x, y = row[j], prow[j]
                 # the terms p x and f y, skipped when they vanish
-                px_zero, fy_zero = not any(x), f_zero or not any(y)
-                if px_zero and fy_zero:
-                    continue
-                if px_zero:
-                    v = _mul4(f, y)
+                if y == _Z4:
+                    if x == _Z4:
+                        continue
+                    v = _mul4(pm, x)
+                elif x == _Z4:
+                    v = _mul4(fm, y)
                     v = (-v[0], -v[1], -v[2], -v[3])
-                elif fy_zero:
-                    v = _mul4(p, x)
                 else:
-                    u, w = _mul4(p, x), _mul4(f, y)
+                    u, w = _mul4(pm, x), _mul4(fm, y)
                     v = (u[0] - w[0], u[1] - w[1], u[2] - w[2], u[3] - w[3])
                 if norm != 1:
-                    q0, r0 = divmod(v[0], norm)
-                    q1, r1 = divmod(v[1], norm)
-                    q2, r2 = divmod(v[2], norm)
-                    q3, r3 = divmod(v[3], norm)
-                    if r0 or r1 or r2 or r3:
-                        raise IntegrityError(
-                            "fraction-free elimination left a remainder")
-                    v = (q0, q1, q2, q3)
+                    v = _exact(v, norm)
                 row[j] = v
-        mult, norm = _divisor(prow[col])
+                if v != _Z4:
+                    count += 1
+            level[r] = rank + 1
+            nnz[r] = count
+        # the pivot row stands at the next level as it is
+        level[rank] = rank + 1
+        divs.append(_divisor(p))
         rank += 1
-    return rank, mult, norm
+    if jordan:
+        # bring the right block, d G^-1, to the last level
+        for row, s in zip(m, level):
+            if s != rank:
+                mult, norm = divs[s]
+                row[rank:] = _times_exact(row[rank:], _mul4(p, mult), norm)
+    return (rank,) + divs[rank]
+
+
+def _exact(v: tuple, norm: int) -> tuple:
+    """The integer 4-tuple v divided by the integer norm, which must leave
+    no remainder."""
+    q0, r0 = divmod(v[0], norm)
+    q1, r1 = divmod(v[1], norm)
+    q2, r2 = divmod(v[2], norm)
+    q3, r3 = divmod(v[3], norm)
+    if r0 or r1 or r2 or r3:
+        raise IntegrityError("fraction-free elimination left a remainder")
+    return (q0, q1, q2, q3)
+
+
+def _times_exact(xs: list, g: tuple, norm: int) -> list:
+    """xs times g, divided exactly by norm: a row brought from level s to
+    level k, with g = p_{k-1} mult and (mult, norm) = _divisor(p_{s-1})."""
+    return [_exact(_mul4(g, x), norm) if x != _Z4 else x for x in xs]
 
 
 # -- free constructors ------------------------------------------------------

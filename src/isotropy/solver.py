@@ -24,7 +24,10 @@ structure and diagonal blocks: it checks each diagonal block once and
 lays the data out without a second check (CongruenceData._lay_out), so
 identity data ranks nothing.  The free-parameter slots are walked in one
 place (_slots): FreeParams, random_free_params and the skew checks of
-the generators and of the acceptance checks all read them from there.
+the generators and of the acceptance checks all read them from there;
+parameters the package makes from skews already checked (the zero
+parameters, gen_V's halved skews) are laid out without a second check
+(FreeParams._of_skews).
 Forms the solver builds from coefficients it computed or checked (the
 sweep's result, the data's forms) are written as strips directly, and
 membership is checked once, on what is returned.  _require_congruence is
@@ -206,14 +209,24 @@ class FreeParams:
 
     def __init__(self, sub_blocks: Mapping, diag_seeds: Sequence[ExactMatrix],
                  skews: Mapping):
-        sub = dict(sub_blocks)
-        skw = dict(skews)
-        for key, mat in skw.items():
+        for key, mat in skews.items():
             if not isinstance(mat, ExactMatrix) or not mat.is_skew:
                 raise ParameterError(f"skew parameter {key} is not skew-symmetric")
-        object.__setattr__(self, "sub_blocks", sub)
+        self._fill(sub_blocks, diag_seeds, skews)
+
+    def _fill(self, sub_blocks, diag_seeds, skews):
+        object.__setattr__(self, "sub_blocks", dict(sub_blocks))
         object.__setattr__(self, "diag_seeds", tuple(diag_seeds))
-        object.__setattr__(self, "skews", skw)
+        object.__setattr__(self, "skews", dict(skews))
+
+    @classmethod
+    def _of_skews(cls, sub_blocks: Mapping, diag_seeds: Sequence[ExactMatrix],
+                  skews: Mapping) -> "FreeParams":
+        """FreeParams whose skews are known to be skew matrices: laid out
+        without the check of __init__."""
+        params = object.__new__(cls)
+        params._fill(sub_blocks, diag_seeds, skews)
+        return params
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeParams is immutable")
@@ -224,7 +237,8 @@ class FreeParams:
         sub, skews = {}, {}
         for key, rows, cols in _slots(structure):
             (skews if len(key) == 2 else sub)[key] = dense_zeros(rows, cols)
-        return cls(sub, [dense_identity(m) for m in structure.mults], skews)
+        return cls._of_skews(sub, [dense_identity(m) for m in structure.mults],
+                             skews)
 
     def validate_for(self, structure: SegreStructure):
         """Exact completeness check against the structure."""

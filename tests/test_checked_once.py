@@ -104,3 +104,23 @@ def test_constant_data_ranks_each_leading_block_once(monkeypatch):
     ranked.clear()
     solver.constant_data(st)  # identity blocks are not ranked
     assert ranked == []
+
+
+def test_gen_w_checks_each_skew_once(monkeypatch):
+    checked = []
+    is_skew = ExactMatrix.is_skew
+
+    def counted(self):
+        checked.append(self)
+        return is_skew.fget(self)
+
+    monkeypatch.setattr(ExactMatrix, "is_skew", property(counted))
+    st = SegreStructure(0, [(4, 2), (2, 3), (1, 1)])
+    rnd = RandomSource(20241019)
+    skews = {(0, 1): rnd.skew(2), (0, 2): rnd.skew(2), (0, 3): rnd.skew(2),
+             (1, 1): rnd.skew(3)}
+    checked.clear()
+    generators.gen_W(st, skews)
+    # the 4 given skews, each checked once, and nothing else
+    assert len(checked) == 4
+    assert sorted(map(id, checked)) == sorted(map(id, skews.values()))

@@ -1,5 +1,6 @@
-"""Frozen CLI output: the sha256 of stdout for fixed requests.  A change to
-the solver's inputs, the seed stream, the generators or the selftest draws
+"""Frozen CLI output: the sha256 of stdout, or of (stdout, stderr, exit
+code), for fixed requests.  A change to the solver's inputs, the seed
+stream, the generators, the selftest draws or the exact rank and inverse
 shows here as a changed digest."""
 
 import hashlib
@@ -105,3 +106,158 @@ def test_factor_of_a_unipotent_sample_bytes(capsys):
 def test_selftest_bytes(capsys):
     out = _stdout(capsys, "selftest", "--max-n", "4", "--cases", "8")
     assert _digest(out) == _DIGESTS[("selftest",)]
+
+
+# Requests whose answers go through the exact rank and inverse kernel, or
+# sit next to it: (stdout, stderr, exit code) of each, hashed together.
+SHAPES = {
+    "8": [(8, 1)],
+    "12": [(12, 1)],
+    "4-2-1": [(4, 1), (2, 4), (1, 2)],
+    "3-2": [(3, 1), (2, 1)],
+    "5-3": [(5, 2), (3, 1)],
+    "2-1": [(2, 3), (1, 2)],
+}
+MULTIS = {
+    "MULTI": MULTI,
+    "MULTI2": ('{"parts": [{"lambda": "i", "blocks": [{"alpha": 4, "m": 1},'
+               ' {"alpha": 1, "m": 2}]},'
+               ' {"lambda": "-1", "blocks": [{"alpha": 3, "m": 2},'
+               ' {"alpha": 1, "m": 1}]}]}'),
+}
+STRUCTURE_COMMANDS = ("codim", "commutant", "dim", "describe", "canonical")
+# multiplicity 4: sample inverts its 4 x 4 orthogonal seed
+MULT4 = ('{"lambda": "1", "blocks": [{"alpha": 2, "m": 4},'
+         ' {"alpha": 1, "m": 1}]}')
+TOO_LONG = '{"lambda": "0", "blocks": [{"alpha": 41, "m": 1}]}'
+
+_RUN_DIGESTS = {
+    ("codim", "12"):
+        "75d0cb42a4d2772dfca9814d2fb375de316c4d8810e365302337f68dc74132d2",
+    ("codim", "2-1"):
+        "f81fcb2072e7655308f515fc069ad7e6a1a0d277f40e80b53131dd9fe7811700",
+    ("codim", "3-2"):
+        "fba6d80177f81b4c0a664b961ea1fb7d3844461f578cc131463a66cff15d835c",
+    ("codim", "4-2-1"):
+        "88bedcdae2866d85bd079cb7f97e8a0f938efa72b492e34cea164ec773dccdfb",
+    ("codim", "5-3"):
+        "bd03f75dd8934024b2268f8ace9b82407209da8fcd11ad7a5bce291241bd20b7",
+    ("codim", "8"):
+        "9016c79bc66a20d1123e171a9a3298e77cbbad9942474e93f4a2023d9fae251d",
+    ("codim", "MULTI"):
+        "a37e896b7c548f654cf0be85086f7103364c2a26c85bd984f6ca63669c1b99f5",
+    ("codim", "MULTI2"):
+        "c15ff5ccf6ffda1522c61af48dce8c7fce979f9a6c851eb00d4e951be5e87fd6",
+    ("commutant", "12"):
+        "1b06aa098171f36b2311b5c54288c228ec450365c30edbb7cc380d2a0aa3898a",
+    ("commutant", "2-1"):
+        "e083f883a515fddecb61dfd61cb99d388c5a799786bb0039c3499766aef06ad5",
+    ("commutant", "3-2"):
+        "9406d3ae5f1b31845c04236d5ee3c422ffcadb300835624567dbb87dd2a7da6d",
+    ("commutant", "4-2-1"):
+        "95647385bf3020c2d6713d10389c29e93267467696e86f1bc57cecf2bf3b3502",
+    ("commutant", "5-3"):
+        "f6dd56e5b5a097069ea57fb49a4a076b7b67c84f270b66156c22f12aac72db7c",
+    ("commutant", "8"):
+        "3b04b8e110f0824f95f642ade4da22fc9614e310742ced9dad9e4662ec9e247f",
+    ("commutant", "MULTI"):
+        "4103aadc94d51a19e1ff0223dd73054794fa3bbf889353ae2368c4be3ab3ef19",
+    ("commutant", "MULTI2"):
+        "4103aadc94d51a19e1ff0223dd73054794fa3bbf889353ae2368c4be3ab3ef19",
+    ("dim", "12"):
+        "313c7368a4cb0cdce11d7c628bd873023b0dcbcdf4aa972715280fa137b25b8f",
+    ("dim", "2-1"):
+        "9d4fe38dab7175d38c332674ca84de1ece401d2b267e318ddb5c07e0dbddc268",
+    ("dim", "3-2"):
+        "dbd4faa686d48d1b56aaf13949be789b894c65d265ac7eaf16a1089a54e7da4b",
+    ("dim", "4-2-1"):
+        "42524890c5a354b056579ae074c9b2deab15b01640b87c984d34a816943b3cb6",
+    ("dim", "5-3"):
+        "bee4491e7ec23a4ae8453f738881f5b0e006a0f0f0965203abe71e5a20878e41",
+    ("dim", "8"):
+        "313c7368a4cb0cdce11d7c628bd873023b0dcbcdf4aa972715280fa137b25b8f",
+    ("dim", "MULTI"):
+        "637978340393cd26a2c0e7266a2afe8c79b13f9cda656ce340dc89dbd0547937",
+    ("dim", "MULTI2"):
+        "0687eb493ca7a4465cdcec32efb099b894d0e72d3de92e44dd5dcd0fd27f3df4",
+    ("describe", "12"):
+        "d2591f288c9167cfb7beaf074706081d0889f1f42645a3ac54b22aa917f428f6",
+    ("describe", "2-1"):
+        "79c89c6c9759c6e6adc0c068aee4165f90914b22c0b4e7c6578c6d5caa36d724",
+    ("describe", "3-2"):
+        "30a14673fdf16ae15445a2001a91056059f4c5c4ec85145af7a25c1e439bd66e",
+    ("describe", "4-2-1"):
+        "247b9a614b5970ad8639419530f6c2868636c7ddc1a134546588b2d12af3a18c",
+    ("describe", "5-3"):
+        "a3628d1923d6ae1a4cc2dc5a46aeea5557c416f77fb91fdf1e45187fd16e0ce4",
+    ("describe", "8"):
+        "64f710dc7fcd93ee6e0754bdec1c81b07117b603155e9566e732d4ae134e87d2",
+    ("describe", "MULTI"):
+        "53385a410216179a88910b5398b100c869740a8b00580b38f4c6481ef4b85c73",
+    ("describe", "MULTI2"):
+        "01b10299740734d17de534fe13c930240ca837cbc34105c93e4f6fae3c0c92cd",
+    ("canonical", "12"):
+        "b250f1cf35ac49f15afb32f9f657fa4d911984b703102c696c31e05985bdd8b7",
+    ("canonical", "2-1"):
+        "1881416e6c558796d90caca50b15c6d3147149e65adce9611b9f25dc38088592",
+    ("canonical", "3-2"):
+        "503f1a46a79cff4c5ad14dd9de80a309692ddf8a9153443177b667def10ab537",
+    ("canonical", "4-2-1"):
+        "2dae9c25829836ea81e67bdf030d8206740a3fb05e36585d77260358ad5e7276",
+    ("canonical", "5-3"):
+        "15d5f891d755b1799baaa7ca2c1f6bebb2438ec38cb44319fdbd5dd1dec57220",
+    ("canonical", "8"):
+        "9bf0b1d0f4d7ab03c7c6aba5c47aa904d03ce7e95d50958ccd99834f7db3d438",
+    ("canonical", "MULTI"):
+        "ad59afd8760f62f2138f16ed96ed4b06ba4390362e8ef782a93cd101667e2f66",
+    ("canonical", "MULTI2"):
+        "1825f0ffd7051b6f063801262e36b3e912bd9fdefc9490f10aeaf3c7e81be3ba",
+    ("codim", "TOO_LONG"):
+        "a16483a17fe7fc601823997ed84c38113630a3e6de14af494b6ebdb739beb200",
+    ("sample", "MULT4", "0"):
+        "cd4d0204f16bf6c86df4e722bd622832480c5aa04577fbaa66fd1463f1063151",
+    ("sample", "MULT4", "5"):
+        "0b45a30887d2014d5bee899480b8a81e5824d7c2ccd2009f02693b2dfcd8353a",
+}
+
+
+def _structure(lam, blocks):
+    return json.dumps({"lambda": lam, "blocks": [
+        {"alpha": alpha, "m": m} for alpha, m in blocks]})
+
+
+def _runs_digest(capsys, *argvs):
+    """sha256 of the (stdout, stderr, exit code) of each request in turn."""
+    runs = []
+    for argv in argvs:
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        runs.append([out, err, code])
+    return _digest(json.dumps(runs))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("command", STRUCTURE_COMMANDS)
+def test_structure_command_bytes_at_three_eigenvalues(capsys, command, shape):
+    got = _runs_digest(capsys, *([command, "--structure",
+                                  _structure(lam, SHAPES[shape])]
+                                 for lam in ("0", "1", "i")))
+    assert got == _RUN_DIGESTS[(command, shape)]
+
+
+@pytest.mark.parametrize("name", sorted(MULTIS))
+@pytest.mark.parametrize("command", STRUCTURE_COMMANDS)
+def test_structure_command_bytes_on_several_eigenvalues(capsys, command, name):
+    got = _runs_digest(capsys, [command, "--structure", MULTIS[name]])
+    assert got == _RUN_DIGESTS[(command, name)]
+
+
+def test_codim_refusal_bytes(capsys):
+    got = _runs_digest(capsys, ["codim", "--structure", TOO_LONG])
+    assert got == _RUN_DIGESTS[("codim", "TOO_LONG")]
+
+
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_sample_bytes_with_multiplicity_four(capsys, seed):
+    got = _runs_digest(capsys, ["sample", "--structure", MULT4, "--seed", seed])
+    assert got == _RUN_DIGESTS[("sample", "MULT4", seed)]

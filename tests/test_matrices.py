@@ -254,6 +254,87 @@ def test_inverse_with_zero_pivot_entries():
             _assert_inverse(r2 * rs.matrix(n, n))
 
 
+def _shuffled(rs, rows):
+    # the rows in a random order (Fisher-Yates on the test stream)
+    rows = list(rows)
+    for i in range(len(rows) - 1, 0, -1):
+        j = rs.stream.randint(0, i)
+        rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+def _sparse_shape(rs, kind, rows, cols, draw):
+    # a banded or block upper triangular pattern under a random row
+    # permutation: the elimination leaves rows alone, catches them up as
+    # pivot rows and picks pivots by their count of nonzeros
+    band = kind == "band"
+    k = rs.stream.randint(0, 2) if band else rs.stream.randint(1, 3)
+
+    def keep(i, j):
+        # within k of the diagonal, or in a block of size k on or above it
+        return abs(i - j) <= k if band else i // k <= j // k
+
+    return ExactMatrix.from_rows(_shuffled(rs, (
+        [draw() if keep(i, j) else ZERO for j in range(cols)]
+        for i in range(rows))))
+
+
+def _sparse_draws(rs, n):
+    # Gaussian, sqrt2, sqrt2-only (so that every other pivot is a pure
+    # sqrt2 multiple) and large-denominator entries; the four-part ones
+    # only up to n = 6, where the product checks stay fast
+    draws = [rs.scalar, lambda: rs.scalar(with_sqrt2=True),
+             lambda: SQRT2 * rs.scalar(), lambda: _big_gaussian(rs)]
+    if n <= 6:
+        draws.append(lambda: _big(rs))
+    return draws
+
+
+def _first_dependent_column(m):
+    # the first column in the span of the columns before it, by the oracle
+    grid = _to_q(m)
+    return next(c for c in range(m.cols)
+                if oracle.qrank([row[:c + 1] for row in grid]) <= c)
+
+
+def test_rank_of_sparse_shapes_matches_q_oracle():
+    rs = RandomSource(614)
+    for kind in ("band", "block"):
+        for n in range(1, 9):
+            for draw in _sparse_draws(rs, n):
+                cols = rs.stream.randint(1, 8)
+                m = _sparse_shape(rs, kind, n, cols, draw)
+                _assert_rank_matches_q_oracle(m)
+                _assert_rank_matches_q_oracle(_with_zero_lines(rs, m))
+
+
+def test_inverse_of_sparse_shapes():
+    # m m^-1 = I when the oracle finds full rank; otherwise the error names
+    # the first column that depends on the ones before it
+    rs = RandomSource(615)
+    inverted = singular = 0
+    for kind in ("band", "block"):
+        for n in range(1, 9):
+            for draw in _sparse_draws(rs, n):
+                cases = [_sparse_shape(rs, kind, n, n, draw)]
+                if n > 1:
+                    cases.append(_with_zero_lines(rs, _sparse_shape(
+                        rs, kind, n - 1, n - 1, draw)))
+                for m in cases:
+                    if _assert_rank_matches_q_oracle(m) == n:
+                        inverse = m.inverse()
+                        assert m * inverse == identity(n)
+                        inverted += 1
+                        continue
+                    with pytest.raises(SingularMatrixError) as err:
+                        m.inverse()
+                    column = _first_dependent_column(m)
+                    assert str(err.value) == \
+                        f"matrix is singular (no pivot in column {column})"
+                    singular += 1
+    assert inverted >= 60 and singular >= 50
+
+
 @pytest.mark.parametrize("rows, column", [
     ([[1, 2], [2, 4]], 1),
     ([[0, 0], [0, 0]], 0),

@@ -9,6 +9,7 @@ from isotropy.errors import IntegrityError, ParameterError, StructureError
 from isotropy.forms import (MultiSegreStructure, SegreStructure,
                             enumerate_structures, interleave_form,
                             symmetric_form)
+from isotropy import matrices
 from isotropy.matrices import ExactMatrix, cayley_orthogonal, direct_sum
 from isotropy.orbit import (OrbitReport, _components, _pair_rank,
                             codim_formula, consistency_check, tangent_oracle)
@@ -254,6 +255,34 @@ def test_consistency_check_on_one_long_block():
         report = consistency_check(st)
         assert report.oracle_codim == codim_formula(st) == 12
         assert report.isotropy_dim == 0
+    # systems of 210 and 100 + 90 + 81 unknowns, where the elimination
+    # leaves most rows alone at each step
+    for blocks, codim, dim in (([(20, 1)], 20, 0), ([(10, 1), (9, 1)], 28, 9)):
+        st = _st(blocks, 0)
+        report = consistency_check(st)
+        assert report.oracle_codim == codim_formula(st) == codim
+        assert report.isotropy_dim == dim
+
+
+def test_ranking_one_long_block_makes_a_bounded_number_of_products(
+        monkeypatch):
+    # a deterministic cost guard on the elimination: updating only the rows
+    # with a nonzero entry in the pivot column, from the sparsest pivot row,
+    # takes about 35 000 products of entries on [(16, 1)]; updating every
+    # row below each pivot took 326 204
+    calls = 0
+    mul4 = matrices._mul4
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return mul4(x, y)
+
+    _pair_rank.cache_clear()
+    monkeypatch.setattr(matrices, "_mul4", counted)
+    report = consistency_check(_st([(16, 1)], 0))
+    assert report.oracle_codim == 16
+    assert calls <= 80_000
 
 
 def test_consistency_check_at_n_40():
