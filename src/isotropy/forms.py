@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import StructureError
+from .errors import DimensionMismatchError, StructureError
 from .matrices import ExactMatrix, _permutation, _reduced, direct_sum
 from .scalars import (ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, _coerce,
                       parse_scalar)
@@ -159,6 +159,22 @@ class MultiSegreStructure:
 Structure = SegreStructure | MultiSegreStructure
 
 
+def _require_structure(structure):
+    """The one type check of a structure argument."""
+    if not isinstance(structure, Structure):
+        raise StructureError(
+            "expected SegreStructure or MultiSegreStructure, "
+            f"got {type(structure).__name__}")
+
+
+def _require_square(structure, mat: ExactMatrix):
+    """The one check that a dense matrix is n x n for structure."""
+    n = structure.n
+    if mat.rows != n or mat.cols != n:
+        raise DimensionMismatchError(
+            f"matrix is {mat.rows}x{mat.cols}, structure needs {n}x{n}")
+
+
 # ---------------------------------------------------------------------------
 # elementary blocks
 # ---------------------------------------------------------------------------
@@ -179,7 +195,7 @@ _MINUS_IHALF = -_IHALF
 
 
 def transition_matrix(alpha: int) -> ExactMatrix:
-    """P = (1/sqrt2)(I + i E): symmetric, P^2 = i E, P^{-1} = conj_i(P).
+    """P = (I + i E)/sqrt2: symmetric, P^2 = i E, P^{-1} = (I - i E)/sqrt2.
 
     For odd alpha the diagonal and anti-diagonal overlap in the center, so
     the two contributions add there.

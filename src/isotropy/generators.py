@@ -41,8 +41,8 @@ from .errors import (
 from .forms import SegreStructure
 from .matrices import ExactMatrix, identity as dense_identity
 from .scalars import ExactScalar, HALF, rat
-from .solver import (FreeParams, _require_congruence, _slots, constant_data,
-                     solve_congruence)
+from .solver import (FreeParams, _check_keys, _require_congruence, _slots,
+                     constant_data, solve_congruence)
 from .toeplitz import ToeplitzForm, _strip_of
 
 __all__ = [
@@ -86,11 +86,8 @@ def catalan_series(count: int) -> list[ExactScalar]:
 
 
 def _checked_skews(structure: SegreStructure, skews: Mapping) -> dict:
-    want = {key for key, _, _ in _slots(structure) if len(key) == 2}
-    if set(skews) != want:
-        missing = sorted(want - set(skews))
-        extra = sorted(set(skews) - want)
-        raise ParameterError(f"skew keys off: missing {missing}, extra {extra}")
+    _check_keys("skew", skews,
+                {key for key, _, _ in _slots(structure) if len(key) == 2})
     for (r, j), mat in skews.items():
         m = structure.mults[r]
         if mat.rows != m or mat.cols != m:

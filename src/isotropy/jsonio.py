@@ -15,11 +15,8 @@ from .errors import ParameterError, StructureError
 from .forms import MultiSegreStructure, SegreStructure
 from .generators import GeneratorSpec
 from .matrices import ExactMatrix
-from .orbit import OrbitReport
 from .scalars import format_scalar, parse_scalar
 from .solver import FreeParams
-from .stabilizer import IsotropyDescription
-from .toeplitz import ToeplitzForm
 
 
 def dumps_canonical(payload) -> str:
@@ -115,7 +112,7 @@ def structure_from_json(payload):
 # ---------------------------------------------------------------------------
 
 
-def toeplitz_to_json(form: ToeplitzForm) -> dict:
+def toeplitz_to_json(form) -> dict:
     st = form.structure
     coeffs = {}
     for r in range(st.part_count):
@@ -152,14 +149,25 @@ def _group_keys(mapping, pieces, what):
         yield slot, key, value
 
 
+def _skews_to_json(skews) -> dict:
+    """The wire skew map: group r, offset j -> "r + 1,j"."""
+    return {f"{r + 1},{j}": matrix_to_json(mat)
+            for (r, j), mat in sorted(skews.items())}
+
+
+def _skews_from_json(skews_json) -> dict:
+    """The code skew map of a wire skew map already read as a mapping."""
+    return {(r1 - 1, j): matrix_from_json(mat)
+            for (r1, j), _, mat in _group_keys(skews_json, 2, "skews")}
+
+
 def free_params_to_json(params: FreeParams) -> dict:
     return {
         "sub": {f"{r + 1},{s + 1},{j}": matrix_to_json(mat)
                 for (r, s, j), mat in sorted(params.sub_blocks.items())},
         "seeds": {str(r + 1): matrix_to_json(mat)
                   for r, mat in enumerate(params.diag_seeds)},
-        "skews": {f"{r + 1},{j}": matrix_to_json(mat)
-                  for (r, j), mat in sorted(params.skews.items())},
+        "skews": _skews_to_json(params.skews),
     }
 
 
@@ -168,26 +176,20 @@ def free_params_from_json(payload) -> FreeParams:
     sub_json = _expect_mapping(payload.get("sub", {}), "sub")
     seeds_json = _expect_mapping(payload.get("seeds", {}), "seeds")
     skews_json = _expect_mapping(payload.get("skews", {}), "skews")
-    sub = {}
-    for (r1, s1, j), _, mat in _group_keys(sub_json, 3, "sub"):
-        sub[(r1 - 1, s1 - 1, j)] = matrix_from_json(mat)
+    sub = {(r1 - 1, s1 - 1, j): matrix_from_json(mat)
+           for (r1, s1, j), _, mat in _group_keys(sub_json, 3, "sub")}
     seeds_by_group = {}
     for (r1,), _, mat in _group_keys(seeds_json, 1, "seeds"):
         seeds_by_group[r1 - 1] = matrix_from_json(mat)
     if sorted(seeds_by_group) != list(range(len(seeds_by_group))):
         raise ParameterError("seeds: group keys must cover 1..N")
     seeds = [seeds_by_group[r] for r in range(len(seeds_by_group))]
-    skews = {}
-    for (r1, j), _, mat in _group_keys(skews_json, 2, "skews"):
-        skews[(r1 - 1, j)] = matrix_from_json(mat)
-    return FreeParams(sub, seeds, skews)
+    return FreeParams(sub, seeds, _skews_from_json(skews_json))
 
 
 def generator_spec_to_json(spec: GeneratorSpec) -> dict:
     if spec.kind == "diagonal_W":
-        return {"kind": "W",
-                "skews": {f"{r + 1},{j}": matrix_to_json(mat)
-                          for (r, j), mat in sorted(spec.skews.items())}}
+        return {"kind": "W", "skews": _skews_to_json(spec.skews)}
     return {"kind": "G", "p": spec.p + 1, "t": spec.t + 1, "k": spec.k,
             "F": matrix_to_json(spec.coupling)}
 
@@ -197,10 +199,7 @@ def generator_spec_from_json(payload) -> GeneratorSpec:
     kind = payload.get("kind")
     if kind == "W":
         skews_json = _expect_mapping(payload.get("skews"), "skews")
-        skews = {}
-        for (r1, j), _, mat in _group_keys(skews_json, 2, "skews"):
-            skews[(r1 - 1, j)] = matrix_from_json(mat)
-        return GeneratorSpec("diagonal_W", skews=skews)
+        return GeneratorSpec("diagonal_W", skews=_skews_from_json(skews_json))
     if kind == "G":
         p = _expect_count(payload, "p", "generator spec", minimum=1)
         t = _expect_count(payload, "t", "generator spec", minimum=1)
@@ -233,7 +232,7 @@ def _recipes_to_json(recipes) -> dict:
     }
 
 
-def description_to_json(desc: IsotropyDescription) -> dict:
+def description_to_json(desc) -> dict:
     payload = {
         "structure": structure_to_json(desc.structure),
         "dimension": desc.dimension,
@@ -247,7 +246,7 @@ def description_to_json(desc: IsotropyDescription) -> dict:
     return payload
 
 
-def orbit_report_to_json(report: OrbitReport) -> dict:
+def orbit_report_to_json(report) -> dict:
     return {
         "structure": structure_to_json(report.structure),
         "n": report.n,

@@ -14,7 +14,7 @@ entries.
 Every operation works on the grid, on one private integer kernel over the
 ring Z[i, sqrt2]:
 
-- transpose, negation, conjugate_i, direct_sum and the predicates move,
+- transpose, negation, direct_sum and the predicates move,
   negate or compare 4-tuples; laying canonical matrices out over the lcm
   of their dens keeps the result canonical (so does the strip of a
   toeplitz.ToeplitzForm, written from its coefficients).  Sums and
@@ -204,11 +204,6 @@ class ExactMatrix:
     def T(self) -> "ExactMatrix":
         return self.transpose()
 
-    def conjugate_i(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, tuple(
-            tuple((a, -b, c, -d) for a, b, c, d in r) for r in self._g),
-            self._den)
-
     # -- elimination ------------------------------------------------------
 
     def inverse(self) -> "ExactMatrix":
@@ -231,9 +226,6 @@ class ExactMatrix:
 
     def rank(self) -> int:
         return _fraction_free(_scaled_rows(self)[0])[0]
-
-    def nullity(self) -> int:
-        return self.cols - self.rank()
 
     # -- misc ---------------------------------------------------------------
 

@@ -36,8 +36,8 @@ with itself taken on all X.
 
 from functools import lru_cache
 
-from .errors import IntegrityError, ParameterError, StructureError
-from .forms import Structure, symmetric_form
+from .errors import IntegrityError, ParameterError
+from .forms import _require_structure, symmetric_form
 from .matrices import _Z4, ExactMatrix, _fraction_free
 from .solver import solution_dimension
 
@@ -85,10 +85,7 @@ def codim_formula(structure) -> int:
     plus the multiplicities of all deeper groups).  Several eigenvalues
     add up part by part.
     """
-    if not isinstance(structure, Structure):
-        raise StructureError(
-            "expected SegreStructure or MultiSegreStructure, "
-            f"got {type(structure).__name__}")
+    _require_structure(structure)
     total = 0
     for part in structure.parts:
         for r, (alpha, m) in enumerate(part.blocks):
@@ -226,9 +223,9 @@ def consistency_check(structure) -> OrbitReport:
     """Compare the formula, the solver dimension, and the tangent oracle.
 
     Any disagreement is an internal fault and raises IntegrityError; on
-    success the assembled OrbitReport comes back.
+    success the assembled OrbitReport comes back.  codim_formula checks
+    the structure's type first.
     """
-    n = structure.n
     codim = codim_formula(structure)
     isotropy_dim = solution_dimension(structure)
     tangent_dim, oracle_codim, kernel_dim = tangent_oracle(
@@ -239,5 +236,5 @@ def consistency_check(structure) -> OrbitReport:
     if kernel_dim != isotropy_dim:
         raise IntegrityError(
             f"tangent kernel {kernel_dim} != isotropy dim {isotropy_dim}")
-    return OrbitReport(structure, n, codim, isotropy_dim,
+    return OrbitReport(structure, structure.n, codim, isotropy_dim,
                        tangent_dim, oracle_codim)

@@ -126,12 +126,6 @@ class ExactScalar:
             return NotImplemented
         return other * self.inverse()
 
-    # -- automorphisms ------------------------------------------------
-
-    def conjugate_i(self) -> "ExactScalar":
-        """Field automorphism i -> -i."""
-        return ExactScalar(self.a, -self.b, self.c, -self.d)
-
     # -- comparisons / hashing ----------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -48,11 +48,10 @@ from .errors import (
     SingularMatrixError,
     StructureError,
 )
-from .forms import SegreStructure
+from .forms import SegreStructure, _require_structure
 from .matrices import (ExactMatrix, _is_member, _mark_member,
                        _sum_of_products, identity as dense_identity,
                        zeros as dense_zeros)
-from .rng import RandomSource
 from .scalars import HALF
 from .toeplitz import ToeplitzForm, _strip_of
 
@@ -197,6 +196,14 @@ def _slots(structure: SegreStructure):
                 yield (r, s, j), m, m_s
 
 
+def _check_keys(kind: str, given, want: set):
+    """The one check that the keys of the mapping given are exactly want."""
+    if set(given) != want:
+        raise ParameterError(
+            f"{kind} keys off: missing {sorted(want - set(given))}, "
+            f"extra {sorted(set(given) - want)}")
+
+
 class FreeParams:
     """Free variables of the general solution.
 
@@ -252,12 +259,7 @@ class FreeParams:
         shapes = {key: (rows, cols) for key, rows, cols in _slots(structure)}
         for kind, given, width in (("sub-block", self.sub_blocks, 3),
                                    ("skew", self.skews, 2)):
-            want = {key for key in shapes if len(key) == width}
-            if set(given) != want:
-                missing = sorted(want - set(given))
-                extra = sorted(set(given) - want)
-                raise ParameterError(
-                    f"{kind} keys off: missing {missing}, extra {extra}")
+            _check_keys(kind, given, {key for key in shapes if len(key) == width})
         for (r, s, j), mat in self.sub_blocks.items():
             if (mat.rows, mat.cols) != shapes[(r, s, j)]:
                 raise ParameterError(f"sub-block ({r}, {s}, {j}) has wrong shape")
@@ -353,6 +355,7 @@ def solution_dimension(structure) -> int:
     """Dimension of the solution space, summed over the parts of a single
     or multi-eigenvalue structure: per part,
     sum_r alpha_r m_r ((m_r - 1)/2 + sum_{s<r} m_s)."""
+    _require_structure(structure)
     total = 0
     for part in structure.parts:
         below = 0
@@ -387,9 +390,11 @@ def _sweep(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
 
     Offsets j ascend; within an offset the diagonal blocks come first
     (distance p = 0), then the super-diagonal distances ascend.  Every
-    quantity a step reads is determined by earlier steps.  The caller
-    checks what it returns: solve_congruence the form itself, sampling
-    the dense matrix it maps the form to.
+    quantity a step reads is determined by earlier steps.  No step checks
+    itself: the caller checks what it returns, solve_congruence the form
+    itself, sampling the dense matrix it maps the form to, so a faulty
+    step (a diagonal step that lost symmetry, say) raises IntegrityError
+    there.
     """
     st = data.structure
     params.validate_for(st)
@@ -421,11 +426,7 @@ def _sweep(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
             # p = 0: diagonal coefficient at offset j >= 1
             if 1 <= j < st.alphas[r]:
                 d = _rhs_without(data, coeffs, r, r, j, (r, r, j))
-                m = data.c_coeffs[r][j] - d
-                if not m.is_symmetric:
-                    raise IntegrityError(
-                        f"diagonal step ({r}, {j}) lost symmetry")
-                m = m.scale(HALF) + params.skews[(r, j)]
+                m = (data.c_coeffs[r][j] - d).scale(HALF) + params.skews[(r, j)]
                 coeffs[(r, r, j)] = m if ginv[r] is None else ginv[r] * m
         for p in range(1, count):
             for r in range(count - p):
@@ -492,10 +493,10 @@ def _require_congruence(data: CongruenceData, x: ToeplitzForm, error,
         raise error(prefix + report)
 
 
-def random_free_params(data: CongruenceData, rnd: RandomSource,
+def random_free_params(data: CongruenceData, rnd,
                        seeds: Sequence[ExactMatrix] | None = None,
                        **scalar_kw) -> FreeParams:
-    """Draw a complete FreeParams from one deterministic stream.
+    """Draw a complete FreeParams from one deterministic stream, rnd.
 
     Seeds default to twisted Cayley transforms solving A^T B_0 A = B_0,
     which is only a valid seed set when the leading coefficients of B

@@ -7,10 +7,10 @@ forms X solving the flip congruence F X^T F X = I.  An exact change of
 basis exchanges the two, so membership checks never approximate.
 """
 
-from .errors import (DimensionMismatchError, IntegrityError, MembershipError,
-                     ParameterError, StructureError)
-from .forms import (MultiSegreStructure, SegreStructure,
-                    _conjugate_by_transition, _layout, symmetric_form)
+from .errors import (IntegrityError, MembershipError, ParameterError,
+                     StructureError)
+from .forms import (SegreStructure, _conjugate_by_transition, _layout,
+                    _require_square, _require_structure, symmetric_form)
 from .matrices import (ExactMatrix, _grid_mul, _is_member, _mark_member,
                        direct_sum)
 from .scalars import ONE, ZERO, _from_ints
@@ -86,24 +86,18 @@ def _single_description(st: SegreStructure) -> IsotropyDescription:
 
 def describe_isotropy(structure) -> IsotropyDescription:
     """Describe the group of exact orthogonal congruences fixing S."""
+    _require_structure(structure)
     if isinstance(structure, SegreStructure):
         return _single_description(structure)
-    if isinstance(structure, MultiSegreStructure):
-        parts = tuple(_single_description(p) for p in structure.parts)
-        return IsotropyDescription(
-            structure=structure,
-            dimension=sum(d.dimension for d in parts),
-            reductive_part=[m for d in parts for m in d.reductive_part],
-            unipotent_order_bound=max(
-                d.unipotent_order_bound for d in parts),
-            nilpotency_class_bound=max(
-                d.nilpotency_class_bound for d in parts),
-            generator_recipes={
-                "parts": [d.generator_recipes for d in parts]},
-            parts=parts)
-    raise StructureError(
-        "expected SegreStructure or MultiSegreStructure, "
-        f"got {type(structure).__name__}")
+    parts = tuple(_single_description(p) for p in structure.parts)
+    return IsotropyDescription(
+        structure=structure,
+        dimension=sum(d.dimension for d in parts),
+        reductive_part=[m for d in parts for m in d.reductive_part],
+        unipotent_order_bound=max(d.unipotent_order_bound for d in parts),
+        nilpotency_class_bound=max(d.nilpotency_class_bound for d in parts),
+        generator_recipes={"parts": [d.generator_recipes for d in parts]},
+        parts=parts)
 
 
 def _first_mismatch(a: ExactMatrix, b: ExactMatrix):
@@ -155,10 +149,8 @@ def verify_isotropy(structure, q: ExactMatrix):
     on success it marks q as a verified member of structure, so that the
     group operations need not check it again.
     """
+    _require_square(structure, q)
     n = structure.n
-    if q.rows != n or q.cols != n:
-        raise DimensionMismatchError(
-            f"matrix is {q.rows}x{q.cols}, structure needs {n}x{n}")
     grid, den = q._g, q._den
     one = den * den
     s = symmetric_form(structure)
@@ -250,9 +242,10 @@ def sample_isotropy_element(structure, params=None, seeds=None, rnd=None,
     object checked: verify_isotropy asserts Q^T Q = I and Q^T S Q = S
     exactly, once, before Q is returned.
     """
+    _require_structure(structure)
     if isinstance(structure, SegreStructure):
         q = _sample_single(structure, params, seeds, rnd, scalar_kw)
-    elif isinstance(structure, MultiSegreStructure):
+    else:
         count = len(structure.parts)
         params_list = list(params) if params is not None else [None] * count
         seeds_list = list(seeds) if seeds is not None else [None] * count
@@ -263,10 +256,6 @@ def sample_isotropy_element(structure, params=None, seeds=None, rnd=None,
             _sample_single(part, params_list[i], seeds_list[i], rnd,
                            scalar_kw)
             for i, part in enumerate(structure.parts)])
-    else:
-        raise StructureError(
-            "expected SegreStructure or MultiSegreStructure, "
-            f"got {type(structure).__name__}")
     _require_member(structure, q, IntegrityError, _BUILT)
     return q
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import lcm
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import (
     DimensionMismatchError,
@@ -46,7 +46,7 @@ from .errors import (
     ShapeViolationError,
     StructureError,
 )
-from .forms import SegreStructure, _omega_indices
+from .forms import SegreStructure, _omega_indices, _require_square
 from .matrices import (ExactMatrix, _Z4, _grid_mul, _permuted, _reduced,
                        _rescaled, identity as dense_identity,
                        zeros as dense_zeros)
@@ -171,15 +171,6 @@ class ToeplitzForm:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def build(cls, structure: SegreStructure,
-              cell: Callable[[int, int, int], ExactMatrix]) -> "ToeplitzForm":
-        """Form with coefficient (r, s, j) = cell(r, s, j)."""
-        coeffs = {}
-        for r, s in _block_keys(structure):
-            coeffs[(r, s)] = [cell(r, s, j) for j in range(structure.depth(r, s))]
-        return cls(structure, coeffs)
-
-    @classmethod
     def zero(cls, structure: SegreStructure) -> "ToeplitzForm":
         _need_segre(structure)
         return cls._from_strip(structure, dense_zeros(sum(structure.mults), structure.n))
@@ -300,10 +291,8 @@ class ToeplitzForm:
         Raises ShapeViolationError at the first dense entry, in row-major
         order, that breaks the constant-diagonal block pattern.
         """
+        _require_square(structure, dense)
         n = structure.n
-        if dense.rows != n or dense.cols != n:
-            raise DimensionMismatchError(
-                f"matrix is {dense.rows}x{dense.cols}, structure needs {n}x{n}")
         grid, den = dense._g, dense._den
         rows = []
         for r, m in enumerate(structure.mults):
@@ -391,10 +380,8 @@ def conjugate_by_omega(dense: ExactMatrix, structure: SegreStructure,
     to_dense:    Omega X Omega^T, the inverse map.
     Omega is applied as an index permutation, without arithmetic.
     """
+    _require_square(structure, dense)
     n = structure.n
-    if dense.rows != n or dense.cols != n:
-        raise DimensionMismatchError(
-            f"matrix is {dense.rows}x{dense.cols}, structure needs {n}x{n}")
     perm = _omega_indices(structure)
     if direction == "to_dense":
         inverse = [0] * n

@@ -76,9 +76,10 @@ def test_a_corrupted_peel_fails_the_core_check(monkeypatch):
 
     def corrupted(data, p, t, k, coupling):
         form = built(data, p, t, k, coupling)
+        # coefficient (0, 0, 2) set to 1
         one = ExactMatrix.from_rows([[1]])
-        return ToeplitzForm.build(form.structure, lambda r, s, j: (
-            one if (r, s, j) == (0, 0, 2) else form.coefficient(r, s, j)))
+        return form + ToeplitzForm.from_sparse(
+            form.structure, {(0, 0, 2): one - form.coefficient(0, 0, 2)})
 
     monkeypatch.setattr(generators, "_coupling_form", corrupted)
     with pytest.raises(IntegrityError,

@@ -309,11 +309,11 @@ def test_factor_round_trip_through_wire(capsys):
                         "--matrix", json.dumps(matrix_to_json(q)))
     assert code == 0
     payload = json.loads(out)
-    wire = payload["core"]["coeffs"]
-    core = ToeplitzForm.build(
-        structure_from_json(payload["core"]["structure"]),
-        lambda r, s, j: matrix_from_json(wire[f"{r + 1},{s + 1}"][j]))
-    rebuilt = core
+    rebuilt = ToeplitzForm(
+        structure_from_json(payload["core"]["structure"]), {
+            tuple(int(g) - 1 for g in key.split(",")): [
+                matrix_from_json(mat) for mat in entry]
+            for key, entry in payload["core"]["coeffs"].items()})
     for spec_json in payload["factors"]:
         rebuilt = rebuilt * generator_from_spec(
             st, generator_spec_from_json(spec_json))

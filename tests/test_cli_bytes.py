@@ -1,7 +1,8 @@
 """Frozen CLI output: the sha256 of stdout, or of (stdout, stderr, exit
 code), for fixed requests.  A change to the solver's inputs, the seed
 stream, the generators, the selftest draws or the exact rank and inverse
-shows here as a changed digest."""
+shows here as a changed digest.  Frozen library errors: the (exception
+type, message) of calls that reach each shared input check."""
 
 import hashlib
 import json
@@ -261,3 +262,136 @@ def test_codim_refusal_bytes(capsys):
 def test_sample_bytes_with_multiplicity_four(capsys, seed):
     got = _runs_digest(capsys, ["sample", "--structure", MULT4, "--seed", seed])
     assert got == _RUN_DIGESTS[("sample", "MULT4", seed)]
+
+
+# Requests that reach one input check each, at eigenvalues 1/2 and i:
+# (stdout, stderr, exit code) of every run, hashed together.
+LAMS = ("1/2", "i")
+UNI_BLOCKS = [(3, 2), (2, 1), (1, 1)]
+THREE_BLOCKS = [(3, 1), (2, 2), (1, 1)]
+BIG_BLOCKS = [(4, 2), (2, 3), (1, 1)]
+# the W spec without its group-2 skew, and the UNI params with a skew key
+# that names no slot: both are refused as keys off
+W_SPEC_OFF = json.dumps({"kind": "W", "skews": {
+    key: value for key, value in json.loads(W_SPEC)["skews"].items()
+    if key != "2,1"}})
+UNI_PARAMS_OFF = json.dumps(dict(json.loads(UNI_PARAMS), skews={
+    "1,1": _m(2, 2, "0", "2", "-2", "0"),
+    "1,2": _m(2, 2, "0", "1/3", "-1/3", "0"),
+    "3,1": _m(1, 1, "0")}))
+
+_CHECK_DIGESTS = {
+    "verify":
+        "21252f7b0dd17d01264e533f3496df1860e6e11c2599a0ed7e123b980f651358",
+    "factor":
+        "be3d5b2411d136f37a5beb061229f258f88ddab0dfe9186089f06039a8a8db35",
+    "generators_keys_off":
+        "5a07df3172de1343fe22e5c8074e392ea5d5de7efacb75cdf94374dffdc55886",
+    "sample_keys_off":
+        "41674da6ab29eeadf3254651fb9bdec56416e58207212c7d26b1625cde27ece8",
+}
+
+
+def _sample_matrix(capsys, structure, *flags):
+    return json.dumps(json.loads(
+        _stdout(capsys, "sample", "--structure", structure, *flags))["matrix"])
+
+
+def test_verify_of_a_member_and_a_non_member_bytes(capsys):
+    runs = []
+    for lam in LAMS:
+        st = _structure(lam, THREE_BLOCKS)
+        member = _sample_matrix(capsys, st, "--seed", "3")
+        other = json.loads(member)
+        other["entries"][1] = "7"
+        runs += [["verify", "--structure", st, "--matrix", member],
+                 ["verify", "--structure", st, "--matrix", json.dumps(other)]]
+    assert _runs_digest(capsys, *runs) == _CHECK_DIGESTS["verify"]
+
+
+def test_factor_of_a_unipotent_and_a_plain_sample_bytes(capsys):
+    runs = []
+    for lam in LAMS:
+        st = _structure(lam, UNI_BLOCKS)
+        for flags in (["--params", UNI_PARAMS], ["--seed", "0"]):
+            runs.append(["factor", "--structure", st,
+                         "--matrix", _sample_matrix(capsys, st, *flags)])
+    assert _runs_digest(capsys, *runs) == _CHECK_DIGESTS["factor"]
+
+
+@pytest.mark.parametrize("command, blocks, params", [
+    ("generators", BIG_BLOCKS, W_SPEC_OFF),
+    ("sample", UNI_BLOCKS, UNI_PARAMS_OFF)], ids=["generators", "sample"])
+def test_keys_off_bytes(capsys, command, blocks, params):
+    got = _runs_digest(capsys, *([command, "--structure", _structure(lam, blocks),
+                                  "--params", params] for lam in LAMS))
+    assert got == _CHECK_DIGESTS[f"{command}_keys_off"]
+
+
+# Library calls that reach one input check each: (exception type, message).
+_STRUCTURE_EXPECTED = ("StructureError",
+                       "expected SegreStructure or MultiSegreStructure, "
+                       "got str")
+_SHAPE_EXPECTED = ("DimensionMismatchError",
+                   "matrix is 3x3, structure needs 5x5")
+_LIBRARY_ERRORS = {
+    "codim_formula": _STRUCTURE_EXPECTED,
+    "describe_isotropy": _STRUCTURE_EXPECTED,
+    "sample_isotropy_element": _STRUCTURE_EXPECTED,
+    "solution_dimension": _STRUCTURE_EXPECTED,
+    "consistency_check": _STRUCTURE_EXPECTED,
+    "verify_isotropy": _SHAPE_EXPECTED,
+    "ToeplitzForm.extract": _SHAPE_EXPECTED,
+    "conjugate_by_omega": _SHAPE_EXPECTED,
+    "gen_W skews": ("ParameterError",
+                    "skew keys off: missing [(1, 1)], extra [(2, 1)]"),
+    "sample skews": ("ParameterError",
+                     "skew keys off: missing [(1, 1)], extra [(2, 1)]"),
+    "sample sub-blocks": ("ParameterError",
+                          "sub-block keys off: missing [(2, 1, 0)], "
+                          "extra [(1, 0, 5)]"),
+}
+
+
+def _library_calls(lam):
+    from isotropy import (FreeParams, SegreStructure, ToeplitzForm,
+                          codim_formula, consistency_check, conjugate_by_omega,
+                          describe_isotropy, gen_W, identity, parse_scalar,
+                          sample_isotropy_element, solution_dimension,
+                          verify_isotropy, zeros)
+
+    lam = parse_scalar(lam)
+    five = SegreStructure(lam, [(3, 1), (2, 1)])
+    uni = SegreStructure(lam, UNI_BLOCKS)
+    small = identity(3)
+    zero = FreeParams.zero(uni)
+    skews = {(0, 1): zero.skews[(0, 1)], (0, 2): zero.skews[(0, 2)],
+             (2, 1): zeros(1, 1)}
+    sub = {key: mat for key, mat in zero.sub_blocks.items()
+           if key != (2, 1, 0)}
+    sub[(1, 0, 5)] = zeros(1, 2)
+    return {
+        "codim_formula": lambda: codim_formula("x"),
+        "describe_isotropy": lambda: describe_isotropy("x"),
+        "sample_isotropy_element": lambda: sample_isotropy_element("x"),
+        "solution_dimension": lambda: solution_dimension("x"),
+        "consistency_check": lambda: consistency_check("x"),
+        "verify_isotropy": lambda: verify_isotropy(five, small),
+        "ToeplitzForm.extract": lambda: ToeplitzForm.extract(small, five),
+        "conjugate_by_omega":
+            lambda: conjugate_by_omega(small, five, "to_dense"),
+        "gen_W skews": lambda: gen_W(uni, skews),
+        "sample skews": lambda: sample_isotropy_element(uni, params=FreeParams(
+            zero.sub_blocks, zero.diag_seeds, skews)),
+        "sample sub-blocks": lambda: sample_isotropy_element(
+            uni, params=FreeParams(sub, zero.diag_seeds, zero.skews)),
+    }
+
+
+@pytest.mark.parametrize("lam", LAMS)
+@pytest.mark.parametrize("call", sorted(_LIBRARY_ERRORS))
+def test_library_error_texts(lam, call):
+    with pytest.raises(Exception) as info:
+        _library_calls(lam)[call]()
+    got = (type(info.value).__name__, str(info.value))
+    assert got == _LIBRARY_ERRORS[call]

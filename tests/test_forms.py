@@ -126,7 +126,8 @@ def test_transition_matrix_properties():
         e = backward_identity(alpha)
         assert p.T == p
         assert p * p == IMAG * e
-        assert (p * p.conjugate_i()).is_identity
+        # P^-1 = (I - i E) / sqrt2, P with i -> -i
+        assert p.inverse() == (identity(alpha) - IMAG * e).scale(SQRT2.inverse())
 
 
 def test_transition_matrix_alpha1():
@@ -168,7 +169,7 @@ def test_symmetric_block_equals_transition_conjugate_of_jordan():
                 ExactScalar(rat(1, 3), 1, rat(-2, 5), 2)):
         for n in range(1, 13):
             p = transition_matrix(n)
-            assert p * jordan_block(n, lam) * p.conjugate_i() \
+            assert p * jordan_block(n, lam) * p.inverse() \
                 == symmetric_block(n, lam)
 
 
@@ -226,10 +227,9 @@ def test_forms_shapes_and_symmetry():
         sm = symmetric_form(s)
         assert sm.rows == n and sm.T == sm
         assert jordan_form(s).rows == n
-        p = transition_form(s)
-        assert (p * p.conjugate_i()).is_identity
-        assert p * jordan_form(s) * p.conjugate_i() == sm
-        e = backward_form(s)
+        p, e = transition_form(s), backward_form(s)
+        assert p.inverse() == (identity(n) - IMAG * e).scale(SQRT2.inverse())
+        assert p * jordan_form(s) * p.inverse() == sm
         assert e * e == identity(n)
         om = interleave_form(s)
         assert (om.T * om).is_identity
@@ -240,7 +240,8 @@ def test_canonical_matrices_built_once_in_a_bounded_cache():
                               SegreStructure(0, [(2, 2)])])
     assert symmetric_form(st) is symmetric_form(st)
     p = transition_form(st)
-    assert p.conjugate_i() == p.inverse()
+    assert p.inverse() == (identity(st.n) - IMAG * backward_form(st)).scale(
+        SQRT2.inverse())
     for n in range(1, 9):
         for s in enumerate_structures(n):
             symmetric_form(s)
@@ -270,8 +271,8 @@ def test_transition_by_index_equals_the_two_products(lam):
         p, om = transition_form(st), interleave_form(st)
         y = rnd.matrix(st.n, st.n, with_sqrt2=True, max_den=6)
         for to_dense, want in (
-                (True, p * (om * y * om.T) * p.conjugate_i()),
-                (False, om.T * (p.conjugate_i() * y * p) * om)):
+                (True, p * (om * y * om.T) * p.inverse()),
+                (False, om.T * (p.inverse() * y * p) * om)):
             got = forms._conjugate_by_transition(st, y, to_dense)
             assert (got._den, got._g) == (want._den, want._g), (st, to_dense)
 

@@ -28,10 +28,10 @@ def _st(blocks, lam=IMAG):
 def _toeplitz_from_wire(payload):
     """The form a toeplitz_to_json payload writes: one matrix_from_json per
     coefficient, read under its 1-based "r,s" key."""
-    coeffs = payload["coeffs"]
-    return ToeplitzForm.build(
-        structure_from_json(payload["structure"]),
-        lambda r, s, j: matrix_from_json(coeffs[f"{r + 1},{s + 1}"][j]))
+    return ToeplitzForm(structure_from_json(payload["structure"]), {
+        tuple(int(g) - 1 for g in key.split(",")): [
+            matrix_from_json(mat) for mat in entry]
+        for key, entry in payload["coeffs"].items()})
 
 
 def test_matrix_round_trip_exotic_entries():

@@ -376,8 +376,8 @@ def test_inverse_makes_no_scalar_arithmetic(monkeypatch):
 
 
 def test_rank_nullity():
-    assert zeros(3, 3).nullity() == 3
-    assert identity(4).nullity() == 0
+    assert zeros(3, 3).rank() == 0
+    assert identity(4).rank() == 4
     m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     assert m.rank() == 2
 
@@ -389,7 +389,7 @@ def test_rank_matches_oracle():
         c = rs.stream.randint(1, 5)
         m = rs.matrix(r, c)
         assert m.rank() == oracle.rank(_to_oracle(m))
-        assert m.nullity() == oracle.nullity(_to_oracle(m))
+        assert m.cols - m.rank() == oracle.nullity(_to_oracle(m))
 
 
 _to_q = oracle.q_grid
@@ -398,7 +398,6 @@ _to_q = oracle.q_grid
 def _assert_rank_matches_q_oracle(m):
     want = oracle.qrank(_to_q(m))
     assert m.rank() == want
-    assert m.nullity() == m.cols - want
     return want
 
 
@@ -444,8 +443,8 @@ def test_rank_with_zero_rows_and_columns():
 
 def test_rank_of_empty_shapes():
     for n in range(5):
-        assert zeros(0, n).rank() == 0 and zeros(0, n).nullity() == n
-        assert zeros(n, 0).rank() == 0 and zeros(n, 0).nullity() == 0
+        assert zeros(0, n).rank() == 0
+        assert zeros(n, 0).rank() == 0
 
 
 def test_rank_divides_through_the_sqrt2_conjugate():
@@ -483,13 +482,6 @@ def test_rank_with_large_denominators():
         a = ExactMatrix.build(n, k, lambda i, j: big())
         b = ExactMatrix.build(k, m, lambda i, j: big())
         assert _assert_rank_matches_q_oracle(a * b) <= k
-
-
-def test_rank_plus_nullity():
-    rs = RandomSource(31337)
-    for _ in range(15):
-        m = rs.matrix(rs.stream.randint(1, 8), rs.stream.randint(1, 8))
-        assert m.rank() + m.nullity() == m.cols
 
 
 def test_commutant_nullity_of_small_canonical_form():
@@ -620,7 +612,6 @@ def test_storage_is_canonical_on_every_route():
         _assert_same(m + zeros(m.rows, m.cols), m)
         _assert_same(m - m, zeros(m.rows, m.cols))
         _assert_same(-(-m), m)
-        _assert_same(m.conjugate_i().conjugate_i(), m)
         if m.rows:
             # from_rows reads the column count off the first row
             _assert_same(ExactMatrix.from_rows(m.to_lists()), m)

@@ -52,8 +52,8 @@ def _to_oracle(mat):
 
 def _tampered(x, cells):
     """x with the coefficients cells names, {(r, s, j): matrix}, replaced."""
-    return ToeplitzForm.build(x.structure, lambda r, s, j: cells.get(
-        (r, s, j), x.coefficient(r, s, j)))
+    return x + ToeplitzForm.from_sparse(x.structure, {
+        key: mat - x.coefficient(*key) for key, mat in cells.items()})
 
 
 def _full_coeffs(rnd, structure, **kw):

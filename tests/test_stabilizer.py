@@ -400,8 +400,9 @@ def test_changed_form_is_checked_again():
     st = _st([(3, 2), (2, 1)])
     w = gen_W(st, {(0, 1): rnd.skew(2), (0, 2): rnd.skew(2), (1, 1): rnd.skew(1)})
     one = ExactMatrix.from_rows([[1]])
-    bad = ToeplitzForm.build(st, lambda r, s, j: (
-        one if (r, s, j) == (1, 1, 1) else w.coefficient(r, s, j)))
+    # coefficient (1, 1, 1) set to 1
+    bad = w + ToeplitzForm.from_sparse(
+        st, {(1, 1, 1): one - w.coefficient(1, 1, 1)})
     assert bad.has_identity_diagonal
     assert group_element_mul(st, [w, w]) == w * w
     with pytest.raises(MembershipError, match=r"^element 1: block"):

@@ -43,34 +43,39 @@ def _to_oracle(m):
 
 def _random_form(rnd, structure, keep=2, **scalar_kw):
     # roughly keep/(keep+1) of the coefficients populated
-    def cell(r, s, j):
+    def cell(r, s):
         if rnd.stream.below(keep + 1) == 0:
             return zeros(structure.mults[r], structure.mults[s])
         return rnd.matrix(structure.mults[r], structure.mults[s], max_num=2,
                           **scalar_kw)
 
-    return ToeplitzForm.build(structure, cell)
+    return ToeplitzForm.from_sparse(structure, {
+        (r, s, j): cell(r, s) for r, s in _blocks(structure)
+        for j in range(structure.depth(r, s))})
 
 
 def _random_identity_diagonal(rnd, structure):
-    eye = ToeplitzForm.identity(structure)
+    # a random form with every leading diagonal coefficient replaced by I
     body = _random_form(rnd, structure)
-
-    def cell(r, s, j):
-        if r == s and j == 0:
-            return zeros(structure.mults[r], structure.mults[r])
-        return body.coefficient(r, s, j)
-
-    return eye + ToeplitzForm.build(structure, cell)
+    leads = {(r, r, 0): body.coefficient(r, r, 0)
+             for r in range(structure.part_count)}
+    return (ToeplitzForm.identity(structure) + body
+            - ToeplitzForm.from_sparse(structure, leads))
 
 
 def _weight_component(x, w):
     """x restricted to its coefficient slots (r, s, j) of weight
     j + shift(r, s) = w."""
     st = x.structure
-    return ToeplitzForm.build(
-        st, lambda r, s, j: x.coefficient(r, s, j) if j + st.shift(r, s) == w
-        else zeros(st.mults[r], st.mults[s]))
+    return ToeplitzForm.from_sparse(st, {
+        (r, s, j): x.coefficient(r, s, j) for r, s in _blocks(st)
+        for j in range(st.depth(r, s)) if j + st.shift(r, s) == w})
+
+
+def _blocks(structure):
+    """Every block (r, s), row by row."""
+    return [(r, s) for r in range(structure.part_count)
+            for s in range(structure.part_count)]
 
 
 def _min_weight(x):
@@ -151,7 +156,6 @@ def test_constructors_write_the_block_assembled_strip():
             # at j = 0
             sparse = {k: v for k, v in cells.items() if k[2] == 0 or not v.is_zero}
             for form in (ToeplitzForm(st, coeffs),
-                         ToeplitzForm.build(st, lambda r, s, j: cells[(r, s, j)]),
                          ToeplitzForm.from_sparse(st, sparse)):
                 assert (form._strip._den, form._strip._g) == (want._den, want._g)
             empty = ToeplitzForm.from_sparse(st, {})

@@ -79,10 +79,10 @@ def test_structure_round_trip(structure):
 def _toeplitz_from_wire(payload):
     """The form a toeplitz_to_json payload writes: one matrix_from_json per
     coefficient, read under its 1-based "r,s" key."""
-    coeffs = payload["coeffs"]
-    return ToeplitzForm.build(
-        structure_from_json(payload["structure"]),
-        lambda r, s, j: matrix_from_json(coeffs[f"{r + 1},{s + 1}"][j]))
+    return ToeplitzForm(structure_from_json(payload["structure"]), {
+        tuple(int(g) - 1 for g in key.split(",")): [
+            matrix_from_json(mat) for mat in entry]
+        for key, entry in payload["coeffs"].items()})
 
 
 @given(segre_structures(), st.data())
@@ -93,7 +93,7 @@ def test_toeplitz_round_trip(structure, data):
               for r in range(structure.part_count)
               for s in range(structure.part_count)
               for j in range(structure.depth(r, s))}
-    form = ToeplitzForm.build(structure, lambda r, s, j: coeffs[(r, s, j)])
+    form = ToeplitzForm.from_sparse(structure, coeffs)
     assert _toeplitz_from_wire(toeplitz_to_json(form)) == form
 
 
