@@ -63,7 +63,7 @@ class SegreStructure:
     by decreasing size; each size and multiplicity must be a positive int.
     """
 
-    __slots__ = ("lam", "blocks", "alphas", "mults", "n")
+    __slots__ = ("lam", "blocks", "alphas", "mults", "n", "_hash")
 
     def __init__(self, lam, blocks: Iterable[Sequence[int]]):
         merged: dict[int, int] = {}
@@ -81,6 +81,7 @@ class SegreStructure:
         object.__setattr__(self, "alphas", tuple(a for a, _ in blocks))
         object.__setattr__(self, "mults", tuple(m for _, m in blocks))
         object.__setattr__(self, "n", sum(a * m for a, m in blocks))
+        object.__setattr__(self, "_hash", hash((self.lam, blocks)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SegreStructure is immutable")
@@ -109,10 +110,11 @@ class SegreStructure:
     def __eq__(self, other):
         if not isinstance(other, SegreStructure):
             return NotImplemented
-        return self.lam == other.lam and self.blocks == other.blocks
+        return self is other or (self.lam == other.lam
+                                 and self.blocks == other.blocks)
 
     def __hash__(self):
-        return hash((self.lam, self.blocks))
+        return self._hash
 
     def __repr__(self):
         body = ", ".join(f"({a},{m})" for a, m in self.blocks)
@@ -122,7 +124,7 @@ class SegreStructure:
 class MultiSegreStructure:
     """Several SegreStructures with pairwise distinct eigenvalues."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts: Iterable[SegreStructure]):
         parts = tuple(parts)
@@ -136,6 +138,7 @@ class MultiSegreStructure:
                 raise StructureError(f"duplicate eigenvalue {p.lam}")
             seen.add(p.lam)
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_hash", hash(parts))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiSegreStructure is immutable")
@@ -147,10 +150,10 @@ class MultiSegreStructure:
     def __eq__(self, other):
         if not isinstance(other, MultiSegreStructure):
             return NotImplemented
-        return self.parts == other.parts
+        return self is other or self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.parts)
+        return self._hash
 
     def __repr__(self):
         return f"MultiSegreStructure({list(self.parts)!r})"

@@ -7,7 +7,7 @@ integer.  The pair is kept in canonical form: the gcd of den and every
 component of G is 1, so the zero matrix has den = 1 and two matrices are
 equal exactly when their shapes, dens and grids are; equality and hashing
 are tuple operations.  ExactScalar entries are made only at the boundary:
-__getitem__, row, to_lists and repr read them off the grid, and from_rows
+__getitem__, to_lists and repr read them off the grid, and from_rows
 and build scale scalars onto it.  Nothing else keeps a second copy of the
 entries.
 
@@ -20,13 +20,10 @@ ring Z[i, sqrt2]:
   toeplitz.ToeplitzForm, written from its coefficients).  Sums and
   scaling reduce once, by one gcd over the result (_reduced).
 - Products and sums of products (_sum_of_products, behind
-  ExactMatrix.__mul__ and the sums of the solver's sweep) multiply the
-  grids, skipping zero entries, accumulate every term over the lcm of the
-  term denominators and reduce once per result (_reduced).
-- The product of two Toeplitz forms is one grid product (_grid_mul): a
-  form is one canonical matrix, its strip, and the left strip multiplies
-  the dense rows of the right operand, all on one grid each
-  (toeplitz.ToeplitzForm.__mul__).
+  ExactMatrix.__mul__, toeplitz.ToeplitzForm.__mul__ and the steps of the
+  solver's sweep) multiply the grids (_grid_mul, on the nonzeros of each
+  right row, _sparse_rows), accumulate every term over the lcm of the term
+  denominators and reduce once per result (_reduced).
 - Rank and inverse share one fraction-free (Bareiss) elimination
   (_fraction_free; E. H. Bareiss, Sylvester's identity and multistep
   integer-preserving Gaussian elimination, Math. Comp. 22, 1968) over
@@ -100,10 +97,6 @@ class ExactMatrix:
         i, j = key
         return _from_ints(*self._g[i][j], self._den)
 
-    def row(self, i: int) -> tuple:
-        den = self._den
-        return tuple(_from_ints(*x, den) for x in self._g[i])
-
     def to_lists(self) -> list:
         den = self._den
         return [[_from_ints(*x, den) for x in r] for r in self._g]
@@ -173,7 +166,9 @@ class ExactMatrix:
             if self.cols != other.rows:
                 raise DimensionMismatchError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            return _sum_of_products(((self, other),), self.rows, other.cols)
+            return _sum_of_products(((self._g, _sparse_rows(other._g),
+                                      self._den * other._den),),
+                                    self.rows, other.cols)
         scalar = _as_scalar_or_none(other)
         if scalar is None:
             return NotImplemented
@@ -322,33 +317,30 @@ def _rescaled(grid: Sequence, f: int) -> Sequence:
                  for r in grid)
 
 
-def _scaled_all(mats: Sequence[ExactMatrix]) -> tuple:
-    """(grids, den) with mats[t] = grids[t] / den for every t, on the one
-    denominator den, the lcm of the dens of the matrices (1 for none):
-    each grid is rescaled, none is reduced."""
-    den = lcm(*(m._den for m in mats))
-    return [_rescaled(m._g, den // m._den) for m in mats], den
+def _sparse_rows(y: Sequence) -> list:
+    """The right operand of _grid_mul, made from the grid y: the nonzeros
+    (j, a, b, c, d) of each row, and whether the row is Gaussian."""
+    nzs = [[(j,) + e for j, e in enumerate(row) if e != _Z4] for row in y]
+    return [(nz, not any(e[3] or e[4] for e in nz)) for nz in nzs]
 
 
-def _grid_mul(x: Sequence, y: Sequence, cols: int, acc: list | None = None) -> list:
-    """Add the product in Z[i, sqrt2] of the grids x and y (y has cols
-    columns) into acc, rows of four integer component lists [a, b, c, d],
-    and return it; a fresh zero acc when None.
+def _grid_mul(x: Sequence, y: list, cols: int, acc: list | None = None,
+              f: int = 1) -> list:
+    """Add f times the product in Z[i, sqrt2] of the grid x and the grid
+    with cols columns and _sparse_rows y into acc, rows of four integer
+    component lists [a, b, c, d], and return it (a fresh acc when None).
 
     Zero entries of x and y are skipped, and a Gaussian entry of x times a
     Gaussian row of y forms only the Gaussian parts.
     """
-    # the nonzeros of each row of y, and whether the row is Gaussian
-    sparse = []
-    for row in y:
-        nz = [(j,) + e for j, e in enumerate(row) if e != _Z4]
-        sparse.append((nz, not any(e[3] or e[4] for e in nz)))
     if acc is None:
-        acc = [[[0] * cols for _ in range(4)] for _ in range(len(x))]
+        acc = [[[0] * cols, [0] * cols, [0] * cols, [0] * cols] for _ in x]
     for xrow, (ta, tb, tc, td) in zip(x, acc):
-        for (a1, b1, c1, d1), (nz, gaussian) in zip(xrow, sparse):
+        for (a1, b1, c1, d1), (nz, gaussian) in zip(xrow, y):
             if not nz or not (a1 or b1 or c1 or d1):
                 continue
+            if f != 1:
+                a1, b1, c1, d1 = a1 * f, b1 * f, c1 * f, d1 * f
             if gaussian and not (c1 or d1):
                 for j, a2, b2, _, _ in nz:
                     ta[j] += a1 * a2 - b1 * b2
@@ -373,16 +365,17 @@ def _gcd_with(den: int, parts: Iterable) -> int:
     return g
 
 
-def _sum_of_products(pairs: Iterable, rows: int, cols: int) -> ExactMatrix:
-    """sum of x y over the (x, y) in pairs, a rows x cols matrix (zero for
-    no pairs).  Each term is formed in integers over the lcm of the term
-    denominators, by scaling its left grid, and the sum is reduced once.
-    """
-    terms = [(x._g, y._g, x._den * y._den) for x, y in pairs]
+def _sum_of_products(terms: Sequence, rows: int, cols: int) -> ExactMatrix:
+    """The sum of x y / d over the terms (x, y, d): a grid x, the
+    _sparse_rows y of a grid and a nonzero integer d, which subtracts its
+    term when negative; a rows x cols matrix, zero for no terms.  Each term
+    is accumulated in integers over the lcm of the |d|, and the sum is
+    reduced once."""
     den = lcm(*(d for _, _, d in terms))
-    acc = [[[0] * cols for _ in range(4)] for _ in range(rows)]
-    for xg, yg, d in terms:
-        _grid_mul(_rescaled(xg, den // d), yg, cols, acc)
+    acc = [[[0] * cols, [0] * cols, [0] * cols, [0] * cols]
+           for _ in range(rows)]
+    for xg, y, d in terms:
+        _grid_mul(xg, y, cols, acc, den // d)
     return _reduced(rows, cols, tuple(tuple(zip(*row)) for row in acc), den)
 
 
@@ -540,12 +533,13 @@ def diagonal(values: Iterable) -> ExactMatrix:
 def direct_sum(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
     """Block-diagonal stacking; empty input gives the 0x0 matrix."""
     total_c = sum(b.cols for b in blocks)
-    grids, den = _scaled_all(blocks)
+    den = lcm(*(b._den for b in blocks))
     out = []
     c0 = 0
-    for b, grid in zip(blocks, grids):
+    for b in blocks:
         left, right = (_Z4,) * c0, (_Z4,) * (total_c - c0 - b.cols)
-        out.extend(left + tuple(r) + right for r in grid)
+        out.extend(left + tuple(r) + right
+                   for r in _rescaled(b._g, den // b._den))
         c0 += b.cols
     return ExactMatrix(len(out), total_c, tuple(out), den)
 

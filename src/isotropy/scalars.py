@@ -209,12 +209,15 @@ def _divisor(y: tuple) -> tuple:
     A divisor with a sqrt2 part is first multiplied by its sqrt2-conjugate,
     which leaves the Gaussian number g = y conj_sqrt2(y), nonzero since
     sqrt2 is not in Q(i); then g conj_i(g) is the integer norm.  Dividing
-    x by y exactly is x m divided by norm.
+    x by y exactly is x m divided by norm.  A rational integer a is its own
+    norm, up to sign: m = sign a, norm = |a|.
     """
     if y[2] or y[3]:
         conj2 = (y[0], y[1], -y[2], -y[3])
         g = _mul4(y, conj2)
         return _mul4(conj2, (g[0], -g[1], 0, 0)), g[0] * g[0] + g[1] * g[1]
+    if not y[1]:
+        return (1 if y[0] > 0 else -1, 0, 0, 0), abs(y[0])
     return (y[0], -y[1], 0, 0), y[0] * y[0] + y[1] * y[1]
 
 

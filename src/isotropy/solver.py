@@ -9,13 +9,11 @@ and every sub-diagonal block coefficient free.  The sweep determines
 all remaining coefficients in the order offset j ascending, block
 distance p = 0 first and then ascending (_sweep); solve_congruence
 verifies the full congruence on the result before returning it, while
-sampling checks the dense matrix it returns instead.  Each step reads one
-coefficient of F X^T F B X off the partial solution, by the rule for one
-coefficient of a form product (_product_pairs, the sweep's alone) applied
-twice: to B and X, then to F X^T F and B X.  When B is the identity form
-(every sample and every gen_W / gen_V), B X is X, and the second
-application reads X directly.  Whole forms (the verification's F X^T F X)
-are multiplied by ToeplitzForm.__mul__, one integer product each.
+sampling checks the dense matrix it returns instead.  The sweep is planned
+once per block shape (_plan), and walked on raw integer grids, one integer
+accumulation per step; its right factors are the coefficients of X when B
+is the identity form (every sample and every gen_W / gen_V), else those of
+B X (_bx).
 
 The solver owns its inputs.  CongruenceData checks B and C and lays out
 their forms once, when it is made; constant_data is the one constructor
@@ -49,10 +47,9 @@ from .errors import (
     StructureError,
 )
 from .forms import SegreStructure, _require_structure
-from .matrices import (ExactMatrix, _is_member, _mark_member,
+from .matrices import (ExactMatrix, _is_member, _mark_member, _sparse_rows,
                        _sum_of_products, identity as dense_identity,
                        zeros as dense_zeros)
-from .scalars import HALF
 from .toeplitz import ToeplitzForm, _strip_of
 
 __all__ = [
@@ -269,81 +266,79 @@ class FreeParams:
 
 
 # ---------------------------------------------------------------------------
-# accumulators
+# the sweep's plan and its terms
 # ---------------------------------------------------------------------------
 
 
-def _product_pairs(structure: SegreStructure, left, right,
-                   r: int, s: int, j: int) -> list:
-    """The nonzero term pairs (A_l^{rk}, B_{n - l}^{ks}) of coefficient
-    C_j^{rs} of the product of two block Toeplitz forms A and B, the
-    sweep's rule for one coefficient of a partial product:
-    C_j^{rs} = sum_k sum_l A_l^{rk} B_{n - l}^{ks}, with
-    n = j + shift(r, s) - shift(r, k) - shift(k, s), over 0 <= l < depth(r, k)
-    and 0 <= n - l < depth(k, s).
-
-    left(r, k, l) and right(k, s, l) are only asked for in-range slots, and
-    return the coefficient there or None for a zero one; right is only asked
-    once its left partner is nonzero.  A j < 0 gives no pairs.
+def _pairs(alphas, r: int, s: int, j: int) -> list:
+    """The pairs (left key, right key) of the terms (X_l^{kr})^T Y_{n-l}^{ks}
+    of coefficient (r, s, j) of F X^T F Y for block Toeplitz X and Y with
+    these block sizes, by the product rule: over 0 <= l < depth(r, k) and
+    0 <= n - l < depth(k, s), n = j + shift(r, s) - shift(r, k) - shift(k, s).
     """
-    shift_rs = structure.shift(r, s)
-    pairs = []
-    for k in range(structure.part_count):
-        n = j + shift_rs - structure.shift(r, k) - structure.shift(k, s)
-        for l in range(max(0, n - structure.depth(k, s) + 1),
-                       min(structure.depth(r, k), n + 1)):
-            lhs = left(r, k, l)
-            if lhs is None or lhs.is_zero:
-                continue
-            rhs = right(k, s, n - l)
-            if rhs is not None and not rhs.is_zero:
-                pairs.append((lhs, rhs))
-    return pairs
+    shift = [[max(0, b - a) for b in alphas] for a in alphas]
+    out = []
+    for k, alpha_k in enumerate(alphas):
+        n = j + shift[r][s] - shift[r][k] - shift[k][s]
+        out += [((k, r, l), (k, s, n - l))
+                for l in range(max(0, n - min(alpha_k, alphas[s]) + 1),
+                               min(alphas[r], alpha_k, n + 1))]
+    return out
 
 
-def _lookup(partial: Mapping, skip, r: int, s: int, j: int):
-    # the slot `skip` reads as zero; every other slot must be determined
-    if (r, s, j) == skip:
-        return None
-    try:
-        return partial[(r, s, j)]
-    except KeyError:
-        raise SequencingError(
-            f"coefficient ({r}, {s}, {j}) referenced before it is determined"
-        ) from None
+@lru_cache(maxsize=128)
+def _plan(blocks) -> tuple:
+    """The sweep of the structures with these blocks, made once: its steps
+    (slot, pairs) in order, offsets j ascending and within one the diagonal
+    slots (r, r, j), j >= 1, first, then the distances s - r ascending.
+    The pairs are those of _pairs for the slot less the one that reads the
+    slot as its left factor."""
+    alphas = [alpha for alpha, _ in blocks]
+    count = len(alphas)
+    steps = []
+    for j in range(alphas[0]):
+        slots = [(r, r, j) for r in range(count) if 1 <= j < alphas[r]]
+        slots += [(r, r + p, j) for p in range(1, count)
+                  for r in range(count - p) if j < alphas[r + p]]
+        steps += [(slot, tuple(pair for pair in _pairs(alphas, *slot)
+                               if pair[0] != slot)) for slot in slots]
+    return tuple(steps)
 
 
-def _phi(data: CongruenceData, partial: Mapping, n: int, k: int, s: int,
-         skip) -> ExactMatrix:
-    """Coefficient (k, s, n) of B X, the product rule on the block-diagonal
-    B and the partial X: sum_l B_l^k A_{n-l}^{ks}; zero when n < 0."""
-    st = data.structure
-    pairs = _product_pairs(
-        st, lambda a, b, l: data.b_coeffs[a][l] if a == b else None,
-        lambda a, b, l: _lookup(partial, skip, a, b, l), k, s, n)
-    return _sum_of_products(pairs, st.mults[k], st.mults[s])
+def _terms(pairs, left, right, factor: int) -> list:
+    """The terms of _sum_of_products of the pairs, each times 1 / factor:
+    left holds each X slot transposed, as (grid, den), right each Y slot, as
+    (_sparse_rows, den), None for zero; a pair with a zero factor is
+    skipped.  An unset slot raises KeyError."""
+    out = []
+    for lkey, rkey in pairs:
+        lhs = left[lkey]
+        if lhs is not None and (rhs := right[rkey]) is not None:
+            out.append((lhs[0], rhs[0], factor * lhs[1] * rhs[1]))
+    return out
 
 
-def _rhs_without(data: CongruenceData, partial: Mapping, r: int, s: int, j: int,
-                 skip) -> ExactMatrix:
-    """Coefficient (r, s, j) of F X^T F B X with the slot `skip` read as zero:
-    the product rule on F X^T F, whose coefficient (r, k, u) is
-    (A_u^{kr})^T, and B X (_phi), read off X itself when B = I."""
-    st = data.structure
+def _bx(data: CongruenceData, x: Mapping, k: int, s: int, q: int,
+        first: int = 0) -> ExactMatrix:
+    """Coefficient (k, s, q) of B X for the block-diagonal B:
+    sum_l B_l^k X_{q - l}^{ks} over first <= l <= q."""
+    terms = [(b._g, _sparse_rows(a._g), b._den * a._den) for b, a in (
+        (data.b_coeffs[k][l], x[(k, s, q - l)]) for l in range(first, q + 1))]
+    mults = data.structure.mults
+    return _sum_of_products(terms, mults[k], mults[s])
 
-    def flipped(a, b, u):
-        mat = _lookup(partial, skip, b, a, u)
-        return None if mat is None or mat.is_zero else mat.transpose()
 
-    if data.b_is_identity:
-        def bx(a, b, n):
-            return _lookup(partial, skip, a, b, n)
-    else:
-        def bx(a, b, n):
-            return _phi(data, partial, n, a, b, skip)
+def _right_factor(mat: ExactMatrix):
+    return None if mat.is_zero else (_sparse_rows(mat._g), mat._den)
 
-    pairs = _product_pairs(st, flipped, bx, r, s, j)
-    return _sum_of_products(pairs, st.mults[r], st.mults[s])
+
+def _put(data: CongruenceData, x: dict, left: dict, right: dict, key, mat):
+    """Set slot key of x to mat: its transpose in left, its B X in right."""
+    x[key] = mat
+    own = _right_factor(mat)
+    left[key] = own and (tuple(zip(*mat._g)), mat._den)
+    right[key] = own if data.b_is_identity else _right_factor(
+        _bx(data, x, *key))
 
 
 # ---------------------------------------------------------------------------
@@ -388,24 +383,23 @@ def free_parameter_count(structure: SegreStructure) -> dict:
 def _sweep(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
     """The unique solution determined by the free parameters, unchecked.
 
-    Offsets j ascend; within an offset the diagonal blocks come first
-    (distance p = 0), then the super-diagonal distances ascend.  Every
-    quantity a step reads is determined by earlier steps.  No step checks
-    itself: the caller checks what it returns, solve_congruence the form
-    itself, sampling the dense matrix it maps the form to, so a faulty
-    step (a diagonal step that lost symmetry, say) raises IntegrityError
-    there.
+    Step (r, s, j) of the plan (_plan) sums d, the terms of coefficient
+    (r, s, j) of F X^T F B X that do not read X_j^{rs}, with those of C_j and
+    the skew Z_j, and sets X_j^{rs} = g ((C_j - d) / 2 + Z_j) on the diagonal,
+    -g d above it, g = A_0^r (C_0^r)^-1.  A slot read before it is set raises
+    SequencingError.  The caller checks what it returns (solve_congruence
+    the form, sampling the dense matrix), so a faulty step raises
+    IntegrityError there.
     """
     st = data.structure
     params.validate_for(st)
-    count = st.part_count
-    coeffs: dict[tuple[int, int, int], ExactMatrix] = {}
+    x, left, right = {}, {}, {}
 
     # ginv[r] = A_0^r (C_0^r)^-1, None when it is the identity: every
     # gen_W and every gen_V without diagonal blocks, whose products by it
     # are then skipped
     ginv = []
-    for r in range(count):
+    for r in range(st.part_count):
         seed = params.diag_seeds[r]
         c0 = data.c_coeffs[r][0]
         lead = seed.transpose() * (
@@ -414,29 +408,35 @@ def _sweep(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
             raise SeedConstraintError(
                 f"seed {r} does not satisfy the leading congruence "
                 "C_0 = A^T B_0 A")
-        coeffs[(r, r, 0)] = seed
+        _put(data, x, left, right, (r, r, 0), seed)
         g = seed if c0.is_identity else seed * c0.inverse()
         ginv.append(None if g.is_identity else g)
+    # in key order: a coefficient of B X reads the lower offsets of its block
+    for key in sorted(params.sub_blocks):
+        _put(data, x, left, right, key, params.sub_blocks[key])
 
-    for key, mat in params.sub_blocks.items():
-        coeffs[key] = mat
-
-    for j in range(st.alphas[0]):
-        for r in range(count):
-            # p = 0: diagonal coefficient at offset j >= 1
-            if 1 <= j < st.alphas[r]:
-                d = _rhs_without(data, coeffs, r, r, j, (r, r, j))
-                m = (data.c_coeffs[r][j] - d).scale(HALF) + params.skews[(r, j)]
-                coeffs[(r, r, j)] = m if ginv[r] is None else ginv[r] * m
-        for p in range(1, count):
-            for r in range(count - p):
-                s = r + p
-                if j < st.alphas[s]:
-                    d = _rhs_without(data, coeffs, r, s, j, (r, s, j))
-                    coeffs[(r, s, j)] = -d if ginv[r] is None else -(ginv[r] * d)
+    idents = [_sparse_rows(dense_identity(m)._g) for m in st.mults]
+    for key, pairs in _plan(st.blocks):
+        r, s, j = key
+        factor = -2 if r == s else -1
+        try:
+            # the plan's pair (A_0^r)^T (B X)_j^{rs} reads (B X)_j^{rs} less
+            # B_0 X_j^{rs}: its terms in B_l, l >= 1, none when B = I
+            right[key] = None if data.b_is_identity else _right_factor(
+                _bx(data, x, r, s, j, 1))
+            terms = _terms(pairs, left, right, factor)
+        except KeyError as missing:
+            raise SequencingError(f"coefficient {missing.args[0]} referenced "
+                                  "before it is determined") from None
+        if r == s:
+            c, z = data.c_coeffs[r][j], params.skews[(r, j)]
+            terms += [(c._g, idents[r], 2 * c._den), (z._g, idents[r], z._den)]
+        mat = _sum_of_products(terms, st.mults[r], st.mults[s])
+        _put(data, x, left, right, key,
+             mat if ginv[r] is None else ginv[r] * mat)
 
     # every slot is set, by a checked parameter or a step of the sweep
-    return ToeplitzForm._from_strip(st, _strip_of(st, coeffs))
+    return ToeplitzForm._from_strip(st, _strip_of(st, x))
 
 
 def solve_congruence(data: CongruenceData, params: FreeParams) -> ToeplitzForm:

@@ -12,7 +12,7 @@ from .errors import (IntegrityError, MembershipError, ParameterError,
 from .forms import (SegreStructure, _conjugate_by_transition, _layout,
                     _require_square, _require_structure, symmetric_form)
 from .matrices import (ExactMatrix, _grid_mul, _is_member, _mark_member,
-                       direct_sum)
+                       _sparse_rows, direct_sum)
 from .scalars import ONE, ZERO, _from_ints
 from .solver import (FreeParams, _require_congruence, _sweep, constant_data,
                      random_free_params, solution_dimension)
@@ -156,16 +156,17 @@ def verify_isotropy(structure, q: ExactMatrix):
     s = symmetric_form(structure)
     si = s._g
     gt = list(zip(*grid))
-    if _grid_mul(si, grid, n) == _grid_mul(grid, si, n):
+    if _grid_mul(si, _sparse_rows(grid), n) == \
+            _grid_mul(grid, _sparse_rows(si), n):
         tops = _chain_tops(structure)
         zero = [0] * len(tops)
-        columns = _grid_mul(gt, [[row[c] for c in tops] for row in grid],
-                            len(tops))
+        columns = _grid_mul(gt, _sparse_rows([[row[c] for c in tops]
+                                              for row in grid]), len(tops))
         if columns == [[[one if i == c else 0 for c in tops], zero, zero, zero]
                        for i in range(n)]:
             _mark_member(q, structure)
             return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"
-    gram = _grid_mul(gt, grid, n)
+    gram = _grid_mul(gt, _sparse_rows(grid), n)
     for i, (ga, gb, gc, gd) in enumerate(gram):
         for j in range(n):
             if ga[j] != (one if i == j else 0) or gb[j] or gc[j] or gd[j]:

@@ -17,8 +17,9 @@ equality and the zero test are the strip's; flip_transpose permutes its
 entries.  Cell-row u of a group of the dense matrix is its strip moved
 right by u cells in every block (assemble), and extract reads the strip
 back, zeroing the cells before each first coefficient; both are one walk
-(_cell_rows).  A product is one integer product (_grid_mul): the left
-strip times the dense rows of the right operand is the product's strip.
+(_cell_rows).  A product is one integer product (_sum_of_products): the
+left strip times the dense rows of the right operand is the product's
+strip.
 
 Weights add under products and stay below alpha_1, so a form whose
 nonzero coefficients all have weight >= 1 is nilpotent of index at most
@@ -47,9 +48,9 @@ from .errors import (
     StructureError,
 )
 from .forms import SegreStructure, _omega_indices, _require_square
-from .matrices import (ExactMatrix, _Z4, _grid_mul, _permuted, _reduced,
-                       _rescaled, identity as dense_identity,
-                       zeros as dense_zeros)
+from .matrices import (ExactMatrix, _Z4, _permuted, _reduced, _rescaled,
+                       _sparse_rows, _sum_of_products,
+                       identity as dense_identity, zeros as dense_zeros)
 
 __all__ = [
     "ToeplitzForm",
@@ -320,13 +321,11 @@ class ToeplitzForm:
         if not isinstance(other, ToeplitzForm):
             return NotImplemented
         self._same_structure(other)
-        st = self.structure
-        grid, den = self._strip._g, self._strip._den
+        st, strip = self.structure, self._strip
         right, right_den = other._dense_rows()
-        acc = _grid_mul(grid, right, st.n)
-        return ToeplitzForm._from_strip(st, _reduced(
-            len(acc), st.n, tuple(tuple(zip(*row)) for row in acc),
-            den * right_den))
+        return ToeplitzForm._from_strip(st, _sum_of_products(
+            ((strip._g, _sparse_rows(right), strip._den * right_den),),
+            strip.rows, st.n))
 
     def flip_transpose(self) -> "ToeplitzForm":
         """F X^T F for the backward block form F: coefficient (r, s, j)

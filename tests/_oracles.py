@@ -166,8 +166,8 @@ def q_grid(m):
     the parts .a/.b/.c/.d of its entries."""
     def frac(r):
         return Fraction(int(r.numerator), int(r.denominator))
-    return [[tuple(frac(v) for v in (x.a, x.b, x.c, x.d)) for x in m.row(i)]
-            for i in range(m.rows)]
+    return [[tuple(frac(v) for v in (x.a, x.b, x.c, x.d))
+             for x in (m[i, j] for j in range(m.cols))] for i in range(m.rows)]
 
 
 def q_str(x):

@@ -1,7 +1,8 @@
 """Every element a public function returns is checked exactly once: the
 dense membership test and the form congruence are counted around
 sampling and factorization.  Inputs are checked once too: the ranks
-constant_data takes are counted."""
+constant_data takes are counted.  The sweep's plan is built once per
+block shape."""
 
 import pytest
 
@@ -125,3 +126,19 @@ def test_gen_w_checks_each_skew_once(monkeypatch):
     # the 4 given skews, each checked once, and nothing else
     assert len(checked) == 4
     assert sorted(map(id, checked)) == sorted(map(id, skews.values()))
+
+
+def test_the_sweep_is_planned_once_per_block_shape():
+    # two samples and a gen_W on one shape, at eigenvalues 0 and i: the
+    # plan depends on the blocks alone, so it is built once and reused
+    blocks = [(4, 1), (2, 2), (1, 1)]
+    rnd = RandomSource(20241020)
+    solver._plan.cache_clear()
+    for lam in (0, IMAG):
+        st = SegreStructure(lam, blocks)
+        for _ in range(2):
+            stabilizer.sample_isotropy_element(st, rnd=rnd)
+        generators.gen_W(st, {(0, 1): rnd.skew(1), (0, 2): rnd.skew(1),
+                              (0, 3): rnd.skew(1), (1, 1): rnd.skew(2)})
+    info = solver._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 5)

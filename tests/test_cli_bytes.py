@@ -264,6 +264,24 @@ def test_sample_bytes_with_multiplicity_four(capsys, seed):
     assert got == _RUN_DIGESTS[("sample", "MULT4", seed)]
 
 
+# four single blocks at 1/2: sample at the last seed, and with the seed
+# taken from the environment
+SEVEN = _structure("1/2", [(7, 1), (5, 1), (3, 1), (1, 1)])
+_SEVEN_DIGESTS = {
+    "last": "5b86fc26fb488c63a342ebbd07ea60cec2b8c4614d0b211ad84ce4134fc37197",
+    "env": "982d6c69c5ecf74a1ef0d30d763c9e3795466afd5c66c3f20973151827f9b7f3",
+}
+
+
+def test_sample_bytes_at_the_last_seed_and_through_the_environment(
+        capsys, monkeypatch):
+    monkeypatch.setenv("ISOTROPY_SEED", "20241025")
+    got = {"last": _runs_digest(capsys, ["sample", "--structure", SEVEN,
+                                         "--seed", str(2 ** 64 - 1)]),
+           "env": _runs_digest(capsys, ["sample", "--structure", SEVEN])}
+    assert got == _SEVEN_DIGESTS
+
+
 # Requests that reach one input check each, at eigenvalues 1/2 and i:
 # (stdout, stderr, exit code) of every run, hashed together.
 LAMS = ("1/2", "i")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from isotropy.errors import IntegrityError, MembershipError, ParameterError
+from isotropy.errors import MembershipError, ParameterError
 from isotropy.forms import SegreStructure
 from isotropy.generators import (
     GeneratorSpec,

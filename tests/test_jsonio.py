@@ -15,7 +15,7 @@ from isotropy.matrices import ExactMatrix, identity
 from isotropy.orbit import consistency_check
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, SQRT2, rat
-from isotropy.solver import (FreeParams, constant_data, random_free_params,
+from isotropy.solver import (constant_data, random_free_params,
                              solve_congruence)
 from isotropy.stabilizer import describe_isotropy
 from isotropy.toeplitz import ToeplitzForm

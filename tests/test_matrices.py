@@ -8,7 +8,7 @@ from isotropy import scalars
 from isotropy.errors import DimensionMismatchError, SingularMatrixError
 from isotropy.forms import SegreStructure, symmetric_form
 from isotropy.matrices import (
-    ExactMatrix, _sum_of_products, cayley_orthogonal,
+    ExactMatrix, _sparse_rows, _sum_of_products, cayley_orthogonal,
     diagonal, direct_sum, identity, zeros,
 )
 from isotropy.rng import RandomSource
@@ -134,6 +134,11 @@ def test_mul_of_empty_shapes():
             assert (zeros(k, 0) * zeros(0, m)).is_zero
 
 
+def _terms(pairs):
+    # the terms of _sum_of_products for the products a b
+    return [(a._g, _sparse_rows(b._g), a._den * b._den) for a, b in pairs]
+
+
 def test_sum_of_products_matches_term_by_term_sum():
     rs = RandomSource(559)
     assert _sum_of_products([], 2, 3) == zeros(2, 3)
@@ -151,7 +156,12 @@ def test_sum_of_products_matches_term_by_term_sum():
             term = oracle.qmat_mul(_to_q(a), _to_q(b), c)
             want = [[oracle.qadd(x, y) for x, y in zip(rw, rt)]
                     for rw, rt in zip(want, term)]
-        assert _to_q(_sum_of_products(pairs, r, c)) == want
+        assert _to_q(_sum_of_products(_terms(pairs), r, c)) == want
+        # a negative denominator subtracts its term
+        a, b = pairs[0]
+        assert _sum_of_products(_terms(pairs) + [
+            (a._g, _sparse_rows(b._g), -a._den * b._den)], r, c) == \
+            _sum_of_products(_terms(pairs[1:]), r, c)
 
 
 def test_from_ints_matches_the_public_constructor():
@@ -501,7 +511,7 @@ def block_assemble(grid):
     for row, height in zip(grid, heights):
         if [b.cols for b in row] != widths or any(b.rows != height for b in row):
             raise DimensionMismatchError("blocks do not line up")
-    rows = [[x for b in row for x in b.row(ii)]
+    rows = [[b[ii, jj] for b in row for jj in range(b.cols)]
             for row, height in zip(grid, heights) for ii in range(height)]
     return ExactMatrix.build(sum(heights), sum(widths),
                              lambda i, j: rows[i][j])
@@ -619,8 +629,8 @@ def test_storage_is_canonical_on_every_route():
                      m)
         _assert_same(direct_sum([m]), m)
         _assert_same(block_assemble([[m]]), m)
-        for i in range(m.rows):
-            assert m.row(i) == tuple(m[i, j] for j in range(m.cols))
+        assert m.to_lists() == [[m[i, j] for j in range(m.cols)]
+                                for i in range(m.rows)]
         if m.is_square:
             try:
                 inv = m.inverse()
@@ -652,7 +662,7 @@ def test_hot_path_makes_no_scalars(monkeypatch):
                 and hasattr(module, "_from_ints")):
             monkeypatch.setattr(module, "_from_ints", refuse)
     square = x * x
-    total = _sum_of_products(pairs, 2, 2)
+    total = _sum_of_products(_terms(pairs), 2, 2)
     ok, _ = verify_isotropy(st, q)
     back = conjugate_by_omega(dense, st, "to_toeplitz")
     extracted = ToeplitzForm.extract(back, st)

@@ -6,7 +6,7 @@ from isotropy.errors import ScalarParseError
 from isotropy.rng import RandomSource
 from isotropy.scalars import (
     ExactScalar, HALF, IMAG, MINUS_ONE, ONE, SQRT2, ZERO,
-    format_scalar, parse_scalar, rat,
+    _divisor, _mul4, format_scalar, parse_scalar, rat,
 )
 
 
@@ -59,6 +59,18 @@ def test_inverse_with_large_denominators():
             assert x.inverse().inverse() == x
             assert (x * y).inverse() == x.inverse() * y.inverse()
             assert y / x == y * x.inverse()
+
+
+def test_divisor_of_a_rational_integer_is_its_sign():
+    # y m = norm for the (m, norm) of _divisor; a rational integer a gives
+    # m = sign a and norm |a|, the others their full norm
+    for a in (7, -7, 1, -1):
+        m, norm = _divisor((a, 0, 0, 0))
+        assert (m, norm) == ((1 if a > 0 else -1, 0, 0, 0), abs(a))
+        assert _mul4((a, 0, 0, 0), m) == (norm, 0, 0, 0)
+    for y in ((3, -2, 0, 0), (0, 5, 0, 0), (1, 1, 1, 0), (0, 0, -2, 3)):
+        m, norm = _divisor(y)
+        assert norm > 0 and _mul4(y, m) == (norm, 0, 0, 0)
 
 
 def test_div_by_zero_raises():

@@ -1,5 +1,6 @@
 """Congruence solver tests: accumulators, sweep output, dimension counts."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -15,14 +16,22 @@ from isotropy.errors import (
 from isotropy.forms import (MultiSegreStructure, SegreStructure,
                             block_backward_form, enumerate_structures,
                             symmetric_form)
+from isotropy.generators import gen_V
 from isotropy.matrices import ExactMatrix, identity, zeros
 from isotropy.rng import RandomSource
-from isotropy.scalars import IMAG, ONE, rat
+from isotropy.scalars import IMAG, parse_scalar, rat
+from isotropy import solver
+from isotropy.matrices import _sparse_rows, _sum_of_products
 from isotropy.solver import (
     CongruenceData,
     FreeParams,
-    _phi,
-    _rhs_without,
+    _bx,
+    _pairs,
+    _plan,
+    _put,
+    _right_factor,
+    _sweep,
+    _terms,
     constant_data,
     free_parameter_count,
     random_free_params,
@@ -141,19 +150,26 @@ def test_free_params_completeness_checked():
 
 
 # ---------------------------------------------------------------------------
-# accumulators
+# the sweep's plan and terms
 # ---------------------------------------------------------------------------
 
 
-def _psi(data, partial, n, k, r, s):
-    # Psi_n^{k, rs} = sum_u (A_u^{kr})^T Phi_{n-u}^{ks}: the contribution of
-    # middle group k to block (r, s) of F X^T F B X; zero when n < 0
+def _walk(data, partial):
+    """The sweep's state (x, left, right) with every slot of partial set,
+    in key order, as the sweep sets its parameters."""
+    x, left, right = {}, {}, {}
+    for key in sorted(partial):
+        _put(data, x, left, right, key, partial[key])
+    return x, left, right
+
+
+def _full(data, partial, r, s, j):
+    """Coefficient (r, s, j) of F X^T F B X: every pair of the product
+    rule, summed as a step of the sweep sums its terms."""
     st = data.structure
-    total = zeros(st.mults[r], st.mults[s])
-    for u in range(min(n + 1, st.depth(k, r))):
-        phi = _phi(data, partial, n - u, k, s, None)
-        total = total + partial[(k, r, u)].transpose() * phi
-    return total
+    _, left, right = _walk(data, partial)
+    return _sum_of_products(_terms(_pairs(st.alphas, r, s, j), left, right, 1),
+                            st.mults[r], st.mults[s])
 
 
 def test_accum_phi_hand_example():
@@ -165,34 +181,39 @@ def test_accum_phi_hand_example():
     )
     partial = {(0, 0, 0): ExactMatrix.from_rows([[5]]),
                (0, 0, 1): ExactMatrix.from_rows([[7]])}
-    assert _phi(data, partial, 0, 0, 0, None) == ExactMatrix.from_rows([[10]])
-    # B_1 A_0 + B_0 A_1 = 15 + 14
-    assert _phi(data, partial, 1, 0, 0, None) == ExactMatrix.from_rows([[29]])
-    assert _phi(data, partial, -1, 0, 0, None).is_zero
-    # A_0^T Phi_1 + A_1^T Phi_0 = 5*29 + 7*10
-    assert _psi(data, partial, 1, 0, 0, 0) == ExactMatrix.from_rows([[215]])
-    assert _psi(data, partial, -3, 0, 0, 0).is_zero
-    # one group: the sweep's right-hand side is Psi itself
-    assert _rhs_without(data, partial, 0, 0, 1, None) == \
-        _psi(data, partial, 1, 0, 0, 0)
-    # the skipped slot reads as zero: A_0^T B_1 A_0 = 5*3*5
-    assert _rhs_without(data, partial, 0, 0, 1, (0, 0, 1)) == \
+    # B X: B_0 A_0 = 10, and B_1 A_0 + B_0 A_1 = 15 + 14
+    assert _bx(data, partial, 0, 0, 0) == ExactMatrix.from_rows([[10]])
+    assert _bx(data, partial, 0, 0, 1) == ExactMatrix.from_rows([[29]])
+    # A_0^T (B X)_1 + A_1^T (B X)_0 = 5*29 + 7*10
+    assert _full(data, partial, 0, 0, 1) == ExactMatrix.from_rows([[215]])
+    # the step of slot (0, 0, 1) leaves out the terms that read it: the pair
+    # A_1^T (B X)_0, and B_0 A_1 of (B X)_1, which the sweep reads as B X
+    # without the slot; that leaves A_0^T B_1 A_0 = 5*3*5
+    x, left, right = _walk(data, partial)
+    (slot, pairs), = _plan(st.blocks)
+    assert slot == (0, 0, 1) and pairs == (((0, 0, 0), (0, 0, 1)),)
+    right[slot] = _right_factor(_bx(data, x, 0, 0, 1, 1))
+    assert _sum_of_products(_terms(pairs, left, right, 1), 1, 1) == \
         ExactMatrix.from_rows([[75]])
 
 
 def test_accum_identity_data_reduces_to_coefficients():
-    # with B = identity data, Phi_n^{ks} is just A_n^{ks}
+    # with B = identity data, the right factors are the coefficients of X
     st = _st([(3, 2), (2, 1)])
     data = constant_data(st)
     rnd = RandomSource(20240833)
     partial = _full_coeffs(rnd, st, max_num=3, max_den=2)
-    for k in range(2):
-        for s in range(2):
-            for n in range(st.depth(k, s)):
-                assert _phi(data, partial, n, k, s, None) == partial[(k, s, n)]
+    x, left, right = _walk(data, partial)
+    assert x == partial
+    for key, mat in partial.items():
+        assert right[key] == _right_factor(mat) == \
+            (_sparse_rows(mat._g), mat._den)
+        assert left[key] == (mat.transpose()._g, mat._den)
 
 
 def test_accum_psi_transpose_symmetry():
+    # X^T B X is symmetric for a symmetric B, so coefficient (r, s, j) of
+    # F X^T F B X is the transpose of coefficient (s, r, j)
     rnd = RandomSource(20240834)
     for st in (_st([(3, 2), (2, 3)]), _st([(4, 1), (2, 2), (1, 1)])):
         b0 = [rnd.symmetric_nonsingular(m) for _, m in st.blocks]
@@ -200,28 +221,30 @@ def test_accum_psi_transpose_symmetry():
                 for r, (alpha, m) in enumerate(st.blocks)]
         data = CongruenceData(st, side, side)
         partial = _full_coeffs(rnd, st, max_num=2, max_den=2)
-        for k in range(st.part_count):
-            for r in range(st.part_count):
-                for s in range(st.part_count):
-                    for n in range(3):
-                        lhs = _psi(data, partial, n, k, r, s)
-                        rhs = _psi(data, partial, n, k, s, r)
-                        assert lhs == rhs.transpose()
+        for r in range(st.part_count):
+            for s in range(st.part_count):
+                for j in range(st.depth(r, s)):
+                    assert _full(data, partial, r, s, j) == \
+                        _full(data, partial, s, r, j).transpose()
 
 
-def test_accum_raises_on_undetermined_slot():
-    st = _st([(2, 1), (1, 1)])
+def test_accum_raises_on_undetermined_slot(monkeypatch):
+    # the plan walked backwards reads slots before the sweep sets them
+    st = _st([(3, 1), (2, 1), (1, 1)])
     data = constant_data(st)
-    with pytest.raises(SequencingError):
-        _phi(data, {}, 0, 0, 0, None)
-    partial = {(0, 0, 0): identity(1), (0, 0, 1): identity(1)}
-    # block (1, 0) is in range but absent
-    with pytest.raises(SequencingError):
-        _psi(data, partial, 0, 1, 0, 0)
+    params = random_free_params(data, RandomSource(20240835))
+    steps = _plan(st.blocks)
+    assert [key for key, _ in steps] == [
+        (0, 1, 0), (1, 2, 0), (0, 2, 0), (0, 0, 1), (1, 1, 1), (0, 1, 1),
+        (0, 0, 2)]
+    monkeypatch.setattr(solver, "_plan", lambda blocks: steps[::-1])
+    with pytest.raises(SequencingError, match=r"^coefficient \(0, 0, 1\) "
+                       r"referenced before it is determined$"):
+        _sweep(data, params)
 
 
 def test_rhs_is_a_coefficient_of_the_dense_congruence_product():
-    # F X^T F B X formed densely, away from the shared product rule
+    # F X^T F B X formed densely, away from the product rule
     rnd = RandomSource(20240836)
     for st in (_st([(3, 1), (2, 2)]), _st([(4, 1), (2, 2), (1, 1)])):
         side = [[rnd.symmetric_nonsingular(m)] + [rnd.symmetric(m)
@@ -236,7 +259,7 @@ def test_rhs_is_a_coefficient_of_the_dense_congruence_product():
         for r in range(st.part_count):
             for s in range(st.part_count):
                 for j in range(st.depth(r, s)):
-                    assert _rhs_without(data, partial, r, s, j, None) == \
+                    assert _full(data, partial, r, s, j) == \
                         want.coefficient(r, s, j)
 
 
@@ -464,6 +487,68 @@ def test_verify_requires_matching_structure():
     other = ToeplitzForm.identity(_st([(1, 2)]))
     with pytest.raises(StructureError):
         verify_congruence(data, other)
+
+
+# ---------------------------------------------------------------------------
+# frozen sweeps: the sha256 of the canonical strips the sweep writes
+# ---------------------------------------------------------------------------
+
+
+def _strip_digest(forms):
+    h = hashlib.sha256()
+    for form in forms:
+        h.update(repr((form._strip._den, form._strip._g)).encode())
+    return h.hexdigest()
+
+
+_SWEEP_DIGESTS = {
+    "0": "4207c5b889a6d983750d0757d65ae9b02c656f20ee8be7ae65edbe7cb499ea97",
+    "1": "94f6a5bb2da0d706e6fb6d2ade5f6b111f51d127b9b3518cb71d9d2fb92779e8",
+    "i": "7cfe217ae2ce89c99ad0f4970dccb509026966e0ee4219b71b7c03fdd4cc223d",
+}
+
+
+@pytest.mark.parametrize("lam", sorted(_SWEEP_DIGESTS))
+def test_sweep_strips_are_frozen(lam):
+    # every partition with n <= 7, drawn from one stream per eigenvalue
+    rnd = RandomSource(20241020 + sorted(_SWEEP_DIGESTS).index(lam))
+    forms = []
+    for n in range(1, 8):
+        for st in enumerate_structures(n, lam=parse_scalar(lam)):
+            data = constant_data(st)
+            forms.append(_sweep(data, random_free_params(data, rnd)))
+    assert len(forms) == 44
+    assert _strip_digest(forms) == _SWEEP_DIGESTS[lam]
+
+
+def test_gen_v_strips_with_diagonal_blocks_are_frozen():
+    rnd = RandomSource(20241023)
+    forms = []
+    for blocks in ([(4, 2), (2, 3), (1, 1)], [(3, 1), (2, 2)],
+                   [(5, 1), (3, 2), (2, 1)]):
+        st = _st(blocks)
+        b_diag = [rnd.symmetric_nonsingular(m) for m in st.mults]
+        skews = {(r, j): rnd.skew(m) for r, (alpha, m) in enumerate(st.blocks)
+                 for j in range(1, alpha)}
+        forms.append(gen_V(st, b_diag, skews))
+    assert _strip_digest(forms) == \
+        "c000553256a9d1ec34195efb7f1bce470af7138d9523eaf0f6d7077cb123064b"
+
+
+def test_sweep_strip_with_higher_b_coefficients_is_frozen():
+    # B and C share their leading blocks and differ above them
+    rnd = RandomSource(20241024)
+    st = _st([(4, 1), (2, 2), (1, 1)])
+    b_side = [[rnd.symmetric_nonsingular(m)]
+              + [rnd.symmetric(m) for _ in range(alpha - 1)]
+              for alpha, m in st.blocks]
+    c_side = [[entry[0]] + [rnd.symmetric(m) for _ in entry[1:]]
+              for entry, m in zip(b_side, st.mults)]
+    data = CongruenceData(st, b_side, c_side)
+    form = _sweep(data, random_free_params(data, rnd, with_sqrt2=True))
+    assert verify_congruence(data, form) == (True, "")
+    assert _strip_digest([form]) == \
+        "2b746fa70b7ad44d1f0406c60e55bcb6c123a301e7fd4bb176a2c07cd5bde1f9"
 
 
 # ---------------------------------------------------------------------------

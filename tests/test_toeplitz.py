@@ -134,7 +134,8 @@ def _block_assembled_strip(st, coeff):
         for s, m_s in enumerate(st.mults):
             cells += [zeros(m_r, m_s)] * st.shift(r, s)
             cells += [coeff(r, s, j) for j in range(st.depth(r, s))]
-        rows += [[x for cell in cells for x in cell.row(a)] for a in range(m_r)]
+        rows += [[cell[a, b] for cell in cells for b in range(cell.cols)]
+                 for a in range(m_r)]
     return ExactMatrix.build(len(rows), st.n, lambda i, j: rows[i][j])
 
 
