@@ -6,8 +6,10 @@ elimination, importing nothing from the package under test, so that
 rank/nullity and product expectations come from a second code path.
 two_product_membership takes the package's matrices but reads their
 entries only through .a/.b/.c/.d and does all its arithmetic here.
+strip_digest pins what the package computes, by the sha256 of its storage.
 """
 
+import hashlib
 from fractions import Fraction
 from math import lcm
 
@@ -325,3 +327,11 @@ def two_product_membership(s, q):
         return False, (f"congruence fails first: (Q^T S Q)[{i}][{j}] = "
                        f"{q_str(cong[i][j])}, expected {q_str(sg[i][j])}")
     return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"
+
+
+def strip_digest(forms):
+    """sha256 of the canonical strips (den and integer grid) of forms."""
+    h = hashlib.sha256()
+    for form in forms:
+        h.update(repr((form._strip._den, form._strip._g)).encode())
+    return h.hexdigest()

@@ -89,7 +89,8 @@ def test_sample_bytes(capsys, monkeypatch, structure, seed):
     assert _digest(out) == _DIGESTS[("sample", structure, seed)]
 
 
-@pytest.mark.parametrize("kind, spec", [("W", W_SPEC), ("G", G_SPEC)])
+@pytest.mark.parametrize("kind, spec", [("W", W_SPEC), ("G", G_SPEC)],
+                         ids=["W", "G"])
 def test_generators_bytes(capsys, kind, spec):
     out = _stdout(capsys, "generators", "--structure", BIG, "--params", spec)
     assert _digest(out) == _DIGESTS[("generators", kind)]

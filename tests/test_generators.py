@@ -1,9 +1,13 @@
 """Generator family tests: coefficients, couplings, factorization."""
 
+import hashlib
+
 import pytest
 
+import _oracles as oracle
+
 from isotropy.errors import MembershipError, ParameterError
-from isotropy.forms import SegreStructure
+from isotropy.forms import SegreStructure, enumerate_structures
 from isotropy.generators import (
     GeneratorSpec,
     catalan_coeff,
@@ -17,7 +21,7 @@ from isotropy.generators import (
 )
 from isotropy.matrices import ExactMatrix, identity, zeros
 from isotropy.rng import RandomSource
-from isotropy.scalars import ExactScalar, HALF, IMAG, ZERO, rat
+from isotropy.scalars import ExactScalar, HALF, IMAG, ZERO, parse_scalar, rat
 from isotropy import solver
 from isotropy.solver import constant_data, verify_congruence
 from isotropy.toeplitz import ToeplitzForm
@@ -423,6 +427,64 @@ def test_factor_core_is_gen_v_shaped():
     for spec in specs:
         rebuilt = rebuilt * generator_from_spec(st, spec, b_diag)
     assert rebuilt == y
+
+
+# frozen strips: the sha256 of every coupling generator and of the
+# factorization of a product of gen_W and two gen_G, on every partition with
+# n <= 7, computed before the coupling cells skipped their products by I
+_COUPLING_DIGESTS = {
+    "0": ("319bd51c976e4440cf60fadf1fb5d4bc56de2e598c36212e36f27272c0ce6469",
+          "473fd0d5dc8c5f88974163863d5a55167e7b85807b1c2bf51c9a8d12b88ec8fc",
+          "a3d6f0603fa837f1f734d71d33bb6c5805bab1c0a2273fb31a04dde6e81c19b8"),
+    "1": ("f6c1ae521fa9e3ed3d4366eee8940d888b28782b0ed86b710aa44b8f0f33af96",
+          "8a244c7506a63a97ba1ef304525ea1e1661e0adf0386c84d08b05c3c04127582",
+          "c70543e8e7f20f25f5b609085c351277760e0c733cd84a76ffb3696eb3a4dfba"),
+    "i": ("8f7fdbc6b489b9f4b708a23a25644174b3b8b300690db3667e3f4ca2becac191",
+          "e09077ec92e21fafbaf4c598f27f20ebbd064f9daac5aa78c849bea636d4334e",
+          "741178ac14a4175665aad1607fae87a70be1f714864579987a3d8bceeda3fe41"),
+}
+
+
+def _specs_digest(spec_lists):
+    return hashlib.sha256(repr([
+        [(s.p, s.t, s.k, s.coupling._den, s.coupling._g) for s in specs]
+        for specs in spec_lists]).encode()).hexdigest()
+
+
+def _coupling_digests(lam):
+    rnd = RandomSource(20241111 + sorted(_COUPLING_DIGESTS).index(lam))
+
+    def coupling(st, p, t):
+        return rnd.matrix(st.mults[t], st.mults[p], with_sqrt2=True,
+                          max_num=2, max_den=3)
+
+    gens, cores, spec_lists = [], [], []
+    for n in range(1, 8):
+        for st in enumerate_structures(n, lam=parse_scalar(lam)):
+            count = st.part_count
+            for p in range(count):
+                for t in range(p + 1, count):
+                    for k in range(st.alphas[t]):
+                        gens.append(gen_G(st, p, t, k, coupling(st, p, t)))
+            if count < 2:
+                continue
+            y = gen_W(st, _random_skews(st, rnd, max_num=2, max_den=2))
+            for _ in range(2):
+                p = rnd.stream.below(count - 1)
+                t = p + 1 + rnd.stream.below(count - 1 - p)
+                k = rnd.stream.below(st.alphas[t])
+                y = y * gen_G(st, p, t, k, coupling(st, p, t))
+            core, specs = factor_unipotent(st, y)
+            cores.append(core)
+            spec_lists.append(specs)
+    assert (len(gens), len(cores)) == (43, 28)
+    return (oracle.strip_digest(gens), oracle.strip_digest(cores),
+            _specs_digest(spec_lists))
+
+
+@pytest.mark.parametrize("lam", sorted(_COUPLING_DIGESTS))
+def test_coupling_and_factor_strips_are_frozen(lam):
+    assert _coupling_digests(lam) == _COUPLING_DIGESTS[lam]
 
 
 def test_factor_rejects_non_members():

@@ -1,6 +1,5 @@
 """Congruence solver tests: accumulators, sweep output, dimension counts."""
 
-import hashlib
 from fractions import Fraction
 
 import pytest
@@ -494,13 +493,6 @@ def test_verify_requires_matching_structure():
 # ---------------------------------------------------------------------------
 
 
-def _strip_digest(forms):
-    h = hashlib.sha256()
-    for form in forms:
-        h.update(repr((form._strip._den, form._strip._g)).encode())
-    return h.hexdigest()
-
-
 _SWEEP_DIGESTS = {
     "0": "4207c5b889a6d983750d0757d65ae9b02c656f20ee8be7ae65edbe7cb499ea97",
     "1": "94f6a5bb2da0d706e6fb6d2ade5f6b111f51d127b9b3518cb71d9d2fb92779e8",
@@ -518,7 +510,7 @@ def test_sweep_strips_are_frozen(lam):
             data = constant_data(st)
             forms.append(_sweep(data, random_free_params(data, rnd)))
     assert len(forms) == 44
-    assert _strip_digest(forms) == _SWEEP_DIGESTS[lam]
+    assert oracle.strip_digest(forms) == _SWEEP_DIGESTS[lam]
 
 
 def test_gen_v_strips_with_diagonal_blocks_are_frozen():
@@ -531,7 +523,7 @@ def test_gen_v_strips_with_diagonal_blocks_are_frozen():
         skews = {(r, j): rnd.skew(m) for r, (alpha, m) in enumerate(st.blocks)
                  for j in range(1, alpha)}
         forms.append(gen_V(st, b_diag, skews))
-    assert _strip_digest(forms) == \
+    assert oracle.strip_digest(forms) == \
         "c000553256a9d1ec34195efb7f1bce470af7138d9523eaf0f6d7077cb123064b"
 
 
@@ -547,7 +539,7 @@ def test_sweep_strip_with_higher_b_coefficients_is_frozen():
     data = CongruenceData(st, b_side, c_side)
     form = _sweep(data, random_free_params(data, rnd, with_sqrt2=True))
     assert verify_congruence(data, form) == (True, "")
-    assert _strip_digest([form]) == \
+    assert oracle.strip_digest([form]) == \
         "2b746fa70b7ad44d1f0406c60e55bcb6c123a301e7fd4bb176a2c07cd5bde1f9"
 
 

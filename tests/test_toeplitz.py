@@ -12,7 +12,7 @@ from isotropy.forms import (
 from isotropy.generators import gen_G, gen_W
 from isotropy.matrices import ExactMatrix, identity, zeros
 from isotropy.rng import RandomSource
-from isotropy.scalars import IMAG, ONE, ZERO, rat
+from isotropy.scalars import IMAG, ONE, ZERO, parse_scalar, rat
 from isotropy.solver import constant_data, random_free_params, solve_congruence
 from isotropy.toeplitz import (
     ToeplitzForm, commutant_basis, commutant_dimension, conjugate_by_omega,
@@ -464,6 +464,36 @@ def test_flip_transpose_matches_dense_conjugation():
         flip = block_backward_form(st)
         assert x.flip_transpose().assemble() == flip * x.assemble().transpose() * flip
         assert x.flip_transpose().flip_transpose() == x
+
+
+# frozen strips: the sha256 of the strips a flip and a product write, on
+# every partition with n <= 7, computed before the product read its right
+# operand off the strip
+_FLIP_AND_PRODUCT_DIGESTS = {
+    "0": ("e7fdd1dee639d5cc63fe4c901dd28c9e0e9062a95abbed91d8a73e0abf756e96",
+          "94f400c9ccf79b61521e7a69a0546c9f9de1b972ba95be5b42e26a1c1ca61b7d"),
+    "1": ("36dfe94bca05c3affc79284d6c25a4b3bb3d4558ad4cbc96232e91eaba6a1c20",
+          "b68eaf207effead71ee21d7f212ff42c01f0d2b6200011915551366e4416d08c"),
+    "i": ("f3e14c3a510cbd5ddf08c785b78f97c76a6cb1786e8544639b0c6c8d5369a1f3",
+          "95846593d679e2445ef9aae6ca21afaae1dcea2a10e28b2333ee32d7ad3f439f"),
+}
+
+
+def _flip_and_product_digests(lam):
+    rnd = RandomSource(20241101 + sorted(_FLIP_AND_PRODUCT_DIGESTS).index(lam))
+    flips, products = [], []
+    for n in range(1, 8):
+        for st in enumerate_structures(n, lam=parse_scalar(lam)):
+            x, y = _mixed_form(rnd, st), _mixed_form(rnd, st)
+            flips.append(x.flip_transpose())
+            products.append(x * y)
+    assert len(flips) == 44
+    return oracle.strip_digest(flips), oracle.strip_digest(products)
+
+
+@pytest.mark.parametrize("lam", sorted(_FLIP_AND_PRODUCT_DIGESTS))
+def test_flip_and_product_strips_are_frozen(lam):
+    assert _flip_and_product_digests(lam) == _FLIP_AND_PRODUCT_DIGESTS[lam]
 
 
 # ---------------------------------------------------------------------------
