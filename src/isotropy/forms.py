@@ -34,7 +34,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, StructureError
-from .matrices import ExactMatrix, _permutation, _reduced, direct_sum
+from .matrices import (ExactMatrix, _permutation, _reduced, _sparse_rows,
+                       direct_sum)
 from .scalars import (ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, _coerce,
                       parse_scalar)
 
@@ -310,17 +311,26 @@ def jordan_form(structure: Structure) -> ExactMatrix:
     return _per_copy(structure, jordan_block)
 
 
-# Every membership check reads S, so _symmetric_form keeps its last four:
-# callers work on one structure at a time (a multi-eigenvalue structure may
-# fill one slot per part and one for itself).  Its blocks depend only on
-# (alpha, lam) and recur across structures, so _symmetric_block keeps 64, more
-# than twice the 27 (9 sizes at 3 eigenvalues) of the benchmark's ladders.
-# Sharing one is safe, since an ExactMatrix is immutable.  The public name
-# stays a plain function, which a tracer can wrap (perfbench/spans.py).
+# Every membership check reads S and its sparse rows, so _symmetric_form and
+# _symmetric_rows keep their last four: callers work on one structure at a
+# time (a multi-eigenvalue structure may fill one slot per part and one for
+# itself).  Its blocks depend only on (alpha, lam) and recur across
+# structures, so _symmetric_block keeps 64, more than twice the 27 (9 sizes
+# at 3 eigenvalues) of the benchmark's ladders.  Sharing one is safe, since
+# an ExactMatrix and the rows are immutable.  The public name stays a plain
+# function, which a tracer can wrap (perfbench/spans.py).
 
 @lru_cache(maxsize=4)
 def _symmetric_form(structure: Structure) -> ExactMatrix:
     return _per_copy(structure, _symmetric_block)
+
+
+@lru_cache(maxsize=4)
+def _symmetric_rows(structure: Structure) -> tuple:
+    """The _sparse_rows of S, the right operand of the membership check's
+    Q S: a few nonzeros per row, found once per structure."""
+    return tuple((tuple(nz), gaussian) for nz, gaussian
+                 in _sparse_rows(_symmetric_form(structure)._g))
 
 
 def symmetric_form(structure: Structure) -> ExactMatrix:

@@ -140,14 +140,18 @@ def _two_block_cells(alpha: int, beta: int, p: int, t: int, k: int,
     Block (p,p): corrections a_{n-1} (B^-1 F^T C F)^n at offsets n(2k+alpha-beta);
     block (t,t): a_{n-1} (F B^-1 F^T C)^n at the same offsets;
     block (p,t): -B^-1 F^T C at offset k; block (t,p): F at offset k.
+    A product by B^-1 or C is skipped when it is the identity.
     """
-    binv = b if b.is_identity else b.inverse()
-    upper = -(binv * coupling.transpose() * c)
-    x = (-upper) * coupling  # B^-1 F^T C F
-    y = coupling * binv * coupling.transpose() * c
+    lower = coupling.transpose()  # B^-1 F^T C
+    if not b.is_identity:
+        lower = b.inverse() * lower
+    if not c.is_identity:
+        lower = lower * c
+    x = lower * coupling  # B^-1 F^T C F
+    y = coupling * lower  # F B^-1 F^T C
     step = 2 * k + alpha - beta
     cells = {(p, p, 0): dense_identity(b.rows), (t, t, 0): dense_identity(c.rows),
-             (p, t, k): upper, (t, p, k): coupling}
+             (p, t, k): -lower, (t, p, k): coupling}
     for r, size, z in ((p, alpha, x), (t, beta, y)):
         power = z  # z^n, one product per further offset
         for n in range(1, (size - 1) // step + 1):

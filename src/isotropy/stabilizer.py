@@ -10,7 +10,8 @@ basis exchanges the two, so membership checks never approximate.
 from .errors import (IntegrityError, MembershipError, ParameterError,
                      StructureError)
 from .forms import (SegreStructure, _conjugate_by_transition, _layout,
-                    _require_square, _require_structure, symmetric_form)
+                    _require_square, _require_structure, _symmetric_rows,
+                    symmetric_form)
 from .matrices import (ExactMatrix, _grid_mul, _is_member, _mark_member,
                        _sparse_rows, direct_sum)
 from .scalars import ONE, ZERO, _from_ints
@@ -124,12 +125,13 @@ def verify_isotropy(structure, q: ExactMatrix):
     matrices.py, with Q = G / d and G over Z[i, sqrt2].
 
     A member is accepted at O(M n^2) cost, M the number of block copies,
-    by two tests:
+    by two tests, which share one scan of the nonzeros of G:
 
-    1. S Q = Q S, compared in integers over the nonzeros of S at O(n^2)
-       cost, since S has a few nonzeros per row;
-    2. the M columns of G^T G at the chain tops (the last index of each
-       block copy, in layout order) equal d^2 times the unit columns.
+    1. S Q = Q S, compared in integers over the nonzeros of S (found once
+       per structure) at O(n^2) cost, since S has a few nonzeros per row;
+    2. the M rows (G e_c)^T G of G^T G at the chain tops c (the last index
+       of each block copy, in layout order) equal d^2 times the unit rows.
+       G^T G is symmetric, so these rows are its columns G^T (G e_c).
 
     Together they are exact.  Transposing S Q = Q S with S^T = S gives
     Q^T S = S Q^T, so C = Q^T Q - I commutes with S and with every
@@ -144,8 +146,8 @@ def verify_isotropy(structure, q: ExactMatrix):
 
     When either test fails, the full product G^T G is compared with
     d^2 I entry by entry, and Q^T S Q is formed only if that holds, to
-    name the first failing entry; the chain-top columns are columns of
-    G^T G, so the two paths cannot disagree.  The test always computes;
+    name the first failing entry; the chain-top rows are rows of G^T G,
+    so the two paths cannot disagree.  The test always computes;
     on success it marks q as a verified member of structure, so that the
     group operations need not check it again.
     """
@@ -154,19 +156,17 @@ def verify_isotropy(structure, q: ExactMatrix):
     grid, den = q._g, q._den
     one = den * den
     s = symmetric_form(structure)
-    si = s._g
-    gt = list(zip(*grid))
-    if _grid_mul(si, _sparse_rows(grid), n) == \
-            _grid_mul(grid, _sparse_rows(si), n):
+    g_rows = _sparse_rows(grid)
+    if _grid_mul(s._g, g_rows, n) == \
+            _grid_mul(grid, _symmetric_rows(structure), n):
         tops = _chain_tops(structure)
-        zero = [0] * len(tops)
-        columns = _grid_mul(gt, _sparse_rows([[row[c] for c in tops]
-                                              for row in grid]), len(tops))
-        if columns == [[[one if i == c else 0 for c in tops], zero, zero, zero]
-                       for i in range(n)]:
+        zero = [0] * n
+        rows = _grid_mul([[row[c] for row in grid] for c in tops], g_rows, n)
+        if rows == [[[one if j == c else 0 for j in range(n)], zero, zero, zero]
+                    for c in tops]:
             _mark_member(q, structure)
             return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"
-    gram = _grid_mul(gt, _sparse_rows(grid), n)
+    gram = _grid_mul(list(zip(*grid)), g_rows, n)
     for i, (ga, gb, gc, gd) in enumerate(gram):
         for j in range(n):
             if ga[j] != (one if i == j else 0) or gb[j] or gc[j] or gd[j]:

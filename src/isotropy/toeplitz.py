@@ -13,13 +13,16 @@ group r, coefficient (r, s, j) is cell j + shift(r, s) of block (r, s),
 the weight of the coefficient, and the cells before it are zero.  As
 shift(r, s) + depth(r, s) = alpha_s, the strip holds every coefficient
 once, on one canonical integer grid (matrices.py).  Sums, scaling,
-equality and the zero test are the strip's; flip_transpose permutes its
-entries.  Cell-row u of a group of the dense matrix is its strip moved
-right by u cells in every block (assemble), and extract reads the strip
-back, zeroing the cells before each first coefficient; both are one walk
+equality and the zero test are the strip's; flip_transpose gathers its
+entries through an index map made once per block shape (_maps).
+Cell-row u of a group of the dense matrix is its strip moved right by u
+cells in every block (assemble), and extract reads the strip back,
+zeroing the cells before each first coefficient; both are one walk
 (_cell_rows).  A product is one integer product (_sum_of_products): the
 left strip times the dense rows of the right operand is the product's
-strip.
+strip, and those rows are read off the right strip's nonzeros, each
+moved right by u cells while it stays inside its block (_moved_rows).
+Neither builds an n x n matrix.
 
 Weights add under products and stay below alpha_1, so a form whose
 nonzero coefficients all have weight >= 1 is nilpotent of index at most
@@ -37,7 +40,8 @@ Coordinates are 0-based throughout: group indices r, s in
 
 from __future__ import annotations
 
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
 from math import lcm
 from typing import Iterator, Mapping
 
@@ -80,6 +84,35 @@ def _cell_rows(structure: SegreStructure, rows, leads, moved: bool) -> list:
             col += width
         out.append(tuple(new))
     return out
+
+
+@lru_cache(maxsize=128)
+def _maps(blocks) -> tuple:
+    """The index maps of the structures with these blocks, made once.
+
+    flip: per strip row of F X^T F, the index of each entry in the strip
+    read row by row, M n meaning the zero slot past its end: in the rows
+    of group r, block s holds shift(r, s) zero cells, then column a of each
+    coefficient (s, r, j), read down.  reach, step: per column, a nonzero
+    there stays inside its block s when moved right by u < reach cells,
+    alpha_s less its cell, and moves u m_s columns."""
+    n = sum(alpha * m for alpha, m in blocks)
+    tops = [sum(m for _, m in blocks[:s]) for s in range(len(blocks) + 1)]
+    flip, offset = [], 0
+    for alpha_r, m_r in blocks:
+        for a in range(m_r):
+            row = []
+            for (alpha_s, m_s), top in zip(blocks, tops):
+                row += [tops[-1] * n] * (max(0, alpha_s - alpha_r) * m_s)
+                col = offset + max(0, alpha_r - alpha_s) * m_r + a
+                for c in range(col, col + min(alpha_r, alpha_s) * m_r, m_r):
+                    row += [(top + b) * n + c for b in range(m_s)]
+            flip.append(tuple(row))
+        offset += alpha_r * m_r
+    reach = tuple(alpha - v for alpha, m in blocks
+                  for v in range(alpha) for _ in range(m))
+    step = tuple(m for alpha, m in blocks for _ in range(alpha * m))
+    return tuple(flip), reach, step
 
 
 def _check_cell(structure: SegreStructure, r: int, s: int, j: int, mat):
@@ -264,25 +297,37 @@ class ToeplitzForm:
 
     # -- dense bridge ---------------------------------------------------
 
-    def _dense_rows(self) -> tuple:
-        """(rows, den) of the dense matrix rows / den: cell-row u of group r
-        is the strip rows of group r moved right by u cells per block."""
+    def assemble(self) -> ExactMatrix:
+        """Dense n x n matrix with cell (u, v) of block (r, s) equal to
+        coefficient v - u - shift(r, s): cell-row u of group r is the strip
+        rows of group r moved right by u cells per block.  It holds the
+        strip's entries and zeros, so it is canonical over the strip's den."""
         st = self.structure
-        grid, den = self._strip._g, self._strip._den
+        grid = self._strip._g
         rows, top = [], 0
         for alpha_r, m_r in st.blocks:
             for u in range(alpha_r):
                 rows += _cell_rows(st, grid[top:top + m_r], [u] * len(st.blocks), True)
             top += m_r
-        return rows, den
+        return ExactMatrix(st.n, st.n, tuple(rows), self._strip._den)
 
-    def assemble(self) -> ExactMatrix:
-        """Dense n x n matrix with cell (u, v) of block (r, s) equal to
-        coefficient v - u - shift(r, s).  It holds the strip's entries and
-        zeros, so it is canonical over the strip's den."""
-        n = self.structure.n
-        rows, den = self._dense_rows()
-        return ExactMatrix(n, n, tuple(rows), den)
+    def _moved_rows(self) -> list:
+        """The _sparse_rows of the dense matrix, in its row order, read off
+        the strip: cell-row u of group k keeps the nonzeros of the strip
+        rows of group k that lie fewer than alpha_s - u cells into their
+        block s, each moved u cells right."""
+        st = self.structure
+        _, reach, step = _maps(st.blocks)
+        strip_rows = iter(_sparse_rows(self._strip._g))
+        rows = []
+        for alpha, m in st.blocks:
+            group = [next(strip_rows) for _ in range(m)]
+            rows += group
+            for u in range(1, alpha):
+                rows += [([(j + u * step[j], a, b, c, d)
+                           for j, a, b, c, d in nz if reach[j] > u], gaussian)
+                         for nz, gaussian in group]
+        return rows
 
     @classmethod
     def extract(cls, dense: ExactMatrix,
@@ -317,37 +362,27 @@ class ToeplitzForm:
 
     def __mul__(self, other):
         """Product by one integer grid product: the left strip times the
-        dense rows of the right operand is the product's strip."""
+        dense rows of the right operand, read off its strip, is the
+        product's strip."""
         if not isinstance(other, ToeplitzForm):
             return NotImplemented
         self._same_structure(other)
         st, strip = self.structure, self._strip
-        right, right_den = other._dense_rows()
         return ToeplitzForm._from_strip(st, _sum_of_products(
-            ((strip._g, _sparse_rows(right), strip._den * right_den),),
+            ((strip._g, other._moved_rows(), strip._den * other._strip._den),),
             strip.rows, st.n))
 
     def flip_transpose(self) -> "ToeplitzForm":
         """F X^T F for the backward block form F: coefficient (r, s, j)
         becomes the transpose of coefficient (s, r, j).  The strip's entries
-        are permuted, so the result is canonical over the same den."""
-        st = self.structure
-        grid, den = self._strip._g, self._strip._den
-        tops = [sum(st.mults[:r]) for r in range(st.part_count)]
-        rows = []
-        for r, m_r in enumerate(st.mults):
-            for a in range(m_r):
-                row = []
-                for s, m_s in enumerate(st.mults):
-                    row.extend((_Z4,) * (st.shift(r, s) * m_s))
-                    # column a of each coefficient (s, r, j), read down
-                    source = grid[tops[s]:tops[s] + m_s]
-                    col = st.group_offset(r) + st.shift(s, r) * m_r + a
-                    for c in range(col, col + st.depth(r, s) * m_r, m_r):
-                        row.extend(x[c] for x in source)
-                rows.append(tuple(row))
-        return ToeplitzForm._from_strip(
-            st, ExactMatrix(len(rows), st.n, tuple(rows), den))
+        are gathered through the block shape's index map (_maps), so the
+        result is canonical over the same den."""
+        st, strip = self.structure, self._strip
+        flat = tuple(chain.from_iterable(strip._g)) + (_Z4,)
+        return ToeplitzForm._from_strip(st, ExactMatrix(
+            strip.rows, st.n,
+            tuple(tuple(map(flat.__getitem__, idx)) for idx in _maps(st.blocks)[0]),
+            strip._den))
 
     # -- predicates -------------------------------------------------------
 

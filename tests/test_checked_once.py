@@ -1,12 +1,13 @@
 """Every element a public function returns is checked exactly once: the
 dense membership test and the form congruence are counted around
 sampling and factorization.  Inputs are checked once too: the ranks
-constant_data takes are counted.  The sweep's plan is built once per
-block shape."""
+constant_data takes are counted.  The sweep's plan and the flip's index
+map are built once per block shape, and the sparse rows of S once per
+structure; a form product and a form check build no dense matrix."""
 
 import pytest
 
-from isotropy import generators, solver, stabilizer
+from isotropy import forms, generators, solver, stabilizer, toeplitz
 from isotropy.errors import IntegrityError
 from isotropy.forms import MultiSegreStructure, SegreStructure
 from isotropy.matrices import ExactMatrix
@@ -142,3 +143,48 @@ def test_the_sweep_is_planned_once_per_block_shape():
                               (0, 3): rnd.skew(1), (1, 1): rnd.skew(2)})
     info = solver._plan.cache_info()
     assert (info.misses, info.hits) == (1, 5)
+
+
+def test_form_products_and_checks_build_no_dense_matrix(monkeypatch):
+    # the product reads its right operand off the strip, and the check is a
+    # flip and a product: neither assembles a form or walks its cell rows
+    walks = []
+    cell_rows, assemble = toeplitz._cell_rows, ToeplitzForm.assemble
+    monkeypatch.setattr(toeplitz, "_cell_rows",
+                        lambda *a: walks.append("walk") or cell_rows(*a))
+    monkeypatch.setattr(ToeplitzForm, "assemble",
+                        lambda self: walks.append("assemble") or assemble(self))
+    rnd = RandomSource(20241021)
+    st = SegreStructure(IMAG, [(4, 2), (2, 1), (1, 2)])
+    x = generators.gen_G(st, 0, 1, 1, rnd.matrix(1, 2))
+    y = generators.gen_W(st, {(0, 1): rnd.skew(2), (0, 2): rnd.skew(2),
+                              (0, 3): rnd.skew(2), (1, 1): rnd.skew(1)})
+    walks.clear()
+    product = x * y
+    assert solver.verify_congruence(constant_data(st), product) == (True, "")
+    assert walks == []
+
+
+def test_the_sparse_rows_of_s_are_found_once_per_structure(monkeypatch):
+    found = []
+    sparse_rows = forms._sparse_rows
+    monkeypatch.setattr(forms, "_sparse_rows",
+                        lambda grid: found.append(grid) or sparse_rows(grid))
+    forms._symmetric_rows.cache_clear()
+    st = SegreStructure(IMAG, [(3, 1), (2, 2), (1, 1)])
+    q = stabilizer.sample_isotropy_element(st, rnd=RandomSource(20241022))
+    assert stabilizer.verify_isotropy(st, q)[0]
+    assert found == [forms.symmetric_form(st)._g]
+
+
+def test_the_flip_is_mapped_once_per_block_shape():
+    # flips and products on one shape at eigenvalues 0 and i, and on a
+    # second shape: the index map depends on the blocks alone
+    rnd = RandomSource(20241023)
+    toeplitz._maps.cache_clear()
+    for lam, blocks in ((0, [(4, 1), (2, 2)]), (IMAG, [(4, 1), (2, 2)]),
+                        (IMAG, [(3, 2), (1, 1)])):
+        st = SegreStructure(lam, blocks)
+        x = generators.gen_G(st, 0, 1, 0, rnd.matrix(st.mults[1], st.mults[0]))
+        assert x.flip_transpose() * x == ToeplitzForm.identity(st)
+    assert toeplitz._maps.cache_info().misses == 2

@@ -466,6 +466,42 @@ def test_flip_transpose_matches_dense_conjugation():
         assert x.flip_transpose().flip_transpose() == x
 
 
+def _with_zero_rows(rnd, st):
+    # each strip row is zero, in every coefficient, with probability 1/2
+    dead = {(r, a) for r, m in enumerate(st.mults) for a in range(m)
+            if rnd.stream.below(2) == 0}
+    return ToeplitzForm.from_sparse(st, {
+        (r, s, j): ExactMatrix.from_rows([
+            [ZERO if (r, a) in dead else rnd.scalar(max_num=2)
+             for _ in range(st.mults[s])] for a in range(st.mults[r])])
+        for r, s in _blocks(st) for j in range(st.depth(r, s))})
+
+
+def test_products_and_flips_at_the_block_ends():
+    # every partition with n <= 8: a nonzero moved right leaves its block at
+    # the block's end, so the shift rule is checked where it truncates, on
+    # sparse unipotent forms, forms with whole zero strip rows, and forms
+    # with sqrt2 parts and dens up to 1e10
+    rnd = RandomSource(20241102)
+    for lam in (ZERO, ONE, IMAG):
+        for n in range(1, 9):
+            for st in enumerate_structures(n, lam=lam):
+                forms = [_with_zero_rows(rnd, st), _random_form(
+                    rnd, st, with_sqrt2=True, max_den=10 ** 10)]
+                for _ in range(st.part_count - 1):
+                    t = 1 + rnd.stream.below(st.part_count - 1)
+                    p = rnd.stream.below(t)
+                    forms.append(gen_G(st, p, t, rnd.stream.below(st.alphas[t]),
+                                       rnd.matrix(st.mults[t], st.mults[p],
+                                                  max_num=2)))
+                flip = block_backward_form(st)
+                for x in forms:
+                    assert x.flip_transpose().assemble() == \
+                        flip * x.assemble().transpose() * flip
+                    for y in forms:
+                        _assert_matches_dense(x, y)
+
+
 # frozen strips: the sha256 of the strips a flip and a product write, on
 # every partition with n <= 7, computed before the product read its right
 # operand off the strip
