@@ -100,14 +100,6 @@ class SegreStructure:
         """Coefficient count of block (r, s): min(alpha_r, alpha_s)."""
         return min(self.blocks[r][0], self.blocks[s][0])
 
-    def shift(self, r: int, s: int) -> int:
-        """Leading-column offset of block (r, s): max(0, alpha_s - alpha_r)."""
-        return max(0, self.blocks[s][0] - self.blocks[r][0])
-
-    def group_offset(self, r: int) -> int:
-        """Dense row offset where eigenvalue row r starts."""
-        return sum(a * m for a, m in self.blocks[:r])
-
     def __eq__(self, other):
         if not isinstance(other, SegreStructure):
             return NotImplemented

@@ -113,14 +113,9 @@ def structure_from_json(payload):
 
 
 def toeplitz_to_json(form) -> dict:
-    st = form.structure
-    coeffs = {}
-    for r in range(st.part_count):
-        for s in range(st.part_count):
-            coeffs[f"{r + 1},{s + 1}"] = [
-                matrix_to_json(form.coefficient(r, s, j))
-                for j in range(st.depth(r, s))]
-    return {"structure": structure_to_json(st), "coeffs": coeffs}
+    coeffs = {f"{r + 1},{s + 1}": [matrix_to_json(mat) for mat in cells]
+              for (r, s), cells in form.coeffs.items()}
+    return {"structure": structure_to_json(form.structure), "coeffs": coeffs}
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,15 @@ def _is_member(x, structure) -> bool:
     return getattr(x, "_member_of", None) == structure
 
 
+def _first_mismatch(a: ExactMatrix, b: ExactMatrix):
+    """The first (i, j), in row-major order, where a and b differ."""
+    for i in range(a.rows):
+        for j in range(a.cols):
+            if a[i, j] != b[i, j]:
+                return i, j
+    return None
+
+
 def _as_scalar(x) -> ExactScalar:
     s = _coerce(x)
     if s is NotImplemented:

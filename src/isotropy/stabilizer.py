@@ -12,8 +12,8 @@ from .errors import (IntegrityError, MembershipError, ParameterError,
 from .forms import (SegreStructure, _conjugate_by_transition, _layout,
                     _require_square, _require_structure, _symmetric_rows,
                     symmetric_form)
-from .matrices import (ExactMatrix, _grid_mul, _is_member, _mark_member,
-                       _sparse_rows, direct_sum)
+from .matrices import (ExactMatrix, _first_mismatch, _grid_mul, _is_member,
+                       _mark_member, _sparse_rows, direct_sum)
 from .scalars import ONE, ZERO, _from_ints
 from .solver import (FreeParams, _require_congruence, _sweep, constant_data,
                      random_free_params, solution_dimension)
@@ -99,14 +99,6 @@ def describe_isotropy(structure) -> IsotropyDescription:
         nilpotency_class_bound=max(d.nilpotency_class_bound for d in parts),
         generator_recipes={"parts": [d.generator_recipes for d in parts]},
         parts=parts)
-
-
-def _first_mismatch(a: ExactMatrix, b: ExactMatrix):
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j] != b[i, j]:
-                return i, j
-    return None
 
 
 def _chain_tops(structure) -> list:

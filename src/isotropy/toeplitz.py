@@ -11,18 +11,19 @@ A ToeplitzForm is stored as its strip: the first cell-row of each group
 of its dense matrix, one M x n ExactMatrix (M = sum m_r).  In the rows of
 group r, coefficient (r, s, j) is cell j + shift(r, s) of block (r, s),
 the weight of the coefficient, and the cells before it are zero.  As
-shift(r, s) + depth(r, s) = alpha_s, the strip holds every coefficient
-once, on one canonical integer grid (matrices.py).  Sums, scaling,
-equality and the zero test are the strip's; flip_transpose gathers its
-entries through an index map made once per block shape (_maps).
-Cell-row u of a group of the dense matrix is its strip moved right by u
-cells in every block (assemble), and extract reads the strip back,
-zeroing the cells before each first coefficient; both are one walk
-(_cell_rows).  A product is one integer product (_sum_of_products): the
-left strip times the dense rows of the right operand is the product's
-strip, and those rows are read off the right strip's nonzeros, each
-moved right by u cells while it stays inside its block (_moved_rows).
-Neither builds an n x n matrix.
+shift(r, s) = alpha_s - depth(r, s), the strip holds every coefficient
+once, on one canonical integer grid (matrices.py).  Where each
+coefficient sits is one table per block shape (_placement), which every
+writer and reader of the strip uses.  Sums, scaling, equality and the
+zero test are the strip's; flip_transpose gathers its entries through an
+index map made once per block shape (_maps).  Cell-row u of a group of
+the dense matrix is its strip moved right by u cells in every block
+(assemble), and extract reads the strip back, zeroing the cells before
+each first coefficient.  A product is one integer product
+(_sum_of_products): the left strip times the dense rows of the right
+operand is the product's strip, and those rows are read off the right
+strip's nonzeros, each moved right by u cells while it stays inside its
+block (_moved_rows).  Neither builds an n x n matrix.
 
 Weights add under products and stay below alpha_1, so a form whose
 nonzero coefficients all have weight >= 1 is nilpotent of index at most
@@ -41,7 +42,7 @@ Coordinates are 0-based throughout: group indices r, s in
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from math import lcm
 from typing import Iterator, Mapping
 
@@ -52,8 +53,8 @@ from .errors import (
     StructureError,
 )
 from .forms import SegreStructure, _omega_indices, _require_square
-from .matrices import (ExactMatrix, _Z4, _permuted, _reduced, _rescaled,
-                       _sparse_rows, _sum_of_products,
+from .matrices import (ExactMatrix, _Z4, _first_mismatch, _permuted,
+                       _reduced, _rescaled, _sparse_rows, _sum_of_products,
                        identity as dense_identity, zeros as dense_zeros)
 
 __all__ = [
@@ -68,51 +69,49 @@ def _block_keys(structure: SegreStructure) -> Iterator[tuple[int, int]]:
     return product(range(structure.part_count), repeat=2)
 
 
-def _cell_rows(structure: SegreStructure, rows, leads, moved: bool) -> list:
-    """rows (of integer 4-tuples, n wide) with the first leads[s] cells of
-    each block s zero: the block moved right by leads[s] cells when moved
-    (assembly), else kept in place (extraction).  The one assembly walk."""
-    out = []
-    for row in rows:
-        new = []
-        col = 0
-        for (alpha, m), lead in zip(structure.blocks, leads):
-            width, zero = alpha * m, min(lead, alpha) * m
-            new.extend((_Z4,) * zero)
-            new.extend(row[col:col + width - zero] if moved
-                       else row[col + zero:col + width])
-            col += width
-        out.append(tuple(new))
-    return out
+@lru_cache(maxsize=128)
+def _placement(blocks) -> tuple:
+    """Where the strip of a form with these blocks holds what, made once
+    per block shape.  tops: the strip rows of group r are tops[r]:tops[r + 1].
+    cols[r][s]: the strip column of coefficient (r, s, 0), after the
+    shift(r, s) zero cells of block (r, s); coefficient (r, s, j) starts
+    j m_s columns on, and cols[r][r] is where group r starts, in the dense
+    rows as in the columns.  reach, step: per column, a nonzero there stays
+    inside its block s when moved right by u < reach cells, alpha_s less
+    its cell, and moves u m_s columns; the cells of block (r, s) before its
+    coefficient 0 are those with reach > alpha_r."""
+    starts = tuple(accumulate((alpha * m for alpha, m in blocks), initial=0))
+    cols = tuple(tuple(start + max(0, alpha_s - alpha_r) * m_s
+                       for (alpha_s, m_s), start in zip(blocks, starts))
+                 for alpha_r, _ in blocks)
+    reach = tuple(alpha - v for alpha, m in blocks
+                  for v in range(alpha) for _ in range(m))
+    step = tuple(m for alpha, m in blocks for _ in range(alpha * m))
+    tops = tuple(accumulate((m for _, m in blocks), initial=0))
+    return tops, cols, reach, step
 
 
 @lru_cache(maxsize=128)
 def _maps(blocks) -> tuple:
-    """The index maps of the structures with these blocks, made once.
-
-    flip: per strip row of F X^T F, the index of each entry in the strip
-    read row by row, M n meaning the zero slot past its end: in the rows
-    of group r, block s holds shift(r, s) zero cells, then column a of each
-    coefficient (s, r, j), read down.  reach, step: per column, a nonzero
-    there stays inside its block s when moved right by u < reach cells,
-    alpha_s less its cell, and moves u m_s columns."""
-    n = sum(alpha * m for alpha, m in blocks)
-    tops = [sum(m for _, m in blocks[:s]) for s in range(len(blocks) + 1)]
-    flip, offset = [], 0
-    for alpha_r, m_r in blocks:
+    """The flip map of the structures with these blocks, made once: per
+    strip row of F X^T F, the index of each entry in the strip read row by
+    row, M n meaning the zero slot past its end.  Coefficient (r, s, j) of
+    the flip, where _placement puts it, is coefficient (s, r, j) read down
+    its columns.  Cached apart from _placement: the dense bridge needs only
+    that, and the commutant builder meets many a block shape once."""
+    tops, cols, reach, _ = _placement(blocks)
+    n = len(reach)
+    flip = []
+    for r, (alpha_r, m_r) in enumerate(blocks):
         for a in range(m_r):
-            row = []
-            for (alpha_s, m_s), top in zip(blocks, tops):
-                row += [tops[-1] * n] * (max(0, alpha_s - alpha_r) * m_s)
-                col = offset + max(0, alpha_r - alpha_s) * m_r + a
-                for c in range(col, col + min(alpha_r, alpha_s) * m_r, m_r):
-                    row += [(top + b) * n + c for b in range(m_s)]
+            row = [tops[-1] * n] * n
+            for s, (alpha_s, m_s) in enumerate(blocks):
+                for j in range(min(alpha_r, alpha_s)):
+                    at, src = cols[r][s] + j * m_s, cols[s][r] + j * m_r + a
+                    row[at:at + m_s] = range(tops[s] * n + src,
+                                             tops[s + 1] * n + src, n)
             flip.append(tuple(row))
-        offset += alpha_r * m_r
-    reach = tuple(alpha - v for alpha, m in blocks
-                  for v in range(alpha) for _ in range(m))
-    step = tuple(m for alpha, m in blocks for _ in range(alpha * m))
-    return tuple(flip), reach, step
+    return tuple(flip)
 
 
 def _check_cell(structure: SegreStructure, r: int, s: int, j: int, mat):
@@ -127,32 +126,29 @@ def _check_cell(structure: SegreStructure, r: int, s: int, j: int, mat):
 
 def _strip_of(structure: SegreStructure, cells: Mapping) -> ExactMatrix:
     """The strip with coefficient (r, s, j) = cells[(r, s, j)], a checked
-    ExactMatrix, zero where cells has none, written in one pass over the
-    lcm of the coefficient dens: canonical as it is (matrices.py).  A
-    missing coefficient, like the cells before a block's first one, is a
-    run of zero tuples."""
+    ExactMatrix, zero where cells has none: each one rescaled to the lcm
+    of the coefficient dens and written where _placement puts it into rows
+    of zeros, so canonical as it is (matrices.py)."""
     den = lcm(*(x._den for x in cells.values()))
-    alphas, mults = structure.alphas, structure.mults
-    rows = []
-    for r, m_r in enumerate(mults):
-        group, zero = [[] for _ in range(m_r)], 0  # zero: columns to write
-        for s, m_s in enumerate(mults):
-            zero += max(0, alphas[s] - alphas[r]) * m_s  # shift(r, s) cells
-            for j in range(min(alphas[r], alphas[s])):  # depth(r, s)
-                x = cells.get((r, s, j))
-                if x is None:
-                    zero += m_s
-                    continue
-                pad, zero = (_Z4,) * zero, 0
-                for row, part in zip(group, _rescaled(x._g, den // x._den)):
-                    row += pad + part
-        rows.extend(tuple(row) + (_Z4,) * zero for row in group)
-    return ExactMatrix(len(rows), structure.n, tuple(rows), den)
+    tops, cols, _, _ = _placement(structure.blocks)
+    rows = [[_Z4] * structure.n for _ in range(tops[-1])]
+    for (r, s, j), x in cells.items():
+        col = cols[r][s] + j * x.cols
+        for row, part in zip(rows[tops[r]:tops[r + 1]],
+                             _rescaled(x._g, den // x._den)):
+            row[col:col + x.cols] = part
+    return ExactMatrix(len(rows), structure.n, tuple(map(tuple, rows)), den)
 
 
 def _need_segre(structure):
     if not isinstance(structure, SegreStructure):
         raise StructureError("ToeplitzForm needs a single-eigenvalue structure")
+
+
+def _check_block(structure: SegreStructure, r: int, s: int):
+    count = structure.part_count
+    if not (0 <= r < count and 0 <= s < count):
+        raise ParameterError(f"block index ({r}, {s}) out of range")
 
 
 class ToeplitzForm:
@@ -221,10 +217,8 @@ class ToeplitzForm:
                     ) -> "ToeplitzForm":
         """Form with the given (r, s, j) -> matrix entries, zeros elsewhere."""
         _need_segre(structure)
-        count = structure.part_count
         for (r, s, j) in entries:
-            if not (0 <= r < count and 0 <= s < count):
-                raise ParameterError(f"block index ({r}, {s}) out of range")
+            _check_block(structure, r, s)
             if not (0 <= j < structure.depth(r, s)):
                 raise ParameterError(
                     f"coefficient index {j} out of range for block ({r}, {s})")
@@ -237,12 +231,12 @@ class ToeplitzForm:
     def _cell(self, r: int, s: int, j: int) -> ExactMatrix:
         # coefficient (r, s, j), 0 <= j < depth(r, s), sliced off the strip
         st = self.structure
-        grid, den = self._strip._g, self._strip._den
-        top = sum(st.mults[:r])
-        m_r, m_s = st.mults[r], st.mults[s]
-        col = st.group_offset(s) + (j + st.shift(r, s)) * m_s
-        return _reduced(m_r, m_s, tuple(row[col:col + m_s]
-                                        for row in grid[top:top + m_r]), den)
+        tops, cols, _, _ = _placement(st.blocks)
+        m_s = st.mults[s]
+        col = cols[r][s] + j * m_s
+        return _reduced(st.mults[r], m_s, tuple(
+            row[col:col + m_s] for row in self._strip._g[tops[r]:tops[r + 1]]),
+            self._strip._den)
 
     @property
     def coeffs(self) -> dict:
@@ -252,7 +246,9 @@ class ToeplitzForm:
                 for r, s in _block_keys(st)}
 
     def coefficient(self, r: int, s: int, j: int) -> ExactMatrix:
-        """A_j^{rs}; indices outside [0, depth) read as the zero matrix."""
+        """A_j^{rs}; indices j outside [0, depth) read as the zero matrix,
+        block indices (r, s) out of range raise ParameterError."""
+        _check_block(self.structure, r, s)
         if 0 <= j < self.structure.depth(r, s):
             return self._cell(r, s, j)
         return dense_zeros(self.structure.mults[r], self.structure.mults[s])
@@ -303,12 +299,17 @@ class ToeplitzForm:
         rows of group r moved right by u cells per block.  It holds the
         strip's entries and zeros, so it is canonical over the strip's den."""
         st = self.structure
-        grid = self._strip._g
-        rows, top = [], 0
-        for alpha_r, m_r in st.blocks:
+        rows = []
+        for (alpha_r, m_r), top in zip(st.blocks, _placement(st.blocks)[0]):
             for u in range(alpha_r):
-                rows += _cell_rows(st, grid[top:top + m_r], [u] * len(st.blocks), True)
-            top += m_r
+                for row in self._strip._g[top:top + m_r]:
+                    new, col = [], 0
+                    for alpha, m in st.blocks:
+                        width, zero = alpha * m, min(u, alpha) * m
+                        new.extend((_Z4,) * zero)
+                        new.extend(row[col:col + width - zero])
+                        col += width
+                    rows.append(tuple(new))
         return ExactMatrix(st.n, st.n, tuple(rows), self._strip._den)
 
     def _moved_rows(self) -> list:
@@ -317,7 +318,7 @@ class ToeplitzForm:
         rows of group k that lie fewer than alpha_s - u cells into their
         block s, each moved u cells right."""
         st = self.structure
-        _, reach, step = _maps(st.blocks)
+        _, _, reach, step = _placement(st.blocks)
         strip_rows = iter(_sparse_rows(self._strip._g))
         rows = []
         for alpha, m in st.blocks:
@@ -338,25 +339,20 @@ class ToeplitzForm:
         order, that breaks the constant-diagonal block pattern.
         """
         _require_square(structure, dense)
-        n = structure.n
-        grid, den = dense._g, dense._den
+        _, cols, reach, _ = _placement(structure.blocks)
         rows = []
-        for r, m in enumerate(structure.mults):
-            top = structure.group_offset(r)
-            rows += _cell_rows(structure, grid[top:top + m], [
-                structure.shift(r, s) for s in range(structure.part_count)], False)
-        candidate = cls._from_strip(
-            structure, _reduced(len(rows), n, tuple(rows), den))
+        for r, (alpha, m) in enumerate(structure.blocks):
+            rows += [tuple(_Z4 if far > alpha else x for x, far in zip(row, reach))
+                     for row in dense._g[cols[r][r]:cols[r][r] + m]]
+        candidate = cls._from_strip(structure, _reduced(
+            len(rows), structure.n, tuple(rows), dense._den))
         expected = candidate.assemble()
         if expected == dense:
             return candidate
-        for i in range(n):
-            for j in range(n):
-                if dense[i, j] != expected[i, j]:
-                    raise ShapeViolationError(
-                        f"entry ({i}, {j}) = {dense[i, j]} breaks the block "
-                        f"Toeplitz pattern (expected {expected[i, j]})", i, j)
-        return candidate
+        i, j = _first_mismatch(dense, expected)
+        raise ShapeViolationError(
+            f"entry ({i}, {j}) = {dense[i, j]} breaks the block "
+            f"Toeplitz pattern (expected {expected[i, j]})", i, j)
 
     # -- multiplicative structure ----------------------------------------
 
@@ -381,7 +377,7 @@ class ToeplitzForm:
         flat = tuple(chain.from_iterable(strip._g)) + (_Z4,)
         return ToeplitzForm._from_strip(st, ExactMatrix(
             strip.rows, st.n,
-            tuple(tuple(map(flat.__getitem__, idx)) for idx in _maps(st.blocks)[0]),
+            tuple(tuple(map(flat.__getitem__, idx)) for idx in _maps(st.blocks)),
             strip._den))
 
     # -- predicates -------------------------------------------------------

@@ -7,6 +7,7 @@ rank/nullity and product expectations come from a second code path.
 two_product_membership takes the package's matrices but reads their
 entries only through .a/.b/.c/.d and does all its arithmetic here.
 strip_digest pins what the package computes, by the sha256 of its storage.
+shift states the block Toeplitz layout from a structure's blocks alone.
 """
 
 import hashlib
@@ -327,6 +328,12 @@ def two_product_membership(s, q):
         return False, (f"congruence fails first: (Q^T S Q)[{i}][{j}] = "
                        f"{q_str(cong[i][j])}, expected {q_str(sg[i][j])}")
     return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"
+
+
+def shift(st, r, s):
+    """Leading-cell offset of block (r, s) of a form on st, the weight of
+    its coefficient 0: max(0, alpha_s - alpha_r)."""
+    return max(0, st.blocks[s][0] - st.blocks[r][0])
 
 
 def strip_digest(forms):

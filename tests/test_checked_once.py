@@ -1,9 +1,10 @@
 """Every element a public function returns is checked exactly once: the
 dense membership test and the form congruence are counted around
 sampling and factorization.  Inputs are checked once too: the ranks
-constant_data takes are counted.  The sweep's plan and the flip's index
-map are built once per block shape, and the sparse rows of S once per
-structure; a form product and a form check build no dense matrix."""
+constant_data takes are counted.  The sweep's plan, the strip's placement
+table and the flip's index map are built once per block shape, the flip
+map only by a flip, and the sparse rows of S once per structure; a form
+product and a form check build no dense matrix."""
 
 import pytest
 
@@ -14,7 +15,7 @@ from isotropy.matrices import ExactMatrix
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG
 from isotropy.solver import FreeParams, constant_data, solve_congruence
-from isotropy.toeplitz import ToeplitzForm
+from isotropy.toeplitz import ToeplitzForm, commutant_basis
 
 
 @pytest.fixture
@@ -147,11 +148,9 @@ def test_the_sweep_is_planned_once_per_block_shape():
 
 def test_form_products_and_checks_build_no_dense_matrix(monkeypatch):
     # the product reads its right operand off the strip, and the check is a
-    # flip and a product: neither assembles a form or walks its cell rows
+    # flip and a product: neither assembles a form
     walks = []
-    cell_rows, assemble = toeplitz._cell_rows, ToeplitzForm.assemble
-    monkeypatch.setattr(toeplitz, "_cell_rows",
-                        lambda *a: walks.append("walk") or cell_rows(*a))
+    assemble = ToeplitzForm.assemble
     monkeypatch.setattr(ToeplitzForm, "assemble",
                         lambda self: walks.append("assemble") or assemble(self))
     rnd = RandomSource(20241021)
@@ -178,13 +177,32 @@ def test_the_sparse_rows_of_s_are_found_once_per_structure(monkeypatch):
 
 
 def test_the_flip_is_mapped_once_per_block_shape():
-    # flips and products on one shape at eigenvalues 0 and i, and on a
-    # second shape: the index map depends on the blocks alone
+    # flips, products and the dense bridge on one shape at eigenvalues 0
+    # and i, and on a second shape: the placement table and the index map
+    # depend on the blocks alone
     rnd = RandomSource(20241023)
     toeplitz._maps.cache_clear()
+    toeplitz._placement.cache_clear()
     for lam, blocks in ((0, [(4, 1), (2, 2)]), (IMAG, [(4, 1), (2, 2)]),
                         (IMAG, [(3, 2), (1, 1)])):
         st = SegreStructure(lam, blocks)
         x = generators.gen_G(st, 0, 1, 0, rnd.matrix(st.mults[1], st.mults[0]))
         assert x.flip_transpose() * x == ToeplitzForm.identity(st)
+        y = ToeplitzForm.from_sparse(st, {(1, 0, 0): x.coefficient(1, 0, 0)})
+        assert ToeplitzForm.extract(y.assemble(), st) == y
+    assert toeplitz._placement.cache_info().misses == 2
     assert toeplitz._maps.cache_info().misses == 2
+
+
+def test_the_codim_path_builds_no_flip_map():
+    # the commutant builder, coefficient reads and extract place the strip
+    # without the flip's index map, which stays in a cache of its own
+    rnd = RandomSource(20241024)
+    toeplitz._maps.cache_clear()
+    st = SegreStructure(IMAG, [(3, 2), (2, 1), (1, 1)])
+    _, builder = commutant_basis(st)
+    cells = {(0, 1, 1): rnd.matrix(2, 1), (2, 0, 0): rnd.matrix(1, 2)}
+    form = ToeplitzForm.extract(
+        toeplitz.conjugate_by_omega(builder(cells), st, "to_toeplitz"), st)
+    assert all(form.coefficient(*key) == mat for key, mat in cells.items())
+    assert toeplitz._maps.cache_info().misses == 0

@@ -295,6 +295,33 @@ def test_gen_g_random_structures_residuals():
                     assert ok, report
 
 
+def test_gen_g_is_the_sweep_at_its_one_sub_block():
+    # the closed form (Catalan corrections) against the general solution
+    # with the coupling as its only nonzero free parameter, identity seeds
+    # and zero skews, with and without diagonal data; the first
+    # multiplicity is raised so that couplings are not all 1 x 1
+    rnd = RandomSource(20241025)
+    cases = 0
+    for n in range(1, 9):
+        for st in enumerate_structures(n, lam=IMAG):
+            st = _st([(alpha, m + (r == 0))
+                      for r, (alpha, m) in enumerate(st.blocks)])
+            for b_diag in (None, [rnd.symmetric_nonsingular(m) for m in st.mults]):
+                data = constant_data(st, b_diag)
+                for p in range(st.part_count):
+                    for t in range(p + 1, st.part_count):
+                        for k in range(st.alphas[t]):
+                            f = rnd.matrix(st.mults[t], st.mults[p])
+                            zero = solver.FreeParams.zero(st)
+                            params = solver.FreeParams(
+                                {**zero.sub_blocks, (t, p, k): f},
+                                zero.diag_seeds, zero.skews)
+                            assert gen_G(st, p, t, k, f, b_diag) == \
+                                solver.solve_congruence(data, params)
+                            cases += 1
+    assert cases == 164
+
+
 def test_gen_g_rejects_bad_indices():
     st = _st([(3, 1), (2, 2), (1, 3)])
     with pytest.raises(ParameterError):
@@ -316,7 +343,7 @@ def _min_weight(x):
     """Smallest weight j + shift(r, s) of a nonzero coefficient (r, s, j);
     None if x is zero."""
     st = x.structure
-    return min((j + st.shift(r, s) for (r, s), cells in x.coeffs.items()
+    return min((j + oracle.shift(st, r, s) for (r, s), cells in x.coeffs.items()
                 for j, c in enumerate(cells) if not c.is_zero), default=None)
 
 

@@ -69,7 +69,7 @@ def _weight_component(x, w):
     st = x.structure
     return ToeplitzForm.from_sparse(st, {
         (r, s, j): x.coefficient(r, s, j) for r, s in _blocks(st)
-        for j in range(st.depth(r, s)) if j + st.shift(r, s) == w})
+        for j in range(st.depth(r, s)) if j + oracle.shift(st, r, s) == w})
 
 
 def _blocks(structure):
@@ -123,6 +123,18 @@ def test_from_sparse_validates_indices():
     assert tf.coefficient(1, 0, 0).is_zero
     # out-of-range reads come back as padding zeros
     assert tf.coefficient(0, 0, 5).is_zero
+    assert tf.coefficient(0, 0, -1).is_zero
+
+
+@pytest.mark.parametrize("r, s", [(-1, 0), (0, -1), (2, 0)])
+def test_coefficient_rejects_block_indices_out_of_range(r, s):
+    # a negative index used to wrap round to the last group, and one past
+    # the end raised a bare IndexError
+    tf = ToeplitzForm.identity(SegreStructure(0, [(2, 1), (1, 1)]))
+    with pytest.raises(ParameterError) as err:
+        tf.coefficient(r, s, 0)
+    assert (type(err.value), str(err.value)) == (
+        ParameterError, f"block index ({r}, {s}) out of range")
 
 
 def _block_assembled_strip(st, coeff):
@@ -132,7 +144,7 @@ def _block_assembled_strip(st, coeff):
     for r, m_r in enumerate(st.mults):
         cells = []
         for s, m_s in enumerate(st.mults):
-            cells += [zeros(m_r, m_s)] * st.shift(r, s)
+            cells += [zeros(m_r, m_s)] * oracle.shift(st, r, s)
             cells += [coeff(r, s, j) for j in range(st.depth(r, s))]
         rows += [[cell[a, b] for cell in cells for b in range(cell.cols)]
                  for a in range(m_r)]
@@ -330,10 +342,11 @@ def _in_strip(st, i, j):
     of its group, at or after the first coefficient of its block."""
     def place(k):
         for r, (alpha, m) in enumerate(st.blocks):
-            if k < st.group_offset(r) + alpha * m:
-                return r, (k - st.group_offset(r)) // m
+            if k < alpha * m:
+                return r, k // m
+            k -= alpha * m
     (r, u), (s, v) = place(i), place(j)
-    return u == 0 and v >= st.shift(r, s)
+    return u == 0 and v >= oracle.shift(st, r, s)
 
 
 def test_extract_names_a_changed_entry():
