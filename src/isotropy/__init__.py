@@ -29,9 +29,13 @@ from .forms import (
     SegreStructure,
     backward_form,
     block_backward_form,
+    codim_formula,
+    commutant_dimension,
     enumerate_structures,
+    free_parameter_count,
     interleave_form,
     jordan_form,
+    solution_dimension,
     symmetric_form,
     transition_form,
 )
@@ -39,15 +43,12 @@ from .rng import RandomSource, SplitMix64
 from .toeplitz import (
     ToeplitzForm,
     commutant_basis,
-    commutant_dimension,
     conjugate_by_omega,
 )
 from .solver import (
     CongruenceData,
     FreeParams,
-    free_parameter_count,
     random_free_params,
-    solution_dimension,
     solve_congruence,
     verify_congruence,
 )
@@ -72,7 +73,7 @@ from .stabilizer import (
     to_toeplitz_coordinates,
     verify_isotropy,
 )
-from .orbit import OrbitReport, codim_formula, consistency_check, tangent_oracle
+from .orbit import OrbitReport, consistency_check, tangent_oracle
 from .jsonio import (
     dumps_canonical,
     matrix_from_json,

@@ -9,17 +9,16 @@ than hidden.  See the README for the mathematical details.
 
 from collections import namedtuple
 
-from .forms import (MultiSegreStructure, SegreStructure,
-                    enumerate_structures, symmetric_form)
+from .forms import (MultiSegreStructure, SegreStructure, codim_formula,
+                    enumerate_structures, solution_dimension, symmetric_form)
 from .generators import (catalan_coeff, catalan_series, factor_unipotent,
                          gen_G, gen_two_block, gen_V, gen_W,
                          generator_from_spec)
 from .matrices import ExactMatrix, identity
-from .orbit import _pairwise_rank, codim_formula, tangent_oracle
+from .orbit import _pairwise_rank, tangent_oracle
 from .rng import RandomSource
 from .scalars import ExactScalar, HALF, IMAG, ONE, ZERO
-from .solver import (FreeParams, _slots, constant_data, solution_dimension,
-                     verify_congruence)
+from .solver import FreeParams, _slots, constant_data, verify_congruence
 from .stabilizer import (describe_isotropy, group_element_inv,
                          group_element_mul, sample_isotropy_element,
                          verify_isotropy)

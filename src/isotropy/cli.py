@@ -16,7 +16,8 @@ import sys
 
 from .errors import IntegrityError, IsotropyError, MembershipError
 from .forms import (MultiSegreStructure, SegreStructure, backward_form,
-                    interleave_form, symmetric_form, transition_form)
+                    codim_formula, interleave_form, solution_dimension,
+                    symmetric_form, transition_form)
 from .generators import factor_unipotent, generator_from_spec
 from .jsonio import (description_to_json, dumps_canonical,
                      free_params_from_json, free_params_to_json,
@@ -25,9 +26,9 @@ from .jsonio import (description_to_json, dumps_canonical,
                      structure_from_json, structure_to_json,
                      toeplitz_to_json)
 from .matrices import ExactMatrix
-from .orbit import codim_formula, consistency_check
+from .orbit import consistency_check
 from .rng import RandomSource
-from .solver import constant_data, random_free_params, solution_dimension
+from .solver import constant_data, random_free_params
 from .stabilizer import (describe_isotropy, sample_isotropy_element,
                          to_toeplitz_coordinates, verify_isotropy)
 from .toeplitz import commutant_basis

@@ -1,10 +1,12 @@
-"""Block structures, the dense layout and canonical matrices.
+"""Block structures, closed forms, the dense layout and canonical matrices.
 
 A SegreStructure fixes one eigenvalue lam and rows (alpha_r, m_r): m_r
 copies of the size-alpha_r block, alpha strictly decreasing after
 normalization.  A MultiSegreStructure joins several with distinct
 eigenvalues.  A SegreStructure is its own single part, so code that only
-sums or concatenates over eigenvalues walks structure.parts.
+sums or concatenates over eigenvalues walks structure.parts.  The closed
+forms (solution_dimension, free_parameter_count, commutant_dimension and
+codim_formula) are sums over one walk of the groups of the parts, _groups.
 
 This module alone owns the dense layout (_layout: parts, then rows by
 decreasing alpha, then copies) and the interleaving permutation Omega
@@ -169,6 +171,55 @@ def _require_square(structure, mat: ExactMatrix):
     if mat.rows != n or mat.cols != n:
         raise DimensionMismatchError(
             f"matrix is {mat.rows}x{mat.cols}, structure needs {n}x{n}")
+
+
+# ---------------------------------------------------------------------------
+# closed forms in the structure data
+# ---------------------------------------------------------------------------
+
+
+def _groups(structure: Structure) -> Iterator[tuple]:
+    """(alpha, m, below) for each group of each part, after the type check:
+    below is the sum of the multiplicities of the part's longer groups."""
+    _require_structure(structure)
+    for part in structure.parts:
+        below = 0
+        for alpha, m in part.blocks:
+            yield alpha, m, below
+            below += m
+
+
+def solution_dimension(structure: Structure) -> int:
+    """Dimension of the isotropy group: sum over the groups of every part
+    of alpha_r m_r ((m_r - 1)/2 + below_r)."""
+    return sum(alpha * m * (m - 1) // 2 + alpha * m * below
+               for alpha, m, below in _groups(structure))
+
+
+def free_parameter_count(structure: Structure) -> dict:
+    """Free entries by kind, summed over the parts; their total plus the
+    seed manifolds equals solution_dimension."""
+    groups = list(_groups(structure))
+    return {"sub_blocks": sum(alpha * m * below for alpha, m, below in groups),
+            "skews": sum((alpha - 1) * m * (m - 1) // 2
+                         for alpha, m, _ in groups),
+            "seed_manifold": sum(m * (m - 1) // 2 for _, m, _ in groups)}
+
+
+def commutant_dimension(structure: Structure) -> int:
+    """Free coefficients of the matrices commuting with the Jordan layout,
+    per part the sum over r, s of m_r m_s min(alpha_r, alpha_s), summed
+    over the parts.  As alpha decreases, the min is alpha_r for each longer
+    group s, so that is the sum over r of alpha_r m_r (m_r + 2 below_r)."""
+    return sum(alpha * m * (m + 2 * below)
+               for alpha, m, below in _groups(structure))
+
+
+def codim_formula(structure: Structure) -> int:
+    """Orbit codimension: sum over the groups of every part of
+    alpha_r m_r ((m_r + 1)/2 + below_r), which is n + solution_dimension."""
+    return sum(alpha * m * (m + 1) // 2 + alpha * m * below
+               for alpha, m, below in _groups(structure))
 
 
 # ---------------------------------------------------------------------------

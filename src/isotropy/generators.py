@@ -21,8 +21,9 @@ a block-diagonal (gen_V shaped) core remains.
 Each function takes its congruence data from solver.constant_data, which
 checks the diagonal blocks once per structure and blocks, and reads B_r
 off that data; the skew slots come from solver._slots.  A coupling form
-is written as a strip from cells the package computed out of checked
-inputs, without a second check of their ranges and shapes.  Every form a
+is built in one place (_coupling_form), as a strip written from cells the
+package computed out of checked inputs, without a second check of their
+ranges and shapes.  Every form a
 function here returns is verified once by solver._require_congruence:
 each generator, and factor_unipotent's core; the coupling forms
 factor_unipotent peels off internally are not.
@@ -41,8 +42,9 @@ from .errors import (
 from .forms import SegreStructure
 from .matrices import ExactMatrix, identity as dense_identity
 from .scalars import ExactScalar, HALF, rat
-from .solver import (FreeParams, _check_keys, _require_congruence, _slots,
-                     constant_data, solve_congruence)
+from .solver import (FreeParams, _check_keys, _need_single,
+                     _require_congruence, _slots, constant_data,
+                     solve_congruence)
 from .toeplitz import ToeplitzForm, _strip_of
 
 __all__ = [
@@ -131,43 +133,6 @@ def gen_W(structure: SegreStructure, skews: Mapping) -> ToeplitzForm:
 # ---------------------------------------------------------------------------
 
 
-def _two_block_cells(alpha: int, beta: int, p: int, t: int, k: int,
-                     coupling: ExactMatrix, b: ExactMatrix,
-                     c: ExactMatrix) -> dict:
-    """The nonzero coefficients (r, s, j) of the two-group solution with
-    F = coupling, at groups p (size alpha) and t (size beta).
-
-    Block (p,p): corrections a_{n-1} (B^-1 F^T C F)^n at offsets n(2k+alpha-beta);
-    block (t,t): a_{n-1} (F B^-1 F^T C)^n at the same offsets;
-    block (p,t): -B^-1 F^T C at offset k; block (t,p): F at offset k.
-    A product by B^-1 or C is skipped when it is the identity.
-    """
-    lower = coupling.transpose()  # B^-1 F^T C
-    if not b.is_identity:
-        lower = b.inverse() * lower
-    if not c.is_identity:
-        lower = lower * c
-    x = lower * coupling  # B^-1 F^T C F
-    y = coupling * lower  # F B^-1 F^T C
-    step = 2 * k + alpha - beta
-    cells = {(p, p, 0): dense_identity(b.rows), (t, t, 0): dense_identity(c.rows),
-             (p, t, k): -lower, (t, p, k): coupling}
-    for r, size, z in ((p, alpha, x), (t, beta, y)):
-        power = z  # z^n, one product per further offset
-        for n in range(1, (size - 1) // step + 1):
-            if n > 1:
-                power = power * z
-            cells[(r, r, n * step)] = power.scale(catalan_coeff(n - 1))
-    return cells
-
-
-def _check_coupling_shape(coupling, rows, cols):
-    if coupling.rows != rows or coupling.cols != cols:
-        raise ParameterError(
-            f"coupling must be {rows}x{cols}, got "
-            f"{coupling.rows}x{coupling.cols}")
-
-
 def gen_two_block(alpha: int, beta: int, k: int, coupling: ExactMatrix,
                   b: ExactMatrix, c: ExactMatrix
                   ) -> tuple[ExactMatrix, ExactMatrix]:
@@ -193,6 +158,7 @@ def gen_G(structure: SegreStructure, p: int, t: int, k: int,
     m_t x m_p.  The output satisfies the self-congruence for the constant
     diagonal data exactly (asserted).
     """
+    _need_single(structure)
     count = structure.part_count
     if not (0 <= p < t < count):
         raise ParameterError(f"need 0 <= p < t < {count}, got ({p}, {t})")
@@ -202,7 +168,10 @@ def gen_G(structure: SegreStructure, p: int, t: int, k: int,
         raise ParameterError(f"offset k = {k} outside [0, {alpha_t - 1}]")
     # p < t gives alpha_p > alpha_t, and constant_data has checked the
     # diagonal blocks, so only the coupling's shape is left to check.
-    _check_coupling_shape(coupling, structure.mults[t], structure.mults[p])
+    rows, cols = structure.mults[t], structure.mults[p]
+    if coupling.rows != rows or coupling.cols != cols:
+        raise ParameterError(f"coupling must be {rows}x{cols}, got "
+                             f"{coupling.rows}x{coupling.cols}")
     form = _coupling_form(data, p, t, k, coupling)
     _require_congruence(data, form, IntegrityError,
                         "coupling generator failed the defining congruence: ")
@@ -212,13 +181,30 @@ def gen_G(structure: SegreStructure, p: int, t: int, k: int,
 def _coupling_form(data, p: int, t: int, k: int,
                    coupling: ExactMatrix) -> ToeplitzForm:
     """gen_G's form on data's structure, unchecked: the caller has checked
-    p, t, k and the coupling's shape, and checks what it returns, so the
-    cells are in range and of their slots' shapes."""
+    p, t, k and the coupling's shape, so the cells fit their slots, and
+    checks what it returns.  With F = coupling, B = B_p and C = B_t, it is
+    I but for the two-group solution at groups p (size alpha) and t (beta):
+    block (p,p): corrections a_{n-1} (B^-1 F^T C F)^n at offsets n(2k+alpha-beta);
+    block (t,t): a_{n-1} (F B^-1 F^T C)^n at the same offsets;
+    block (p,t): -B^-1 F^T C at offset k; block (t,p): F at offset k.
+    A product by B^-1 or C is skipped when it is the identity."""
     structure = data.structure
+    alphas = structure.alphas
+    b, c = data.b_coeffs[p][0], data.b_coeffs[t][0]
+    lower = coupling.transpose()  # B^-1 F^T C
+    if not b.is_identity:
+        lower = b.inverse() * lower
+    if not c.is_identity:
+        lower = lower * c
     cells = {(r, r, 0): dense_identity(m) for r, m in enumerate(structure.mults)}
-    cells.update(_two_block_cells(structure.alphas[p], structure.alphas[t], p, t,
-                                  k, coupling, data.b_coeffs[p][0],
-                                  data.b_coeffs[t][0]))
+    cells[(p, t, k)], cells[(t, p, k)] = -lower, coupling
+    step = 2 * k + alphas[p] - alphas[t]
+    for r, z in ((p, lower * coupling), (t, coupling * lower)):
+        power = z  # z^n, one product per further offset
+        for n in range(1, (alphas[r] - 1) // step + 1):
+            if n > 1:
+                power = power * z
+            cells[(r, r, n * step)] = power.scale(catalan_coeff(n - 1))
     return ToeplitzForm._from_strip(structure, _strip_of(structure, cells))
 
 
@@ -303,6 +289,9 @@ def factor_unipotent(structure: SegreStructure, y: ToeplitzForm,
     itself.
     """
     data = constant_data(structure, b_diag)
+    if not isinstance(y, ToeplitzForm):
+        raise ParameterError(
+            f"factor_unipotent needs a ToeplitzForm, got {type(y).__name__}")
     if y.structure != structure:
         raise MembershipError("form lives on a different structure")
     if not y.has_identity_diagonal:
@@ -317,31 +306,24 @@ def factor_unipotent(structure: SegreStructure, y: ToeplitzForm,
     for p in range(count - 1):
         width = alphas[p + 1]
         for pos in range(width):
-            while True:
-                hit = None
-                for t in range(count - 1, p, -1):
-                    slot = pos - width + alphas[t]
-                    if slot < 0:
-                        continue
-                    coeff = residual.coefficient(t, p, slot)
-                    if not coeff.is_zero:
-                        hit = (t, slot, coeff)
-                        break
-                if hit is None:
-                    break
-                t, slot, coeff = hit
-                used.append((p, t, slot, coeff))
-                residual = residual * _coupling_form(data, p, t, slot,
-                                                     -coeff)
+            # a slot before the block's first coefficient reads as zero
+            t = count - 1
+            while t > p:
+                slot = pos - width + alphas[t]
+                coeff = residual.coefficient(t, p, slot)
+                if coeff.is_zero:
+                    t -= 1
+                else:
+                    used.append((p, t, slot, coeff))
+                    residual = residual * _coupling_form(data, p, t, slot,
+                                                         -coeff)
+                    t = count - 1
 
-    for r in range(count):
-        for s in range(count):
-            if r == s:
-                continue
-            for j in range(structure.depth(r, s)):
-                if not residual.coefficient(r, s, j).is_zero:
-                    raise IntegrityError(
-                        f"sweep left block ({r}, {s}) coefficient {j} nonzero")
+    for (r, s), entry in residual.coeffs.items():
+        for j, mat in enumerate(entry):
+            if r != s and not mat.is_zero:
+                raise IntegrityError(
+                    f"sweep left block ({r}, {s}) coefficient {j} nonzero")
     if used:
         _require_congruence(data, residual, IntegrityError,
                             "factorization core failed the congruence: ")

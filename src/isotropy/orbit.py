@@ -1,7 +1,8 @@
 """Congruence-orbit geometry: codimension counts and a tangent oracle.
 
 The codimension of the orthogonal-congruence orbit of a canonical
-symmetric matrix has a closed formula in the structure data.  An
+symmetric matrix has a closed formula in the structure data, read beside
+the structure (forms.codim_formula), so no solver is needed.  An
 independent check comes from the tangent space at S: the image of the
 linear map sending a skew matrix X to X^T S + S X inside the symmetric
 matrices.  Both are computed exactly and must always agree.
@@ -37,9 +38,8 @@ with itself taken on all X.
 from functools import lru_cache
 
 from .errors import IntegrityError, ParameterError
-from .forms import _require_structure, symmetric_form
+from .forms import codim_formula, solution_dimension, symmetric_form
 from .matrices import _Z4, ExactMatrix, _fraction_free
-from .solver import solution_dimension
 
 
 class OrbitReport:
@@ -76,21 +76,6 @@ class OrbitReport:
     def __repr__(self):
         return (f"OrbitReport(n={self.n}, codim={self.codim_formula}, "
                 f"isotropy_dim={self.isotropy_dim})")
-
-
-def codim_formula(structure) -> int:
-    """Orbit codimension from the structure data alone.
-
-    Per eigenvalue: sum over groups of alpha_r m_r times ((m_r + 1)/2
-    plus the multiplicities of all deeper groups).  Several eigenvalues
-    add up part by part.
-    """
-    _require_structure(structure)
-    total = 0
-    for part in structure.parts:
-        for r, (alpha, m) in enumerate(part.blocks):
-            total += alpha * m * (m + 1) // 2 + alpha * m * sum(part.mults[:r])
-    return total
 
 
 def _components(s: ExactMatrix) -> list:

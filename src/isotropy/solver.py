@@ -10,17 +10,18 @@ all remaining coefficients in the order offset j ascending, block
 distance p = 0 first and then ascending (_sweep); solve_congruence
 verifies the full congruence on the result before returning it, while
 sampling checks the dense matrix it returns instead.  The sweep is planned
-once per block shape (_plan), and walked on raw integer grids, one integer
+once per block shape (_plan), from the shifts of the strip's placement
+table (toeplitz._placement), and walked on raw integer grids, one integer
 accumulation per step; its right factors are the coefficients of X when B
 is the identity form (every sample and every gen_W / gen_V), else those of
 B X (_bx).
 
-The solver owns its inputs.  CongruenceData checks B and C and lays out
-their forms once, when it is made; constant_data is the one constructor
-of the self-congruence data B = C = diag(B_r, 0, ..., 0), cached per
-structure and diagonal blocks: it checks each diagonal block once and
-lays the data out without a second check (CongruenceData._lay_out), so
-identity data ranks nothing.  The free-parameter slots are walked in one
+The solver owns its inputs, on one eigenvalue (_need_single).
+CongruenceData checks B and C and lays out their forms once, when it is
+made; constant_data is the one constructor of the self-congruence data
+B = C = diag(B_r, 0, ..., 0), cached per structure and diagonal blocks:
+it checks each diagonal block once and lays the data out without a
+second check (CongruenceData._lay_out), so identity data ranks nothing.  The free-parameter slots are walked in one
 place (_slots): FreeParams, random_free_params and the skew checks of
 the generators and of the acceptance checks all read them from there;
 parameters the package makes from skews already checked (the zero
@@ -46,22 +47,27 @@ from .errors import (
     SingularMatrixError,
     StructureError,
 )
-from .forms import SegreStructure, _require_structure
+from .forms import SegreStructure
 from .matrices import (ExactMatrix, _is_member, _mark_member, _sparse_rows,
                        _sum_of_products, identity as dense_identity,
                        zeros as dense_zeros)
-from .toeplitz import ToeplitzForm, _strip_of
+from .toeplitz import ToeplitzForm, _placement, _strip_of
 
 __all__ = [
     "CongruenceData",
     "FreeParams",
     "constant_data",
-    "free_parameter_count",
     "random_free_params",
-    "solution_dimension",
     "solve_congruence",
     "verify_congruence",
 ]
+
+
+def _need_single(structure):
+    """The one check that congruence data has a single-eigenvalue structure:
+    CongruenceData, constant_data and gen_G run it first."""
+    if not isinstance(structure, SegreStructure):
+        raise StructureError("CongruenceData needs a single-eigenvalue structure")
 
 
 def _check_side(structure: SegreStructure, coeffs, label: str):
@@ -113,8 +119,7 @@ class CongruenceData:
     def __init__(self, structure: SegreStructure,
                  b_coeffs: Sequence[Sequence[ExactMatrix]],
                  c_coeffs: Sequence[Sequence[ExactMatrix]]):
-        if not isinstance(structure, SegreStructure):
-            raise StructureError("CongruenceData needs a single-eigenvalue structure")
+        _need_single(structure)
         b = _check_side(structure, b_coeffs, "B")
         c = b if c_coeffs is b_coeffs else _check_side(structure, c_coeffs, "C")
         self._lay_out(structure, b, c)
@@ -155,6 +160,7 @@ def constant_data(structure: SegreStructure,
     """Self-congruence data with constant diagonal blocks: B = C, group r
     coefficients (B_r, 0, ..., 0); without b_diag, B_r = I and this is the
     identity data.  Built and checked once per structure and blocks."""
+    _need_single(structure)
     return _constant_data(structure, None if b_diag is None else tuple(b_diag))
 
 
@@ -270,19 +276,20 @@ class FreeParams:
 # ---------------------------------------------------------------------------
 
 
-def _pairs(alphas, r: int, s: int, j: int) -> list:
+def _pairs(blocks, r: int, s: int, j: int) -> list:
     """The pairs (left key, right key) of the terms (X_l^{kr})^T Y_{n-l}^{ks}
     of coefficient (r, s, j) of F X^T F Y for block Toeplitz X and Y with
-    these block sizes, by the product rule: over 0 <= l < depth(r, k) and
-    0 <= n - l < depth(k, s), n = j + shift(r, s) - shift(r, k) - shift(k, s).
-    """
-    shift = [[max(0, b - a) for b in alphas] for a in alphas]
+    these blocks, by the product rule: over 0 <= l < depth(r, k) and
+    0 <= n - l < depth(k, s), n = j + shift(r, s) - shift(r, k) - shift(k, s),
+    the shifts read off the placement table."""
+    shift = _placement(blocks)[1]
+    alpha_r, alpha_s = blocks[r][0], blocks[s][0]
     out = []
-    for k, alpha_k in enumerate(alphas):
+    for k, (alpha_k, _) in enumerate(blocks):
         n = j + shift[r][s] - shift[r][k] - shift[k][s]
         out += [((k, r, l), (k, s, n - l))
-                for l in range(max(0, n - min(alpha_k, alphas[s]) + 1),
-                               min(alphas[r], alpha_k, n + 1))]
+                for l in range(max(0, n - min(alpha_k, alpha_s) + 1),
+                               min(alpha_r, alpha_k, n + 1))]
     return out
 
 
@@ -300,7 +307,7 @@ def _plan(blocks) -> tuple:
         slots = [(r, r, j) for r in range(count) if 1 <= j < alphas[r]]
         slots += [(r, r + p, j) for p in range(1, count)
                   for r in range(count - p) if j < alphas[r + p]]
-        steps += [(slot, tuple(pair for pair in _pairs(alphas, *slot)
+        steps += [(slot, tuple(pair for pair in _pairs(blocks, *slot)
                                if pair[0] != slot)) for slot in slots]
     return tuple(steps)
 
@@ -339,40 +346,6 @@ def _put(data: CongruenceData, x: dict, left: dict, right: dict, key, mat):
     left[key] = own and (tuple(zip(*mat._g)), mat._den)
     right[key] = own if data.b_is_identity else _right_factor(
         _bx(data, x, *key))
-
-
-# ---------------------------------------------------------------------------
-# dimension bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def solution_dimension(structure) -> int:
-    """Dimension of the solution space, summed over the parts of a single
-    or multi-eigenvalue structure: per part,
-    sum_r alpha_r m_r ((m_r - 1)/2 + sum_{s<r} m_s)."""
-    _require_structure(structure)
-    total = 0
-    for part in structure.parts:
-        below = 0
-        for alpha, m in part.blocks:
-            total += alpha * m * (m - 1) // 2 + alpha * m * below
-            below += m
-    return total
-
-
-def free_parameter_count(structure: SegreStructure) -> dict:
-    """Free entries by kind; their total plus the seed manifolds equals
-    solution_dimension."""
-    sub = 0
-    skews = 0
-    seed_manifold = 0
-    below = 0
-    for alpha, m in structure.blocks:
-        sub += alpha * m * below
-        skews += (alpha - 1) * m * (m - 1) // 2
-        seed_manifold += m * (m - 1) // 2
-        below += m
-    return {"sub_blocks": sub, "skews": skews, "seed_manifold": seed_manifold}
 
 
 # ---------------------------------------------------------------------------

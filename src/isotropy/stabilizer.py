@@ -11,12 +11,12 @@ from .errors import (IntegrityError, MembershipError, ParameterError,
                      StructureError)
 from .forms import (SegreStructure, _conjugate_by_transition, _layout,
                     _require_square, _require_structure, _symmetric_rows,
-                    symmetric_form)
+                    solution_dimension, symmetric_form)
 from .matrices import (ExactMatrix, _first_mismatch, _grid_mul, _is_member,
                        _mark_member, _sparse_rows, direct_sum)
 from .scalars import ONE, ZERO, _from_ints
 from .solver import (FreeParams, _require_congruence, _sweep, constant_data,
-                     random_free_params, solution_dimension)
+                     random_free_params)
 from .toeplitz import ToeplitzForm
 
 

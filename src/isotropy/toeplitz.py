@@ -14,9 +14,10 @@ the weight of the coefficient, and the cells before it are zero.  As
 shift(r, s) = alpha_s - depth(r, s), the strip holds every coefficient
 once, on one canonical integer grid (matrices.py).  Where each
 coefficient sits is one table per block shape (_placement), which every
-writer and reader of the strip uses.  Sums, scaling, equality and the
-zero test are the strip's; flip_transpose gathers its entries through an
-index map made once per block shape (_maps).  Cell-row u of a group of
+writer and reader of the strip uses, and the sweep's plan its shifts
+(solver._pairs).  Sums, scaling, equality and the zero test are the
+strip's; flip_transpose gathers its entries through an index map made
+once per block shape (_maps).  Cell-row u of a group of
 the dense matrix is its strip moved right by u cells in every block
 (assemble), and extract reads the strip back, zeroing the cells before
 each first coefficient.  A product is one integer product
@@ -52,7 +53,8 @@ from .errors import (
     ShapeViolationError,
     StructureError,
 )
-from .forms import SegreStructure, _omega_indices, _require_square
+from .forms import (SegreStructure, _omega_indices, _require_square,
+                    commutant_dimension)
 from .matrices import (ExactMatrix, _Z4, _first_mismatch, _permuted,
                        _reduced, _rescaled, _sparse_rows, _sum_of_products,
                        identity as dense_identity, zeros as dense_zeros)
@@ -60,7 +62,6 @@ from .matrices import (ExactMatrix, _Z4, _first_mismatch, _permuted,
 __all__ = [
     "ToeplitzForm",
     "commutant_basis",
-    "commutant_dimension",
     "conjugate_by_omega",
 ]
 
@@ -71,24 +72,26 @@ def _block_keys(structure: SegreStructure) -> Iterator[tuple[int, int]]:
 
 @lru_cache(maxsize=128)
 def _placement(blocks) -> tuple:
-    """Where the strip of a form with these blocks holds what, made once
-    per block shape.  tops: the strip rows of group r are tops[r]:tops[r + 1].
-    cols[r][s]: the strip column of coefficient (r, s, 0), after the
-    shift(r, s) zero cells of block (r, s); coefficient (r, s, j) starts
-    j m_s columns on, and cols[r][r] is where group r starts, in the dense
-    rows as in the columns.  reach, step: per column, a nonzero there stays
-    inside its block s when moved right by u < reach cells, alpha_s less
-    its cell, and moves u m_s columns; the cells of block (r, s) before its
-    coefficient 0 are those with reach > alpha_r."""
+    """Where the strip of a form with these blocks holds what, made once per
+    block shape.  tops: the strip rows of group r are tops[r]:tops[r + 1].
+    shift[r][s] = alpha_s - depth(r, s), the zero cells of block (r, s)
+    before its coefficient 0.  cols[r][s]: the strip column of coefficient
+    (r, s, 0), after those cells; coefficient (r, s, j) starts j m_s columns
+    on, and cols[r][r] is where group r starts, in the dense rows as in the
+    columns.  reach, step: per column, a nonzero there stays inside its
+    block s when moved right by u < reach cells, alpha_s less its cell, and
+    moves u m_s columns; the cells of block (r, s) before its coefficient 0
+    are those with reach > alpha_r."""
     starts = tuple(accumulate((alpha * m for alpha, m in blocks), initial=0))
-    cols = tuple(tuple(start + max(0, alpha_s - alpha_r) * m_s
-                       for (alpha_s, m_s), start in zip(blocks, starts))
-                 for alpha_r, _ in blocks)
+    shift = tuple(tuple(max(0, alpha_s - alpha_r) for alpha_s, _ in blocks)
+                  for alpha_r, _ in blocks)
+    cols = tuple(tuple(start + zero * m_s for zero, (_, m_s), start
+                       in zip(row, blocks, starts)) for row in shift)
     reach = tuple(alpha - v for alpha, m in blocks
                   for v in range(alpha) for _ in range(m))
     step = tuple(m for alpha, m in blocks for _ in range(alpha * m))
     tops = tuple(accumulate((m for _, m in blocks), initial=0))
-    return tops, cols, reach, step
+    return tops, shift, cols, reach, step
 
 
 @lru_cache(maxsize=128)
@@ -99,7 +102,7 @@ def _maps(blocks) -> tuple:
     the flip, where _placement puts it, is coefficient (s, r, j) read down
     its columns.  Cached apart from _placement: the dense bridge needs only
     that, and the commutant builder meets many a block shape once."""
-    tops, cols, reach, _ = _placement(blocks)
+    tops, _, cols, reach, _ = _placement(blocks)
     n = len(reach)
     flip = []
     for r, (alpha_r, m_r) in enumerate(blocks):
@@ -130,7 +133,7 @@ def _strip_of(structure: SegreStructure, cells: Mapping) -> ExactMatrix:
     of the coefficient dens and written where _placement puts it into rows
     of zeros, so canonical as it is (matrices.py)."""
     den = lcm(*(x._den for x in cells.values()))
-    tops, cols, _, _ = _placement(structure.blocks)
+    tops, _, cols, _, _ = _placement(structure.blocks)
     rows = [[_Z4] * structure.n for _ in range(tops[-1])]
     for (r, s, j), x in cells.items():
         col = cols[r][s] + j * x.cols
@@ -231,7 +234,7 @@ class ToeplitzForm:
     def _cell(self, r: int, s: int, j: int) -> ExactMatrix:
         # coefficient (r, s, j), 0 <= j < depth(r, s), sliced off the strip
         st = self.structure
-        tops, cols, _, _ = _placement(st.blocks)
+        tops, _, cols, _, _ = _placement(st.blocks)
         m_s = st.mults[s]
         col = cols[r][s] + j * m_s
         return _reduced(st.mults[r], m_s, tuple(
@@ -318,7 +321,7 @@ class ToeplitzForm:
         rows of group k that lie fewer than alpha_s - u cells into their
         block s, each moved u cells right."""
         st = self.structure
-        _, _, reach, step = _placement(st.blocks)
+        _, _, _, reach, step = _placement(st.blocks)
         strip_rows = iter(_sparse_rows(self._strip._g))
         rows = []
         for alpha, m in st.blocks:
@@ -338,8 +341,9 @@ class ToeplitzForm:
         Raises ShapeViolationError at the first dense entry, in row-major
         order, that breaks the constant-diagonal block pattern.
         """
+        _need_segre(structure)
         _require_square(structure, dense)
-        _, cols, reach, _ = _placement(structure.blocks)
+        _, _, cols, reach, _ = _placement(structure.blocks)
         rows = []
         for r, (alpha, m) in enumerate(structure.blocks):
             rows += [tuple(_Z4 if far > alpha else x for x, far in zip(row, reach))
@@ -423,14 +427,6 @@ def conjugate_by_omega(dense: ExactMatrix, structure: SegreStructure,
     return _permuted(dense, perm)
 
 
-def commutant_dimension(structure: SegreStructure) -> int:
-    """Number of free coefficients: sum over r, s of m_r m_s min(alpha_r, alpha_s)."""
-    total = 0
-    for r, s in _block_keys(structure):
-        total += structure.mults[r] * structure.mults[s] * structure.depth(r, s)
-    return total
-
-
 def commutant_basis(structure: SegreStructure):
     """Parameterization of all matrices commuting with the Jordan layout.
 
@@ -438,6 +434,7 @@ def commutant_basis(structure: SegreStructure):
     {(r, s, j): m_r x m_s ExactMatrix} to the dense copy-major matrix X
     with J X = X J; omitted slots are zero.
     """
+    _need_segre(structure)
     dimension = commutant_dimension(structure)
 
     def builder(assignment: Mapping[tuple[int, int, int], ExactMatrix]) -> ExactMatrix:

@@ -10,13 +10,13 @@ import pytest
 
 import isotropy
 from isotropy.cli import main
-from isotropy.forms import SegreStructure, symmetric_form
+from isotropy.forms import SegreStructure, commutant_dimension, symmetric_form
 from isotropy.generators import generator_from_spec
 from isotropy.jsonio import (generator_spec_from_json, matrix_from_json,
                              matrix_to_json, structure_from_json)
 from isotropy.scalars import IMAG
 from isotropy.stabilizer import from_toeplitz_coordinates, verify_isotropy
-from isotropy.toeplitz import ToeplitzForm, commutant_dimension
+from isotropy.toeplitz import ToeplitzForm
 
 O3 = '{"lambda": "i", "blocks": [{"alpha": 1, "m": 3}]}'
 RIGID = '{"lambda": "0", "blocks": [{"alpha": 2, "m": 1}]}'

@@ -259,6 +259,66 @@ def test_codim_refusal_bytes(capsys):
     assert got == _RUN_DIGESTS[("codim", "TOO_LONG")]
 
 
+# The structure commands at eigenvalue 1/2: one digest per command, over
+# every shape in turn.
+_HALF_DIGESTS = {
+    "canonical":
+        "81f56029d0aa70f32bd7b8dc4792b54a6545e19035ba2f04ce8d5e1c139ae5d0",
+    "codim":
+        "59142497ff952317ebed8f0138cf0a4a64063b82873afd7aea1ad33dd49d0b00",
+    "commutant":
+        "197bd14de8b21f84ad411cb75f721aea8e1a2561b301b07e79721f088ae02e2f",
+    "describe":
+        "ba947220bc7a0740aee157fad69e766e3778a163211f020a7089720e6ae89be9",
+    "dim":
+        "fecc7e811068270e2ab4817d094f3cabc8d853739107590c3ced96ad82e41aea",
+}
+
+
+@pytest.mark.parametrize("command", STRUCTURE_COMMANDS)
+def test_structure_command_bytes_at_one_half(capsys, command):
+    got = _runs_digest(capsys, *([command, "--structure",
+                                  _structure("1/2", SHAPES[shape])]
+                                 for shape in sorted(SHAPES)))
+    assert got == _HALF_DIGESTS[command]
+
+
+# Requests over a size bound, each refused from the structure alone with
+# exit code 2: the command and the blocks, at eigenvalue 0.
+_SIZE_REFUSALS = {
+    "sample n": ("sample", [(513, 1)]),
+    "sample m": ("sample", [(1, 33)]),
+    "commutant": ("commutant", [(1, 64)]),
+    "canonical": ("canonical", [(1025, 1)]),
+    "generators": ("generators", [(1025, 1)]),
+    "verify": ("verify", [(1025, 1)]),
+    "factor": ("factor", [(1025, 1)]),
+}
+_REFUSAL_DIGESTS = {
+    "sample n":
+        "6a62e6a490730d2e94795a718bf06bfa438e330b8b9e865ca9719658049d271d",
+    "sample m":
+        "6d9e3e2890e87d7ad99c3df26c7651d950041d256ea5a9b3ecc5dc528e305982",
+    "commutant":
+        "c37eb7d78c5e38377355677e8968455d713cebf723233dc52e1be8dab3cd9200",
+    "canonical":
+        "659d293932683b1c6e1f5eefac9a779feb1179ee7c268ff303a6b3ae79202cd1",
+    "generators":
+        "7bccbe7dc10257872470e617a563fe6ba7ea0a5ae2a0e06ed4f351dac2bfaa5e",
+    "verify":
+        "c72c93a26f67ad3b3656e07e801c19f53a157277d7ea8d712882bd6c6fc79927",
+    "factor":
+        "f1d7546d2a591c7f936935c2623283538c072bca759c05c256df86e71e8973a8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIZE_REFUSALS))
+def test_size_refusal_bytes(capsys, name):
+    command, blocks = _SIZE_REFUSALS[name]
+    got = _runs_digest(capsys, [command, "--structure", _structure("0", blocks)])
+    assert got == _REFUSAL_DIGESTS[name]
+
+
 @pytest.mark.parametrize("seed", ["0", "5"])
 def test_sample_bytes_with_multiplicity_four(capsys, seed):
     got = _runs_digest(capsys, ["sample", "--structure", MULT4, "--seed", seed])
@@ -369,20 +429,59 @@ _LIBRARY_ERRORS = {
     "sample sub-blocks": ("ParameterError",
                           "sub-block keys off: missing [(2, 1, 0)], "
                           "extra [(1, 0, 5)]"),
+    "free_parameter_count": _STRUCTURE_EXPECTED,
+    "commutant_dimension": _STRUCTURE_EXPECTED,
+    "b_diag count": ("ParameterError", "need 2 diagonal blocks, got 1"),
+    "b_diag shape": ("ParameterError", "diagonal block 0 must be 1x1"),
+    "b_diag not symmetric": ("ParameterError",
+                             "diagonal block 0 is not symmetric"),
+    "b_diag singular": ("ParameterError", "diagonal block 0 is singular"),
+    "side group count": ("StructureError",
+                         "B needs one coefficient list per group, got 1"),
+    "side coefficient count": ("StructureError",
+                               "C group 1 needs 2 coefficients, got 1"),
+    "side not a matrix": ("StructureError",
+                          "B coefficient (0, 1) must be a 1x1 ExactMatrix"),
+    "side not symmetric": ("ParameterError",
+                           "B coefficient (0, 0) is not symmetric"),
+    "side singular": ("SingularMatrixError",
+                      "B leading coefficient of group 0 is singular"),
+    # the per-eigenvalue entry points refuse a multi-eigenvalue structure
+    **dict.fromkeys(
+        ["constant_data multi", "random_free_params multi", "gen_V multi",
+         "gen_W multi", "gen_G multi", "generator_from_spec multi",
+         "factor_unipotent multi"],
+        ("StructureError",
+         "CongruenceData needs a single-eigenvalue structure")),
+    **dict.fromkeys(
+        ["commutant_basis multi", "ToeplitzForm.extract multi"],
+        ("StructureError", "ToeplitzForm needs a single-eigenvalue structure")),
+    "factor_unipotent dense": (
+        "ParameterError", "factor_unipotent needs a ToeplitzForm, "
+        "got ExactMatrix"),
 }
 
 
 def _library_calls(lam):
-    from isotropy import (FreeParams, SegreStructure, ToeplitzForm,
-                          codim_formula, consistency_check, conjugate_by_omega,
-                          describe_isotropy, gen_W, identity, parse_scalar,
-                          sample_isotropy_element, solution_dimension,
-                          verify_isotropy, zeros)
+    from isotropy import (CongruenceData, ExactMatrix, FreeParams,
+                          GeneratorSpec, MultiSegreStructure, RandomSource,
+                          SegreStructure, ToeplitzForm, codim_formula,
+                          commutant_basis, commutant_dimension,
+                          consistency_check, conjugate_by_omega,
+                          describe_isotropy, factor_unipotent,
+                          free_parameter_count, gen_G, gen_V, gen_W,
+                          generator_from_spec, identity, parse_scalar,
+                          random_free_params, sample_isotropy_element,
+                          solution_dimension, verify_isotropy, zeros)
+    from isotropy.solver import constant_data
 
     lam = parse_scalar(lam)
     five = SegreStructure(lam, [(3, 1), (2, 1)])
     uni = SegreStructure(lam, UNI_BLOCKS)
+    multi = MultiSegreStructure([five, SegreStructure(lam + 1, [(2, 2)])])
     small = identity(3)
+    one, ones = identity(1), [identity(1)] * 3
+    tilted = ExactMatrix.from_rows([[1, 1], [0, 1]])
     zero = FreeParams.zero(uni)
     skews = {(0, 1): zero.skews[(0, 1)], (0, 2): zero.skews[(0, 2)],
              (2, 1): zeros(1, 1)}
@@ -404,6 +503,37 @@ def _library_calls(lam):
             zero.sub_blocks, zero.diag_seeds, skews)),
         "sample sub-blocks": lambda: sample_isotropy_element(
             uni, params=FreeParams(sub, zero.diag_seeds, zero.skews)),
+        "free_parameter_count": lambda: free_parameter_count("x"),
+        "commutant_dimension": lambda: commutant_dimension("x"),
+        "b_diag count": lambda: constant_data(five, [one]),
+        "b_diag shape": lambda: constant_data(five, [identity(2), one]),
+        "b_diag not symmetric":
+            lambda: constant_data(uni, [tilted, one, one]),
+        "b_diag singular":
+            lambda: constant_data(uni, [zeros(2, 2), one, one]),
+        "side group count": lambda: CongruenceData(five, [ones], [ones]),
+        "side coefficient count":
+            lambda: CongruenceData(five, [ones, ones[:2]], [ones, [one]]),
+        "side not a matrix":
+            lambda: CongruenceData(five, [[one, 0, one], ones[:2]], []),
+        "side not symmetric": lambda: CongruenceData(
+            uni, [[tilted] * 3, ones[:2], [one]], []),
+        "side singular": lambda: CongruenceData(
+            five, [[zeros(1, 1), one, one], ones[:2]], []),
+        "constant_data multi": lambda: constant_data(multi),
+        "random_free_params multi": lambda: random_free_params(
+            constant_data(multi), RandomSource(0)),
+        "gen_V multi": lambda: gen_V(multi, None, {}),
+        "gen_W multi": lambda: gen_W(multi, {}),
+        "gen_G multi": lambda: gen_G(multi, 0, 1, 0, one),
+        "generator_from_spec multi": lambda: generator_from_spec(
+            multi, GeneratorSpec("diagonal_W", skews={})),
+        "factor_unipotent multi": lambda: factor_unipotent(
+            multi, ToeplitzForm.identity(five)),
+        "commutant_basis multi": lambda: commutant_basis(multi),
+        "ToeplitzForm.extract multi":
+            lambda: ToeplitzForm.extract(identity(9), multi),
+        "factor_unipotent dense": lambda: factor_unipotent(five, identity(5)),
     }
 
 

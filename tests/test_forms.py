@@ -97,6 +97,65 @@ def test_enumerate_structures_counts():
 
 
 # ---------------------------------------------------------------------------
+# closed forms
+# ---------------------------------------------------------------------------
+
+
+def _written_out(part):
+    """(commutant, free parameters by kind) of one part, slot by slot:
+    block (r, s) has min(alpha_r, alpha_s) coefficients of m_r x m_s; the
+    sub-blocks (r, s, j), s < r, j < alpha_r, are m_r x m_s, the skews
+    (r, j), 1 <= j < alpha_r, skew m_r x m_r, and each seed lies in O(m_r)."""
+    blocks = part.blocks
+    commutant = sum(m_r * m_s * min(alpha_r, alpha_s)
+                    for alpha_r, m_r in blocks for alpha_s, m_s in blocks)
+    sub = sum(alpha_r * m_r * m_s for r, (alpha_r, m_r) in enumerate(blocks)
+              for _, m_s in blocks[:r])
+    skews = sum((alpha - 1) * m * (m - 1) // 2 for alpha, m in blocks)
+    seeds = sum(m * (m - 1) // 2 for _, m in blocks)
+    return commutant, {"sub_blocks": sub, "skews": skews,
+                       "seed_manifold": seeds}
+
+
+def _count_cases():
+    """Every partition with n <= 10, and structures of two and of three
+    eigenvalues."""
+    for n in range(1, 11):
+        yield from enumerate_structures(n, IMAG)
+    for a in enumerate_structures(4, 0):
+        for b in enumerate_structures(3, 1):
+            yield MultiSegreStructure([a, b])
+    for a in enumerate_structures(3, 0):
+        for b in enumerate_structures(2, 1):
+            for c in enumerate_structures(3, IMAG):
+                yield MultiSegreStructure([a, b, c])
+
+
+def test_closed_forms_match_the_counts_written_out():
+    for st in _count_cases():
+        written = [_written_out(part) for part in st.parts]
+        free = forms.free_parameter_count(st)
+        assert forms.commutant_dimension(st) == sum(c for c, _ in written)
+        assert free == {kind: sum(counts[kind] for _, counts in written)
+                        for kind in free}, st
+        assert forms.solution_dimension(st) == sum(free.values()), st
+        assert forms.codim_formula(st) == st.n + forms.solution_dimension(st)
+
+
+def test_closed_forms_sum_over_the_parts():
+    a = SegreStructure(0, [(3, 1), (1, 1)])
+    b = SegreStructure(1, [(2, 2)])
+    multi = MultiSegreStructure([a, b])
+    # a: 3 + 1 + 2 * 1; b: 2 * 2 * 2
+    assert forms.commutant_dimension(multi) == 6 + 8
+    assert forms.free_parameter_count(multi) == {
+        "sub_blocks": 1, "skews": 1, "seed_manifold": 1}
+    for count in (forms.commutant_dimension, forms.solution_dimension,
+                  forms.codim_formula):
+        assert count(multi) == count(a) + count(b)
+
+
+# ---------------------------------------------------------------------------
 # elementary blocks
 # ---------------------------------------------------------------------------
 

@@ -126,3 +126,12 @@ def test_every_public_method_is_reached():
                   and node.name not in named)
     assert not dead, "public methods no package code reaches: " + \
         ", ".join(dead)
+
+
+def test_the_codim_path_stays_off_the_solver():
+    # orbit reads its closed forms beside the structure, so a start-up that
+    # loads only what codim uses need not load the solver
+    tree = ast.parse((_PACKAGE / "orbit.py").read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported == {"errors", "forms", "matrices"}

@@ -7,15 +7,15 @@ import pytest
 from isotropy.acceptance import _commutant_nullity
 from isotropy.errors import IntegrityError, ParameterError, StructureError
 from isotropy.forms import (MultiSegreStructure, SegreStructure,
-                            enumerate_structures, interleave_form,
+                            codim_formula, enumerate_structures,
+                            interleave_form, solution_dimension,
                             symmetric_form)
 from isotropy import matrices
 from isotropy.matrices import ExactMatrix, cayley_orthogonal, direct_sum
 from isotropy.orbit import (OrbitReport, _components, _pair_rank,
-                            codim_formula, consistency_check, tangent_oracle)
+                            consistency_check, tangent_oracle)
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, ZERO
-from isotropy.solver import solution_dimension
 from isotropy.stabilizer import _chain_tops
 
 from _oracles import (nullity, vectorize_commutant_system,

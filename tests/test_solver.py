@@ -14,6 +14,7 @@ from isotropy.errors import (
 )
 from isotropy.forms import (MultiSegreStructure, SegreStructure,
                             block_backward_form, enumerate_structures,
+                            free_parameter_count, solution_dimension,
                             symmetric_form)
 from isotropy.generators import gen_V
 from isotropy.matrices import ExactMatrix, identity, zeros
@@ -32,9 +33,7 @@ from isotropy.solver import (
     _sweep,
     _terms,
     constant_data,
-    free_parameter_count,
     random_free_params,
-    solution_dimension,
     solve_congruence,
     verify_congruence,
 )
@@ -167,7 +166,7 @@ def _full(data, partial, r, s, j):
     rule, summed as a step of the sweep sums its terms."""
     st = data.structure
     _, left, right = _walk(data, partial)
-    return _sum_of_products(_terms(_pairs(st.alphas, r, s, j), left, right, 1),
+    return _sum_of_products(_terms(_pairs(st.blocks, r, s, j), left, right, 1),
                             st.mults[r], st.mults[s])
 
 

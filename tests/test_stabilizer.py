@@ -5,14 +5,15 @@ import pytest
 from isotropy.errors import (DimensionMismatchError, MembershipError,
                              ParameterError, StructureError)
 from isotropy.forms import (MultiSegreStructure, SegreStructure,
-                            enumerate_structures, symmetric_form)
+                            enumerate_structures, solution_dimension,
+                            symmetric_form)
 from isotropy.generators import factor_unipotent, gen_W
 from isotropy.matrices import (ExactMatrix, cayley_orthogonal, diagonal,
                                direct_sum, identity, zeros)
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, SQRT2, ZERO, rat
 from isotropy.solver import (FreeParams, constant_data, random_free_params,
-                             solution_dimension, solve_congruence)
+                             solve_congruence)
 from isotropy.stabilizer import (describe_isotropy, from_toeplitz_coordinates,
                                  group_element_inv, group_element_mul,
                                  sample_isotropy_element,

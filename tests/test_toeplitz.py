@@ -6,17 +6,15 @@ from isotropy.errors import (
     DimensionMismatchError, ParameterError, ShapeViolationError, StructureError,
 )
 from isotropy.forms import (
-    SegreStructure, block_backward_form, enumerate_structures, interleave_form,
-    jordan_form,
+    SegreStructure, block_backward_form, commutant_dimension,
+    enumerate_structures, interleave_form, jordan_form,
 )
 from isotropy.generators import gen_G, gen_W
 from isotropy.matrices import ExactMatrix, identity, zeros
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, ZERO, parse_scalar, rat
 from isotropy.solver import constant_data, random_free_params, solve_congruence
-from isotropy.toeplitz import (
-    ToeplitzForm, commutant_basis, commutant_dimension, conjugate_by_omega,
-)
+from isotropy.toeplitz import ToeplitzForm, commutant_basis, conjugate_by_omega
 
 import _oracles as oracle
 
