@@ -76,10 +76,13 @@ def _structure_of(args):
 # the table): canonical, verify and factor take 11-25 s and 400-430 MB at
 # n = 1024; sample runs out of memory there (m = 2), and at n = 512 takes
 # 3-24 s and up to 318 MB for m <= 32, 722 MB for m = 64.  codim ranks a
-# system in a(a - 1)/2 unknowns for a block of size a, a^2 for two: 14 s
-# and 75 MB at a = 40 (top of the ROADMAP ladder), 7.4 s for [(24, 2)] and
-# 168 s for [(40, 2)].  commutant prints about 90 bytes an entry: 2^22
-# entries take 9 s and 391 MB.
+# system in a(a - 1)/2 unknowns for a block of size a, a^2 for two.  A
+# block's own system has full rank, settled modulo one prime: 0.2 s and
+# 17 MB at a = 40 (top of the ROADMAP ladder).  Two blocks of one
+# eigenvalue share a kernel, so their system goes to exact elimination:
+# 2.0 s for [(20, 1), (19, 1)], 6.9 s for [(24, 2)], 168 s for [(40, 2)].
+# commutant prints about 90 bytes an entry: 2^22 entries take 9 s and
+# 391 MB.
 _MAX_DENSE_N = 1024
 _MAX_SAMPLE_N, _MAX_SAMPLE_M = 512, 32
 _MAX_CODIM_ALPHA = 40

@@ -21,9 +21,10 @@ exactly:
   * Omega as a matrix, and
   * the block-coordinate backward identity F = Omega^T E Omega.
 
-symmetric_block and transition_matrix build their block from entries
-formed before the walk; that the symmetric block equals P J P^{-1} is
-checked by the tests, not at run time.  symmetric_block builds each
+symmetric_block lays its block out as an integer grid over one
+denominator, and transition_matrix builds its block from entries formed
+before the walk; that the symmetric block equals P J P^{-1} is checked
+by the tests, not at run time.  symmetric_block builds each
 (alpha, lam) block once and symmetric_form each S once per structure,
 handing out the same immutable object.  E, Omega and F are laid out from
 index lists, and Q = P Omega X Omega^T P^{-1} is formed from a block
@@ -33,12 +34,13 @@ Toeplitz X by index too (_conjugate_by_transition), without building P.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, StructureError
-from .matrices import (ExactMatrix, _permutation, _reduced, _sparse_rows,
-                       direct_sum)
-from .scalars import (ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, _coerce,
+from .matrices import (_Z4, ExactMatrix, _permutation, _reduced,
+                       _sparse_rows, direct_sum)
+from .scalars import (ExactScalar, IMAG, ONE, SQRT2, ZERO, _coerce,
                       parse_scalar)
 
 
@@ -233,12 +235,10 @@ def jordan_block(n: int, lam) -> ExactMatrix:
         n, n, lambda i, j: lam if i == j else (ONE if j == i + 1 else ZERO))
 
 
-# block-independent entries: 1/sqrt2, i/sqrt2 and their sum, and +-i/2
+# block-independent entries of P: 1/sqrt2, i/sqrt2 and their sum
 _W = SQRT2.inverse()
 _IW = IMAG * _W
 _CENTRE = _W + _IW
-_IHALF = IMAG * HALF
-_MINUS_IHALF = -_IHALF
 
 
 def transition_matrix(alpha: int) -> ExactMatrix:
@@ -268,18 +268,21 @@ def symmetric_block(n: int, lam) -> ExactMatrix:
 
 @lru_cache(maxsize=64)
 def _symmetric_block(n: int, lam: ExactScalar) -> ExactMatrix:
-    anti = {n - 2: _MINUS_IHALF, n: _IHALF}
-    meet = {k: (HALF if n % 2 else lam) + x for k, x in anti.items()}
-
-    def entry(i, j):
-        k = i + j
-        if abs(i - j) <= 1 and k in meet:
-            return meet[k]
-        if i == j:
-            return lam
-        return HALF if abs(i - j) == 1 else anti.get(k, ZERO)
-
-    return ExactMatrix.build(n, n, entry)
+    # laid out as an integer grid over den = 2 lcm(denominators of lam):
+    # half stands for 1/2, the anti-diagonals add -+i/2 onto what is there
+    half = lcm(*(q.denominator for q in (lam.a, lam.b, lam.c, lam.d)))
+    diag = tuple(q.numerator * (2 * half // q.denominator)
+                 for q in (lam.a, lam.b, lam.c, lam.d))
+    grid = [[_Z4] * n for _ in range(n)]
+    for i in range(n):
+        grid[i][i] = diag
+        if i:
+            grid[i][i - 1] = grid[i - 1][i] = (half, 0, 0, 0)
+    for k, b in ((n - 2, -half), (n, half)):
+        for i in range(max(0, k - n + 1), min(n, k + 1)):
+            a0, b0, c0, d0 = grid[i][k - i]
+            grid[i][k - i] = (a0, b0 + b, c0, d0)
+    return _reduced(n, n, tuple(map(tuple, grid)), 2 * half)
 
 
 # ---------------------------------------------------------------------------

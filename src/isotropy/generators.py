@@ -42,9 +42,9 @@ from .errors import (
 from .forms import SegreStructure
 from .matrices import ExactMatrix, identity as dense_identity
 from .scalars import ExactScalar, HALF, rat
-from .solver import (FreeParams, _check_keys, _need_single,
-                     _require_congruence, _slots, constant_data,
-                     solve_congruence)
+from .solver import (FreeParams, _check_keys, _diagonal_blocks,
+                     _need_single, _require_congruence, _slots,
+                     constant_data, solve_congruence)
 from .toeplitz import ToeplitzForm, _strip_of
 
 __all__ = [
@@ -144,8 +144,9 @@ def gen_two_block(alpha: int, beta: int, k: int, coupling: ExactMatrix,
     """
     if not (alpha > beta >= 1):
         raise ParameterError("need alpha > beta >= 1")
+    b_diag = _diagonal_blocks((b, c), 2)
     st = SegreStructure(0, [(alpha, b.rows), (beta, c.rows)])
-    return tuple(gen_G(st, 0, 1, k, f, [b, c]).assemble()
+    return tuple(gen_G(st, 0, 1, k, f, b_diag).assemble()
                  for f in (coupling, -coupling))
 
 

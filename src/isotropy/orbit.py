@@ -25,14 +25,27 @@ S X - X S unchanged: each component's grid is taken less its first
 diagonal entry, and the pair keeps the difference of the two entries.
 So two blocks of given sizes and one eigenvalue have the same key
 whatever the eigenvalue is.  _pair_rank builds its system from that key
-alone, as rows of integer 4-tuples, and ranks it by the fraction-free
-kernel of matrices.py.  As it reads nothing else, a rank cached under a
-key is exact for every pair with that key, in any structure: the key
-holds the full grids, never a digest of them.  The cache keeps 1024
-ranks; a ladder of canonical structures up to n = 18 needs a few dozen.
+alone.  As it reads nothing else, a rank cached under a key is exact for
+every pair with that key, in any structure: the key holds the full
+grids, never a digest of them.  The cache keeps 1024 ranks; a ladder of
+canonical structures up to n = 18 needs a few dozen.
 Acceptance check 7 (the commutant: the kernel of X -> S X - X S on all
 X) goes through the same routine over ordered pairs, with the block of A
 with itself taken on all X.
+
+A pair system is first ranked over F_p, for one prime p = 1 (mod 8),
+where -1 and 2 have square roots: sending i and sqrt2 to them is a ring
+map Z[i, sqrt2] -> F_p, so each minor of the system's image is the image
+of a minor, and the rank over F_p is at most the rank, which is at most
+the number of rows or of columns.  A rank over F_p equal to the smaller of
+the two is therefore the rank.  That is tried only where full rank is
+expected: a canonical block's skew self-pair (no skew matrix commutes
+with it), and two components apart in eigenvalue (their Sylvester map
+is invertible), told apart by their traces.  Two components of one
+eigenvalue always have a Sylvester kernel, so their system, and any the
+prime leaves unsettled, goes to the fraction-free kernel of matrices.py
+as rows of integer 4-tuples.  The rule and the prime decide the time
+taken, never the rank.
 """
 
 from functools import lru_cache
@@ -132,6 +145,95 @@ def _add(row, col, sign, x):
                     r[2] + sign * x[2], r[3] + sign * x[3])
 
 
+# F_p for one prime p = 1 (mod 8), below 2^30 so that a residue is one
+# digit of a Python int; _IP^2 = -1 and _RP^2 = 2 in F_p
+_P = 1073741689
+_IP = 206100978
+_RP = 344995499
+
+
+def _mod_p(x):
+    """The image in F_p of the integer 4-tuple x under i -> _IP and
+    sqrt2 -> _RP, a ring map Z[i, sqrt2] -> F_p."""
+    return (x[0] + x[1] * _IP + (x[2] + x[3] * _IP) * _RP) % _P
+
+
+def _apart(a, b, shift):
+    """Whether the two components of a pair key have different mean
+    eigenvalues, tr S_A / |A| != tr S_B / |B|: for canonical blocks, whose
+    trace is size times eigenvalue, whether their eigenvalues differ."""
+    na, nb = len(a), len(b)
+    return any(nb * sum(a[k][k][c] for k in range(na))
+               != na * (sum(b[k][k][c] for k in range(nb)) + nb * shift[c])
+               for c in range(4))
+
+
+def _rows_mod_p(a, b, shift, skew):
+    """The rows of the pair system of _pair_rank over F_p, as dicts from
+    column to nonzero residue, built from the nonzeros of a and b."""
+    na, nb = len(a), len(b)
+    a_rows = [[(p, y) for p, x in enumerate(r) if (y := _mod_p(x))]
+              for r in a]
+    b_cols = [[(q, y) for q in range(nb) if (y := _mod_p(b[q][l]))]
+              for l in range(nb)]
+    s = _mod_p(shift)
+    rows = []
+    for k in range(na):
+        for l in range(k if skew else 0, nb):
+            # (a Y - Y b - shift Y)[k][l] as (u, v, coefficient of Y_uv);
+            # with skew, Y_uv = -Y_vu and Y_uu = 0 (na = nb)
+            row = {}
+            for u, v, x in ([(p, l, y) for p, y in a_rows[k]]
+                            + [(k, q, -y) for q, y in b_cols[l]]
+                            + [(k, l, -s)]):
+                if skew and u >= v:
+                    if u == v:
+                        continue
+                    u, v, x = v, u, -x
+                row[u * nb + v] = (row.get(u * nb + v, 0) + x) % _P
+            rows.append({c: x for c, x in row.items() if x})
+    return rows
+
+
+def _rank_mod_p(rows, bound):
+    """The rank over F_p of the sparse rows, dicts from column to nonzero
+    residue (eliminated in place), or bound once it reaches it.
+
+    Each step takes the sparsest row left as the pivot row, and in it the
+    column that the fewest other rows hold, and clears that column from
+    those rows: on these banded systems the choice keeps the fill small."""
+    held = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            held.setdefault(c, set()).add(r)
+    left = set(range(len(rows)))
+    rank = 0
+    while rank < bound and left:
+        r = min(left, key=lambda r: len(rows[r]))
+        left.remove(r)
+        prow = rows[r]
+        for c in prow:
+            held[c].remove(r)
+        if not prow:
+            continue
+        c = min(prow, key=lambda c: len(held[c]))
+        inv = pow(prow.pop(c), -1, _P)
+        for t in held.pop(c):
+            row = rows[t]
+            f = row.pop(c) * inv % _P
+            for j, x in prow.items():
+                y = (row.get(j, 0) - f * x) % _P
+                if y:
+                    if j not in row:
+                        held[j].add(t)
+                    row[j] = y
+                else:
+                    del row[j]
+                    held[j].remove(t)
+        rank += 1
+    return rank
+
+
 @lru_cache(maxsize=1024)
 def _pair_rank(a: tuple, b: tuple, shift: tuple, skew: bool) -> int:
     """Exact rank of the part of X -> S X - X S that couples two components
@@ -142,12 +244,25 @@ def _pair_rank(a: tuple, b: tuple, shift: tuple, skew: bool) -> int:
     is the Sylvester map Y -> a Y - Y (b + shift I) on all |A| x |B|
     matrices Y, the block of X between A and B.  With skew, B is A (b is a,
     shift is 0) and the map takes the skew Y to the upper triangle of its
-    symmetric image.  The system is built from the key alone and ranked by
-    _fraction_free, so a cached rank is the rank of every pair with this
-    key, such as two blocks of given sizes and one eigenvalue, whatever the
-    eigenvalue.
+    symmetric image.  The system is built from the key alone, so a cached
+    rank is the rank of every pair with this key, such as two blocks of
+    given sizes and one eigenvalue, whatever the eigenvalue.
+
+    Where full rank is expected, on a skew self-pair and on components
+    apart in eigenvalue (_apart), the system is first ranked over F_p
+    (_mod_p is a ring map, so rank_p <= rank <= min(rows, cols)), and a
+    rank_p of min(rows, cols) is returned as the rank.  Otherwise, on two
+    components of one eigenvalue, which always share a Sylvester kernel,
+    or when the prime falls short, the system is built as rows of integer
+    4-tuples and ranked by _fraction_free.
     """
     na, nb = len(a), len(b)
+    if skew or _apart(a, b, shift):
+        rows = _rows_mod_p(a, b, shift, skew)
+        cols = na * (na - 1) // 2 if skew else na * nb
+        bound = min(len(rows), cols)
+        if _rank_mod_p(rows, bound) == bound:
+            return bound
     rows = []
     for k in range(na):
         # with skew the image is symmetric: its upper triangle holds it all

@@ -161,15 +161,28 @@ def constant_data(structure: SegreStructure,
     coefficients (B_r, 0, ..., 0); without b_diag, B_r = I and this is the
     identity data.  Built and checked once per structure and blocks."""
     _need_single(structure)
-    return _constant_data(structure, None if b_diag is None else tuple(b_diag))
+    return _constant_data(structure, None if b_diag is None else
+                          _diagonal_blocks(b_diag, structure.part_count))
+
+
+def _diagonal_blocks(b_diag, count: int) -> tuple:
+    """b_diag as a tuple, after the checks that it holds count blocks and
+    that each is an ExactMatrix: constant_data and gen_two_block run them
+    first, and _constant_data checks each block's shape and values."""
+    b_diag = tuple(b_diag)
+    if len(b_diag) != count:
+        raise ParameterError(
+            f"need {count} diagonal blocks, got {len(b_diag)}")
+    for r, mat in enumerate(b_diag):
+        if not isinstance(mat, ExactMatrix):
+            raise ParameterError(f"diagonal block {r} must be an ExactMatrix, "
+                                 f"got {type(mat).__name__}")
+    return b_diag
 
 
 @lru_cache(maxsize=4)
 def _constant_data(structure: SegreStructure, b_diag) -> CongruenceData:
     if b_diag is not None:
-        if len(b_diag) != structure.part_count:
-            raise ParameterError(
-                f"need {structure.part_count} diagonal blocks, got {len(b_diag)}")
         for r, mat in enumerate(b_diag):
             m = structure.mults[r]
             if mat.rows != m or mat.cols != m:
@@ -433,6 +446,9 @@ def verify_congruence(data: CongruenceData,
     B = C = I a success marks x as a verified member of its structure's
     group, so that group operations need not check it again.
     """
+    if not isinstance(x, ToeplitzForm):
+        raise ParameterError(
+            f"verify_congruence needs a ToeplitzForm, got {type(x).__name__}")
     if x.structure != data.structure:
         raise StructureError("form and data live on different structures")
     bx = x if data.b_is_identity else data.b_form * x

@@ -259,6 +259,23 @@ def test_codim_refusal_bytes(capsys):
     assert got == _RUN_DIGESTS[("codim", "TOO_LONG")]
 
 
+# codim on one long block at eigenvalues 0, 1 and i: one digest per size,
+# of the three runs together.
+_LONG_CODIM_DIGESTS = {
+    16: "84a777b6dc0a07a2e84e6d3d009359bb2c2333de02a2e8d8de983369ca552314",
+    24: "4d8d597812c731cfc8a726e3a0115cb1feb49c1d5b433ece4b50a6b3c72aa855",
+    32: "b2f438eb888a9abb5f91579aca092d8f277747ca06e06dbe4f89d7ddea949889",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(_LONG_CODIM_DIGESTS))
+def test_codim_bytes_on_one_long_block(capsys, alpha):
+    got = _runs_digest(capsys, *(["codim", "--structure",
+                                  _structure(lam, [(alpha, 1)])]
+                                 for lam in ("0", "1", "i")))
+    assert got == _LONG_CODIM_DIGESTS[alpha]
+
+
 # The structure commands at eigenvalue 1/2: one digest per command, over
 # every shape in turn.
 _HALF_DIGESTS = {
@@ -459,6 +476,20 @@ _LIBRARY_ERRORS = {
     "factor_unipotent dense": (
         "ParameterError", "factor_unipotent needs a ToeplitzForm, "
         "got ExactMatrix"),
+    "verify_congruence dense": (
+        "ParameterError", "verify_congruence needs a ToeplitzForm, "
+        "got ExactMatrix"),
+    "b_diag not a matrix": ("ParameterError",
+                            "diagonal block 0 must be an ExactMatrix, got int"),
+    "gen_V b_diag not a matrix": (
+        "ParameterError", "diagonal block 1 must be an ExactMatrix, got str"),
+    "gen_G b_diag not a matrix": (
+        "ParameterError", "diagonal block 1 must be an ExactMatrix, got list"),
+    "gen_two_block b not a matrix": (
+        "ParameterError", "diagonal block 0 must be an ExactMatrix, got int"),
+    "gen_two_block c not a matrix": (
+        "ParameterError",
+        "diagonal block 1 must be an ExactMatrix, got NoneType"),
 }
 
 
@@ -469,10 +500,11 @@ def _library_calls(lam):
                           commutant_basis, commutant_dimension,
                           consistency_check, conjugate_by_omega,
                           describe_isotropy, factor_unipotent,
-                          free_parameter_count, gen_G, gen_V, gen_W,
-                          generator_from_spec, identity, parse_scalar,
+                          free_parameter_count, gen_G, gen_two_block, gen_V,
+                          gen_W, generator_from_spec, identity, parse_scalar,
                           random_free_params, sample_isotropy_element,
-                          solution_dimension, verify_isotropy, zeros)
+                          solution_dimension, verify_congruence,
+                          verify_isotropy, zeros)
     from isotropy.solver import constant_data
 
     lam = parse_scalar(lam)
@@ -534,6 +566,16 @@ def _library_calls(lam):
         "ToeplitzForm.extract multi":
             lambda: ToeplitzForm.extract(identity(9), multi),
         "factor_unipotent dense": lambda: factor_unipotent(five, identity(5)),
+        "verify_congruence dense":
+            lambda: verify_congruence(constant_data(five), identity(5)),
+        "b_diag not a matrix": lambda: constant_data(five, [1, 2]),
+        "gen_V b_diag not a matrix": lambda: gen_V(five, [one, "x"], {}),
+        "gen_G b_diag not a matrix":
+            lambda: gen_G(five, 0, 1, 0, one, [one, [1]]),
+        "gen_two_block b not a matrix":
+            lambda: gen_two_block(3, 2, 0, one, 1, 1),
+        "gen_two_block c not a matrix":
+            lambda: gen_two_block(3, 2, 0, one, one, None),
     }
 
 

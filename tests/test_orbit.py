@@ -10,12 +10,13 @@ from isotropy.forms import (MultiSegreStructure, SegreStructure,
                             codim_formula, enumerate_structures,
                             interleave_form, solution_dimension,
                             symmetric_form)
-from isotropy import matrices
-from isotropy.matrices import ExactMatrix, cayley_orthogonal, direct_sum
+from isotropy import matrices, orbit
+from isotropy.matrices import (ExactMatrix, cayley_orthogonal, direct_sum,
+                               identity)
 from isotropy.orbit import (OrbitReport, _components, _pair_rank,
                             consistency_check, tangent_oracle)
 from isotropy.rng import RandomSource
-from isotropy.scalars import IMAG, ONE, ZERO
+from isotropy.scalars import IMAG, ONE, SQRT2, ZERO
 from isotropy.stabilizer import _chain_tops
 
 from _oracles import (nullity, vectorize_commutant_system,
@@ -280,7 +281,11 @@ def test_ranking_one_long_block_makes_a_bounded_number_of_products(
 
     _pair_rank.cache_clear()
     monkeypatch.setattr(matrices, "_mul4", counted)
+    # the prime settles this system without a product: rank it as if it
+    # did not, so that the guard stays on the elimination
+    monkeypatch.setattr(orbit, "_rank_mod_p", lambda rows, bound: -1)
     report = consistency_check(_st([(16, 1)], 0))
+    _pair_rank.cache_clear()
     assert report.oracle_codim == 16
     assert calls <= 80_000
 
@@ -299,3 +304,117 @@ def test_orbit_report_validates_invariants():
         OrbitReport(st, 2, 2, 0, 1, 1)
     report = OrbitReport(st, 2, 2, 0, 1, 2)
     assert report == consistency_check(st)
+
+
+# ---------------------------------------------------------------------------
+# the rank over F_p: a certificate of full rank, else the exact kernel
+# ---------------------------------------------------------------------------
+
+
+def _triples(matrices):
+    """tangent_oracle on each matrix, from an empty rank cache."""
+    _pair_rank.cache_clear()
+    out = [tangent_oracle(s) for s in matrices]
+    _pair_rank.cache_clear()
+    return out
+
+
+def _bareiss_triples(monkeypatch, matrices):
+    """The same with the prime never settling a rank, so that every pair
+    system is ranked by the fraction-free kernel alone."""
+    with monkeypatch.context() as m:
+        m.setattr(orbit, "_rank_mod_p", lambda rows, bound: -1)
+        return _triples(matrices)
+
+
+def _counted(monkeypatch):
+    """Count the calls of _rank_mod_p and _fraction_free in orbit."""
+    calls = {"_rank_mod_p": 0, "_fraction_free": 0}
+    for name in calls:
+        def wrapper(*args, _f=getattr(orbit, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(orbit, name, wrapper)
+    return calls
+
+
+_ONE_R2 = ONE + SQRT2
+
+
+def test_prime_has_the_square_roots():
+    p = orbit._P
+    assert p % 8 == 1 and p < 1 << 30
+    assert all(p % d for d in range(2, int(p ** 0.5) + 1))
+    assert orbit._IP ** 2 % p == p - 1
+    assert orbit._RP ** 2 % p == 2
+
+
+def test_prime_oracle_equals_bareiss_on_every_partition_to_ten(monkeypatch):
+    forms = [symmetric_form(st) for n in range(1, 11)
+             for lam in (0, 1, IMAG, _ONE_R2)
+             for st in enumerate_structures(n, lam)]
+    assert _triples(forms) == _bareiss_triples(monkeypatch, forms)
+
+
+def _multi(*parts):
+    return MultiSegreStructure([_st(blocks, lam) for lam, blocks in parts])
+
+
+# two and three eigenvalues, 1 + sqrt2 among them: the shift between
+# components apart in eigenvalue holds sqrt2
+_APART = [
+    _multi((0, [(3, 1)]), (_ONE_R2, [(2, 1)])),
+    _multi((0, [(2, 2), (1, 1)]), (_ONE_R2, [(3, 1), (1, 1)])),
+    _multi((IMAG, [(4, 1), (2, 1)]), (1, [(4, 1)])),
+    _multi((_ONE_R2, [(3, 2)]), (-IMAG, [(2, 1), (1, 2)])),
+    _multi((0, [(2, 1), (1, 1)]), (1, [(2, 2)]), (_ONE_R2, [(3, 1)])),
+    _multi((IMAG, [(3, 1)]), (-IMAG, [(3, 1)]), (_ONE_R2, [(1, 3)])),
+]
+
+
+def _rotated(s):
+    """O^T s O for an orthogonal O with entries in Q(i, sqrt2): a Cayley
+    transform, then a rotation by pi/4 of the first two coordinates, so
+    that sqrt2 reaches the off-diagonal entries."""
+    n = s.rows
+    rnd = RandomSource(20240865 + n)
+    w = SQRT2.inverse()
+    rotation = direct_sum([ExactMatrix.from_rows([[w, w], [-w, w]]),
+                           identity(n - 2)])
+    o = cayley_orthogonal(rnd.skew(n)) * rotation
+    return o.transpose() * s * o
+
+
+# structures with a nontrivial isotropy group, so a tangent kernel
+_KERNEL = [_st([(2, 1), (1, 2)], 0), _st([(3, 1), (2, 1)], _ONE_R2),
+           _st([(2, 2), (1, 1)], IMAG), _st([(3, 1), (1, 3)], 1)]
+
+
+def test_prime_oracle_equals_bareiss_on_several_eigenvalues(monkeypatch):
+    forms = [symmetric_form(st) for st in _APART + list(_MULTI_STRUCTURES)]
+    assert _triples(forms) == _bareiss_triples(monkeypatch, forms)
+
+
+def test_prime_tried_on_dense_kernels_does_not_settle(monkeypatch):
+    dense = [_rotated(symmetric_form(st)) for st in _KERNEL]
+    want = _bareiss_triples(monkeypatch, dense)
+    assert all(kernel for _, _, kernel in want)
+    calls = _counted(monkeypatch)
+    for s, triple in zip(dense, want):
+        # one component: its skew self-pair is the whole system
+        assert set(_components(s)) == {0}
+        assert _triples([s]) == [triple]
+    assert calls == {"_rank_mod_p": len(dense), "_fraction_free": len(dense)}
+
+
+def test_prime_settles_full_rank_pairs_without_the_kernel(monkeypatch):
+    calls = _counted(monkeypatch)
+    # a skew self-pair: the 36 x 28 system of one block of size 8
+    assert _triples([symmetric_form(_st([(8, 1)], 0))]) == [(28, 8, 0)]
+    # two self-pairs and a pair apart in eigenvalue
+    assert _triples([symmetric_form(_APART[0])]) == [(10, 5, 0)]
+    assert calls == {"_rank_mod_p": 4, "_fraction_free": 0}
+    # a pair of one eigenvalue has a Sylvester kernel: no prime, Bareiss
+    assert _triples([symmetric_form(_st([(3, 1), (2, 1)], 0))]) \
+        == [(8, 7, 2)]
+    assert calls == {"_rank_mod_p": 6, "_fraction_free": 1}
