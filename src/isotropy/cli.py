@@ -7,9 +7,18 @@ same seed produce byte-identical bytes.
 
 Exit codes: 0 success, 1 verification answered false, 2 bad input
 (a request too large for memory included), 3 internal integrity failure.
+
+Start-up imports errors, forms, jsonio, matrices and scalars.  The other
+library modules are bound lazily and run only when a handler first reads
+from them, so a process compiles only what its command uses: dim and
+canonical nothing more, codim orbit, commutant toeplitz.  Each handler
+calls them module-qualified, and they sit in sys.modules from the start,
+so perfbench/spans.py, which wraps the package's modules from outside,
+still finds and wraps them.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
@@ -18,7 +27,6 @@ from .errors import IntegrityError, IsotropyError, MembershipError
 from .forms import (MultiSegreStructure, SegreStructure, backward_form,
                     codim_formula, interleave_form, solution_dimension,
                     symmetric_form, transition_form)
-from .generators import factor_unipotent, generator_from_spec
 from .jsonio import (description_to_json, dumps_canonical,
                      free_params_from_json, free_params_to_json,
                      generator_spec_from_json, generator_spec_to_json,
@@ -26,12 +34,31 @@ from .jsonio import (description_to_json, dumps_canonical,
                      structure_from_json, structure_to_json,
                      toeplitz_to_json)
 from .matrices import ExactMatrix
-from .orbit import consistency_check
-from .rng import RandomSource
-from .solver import constant_data, random_free_params
-from .stabilizer import (describe_isotropy, sample_isotropy_element,
-                         to_toeplitz_coordinates, verify_isotropy)
-from .toeplitz import commutant_basis
+
+
+def _lazy(name):
+    """The package module `name`, registered and bound on the package now,
+    as an import would, and run on the first read of one of its attributes
+    (a module already loaded is returned as is)."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    loader.exec_module(module)
+    return module
+
+
+generators = _lazy("generators")
+orbit = _lazy("orbit")
+rng = _lazy("rng")
+solver = _lazy("solver")
+stabilizer = _lazy("stabilizer")
+toeplitz = _lazy("toeplitz")
 
 
 def _unique_keys(pairs):
@@ -128,7 +155,8 @@ def _cmd_canonical(args):
 
 
 def _cmd_describe(args):
-    return description_to_json(describe_isotropy(_structure_of(args))), 0
+    desc = stabilizer.describe_isotropy(_structure_of(args))
+    return description_to_json(desc), 0
 
 
 def _cmd_dim(args):
@@ -145,7 +173,7 @@ def _cmd_codim(args):
             f"request too large: the largest block has size {alpha}, and "
             "codim ranks tangent systems only for blocks up to size "
             f"{_MAX_CODIM_ALPHA}")
-    report = consistency_check(st)
+    report = orbit.consistency_check(st)
     payload = orbit_report_to_json(report)
     return {"codimension": codim_formula(st), "report": payload}, 0
 
@@ -162,11 +190,11 @@ def _params_for_sampling(structure, args, rnd):
             return [free_params_from_json(p) for p in payload]
         return free_params_from_json(payload)
     if isinstance(structure, MultiSegreStructure):
-        return [random_free_params(constant_data(p), rnd,
-                                   max_num=2, max_den=2)
+        return [solver.random_free_params(solver.constant_data(p), rnd,
+                                          max_num=2, max_den=2)
                 for p in structure.parts]
-    return random_free_params(constant_data(structure), rnd,
-                              max_num=2, max_den=2)
+    return solver.random_free_params(solver.constant_data(structure), rnd,
+                                     max_num=2, max_den=2)
 
 
 def _params_digest(params) -> str:
@@ -188,9 +216,9 @@ def _cmd_sample(args):
             f"request too large: the largest multiplicity is {m}, and "
             f"sample takes orthogonal seeds only up to size {_MAX_SAMPLE_M}")
     seed = _seed_of(args)
-    rnd = RandomSource(seed)
+    rnd = rng.RandomSource(seed)
     params = _params_for_sampling(st, args, rnd)
-    q = sample_isotropy_element(st, params=params)
+    q = stabilizer.sample_isotropy_element(st, params=params)
     return {
         "matrix": matrix_to_json(q),
         "provenance": {
@@ -209,7 +237,7 @@ def _cmd_generators(args):
             "structure")
     spec = generator_spec_from_json(
         _load_json_argument(_require(args, "params", "generators")))
-    form = generator_from_spec(st, spec)
+    form = generators.generator_from_spec(st, spec)
     return {
         "spec": generator_spec_to_json(spec),
         "matrix": matrix_to_json(form.assemble()),
@@ -220,7 +248,7 @@ def _cmd_verify(args):
     st = _bounded_structure_of(args)
     q = matrix_from_json(
         _load_json_argument(_require(args, "matrix", "verify")))
-    member, report = verify_isotropy(st, q)
+    member, report = stabilizer.verify_isotropy(st, q)
     return {"member": member, "report": report}, 0 if member else 1
 
 
@@ -230,7 +258,7 @@ def _cmd_commutant(args):
         raise IsotropyError(
             "the commutant parameterization is per eigenvalue; pass a "
             "single structure")
-    dimension, builder = commutant_basis(st)
+    dimension, builder = toeplitz.commutant_basis(st)
     if dimension * st.n * st.n > _MAX_COMMUTANT_ENTRIES:
         raise IsotropyError(
             f"request too large: the commutant basis has {dimension} "
@@ -258,8 +286,8 @@ def _cmd_factor(args):
             "factorization is per eigenvalue; pass a single structure")
     q = matrix_from_json(
         _load_json_argument(_require(args, "matrix", "factor")))
-    form = to_toeplitz_coordinates(st, q)
-    core, specs = factor_unipotent(st, form)
+    form = stabilizer.to_toeplitz_coordinates(st, q)
+    core, specs = generators.factor_unipotent(st, form)
     return {
         "core": toeplitz_to_json(core),
         "factors": [generator_spec_to_json(s) for s in specs],

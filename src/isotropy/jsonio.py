@@ -13,10 +13,8 @@ import json
 
 from .errors import ParameterError, StructureError
 from .forms import MultiSegreStructure, SegreStructure
-from .generators import GeneratorSpec
 from .matrices import ExactMatrix
 from .scalars import format_scalar, parse_scalar
-from .solver import FreeParams
 
 
 def dumps_canonical(payload) -> str:
@@ -156,7 +154,7 @@ def _skews_from_json(skews_json) -> dict:
             for (r1, j), _, mat in _group_keys(skews_json, 2, "skews")}
 
 
-def free_params_to_json(params: FreeParams) -> dict:
+def free_params_to_json(params) -> dict:
     return {
         "sub": {f"{r + 1},{s + 1},{j}": matrix_to_json(mat)
                 for (r, s, j), mat in sorted(params.sub_blocks.items())},
@@ -166,7 +164,11 @@ def free_params_to_json(params: FreeParams) -> dict:
     }
 
 
-def free_params_from_json(payload) -> FreeParams:
+def free_params_from_json(payload):
+    # imported here, so that a command reading no params never loads the
+    # solver
+    from .solver import FreeParams
+
     payload = _expect_mapping(payload, "free params")
     sub_json = _expect_mapping(payload.get("sub", {}), "sub")
     seeds_json = _expect_mapping(payload.get("seeds", {}), "seeds")
@@ -182,14 +184,17 @@ def free_params_from_json(payload) -> FreeParams:
     return FreeParams(sub, seeds, _skews_from_json(skews_json))
 
 
-def generator_spec_to_json(spec: GeneratorSpec) -> dict:
+def generator_spec_to_json(spec) -> dict:
     if spec.kind == "diagonal_W":
         return {"kind": "W", "skews": _skews_to_json(spec.skews)}
     return {"kind": "G", "p": spec.p + 1, "t": spec.t + 1, "k": spec.k,
             "F": matrix_to_json(spec.coupling)}
 
 
-def generator_spec_from_json(payload) -> GeneratorSpec:
+def generator_spec_from_json(payload):
+    # imported here, like FreeParams above
+    from .generators import GeneratorSpec
+
     payload = _expect_mapping(payload, "generator spec")
     kind = payload.get("kind")
     if kind == "W":

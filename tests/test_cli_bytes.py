@@ -6,6 +6,11 @@ type, message) of calls that reach each shared input check."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -422,6 +427,93 @@ def test_keys_off_bytes(capsys, command, blocks, params):
     got = _runs_digest(capsys, *([command, "--structure", _structure(lam, blocks),
                                   "--params", params] for lam in LAMS))
     assert got == _CHECK_DIGESTS[f"{command}_keys_off"]
+
+
+# The console script in a fresh process, as `python -m isotropy.cli`, with
+# nothing of the package loaded before it: each command on one structure
+# at eigenvalue i, the bytes sample writes to --out, and three refusals
+# (an unknown command, a malformed flag, an --out in a missing
+# directory).  (stdout, stderr, exit code) of each run, with the --out
+# file's text after them.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+UNI_I = _structure("i", UNI_BLOCKS)
+G_SPEC_UNI = json.dumps({"kind": "G", "p": 1, "t": 2, "k": 0,
+                         "F": _m(1, 2, "1", "2")})
+_FRESH_DIGESTS = {
+    "canonical":
+        "229a6e81b936df69109ec84b8d9845212c22c9c55e380896a81a913d5c6ebf74",
+    "codim":
+        "323f55e6c71143423ef980c967da9ec64b1735e7abf5ac861e9d67c61f911349",
+    "commutant":
+        "c88d9c015b5a3b60b5803d1d189165dbaf62bf4418bae3878372739a05f65395",
+    "describe":
+        "8df6cace6eb421fa3dca74ed0f07025fc56315fa36fc61ba6ceebc322f97aacc",
+    "dim":
+        "5548fef21eb7069af09bc3a8c3307ebf7504c9bf4071cf3daa5fa44725588840",
+    "factor":
+        "e3927752c76d5d53f8334262709526e1d444e8fbb7800c37f6349d2609dd08b1",
+    "generators":
+        "408fd2f93b02e6d183e84c3330a8d2dda360116a7b88c13d48790c32e34f87d3",
+    "sample":
+        "2535e5eec7eb1e8a00d0076a5a88c277fc55af6664ebda2486de9855b8dc6109",
+    "sample --out":
+        "745967000004f4b12d92bf6c414bda67b44f96f02f8f3121e7c1afdbd5a4d24c",
+    "sample --params":
+        "3edfd3c97d6da9ae2ddd076de73f1c59477299416c9e704b6d5a7162f7fed50e",
+    "selftest":
+        "b0ca300546b62793bffe62daeb04334ce7456d1472d284d606992bb8afb13e79",
+    "verify":
+        "44ba45f2ddb8b655da9e71fc10f6d5d60201ee42332ab3ea813d0c0a19ad9dc7",
+    "malformed flag":
+        "41ffe9abfcf599cce7a956435733d5994fa2675ac77357fec17f96ec0688a9ea",
+    "unknown command":
+        "a16e1e00e250f39154a5eb3464b42e6339c63a5e30f8decd7538e6f60d24894c",
+    "unwritable --out":
+        "68f9f029b7f18d966b0c02dd5181b3a7510ce0179ef77434fa36d74a7ab5af8a",
+}
+
+
+def _fresh(cwd, *argv):
+    env = {k: v for k, v in os.environ.items() if k != "ISOTROPY_SEED"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "isotropy.cli", *argv], capture_output=True,
+        text=True, timeout=120, cwd=cwd, env=dict(env, PYTHONPATH=_SRC))
+    return [proc.stdout, proc.stderr, proc.returncode]
+
+
+def _matrix_of(run):
+    return json.dumps(json.loads(run[0])["matrix"])
+
+
+def test_fresh_process_bytes(tmp_path):
+    requests = {command: [command, "--structure", UNI_I]
+                for command in STRUCTURE_COMMANDS}
+    requests.update({
+        "sample": ["sample", "--structure", UNI_I, "--seed", "5"],
+        "sample --out": ["sample", "--structure", UNI_I, "--seed", "5",
+                         "--out", "out.json"],
+        "sample --params": ["sample", "--structure", UNI_I,
+                            "--params", UNI_PARAMS],
+        "generators": ["generators", "--structure", UNI_I,
+                       "--params", G_SPEC_UNI],
+        "selftest": ["selftest", "--max-n", "3", "--cases", "2"],
+        "unknown command": ["frobnicate"],
+        "malformed flag": ["dim", "--seed", "x"],
+        "unwritable --out": ["dim", "--structure", UNI_I,
+                             "--out", "missing/out.json"],
+    })
+    # two processes at a time: the runs are independent of each other
+    with ThreadPoolExecutor(2) as pool:
+        runs = dict(zip(requests, pool.map(
+            lambda argv: _fresh(tmp_path, *argv), requests.values())))
+    runs["sample --out"].append(
+        (tmp_path / "out.json").read_text(encoding="utf-8"))
+    runs["verify"] = _fresh(tmp_path, "verify", "--structure", UNI_I,
+                            "--matrix", _matrix_of(runs["sample"]))
+    runs["factor"] = _fresh(tmp_path, "factor", "--structure", UNI_I,
+                            "--matrix", _matrix_of(runs["sample --params"]))
+    got = {name: _digest(json.dumps(run)) for name, run in runs.items()}
+    assert got == _FRESH_DIGESTS
 
 
 # Library calls that reach one input check each: (exception type, message).

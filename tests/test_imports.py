@@ -3,7 +3,13 @@ every name a module imports is used there (names listed in __all__ count
 as used; the test modules are held to this too), every private
 module-level name is read somewhere in the package, every __all__ entry is
 bound in its module, and every public method is reached from the package
-or the benchmark."""
+or the benchmark.
+
+Two routes bind a name without a module-level import, and each counts only
+where the syntax tree of the module it names binds the name: the
+package's __getattr__ imports every public name on first access, and the
+command line binds some modules lazily (`name = _lazy("module")`) and
+reads names off them as attributes."""
 
 import ast
 from pathlib import Path
@@ -28,12 +34,24 @@ def _imported(tree):
     return names
 
 
+def _lazy_modules(tree):
+    """{bound name: (package module, line)} for every module-level
+    `name = _lazy("module")`."""
+    return {node.targets[0].id: (node.value.args[0].value, node.lineno)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id == "_lazy"}
+
+
 def _used(tree):
     """Names read anywhere, and the names listed in __all__.  A name that
-    appears only inside a quoted annotation does not count."""
+    appears only inside a quoted annotation, or is only assigned, does not
+    count."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
@@ -48,8 +66,10 @@ def _used(tree):
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)
+    imported = _imported(tree) | {
+        name: line for name, (_, line) in _lazy_modules(tree).items()}
     unused = sorted(f"{path.name}:{line} {name}"
-                    for name, line in _imported(tree).items()
+                    for name, line in imported.items()
                     if name not in used)
     assert not unused, "unused imports: " + ", ".join(unused)
 
@@ -85,20 +105,62 @@ def test_every_private_name_is_read():
     assert not dead, "private names never read: " + ", ".join(dead)
 
 
+def _bound(tree):
+    """Every name a module binds at module level: its defs, classes,
+    assignments and imports."""
+    return set(_defined(tree)) | {
+        alias.asname or alias.name.split(".")[0] for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names}
+
+
+def _module_tree(name):
+    path = _PACKAGE / f"{name}.py"
+    assert path.is_file(), f"no package module {name!r}"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _bound_on_access(tree):
+    """The names a module-level __getattr__ imports from package modules,
+    each kept only if the syntax tree of its module binds it."""
+    return {alias.asname or alias.name
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__getattr__"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+            if alias.name in _bound(_module_tree(node.module))}
+
+
 @pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_every_exported_name_is_bound(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    bound = set(_defined(tree)) | {
-        alias.asname or alias.name.split(".")[0] for node in tree.body
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names}
+    bound = _bound(tree) | _bound_on_access(tree)
     exported = {name for node in tree.body if isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)
                 for name in ast.literal_eval(node.value)}
     stale = sorted(exported - bound)
     assert not stale, f"{path.name}: __all__ names unbound: {stale}"
+
+
+def test_every_name_read_off_a_lazy_module_is_bound_there():
+    # a lazy module runs only when a command first reads from it, so a
+    # name it lacks would fail that command alone, at run time
+    missing = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lazy = {name: _bound(_module_tree(module))
+                for name, (module, _) in _lazy_modules(tree).items()}
+        missing += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in lazy
+                    and node.attr not in lazy[node.value.id]]
+    assert not missing, "names their lazy module does not bind: " + \
+        ", ".join(missing)
 
 
 def test_every_public_method_is_reached():
