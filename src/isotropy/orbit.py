@@ -33,19 +33,19 @@ Acceptance check 7 (the commutant: the kernel of X -> S X - X S on all
 X) goes through the same routine over ordered pairs, with the block of A
 with itself taken on all X.
 
-A pair system is first ranked over F_p, for one prime p = 1 (mod 8),
+A pair system is built once, as sparse rows of integer 4-tuples
+(_pair_rows), and first ranked over F_p, for one prime p = 1 (mod 8),
 where -1 and 2 have square roots: sending i and sqrt2 to them is a ring
 map Z[i, sqrt2] -> F_p, so each minor of the system's image is the image
 of a minor, and the rank over F_p is at most the rank, which is at most
 the number of rows or of columns.  A rank over F_p equal to the smaller of
 the two is therefore the rank.  That is tried only where full rank is
-expected: a canonical block's skew self-pair (no skew matrix commutes
-with it), and two components apart in eigenvalue (their Sylvester map
-is invertible), told apart by their traces.  Two components of one
-eigenvalue always have a Sylvester kernel, so their system, and any the
-prime leaves unsettled, goes to the fraction-free kernel of matrices.py
-as rows of integer 4-tuples.  The rule and the prime decide the time
-taken, never the rank.
+expected: a canonical block's skew self-pair (no skew matrix commutes with
+it), and two components apart in eigenvalue (their Sylvester map is
+invertible), told apart by their traces.  Two components of one eigenvalue
+always have a Sylvester kernel, so their rows, and any the prime leaves
+unsettled, go to the fraction-free kernel of matrices.py.  The rule and
+the prime decide the time taken, never the rank.
 """
 
 from functools import lru_cache
@@ -137,14 +137,6 @@ def _diff(x, y):
     return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
 
 
-def _add(row, col, sign, x):
-    """row[col] += sign * x, for integer 4-tuples."""
-    if any(x):
-        r = row[col]
-        row[col] = (r[0] + sign * x[0], r[1] + sign * x[1],
-                    r[2] + sign * x[2], r[3] + sign * x[3])
-
-
 # F_p for one prime p = 1 (mod 8), below 2^30 so that a residue is one
 # digit of a Python int; _IP^2 = -1 and _RP^2 = 2 in F_p
 _P = 1073741689
@@ -168,30 +160,32 @@ def _apart(a, b, shift):
                for c in range(4))
 
 
-def _rows_mod_p(a, b, shift, skew):
-    """The rows of the pair system of _pair_rank over F_p, as dicts from
-    column to nonzero residue, built from the nonzeros of a and b."""
-    na, nb = len(a), len(b)
-    a_rows = [[(p, y) for p, x in enumerate(r) if (y := _mod_p(x))]
-              for r in a]
-    b_cols = [[(q, y) for q in range(nb) if (y := _mod_p(b[q][l]))]
+def _pair_rows(a, b, shift, skew):
+    """The pair system of _pair_rank, built from the nonzeros of a and b:
+    one row per image entry, a dict from column u * nb + v, the unit E_uv
+    of Y, to a nonzero integer 4-tuple.  With skew (b is a) the rows are the
+    image's upper triangle, and column u * nb + v, u < v, is E_uv - E_vu."""
+    nb = len(b)
+    a_rows = [[(p, x) for p, x in enumerate(r) if any(x)] for r in a]
+    b_cols = [[(q, b[q][l]) for q in range(nb) if any(b[q][l])]
               for l in range(nb)]
-    s = _mod_p(shift)
     rows = []
-    for k in range(na):
+    for k in range(len(a)):
         for l in range(k if skew else 0, nb):
-            # (a Y - Y b - shift Y)[k][l] as (u, v, coefficient of Y_uv);
-            # with skew, Y_uv = -Y_vu and Y_uu = 0 (na = nb)
+            # (a Y - Y b - shift Y)[k][l] as (u, v, sign, x), sign * x the
+            # coefficient of Y_uv; with skew, Y_uv = -Y_vu and Y_uu = 0
             row = {}
-            for u, v, x in ([(p, l, y) for p, y in a_rows[k]]
-                            + [(k, q, -y) for q, y in b_cols[l]]
-                            + [(k, l, -s)]):
+            for u, v, sign, x in ([(p, l, 1, x) for p, x in a_rows[k]]
+                                  + [(k, q, -1, x) for q, x in b_cols[l]]
+                                  + [(k, l, -1, shift)]):
                 if skew and u >= v:
                     if u == v:
                         continue
-                    u, v, x = v, u, -x
-                row[u * nb + v] = (row.get(u * nb + v, 0) + x) % _P
-            rows.append({c: x for c, x in row.items() if x})
+                    u, v, sign = v, u, -sign
+                r = row.get(u * nb + v, _Z4)
+                row[u * nb + v] = (r[0] + sign * x[0], r[1] + sign * x[1],
+                                   r[2] + sign * x[2], r[3] + sign * x[3])
+            rows.append({c: x for c, x in row.items() if any(x)})
     return rows
 
 
@@ -248,38 +242,24 @@ def _pair_rank(a: tuple, b: tuple, shift: tuple, skew: bool) -> int:
     rank is the rank of every pair with this key, such as two blocks of
     given sizes and one eigenvalue, whatever the eigenvalue.
 
-    Where full rank is expected, on a skew self-pair and on components
-    apart in eigenvalue (_apart), the system is first ranked over F_p
-    (_mod_p is a ring map, so rank_p <= rank <= min(rows, cols)), and a
-    rank_p of min(rows, cols) is returned as the rank.  Otherwise, on two
-    components of one eigenvalue, which always share a Sylvester kernel,
-    or when the prime falls short, the system is built as rows of integer
-    4-tuples and ranked by _fraction_free.
+    The system is built once, by _pair_rows.  Where full rank is expected,
+    on a skew self-pair and on components apart in eigenvalue (_apart), its
+    rows are first ranked over F_p (_mod_p is a ring map, so rank_p <= rank
+    <= min(rows, cols)), and a rank_p of min(rows, cols) is returned as the
+    rank.  Otherwise, on two components of one eigenvalue, which always
+    share a Sylvester kernel, or when the prime falls short, the same rows,
+    laid out over the columns they use, are ranked by _fraction_free.
     """
-    na, nb = len(a), len(b)
+    rows = _pair_rows(a, b, shift, skew)
     if skew or _apart(a, b, shift):
-        rows = _rows_mod_p(a, b, shift, skew)
-        cols = na * (na - 1) // 2 if skew else na * nb
-        bound = min(len(rows), cols)
-        if _rank_mod_p(rows, bound) == bound:
+        na, nb = len(a), len(b)
+        bound = min(len(rows), na * (na - 1) // 2 if skew else na * nb)
+        if _rank_mod_p([{c: y for c, x in row.items() if (y := _mod_p(x))}
+                        for row in rows], bound) == bound:
             return bound
-    rows = []
-    for k in range(na):
-        # with skew the image is symmetric: its upper triangle holds it all
-        for l in range(k if skew else 0, nb):
-            # (a Y - Y b - shift Y)[k][l]; column p * nb + q is the unit E_pq
-            row = [_Z4] * (na * nb)
-            for p in range(na):
-                _add(row, p * nb + l, 1, a[k][p])
-            for q in range(nb):
-                _add(row, k * nb + q, -1, b[q][l])
-            _add(row, k * nb + l, -1, shift)
-            if skew:
-                # column (u, v), u < v, is the skew unit E_uv - E_vu
-                row = [_diff(row[u * na + v], row[v * na + u])
-                       for u in range(na) for v in range(u + 1, na)]
-            rows.append(row)
-    return _fraction_free(rows)[0]
+    used = sorted({c for row in rows for c in row})
+    return _fraction_free([[row.get(c, _Z4) for c in used]
+                           for row in rows])[0]
 
 
 def _pairwise_rank(s: ExactMatrix, skew: bool) -> int:

@@ -173,6 +173,14 @@ def q_grid(m):
              for x in (m[i, j] for j in range(m.cols))] for i in range(m.rows)]
 
 
+def c_grid(m):
+    """A package matrix free of sqrt2 as a grid of Fraction pairs (re, im),
+    read as q_grid reads it."""
+    grid = q_grid(m)
+    assert not any(x[2] or x[3] for row in grid for x in row)
+    return [[x[:2] for x in row] for row in grid]
+
+
 def q_str(x):
     """The package's string form of (a + b i) + (c + d i) sqrt2."""
     a, b, c, d = x

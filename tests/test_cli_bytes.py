@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from isotropy.cli import main
+from isotropy.cli import _COMMANDS, main
 
 THREE = ('{"lambda": "i", "blocks": [{"alpha": 3, "m": 1},'
          ' {"alpha": 2, "m": 2}, {"alpha": 1, "m": 1}]}')
@@ -237,7 +237,10 @@ def _runs_digest(capsys, *argvs):
     """sha256 of the (stdout, stderr, exit code) of each request in turn."""
     runs = []
     for argv in argvs:
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:  # argparse refuses a bad command line
+            code = stop.code
         out, err = capsys.readouterr()
         runs.append([out, err, code])
     return _digest(json.dumps(runs))
@@ -427,6 +430,69 @@ def test_keys_off_bytes(capsys, command, blocks, params):
     got = _runs_digest(capsys, *([command, "--structure", _structure(lam, blocks),
                                   "--params", params] for lam in LAMS))
     assert got == _CHECK_DIGESTS[f"{command}_keys_off"]
+
+
+# The faults kept fixed as examples in test_cli_properties.py: three
+# malformed requests, and four bad command lines, each on every command
+# after a valid request.  (stdout, stderr, exit code) of the runs of one
+# fault, hashed together.
+PAIR = {"lambda": "i", "blocks": [{"alpha": 2, "m": 1}, {"alpha": 1, "m": 1}]}
+EYE3 = _m(3, 3, "1", "0", "0", "0", "1", "0", "0", "0", "1")
+G_PAIR = {"kind": "G", "p": 1, "t": 2, "k": 0, "F": _m(1, 1, "1")}
+_MALFORMED = {
+    "lambda 1/0": ["describe", "--seed", "3", "--structure",
+                   json.dumps(dict(PAIR, **{"lambda": "1/0"}))],
+    "rows 0": ["verify", "--seed", "3", "--structure", json.dumps(PAIR),
+               "--matrix", json.dumps(dict(EYE3, rows=0))],
+    "p true": ["generators", "--seed", "3", "--structure", json.dumps(PAIR),
+               "--params", json.dumps(dict(G_PAIR, p=True))],
+}
+_BAD_FLAGS = {
+    "--bogus": ["--bogus"],
+    "--seed=2**64": [f"--seed={1 << 64}"],
+    "--out missing": ["--out", "missing/out.json"],
+    "--structure=--": ["--structure=--"],
+}
+_FAULT_DIGESTS = {
+    "lambda 1/0":
+        "08ee48d9c96e1e22f58aaecd21d6228d41cecd036777fe5ddf3ef1f415c0bfd9",
+    "p true":
+        "fad6381f30e256ae19cbda0889a21f1906013765bc264ab36c96d6d977b9d0a8",
+    "rows 0":
+        "ce6909b2994d55d7abb05e4ea2f7a72c575724fdac60c04f6a5e76ff15e0bdea",
+    "--bogus":
+        "fe02f4276609223b0d06855827b2199336e07e6f619d11835cde16bb50c2b6aa",
+    "--out missing":
+        "e73b200475b489a1abb8efaa4ea147aa009fcc11a829f55ebe87df97ffdc011b",
+    "--seed=2**64":
+        "b217b8c9dd1cd634bb088d29328329238f0659e3af6b4f783bded8659be9063b",
+    "--structure=--":
+        "7ffe7266afd1a51089f870786e46a7b7b7349f361811fc631a2b0264e00a6d83",
+}
+
+
+def _valid(command):
+    """A valid request for command, so that the fault is the only one."""
+    if command == "selftest":
+        return ["--max-n", "1", "--cases", "1"]
+    argv = ["--structure", json.dumps(PAIR)]
+    if command == "generators":
+        argv += ["--params", json.dumps(G_PAIR)]
+    elif command in ("verify", "factor"):
+        argv += ["--matrix", json.dumps(EYE3)]
+    return argv
+
+
+@pytest.mark.parametrize("fault", sorted(_MALFORMED) + sorted(_BAD_FLAGS))
+def test_fixed_fault_bytes(capsys, monkeypatch, tmp_path, fault):
+    # --out names a path under the working directory, which the error echoes
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ISOTROPY_SEED", raising=False)
+    argvs = ([_MALFORMED[fault]] if fault in _MALFORMED else
+             [[command, *_valid(command), *_BAD_FLAGS[fault]]
+              for command in sorted(_COMMANDS)])
+    assert _runs_digest(capsys, *argvs) == _FAULT_DIGESTS[fault]
+    assert list(tmp_path.iterdir()) == []
 
 
 # The console script in a fresh process, as `python -m isotropy.cli`, with

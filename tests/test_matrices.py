@@ -21,20 +21,6 @@ from isotropy.toeplitz import ToeplitzForm, conjugate_by_omega
 import _oracles as oracle
 
 
-def _to_oracle(m):
-    # package matrix -> oracle (Fraction re, Fraction im) grid; sqrt2-free only
-    out = []
-    for i in range(m.rows):
-        row = []
-        for j in range(m.cols):
-            x = m[i, j]
-            assert not (x.c or x.d)
-            row.append((Fraction(int(x.a.numerator), int(x.a.denominator)),
-                        Fraction(int(x.b.numerator), int(x.b.denominator))))
-        out.append(row)
-    return out
-
-
 def test_constructors_and_access():
     m = ExactMatrix.from_rows([[1, 2], [3, 4]])
     assert m.rows == 2 and m.cols == 2
@@ -68,8 +54,8 @@ def test_mul_matches_oracle_on_random_pairs():
     for _ in range(25):
         a = rs.matrix(3, 4)
         b = rs.matrix(4, 2)
-        got = _to_oracle(a * b)
-        want = oracle.mat_mul(_to_oracle(a), _to_oracle(b))
+        got = oracle.c_grid(a * b)
+        want = oracle.mat_mul(oracle.c_grid(a), oracle.c_grid(b))
         assert got == want
 
 
@@ -398,8 +384,8 @@ def test_rank_matches_oracle():
         r = rs.stream.randint(1, 5)
         c = rs.stream.randint(1, 5)
         m = rs.matrix(r, c)
-        assert m.rank() == oracle.rank(_to_oracle(m))
-        assert m.cols - m.rank() == oracle.nullity(_to_oracle(m))
+        assert m.rank() == oracle.rank(oracle.c_grid(m))
+        assert m.cols - m.rank() == oracle.nullity(oracle.c_grid(m))
 
 
 _to_q = oracle.q_grid

@@ -19,7 +19,7 @@ from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, SQRT2, ZERO
 from isotropy.stabilizer import _chain_tops
 
-from _oracles import (nullity, vectorize_commutant_system,
+from _oracles import (c_grid, nullity, vectorize_commutant_system,
                       vectorize_tangent_system)
 
 
@@ -80,26 +80,12 @@ def test_tangent_oracle_rejects_non_symmetric():
         tangent_oracle(ExactMatrix.from_rows([[0, 1]]))
 
 
-def _to_oracle(mat):
-    from fractions import Fraction
-    out = []
-    for i in range(mat.rows):
-        row = []
-        for j in range(mat.cols):
-            x = mat[i, j]
-            assert not (x.c or x.d)
-            row.append((Fraction(int(x.a.numerator), int(x.a.denominator)),
-                        Fraction(int(x.b.numerator), int(x.b.denominator))))
-        out.append(row)
-    return out
-
-
 def test_tangent_oracle_matches_independent_vectorization():
     rnd = RandomSource(20240862)
     for _ in range(6):
         s = rnd.symmetric(4)
         mine = tangent_oracle(s)[2]
-        theirs = nullity(vectorize_tangent_system(_to_oracle(s)))
+        theirs = nullity(vectorize_tangent_system(c_grid(s)))
         assert mine == theirs
 
 
@@ -144,7 +130,7 @@ def test_oracle_is_congruence_invariant():
 
 def _dense_tangent_reference(s):
     n = s.rows
-    kernel_dim = nullity(vectorize_tangent_system(_to_oracle(s)))
+    kernel_dim = nullity(vectorize_tangent_system(c_grid(s)))
     tangent_dim = n * (n - 1) // 2 - kernel_dim
     return tangent_dim, n * (n + 1) // 2 - tangent_dim, kernel_dim
 
@@ -220,11 +206,11 @@ def test_split_commutant_nullity_matches_dense_reference():
         for lam in (0, 1, IMAG):
             for st in enumerate_structures(n, lam):
                 s = symmetric_form(st)
-                want = nullity(vectorize_commutant_system(_to_oracle(s)))
+                want = nullity(vectorize_commutant_system(c_grid(s)))
                 assert _commutant_nullity(s) == want, st
     s = symmetric_form(_MULTI_STRUCTURES[0])
     assert _commutant_nullity(s) == nullity(
-        vectorize_commutant_system(_to_oracle(s)))
+        vectorize_commutant_system(c_grid(s)))
 
 
 def test_pair_rank_cache_cold_equals_warm():
@@ -328,13 +314,22 @@ def _bareiss_triples(monkeypatch, matrices):
 
 
 def _counted(monkeypatch):
-    """Count the calls of _rank_mod_p and _fraction_free in orbit."""
-    calls = {"_rank_mod_p": 0, "_fraction_free": 0}
+    """Count the calls of _pair_rows, _rank_mod_p and _fraction_free in
+    orbit, and the misses of the _pair_rank cache."""
+    calls = {"_pair_rows": 0, "_rank_mod_p": 0, "_fraction_free": 0}
     for name in calls:
         def wrapper(*args, _f=getattr(orbit, name), _name=name):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(orbit, name, wrapper)
+    calls["misses"] = 0
+
+    def ranked(*args):
+        misses = _pair_rank.cache_info().misses
+        out = _pair_rank(*args)
+        calls["misses"] += _pair_rank.cache_info().misses - misses
+        return out
+    monkeypatch.setattr(orbit, "_pair_rank", ranked)
     return calls
 
 
@@ -390,9 +385,23 @@ _KERNEL = [_st([(2, 1), (1, 2)], 0), _st([(3, 1), (2, 1)], _ONE_R2),
            _st([(2, 2), (1, 1)], IMAG), _st([(3, 1), (1, 3)], 1)]
 
 
+# two blocks each, of one eigenvalue and apart in it: conjugated one by one,
+# so that sqrt2 reaches the grids of both components of a Sylvester pair
+_TWO_BLOCKS = [((0, [(3, 1)]), (0, [(2, 1)])),
+               ((IMAG, [(2, 1)]), (IMAG, [(3, 1)])),
+               ((0, [(3, 1)]), (1, [(2, 1)])),
+               ((_ONE_R2, [(2, 1)]), (IMAG, [(3, 1)]))]
+
+
 def test_prime_oracle_equals_bareiss_on_several_eigenvalues(monkeypatch):
     forms = [symmetric_form(st) for st in _APART + list(_MULTI_STRUCTURES)]
+    pairs = [[symmetric_form(_st(blocks, lam)) for lam, blocks in pair]
+             for pair in _TWO_BLOCKS]
+    conjugates = [direct_sum([_rotated(s) for s in pair]) for pair in pairs]
+    assert all(len(set(_components(s))) == 2 for s in conjugates)
+    forms += conjugates
     assert _triples(forms) == _bareiss_triples(monkeypatch, forms)
+    assert _triples(conjugates) == _triples([direct_sum(p) for p in pairs])
 
 
 def test_prime_tried_on_dense_kernels_does_not_settle(monkeypatch):
@@ -404,7 +413,10 @@ def test_prime_tried_on_dense_kernels_does_not_settle(monkeypatch):
         # one component: its skew self-pair is the whole system
         assert set(_components(s)) == {0}
         assert _triples([s]) == [triple]
-    assert calls == {"_rank_mod_p": len(dense), "_fraction_free": len(dense)}
+    # the prime falls short on each, and Bareiss takes the same rows
+    n = len(dense)
+    assert calls == {"misses": n, "_pair_rows": n, "_rank_mod_p": n,
+                     "_fraction_free": n}
 
 
 def test_prime_settles_full_rank_pairs_without_the_kernel(monkeypatch):
@@ -413,8 +425,10 @@ def test_prime_settles_full_rank_pairs_without_the_kernel(monkeypatch):
     assert _triples([symmetric_form(_st([(8, 1)], 0))]) == [(28, 8, 0)]
     # two self-pairs and a pair apart in eigenvalue
     assert _triples([symmetric_form(_APART[0])]) == [(10, 5, 0)]
-    assert calls == {"_rank_mod_p": 4, "_fraction_free": 0}
+    assert calls == {"misses": 4, "_pair_rows": 4, "_rank_mod_p": 4,
+                     "_fraction_free": 0}
     # a pair of one eigenvalue has a Sylvester kernel: no prime, Bareiss
     assert _triples([symmetric_form(_st([(3, 1), (2, 1)], 0))]) \
         == [(8, 7, 2)]
-    assert calls == {"_rank_mod_p": 6, "_fraction_free": 1}
+    assert calls == {"misses": 7, "_pair_rows": 7, "_rank_mod_p": 6,
+                     "_fraction_free": 1}

@@ -1,7 +1,5 @@
 """Congruence solver tests: accumulators, sweep output, dimension counts."""
 
-from fractions import Fraction
-
 import pytest
 
 import _oracles as oracle
@@ -42,19 +40,6 @@ from isotropy.toeplitz import ToeplitzForm
 
 def _st(blocks):
     return SegreStructure(IMAG, blocks)
-
-
-def _to_oracle(mat):
-    out = []
-    for i in range(mat.rows):
-        row = []
-        for j in range(mat.cols):
-            x = mat[i, j]
-            assert not (x.c or x.d)
-            row.append((Fraction(int(x.a.numerator), int(x.a.denominator)),
-                        Fraction(int(x.b.numerator), int(x.b.denominator))))
-        out.append(row)
-    return out
 
 
 def _tampered(x, cells):
@@ -571,7 +556,7 @@ def test_solution_dimension_against_tangent_oracle():
     for n in range(1, 7):
         for st in enumerate_structures(n, lam=IMAG):
             s = symmetric_form(st)
-            system = oracle.vectorize_tangent_system(_to_oracle(s))
+            system = oracle.vectorize_tangent_system(oracle.c_grid(s))
             assert solution_dimension(st) == oracle.nullity(system)
 
 

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from isotropy.errors import (
@@ -24,18 +22,6 @@ def _power(m, n):
     out = identity(m.rows)
     for _ in range(n):
         out = out * m
-    return out
-
-
-def _to_oracle(m):
-    out = []
-    for i in range(m.rows):
-        row = []
-        for j in range(m.cols):
-            x = m[i, j]
-            assert not (x.c or x.d)
-            row.append((Fraction(str(x.a)), Fraction(str(x.b))))
-        out.append(row)
     return out
 
 
@@ -676,7 +662,8 @@ def test_commutant_dimension_examples():
 def test_commutant_dimension_matches_oracle_nullity():
     for n in range(1, 7):
         for st in enumerate_structures(n, lam=IMAG):
-            system = oracle.vectorize_commutant_system(_to_oracle(jordan_form(st)))
+            system = oracle.vectorize_commutant_system(
+                oracle.c_grid(jordan_form(st)))
             assert commutant_dimension(st) == oracle.nullity(system)
 
 
