@@ -15,7 +15,7 @@ from .generators import (catalan_coeff, catalan_series, factor_unipotent,
                          gen_G, gen_two_block, gen_V, gen_W,
                          generator_from_spec)
 from .matrices import ExactMatrix, identity
-from .orbit import _pairwise_rank, tangent_oracle
+from .orbit import _component_grids, _pairwise_rank, tangent_oracle
 from .rng import RandomSource
 from .scalars import ExactScalar, HALF, IMAG, ONE, ZERO
 from .solver import FreeParams, _slots, constant_data, verify_congruence
@@ -282,7 +282,7 @@ def check_catalan_identities() -> CheckResult:
 
 def _commutant_nullity(s: ExactMatrix) -> int:
     # the kernel of X -> S X - X S on all n x n matrices X
-    return s.rows * s.rows - _pairwise_rank(s, False)
+    return s.rows * s.rows - _pairwise_rank(_component_grids(s), False)
 
 
 def check_commutant_count(max_n=8) -> CheckResult:

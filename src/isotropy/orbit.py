@@ -33,6 +33,19 @@ Acceptance check 7 (the commutant: the kernel of X -> S X - X S on all
 X) goes through the same routine over ordered pairs, with the block of A
 with itself taken on all X.
 
+Equal keys give equal ranks, so the components come in groups of m equal
+copies, (key, m), and _pairwise_rank ranks each distinct pair of groups
+once, weighted by the component pairs it stands for: on skew X a group
+has m self-pairs and C(m, 2) pairs of two copies, two groups m_x m_y
+pairs; on all X each ordered pair of groups has m_x m_y.  Two feeds build
+the groups.  The dense feed (_component_grids, for tangent_oracle and
+check 7) finds the components of any symmetric S by union-find over its
+nonzero pattern.  The structure feed (_structure_grids, for
+consistency_check) reads one group per eigenvalue row of the layout from
+the cached canonical block, rescaled to the lcm of the block denominators
+as S lays it out: it builds no S, and its keys are the dense feed's on
+symmetric_form of the same structure.
+
 A pair system is built once, as sparse rows of integer 4-tuples
 (_pair_rows), and first ranked over F_p, for one prime p = 1 (mod 8),
 where -1 and 2 have square roots: sending i and sqrt2 to them is a ring
@@ -48,11 +61,14 @@ unsettled, go to the fraction-free kernel of matrices.py.  The rule and
 the prime decide the time taken, never the rank.
 """
 
+from collections import Counter
 from functools import lru_cache
+from math import lcm
 
 from .errors import IntegrityError, ParameterError
-from .forms import codim_formula, solution_dimension, symmetric_form
-from .matrices import _Z4, ExactMatrix, _fraction_free
+from .forms import (_layout, _symmetric_block, codim_formula,
+                    solution_dimension)
+from .matrices import _Z4, ExactMatrix, _fraction_free, _rescaled
 
 
 class OrbitReport:
@@ -114,22 +130,41 @@ def _components(s: ExactMatrix) -> list:
     return [find(i) for i in range(n)]
 
 
+def _shifted(grid) -> tuple:
+    """(c, grid - c I) for a square grid of integer 4-tuples, c its first
+    diagonal entry."""
+    c = grid[0][0]
+    return c, tuple(tuple(_diff(x, c) if i == j else x
+                          for j, x in enumerate(row))
+                    for i, row in enumerate(grid))
+
+
 def _component_grids(s: ExactMatrix) -> list:
-    """(c, S - c I) on each component of s, c the component's first diagonal
-    entry, as integer grids over the one denominator of s (its stored grid):
-    S at that component's rows and columns, in index order.  Components come
-    in order of their smallest index."""
+    """The dense feed of _pairwise_rank: [((c, S - c I), m)] over the
+    components of s, c the component's first diagonal entry, as integer
+    grids over the one denominator of s (its stored grid): S at that
+    component's rows and columns, in index order.  Equal (c, grid) are one
+    group of m copies; groups come in order of their smallest index."""
     grid = s._g
     members: dict = {}
     for i, label in enumerate(_components(s)):
         members.setdefault(label, []).append(i)
-    out = []
-    for idx in members.values():
-        c = grid[idx[0]][idx[0]]
-        out.append((c, tuple(
-            tuple(_diff(grid[i][j], c) if i == j else grid[i][j] for j in idx)
-            for i in idx)))
-    return out
+    return list(Counter(_shifted([[grid[i][j] for j in idx] for i in idx])
+                        for idx in members.values()).items())
+
+
+def _structure_grids(structure) -> list:
+    """The structure feed of _pairwise_rank: the groups of
+    _component_grids(symmetric_form(structure)), without building S.  Each
+    eigenvalue row (lam, alpha, m) is one group: its block, rescaled to the
+    lcm of the block denominators as direct_sum lays it out in S.  That
+    holds since a canonical block is connected (its first off-diagonals
+    hold 1/2), and two rows never have equal keys (equal sizes mean
+    distinct eigenvalues, and so distinct c)."""
+    rows = [(m, _symmetric_block(alpha, lam))
+            for lam, alpha, m, _ in _layout(structure)]
+    den = lcm(*(b._den for _, b in rows))
+    return [(_shifted(_rescaled(b._g, den // b._den)), m) for m, b in rows]
 
 
 def _diff(x, y):
@@ -262,20 +297,34 @@ def _pair_rank(a: tuple, b: tuple, shift: tuple, skew: bool) -> int:
                            for row in rows])[0]
 
 
-def _pairwise_rank(s: ExactMatrix, skew: bool) -> int:
-    """Exact rank of X -> S X - X S for a symmetric s, summed over the pairs
-    of components of s: on skew X into symmetric matrices over unordered
-    pairs (the image's block between B and A is the transpose of the one
-    between A and B), or on all X over ordered pairs."""
-    grids = _component_grids(s)
+def _pairwise_rank(groups: list, skew: bool) -> int:
+    """Exact rank of X -> S X - X S for a symmetric S given as groups of
+    equal components [((c, S - c I), m)] (_component_grids or
+    _structure_grids), summed over the pairs of components: on skew X into
+    symmetric matrices over unordered pairs (the image's block between B
+    and A is the transpose of the one between A and B), or on all X over
+    ordered pairs.  Each distinct pair of groups is ranked once, weighted by
+    the component pairs it stands for (module docstring)."""
     total = 0
-    for x, (ca, a) in enumerate(grids):
-        for y, (cb, b) in enumerate(grids):
-            if x == y:
-                total += _pair_rank(a, a, _Z4, skew)
-            elif x < y or not skew:
-                total += _pair_rank(a, b, _diff(cb, ca), False)
+    for x, ((ca, a), mx) in enumerate(groups):
+        for y, ((cb, b), my) in enumerate(groups):
+            if x != y:
+                if x < y or not skew:
+                    total += mx * my * _pair_rank(a, b, _diff(cb, ca), False)
+            elif not skew:
+                total += mx * mx * _pair_rank(a, a, _Z4, False)
+            else:
+                total += mx * _pair_rank(a, a, _Z4, True)
+                if mx > 1:
+                    total += mx * (mx - 1) // 2 * _pair_rank(a, a, _Z4, False)
     return total
+
+
+def _tangent_data(n: int, tangent_dim: int) -> tuple:
+    """(tangent_dim, oracle_codim, kernel_dim) at an n x n S: skew X has
+    n(n - 1)/2 coordinates, symmetric images n(n + 1)/2."""
+    return (tangent_dim, n * (n + 1) // 2 - tangent_dim,
+            n * (n - 1) // 2 - tangent_dim)
 
 
 def tangent_oracle(s: ExactMatrix):
@@ -287,29 +336,30 @@ def tangent_oracle(s: ExactMatrix):
     rank, summed over the pairs of components of S.  Works for any exact
     symmetric S, canonical or not.
     """
+    if not isinstance(s, ExactMatrix):
+        raise ParameterError(
+            f"tangent_oracle needs an ExactMatrix, got {type(s).__name__}")
     if not s.is_square:
         raise ParameterError(f"matrix is {s.rows}x{s.cols}, need square")
     if not s.is_symmetric:
         raise ParameterError("tangent oracle needs a symmetric matrix")
-    n = s.rows
     # X^T S + S X = S X - X S for skew X
-    tangent_dim = _pairwise_rank(s, True)
-    kernel_dim = n * (n - 1) // 2 - tangent_dim
-    oracle_codim = n * (n + 1) // 2 - tangent_dim
-    return tangent_dim, oracle_codim, kernel_dim
+    return _tangent_data(s.rows, _pairwise_rank(_component_grids(s), True))
 
 
 def consistency_check(structure) -> OrbitReport:
     """Compare the formula, the solver dimension, and the tangent oracle.
 
-    Any disagreement is an internal fault and raises IntegrityError; on
-    success the assembled OrbitReport comes back.  codim_formula checks
-    the structure's type first.
+    The oracle's rank is read from the structure's blocks (_structure_grids)
+    and equals tangent_oracle(symmetric_form(structure)), without building
+    S.  Any disagreement is an internal fault and raises IntegrityError; on
+    success the assembled OrbitReport comes back.  codim_formula checks the
+    structure's type first.
     """
     codim = codim_formula(structure)
     isotropy_dim = solution_dimension(structure)
-    tangent_dim, oracle_codim, kernel_dim = tangent_oracle(
-        symmetric_form(structure))
+    tangent_dim, oracle_codim, kernel_dim = _tangent_data(
+        structure.n, _pairwise_rank(_structure_grids(structure), True))
     if codim != oracle_codim:
         raise IntegrityError(
             f"formula codim {codim} != tangent oracle codim {oracle_codim}")

@@ -4,14 +4,17 @@ sampling and factorization.  Inputs are checked once too: the ranks
 constant_data takes are counted.  The sweep's plan, the strip's placement
 table and the flip's index map are built once per block shape, the flip
 map only by a flip, and the sparse rows of S once per structure; a form
-product and a form check build no dense matrix."""
+product and a form check build no dense matrix.  The tangent oracle ranks
+each distinct pair of block groups once, and the orbit check reads the
+structure's blocks without building S."""
 
 import pytest
 
-from isotropy import forms, generators, solver, stabilizer, toeplitz
+from isotropy import (forms, generators, orbit, solver, stabilizer,
+                      toeplitz)
 from isotropy.errors import IntegrityError
 from isotropy.forms import MultiSegreStructure, SegreStructure
-from isotropy.matrices import ExactMatrix
+from isotropy.matrices import ExactMatrix, direct_sum
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG
 from isotropy.solver import FreeParams, constant_data, solve_congruence
@@ -206,3 +209,39 @@ def test_the_codim_path_builds_no_flip_map():
         toeplitz.conjugate_by_omega(builder(cells), st, "to_toeplitz"), st)
     assert all(form.coefficient(*key) == mat for key, mat in cells.items())
     assert toeplitz._maps.cache_info().misses == 0
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """The _pair_rank lookups made while the test runs, and the calls that
+    build or label a dense S."""
+    calls = {"_pair_rank": 0, "symmetric_form": 0, "_per_copy": 0,
+             "_components": 0}
+    for module, name in ((orbit, "_pair_rank"), (forms, "symmetric_form"),
+                         (forms, "_per_copy"), (orbit, "_components")):
+        def counted(*args, _f=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_orbit_check_ranks_each_pair_of_rows_once(lookups):
+    # a row of m equal blocks is one group: its self-pairs and its pairs of
+    # two copies take one lookup each, a pair of rows one more, and no
+    # dense S is built or labelled
+    orbit.consistency_check(SegreStructure(IMAG, [(1, 64)]))
+    assert lookups["_pair_rank"] == 2
+    orbit.consistency_check(SegreStructure(IMAG, [(3, 4), (2, 1)]))
+    assert lookups["_pair_rank"] - 2 <= 2 * 2
+    assert lookups["symmetric_form"] == lookups["_per_copy"] \
+        == lookups["_components"] == 0
+
+
+def test_the_dense_oracle_groups_equal_blocks(lookups):
+    # 16 copies of one block: 16 self-pairs and 120 pairs of two copies
+    s = direct_sum([forms.symmetric_block(3, IMAG)] * 16)
+    st = SegreStructure(IMAG, [(3, 16)])
+    assert orbit.tangent_oracle(s) == (768, forms.codim_formula(st),
+                                       forms.solution_dimension(st))
+    assert lookups["_pair_rank"] == 2

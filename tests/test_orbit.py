@@ -13,8 +13,9 @@ from isotropy.forms import (MultiSegreStructure, SegreStructure,
 from isotropy import matrices, orbit
 from isotropy.matrices import (ExactMatrix, cayley_orthogonal, direct_sum,
                                identity)
-from isotropy.orbit import (OrbitReport, _components, _pair_rank,
-                            consistency_check, tangent_oracle)
+from isotropy.orbit import (OrbitReport, _component_grids, _components,
+                            _pair_rank, _structure_grids, consistency_check,
+                            tangent_oracle)
 from isotropy.rng import RandomSource
 from isotropy.scalars import IMAG, ONE, SQRT2, ZERO
 from isotropy.stabilizer import _chain_tops
@@ -78,6 +79,19 @@ def test_tangent_oracle_rejects_non_symmetric():
         tangent_oracle(ExactMatrix.from_rows([[0, 1], [0, 0]]))
     with pytest.raises(ParameterError):
         tangent_oracle(ExactMatrix.from_rows([[0, 1]]))
+
+
+@pytest.mark.parametrize("s, name", [([[1]], "list"), (None, "NoneType"),
+                                     ("x", "str")])
+def test_tangent_oracle_rejects_a_non_matrix(s, name):
+    with pytest.raises(ParameterError) as err:
+        tangent_oracle(s)
+    assert (type(err.value), str(err.value)) == (
+        ParameterError, f"tangent_oracle needs an ExactMatrix, got {name}")
+
+
+def test_tangent_oracle_on_the_empty_matrix():
+    assert tangent_oracle(direct_sum([])) == (0, 0, 0)
 
 
 def test_tangent_oracle_matches_independent_vectorization():
@@ -432,3 +446,41 @@ def test_prime_settles_full_rank_pairs_without_the_kernel(monkeypatch):
         == [(8, 7, 2)]
     assert calls == {"misses": 7, "_pair_rows": 7, "_rank_mod_p": 6,
                      "_fraction_free": 1}
+
+
+# ---------------------------------------------------------------------------
+# two feeds of one rank path: the structure's layout and a dense S
+# ---------------------------------------------------------------------------
+
+
+# eigenvalues of different denominators (the blocks' grids have
+# denominators 1 to 6 and 10), so that the structure feed rescales its
+# blocks to their lcm as S does
+_DENOMINATORS = [
+    _multi((0, [(2, 1), (1, 1)]), (ONE / 3, [(3, 1)])),
+    _multi((ONE / 3, [(2, 2), (1, 1)]), (IMAG / 2, [(3, 1), (1, 1)])),
+    _multi((0, [(3, 1)]), (ONE / 3, [(1, 2)]), (IMAG / 2, [(2, 1)])),
+    _multi((IMAG / 2, [(2, 1), (1, 2)]), (ONE / 3, [(2, 1)]),
+           (ONE * 2 / 5 + SQRT2, [(3, 1), (1, 1)])),
+    _multi((1, [(4, 1), (2, 2)]), (ONE / 4, [(2, 1)]), (IMAG / 2, [(1, 1)])),
+]
+
+
+def test_the_structure_feed_equals_the_dense_feed():
+    structures = [st for n in range(1, 11)
+                  for lam in (0, 1, IMAG, ONE / 2, _ONE_R2)
+                  for st in enumerate_structures(n, lam)]
+    for st in structures + _DENOMINATORS:
+        s = symmetric_form(st)
+        # the same groups in the same order: the skew pair of two groups is
+        # keyed in that order
+        assert _structure_grids(st) == _component_grids(s), st
+        _pair_rank.cache_clear()
+        report = consistency_check(st)
+        misses = _pair_rank.cache_info().misses
+        tangent, codim, kernel = tangent_oracle(s)
+        # the dense feed finds every rank the structure feed cached
+        assert _pair_rank.cache_info().misses == misses, st
+        assert report == OrbitReport(st, st.n, codim, kernel, tangent,
+                                     codim), st
+    _pair_rank.cache_clear()

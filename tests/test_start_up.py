@@ -170,7 +170,7 @@ def test_each_command_runs_only_the_modules_it_reads(tmp_path):
 # A module a handler imported only when it runs would go unwrapped.
 @pytest.mark.parametrize("command, span", [
     ("describe", "stabilizer.describe_isotropy"),
-    ("codim", "orbit.tangent_oracle")])
+    ("codim", "orbit.consistency_check")])
 def test_the_tracer_sees_the_modules_a_command_runs(command, span, tmp_path):
     trace = tmp_path / "trace.json"
     proc = subprocess.run(
