@@ -13,8 +13,8 @@ import json
 
 from .errors import ParameterError, StructureError
 from .forms import MultiSegreStructure, SegreStructure
-from .matrices import ExactMatrix
-from .scalars import format_scalar, parse_scalar
+from .matrices import _Z4, ExactMatrix
+from .scalars import _from_ints, format_scalar, parse_scalar
 
 
 def dumps_canonical(payload) -> str:
@@ -43,8 +43,10 @@ def _expect_count(payload, key, what, minimum=0):
 
 
 def matrix_to_json(mat: ExactMatrix) -> dict:
-    entries = [format_scalar(mat[i, j])
-               for i in range(mat.rows) for j in range(mat.cols)]
+    # a zero entry is "0", read off the grid without making a scalar
+    den = mat._den
+    entries = ["0" if x == _Z4 else format_scalar(_from_ints(*x, den))
+               for row in mat._g for x in row]
     return {"rows": mat.rows, "cols": mat.cols, "entries": entries}
 
 

@@ -157,14 +157,22 @@ def _structure_grids(structure) -> list:
     """The structure feed of _pairwise_rank: the groups of
     _component_grids(symmetric_form(structure)), without building S.  Each
     eigenvalue row (lam, alpha, m) is one group: its block, rescaled to the
-    lcm of the block denominators as direct_sum lays it out in S.  That
-    holds since a canonical block is connected (its first off-diagonals
-    hold 1/2), and two rows never have equal keys (equal sizes mean
-    distinct eigenvalues, and so distinct c)."""
-    rows = [(m, _symmetric_block(alpha, lam))
-            for lam, alpha, m, _ in _layout(structure)]
-    den = lcm(*(b._den for _, b in rows))
-    return [(_shifted(_rescaled(b._g, den // b._den)), m) for m, b in rows]
+    lcm of the block denominators as direct_sum lays it out in S, keyed by
+    _row_key.  That holds since a canonical block is connected (its first
+    off-diagonals hold 1/2), and two rows never have equal keys (equal
+    sizes mean distinct eigenvalues, and so distinct c)."""
+    rows = [(alpha, lam, m) for lam, alpha, m, _ in _layout(structure)]
+    den = lcm(*(_symmetric_block(alpha, lam)._den for alpha, lam, _ in rows))
+    return [(_row_key(alpha, lam, den), m) for alpha, lam, m in rows]
+
+
+@lru_cache(maxsize=256)
+def _row_key(alpha: int, lam, den: int) -> tuple:
+    """(c, block - c I) for the canonical block of size alpha at lam, its
+    grid rescaled to den, a multiple of the block's den: made once per
+    (alpha, lam, den), as blocks and dens recur across structures."""
+    block = _symmetric_block(alpha, lam)
+    return _shifted(_rescaled(block._g, den // block._den))
 
 
 def _diff(x, y):

@@ -37,7 +37,9 @@ def rat(num, den=None) -> Rational:
 class ExactScalar:
     """Immutable element of Q(i, sqrt2), stored as four rationals."""
 
-    __slots__ = ("a", "b", "c", "d")
+    # _hash: hash((a, b, c, d)), set on the first __hash__ call, so that
+    # caches keyed by an eigenvalue hash its four Fractions once
+    __slots__ = ("a", "b", "c", "d", "_hash")
 
     def __init__(self, a=0, b=0, c=0, d=0):
         if any(isinstance(v, float) for v in (a, b, c, d)):
@@ -136,7 +138,12 @@ class ExactScalar:
                 and self.c == other.c and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.a, self.b, self.c, self.d))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __bool__(self) -> bool:
         return not self.is_zero

@@ -24,7 +24,11 @@ each first coefficient.  A product is one integer product
 (_sum_of_products): the left strip times the dense rows of the right
 operand is the product's strip, and those rows are read off the right
 strip's nonzeros, each moved right by u cells while it stays inside its
-block (_moved_rows).  Neither builds an n x n matrix.
+block (_moved_rows).  Neither builds an n x n matrix.  The commutant builder
+(commutant_basis) goes the other way: from a sparse assignment, checked as
+from_sparse checks it (_check_sparse), it writes the dense copy-major
+matrix in one pass, each coefficient row as strided slices placed by the
+same table, with no strip, assembly or Omega permutation between.
 
 Weights add under products and stay below alpha_1, so a form whose
 nonzero coefficients all have weight >= 1 is nilpotent of index at most
@@ -154,6 +158,19 @@ def _check_block(structure: SegreStructure, r: int, s: int):
         raise ParameterError(f"block index ({r}, {s}) out of range")
 
 
+def _check_sparse(structure: SegreStructure, entries: Mapping):
+    """Check a sparse assignment {(r, s, j): m_r x m_s ExactMatrix}: every
+    key in range, in the assignment's order, then every cell, in key
+    order.  from_sparse and the commutant builder take it after this."""
+    for (r, s, j) in entries:
+        _check_block(structure, r, s)
+        if not (0 <= j < structure.depth(r, s)):
+            raise ParameterError(
+                f"coefficient index {j} out of range for block ({r}, {s})")
+    for key in sorted(entries):
+        _check_cell(structure, *key, entries[key])
+
+
 class ToeplitzForm:
     """Coefficient family {A_j^{rs}} of a block Toeplitz matrix.
 
@@ -211,8 +228,8 @@ class ToeplitzForm:
     @classmethod
     def identity(cls, structure: SegreStructure) -> "ToeplitzForm":
         _need_segre(structure)
-        return cls._from_strip(structure, _strip_of(structure, {
-            (r, r, 0): dense_identity(m) for r, m in enumerate(structure.mults)}))
+        return cls.from_sparse(structure, {
+            (r, r, 0): dense_identity(m) for r, m in enumerate(structure.mults)})
 
     @classmethod
     def from_sparse(cls, structure: SegreStructure,
@@ -220,13 +237,7 @@ class ToeplitzForm:
                     ) -> "ToeplitzForm":
         """Form with the given (r, s, j) -> matrix entries, zeros elsewhere."""
         _need_segre(structure)
-        for (r, s, j) in entries:
-            _check_block(structure, r, s)
-            if not (0 <= j < structure.depth(r, s)):
-                raise ParameterError(
-                    f"coefficient index {j} out of range for block ({r}, {s})")
-        for key in sorted(entries):
-            _check_cell(structure, *key, entries[key])
+        _check_sparse(structure, entries)
         return cls._from_strip(structure, _strip_of(structure, entries))
 
     # -- access -------------------------------------------------------
@@ -432,13 +443,31 @@ def commutant_basis(structure: SegreStructure):
 
     Returns (dimension, builder).  builder maps a sparse assignment
     {(r, s, j): m_r x m_s ExactMatrix} to the dense copy-major matrix X
-    with J X = X J; omitted slots are zero.
+    with J X = X J; omitted slots are zero.  It is the Omega conjugate of
+    the assembled from_sparse form, written in one pass: row a of
+    coefficient (r, s, j) is, for each u with v = u + shift(r, s) + j <
+    alpha_s, dense row off_r + a alpha_r + u at the columns off_s + b
+    alpha_s + v, b < m_s, one strided slice, off_r where group r starts.
+    Rescaled to the lcm of the coefficient dens, it is canonical as the
+    strip is (_strip_of): every coefficient appears, at u = 0.
     """
     _need_segre(structure)
     dimension = commutant_dimension(structure)
+    blocks, n = structure.blocks, structure.n
+    _, shift, cols, _, _ = _placement(blocks)
 
     def builder(assignment: Mapping[tuple[int, int, int], ExactMatrix]) -> ExactMatrix:
-        form = ToeplitzForm.from_sparse(structure, assignment)
-        return conjugate_by_omega(form.assemble(), structure, "to_dense")
+        _check_sparse(structure, assignment)
+        den = lcm(*(x._den for x in assignment.values()))
+        rows = [[_Z4] * n for _ in range(n)]
+        for (r, s, j), x in assignment.items():
+            alpha_r, (alpha_s, m_s) = blocks[r][0], blocks[s]
+            top, left = cols[r][r], cols[s][s]
+            end = left + alpha_s * m_s
+            for a, part in enumerate(_rescaled(x._g, den // x._den)):
+                at = top + a * alpha_r
+                for u, v in enumerate(range(shift[r][s] + j, alpha_s)):
+                    rows[at + u][left + v:end:alpha_s] = part
+        return ExactMatrix(n, n, tuple(map(tuple, rows)), den)
 
     return dimension, builder

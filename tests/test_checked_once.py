@@ -4,14 +4,15 @@ sampling and factorization.  Inputs are checked once too: the ranks
 constant_data takes are counted.  The sweep's plan, the strip's placement
 table and the flip's index map are built once per block shape, the flip
 map only by a flip, and the sparse rows of S once per structure; a form
-product and a form check build no dense matrix.  The tangent oracle ranks
+product and a form check build no dense matrix, and the commutant builder
+writes its dense matrix in one pass.  The tangent oracle ranks
 each distinct pair of block groups once, and the orbit check reads the
 structure's blocks without building S."""
 
 import pytest
 
-from isotropy import (forms, generators, orbit, solver, stabilizer,
-                      toeplitz)
+from isotropy import (forms, generators, matrices, orbit, solver,
+                      stabilizer, toeplitz)
 from isotropy.errors import IntegrityError
 from isotropy.forms import MultiSegreStructure, SegreStructure
 from isotropy.matrices import ExactMatrix, direct_sum
@@ -209,6 +210,25 @@ def test_the_codim_path_builds_no_flip_map():
         toeplitz.conjugate_by_omega(builder(cells), st, "to_toeplitz"), st)
     assert all(form.coefficient(*key) == mat for key, mat in cells.items())
     assert toeplitz._maps.cache_info().misses == 0
+
+
+def test_the_commutant_builder_writes_the_dense_matrix_in_one_pass(
+        monkeypatch):
+    # no strip, no assembly and no permuted copy on the way to the dense
+    # copy-major matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("the builder took a second pass")
+
+    monkeypatch.setattr(toeplitz, "_strip_of", refuse)
+    monkeypatch.setattr(ToeplitzForm, "assemble", refuse)
+    monkeypatch.setattr(matrices, "_permuted", refuse)
+    monkeypatch.setattr(toeplitz, "_permuted", refuse)
+    rnd = RandomSource(20261021)
+    st = SegreStructure(IMAG, [(3, 2), (2, 1), (1, 1)])
+    _, builder = commutant_basis(st)
+    x = builder({(0, 1, 1): rnd.matrix(2, 1), (2, 0, 0): rnd.matrix(1, 2),
+                 (0, 0, 2): rnd.matrix(2, 2)})
+    assert (x.rows, x.cols) == (st.n, st.n) and not x.is_zero
 
 
 @pytest.fixture

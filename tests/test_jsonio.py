@@ -5,6 +5,7 @@ import pytest
 from isotropy.errors import ParameterError, ScalarParseError, StructureError
 from isotropy.forms import MultiSegreStructure, SegreStructure
 from isotropy.generators import GeneratorSpec
+from isotropy import jsonio
 from isotropy.jsonio import (description_to_json, dumps_canonical,
                              free_params_from_json, free_params_to_json,
                              generator_spec_from_json, generator_spec_to_json,
@@ -14,7 +15,7 @@ from isotropy.jsonio import (description_to_json, dumps_canonical,
 from isotropy.matrices import ExactMatrix, identity
 from isotropy.orbit import consistency_check
 from isotropy.rng import RandomSource
-from isotropy.scalars import IMAG, SQRT2, rat
+from isotropy.scalars import IMAG, SQRT2, _from_ints, format_scalar, rat
 from isotropy.solver import (constant_data, random_free_params,
                              solve_congruence)
 from isotropy.stabilizer import describe_isotropy
@@ -46,6 +47,21 @@ def test_matrix_json_shape():
     payload = matrix_to_json(identity(2))
     assert payload == {"rows": 2, "cols": 2,
                        "entries": ["1", "0", "0", "1"]}
+
+
+def test_matrix_json_writes_zeros_without_scalars(monkeypatch):
+    # every entry reads as format_scalar of the matrix entry, and only the
+    # nonzero ones are made into scalars
+    rnd = RandomSource(20261022)
+    m = ExactMatrix.from_rows(
+        [[rnd.scalar(with_sqrt2=True, max_den=6) if (i + j) % 3 else rat(0)
+          for j in range(5)] for i in range(4)])
+    want = [format_scalar(m[i, j]) for i in range(4) for j in range(5)]
+    made = []
+    monkeypatch.setattr(jsonio, "_from_ints",
+                        lambda *x: made.append(x) or _from_ints(*x))
+    assert matrix_to_json(m) == {"rows": 4, "cols": 5, "entries": want}
+    assert len(made) == sum(e != "0" for e in want) < 20
 
 
 def test_matrix_json_rejections():

@@ -484,3 +484,19 @@ def test_the_structure_feed_equals_the_dense_feed():
         assert report == OrbitReport(st, st.n, codim, kernel, tangent,
                                      codim), st
     _pair_rank.cache_clear()
+
+
+def test_a_row_key_is_made_once_per_size_eigenvalue_and_den():
+    # [(3, 1)] at 0 lays its block out over den 2; beside 1/3 at size 1 the
+    # same block is laid out over den 6, so a warm key under den 2 must not
+    # answer for it
+    orbit._row_key.cache_clear()
+    alone = _st([(3, 1)], 0)
+    beside = _multi((0, [(3, 1)]), (ONE / 3, [(1, 2)]))
+    for st in (alone, beside):
+        assert _structure_grids(st) == _component_grids(symmetric_form(st)), st
+    assert orbit._row_key.cache_info().misses == 3
+    # a second pass takes every key from the cache
+    for st in (alone, beside):
+        assert _structure_grids(st) == _component_grids(symmetric_form(st)), st
+    assert orbit._row_key.cache_info().misses == 3

@@ -180,3 +180,28 @@ def test_int_interop():
         ExactScalar(0.5)
     with pytest.raises(TypeError):
         rat(0.5)
+
+
+def test_hash_is_the_hash_of_the_parts():
+    # the hash is made once per scalar and is the one of its four parts, so
+    # equal scalars made in different ways hash alike
+    for x, y, _ in _triples(count=30, seed=11):
+        for z in (x, y, x * y, x + y):
+            # the first call keeps the hash, the second reads it back
+            assert [hash(z), hash(z)] == [hash((z.a, z.b, z.c, z.d))] * 2
+    built = [IMAG, ExactScalar(0, 1), parse_scalar("i"), -(-IMAG),
+             (ONE + IMAG) - ONE, SQRT2 * SQRT2 * IMAG / 2]
+    assert all(b == IMAG for b in built)
+    assert {hash(b) for b in built} == {hash((rat(0), rat(1), rat(0), rat(0)))}
+    assert hash(ExactScalar(2)) == hash(ExactScalar(rat(4, 2)))
+
+
+@pytest.mark.parametrize("name", ["a", "b", "c", "d", "_hash", "other"])
+def test_no_attribute_can_be_set(name):
+    x = ExactScalar(1, 2, 3, 4)
+    hash(x)
+    for y in (x, ExactScalar(rat(1, 3))):
+        with pytest.raises(AttributeError):
+            setattr(y, name, 5)
+    assert x == ExactScalar(1, 2, 3, 4)
+    assert hash(x) == hash((rat(1), rat(2), rat(3), rat(4)))

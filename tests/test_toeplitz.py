@@ -4,8 +4,8 @@ from isotropy.errors import (
     DimensionMismatchError, ParameterError, ShapeViolationError, StructureError,
 )
 from isotropy.forms import (
-    SegreStructure, block_backward_form, commutant_dimension,
-    enumerate_structures, interleave_form, jordan_form,
+    MultiSegreStructure, SegreStructure, block_backward_form,
+    commutant_dimension, enumerate_structures, interleave_form, jordan_form,
 )
 from isotropy.generators import gen_G, gen_W
 from isotropy.matrices import ExactMatrix, identity, zeros
@@ -683,3 +683,92 @@ def test_commutant_builder_output_commutes():
         x = builder(assignment)
         jf = jordan_form(st)
         assert jf * x == x * jf
+
+
+# the single-eigenvalue shapes of the codim benchmark ladder with n >= 14
+_CODIM_SHAPES = [
+    [(4, 1), (2, 4), (1, 2)], [(4, 2), (1, 6)], [(5, 1), (2, 3), (1, 3)],
+    [(4, 1), (3, 2), (1, 4)], [(4, 1), (3, 1), (2, 1), (1, 5)],
+    [(3, 2), (2, 3), (1, 3)], [(5, 1), (2, 2), (1, 5)],
+    [(4, 1), (2, 2), (1, 6)], [(3, 4), (2, 1)], [(2, 6), (1, 4)],
+    [(4, 1), (3, 1), (2, 2), (1, 3)], [(5, 1), (3, 2), (1, 3)],
+    [(2, 7), (1, 2)], [(3, 3), (2, 2), (1, 1)], [(3, 4), (1, 3)],
+    [(3, 3), (2, 2), (1, 3)], [(3, 2), (2, 2), (1, 6)],
+    [(3, 1), (2, 4), (1, 3)], [(2, 7), (1, 4)],
+]
+
+
+def _assignments(rnd, st):
+    """The empty assignment, every slot filled, and three random halves of
+    the slots (several j per block pair) with cell dens up to 1, 7 and
+    1e6, a zero cell now and then."""
+    slots = [(r, s, j) for r, s in _blocks(st) for j in range(st.depth(r, s))]
+
+    def cell(r, s, max_den):
+        if rnd.stream.below(8) == 0:
+            return zeros(st.mults[r], st.mults[s])
+        return rnd.matrix(st.mults[r], st.mults[s], with_sqrt2=True,
+                          max_den=max_den)
+
+    yield {}
+    yield {(r, s, j): cell(r, s, 5) for r, s, j in slots}
+    for max_den in (1, 7, 10 ** 6):
+        yield {(r, s, j): cell(r, s, max_den) for r, s, j in slots
+               if rnd.stream.below(2) == 0}
+
+
+def test_commutant_builder_is_the_conjugated_assembly():
+    # the one-pass builder writes, grid and den alike, the Omega conjugate
+    # of the assembled from_sparse form
+    rnd = RandomSource(20261020)
+    structures = [st for n in range(1, 9) for lam in (0, 1, IMAG)
+                  for st in enumerate_structures(n, lam)]
+    structures += [SegreStructure((0, 1, IMAG)[k % 3], blocks)
+                   for k, blocks in enumerate(_CODIM_SHAPES)]
+    for st in structures:
+        _, builder = commutant_basis(st)
+        for assignment in _assignments(rnd, st):
+            got = builder(assignment)
+            want = conjugate_by_omega(
+                ToeplitzForm.from_sparse(st, assignment).assemble(), st,
+                "to_dense")
+            assert (got.rows, got.cols, got._den, got._g) == (
+                want.rows, want.cols, want._den, want._g), (st, assignment)
+
+
+_ONE_BY_ONE = identity(1)
+
+
+@pytest.mark.parametrize("assignment, error", [
+    ({(2, 0, 0): _ONE_BY_ONE},
+     (ParameterError, "block index (2, 0) out of range")),
+    ({(0, -1, 0): _ONE_BY_ONE},
+     (ParameterError, "block index (0, -1) out of range")),
+    ({(0, 0, 2): _ONE_BY_ONE},
+     (ParameterError, "coefficient index 2 out of range for block (0, 0)")),
+    ({(1, 0, -1): identity(2)},
+     (ParameterError, "coefficient index -1 out of range for block (1, 0)")),
+    ({(0, 1, 0): identity(2)},
+     (DimensionMismatchError, "coefficient (0, 1, 0) must be 1x2, got 2x2")),
+    ({(1, 1, 0): [[1, 0], [0, 1]]},
+     (StructureError, "coefficient (1, 1, 0) is not an ExactMatrix")),
+    # cells are checked in key order
+    ({(1, 1, 0): "x", (0, 1, 0): identity(2)},
+     (DimensionMismatchError, "coefficient (0, 1, 0) must be 1x2, got 2x2")),
+], ids=["block", "negative-block", "j", "negative-j", "shape", "type",
+        "key-order"])
+def test_the_builder_and_from_sparse_refuse_alike(assignment, error):
+    st = SegreStructure(0, [(2, 1), (1, 2)])
+    _, builder = commutant_basis(st)
+    for build in (builder, lambda a: ToeplitzForm.from_sparse(st, a)):
+        with pytest.raises(Exception) as err:
+            build(assignment)
+        assert (type(err.value), str(err.value)) == error
+
+
+def test_the_builder_needs_one_eigenvalue():
+    multi = MultiSegreStructure([SegreStructure(0, [(1, 1)]),
+                                 SegreStructure(1, [(1, 1)])])
+    with pytest.raises(StructureError) as err:
+        commutant_basis(multi)
+    assert str(err.value) == "ToeplitzForm needs a single-eigenvalue structure"
