@@ -23,7 +23,12 @@ checks the diagonal blocks once per structure and blocks, and reads B_r
 off that data; the skew slots come from solver._slots.  A coupling form
 is built in one place (_coupling_form), as a strip written from cells the
 package computed out of checked inputs, without a second check of their
-ranges and shapes.  Every form a
+ranges and shapes.  Those cells are canonical (grid, den) pairs: the
+powers are integer products, and the Catalan coefficients enter as cached
+integer ratios (_catalan); gen_V halves a skew by doubling its den.
+factor_unipotent tests cells for zero on the residual's strip
+(ToeplitzForm._is_zero_at) and makes a coefficient matrix only for a cell it
+peels.  Every form a
 function here returns is verified once by solver._require_congruence:
 each generator, and factor_unipotent's core; the coupling forms
 factor_unipotent peels off internally are not.
@@ -31,6 +36,8 @@ factor_unipotent peels off internally are not.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
 from math import comb
 from typing import Mapping, Sequence
 
@@ -40,7 +47,8 @@ from .errors import (
     ParameterError,
 )
 from .forms import SegreStructure
-from .matrices import ExactMatrix, identity as dense_identity
+from .matrices import (ExactMatrix, _canonical, _identity_grid, _pair_mul,
+                       _reduced, _rescaled, _sparse_rows)
 from .scalars import ExactScalar, HALF, rat
 from .solver import (FreeParams, _check_keys, _diagonal_blocks,
                      _need_single, _require_congruence, _slots,
@@ -64,7 +72,16 @@ def catalan_coeff(n: int) -> ExactScalar:
     """a_n = -C(2n, n) / ((n + 1) 2^(2n+1)); a_0 = -1/2, a_1 = -1/8."""
     if n < 0:
         raise ParameterError("coefficient index must be nonnegative")
-    return ExactScalar(rat(-comb(2 * n, n), (n + 1) * 2 ** (2 * n + 1)))
+    return ExactScalar(rat(*_catalan(n)))
+
+
+@lru_cache(maxsize=64)
+def _catalan(n: int) -> tuple:
+    """a_n, n >= 0, as the integer ratio (numerator, denominator) in lowest
+    terms, denominator positive: made once per n, and what the coupling
+    cells multiply their integer grids by."""
+    q = rat(-comb(2 * n, n), (n + 1) * 2 ** (2 * n + 1))
+    return q.numerator, q.denominator
 
 
 def catalan_series(count: int) -> list[ExactScalar]:
@@ -116,10 +133,12 @@ def gen_V(structure: SegreStructure, b_diag: Sequence[ExactMatrix] | None,
     data = constant_data(structure, b_diag)
     skews = _checked_skews(structure, skews)
     zero = FreeParams.zero(structure)
-    # half a checked skew is skew: the skews are not checked again
+    # half a checked skew is skew, its grid over twice the den: the skews
+    # are not checked again
     return solve_congruence(data, FreeParams._of_skews(
         zero.sub_blocks, zero.diag_seeds,
-        {key: mat.scale(HALF) for key, mat in skews.items()}))
+        {key: _reduced(mat.rows, mat.cols, mat._g, 2 * mat._den)
+         for key, mat in skews.items()}))
 
 
 def gen_W(structure: SegreStructure, skews: Mapping) -> ToeplitzForm:
@@ -188,24 +207,33 @@ def _coupling_form(data, p: int, t: int, k: int,
     block (p,p): corrections a_{n-1} (B^-1 F^T C F)^n at offsets n(2k+alpha-beta);
     block (t,t): a_{n-1} (F B^-1 F^T C)^n at the same offsets;
     block (p,t): -B^-1 F^T C at offset k; block (t,p): F at offset k.
-    A product by B^-1 or C is skipped when it is the identity."""
+    A product by B^-1 or C is skipped when it is the identity.  Every cell
+    is a canonical pair (grid, den): each power is one integer product, and
+    a_{n-1} enters as its integer ratio (_catalan)."""
     structure = data.structure
-    alphas = structure.alphas
+    alphas, mults = structure.alphas, structure.mults
     b, c = data.b_coeffs[p][0], data.b_coeffs[t][0]
     lower = coupling.transpose()  # B^-1 F^T C
     if not b.is_identity:
         lower = b.inverse() * lower
     if not c.is_identity:
         lower = lower * c
-    cells = {(r, r, 0): dense_identity(m) for r, m in enumerate(structure.mults)}
-    cells[(p, t, k)], cells[(t, p, k)] = -lower, coupling
+    f, low = (coupling._g, coupling._den), (lower._g, lower._den)
+    cells = {(r, r, 0): (_identity_grid(m), 1) for r, m in enumerate(mults)}
+    cells[(p, t, k)], cells[(t, p, k)] = (_rescaled(low[0], -1), low[1]), f
     step = 2 * k + alphas[p] - alphas[t]
-    for r, z in ((p, lower * coupling), (t, coupling * lower)):
-        power = z  # z^n, one product per further offset
-        for n in range(1, (alphas[r] - 1) // step + 1):
+    for r, x, y in ((p, low, f), (t, f, low)):
+        count, m = (alphas[r] - 1) // step, mults[r]
+        if not count:
+            continue
+        z = _pair_mul(x, _sparse_rows(y[0]), y[1], m)  # z = x y
+        z_rows, power = _sparse_rows(z[0]), z  # z^n, one product per offset
+        for n in range(1, count + 1):
             if n > 1:
-                power = power * z
-            cells[(r, r, n * step)] = power.scale(catalan_coeff(n - 1))
+                power = _pair_mul(power, z_rows, z[1], m)
+            num, den = _catalan(n - 1)
+            cells[(r, r, n * step)] = _canonical(_rescaled(power[0], num),
+                                                 power[1] * den)
     return ToeplitzForm._from_strip(structure, _strip_of(structure, cells))
 
 
@@ -311,18 +339,18 @@ def factor_unipotent(structure: SegreStructure, y: ToeplitzForm,
             t = count - 1
             while t > p:
                 slot = pos - width + alphas[t]
-                coeff = residual.coefficient(t, p, slot)
-                if coeff.is_zero:
+                if residual._is_zero_at(t, p, slot):
                     t -= 1
                 else:
+                    coeff = residual._cell(t, p, slot)
                     used.append((p, t, slot, coeff))
                     residual = residual * _coupling_form(data, p, t, slot,
                                                          -coeff)
                     t = count - 1
 
-    for (r, s), entry in residual.coeffs.items():
-        for j, mat in enumerate(entry):
-            if r != s and not mat.is_zero:
+    for r, s in product(range(count), repeat=2):
+        for j in range(structure.depth(r, s)):
+            if r != s and not residual._is_zero_at(r, s, j):
                 raise IntegrityError(
                     f"sweep left block ({r}, {s}) coefficient {j} nonzero")
     if used:

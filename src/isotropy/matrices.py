@@ -23,7 +23,9 @@ ring Z[i, sqrt2]:
   ExactMatrix.__mul__, toeplitz.ToeplitzForm.__mul__ and the steps of the
   solver's sweep) multiply the grids (_grid_mul, on the nonzeros of each
   right row, _sparse_rows), accumulate every term over the lcm of the term
-  denominators and reduce once per result (_reduced).
+  denominators and reduce once per result (_reduced); the solver's sweep
+  and the generators keep the reduced (grid, den) pair itself (_pair_sum,
+  _pair_mul).
 - Rank and inverse share one fraction-free (Bareiss) elimination
   (_fraction_free; E. H. Bareiss, Sylvester's identity and multistep
   integer-preserving Gaussian elimination, Math. Comp. 22, 1968) over
@@ -46,6 +48,7 @@ work uniformly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -275,16 +278,22 @@ _ONE4 = (1, 0, 0, 0)
 
 def _reduced(rows: int, cols: int, grid: tuple, den: int) -> ExactMatrix:
     """The matrix grid / den, for rows of integer 4-tuples and a positive
-    den, in canonical form: divided through by one gcd of den and every
-    component, and den 1 for the zero matrix."""
-    if not any(map(any, chain.from_iterable(grid))):
-        return ExactMatrix(rows, cols, grid, 1)
-    g = _gcd_with(den, chain.from_iterable(grid))
-    if g != 1:
-        grid = tuple(tuple((a // g, b // g, c // g, d // g)
-                           for a, b, c, d in r) for r in grid)
-        den //= g
-    return ExactMatrix(rows, cols, grid, den)
+    den, in canonical form (_canonical)."""
+    return ExactMatrix(rows, cols, *_canonical(grid, den))
+
+
+def _canonical(grid: tuple, den: int) -> tuple:
+    """(grid, den) divided through by the gcd of den and every component,
+    taken row by row, so den 1 for a zero grid: the canonical pair of
+    grid / den, which the coefficient layer keeps without an ExactMatrix
+    around it."""
+    g = den
+    for row in grid:
+        g = gcd(g, *chain.from_iterable(row))
+        if g == 1:
+            return grid, den
+    return tuple(tuple((a // g, b // g, c // g, d // g) for a, b, c, d in r)
+                 for r in grid), den // g
 
 
 def _from_scalars(rows: int, cols: int, entries: list) -> ExactMatrix:
@@ -329,8 +338,31 @@ def _rescaled(grid: Sequence, f: int) -> Sequence:
 def _sparse_rows(y: Sequence) -> list:
     """The right operand of _grid_mul, made from the grid y: the nonzeros
     (j, a, b, c, d) of each row, and whether the row is Gaussian."""
-    nzs = [[(j,) + e for j, e in enumerate(row) if e != _Z4] for row in y]
-    return [(nz, not any(e[3] or e[4] for e in nz)) for nz in nzs]
+    out = []
+    for row in y:
+        nz = [(j, a, b, c, d) for j, (a, b, c, d) in enumerate(row)
+              if a or b or c or d]
+        out.append((nz, not any([e[3] or e[4] for e in nz])))
+    return out
+
+
+def _grid_of(acc: list) -> tuple:
+    """The grid of integer 4-tuples an accumulator of _grid_mul holds."""
+    return tuple(tuple(zip(*row)) for row in acc)
+
+
+def _identity_grid(m: int) -> tuple:
+    """The grid of the m x m identity."""
+    return tuple((_Z4,) * c + (_ONE4,) + (_Z4,) * (m - 1 - c)
+                 for c in range(m))
+
+
+@lru_cache(maxsize=64)
+def _identity_rows(m: int) -> list:
+    """The _sparse_rows of the m x m identity, made once per m (m small
+    lists, not the m x m grid): a term (x, _identity_rows(m), d) of
+    _sum_of_products is x / d."""
+    return _sparse_rows(_identity_grid(m))
 
 
 def _grid_mul(x: Sequence, y: list, cols: int, acc: list | None = None,
@@ -378,14 +410,35 @@ def _sum_of_products(terms: Sequence, rows: int, cols: int) -> ExactMatrix:
     """The sum of x y / d over the terms (x, y, d): a grid x, the
     _sparse_rows y of a grid and a nonzero integer d, which subtracts its
     term when negative; a rows x cols matrix, zero for no terms.  Each term
-    is accumulated in integers over the lcm of the |d|, and the sum is
-    reduced once."""
+    is accumulated in integers over the lcm of the |d| (_accumulate), and
+    the sum is reduced once (_pair_sum)."""
+    return ExactMatrix(rows, cols, *_pair_sum(terms, rows, cols))
+
+
+def _pair_sum(terms: Sequence, rows: int, cols: int) -> tuple:
+    """The canonical pair (grid, den) of the sum of _sum_of_products, which
+    the coefficient layer (the solver's sweep and the generators) keeps
+    without an ExactMatrix around it."""
+    acc, den = _accumulate(terms, rows, cols)
+    return _canonical(_grid_of(acc), den)
+
+
+def _pair_mul(x: tuple, y_rows: list, y_den: int, cols: int) -> tuple:
+    """The canonical pair of the product of the pair x = (grid, den) and
+    the grid over y_den, with cols columns, whose _sparse_rows are y_rows."""
+    return _pair_sum(((x[0], y_rows, x[1] * y_den),), len(x[0]), cols)
+
+
+def _accumulate(terms: Sequence, rows: int, cols: int) -> tuple:
+    """(acc, den): the sum of the terms of _sum_of_products is the grid acc
+    holds (an accumulator of _grid_mul) over den, the lcm of the |d|;
+    not reduced."""
     den = lcm(*(d for _, _, d in terms))
     acc = [[[0] * cols, [0] * cols, [0] * cols, [0] * cols]
            for _ in range(rows)]
     for xg, y, d in terms:
         _grid_mul(xg, y, cols, acc, den // d)
-    return _reduced(rows, cols, tuple(tuple(zip(*row)) for row in acc), den)
+    return acc, den
 
 
 def _fraction_free(m: list, jordan: bool = False) -> tuple:
@@ -530,7 +583,7 @@ def _permutation(perm: Iterable[int]) -> ExactMatrix:
 
 
 def identity(n: int) -> ExactMatrix:
-    return _permutation(range(n))
+    return ExactMatrix(n, n, _identity_grid(n))
 
 
 def diagonal(values: Iterable) -> ExactMatrix:

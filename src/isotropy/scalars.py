@@ -131,11 +131,23 @@ class ExactScalar:
     # -- comparisons / hashing ----------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
+        # part by part as integer pairs of reduced Fractions, without
+        # Fraction.__eq__: each cache hit keyed by an eigenvalue pays this
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return (a.numerator == e.numerator
+                and a.denominator == e.denominator
+                and b.numerator == f.numerator
+                and b.denominator == f.denominator
+                and c.numerator == g.numerator
+                and c.denominator == g.denominator
+                and d.numerator == h.numerator
+                and d.denominator == h.denominator)
 
     def __hash__(self):
         try:

@@ -11,8 +11,10 @@ distance p = 0 first and then ascending (_sweep); solve_congruence
 verifies the full congruence on the result before returning it, while
 sampling checks the dense matrix it returns instead.  The sweep is planned
 once per block shape (_plan), from the shifts of the strip's placement
-table (toeplitz._placement), and walked on raw integer grids, one integer
-accumulation per step; its right factors are the coefficients of X when B
+table (toeplitz._placement), and walked on canonical (grid, den) pairs
+(matrices.py), with no ExactMatrix between its steps: one integer
+accumulation per step, multiplied raw by the step's g and reduced once.
+One path serves every B: its right factors are the coefficients of X when B
 is the identity form (every sample and every gen_W / gen_V), else those of
 B X (_bx).
 
@@ -48,8 +50,9 @@ from .errors import (
     StructureError,
 )
 from .forms import SegreStructure
-from .matrices import (ExactMatrix, _is_member, _mark_member, _sparse_rows,
-                       _sum_of_products, identity as dense_identity,
+from .matrices import (ExactMatrix, _accumulate, _grid_of, _identity_rows,
+                       _is_member, _mark_member, _pair_mul, _pair_sum,
+                       _sparse_rows, identity as dense_identity,
                        zeros as dense_zeros)
 from .toeplitz import ToeplitzForm, _placement, _strip_of
 
@@ -98,7 +101,8 @@ def _check_side(structure: SegreStructure, coeffs, label: str):
 def _diagonal_form(structure: SegreStructure, side) -> ToeplitzForm:
     # side holds checked m_r x m_r coefficients, alpha_r of group r
     return ToeplitzForm._from_strip(structure, _strip_of(structure, {
-        (r, r, j): c for r, entry in enumerate(side) for j, c in enumerate(entry)}))
+        (r, r, j): (c._g, c._den)
+        for r, entry in enumerate(side) for j, c in enumerate(entry)}))
 
 
 class CongruenceData:
@@ -338,27 +342,33 @@ def _terms(pairs, left, right, factor: int) -> list:
     return out
 
 
+def _right_factor(grid: tuple, den: int):
+    """The canonical pair (grid, den) as the right factor of a term,
+    (_sparse_rows, den), None for zero."""
+    rows = _sparse_rows(grid)
+    return (rows, den) if any(nz for nz, _ in rows) else None
+
+
 def _bx(data: CongruenceData, x: Mapping, k: int, s: int, q: int,
-        first: int = 0) -> ExactMatrix:
-    """Coefficient (k, s, q) of B X for the block-diagonal B:
-    sum_l B_l^k X_{q - l}^{ks} over first <= l <= q."""
-    terms = [(b._g, _sparse_rows(a._g), b._den * a._den) for b, a in (
+        first: int = 0):
+    """Coefficient (k, s, q) of B X for the block-diagonal B, as a right
+    factor (_right_factor): sum_l B_l^k X_{q - l}^{ks} over
+    first <= l <= q, x holding each slot as a pair (grid, den)."""
+    terms = [(b._g, _sparse_rows(grid), b._den * den) for b, (grid, den) in (
         (data.b_coeffs[k][l], x[(k, s, q - l)]) for l in range(first, q + 1))]
     mults = data.structure.mults
-    return _sum_of_products(terms, mults[k], mults[s])
+    return _right_factor(*_pair_sum(terms, mults[k], mults[s]))
 
 
-def _right_factor(mat: ExactMatrix):
-    return None if mat.is_zero else (_sparse_rows(mat._g), mat._den)
-
-
-def _put(data: CongruenceData, x: dict, left: dict, right: dict, key, mat):
-    """Set slot key of x to mat: its transpose in left, its B X in right."""
-    x[key] = mat
-    own = _right_factor(mat)
-    left[key] = own and (tuple(zip(*mat._g)), mat._den)
-    right[key] = own if data.b_is_identity else _right_factor(
-        _bx(data, x, *key))
+def _put(data: CongruenceData, x: dict, left: dict, right: dict, key,
+         grid: tuple, den: int):
+    """Set slot key of x to the canonical pair (grid, den): its transpose
+    in left, None for zero, and its B X in right (_bx), which is its own
+    right factor when B is the identity form."""
+    x[key] = grid, den
+    own = _right_factor(grid, den)
+    left[key] = own and (tuple(zip(*grid)), den)
+    right[key] = own if data.b_is_identity else _bx(data, x, *key)
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +382,24 @@ def _sweep(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
     Step (r, s, j) of the plan (_plan) sums d, the terms of coefficient
     (r, s, j) of F X^T F B X that do not read X_j^{rs}, with those of C_j and
     the skew Z_j, and sets X_j^{rs} = g ((C_j - d) / 2 + Z_j) on the diagonal,
-    -g d above it, g = A_0^r (C_0^r)^-1.  A slot read before it is set raises
-    SequencingError.  The caller checks what it returns (solve_congruence
-    the form, sampling the dense matrix), so a faulty step raises
-    IntegrityError there.
+    -g d above it, g = A_0^r (C_0^r)^-1.  A step accumulates its terms once,
+    in integers (matrices._accumulate), multiplies the raw sum by g and
+    reduces once (matrices._pair_mul); every slot is kept as its canonical
+    pair (grid, den) with its transpose and the right factor it gives
+    (_put), and the strip is written from the pairs.  B = I and any other
+    B take this one path: only the right factors differ (_bx).  A slot read
+    before it is set raises SequencingError.  The caller checks what it
+    returns (solve_congruence the form, sampling the dense matrix), so a
+    faulty step raises IntegrityError there.
     """
     st = data.structure
     params.validate_for(st)
     x, left, right = {}, {}, {}
 
-    # ginv[r] = A_0^r (C_0^r)^-1, None when it is the identity: every
-    # gen_W and every gen_V without diagonal blocks, whose products by it
-    # are then skipped
-    ginv = []
+    # g[r] = A_0^r (C_0^r)^-1 as a pair (grid, den), None when it is the
+    # identity: every gen_W and every gen_V without diagonal blocks, whose
+    # products by it are then skipped
+    g = []
     for r in range(st.part_count):
         seed = params.diag_seeds[r]
         c0 = data.c_coeffs[r][0]
@@ -394,32 +409,36 @@ def _sweep(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
             raise SeedConstraintError(
                 f"seed {r} does not satisfy the leading congruence "
                 "C_0 = A^T B_0 A")
-        _put(data, x, left, right, (r, r, 0), seed)
-        g = seed if c0.is_identity else seed * c0.inverse()
-        ginv.append(None if g.is_identity else g)
+        _put(data, x, left, right, (r, r, 0), seed._g, seed._den)
+        g_r = seed if c0.is_identity else seed * c0.inverse()
+        g.append(None if g_r.is_identity else (g_r._g, g_r._den))
     # in key order: a coefficient of B X reads the lower offsets of its block
     for key in sorted(params.sub_blocks):
-        _put(data, x, left, right, key, params.sub_blocks[key])
+        mat = params.sub_blocks[key]
+        _put(data, x, left, right, key, mat._g, mat._den)
 
-    idents = [_sparse_rows(dense_identity(m)._g) for m in st.mults]
     for key, pairs in _plan(st.blocks):
         r, s, j = key
-        factor = -2 if r == s else -1
         try:
             # the plan's pair (A_0^r)^T (B X)_j^{rs} reads (B X)_j^{rs} less
             # B_0 X_j^{rs}: its terms in B_l, l >= 1, none when B = I
-            right[key] = None if data.b_is_identity else _right_factor(
-                _bx(data, x, r, s, j, 1))
-            terms = _terms(pairs, left, right, factor)
+            right[key] = None if data.b_is_identity else _bx(
+                data, x, r, s, j, 1)
+            terms = _terms(pairs, left, right, -2 if r == s else -1)
         except KeyError as missing:
             raise SequencingError(f"coefficient {missing.args[0]} referenced "
                                   "before it is determined") from None
+        m_s = st.mults[s]
         if r == s:
             c, z = data.c_coeffs[r][j], params.skews[(r, j)]
-            terms += [(c._g, idents[r], 2 * c._den), (z._g, idents[r], z._den)]
-        mat = _sum_of_products(terms, st.mults[r], st.mults[s])
-        _put(data, x, left, right, key,
-             mat if ginv[r] is None else ginv[r] * mat)
+            ident = _identity_rows(m_s)
+            terms += [(c._g, ident, 2 * c._den), (z._g, ident, z._den)]
+        if g[r] is None:
+            pair = _pair_sum(terms, st.mults[r], m_s)
+        else:
+            acc, den = _accumulate(terms, st.mults[r], m_s)
+            pair = _pair_mul(g[r], _sparse_rows(_grid_of(acc)), den, m_s)
+        _put(data, x, left, right, key, *pair)
 
     # every slot is set, by a checked parameter or a step of the sweep
     return ToeplitzForm._from_strip(st, _strip_of(st, x))

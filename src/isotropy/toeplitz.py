@@ -15,7 +15,11 @@ shift(r, s) = alpha_s - depth(r, s), the strip holds every coefficient
 once, on one canonical integer grid (matrices.py).  Where each
 coefficient sits is one table per block shape (_placement), which every
 writer and reader of the strip uses, and the sweep's plan its shifts
-(solver._pairs).  Sums, scaling, equality and the zero test are the
+(solver._pairs).  The strip is written from canonical (grid, den) pairs
+(_strip_of), so the sweep and the generators hand over their cells without
+an ExactMatrix each, and the zero test of a cell (_is_zero_at) and the
+identity-diagonal test read the strip in place, without making the
+coefficient.  Sums, scaling, equality and the zero test are the
 strip's; flip_transpose gathers its entries through an index map made
 once per block shape (_maps).  Cell-row u of a group of
 the dense matrix is its strip moved right by u cells in every block
@@ -132,19 +136,28 @@ def _check_cell(structure: SegreStructure, r: int, s: int, j: int, mat):
 
 
 def _strip_of(structure: SegreStructure, cells: Mapping) -> ExactMatrix:
-    """The strip with coefficient (r, s, j) = cells[(r, s, j)], a checked
-    ExactMatrix, zero where cells has none: each one rescaled to the lcm
-    of the coefficient dens and written where _placement puts it into rows
-    of zeros, so canonical as it is (matrices.py)."""
-    den = lcm(*(x._den for x in cells.values()))
+    """The strip with coefficient (r, s, j) = grid / den for cells[(r, s,
+    j)] = (grid, den), a canonical pair of the right shape, zero where cells
+    has none: each grid rescaled to the lcm of the dens and written where
+    _placement puts it into rows of zeros, so canonical as it is
+    (matrices.py)."""
+    den = lcm(*(d for _, d in cells.values()))
     tops, _, cols, _, _ = _placement(structure.blocks)
+    mults = structure.mults
     rows = [[_Z4] * structure.n for _ in range(tops[-1])]
-    for (r, s, j), x in cells.items():
-        col = cols[r][s] + j * x.cols
+    for (r, s, j), (grid, cell_den) in cells.items():
+        col = cols[r][s] + j * mults[s]
+        end = col + mults[s]
         for row, part in zip(rows[tops[r]:tops[r + 1]],
-                             _rescaled(x._g, den // x._den)):
-            row[col:col + x.cols] = part
+                             _rescaled(grid, den // cell_den)):
+            row[col:end] = part
     return ExactMatrix(len(rows), structure.n, tuple(map(tuple, rows)), den)
+
+
+def _pairs_of(cells: Mapping) -> dict:
+    """cells, ExactMatrix coefficients, as the (grid, den) pairs of
+    _strip_of."""
+    return {key: (x._g, x._den) for key, x in cells.items()}
 
 
 def _need_segre(structure):
@@ -204,7 +217,8 @@ class ToeplitzForm:
             extra = sorted(seen - set(_block_keys(structure)))
             raise StructureError(f"unknown block keys {extra}")
         object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "_strip", _strip_of(structure, cells))
+        object.__setattr__(self, "_strip",
+                           _strip_of(structure, _pairs_of(cells)))
 
     @classmethod
     def _from_strip(cls, structure: SegreStructure,
@@ -238,19 +252,30 @@ class ToeplitzForm:
         """Form with the given (r, s, j) -> matrix entries, zeros elsewhere."""
         _need_segre(structure)
         _check_sparse(structure, entries)
-        return cls._from_strip(structure, _strip_of(structure, entries))
+        return cls._from_strip(structure,
+                               _strip_of(structure, _pairs_of(entries)))
 
     # -- access -------------------------------------------------------
 
+    def _slice(self, r: int, s: int, j: int) -> tuple:
+        # the strip's grid of coefficient (r, s, j), 0 <= j < depth(r, s),
+        # over the strip's den, read where _placement puts it
+        tops, _, cols, _, _ = _placement(self.structure.blocks)
+        m_s = self.structure.mults[s]
+        col = cols[r][s] + j * m_s
+        return tuple(row[col:col + m_s]
+                     for row in self._strip._g[tops[r]:tops[r + 1]])
+
     def _cell(self, r: int, s: int, j: int) -> ExactMatrix:
         # coefficient (r, s, j), 0 <= j < depth(r, s), sliced off the strip
-        st = self.structure
-        tops, _, cols, _, _ = _placement(st.blocks)
-        m_s = st.mults[s]
-        col = cols[r][s] + j * m_s
-        return _reduced(st.mults[r], m_s, tuple(
-            row[col:col + m_s] for row in self._strip._g[tops[r]:tops[r + 1]]),
-            self._strip._den)
+        return _reduced(self.structure.mults[r], self.structure.mults[s],
+                        self._slice(r, s, j), self._strip._den)
+
+    def _is_zero_at(self, r: int, s: int, j: int) -> bool:
+        """True when coefficient (r, s, j) is zero, j outside [0, depth)
+        included: read off the strip, without making the coefficient."""
+        return not (0 <= j < self.structure.depth(r, s) and any(
+            map(any, chain.from_iterable(self._slice(r, s, j)))))
 
     @property
     def coeffs(self) -> dict:
@@ -407,9 +432,13 @@ class ToeplitzForm:
 
     @property
     def has_identity_diagonal(self) -> bool:
-        """True when every leading diagonal coefficient A_0^{rr} is I."""
-        return all(self._cell(r, r, 0).is_identity
-                   for r in range(self.structure.part_count))
+        """True when every leading diagonal coefficient A_0^{rr} is I: its
+        grid on the strip is den I, read without making the coefficient."""
+        one = (self._strip._den, 0, 0, 0)
+        return all(x == (one if a == b else _Z4)
+                   for r in range(self.structure.part_count)
+                   for a, row in enumerate(self._slice(r, r, 0))
+                   for b, x in enumerate(row))
 
 
 # ---------------------------------------------------------------------------

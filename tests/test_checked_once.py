@@ -7,7 +7,9 @@ map only by a flip, and the sparse rows of S once per structure; a form
 product and a form check build no dense matrix, and the commutant builder
 writes its dense matrix in one pass.  The tangent oracle ranks
 each distinct pair of block groups once, and the orbit check reads the
-structure's blocks without building S."""
+structure's blocks without building S.  Sampling, the generators, form
+products and factoring stay on integer grids: they make no Catalan scalar,
+scaled matrix or coefficient matrix only to test it for zero."""
 
 import pytest
 
@@ -92,6 +94,32 @@ def test_a_corrupted_peel_fails_the_core_check(monkeypatch):
     with pytest.raises(IntegrityError,
                        match=r"^factorization core failed the congruence: "):
         generators.factor_unipotent(st, y)
+
+
+def test_the_coefficient_layer_makes_no_scalar_or_cell_matrix(monkeypatch):
+    # sampling, the generators, form products and inverses and factoring
+    # work on integer grids: no Catalan scalar, no scaled matrix and no
+    # coefficient read off a form as a matrix for a zero test
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coefficient layer left its integer grids")
+
+    monkeypatch.setattr(generators, "catalan_coeff", refuse)
+    monkeypatch.setattr(ExactMatrix, "scale", refuse)
+    monkeypatch.setattr(ToeplitzForm, "coeffs", property(refuse))
+    monkeypatch.setattr(ToeplitzForm, "coefficient", refuse)
+    rnd = RandomSource(20261104)
+    for st in (_SINGLE, _MULTI):
+        stabilizer.sample_isotropy_element(st, rnd=rnd)
+    st = SegreStructure(IMAG, [(5, 1), (2, 2), (1, 1)])
+    w = generators.gen_W(st, {(0, j): rnd.skew(1) for j in range(1, 5)}
+                         | {(1, 1): rnd.skew(2)})
+    gens = [generators.gen_G(st, p, t, k, rnd.matrix(st.mults[t],
+                                                     st.mults[p]))
+            for p, t, k in ((0, 1, 0), (0, 2, 0), (1, 2, 0))]
+    u = stabilizer.group_element_mul(st, [w] + gens)
+    stabilizer.group_element_inv(st, u)
+    core, specs = generators.factor_unipotent(st, u)
+    assert len(specs) >= 3 and core.has_identity_diagonal
 
 
 def test_constant_data_ranks_each_leading_block_once(monkeypatch):

@@ -514,6 +514,62 @@ def test_coupling_and_factor_strips_are_frozen(lam):
     assert _coupling_digests(lam) == _COUPLING_DIGESTS[lam]
 
 
+
+# frozen outputs with diagonal blocks B_r != I, computed before the
+# coefficient layer moved onto integer pairs: gen_V's strips, the coupling
+# generators' strips, the factorization of their products (core strips and
+# specs) and gen_two_block's dense pairs, with sqrt2 parts and dens up to 3
+_DIAGONAL_BLOCK_DIGESTS = (
+    "40461182a1dfbfa88de5d4fb347b28763ff353f8979fc975a4275933bfa405f8",
+    "92911c59611377c06da256bd5fb16f3ebcc271704bef5af82db7c7c68d5b6c1e",
+    "cedc63b4aaaa8b962a67277309ae115dd5fd1fee4dc3d78e37d8177d5c91bd33",
+    "b3dcb7595d56f302442b065665440a78f42cfcd8b1b1e13d4fd49e65b94a8fd7",
+    "1d464560d1231d0a5cf8bdba1dba1fa33bd09f419efe291c64a7b68850127891",
+)
+
+
+def _dense_digest(mats):
+    return hashlib.sha256(repr([(m._den, m._g) for m in mats]).encode()
+                          ).hexdigest()
+
+
+def _diagonal_block_digests():
+    rnd = RandomSource(20261101)
+    kw = {"with_sqrt2": True, "max_num": 2, "max_den": 3}
+    vs, gens, cores, spec_lists = [], [], [], []
+    for blocks in ([(4, 2), (2, 3), (1, 1)], [(3, 1), (2, 2)],
+                   [(5, 1), (3, 2), (2, 1)], [(4, 1), (3, 1), (1, 2)]):
+        st = _st(blocks)
+        b_diag = [rnd.symmetric_nonsingular(m, **kw) for m in st.mults]
+        y = gen_V(st, b_diag, _random_skews(st, rnd, **kw))
+        vs.append(y)
+        for p in range(st.part_count):
+            for t in range(p + 1, st.part_count):
+                for k in range(st.alphas[t]):
+                    g = gen_G(st, p, t, k,
+                              rnd.matrix(st.mults[t], st.mults[p], **kw),
+                              b_diag)
+                    gens.append(g)
+                    if k == 0:
+                        y = y * g
+        core, specs = factor_unipotent(st, y, b_diag)
+        cores.append(core)
+        spec_lists.append(specs)
+    pairs = []
+    for alpha, beta, k, m1, m2 in ((3, 1, 0, 2, 1), (4, 2, 1, 1, 2),
+                                   (5, 2, 0, 2, 2), (6, 3, 2, 1, 1),
+                                   (4, 3, 0, 2, 1)):
+        b = rnd.symmetric_nonsingular(m1, **kw)
+        c = rnd.symmetric_nonsingular(m2, **kw)
+        pairs += gen_two_block(alpha, beta, k, rnd.matrix(m2, m1, **kw), b, c)
+    return (oracle.strip_digest(vs), oracle.strip_digest(gens),
+            oracle.strip_digest(cores), _specs_digest(spec_lists),
+            _dense_digest(pairs))
+
+
+def test_outputs_with_diagonal_blocks_are_frozen():
+    assert _diagonal_block_digests() == _DIAGONAL_BLOCK_DIGESTS
+
 def test_factor_rejects_non_members():
     st = _st([(2, 1), (1, 1)])
     bad = ToeplitzForm.identity(st) + ToeplitzForm.from_sparse(

@@ -196,6 +196,70 @@ def test_hash_is_the_hash_of_the_parts():
     assert hash(ExactScalar(2)) == hash(ExactScalar(rat(4, 2)))
 
 
+def _reference_eq(x, y):
+    """Equality as four Fraction comparisons, the rule the fast path of
+    ExactScalar.__eq__ must keep."""
+    return (x.a == y.a and x.b == y.b and x.c == y.c and x.d == y.d)
+
+
+def test_equality_and_hash_agree():
+    # the six ways of making i, and scalars near them: equal exactly when
+    # the parts are, and equal scalars hash alike
+    built = [IMAG, ExactScalar(0, 1), parse_scalar("i"), -(-IMAG),
+             (ONE + IMAG) - ONE, SQRT2 * SQRT2 * IMAG / 2]
+    others = [ZERO, ONE, -IMAG, IMAG * SQRT2, ExactScalar(0, rat(1, 2)),
+              ExactScalar(0, 1, 0, rat(1, 3)), ExactScalar(rat(1, 2), 1)]
+    # scalars one part apart, by its numerator or by its denominator alone
+    others += [ExactScalar(*(q if k == part else 0 for k in range(4)))
+               for part in range(4)
+               for q in (rat(1, 2), rat(1, 3), rat(2, 3))]
+    for x in built + others:
+        for y in built + others:
+            assert (x == y) is _reference_eq(x, y)
+            assert (x != y) is not _reference_eq(x, y)
+            if x == y:
+                assert hash(x) == hash(y)
+    for x, y, _ in _triples(count=30, seed=12):
+        for u, v in ((x, y), (x, x * ONE), (x + y, y + x)):
+            assert (u == v) is _reference_eq(u, v)
+
+
+def test_equality_with_other_types_is_unchanged():
+    # ints, Fractions and strings still coerce exactly; floats and other
+    # types compare unequal
+    assert ExactScalar(2) == 2 and 2 == ExactScalar(2)
+    assert ExactScalar(rat(1, 2)) == Fraction(1, 2) == ExactScalar(rat(1, 2))
+    assert ExactScalar(rat(1, 2)) == "1/2"
+    assert IMAG != 0 and ZERO == 0 and not (IMAG == 1)
+    assert ONE != 1.0 and not (ONE == 1.0)
+    assert ONE != None and ONE != [1] and ONE != object()  # noqa: E711
+    assert ExactScalar(1).__eq__(1.0) is NotImplemented
+    assert ExactScalar(1).__eq__(None) is NotImplemented
+
+
+def test_cached_eigenvalue_lookups_make_no_fraction_comparison(monkeypatch):
+    # a cold run of the codim structure feed over every partition with
+    # n <= 6 at 0, 1 and i, each structure built on a fresh eigenvalue, so
+    # that its cache hits compare equal scalars that are distinct objects
+    from isotropy import forms, orbit
+    from isotropy.forms import SegreStructure, enumerate_structures
+    calls = []
+    fraction_eq = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda self, other: calls.append(
+        other) or fraction_eq(self, other))
+    forms._symmetric_block.cache_clear()
+    orbit._row_key.cache_clear()
+    for text in ("0", "1", "i") * 2:
+        for n in range(1, 7):
+            for st in enumerate_structures(n):
+                orbit._structure_grids(SegreStructure(parse_scalar(text),
+                                                      st.blocks))
+    hits = (forms._symmetric_block.cache_info().hits
+            + orbit._row_key.cache_info().hits)
+    assert hits > 100
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ["a", "b", "c", "d", "_hash", "other"])
 def test_no_attribute_can_be_set(name):
     x = ExactScalar(1, 2, 3, 4)

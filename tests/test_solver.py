@@ -137,12 +137,16 @@ def test_free_params_completeness_checked():
 # ---------------------------------------------------------------------------
 
 
+def _pair(mat):
+    return mat._g, mat._den
+
+
 def _walk(data, partial):
     """The sweep's state (x, left, right) with every slot of partial set,
     in key order, as the sweep sets its parameters."""
     x, left, right = {}, {}, {}
     for key in sorted(partial):
-        _put(data, x, left, right, key, partial[key])
+        _put(data, x, left, right, key, *_pair(partial[key]))
     return x, left, right
 
 
@@ -165,8 +169,11 @@ def test_accum_phi_hand_example():
     partial = {(0, 0, 0): ExactMatrix.from_rows([[5]]),
                (0, 0, 1): ExactMatrix.from_rows([[7]])}
     # B X: B_0 A_0 = 10, and B_1 A_0 + B_0 A_1 = 15 + 14
-    assert _bx(data, partial, 0, 0, 0) == ExactMatrix.from_rows([[10]])
-    assert _bx(data, partial, 0, 0, 1) == ExactMatrix.from_rows([[29]])
+    pairs = {key: _pair(mat) for key, mat in partial.items()}
+    assert _bx(data, pairs, 0, 0, 0) == \
+        _right_factor(*_pair(ExactMatrix.from_rows([[10]])))
+    assert _bx(data, pairs, 0, 0, 1) == \
+        _right_factor(*_pair(ExactMatrix.from_rows([[29]])))
     # A_0^T (B X)_1 + A_1^T (B X)_0 = 5*29 + 7*10
     assert _full(data, partial, 0, 0, 1) == ExactMatrix.from_rows([[215]])
     # the step of slot (0, 0, 1) leaves out the terms that read it: the pair
@@ -175,7 +182,7 @@ def test_accum_phi_hand_example():
     x, left, right = _walk(data, partial)
     (slot, pairs), = _plan(st.blocks)
     assert slot == (0, 0, 1) and pairs == (((0, 0, 0), (0, 0, 1)),)
-    right[slot] = _right_factor(_bx(data, x, 0, 0, 1, 1))
+    right[slot] = _bx(data, x, 0, 0, 1, 1)
     assert _sum_of_products(_terms(pairs, left, right, 1), 1, 1) == \
         ExactMatrix.from_rows([[75]])
 
@@ -187,9 +194,9 @@ def test_accum_identity_data_reduces_to_coefficients():
     rnd = RandomSource(20240833)
     partial = _full_coeffs(rnd, st, max_num=3, max_den=2)
     x, left, right = _walk(data, partial)
-    assert x == partial
+    assert x == {key: _pair(mat) for key, mat in partial.items()}
     for key, mat in partial.items():
-        assert right[key] == _right_factor(mat) == \
+        assert right[key] == _right_factor(*_pair(mat)) == \
             (_sparse_rows(mat._g), mat._den)
         assert left[key] == (mat.transpose()._g, mat._den)
 
@@ -526,6 +533,64 @@ def test_sweep_strip_with_higher_b_coefficients_is_frozen():
     assert oracle.strip_digest([form]) == \
         "2b746fa70b7ad44d1f0406c60e55bcb6c123a301e7fd4bb176a2c07cd5bde1f9"
 
+
+def _unlike_data(rnd, st, **kw):
+    """Data with B != C throughout: C_0 = A^T B_0 A for a random
+    nonsingular seed A != I, and higher coefficients drawn apart; returns
+    (data, seeds)."""
+    b_side, c_side, seeds = [], [], []
+    for alpha, m in st.blocks:
+        b0 = rnd.symmetric_nonsingular(m, **kw)
+        seed = rnd.matrix(m, m, **kw)
+        while seed.rank() != m:
+            seed = rnd.matrix(m, m, **kw)
+        b_side.append([b0] + [rnd.symmetric(m, **kw) for _ in range(alpha - 1)])
+        c_side.append([seed.transpose() * b0 * seed]
+                      + [rnd.symmetric(m, **kw) for _ in range(alpha - 1)])
+        seeds.append(seed)
+    return CongruenceData(st, b_side, c_side), seeds
+
+
+def test_solutions_with_b_unlike_c_are_frozen():
+    # computed before the sweep kept its slots as integer pairs
+    rnd = RandomSource(20261102)
+    forms = []
+    for blocks in ([(3, 1), (2, 2), (1, 1)], [(4, 2), (1, 1)],
+                   [(3, 2), (2, 1)]):
+        st = _st(blocks)
+        data, seeds = _unlike_data(rnd, st, with_sqrt2=True, max_den=3)
+        forms.append(solve_congruence(data, random_free_params(
+            data, rnd, seeds=seeds, with_sqrt2=True, max_den=3)))
+    assert oracle.strip_digest(forms) == \
+        "2dcf5a215898e265d4008f7215d48e86f9de0c6b9031a7e09d5e120ede9e8621"
+
+
+def test_sweep_error_messages_are_pinned(monkeypatch):
+    rnd = RandomSource(20261103)
+    st = _st([(3, 1), (2, 2), (1, 1)])
+    data, seeds = _unlike_data(rnd, st)
+    params = random_free_params(data, rnd, seeds=seeds)
+    bad = FreeParams(params.sub_blocks,
+                     [seeds[0], seeds[1] * seeds[1], seeds[2]], params.skews)
+    with pytest.raises(SeedConstraintError) as caught:
+        _sweep(data, bad)
+    assert str(caught.value) == ("seed 1 does not satisfy the leading "
+                                 "congruence C_0 = A^T B_0 A")
+    steps = _plan(st.blocks)
+    messages = []
+    # the last order reads (B X) at (0, 1, 0) first, X only later
+    for order in (steps[::-1], steps[1::2] + steps[::2],
+                  steps[2:] + steps[:2], steps[5:6] + steps[:5] + steps[6:]):
+        for case in (data, constant_data(st)):
+            monkeypatch.setattr(solver, "_plan", lambda blocks: order)
+            with pytest.raises(SequencingError) as caught:
+                _sweep(case, params if case is data else
+                       random_free_params(case, rnd))
+            messages.append(str(caught.value))
+    assert messages == [
+        f"coefficient {key} referenced before it is determined"
+        for key in ((0, 0, 1), (0, 0, 1), (0, 1, 0), (0, 1, 0), (1, 2, 0),
+                    (1, 2, 0), (0, 1, 0), (0, 0, 1))]
 
 # ---------------------------------------------------------------------------
 # dimensions
