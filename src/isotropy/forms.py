@@ -38,8 +38,7 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, StructureError
-from .matrices import (_Z4, ExactMatrix, _permutation, _reduced,
-                       _sparse_rows, direct_sum)
+from .matrices import _Z4, ExactMatrix, _permutation, _reduced, direct_sum
 from .scalars import (ExactScalar, IMAG, ONE, SQRT2, ZERO, _coerce,
                       parse_scalar)
 
@@ -324,24 +323,24 @@ def _backward_indices(structure: Structure) -> list[int]:
             for k in range(m) for i in range(alpha)]
 
 
-def _conjugate_by_transition(structure: Structure, x: ExactMatrix,
-                             to_dense: bool) -> ExactMatrix:
-    """P Omega X Omega^T P^{-1} when to_dense, else its inverse
-    Omega^T P^{-1} X P Omega, by index: no product, no sqrt2 part.
-
-    P = (I + i E)/sqrt2 and P^{-1} = (I - i E)/sqrt2 with E^2 = I give
-    P Y P^{-1} = (Y + E Y E + i (E Y - Y E))/2, and P^{-1} Y P the same
-    with -i.  (E Y)[a][b] = Y[e(a)][b], so each entry reads four of x, at
-    the index lists s (Omega moved) and t (s after E)."""
+def _transition_indices(structure: Structure, to_dense: bool) -> tuple:
+    """(s, t, sign) for _transition_rows: the index lists of
+    _conjugate_by_transition, s Omega moved and t s after E."""
     omega, back = _omega_indices(structure), _backward_indices(structure)
     if to_dense:
         # Omega X Omega^T has entry (a, b) = X[s[a]][s[b]], s = Omega^{-1}
         s = sorted(range(len(omega)), key=omega.__getitem__)
-        t, sign = [s[e] for e in back], 1
-    else:
-        s, t, sign = omega, [back[o] for o in omega], -1
+        return s, [s[e] for e in back], 1
+    return omega, [back[o] for o in omega], -1
+
+
+def _transition_rows(grid: Sequence, s: Sequence, t: Sequence,
+                     sign: int) -> list:
+    """The rows of 2 den times the image of grid / den under
+    _conjugate_by_transition, unreduced, for (s, t, sign) from
+    _transition_indices."""
     rows = []
-    for ys, yt in zip(map(x._g.__getitem__, s), map(x._g.__getitem__, t)):
+    for ys, yt in zip(map(grid.__getitem__, s), map(grid.__getitem__, t)):
         # v = Y[a][b] + Y[e a][e b], w = Y[e a][b] - Y[a][e b]; v + sign i w
         rows.append(tuple(
             (a1 + a2 - sign * (b3 - b4), b1 + b2 + sign * (a3 - a4),
@@ -350,6 +349,20 @@ def _conjugate_by_transition(structure: Structure, x: ExactMatrix,
             (a4, b4, c4, d4) in zip(
                 map(ys.__getitem__, s), map(yt.__getitem__, t),
                 map(yt.__getitem__, s), map(ys.__getitem__, t))))
+    return rows
+
+
+def _conjugate_by_transition(structure: Structure, x: ExactMatrix,
+                             to_dense: bool) -> ExactMatrix:
+    """P Omega X Omega^T P^{-1} when to_dense, else its inverse
+    Omega^T P^{-1} X P Omega, by index: no product, no sqrt2 part.
+
+    P = (I + i E)/sqrt2 and P^{-1} = (I - i E)/sqrt2 with E^2 = I give
+    P Y P^{-1} = (Y + E Y E + i (E Y - Y E))/2, and P^{-1} Y P the same
+    with -i.  (E Y)[a][b] = Y[e(a)][b], so each entry reads four of x, at
+    the index lists s (Omega moved) and t (s after E) of
+    _transition_indices, by the one formula of _transition_rows."""
+    rows = _transition_rows(x._g, *_transition_indices(structure, to_dense))
     return _reduced(x.rows, x.cols, tuple(rows), 2 * x._den)
 
 
@@ -357,26 +370,17 @@ def jordan_form(structure: Structure) -> ExactMatrix:
     return _per_copy(structure, jordan_block)
 
 
-# Every membership check reads S and its sparse rows, so _symmetric_form and
-# _symmetric_rows keep their last four: callers work on one structure at a
+# symmetric_form keeps the last four S: callers work on one structure at a
 # time (a multi-eigenvalue structure may fill one slot per part and one for
 # itself).  Its blocks depend only on (alpha, lam) and recur across
 # structures, so _symmetric_block keeps 64, more than twice the 27 (9 sizes
 # at 3 eigenvalues) of the benchmark's ladders.  Sharing one is safe, since
-# an ExactMatrix and the rows are immutable.  The public name stays a plain
-# function, which a tracer can wrap (perfbench/spans.py).
+# an ExactMatrix is immutable.  The public name stays a plain function,
+# which a tracer can wrap (perfbench/spans.py).
 
 @lru_cache(maxsize=4)
 def _symmetric_form(structure: Structure) -> ExactMatrix:
     return _per_copy(structure, _symmetric_block)
-
-
-@lru_cache(maxsize=4)
-def _symmetric_rows(structure: Structure) -> tuple:
-    """The _sparse_rows of S, the right operand of the membership check's
-    Q S: a few nonzeros per row, found once per structure."""
-    return tuple((tuple(nz), gaussian) for nz, gaussian
-                 in _sparse_rows(_symmetric_form(structure)._g))
 
 
 def symmetric_form(structure: Structure) -> ExactMatrix:

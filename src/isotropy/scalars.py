@@ -37,8 +37,10 @@ def rat(num, den=None) -> Rational:
 class ExactScalar:
     """Immutable element of Q(i, sqrt2), stored as four rationals."""
 
-    # _hash: hash((a, b, c, d)), set on the first __hash__ call, so that
-    # caches keyed by an eigenvalue hash its four Fractions once
+    # _hash: hash((a, b, c, d)), or hash(a) when b = c = d = 0, so that a
+    # rational scalar hashes like the int or Fraction it equals; set on the
+    # first __hash__ call, so that caches keyed by an eigenvalue hash its
+    # four Fractions once
     __slots__ = ("a", "b", "c", "d", "_hash")
 
     def __init__(self, a=0, b=0, c=0, d=0):
@@ -133,7 +135,11 @@ class ExactScalar:
     def __eq__(self, other) -> bool:
         if other is self:
             return True
-        other = _coerce(other)
+        try:
+            other = _coerce(other)
+        except (ValueError, ZeroDivisionError):
+            # a string that names no number: unequal, as other types are
+            return NotImplemented
         if other is NotImplemented:
             return NotImplemented
         # part by part as integer pairs of reduced Fractions, without
@@ -153,7 +159,8 @@ class ExactScalar:
         try:
             return self._hash
         except AttributeError:
-            value = hash((self.a, self.b, self.c, self.d))
+            a, b, c, d = self.a, self.b, self.c, self.d
+            value = hash((a, b, c, d) if b or c or d else a)
             object.__setattr__(self, "_hash", value)
             return value
 

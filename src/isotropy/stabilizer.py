@@ -7,17 +7,20 @@ forms X solving the flip congruence F X^T F X = I.  An exact change of
 basis exchanges the two, so membership checks never approximate.
 """
 
+from functools import lru_cache
+from itertools import accumulate, chain
+
 from .errors import (IntegrityError, MembershipError, ParameterError,
                      StructureError)
-from .forms import (SegreStructure, _conjugate_by_transition, _layout,
-                    _require_square, _require_structure, _symmetric_rows,
-                    solution_dimension, symmetric_form)
-from .matrices import (ExactMatrix, _first_mismatch, _grid_mul, _is_member,
-                       _mark_member, _sparse_rows, direct_sum)
+from .forms import (SegreStructure, _conjugate_by_transition,
+                    _require_square, _require_structure, _transition_indices,
+                    _transition_rows, solution_dimension, symmetric_form)
+from .matrices import (ExactMatrix, _Z4, _first_mismatch, _grid_mul,
+                       _is_member, _mark_member, _sparse_rows, direct_sum)
 from .scalars import ONE, ZERO, _from_ints
 from .solver import (FreeParams, _require_congruence, _sweep, constant_data,
                      random_free_params)
-from .toeplitz import ToeplitzForm
+from .toeplitz import ToeplitzForm, _maps
 
 
 class IsotropyDescription:
@@ -101,11 +104,57 @@ def describe_isotropy(structure) -> IsotropyDescription:
         parts=parts)
 
 
-def _chain_tops(structure) -> list:
-    """Dense index of the last basis vector of each block copy, in layout
-    order (forms._layout: parts, then rows, then copies)."""
-    return [offset + (k + 1) * alpha - 1
-            for _, alpha, m, offset in _layout(structure) for k in range(m)]
+@lru_cache(maxsize=4)
+def _check_tables(structure) -> tuple:
+    """What verify_isotropy reads of a structure, made once: (s, t, sign)
+    of _transition_indices towards Toeplitz coordinates; tops, the row of
+    X of each strip row; flips, toeplitz._maps of each part read off X's
+    strip rows in place (one past their end for zero); and per row of X,
+    its checks (a, b, src, shift): row[a:b] equals the slice of row src
+    of X moved shift columns right, src = n standing for a zero row."""
+    n, tops, flips, checks = structure.n, [], [], []
+    off, zero = 0, sum(sum(part.mults) for part in structure.parts) * n
+    for part in structure.parts:
+        blocks, row0, n_p = part.blocks, len(tops), part.n
+        starts = tuple(accumulate((a * m for a, m in blocks), initial=off))
+        for (alpha_r, m_r), top in zip(blocks, starts):
+            tops += range(top, top + m_r)
+            for i in range(top, top + alpha_r * m_r):
+                row = [(0, off, n, 0), (off + n_p, n, n, 0)]
+                for (alpha_s, m_s), left in zip(blocks, starts):
+                    if i < top + m_r:  # cell-row 0: zero before shift(r, s)
+                        row.append((left, left + max(0, alpha_s - alpha_r)
+                                    * m_s, n, 0))
+                    else:  # zero first cell, then cell-row u - 1 moved
+                        row += [(left, left + m_s, n, 0),
+                                (left + m_s, left + alpha_s * m_s, i - m_r, m_s)]
+                checks.append(tuple(c for c in row if c[1] > c[0]))
+        end = (len(tops) - row0) * n_p  # the zero slot of _maps
+        flips += [(zero,) * off + tuple(
+            zero if k == end else (row0 + k // n_p) * n + off + k % n_p
+            for k in idx)
+            + (zero,) * (n - off - n_p) for idx in _maps(blocks)]
+        off += n_p
+    return (_transition_indices(structure, False), tuple(tops), tuple(flips),
+            tuple(checks))
+
+
+def _in_group(structure, grid: tuple, den: int) -> bool:
+    """True when grid / den is a member of the group of structure, checked
+    on X, 2 den times its transition image (verify_isotropy)."""
+    indices, tops, flips, checks = _check_tables(structure)
+    x = _transition_rows(grid, *indices)
+    n = len(x)
+    rows = x + [(_Z4,) * n]
+    if any(row[a:b] != rows[src][a - shift:b - shift]
+           for row, spans in zip(x, checks) for a, b, src, shift in spans):
+        return False
+    flat = tuple(chain.from_iterable(map(x.__getitem__, tops))) + (_Z4,)
+    one, zero = 4 * den * den, [0] * n
+    return _grid_mul([tuple(map(flat.__getitem__, idx)) for idx in flips],
+                     _sparse_rows(x), n) == [
+        [[one if j == i else 0 for j in range(n)], zero, zero, zero]
+        for i in tops]
 
 
 def verify_isotropy(structure, q: ExactMatrix):
@@ -116,49 +165,45 @@ def verify_isotropy(structure, q: ExactMatrix):
     Q^T S Q in row-major order.  Every test runs on the integer kernel of
     matrices.py, with Q = G / d and G over Z[i, sqrt2].
 
-    A member is accepted at O(M n^2) cost, M the number of block copies,
-    by two tests, which share one scan of the nonzeros of G:
+    A member is accepted in Toeplitz coordinates, on the transition image
+    X = Omega^T P^{-1} Q P Omega of Q, read off G by index
+    (forms._transition_rows) and kept unreduced over 2 d.  Q is a member
+    exactly when
 
-    1. S Q = Q S, compared in integers over the nonzeros of S (found once
-       per structure) at O(n^2) cost, since S has a few nonzeros per row;
-    2. the M rows (G e_c)^T G of G^T G at the chain tops c (the last index
-       of each block copy, in layout order) equal d^2 times the unit rows.
-       G^T G is symmetric, so these rows are its columns G^T (G e_c).
+    1. X is block Toeplitz: it commutes with J = P^{-1} S P, conjugated
+       by Omega.  Between two parts, whose eigenvalues differ, J X = X J
+       forces every entry to zero.  Within a part it says, in each block
+       (r, s), that cell-row u >= 1 is cell-row u - 1 moved one cell
+       right, with a zero first cell, and that the first shift(r, s)
+       cells of cell-row 0 are zero: cell (u, v) is coefficient
+       v - u - shift(r, s), zero below.  Each is one tuple slice per row
+       and block, at O(n^2) cost in all.
+    2. F X^T F X = I, F = Omega^T E Omega.  P is symmetric with
+       P^T P = P^2 = i E, so Q^T Q = i P^{-1} Omega X^T F X Omega^T P^{-1},
+       which is I exactly when X^T F X = F.  With X block Toeplitz, so is
+       Y = F X^T F X (toeplitz.py), and its strip, the first cell-row of
+       each group, determines it.  The strip of F X^T F is gathered from
+       X's strip rows through toeplitz._maps, multiplied once by X, at
+       O(M n^2) cost for M strip rows, and compared with (2 d)^2 times the
+       identity's strip.
 
-    Together they are exact.  Transposing S Q = Q S with S^T = S gives
-    Q^T S = S Q^T, so C = Q^T Q - I commutes with S and with every
-    polynomial in S.  On each block copy S - lam I = P N P^{-1}, with N
-    the nilpotent Jordan block (N e_k = e_{k-1}) and
-    P^{-1} = (1/sqrt2)(I - i E); since (P^{-1})_{a-1,a-1} is nonzero, the
-    chain top e_{a-1} is a cyclic vector of S - lam I on that copy, and
-    the vectors (S - lam I)^k e_c over all chain tops c span the whole
-    space.  C (S - lam I)^k e_c = (S - lam I)^k C e_c, so C e_c = 0 at
-    every chain top forces C = 0, and then Q^T Q = I with Q^{-1} = Q^T
-    turns S Q = Q S into Q^T S Q = S.
+    1 says S Q = Q S, so with Q^T = Q^{-1} from 2, Q^T S Q = S; a member
+    satisfies both, since it commutes with S.  S is not built.
 
     When either test fails, the full product G^T G is compared with
     d^2 I entry by entry, and Q^T S Q is formed only if that holds, to
-    name the first failing entry; the chain-top rows are rows of G^T G,
-    so the two paths cannot disagree.  The test always computes;
+    name the first failing entry; the two tests hold exactly for members,
+    so the failure path always finds one.  The test always computes;
     on success it marks q as a verified member of structure, so that the
     group operations need not check it again.
     """
     _require_square(structure, q)
-    n = structure.n
     grid, den = q._g, q._den
-    one = den * den
-    s = symmetric_form(structure)
-    g_rows = _sparse_rows(grid)
-    if _grid_mul(s._g, g_rows, n) == \
-            _grid_mul(grid, _symmetric_rows(structure), n):
-        tops = _chain_tops(structure)
-        zero = [0] * n
-        rows = _grid_mul([[row[c] for row in grid] for c in tops], g_rows, n)
-        if rows == [[[one if j == c else 0 for j in range(n)], zero, zero, zero]
-                    for c in tops]:
-            _mark_member(q, structure)
-            return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"
-    gram = _grid_mul(list(zip(*grid)), g_rows, n)
+    if _in_group(structure, grid, den):
+        _mark_member(q, structure)
+        return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"
+    n, one = structure.n, den * den
+    gram = _grid_mul(list(zip(*grid)), _sparse_rows(grid), n)
     for i, (ga, gb, gc, gd) in enumerate(gram):
         for j in range(n):
             if ga[j] != (one if i == j else 0) or gb[j] or gc[j] or gd[j]:
@@ -166,6 +211,7 @@ def verify_isotropy(structure, q: ExactMatrix):
                 return False, (f"orthogonality fails first: (Q^T Q)[{i}][{j}] = "
                                f"{entry}, expected "
                                f"{ONE if i == j else ZERO}")
+    s = symmetric_form(structure)
     cong = q.transpose() * s * q
     i, j = _first_mismatch(cong, s)
     return False, (f"congruence fails first: (Q^T S Q)[{i}][{j}] = "

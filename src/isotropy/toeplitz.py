@@ -109,7 +109,8 @@ def _maps(blocks) -> tuple:
     row, M n meaning the zero slot past its end.  Coefficient (r, s, j) of
     the flip, where _placement puts it, is coefficient (s, r, j) read down
     its columns.  Cached apart from _placement: the dense bridge needs only
-    that, and the commutant builder meets many a block shape once."""
+    that, and the commutant builder meets many a block shape once.  The
+    dense membership check reads it too (stabilizer._check_tables)."""
     tops, _, cols, reach, _ = _placement(blocks)
     n = len(reach)
     flip = []

@@ -1,11 +1,13 @@
 """Every element a public function returns is checked exactly once: the
 dense membership test and the form congruence are counted around
 sampling and factorization.  Inputs are checked once too: the ranks
-constant_data takes are counted.  The sweep's plan, the strip's placement
+constant_data takes are counted, and gen_W makes its zero parameters once
+per structure.  The sweep's plan, the strip's placement
 table and the flip's index map are built once per block shape, the flip
-map only by a flip, and the sparse rows of S once per structure; a form
-product and a form check build no dense matrix, and the commutant builder
-writes its dense matrix in one pass.  The tangent oracle ranks
+map only by a flip or a dense check, and the dense check's index tables
+once per structure; a successful dense check builds no S and no n x n
+product, a form product and a form check build no dense matrix, and the
+commutant builder writes its dense matrix in one pass.  The tangent oracle ranks
 each distinct pair of block groups once, and the orbit check reads the
 structure's blocks without building S.  Sampling, the generators, form
 products and factoring stay on integer grids: they make no Catalan scalar,
@@ -162,6 +164,17 @@ def test_gen_w_checks_each_skew_once(monkeypatch):
     assert sorted(map(id, checked)) == sorted(map(id, skews.values()))
 
 
+def test_gen_w_makes_its_zero_parameters_once_per_structure():
+    generators._zero_params.cache_clear()
+    st = SegreStructure(0, [(3, 1), (2, 2)])
+    rnd = RandomSource(20261023)
+    for _ in range(3):
+        generators.gen_W(st, {(0, 1): rnd.skew(1), (0, 2): rnd.skew(1),
+                              (1, 1): rnd.skew(2)})
+    info = generators._zero_params.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_the_sweep_is_planned_once_per_block_shape():
     # two samples and a gen_W on one shape, at eigenvalues 0 and i: the
     # plan depends on the blocks alone, so it is built once and reused
@@ -196,16 +209,37 @@ def test_form_products_and_checks_build_no_dense_matrix(monkeypatch):
     assert walks == []
 
 
-def test_the_sparse_rows_of_s_are_found_once_per_structure(monkeypatch):
-    found = []
-    sparse_rows = forms._sparse_rows
-    monkeypatch.setattr(forms, "_sparse_rows",
-                        lambda grid: found.append(grid) or sparse_rows(grid))
-    forms._symmetric_rows.cache_clear()
-    st = SegreStructure(IMAG, [(3, 1), (2, 2), (1, 1)])
-    q = stabilizer.sample_isotropy_element(st, rnd=RandomSource(20241022))
+def test_the_check_tables_are_made_once_per_structure():
+    # two samples, a dense product and an inverse: four dense checks on one
+    # structure read one set of index tables
+    stabilizer._check_tables.cache_clear()
+    st = _MULTI
+    rnd = RandomSource(20241022)
+    q1, q2 = (stabilizer.sample_isotropy_element(st, rnd=rnd) for _ in range(2))
+    stabilizer.group_element_inv(st, stabilizer.group_element_mul(st, [q1, q2]))
+    info = stabilizer._check_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+@pytest.mark.parametrize("st", [_SINGLE, _MULTI], ids=["single", "multi"])
+def test_a_successful_check_builds_no_s_and_no_square_product(
+        monkeypatch, st):
+    # the check reads Q's transition image: its one product is the flip's
+    # strip, one row per block copy, times that image
+    q = stabilizer.sample_isotropy_element(st, rnd=RandomSource(20261022))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a successful check left Toeplitz coordinates")
+
+    left_rows = []
+    grid_mul = stabilizer._grid_mul
+    monkeypatch.setattr(forms, "_symmetric_form", refuse)
+    monkeypatch.setattr(ExactMatrix, "__mul__", refuse)
+    monkeypatch.setattr(stabilizer, "_grid_mul", lambda x, *args: left_rows.append(
+        len(x)) or grid_mul(x, *args))
     assert stabilizer.verify_isotropy(st, q)[0]
-    assert found == [forms.symmetric_form(st)._g]
+    copies = sum(sum(part.mults) for part in st.parts)
+    assert left_rows == [copies] and copies < st.n
 
 
 def test_the_flip_is_mapped_once_per_block_shape():

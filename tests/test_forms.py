@@ -13,7 +13,6 @@ from isotropy import forms
 from isotropy.matrices import ExactMatrix, identity
 from isotropy.rng import RandomSource
 from isotropy.scalars import ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, rat
-from isotropy.stabilizer import _chain_tops
 
 import _oracles as oracle
 
@@ -83,7 +82,6 @@ def test_a_structure_is_its_own_single_part():
                 multi = MultiSegreStructure([st])
                 for build in _BUILDERS:
                     assert build(st) == build(multi), (build.__name__, st)
-                assert _chain_tops(st) == _chain_tops(multi), st
 
 
 def test_enumerate_structures_counts():

@@ -183,12 +183,14 @@ def test_int_interop():
 
 
 def test_hash_is_the_hash_of_the_parts():
-    # the hash is made once per scalar and is the one of its four parts, so
-    # equal scalars made in different ways hash alike
+    # the hash is made once per scalar and is the one of its four parts, or
+    # of its rational part alone when the others vanish, so equal scalars
+    # made in different ways hash alike
     for x, y, _ in _triples(count=30, seed=11):
-        for z in (x, y, x * y, x + y):
+        for z in (x, y, x * y, x + y, x - x + x.a):
             # the first call keeps the hash, the second reads it back
-            assert [hash(z), hash(z)] == [hash((z.a, z.b, z.c, z.d))] * 2
+            parts = (z.a, z.b, z.c, z.d) if z.b or z.c or z.d else z.a
+            assert [hash(z), hash(z)] == [hash(parts)] * 2
     built = [IMAG, ExactScalar(0, 1), parse_scalar("i"), -(-IMAG),
              (ONE + IMAG) - ONE, SQRT2 * SQRT2 * IMAG / 2]
     assert all(b == IMAG for b in built)
@@ -235,6 +237,24 @@ def test_equality_with_other_types_is_unchanged():
     assert ONE != None and ONE != [1] and ONE != object()  # noqa: E711
     assert ExactScalar(1).__eq__(1.0) is NotImplemented
     assert ExactScalar(1).__eq__(None) is NotImplemented
+
+
+def test_a_string_that_is_no_number_compares_unequal():
+    for text in ("x", "", "1/0", "i"):
+        assert not (ONE == text) and ONE != text and text != ONE
+        assert ONE.__eq__(text) is NotImplemented
+    assert ONE not in ["x"] and ZERO in ["x", 0]
+    assert ExactScalar(rat(1, 2)) == "1/2" and ExactScalar(rat(1, 2)) != "1/3"
+
+
+def test_a_rational_scalar_hashes_like_the_number_it_equals():
+    for value in (0, 1, -7, 2 ** 70, Fraction(1, 2), Fraction(-22, 7)):
+        for x in (ExactScalar(value), parse_scalar(str(value)),
+                  ExactScalar(value, 1) - IMAG):
+            assert x == value and hash(x) == hash(value)
+            assert value in {x} and x in {value}
+            assert {x: "x"}[value] == "x"
+    assert hash(IMAG) == hash((rat(0), rat(1), rat(0), rat(0))) != hash(1)
 
 
 def test_cached_eigenvalue_lookups_make_no_fraction_comparison(monkeypatch):

@@ -1,12 +1,14 @@
 """Group-level API tests: description, sampling, verification, arithmetic."""
 
+from itertools import chain
+
 import pytest
 
 from isotropy.errors import (DimensionMismatchError, MembershipError,
                              ParameterError, StructureError)
 from isotropy.forms import (MultiSegreStructure, SegreStructure,
-                            enumerate_structures, solution_dimension,
-                            symmetric_form)
+                            _conjugate_by_transition, enumerate_structures,
+                            solution_dimension, symmetric_form)
 from isotropy.generators import factor_unipotent, gen_W
 from isotropy.matrices import (ExactMatrix, cayley_orthogonal, diagonal,
                                direct_sum, identity, zeros)
@@ -253,23 +255,68 @@ def _membership_probes(st, q):
     yield from _commuting_probes(st)
 
 
+def _transition_probes(st):
+    """Non-members Q whose transition image Omega^T P^-1 Q P Omega is I plus
+    one unit: in the last cell-row of a group, at the first and at the
+    last cell of each block of its part, which breaks the block pattern
+    there only and leaves the strip of I; between two parts, in a strip
+    row and below it; and the unit between two parts alone."""
+    n, parts = st.n, st.parts
+    units, off, starts = [], 0, []
+    for part in parts:
+        groups = []
+        for alpha, m in part.blocks:
+            groups.append((alpha, m, off))
+            off += alpha * m
+        starts.append(groups)
+    for groups in starts:
+        for alpha_r, m_r, top in groups:
+            if alpha_r > 1:
+                last = top + (alpha_r - 1) * m_r
+                for alpha_s, m_s, left in groups:
+                    units += [(last, left), (last, left + (alpha_s - 1) * m_s)]
+    for a, b in ((0, 1), (1, 0))[:2 * (len(parts) > 1)]:
+        first, after = starts[a][0][2], starts[b][0][2]
+        units += [(first, after), (first + starts[a][0][1], after)]
+
+    def unit(i, j):
+        return ExactMatrix.build(n, n, lambda r, c: ONE if (r, c) == (i, j) else ZERO)
+
+    for i, j in units:
+        yield _conjugate_by_transition(st, identity(n) + unit(i, j), True)
+    if len(parts) > 1:
+        yield _conjugate_by_transition(st, unit(*units[-1]), True)
+
+
 def test_verify_matches_two_product_reference():
     # exhaustive over every partition with n <= 7 at eigenvalues 0, 1 and
-    # i, plus multi-eigenvalue structures
+    # i, n <= 5 at 1 + sqrt2 with samples drawn with sqrt2 parts, plus
+    # multi-eigenvalue structures
     rnd = RandomSource(20240862)
-    structures = [st for n in range(1, 8) for lam in (ZERO, ONE, IMAG)
+    structures = [(st, {}) for n in range(1, 8) for lam in (ZERO, ONE, IMAG)
                   for st in enumerate_structures(n, lam)]
-    structures.append(MultiSegreStructure([_st([(2, 1), (1, 1)], 0),
-                                           _st([(2, 1)], 1)]))
-    structures.append(MultiSegreStructure([_st([(3, 1), (1, 1)], 0),
-                                           _st([(2, 2)], IMAG)]))
-    structures.append(MultiSegreStructure([_st([(4, 1)], 1),
-                                           _st([(3, 1), (2, 1)], 0)]))
-    for st in structures:
-        q = sample_isotropy_element(st, rnd=rnd, max_num=2, max_den=2)
+    structures += [(st, {"with_sqrt2": True}) for n in range(1, 6)
+                   for st in enumerate_structures(n, ONE + SQRT2)]
+    for parts in ((_st([(2, 1), (1, 1)], 0), _st([(2, 1)], 1)),
+                  (_st([(3, 1), (1, 1)], 0), _st([(2, 2)], IMAG)),
+                  (_st([(4, 1)], 1), _st([(3, 1), (2, 1)], 0)),
+                  (_st([(2, 1), (1, 1)], ONE + SQRT2), _st([(2, 1), (1, 1)], 0))):
+        structures.append((MultiSegreStructure(parts), {}))
+    for st, kw in structures:
+        q = sample_isotropy_element(st, rnd=rnd, max_num=2, max_den=2, **kw)
         s = symmetric_form(st)
-        for probe in _membership_probes(st, q):
+        for probe in chain(_membership_probes(st, q), _transition_probes(st)):
             assert verify_isotropy(st, probe) == oracle.two_product_membership(s, probe)
+
+
+def test_parts_swapped_is_orthogonal_but_no_member():
+    # two parts of one shape at different eigenvalues: swapping them is
+    # orthogonal and nonzero only between the parts
+    st = MultiSegreStructure([_st([(2, 1), (1, 1)], 0), _st([(2, 1), (1, 1)], 1)])
+    swap = ExactMatrix.build(6, 6, lambda i, j: ONE if abs(i - j) == 3 else ZERO)
+    ok, report = verify_isotropy(st, swap)
+    assert (ok, report) == oracle.two_product_membership(symmetric_form(st), swap)
+    assert report.startswith("congruence fails first")
 
 
 def test_forged_mark_is_not_trusted_by_verify():
