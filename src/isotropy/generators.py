@@ -132,18 +132,13 @@ def gen_V(structure: SegreStructure, b_diag: Sequence[ExactMatrix] | None,
     """
     data = constant_data(structure, b_diag)
     skews = _checked_skews(structure, skews)
-    zero = _zero_params(structure)
+    zero = FreeParams.zero(structure)
     # half a checked skew is skew, its grid over twice the den: the skews
     # are not checked again
     return solve_congruence(data, FreeParams._of_skews(
         zero.sub_blocks, zero.diag_seeds,
         {key: _reduced(mat.rows, mat.cols, mat._g, 2 * mat._den)
          for key, mat in skews.items()}))
-
-
-# FreeParams.zero once per structure: its matrices are immutable, and gen_V
-# hands them to a FreeParams that copies the containers
-_zero_params = lru_cache(maxsize=4)(FreeParams.zero)
 
 
 def gen_W(structure: SegreStructure, skews: Mapping) -> ToeplitzForm:

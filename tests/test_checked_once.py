@@ -164,17 +164,6 @@ def test_gen_w_checks_each_skew_once(monkeypatch):
     assert sorted(map(id, checked)) == sorted(map(id, skews.values()))
 
 
-def test_gen_w_makes_its_zero_parameters_once_per_structure():
-    generators._zero_params.cache_clear()
-    st = SegreStructure(0, [(3, 1), (2, 2)])
-    rnd = RandomSource(20261023)
-    for _ in range(3):
-        generators.gen_W(st, {(0, 1): rnd.skew(1), (0, 2): rnd.skew(1),
-                              (1, 1): rnd.skew(2)})
-    info = generators._zero_params.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-
-
 def test_the_sweep_is_planned_once_per_block_shape():
     # two samples and a gen_W on one shape, at eigenvalues 0 and i: the
     # plan depends on the blocks alone, so it is built once and reused
