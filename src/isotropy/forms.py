@@ -323,9 +323,10 @@ def _backward_indices(structure: Structure) -> list[int]:
             for k in range(m) for i in range(alpha)]
 
 
+@lru_cache(maxsize=8)
 def _transition_indices(structure: Structure, to_dense: bool) -> tuple:
-    """(s, t, sign) for _transition_rows: the index lists of
-    _conjugate_by_transition, s Omega moved and t s after E."""
+    """(s, t, sign) for _transition_rows, towards dense coordinates or
+    back, made once per structure and direction."""
     omega, back = _omega_indices(structure), _backward_indices(structure)
     if to_dense:
         # Omega X Omega^T has entry (a, b) = X[s[a]][s[b]], s = Omega^{-1}
@@ -335,35 +336,31 @@ def _transition_indices(structure: Structure, to_dense: bool) -> tuple:
 
 
 def _transition_rows(grid: Sequence, s: Sequence, t: Sequence,
-                     sign: int) -> list:
-    """The rows of 2 den times the image of grid / den under
-    _conjugate_by_transition, unreduced, for (s, t, sign) from
-    _transition_indices."""
-    rows = []
-    for ys, yt in zip(map(grid.__getitem__, s), map(grid.__getitem__, t)):
-        # v = Y[a][b] + Y[e a][e b], w = Y[e a][b] - Y[a][e b]; v + sign i w
-        rows.append(tuple(
-            (a1 + a2 - sign * (b3 - b4), b1 + b2 + sign * (a3 - a4),
-             c1 + c2 - sign * (d3 - d4), d1 + d2 + sign * (c3 - c4))
-            for (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3),
-            (a4, b4, c4, d4) in zip(
-                map(ys.__getitem__, s), map(yt.__getitem__, t),
-                map(yt.__getitem__, s), map(ys.__getitem__, t))))
-    return rows
-
-
-def _conjugate_by_transition(structure: Structure, x: ExactMatrix,
-                             to_dense: bool) -> ExactMatrix:
-    """P Omega X Omega^T P^{-1} when to_dense, else its inverse
-    Omega^T P^{-1} X P Omega, by index: no product, no sqrt2 part.
+                     sign: int) -> tuple:
+    """The rows of 2 den times the image of grid / den under the change of
+    basis of _transition_indices, unreduced.
 
     P = (I + i E)/sqrt2 and P^{-1} = (I - i E)/sqrt2 with E^2 = I give
     P Y P^{-1} = (Y + E Y E + i (E Y - Y E))/2, and P^{-1} Y P the same
-    with -i.  (E Y)[a][b] = Y[e(a)][b], so each entry reads four of x, at
-    the index lists s (Omega moved) and t (s after E) of
-    _transition_indices, by the one formula of _transition_rows."""
-    rows = _transition_rows(x._g, *_transition_indices(structure, to_dense))
-    return _reduced(x.rows, x.cols, tuple(rows), 2 * x._den)
+    with -i (sign).  (E Y)[a][b] = Y[e(a)][b], so each entry reads four of
+    grid, at the index lists s (Omega moved) and t (s after E)."""
+    # v = Y[a][b] + Y[e a][e b], w = Y[e a][b] - Y[a][e b]; v + sign i w
+    return tuple(tuple(
+        (a1 + a2 - sign * (b3 - b4), b1 + b2 + sign * (a3 - a4),
+         c1 + c2 - sign * (d3 - d4), d1 + d2 + sign * (c3 - c4))
+        for (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3),
+        (a4, b4, c4, d4) in zip(
+            map(ys.__getitem__, s), map(yt.__getitem__, t),
+            map(yt.__getitem__, s), map(ys.__getitem__, t)))
+        for ys, yt in zip(map(grid.__getitem__, s), map(grid.__getitem__, t)))
+
+
+def _conjugate_by_transition(structure: Structure,
+                             x: ExactMatrix) -> ExactMatrix:
+    """P Omega X Omega^T P^{-1} by index (_transition_rows): no product,
+    no sqrt2 part.  The dense check reads the way back unreduced."""
+    rows = _transition_rows(x._g, *_transition_indices(structure, True))
+    return _reduced(x.rows, x.cols, rows, 2 * x._den)
 
 
 def jordan_form(structure: Structure) -> ExactMatrix:

@@ -249,13 +249,11 @@ def _is_member(x, structure) -> bool:
     return getattr(x, "_member_of", None) == structure
 
 
-def _first_mismatch(a: ExactMatrix, b: ExactMatrix):
-    """The first (i, j), in row-major order, where a and b differ."""
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j] != b[i, j]:
-                return i, j
-    return None
+def _first_mismatch(a: Sequence, b: Sequence):
+    """The first (i, j), in row-major order, where the rows a and b differ,
+    or None."""
+    return next(((i, j) for i, (x, y) in enumerate(zip(a, b))
+                 for j, (u, v) in enumerate(zip(x, y)) if u != v), None)
 
 
 def _as_scalar(x) -> ExactScalar:

@@ -135,11 +135,7 @@ class ExactScalar:
     def __eq__(self, other) -> bool:
         if other is self:
             return True
-        try:
-            other = _coerce(other)
-        except (ValueError, ZeroDivisionError):
-            # a string that names no number: unequal, as other types are
-            return NotImplemented
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         # part by part as integer pairs of reduced Fractions, without
@@ -182,9 +178,10 @@ def _coerce(value) -> ExactScalar:
     if isinstance(value, float):
         return NotImplemented
     try:
-        # Fractions (and ints behind abstract types) still coerce exactly.
+        # Fractions (and ints behind abstract types) still coerce exactly,
+        # and so does a string that names a rational
         return ExactScalar(Fraction(value))
-    except TypeError:
+    except (TypeError, ValueError, ZeroDivisionError):
         return NotImplemented
 
 

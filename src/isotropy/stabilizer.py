@@ -7,8 +7,7 @@ forms X solving the flip congruence F X^T F X = I.  An exact change of
 basis exchanges the two, so membership checks never approximate.
 """
 
-from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 
 from .errors import (IntegrityError, MembershipError, ParameterError,
                      StructureError)
@@ -16,11 +15,13 @@ from .forms import (SegreStructure, _conjugate_by_transition,
                     _require_square, _require_structure, _transition_indices,
                     _transition_rows, solution_dimension, symmetric_form)
 from .matrices import (ExactMatrix, _Z4, _first_mismatch, _grid_mul,
-                       _is_member, _mark_member, _sparse_rows, direct_sum)
+                       _is_member, _mark_member, _reduced, _sparse_rows,
+                       direct_sum)
 from .scalars import ONE, ZERO, _from_ints
 from .solver import (FreeParams, _require_congruence, _sweep, constant_data,
                      random_free_params)
-from .toeplitz import ToeplitzForm, _maps
+from .toeplitz import (ToeplitzForm, _assembled, _flipped, _placement,
+                       _strip_rows)
 
 
 class IsotropyDescription:
@@ -104,55 +105,29 @@ def describe_isotropy(structure) -> IsotropyDescription:
         parts=parts)
 
 
-@lru_cache(maxsize=4)
-def _check_tables(structure) -> tuple:
-    """What verify_isotropy reads of a structure, made once: (s, t, sign)
-    of _transition_indices towards Toeplitz coordinates; tops, the row of
-    X of each strip row; flips, toeplitz._maps of each part read off X's
-    strip rows in place (one past their end for zero); and per row of X,
-    its checks (a, b, src, shift): row[a:b] equals the slice of row src
-    of X moved shift columns right, src = n standing for a zero row."""
-    n, tops, flips, checks = structure.n, [], [], []
-    off, zero = 0, sum(sum(part.mults) for part in structure.parts) * n
-    for part in structure.parts:
-        blocks, row0, n_p = part.blocks, len(tops), part.n
-        starts = tuple(accumulate((a * m for a, m in blocks), initial=off))
-        for (alpha_r, m_r), top in zip(blocks, starts):
-            tops += range(top, top + m_r)
-            for i in range(top, top + alpha_r * m_r):
-                row = [(0, off, n, 0), (off + n_p, n, n, 0)]
-                for (alpha_s, m_s), left in zip(blocks, starts):
-                    if i < top + m_r:  # cell-row 0: zero before shift(r, s)
-                        row.append((left, left + max(0, alpha_s - alpha_r)
-                                    * m_s, n, 0))
-                    else:  # zero first cell, then cell-row u - 1 moved
-                        row += [(left, left + m_s, n, 0),
-                                (left + m_s, left + alpha_s * m_s, i - m_r, m_s)]
-                checks.append(tuple(c for c in row if c[1] > c[0]))
-        end = (len(tops) - row0) * n_p  # the zero slot of _maps
-        flips += [(zero,) * off + tuple(
-            zero if k == end else (row0 + k // n_p) * n + off + k % n_p
-            for k in idx)
-            + (zero,) * (n - off - n_p) for idx in _maps(blocks)]
-        off += n_p
-    return (_transition_indices(structure, False), tuple(tops), tuple(flips),
-            tuple(checks))
-
-
 def _in_group(structure, grid: tuple, den: int) -> bool:
     """True when grid / den is a member of the group of structure, checked
     on X, 2 den times its transition image (verify_isotropy)."""
-    indices, tops, flips, checks = _check_tables(structure)
-    x = _transition_rows(grid, *indices)
-    n = len(x)
-    rows = x + [(_Z4,) * n]
-    if any(row[a:b] != rows[src][a - shift:b - shift]
-           for row, spans in zip(x, checks) for a, b, src, shift in spans):
-        return False
-    flat = tuple(chain.from_iterable(map(x.__getitem__, tops))) + (_Z4,)
+    x = _transition_rows(grid, *_transition_indices(structure, False))
+    n, flips, tops, off = len(x), [], [], 0
+    for part in structure.parts:
+        blocks, end = part.blocks, off + part.n
+        rows = x[off:end]
+        if part.n < n:  # several parts: X is zero outside this one
+            if any(map(any, chain.from_iterable(row[:off] + row[end:]
+                                                for row in rows))):
+                return False
+            rows = tuple(row[off:end] for row in rows)
+        strip = _strip_rows(rows, blocks)
+        if _assembled(strip, blocks) != rows:
+            return False
+        flips += [(_Z4,) * off + row + (_Z4,) * (n - end)
+                  for row in _flipped(strip, blocks)]
+        tops += [off + cols[r] + a for r, (cols, m) in enumerate(
+            zip(_placement(blocks)[2], part.mults)) for a in range(m)]
+        off = end
     one, zero = 4 * den * den, [0] * n
-    return _grid_mul([tuple(map(flat.__getitem__, idx)) for idx in flips],
-                     _sparse_rows(x), n) == [
+    return _grid_mul(flips, _sparse_rows(x), n) == [
         [[one if j == i else 0 for j in range(n)], zero, zero, zero]
         for i in tops]
 
@@ -167,35 +142,33 @@ def verify_isotropy(structure, q: ExactMatrix):
 
     A member is accepted in Toeplitz coordinates, on the transition image
     X = Omega^T P^{-1} Q P Omega of Q, read off G by index
-    (forms._transition_rows) and kept unreduced over 2 d.  Q is a member
-    exactly when
+    (forms._transition_rows) and kept unreduced over 2 d (_in_group).  Q
+    is a member exactly when
 
     1. X is block Toeplitz: it commutes with J = P^{-1} S P, conjugated
        by Omega.  Between two parts, whose eigenvalues differ, J X = X J
-       forces every entry to zero.  Within a part it says, in each block
-       (r, s), that cell-row u >= 1 is cell-row u - 1 moved one cell
-       right, with a zero first cell, and that the first shift(r, s)
-       cells of cell-row 0 are zero: cell (u, v) is coefficient
-       v - u - shift(r, s), zero below.  Each is one tuple slice per row
-       and block, at O(n^2) cost in all.
+       forces every entry to zero.  Within a part it says that cell (u, v)
+       of block (r, s) is coefficient v - u - shift(r, s), zero below:
+       the part's rows are the assembly of their own strip
+       (toeplitz._strip_rows, toeplitz._assembled), at O(n^2) cost.
     2. F X^T F X = I, F = Omega^T E Omega.  P is symmetric with
        P^T P = P^2 = i E, so Q^T Q = i P^{-1} Omega X^T F X Omega^T P^{-1},
        which is I exactly when X^T F X = F.  With X block Toeplitz, so is
-       Y = F X^T F X (toeplitz.py), and its strip, the first cell-row of
-       each group, determines it.  The strip of F X^T F is gathered from
-       X's strip rows through toeplitz._maps, multiplied once by X, at
-       O(M n^2) cost for M strip rows, and compared with (2 d)^2 times the
-       identity's strip.
+       Y = F X^T F X, and its strip determines it: the strip of F X^T F
+       (toeplitz._flipped) times X, at O(M n^2) cost for M strip rows, is
+       compared with (2 d)^2 times the identity's strip.
 
     1 says S Q = Q S, so with Q^T = Q^{-1} from 2, Q^T S Q = S; a member
-    satisfies both, since it commutes with S.  S is not built.
+    satisfies both, since it commutes with S.  S is not built, and X's
+    strip is the member's form (to_toeplitz_coordinates).
 
     When either test fails, the full product G^T G is compared with
     d^2 I entry by entry, and Q^T S Q is formed only if that holds, to
-    name the first failing entry; the two tests hold exactly for members,
-    so the failure path always finds one.  The test always computes;
-    on success it marks q as a verified member of structure, so that the
-    group operations need not check it again.
+    name the first failing entry.  The two tests hold exactly for
+    members, so a matrix both products accept is a fault of the library
+    (IntegrityError).  The test always computes; on success it marks q as
+    a verified member of structure, so that the group operations need not
+    check it again.
     """
     _require_square(structure, q)
     grid, den = q._g, q._den
@@ -213,7 +186,11 @@ def verify_isotropy(structure, q: ExactMatrix):
                                f"{ONE if i == j else ZERO}")
     s = symmetric_form(structure)
     cong = q.transpose() * s * q
-    i, j = _first_mismatch(cong, s)
+    found = _first_mismatch(cong.to_lists(), s.to_lists())
+    if found is None:
+        raise IntegrityError("the Toeplitz check rejected a matrix that "
+                             "Q^T Q = I and Q^T S Q = S accept")
+    i, j = found
     return False, (f"congruence fails first: (Q^T S Q)[{i}][{j}] = "
                    f"{cong[i, j]}, expected {s[i, j]}")
 
@@ -241,21 +218,27 @@ def from_toeplitz_coordinates(structure: SegreStructure,
     """Dense member Q from a coefficient-level solution; Q is verified."""
     if form.structure != structure:
         raise StructureError("form was built for a different structure")
-    q = _conjugate_by_transition(structure, form.assemble(), True)
+    q = _conjugate_by_transition(structure, form.assemble())
     _require_member(structure, q, IntegrityError, _BUILT)
     return q
 
 
 def to_toeplitz_coordinates(structure: SegreStructure,
                             q: ExactMatrix) -> ToeplitzForm:
-    """Coefficient-level solution from a dense member (inverse map)."""
+    """Coefficient-level solution from a dense member (inverse map): the
+    strip of its transition image, which the dense check found block
+    Toeplitz (verify_isotropy), marked a member."""
     if not isinstance(structure, SegreStructure):
         raise StructureError(
             "coefficient coordinates exist per eigenvalue; split the "
             "matrix along parts first")
     _require_member(structure, q, MembershipError, "")
-    return ToeplitzForm.extract(
-        _conjugate_by_transition(structure, q, False), structure)
+    x = _transition_rows(q._g, *_transition_indices(structure, False))
+    form = ToeplitzForm._from_strip(structure, _reduced(
+        sum(structure.mults), structure.n, _strip_rows(x, structure.blocks),
+        2 * q._den))
+    _mark_member(form, structure)
+    return form
 
 
 def _sample_single(st, params, seeds, rnd, scalar_kw):
@@ -267,7 +250,7 @@ def _sample_single(st, params, seeds, rnd, scalar_kw):
         params = random_free_params(data, rnd, seeds=seeds, **scalar_kw)
     elif seeds is not None:
         params = FreeParams(params.sub_blocks, seeds, params.skews)
-    return _conjugate_by_transition(st, _sweep(data, params).assemble(), True)
+    return _conjugate_by_transition(st, _sweep(data, params).assemble())
 
 
 def sample_isotropy_element(structure, params=None, seeds=None, rnd=None,

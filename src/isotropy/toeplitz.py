@@ -20,15 +20,14 @@ writer and reader of the strip uses, and the sweep's plan its shifts
 an ExactMatrix each, and the zero test of a cell (_is_zero_at) and the
 identity-diagonal test read the strip in place, without making the
 coefficient.  Sums, scaling, equality and the zero test are the
-strip's; flip_transpose gathers its entries through an index map made
-once per block shape (_maps).  Cell-row u of a group of
-the dense matrix is its strip moved right by u cells in every block
-(assemble), and extract reads the strip back, zeroing the cells before
-each first coefficient.  A product is one integer product
-(_sum_of_products): the left strip times the dense rows of the right
-operand is the product's strip, and those rows are read off the right
-strip's nonzeros, each moved right by u cells while it stays inside its
-block (_moved_rows).  Neither builds an n x n matrix.  The commutant builder
+strip's.  A matrix is block Toeplitz when it equals the assembly of its
+strip (_assembled, _strip_rows): the one rule that assemble, extract and
+the dense membership check read.  The flip is gathered through an index
+map made once per block shape (_flipped, _maps).  A product is one
+integer product (_sum_of_products): the left strip times the dense rows
+of the right operand is the product's strip, and those rows are read off
+the right strip's nonzeros, each moved right by u cells while it stays
+inside its block (_moved_rows), so no n x n matrix.  The commutant builder
 (commutant_basis) goes the other way: from a sparse assignment, checked as
 from_sparse checks it (_check_sparse), it writes the dense copy-major
 matrix in one pass, each coefficient row as strided slices placed by the
@@ -66,6 +65,7 @@ from .forms import (SegreStructure, _omega_indices, _require_square,
 from .matrices import (ExactMatrix, _Z4, _first_mismatch, _permuted,
                        _reduced, _rescaled, _sparse_rows, _sum_of_products,
                        identity as dense_identity, zeros as dense_zeros)
+from .scalars import _from_ints
 
 __all__ = [
     "ToeplitzForm",
@@ -108,9 +108,9 @@ def _maps(blocks) -> tuple:
     strip row of F X^T F, the index of each entry in the strip read row by
     row, M n meaning the zero slot past its end.  Coefficient (r, s, j) of
     the flip, where _placement puts it, is coefficient (s, r, j) read down
-    its columns.  Cached apart from _placement: the dense bridge needs only
-    that, and the commutant builder meets many a block shape once.  The
-    dense membership check reads it too (stabilizer._check_tables)."""
+    its columns; read through _flipped.  Cached apart from _placement: the
+    dense bridge needs only that, and the commutant builder meets many a
+    block shape once."""
     tops, _, cols, reach, _ = _placement(blocks)
     n = len(reach)
     flip = []
@@ -124,6 +124,47 @@ def _maps(blocks) -> tuple:
                                              tops[s + 1] * n + src, n)
             flip.append(tuple(row))
     return tuple(flip)
+
+
+def _strip_rows(rows, blocks) -> tuple:
+    """The strip of these dense rows: the first cell-row of each group,
+    the cells before each coefficient 0 read as zero."""
+    _, _, cols, reach, _ = _placement(blocks)
+    strip = []
+    for r, (alpha, m) in enumerate(blocks):
+        strip += [tuple(_Z4 if far > alpha else x for x, far in zip(row, reach))
+                  for row in rows[cols[r][r]:cols[r][r] + m]]
+    return tuple(strip)
+
+
+def _assembled(strip, blocks) -> tuple:
+    """The dense rows of the form with this strip: in each group, cell-row
+    u is cell-row u - 1 moved right by one cell in every block."""
+    tops, _, cols, _, _ = _placement(blocks)
+    moves = [((_Z4,) * m, cols[s][s], cols[s][s] + (alpha - 1) * m)
+             for s, (alpha, m) in enumerate(blocks)]
+    rows = []
+    for (alpha, _), top, bottom in zip(blocks, tops, tops[1:]):
+        group = strip[top:bottom]
+        rows += group
+        for _ in range(1, alpha):
+            moved = []
+            for row in group:
+                new = []
+                for zeros, a, b in moves:
+                    new += zeros
+                    new += row[a:b]
+                moved.append(tuple(new))
+            rows += moved
+            group = moved
+    return tuple(rows)
+
+
+def _flipped(strip, blocks) -> tuple:
+    """The strip of F X^T F for the form X with this strip, gathered
+    through the block shape's index map (_maps)."""
+    flat = tuple(chain.from_iterable(strip)) + (_Z4,)
+    return tuple(tuple(map(flat.__getitem__, idx)) for idx in _maps(blocks))
 
 
 def _check_cell(structure: SegreStructure, r: int, s: int, j: int, mat):
@@ -335,22 +376,11 @@ class ToeplitzForm:
 
     def assemble(self) -> ExactMatrix:
         """Dense n x n matrix with cell (u, v) of block (r, s) equal to
-        coefficient v - u - shift(r, s): cell-row u of group r is the strip
-        rows of group r moved right by u cells per block.  It holds the
-        strip's entries and zeros, so it is canonical over the strip's den."""
+        coefficient v - u - shift(r, s) (_assembled).  It holds the strip's
+        entries and zeros, so it is canonical over the strip's den."""
         st = self.structure
-        rows = []
-        for (alpha_r, m_r), top in zip(st.blocks, _placement(st.blocks)[0]):
-            for u in range(alpha_r):
-                for row in self._strip._g[top:top + m_r]:
-                    new, col = [], 0
-                    for alpha, m in st.blocks:
-                        width, zero = alpha * m, min(u, alpha) * m
-                        new.extend((_Z4,) * zero)
-                        new.extend(row[col:col + width - zero])
-                        col += width
-                    rows.append(tuple(new))
-        return ExactMatrix(st.n, st.n, tuple(rows), self._strip._den)
+        return ExactMatrix(st.n, st.n, _assembled(self._strip._g, st.blocks),
+                           self._strip._den)
 
     def _moved_rows(self) -> list:
         """The _sparse_rows of the dense matrix, in its row order, read off
@@ -373,27 +403,24 @@ class ToeplitzForm:
     @classmethod
     def extract(cls, dense: ExactMatrix,
                 structure: SegreStructure) -> "ToeplitzForm":
-        """Read a shape-conforming dense matrix back into coefficients.
+        """Read a shape-conforming dense matrix back into coefficients: its
+        strip (_strip_rows), when it equals the assembly of that strip.
 
         Raises ShapeViolationError at the first dense entry, in row-major
         order, that breaks the constant-diagonal block pattern.
         """
         _need_segre(structure)
         _require_square(structure, dense)
-        _, _, cols, reach, _ = _placement(structure.blocks)
-        rows = []
-        for r, (alpha, m) in enumerate(structure.blocks):
-            rows += [tuple(_Z4 if far > alpha else x for x, far in zip(row, reach))
-                     for row in dense._g[cols[r][r]:cols[r][r] + m]]
-        candidate = cls._from_strip(structure, _reduced(
-            len(rows), structure.n, tuple(rows), dense._den))
-        expected = candidate.assemble()
-        if expected == dense:
-            return candidate
-        i, j = _first_mismatch(dense, expected)
+        strip = _strip_rows(dense._g, structure.blocks)
+        expected = _assembled(strip, structure.blocks)
+        if expected == dense._g:
+            return cls._from_strip(structure, _reduced(
+                len(strip), structure.n, strip, dense._den))
+        i, j = _first_mismatch(dense._g, expected)
         raise ShapeViolationError(
-            f"entry ({i}, {j}) = {dense[i, j]} breaks the block "
-            f"Toeplitz pattern (expected {expected[i, j]})", i, j)
+            f"entry ({i}, {j}) = {dense[i, j]} breaks the block Toeplitz "
+            f"pattern (expected {_from_ints(*expected[i][j], dense._den)})",
+            i, j)
 
     # -- multiplicative structure ----------------------------------------
 
@@ -412,14 +439,11 @@ class ToeplitzForm:
     def flip_transpose(self) -> "ToeplitzForm":
         """F X^T F for the backward block form F: coefficient (r, s, j)
         becomes the transpose of coefficient (s, r, j).  The strip's entries
-        are gathered through the block shape's index map (_maps), so the
-        result is canonical over the same den."""
+        are gathered (_flipped), so the result is canonical over the same
+        den."""
         st, strip = self.structure, self._strip
-        flat = tuple(chain.from_iterable(strip._g)) + (_Z4,)
         return ToeplitzForm._from_strip(st, ExactMatrix(
-            strip.rows, st.n,
-            tuple(tuple(map(flat.__getitem__, idx)) for idx in _maps(st.blocks)),
-            strip._den))
+            strip.rows, st.n, _flipped(strip._g, st.blocks), strip._den))
 
     # -- predicates -------------------------------------------------------
 

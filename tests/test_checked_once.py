@@ -1,17 +1,20 @@
 """Every element a public function returns is checked exactly once: the
 dense membership test and the form congruence are counted around
-sampling and factorization.  Inputs are checked once too: the ranks
-constant_data takes are counted, and gen_W makes its zero parameters once
-per structure.  The sweep's plan, the strip's placement
-table and the flip's index map are built once per block shape, the flip
-map only by a flip or a dense check, and the dense check's index tables
-once per structure; a successful dense check builds no S and no n x n
-product, a form product and a form check build no dense matrix, and the
-commutant builder writes its dense matrix in one pass.  The tangent oracle ranks
-each distinct pair of block groups once, and the orbit check reads the
-structure's blocks without building S.  Sampling, the generators, form
-products and factoring stay on integer grids: they make no Catalan scalar,
-scaled matrix or coefficient matrix only to test it for zero."""
+sampling and factorization, and a dense member's Toeplitz coordinates
+carry its check, so factoring it checks only the core.  Inputs are
+checked once too: the ranks constant_data takes are counted.  The
+constant data are made once per structure, the Catalan ratios once per
+index, the identity rows once per size, the sweep's plan, the strip's
+placement table and the flip's index map once per block shape, the flip
+map only by a flip or a dense check, and the transition index lists once
+per structure and direction; a successful dense check builds no S and no
+n x n product, a form product and a form check build no dense matrix, and
+the commutant builder writes its dense matrix in one pass.  The tangent
+oracle ranks each distinct pair of block groups once, and the orbit check
+reads the structure's blocks without building S.  Sampling, the
+generators, form products and factoring stay on integer grids: they make
+no Catalan scalar, scaled matrix or coefficient matrix only to test it for
+zero."""
 
 import pytest
 
@@ -77,6 +80,35 @@ def test_factoring_a_member_checks_only_the_core(checks):
         core, specs = generators.factor_unipotent(st, y)
         assert len(specs) == peels
         assert checks == {"dense": 0, "form": 1}
+
+
+def test_factoring_a_dense_member_checks_it_once_and_the_core_once(
+        checks, monkeypatch):
+    # to_toeplitz_coordinates reads the strip of the transition image the
+    # dense check accepted and marks the form a member, so factoring it
+    # checks only the core; no n x n assembly or transition on the way
+    rnd = RandomSource(20261020)
+    st = SegreStructure(0, [(3, 1), (2, 1), (1, 1)])
+    y = _identity_diagonal_member(st, rnd)
+    q = ExactMatrix.from_rows(
+        stabilizer.from_toeplitz_coordinates(st, y).to_lists())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the factor path left the strip")
+
+    in_group, check = [], stabilizer._in_group
+    monkeypatch.setattr(ToeplitzForm, "extract", refuse)
+    monkeypatch.setattr(ToeplitzForm, "assemble", refuse)
+    monkeypatch.setattr(forms, "_conjugate_by_transition", refuse)
+    monkeypatch.setattr(stabilizer, "_conjugate_by_transition", refuse)
+    monkeypatch.setattr(stabilizer, "_in_group",
+                        lambda *args: in_group.append(1) or check(*args))
+    checks.update(dense=0, form=0)
+    form = stabilizer.to_toeplitz_coordinates(st, q)
+    assert form == y and matrices._is_member(form, st)
+    core, specs = generators.factor_unipotent(st, form)
+    assert len(specs) == 4 and core.has_identity_diagonal
+    assert checks == {"dense": 1, "form": 1} and in_group == [1]
 
 
 def test_a_corrupted_peel_fails_the_core_check(monkeypatch):
@@ -180,6 +212,43 @@ def test_the_sweep_is_planned_once_per_block_shape():
     assert (info.misses, info.hits) == (1, 5)
 
 
+def test_constant_data_is_made_once_per_structure():
+    # an equal structure, built anew, reads the same identity data
+    solver._constant_data.cache_clear()
+    for _ in range(2):
+        solver.constant_data(SegreStructure(IMAG, [(3, 2), (1, 1)]))
+    info = solver._constant_data.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_the_catalan_ratios_are_made_once_per_index():
+    # two couplings at one slot read the same ratios; so does catalan_coeff
+    rnd = RandomSource(20261025)
+    st = SegreStructure(0, [(5, 1), (4, 1)])
+    generators._catalan.cache_clear()
+    generators.gen_G(st, 0, 1, 0, rnd.matrix(1, 1))
+    first = generators._catalan.cache_info()
+    generators.gen_G(st, 0, 1, 0, rnd.matrix(1, 1))
+    generators.catalan_coeff(0)
+    info = generators._catalan.cache_info()
+    assert first.misses > 0 and info.misses == first.misses
+    assert info.hits == 2 * first.hits + first.misses + 1
+
+
+def test_the_identity_rows_are_made_once_per_size():
+    # a second sample on one shape sweeps with the identity rows of the
+    # first
+    rnd = RandomSource(20261026)
+    st = SegreStructure(IMAG, [(3, 2), (2, 1), (1, 2)])
+    matrices._identity_rows.cache_clear()
+    stabilizer.sample_isotropy_element(st, rnd=rnd)
+    first = matrices._identity_rows.cache_info()
+    stabilizer.sample_isotropy_element(st, rnd=rnd)
+    info = matrices._identity_rows.cache_info()
+    assert first.misses > 0 and info.misses == first.misses
+    assert info.hits == 2 * first.hits + first.misses
+
+
 def test_form_products_and_checks_build_no_dense_matrix(monkeypatch):
     # the product reads its right operand off the strip, and the check is a
     # flip and a product: neither assembles a form
@@ -198,16 +267,19 @@ def test_form_products_and_checks_build_no_dense_matrix(monkeypatch):
     assert walks == []
 
 
-def test_the_check_tables_are_made_once_per_structure():
-    # two samples, a dense product and an inverse: four dense checks on one
-    # structure read one set of index tables
-    stabilizer._check_tables.cache_clear()
-    st = _MULTI
+@pytest.mark.parametrize("st, counts", [(_SINGLE, (2, 4)), (_MULTI, (3, 5))],
+                         ids=["single", "multi"])
+def test_the_transition_indices_are_made_once_per_structure(st, counts):
+    # two samples, a dense product and an inverse: each sample maps every
+    # part to dense coordinates, and four dense checks read the structure
+    # back; one miss per (structure, direction), so one per direction on
+    # one eigenvalue, and per part towards dense coordinates on several
+    forms._transition_indices.cache_clear()
     rnd = RandomSource(20241022)
     q1, q2 = (stabilizer.sample_isotropy_element(st, rnd=rnd) for _ in range(2))
     stabilizer.group_element_inv(st, stabilizer.group_element_mul(st, [q1, q2]))
-    info = stabilizer._check_tables.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    info = forms._transition_indices.cache_info()
+    assert (info.misses, info.hits) == counts
 
 
 @pytest.mark.parametrize("st", [_SINGLE, _MULTI], ids=["single", "multi"])

@@ -211,6 +211,20 @@ def test_verify_non_member_exits_one(capsys):
     assert "orthogonality" in payload["report"]
 
 
+def test_checks_that_disagree_exit_three(capsys, monkeypatch):
+    # a member whose Toeplitz check is made to fail, while both full
+    # products accept it: an internal fault, exit 3 with a JSON error
+    from isotropy import stabilizer
+    _, out, _ = _run(capsys, "sample", "--structure", PAIR, "--seed", "3")
+    matrix = json.dumps(json.loads(out)["matrix"])
+    monkeypatch.setattr(stabilizer, "_in_group", lambda *args: False)
+    code, out, err = _run(capsys, "verify", "--structure", PAIR,
+                          "--matrix", matrix)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "the Toeplitz check rejected a "
+                               "matrix that Q^T Q = I and Q^T S Q = S accept"}
+
+
 def test_sample_is_byte_identical_per_seed(capsys, monkeypatch):
     monkeypatch.delenv("ISOTROPY_SEED", raising=False)
     code, first, _ = _run(capsys, "sample", "--structure", PAIR,

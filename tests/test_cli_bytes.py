@@ -744,3 +744,56 @@ def test_library_error_texts(lam, call):
         _library_calls(lam)[call]()
     got = (type(info.value).__name__, str(info.value))
     assert got == _LIBRARY_ERRORS[call]
+
+
+# The one block Toeplitz rule: on every partition with n <= 6 at 0, 1 and
+# i, extract of a random form's assembly with each entry bumped by 1 and
+# by i (the strip read back, or the exception's type, message and args),
+# and to_toeplitz_coordinates of one sample per structure.  4209 cases,
+# one sha256 over their outcomes, computed before the rule was shared.
+_ONE_RULE_DIGEST = (
+    "328e121161a3b6264700b3943d725dd256cb7b3837bea5ac42392928e96a77d9")
+
+
+def _one_rule_corpus():
+    from isotropy import (ExactMatrix, RandomSource, ShapeViolationError,
+                          ToeplitzForm, enumerate_structures, parse_scalar,
+                          sample_isotropy_element, to_toeplitz_coordinates,
+                          zeros)
+
+    def lists(m):
+        return [[str(x) for x in row] for row in m.to_lists()]
+
+    rnd = RandomSource(20261020)
+    cases = []
+    for lam in ("0", "1", "i"):
+        for n in range(1, 7):
+            for st in enumerate_structures(n, parse_scalar(lam)):
+                dense = ToeplitzForm.from_sparse(st, {
+                    (r, s, j): rnd.matrix(st.mults[r], st.mults[s])
+                    for r in range(st.part_count)
+                    for s in range(st.part_count)
+                    for j in range(st.depth(r, s))}).assemble()
+                for i in range(n):
+                    for j in range(n):
+                        for bump in map(parse_scalar, ("1", "i")):
+                            unit = zeros(n, n).to_lists()
+                            unit[i][j] = bump
+                            changed = dense + ExactMatrix.from_rows(unit)
+                            try:
+                                got = lists(ToeplitzForm.extract(
+                                    changed, st).assemble())
+                            except ShapeViolationError as error:
+                                got = [type(error).__name__, str(error),
+                                       [str(a) for a in error.args],
+                                       error.row, error.col]
+                            cases.append(got)
+                q = sample_isotropy_element(st, rnd=rnd)
+                cases.append(lists(to_toeplitz_coordinates(st, q).assemble()))
+    return cases
+
+
+def test_the_one_block_toeplitz_rule_corpus():
+    cases = _one_rule_corpus()
+    assert len(cases) == 4209
+    assert _digest(json.dumps(cases)) == _ONE_RULE_DIGEST

@@ -10,7 +10,7 @@ from isotropy.forms import (
     symmetric_form, transition_form, transition_matrix,
 )
 from isotropy import forms
-from isotropy.matrices import ExactMatrix, identity
+from isotropy.matrices import ExactMatrix, _reduced, identity
 from isotropy.rng import RandomSource
 from isotropy.scalars import ExactScalar, HALF, IMAG, ONE, SQRT2, ZERO, rat
 
@@ -325,10 +325,13 @@ def test_transition_by_index_equals_the_two_products(lam):
     for st in structures:
         p, om = transition_form(st), interleave_form(st)
         y = rnd.matrix(st.n, st.n, with_sqrt2=True, max_den=6)
-        for to_dense, want in (
-                (True, p * (om * y * om.T) * p.inverse()),
-                (False, om.T * (p.inverse() * y * p) * om)):
-            got = forms._conjugate_by_transition(st, y, to_dense)
+        back = forms._transition_rows(
+            y._g, *forms._transition_indices(st, False))
+        for to_dense, got, want in (
+                (True, forms._conjugate_by_transition(st, y),
+                 p * (om * y * om.T) * p.inverse()),
+                (False, _reduced(st.n, st.n, back, 2 * y._den),
+                 om.T * (p.inverse() * y * p) * om)):
             assert (got._den, got._g) == (want._den, want._g), (st, to_dense)
 
 

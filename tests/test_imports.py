@@ -9,7 +9,10 @@ Two routes bind a name without a module-level import, and each counts only
 where the syntax tree of the module it names binds the name: the
 package's __getattr__ imports every public name on first access, and the
 command line binds some modules lazily (`name = _lazy("module")`) and
-reads names off them as attributes."""
+reads names off them as attributes.
+
+Every functools cache in the package is read through .cache_info() by
+some test, so that none is kept without traffic a test has seen."""
 
 import ast
 from pathlib import Path
@@ -188,6 +191,41 @@ def test_every_public_method_is_reached():
                   and node.name not in named)
     assert not dead, "public methods no package code reaches: " + \
         ", ".join(dead)
+
+
+def _cached(tree):
+    """The module-level functions of a syntax tree that a functools cache
+    wraps: lru_cache or cache, called or bare, plain or qualified."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(dec, "id", getattr(dec, "attr", None)) in (
+                        "lru_cache", "cache"):
+                    names.add(node.name)
+    return names
+
+
+def test_every_cache_is_read_by_a_test():
+    # f.cache_info() or module.f.cache_info() in some test module; a
+    # qualified read counts for that module alone
+    read = set()
+    for path in sorted(_TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "cache_info":
+                inner = node.value
+                if isinstance(inner, ast.Name):
+                    read.add((None, inner.id))
+                elif isinstance(inner, ast.Attribute):
+                    owner = inner.value
+                    read.add((owner.id if isinstance(owner, ast.Name)
+                              else None, inner.attr))
+    unread = sorted(f"{path.stem}.{name}"
+                    for path in sorted(_PACKAGE.glob("*.py"))
+                    for name in _cached(ast.parse(path.read_text()))
+                    if not {(None, name), (path.stem, name)} & read)
+    assert not unread, "caches no test reads: " + ", ".join(unread)
 
 
 def test_the_codim_path_stays_off_the_solver():

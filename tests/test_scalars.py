@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from isotropy.errors import ScalarParseError
+from isotropy.matrices import ExactMatrix
 from isotropy.rng import RandomSource
 from isotropy.scalars import (
     ExactScalar, HALF, IMAG, MINUS_ONE, ONE, SQRT2, ZERO,
@@ -245,6 +246,22 @@ def test_a_string_that_is_no_number_compares_unequal():
         assert ONE.__eq__(text) is NotImplemented
     assert ONE not in ["x"] and ZERO in ["x", 0]
     assert ExactScalar(rat(1, 2)) == "1/2" and ExactScalar(rat(1, 2)) != "1/3"
+
+
+def test_a_string_that_is_no_number_is_no_operand():
+    # arithmetic refuses it as it refuses other non-numbers, with TypeError;
+    # a string that names a rational still coerces
+    for text in ("x", "", "1/0", "i"):
+        for op in (lambda: ONE + text, lambda: ONE - text,
+                   lambda: ONE * text, lambda: ONE / text,
+                   lambda: text - ONE, lambda: text / ONE):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(TypeError, match="^cannot use str as an exact scalar$"):
+        ExactMatrix.from_rows([["x"]])
+    assert ONE + "1/2" == rat(3, 2) and "1/2" - ONE == rat(-1, 2)
+    assert ExactMatrix.from_rows([["1/2"]]) == ExactMatrix.from_rows(
+        [[rat(1, 2)]])
 
 
 def test_a_rational_scalar_hashes_like_the_number_it_equals():

@@ -4,8 +4,9 @@ from itertools import chain
 
 import pytest
 
-from isotropy.errors import (DimensionMismatchError, MembershipError,
-                             ParameterError, StructureError)
+from isotropy import stabilizer
+from isotropy.errors import (DimensionMismatchError, IntegrityError,
+                             MembershipError, ParameterError, StructureError)
 from isotropy.forms import (MultiSegreStructure, SegreStructure,
                             _conjugate_by_transition, enumerate_structures,
                             solution_dimension, symmetric_form)
@@ -283,9 +284,9 @@ def _transition_probes(st):
         return ExactMatrix.build(n, n, lambda r, c: ONE if (r, c) == (i, j) else ZERO)
 
     for i, j in units:
-        yield _conjugate_by_transition(st, identity(n) + unit(i, j), True)
+        yield _conjugate_by_transition(st, identity(n) + unit(i, j))
     if len(parts) > 1:
-        yield _conjugate_by_transition(st, unit(*units[-1]), True)
+        yield _conjugate_by_transition(st, unit(*units[-1]))
 
 
 def test_verify_matches_two_product_reference():
@@ -317,6 +318,20 @@ def test_parts_swapped_is_orthogonal_but_no_member():
     ok, report = verify_isotropy(st, swap)
     assert (ok, report) == oracle.two_product_membership(symmetric_form(st), swap)
     assert report.startswith("congruence fails first")
+
+
+@pytest.mark.parametrize("st", [_st([(3, 1), (2, 2), (1, 1)], IMAG),
+                                MultiSegreStructure([_st([(2, 1)], 0),
+                                                     _st([(1, 2)], 1)])],
+                         ids=["single", "multi"])
+def test_checks_that_disagree_raise_an_integrity_error(monkeypatch, st):
+    # a Toeplitz check that rejected a member, which both full products
+    # accept, is a fault of the library, named as such
+    q = sample_isotropy_element(st, rnd=RandomSource(20261020))
+    monkeypatch.setattr(stabilizer, "_in_group", lambda *args: False)
+    with pytest.raises(IntegrityError, match="^the Toeplitz check rejected "
+                       r"a matrix that Q\^T Q = I and Q\^T S Q = S accept$"):
+        verify_isotropy(st, q)
 
 
 def test_forged_mark_is_not_trusted_by_verify():
