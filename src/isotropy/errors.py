@@ -1,9 +1,24 @@
-"""Exception hierarchy for the isotropy package.
+"""Exception hierarchy for the isotropy package, and the base of its values.
 
 User-facing input problems and internal integrity failures are kept apart:
 the CLI maps them to different exit codes, and an IntegrityError firing
 means a bug in this library, never bad input.
 """
+
+
+class _Immutable:
+    """Base of the package's value classes: a value refuses set and del.
+    Constructors write fields with object.__setattr__; after construction
+    the only writes are the member mark (matrices._mark_member) and
+    ExactScalar's hash, set on first use."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class IsotropyError(Exception):

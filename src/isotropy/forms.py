@@ -37,7 +37,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatchError, StructureError
+from .errors import (DimensionMismatchError, ParameterError, StructureError,
+                     _Immutable)
 from .matrices import _Z4, ExactMatrix, _permutation, _reduced, direct_sum
 from .scalars import (ExactScalar, IMAG, ONE, SQRT2, ZERO, _coerce,
                       parse_scalar)
@@ -60,7 +61,7 @@ def _positive_count(value, what) -> int:
     return value
 
 
-class SegreStructure:
+class SegreStructure(_Immutable):
     """One eigenvalue with its block sizes; normalized on construction.
 
     Duplicate sizes are merged (multiplicities added) and rows are sorted
@@ -86,9 +87,6 @@ class SegreStructure:
         object.__setattr__(self, "mults", tuple(m for _, m in blocks))
         object.__setattr__(self, "n", sum(a * m for a, m in blocks))
         object.__setattr__(self, "_hash", hash((self.lam, blocks)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SegreStructure is immutable")
 
     @property
     def parts(self) -> tuple:
@@ -117,7 +115,7 @@ class SegreStructure:
         return f"SegreStructure(lam={self.lam}, blocks=[{body}])"
 
 
-class MultiSegreStructure:
+class MultiSegreStructure(_Immutable):
     """Several SegreStructures with pairwise distinct eigenvalues."""
 
     __slots__ = ("parts", "_hash")
@@ -135,9 +133,6 @@ class MultiSegreStructure:
             seen.add(p.lam)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_hash", hash(parts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiSegreStructure is immutable")
 
     @property
     def n(self) -> int:
@@ -167,7 +162,11 @@ def _require_structure(structure):
 
 
 def _require_square(structure, mat: ExactMatrix):
-    """The one check that a dense matrix is n x n for structure."""
+    """The one check that a dense matrix is n x n for structure, types first."""
+    _require_structure(structure)
+    if not isinstance(mat, ExactMatrix):
+        raise ParameterError(
+            f"expected an ExactMatrix, got {type(mat).__name__}")
     n = structure.n
     if mat.rows != n or mat.cols != n:
         raise DimensionMismatchError(

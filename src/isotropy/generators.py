@@ -39,12 +39,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import comb
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import (
     IntegrityError,
     MembershipError,
     ParameterError,
+    _Immutable,
 )
 from .forms import SegreStructure
 from .matrices import (ExactMatrix, _canonical, _identity_grid, _pair_mul,
@@ -242,10 +244,10 @@ def _coupling_form(data, p: int, t: int, k: int,
 # ---------------------------------------------------------------------------
 
 
-class GeneratorSpec:
+class GeneratorSpec(_Immutable):
     """Serializable description of one generator.
 
-    kind "diagonal_W": skews maps (group, offset) -> skew matrix.
+    kind "diagonal_W": skews maps (group, offset) -> skew matrix, read-only.
     kind "two_block_G": group pair p < t, offset k, coupling matrix.
     """
 
@@ -257,7 +259,7 @@ class GeneratorSpec:
         if kind == "diagonal_W":
             if skews is None or p is not None or coupling is not None:
                 raise ParameterError("diagonal spec takes only skews")
-            object.__setattr__(self, "skews", dict(skews))
+            object.__setattr__(self, "skews", MappingProxyType(dict(skews)))
             object.__setattr__(self, "p", None)
             object.__setattr__(self, "t", None)
             object.__setattr__(self, "k", None)
@@ -273,9 +275,6 @@ class GeneratorSpec:
         else:
             raise ParameterError(f"unknown generator kind {kind!r}")
         object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneratorSpec is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, GeneratorSpec):

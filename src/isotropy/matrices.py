@@ -53,12 +53,13 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .errors import DimensionMismatchError, IntegrityError, SingularMatrixError
+from .errors import (DimensionMismatchError, IntegrityError,
+                     SingularMatrixError, _Immutable)
 from .scalars import (ExactScalar, MINUS_ONE, ONE, ZERO, _coerce, _divisor,
                       _from_ints, _mul4)
 
 
-class ExactMatrix:
+class ExactMatrix(_Immutable):
     # _g and _den: the canonical grid and denominator (module docstring).
     # _member_of is unset until an exact membership check succeeds; it then
     # names the structure whose isotropy group the matrix belongs to.
@@ -71,9 +72,6 @@ class ExactMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_g", grid)
         object.__setattr__(self, "_den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
 
     # -- constructors ---------------------------------------------------
 
@@ -318,7 +316,7 @@ def _scaled_rows(m: ExactMatrix) -> tuple:
     digits of all the denominators together."""
     grid, dens = [], []
     for row in m._g:
-        g = _gcd_with(m._den, row)
+        g = gcd(m._den, *chain.from_iterable(row))
         grid.append([(a // g, b // g, c // g, d // g) for a, b, c, d in row]
                     if g != 1 else list(row))
         dens.append(m._den // g)
@@ -392,16 +390,6 @@ def _grid_mul(x: Sequence, y: list, cols: int, acc: list | None = None,
                 tc[j] += a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2
                 td[j] += a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
     return acc
-
-
-def _gcd_with(den: int, parts: Iterable) -> int:
-    """gcd of den and every integer tuple in parts, stopping at 1."""
-    g = den
-    for part in parts:
-        if g == 1:
-            break
-        g = gcd(g, *part)
-    return g
 
 
 def _sum_of_products(terms: Sequence, rows: int, cols: int) -> ExactMatrix:

@@ -65,13 +65,13 @@ from collections import Counter
 from functools import lru_cache
 from math import lcm
 
-from .errors import IntegrityError, ParameterError
+from .errors import IntegrityError, ParameterError, _Immutable
 from .forms import (_layout, _symmetric_block, codim_formula,
                     solution_dimension)
 from .matrices import _Z4, ExactMatrix, _fraction_free, _rescaled
 
 
-class OrbitReport:
+class OrbitReport(_Immutable):
     """All counts attached to one orbit, cross-checked on construction."""
 
     __slots__ = ("structure", "n", "codim_formula", "isotropy_dim",
@@ -92,9 +92,6 @@ class OrbitReport:
         object.__setattr__(self, "isotropy_dim", isotropy_dim)
         object.__setattr__(self, "tangent_dim", tangent_dim)
         object.__setattr__(self, "oracle_codim", oracle_codim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrbitReport is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, OrbitReport):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import ScalarParseError
+from .errors import ScalarParseError, _Immutable
 
 Rational = Fraction
 
@@ -34,7 +34,7 @@ def rat(num, den=None) -> Rational:
     return Fraction(num, den)
 
 
-class ExactScalar:
+class ExactScalar(_Immutable):
     """Immutable element of Q(i, sqrt2), stored as four rationals."""
 
     # _hash: hash((a, b, c, d)), or hash(a) when b = c = d = 0, so that a
@@ -50,9 +50,6 @@ class ExactScalar:
         object.__setattr__(self, "b", Fraction(b))
         object.__setattr__(self, "c", Fraction(c))
         object.__setattr__(self, "d", Fraction(d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactScalar is immutable")
 
     # -- predicates ---------------------------------------------------
 

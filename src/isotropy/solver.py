@@ -39,6 +39,7 @@ generators and the group operations all call it.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -48,6 +49,7 @@ from .errors import (
     SequencingError,
     SingularMatrixError,
     StructureError,
+    _Immutable,
 )
 from .forms import SegreStructure
 from .matrices import (ExactMatrix, _accumulate, _grid_of, _identity_rows,
@@ -105,7 +107,7 @@ def _diagonal_form(structure: SegreStructure, side) -> ToeplitzForm:
         for r, entry in enumerate(side) for j, c in enumerate(entry)}))
 
 
-class CongruenceData:
+class CongruenceData(_Immutable):
     """Right-hand data of the congruence: block-diagonal forms B and C.
 
     b_coeffs[r][j] and c_coeffs[r][j] are the symmetric m_r x m_r
@@ -142,9 +144,6 @@ class CongruenceData:
         object.__setattr__(self, "b_form", b_form)
         object.__setattr__(self, "c_form",
                            b_form if c is b else _diagonal_form(structure, c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CongruenceData is immutable")
 
     @property
     def is_identity(self) -> bool:
@@ -224,12 +223,13 @@ def _check_keys(kind: str, given, want: set):
             f"extra {sorted(set(given) - want)}")
 
 
-class FreeParams:
+class FreeParams(_Immutable):
     """Free variables of the general solution.
 
     sub_blocks: (r, s, j) -> m_r x m_s matrix for r > s, 0 <= j < alpha_r;
     diag_seeds: per group r, the leading diagonal coefficient;
     skews:      (r, j) -> skew m_r x m_r matrix for 1 <= j < alpha_r.
+    Both maps are read-only copies, so the skews stay as checked.
     """
 
     __slots__ = ("sub_blocks", "diag_seeds", "skews")
@@ -242,9 +242,10 @@ class FreeParams:
         self._fill(sub_blocks, diag_seeds, skews)
 
     def _fill(self, sub_blocks, diag_seeds, skews):
-        object.__setattr__(self, "sub_blocks", dict(sub_blocks))
+        object.__setattr__(self, "sub_blocks",
+                           MappingProxyType(dict(sub_blocks)))
         object.__setattr__(self, "diag_seeds", tuple(diag_seeds))
-        object.__setattr__(self, "skews", dict(skews))
+        object.__setattr__(self, "skews", MappingProxyType(dict(skews)))
 
     @classmethod
     def _of_skews(cls, sub_blocks: Mapping, diag_seeds: Sequence[ExactMatrix],
@@ -254,9 +255,6 @@ class FreeParams:
         params = object.__new__(cls)
         params._fill(sub_blocks, diag_seeds, skews)
         return params
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeParams is immutable")
 
     @classmethod
     def zero(cls, structure: SegreStructure) -> "FreeParams":
@@ -392,6 +390,9 @@ def _sweep(data: CongruenceData, params: FreeParams) -> ToeplitzForm:
     returns (solve_congruence the form, sampling the dense matrix), so a
     faulty step raises IntegrityError there.
     """
+    if not isinstance(params, FreeParams):
+        raise ParameterError(
+            f"params must be a FreeParams, got {type(params).__name__}")
     st = data.structure
     params.validate_for(st)
     x, left, right = {}, {}, {}

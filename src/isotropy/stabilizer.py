@@ -10,7 +10,7 @@ basis exchanges the two, so membership checks never approximate.
 from itertools import chain
 
 from .errors import (IntegrityError, MembershipError, ParameterError,
-                     StructureError)
+                     StructureError, _Immutable)
 from .forms import (SegreStructure, _conjugate_by_transition,
                     _require_square, _require_structure, _transition_indices,
                     _transition_rows, solution_dimension, symmetric_form)
@@ -24,7 +24,7 @@ from .toeplitz import (ToeplitzForm, _assembled, _flipped, _placement,
                        _strip_rows)
 
 
-class IsotropyDescription:
+class IsotropyDescription(_Immutable):
     """Size and shape summary of one isotropy group.
 
     dimension counts free parameters; reductive_part lists the sizes of
@@ -50,9 +50,6 @@ class IsotropyDescription:
                            nilpotency_class_bound)
         object.__setattr__(self, "generator_recipes", generator_recipes)
         object.__setattr__(self, "parts", tuple(parts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IsotropyDescription is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, IsotropyDescription):
@@ -216,6 +213,9 @@ def _require_member(structure, x, error, prefix: str):
 def from_toeplitz_coordinates(structure: SegreStructure,
                               form: ToeplitzForm) -> ExactMatrix:
     """Dense member Q from a coefficient-level solution; Q is verified."""
+    if not isinstance(form, ToeplitzForm):
+        raise ParameterError("from_toeplitz_coordinates needs a ToeplitzForm, "
+                             f"got {type(form).__name__}")
     if form.structure != structure:
         raise StructureError("form was built for a different structure")
     q = _conjugate_by_transition(structure, form.assemble())

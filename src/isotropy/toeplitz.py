@@ -59,6 +59,7 @@ from .errors import (
     ParameterError,
     ShapeViolationError,
     StructureError,
+    _Immutable,
 )
 from .forms import (SegreStructure, _omega_indices, _require_square,
                     commutant_dimension)
@@ -226,7 +227,7 @@ def _check_sparse(structure: SegreStructure, entries: Mapping):
         _check_cell(structure, *key, entries[key])
 
 
-class ToeplitzForm:
+class ToeplitzForm(_Immutable):
     """Coefficient family {A_j^{rs}} of a block Toeplitz matrix.
 
     Block (r, s) holds depth(r, s) = min(alpha_r, alpha_s) coefficients
@@ -270,9 +271,6 @@ class ToeplitzForm:
         object.__setattr__(form, "structure", structure)
         object.__setattr__(form, "_strip", strip)
         return form
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ToeplitzForm is immutable")
 
     # -- constructors -------------------------------------------------
 

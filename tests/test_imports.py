@@ -235,3 +235,34 @@ def test_the_codim_path_stays_off_the_solver():
     imported = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level}
     assert imported == {"errors", "forms", "matrices"}
+
+
+def _is_object_setattr(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def test_values_are_immutable_by_the_one_base():
+    """errors._Immutable is the one class of the package that defines
+    __setattr__ or __delattr__, and every class whose body writes fields
+    through object.__setattr__ derives from it, so that no value class
+    hand-rolls immutability or does half of it."""
+    own, unbased = [], []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            where = f"{path.name}:{cls.lineno} {cls.name}"
+            if (path.name, cls.name) != ("errors.py", "_Immutable"):
+                own += [f"{where}.{node.name}" for node in cls.body
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name in ("__setattr__", "__delattr__")]
+            bases = {getattr(base, "id", None) for base in cls.bases}
+            if "_Immutable" not in bases and any(
+                    map(_is_object_setattr, ast.walk(cls))):
+                unbased.append(where)
+    assert not own, "classes that define their own set or del: " + \
+        ", ".join(own)
+    assert not unbased, "classes that write through object.__setattr__ " \
+        "but do not derive from errors._Immutable: " + ", ".join(unbased)

@@ -212,6 +212,35 @@ def test_verify_rejects_wrong_shape():
         verify_isotropy(_st([(2, 1)]), identity(3))
 
 
+_WRONG_TYPES = {
+    "verify_isotropy(str, q)": (
+        StructureError, lambda st, q: verify_isotropy("x", q)),
+    "group_element_mul(str, [q])": (
+        StructureError, lambda st, q: group_element_mul("x", [q])),
+    "group_element_inv(str, q)": (
+        StructureError, lambda st, q: group_element_inv("x", q)),
+    "verify_isotropy(st, str)": (
+        ParameterError, lambda st, q: verify_isotropy(st, "x")),
+    "to_toeplitz_coordinates(st, list)": (
+        ParameterError, lambda st, q: to_toeplitz_coordinates(st, [[1]])),
+    "from_toeplitz_coordinates(st, str)": (
+        ParameterError, lambda st, q: from_toeplitz_coordinates(st, "x")),
+    "sample_isotropy_element(st, params=str)": (
+        ParameterError, lambda st, q: sample_isotropy_element(st, params="x")),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_WRONG_TYPES))
+def test_wrong_argument_types_raise_the_package_errors(call):
+    # each call reads an attribute off the wrong argument unless it is
+    # checked first; the error is the package's, never AttributeError
+    error, run = _WRONG_TYPES[call]
+    st = _st([(2, 1), (1, 1)])
+    q = sample_isotropy_element(st, rnd=RandomSource(36))
+    with pytest.raises(error):
+        run(st, q)
+
+
 def _commuting_probes(st):
     """Per block copy, I + N^(alpha-1) with N = S - lam I on that copy and
     zero elsewhere: it commutes with S but is not orthogonal, and
