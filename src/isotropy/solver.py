@@ -19,21 +19,16 @@ is the identity form (every sample and every gen_W / gen_V), else those of
 B X (_bx).
 
 The solver owns its inputs, on one eigenvalue (_need_single).
-CongruenceData checks B and C and lays out their forms once, when it is
-made; constant_data is the one constructor of the self-congruence data
-B = C = diag(B_r, 0, ..., 0), cached per structure and diagonal blocks:
-it checks each diagonal block once and lays the data out without a
-second check (CongruenceData._lay_out), so identity data ranks nothing.  The free-parameter slots are walked in one
-place (_slots): FreeParams, random_free_params and the skew checks of
-the generators and of the acceptance checks all read them from there;
-parameters the package makes from skews already checked (the zero
-parameters, gen_V's halved skews) are laid out without a second check
-(FreeParams._of_skews).
-Forms the solver builds from coefficients it computed or checked (the
-sweep's result, the data's forms) are written as strips directly, and
-membership is checked once, on what is returned.  _require_congruence is
-the one "verify, else raise" of the package for forms: the solver, the
-generators and the group operations all call it.
+CongruenceData checks B and C and lays out their forms once; constant_data
+makes the self-congruence data B = C = diag(B_r, 0, ..., 0) once per
+structure and diagonal blocks, without a second check (_lay_out), so
+identity data ranks nothing.  The free-parameter slots are walked in one
+place (_slots); parameters made from skews already checked skip the check
+(FreeParams._of_skews).  Forms built from checked or computed coefficients
+are written as strips directly, and membership is checked once, on what is
+returned.  verify_congruence tests the congruence by the rule the dense
+check reads too (toeplitz._congruent), on strips, and _require_congruence
+is the one "verify, else raise" for forms.
 """
 
 from __future__ import annotations
@@ -54,9 +49,10 @@ from .errors import (
 from .forms import SegreStructure
 from .matrices import (ExactMatrix, _accumulate, _grid_of, _identity_rows,
                        _is_member, _mark_member, _pair_mul, _pair_sum,
-                       _sparse_rows, identity as dense_identity,
-                       zeros as dense_zeros)
-from .toeplitz import ToeplitzForm, _placement, _strip_of
+                       _sparse_rows, _sum_of_products,
+                       identity as dense_identity, zeros as dense_zeros)
+from .toeplitz import (ToeplitzForm, _congruent, _moved_rows, _placement,
+                       _strip_of)
 
 __all__ = [
     "CongruenceData",
@@ -460,31 +456,35 @@ def verify_congruence(data: CongruenceData,
     """Exact check of F X^T F B X = C.
 
     Returns (True, "") on success, else (False, report) naming the first
-    mismatching block coefficient in (r, s, offset) order.  It always
-    computes (when B is the identity form, B X is X itself and is not
-    formed) and builds no form of B or C: data laid them out once.  When
-    B = C = I a success marks x as a verified member of its structure's
-    group, so that group operations need not check it again.
+    mismatching block coefficient of x.flip_transpose() * B X in (r, s,
+    offset) order.  It always computes, by the congruence rule on strips
+    (toeplitz._congruent), and a success builds no form.  When B = C = I a
+    success marks x a verified member of its structure's group.
     """
     if not isinstance(x, ToeplitzForm):
         raise ParameterError(
             f"verify_congruence needs a ToeplitzForm, got {type(x).__name__}")
     if x.structure != data.structure:
         raise StructureError("form and data live on different structures")
-    bx = x if data.b_is_identity else data.b_form * x
-    lhs = x.flip_transpose() * bx
-    rhs = data.c_form
-    st = data.structure
-    if lhs != rhs:
+    st, strip = data.structure, x._strip
+    rows, den = _moved_rows(strip._g, st.blocks), strip._den
+    if not data.b_is_identity:
+        b = data.b_form._strip
+        bx = _sum_of_products(((b._g, rows, b._den * den),), b.rows, st.n)
+        rows, den = _moved_rows(bx._g, st.blocks), bx._den
+    c = data.c_form._strip
+    if not _congruent(strip._g, st.blocks, rows, strip._den * den, c._g,
+                      c._den):
+        lhs = x.flip_transpose() * (
+            x if data.b_is_identity else data.b_form * x)
         for r in range(st.part_count):
             for s in range(st.part_count):
                 for j in range(st.depth(r, s)):
                     got = lhs.coefficient(r, s, j)
-                    want = rhs.coefficient(r, s, j)
-                    if got != want:
-                        return False, (
-                            f"block ({r}, {s}) coefficient {j}: "
-                            f"got {got.to_lists()}, want {want.to_lists()}")
+                    if got != (want := data.c_form.coefficient(r, s, j)):
+                        return False, (f"block ({r}, {s}) coefficient {j}: got "
+                                       f"{got.to_lists()}, want {want.to_lists()}")
+        raise IntegrityError("the strip check rejected a form that matches C")
     if data.is_identity:
         _mark_member(x, st)
     return True, ""

@@ -14,14 +14,13 @@ from .errors import (IntegrityError, MembershipError, ParameterError,
 from .forms import (SegreStructure, _conjugate_by_transition,
                     _require_square, _require_structure, _transition_indices,
                     _transition_rows, solution_dimension, symmetric_form)
-from .matrices import (ExactMatrix, _Z4, _first_mismatch, _grid_mul,
-                       _is_member, _mark_member, _reduced, _sparse_rows,
-                       direct_sum)
+from .matrices import (ExactMatrix, _first_mismatch, _grid_mul, _is_member,
+                       _mark_member, _reduced, _sparse_rows, direct_sum)
 from .scalars import ONE, ZERO, _from_ints
 from .solver import (FreeParams, _require_congruence, _sweep, constant_data,
                      random_free_params)
-from .toeplitz import (ToeplitzForm, _assembled, _flipped, _placement,
-                       _strip_rows)
+from .toeplitz import (ToeplitzForm, _assembled, _congruent, _identity_strip,
+                       _moved_rows, _strip_rows)
 
 
 class IsotropyDescription(_Immutable):
@@ -102,31 +101,30 @@ def describe_isotropy(structure) -> IsotropyDescription:
         parts=parts)
 
 
-def _in_group(structure, grid: tuple, den: int) -> bool:
-    """True when grid / den is a member of the group of structure, checked
-    on X, 2 den times its transition image (verify_isotropy)."""
-    x = _transition_rows(grid, *_transition_indices(structure, False))
-    n, flips, tops, off = len(x), [], [], 0
+def _in_group(structure, q: ExactMatrix):
+    """The dense check (verify_isotropy): if q = G / d is a member of
+    structure's group, mark it so and return the strips of the parts of X,
+    2 d times its transition image (F X^T F X = (2 d)^2 I); else None."""
+    _require_square(structure, q)
+    x = _transition_rows(q._g, *_transition_indices(structure, False))
+    n, strips, off = len(x), [], 0
     for part in structure.parts:
         blocks, end = part.blocks, off + part.n
         rows = x[off:end]
         if part.n < n:  # several parts: X is zero outside this one
             if any(map(any, chain.from_iterable(row[:off] + row[end:]
                                                 for row in rows))):
-                return False
+                return None
             rows = tuple(row[off:end] for row in rows)
         strip = _strip_rows(rows, blocks)
-        if _assembled(strip, blocks) != rows:
-            return False
-        flips += [(_Z4,) * off + row + (_Z4,) * (n - end)
-                  for row in _flipped(strip, blocks)]
-        tops += [off + cols[r] + a for r, (cols, m) in enumerate(
-            zip(_placement(blocks)[2], part.mults)) for a in range(m)]
+        if _assembled(strip, blocks) != rows or not _congruent(
+                strip, blocks, _moved_rows(strip, blocks), 1,
+                _identity_strip(blocks, (4 * q._den ** 2, 0, 0, 0)), 1):
+            return None
+        strips.append(strip)
         off = end
-    one, zero = 4 * den * den, [0] * n
-    return _grid_mul(flips, _sparse_rows(x), n) == [
-        [[one if j == i else 0 for j in range(n)], zero, zero, zero]
-        for i in tops]
+    _mark_member(q, structure)
+    return strips
 
 
 def verify_isotropy(structure, q: ExactMatrix):
@@ -151,36 +149,34 @@ def verify_isotropy(structure, q: ExactMatrix):
     2. F X^T F X = I, F = Omega^T E Omega.  P is symmetric with
        P^T P = P^2 = i E, so Q^T Q = i P^{-1} Omega X^T F X Omega^T P^{-1},
        which is I exactly when X^T F X = F.  With X block Toeplitz, so is
-       Y = F X^T F X, and its strip determines it: the strip of F X^T F
-       (toeplitz._flipped) times X, at O(M n^2) cost for M strip rows, is
-       compared with (2 d)^2 times the identity's strip.
+       Y = F X^T F X, and its strip determines it: per part, the strip of
+       F X^T F times X is the identity's, by the rule verify_congruence
+       reads too (toeplitz._congruent), at O(M n^2) cost for M strip rows.
 
     1 says S Q = Q S, so with Q^T = Q^{-1} from 2, Q^T S Q = S; a member
     satisfies both, since it commutes with S.  S is not built, and X's
-    strip is the member's form (to_toeplitz_coordinates).
-
-    When either test fails, the full product G^T G is compared with
-    d^2 I entry by entry, and Q^T S Q is formed only if that holds, to
-    name the first failing entry.  The two tests hold exactly for
-    members, so a matrix both products accept is a fault of the library
-    (IntegrityError).  The test always computes; on success it marks q as
-    a verified member of structure, so that the group operations need not
-    check it again.
+    strip is the member's form (to_toeplitz_coordinates).  On failure,
+    G^T G is compared with d^2 I, and Q^T S Q formed only if that holds,
+    to name the first failing entry; a matrix both accept is a fault of
+    the library (IntegrityError).  The test always computes; on success
+    it marks q as a verified member of structure, so that the group
+    operations need not check it again.
     """
-    _require_square(structure, q)
-    grid, den = q._g, q._den
-    if _in_group(structure, grid, den):
-        _mark_member(q, structure)
+    if _in_group(structure, q):
         return True, "member: Q^T Q = I and Q^T S Q = S hold exactly"
-    n, one = structure.n, den * den
+    return False, _first_failure(structure, q)
+
+
+def _first_failure(structure, q: ExactMatrix) -> str:
+    """The report on a matrix the dense check rejected (verify_isotropy)."""
+    grid, n, one = q._g, structure.n, q._den ** 2
     gram = _grid_mul(list(zip(*grid)), _sparse_rows(grid), n)
     for i, (ga, gb, gc, gd) in enumerate(gram):
         for j in range(n):
             if ga[j] != (one if i == j else 0) or gb[j] or gc[j] or gd[j]:
-                entry = _from_ints(ga[j], gb[j], gc[j], gd[j], one)
-                return False, (f"orthogonality fails first: (Q^T Q)[{i}][{j}] = "
-                               f"{entry}, expected "
-                               f"{ONE if i == j else ZERO}")
+                return (f"orthogonality fails first: (Q^T Q)[{i}][{j}] = "
+                        f"{_from_ints(ga[j], gb[j], gc[j], gd[j], one)}, "
+                        f"expected {ONE if i == j else ZERO}")
     s = symmetric_form(structure)
     cong = q.transpose() * s * q
     found = _first_mismatch(cong.to_lists(), s.to_lists())
@@ -188,8 +184,8 @@ def verify_isotropy(structure, q: ExactMatrix):
         raise IntegrityError("the Toeplitz check rejected a matrix that "
                              "Q^T Q = I and Q^T S Q = S accept")
     i, j = found
-    return False, (f"congruence fails first: (Q^T S Q)[{i}][{j}] = "
-                   f"{cong[i, j]}, expected {s[i, j]}")
+    return (f"congruence fails first: (Q^T S Q)[{i}][{j}] = "
+            f"{cong[i, j]}, expected {s[i, j]}")
 
 
 _BUILT = "constructed element failed: "
@@ -226,17 +222,19 @@ def from_toeplitz_coordinates(structure: SegreStructure,
 def to_toeplitz_coordinates(structure: SegreStructure,
                             q: ExactMatrix) -> ToeplitzForm:
     """Coefficient-level solution from a dense member (inverse map): the
-    strip of its transition image, which the dense check found block
-    Toeplitz (verify_isotropy), marked a member."""
+    strip of its transition image, marked a member; for an unmarked q, the
+    strip its check (_in_group) accepted."""
     if not isinstance(structure, SegreStructure):
         raise StructureError(
             "coefficient coordinates exist per eigenvalue; split the "
             "matrix along parts first")
-    _require_member(structure, q, MembershipError, "")
-    x = _transition_rows(q._g, *_transition_indices(structure, False))
+    if _is_member(q, structure):
+        strips = [_strip_rows(_transition_rows(
+            q._g, *_transition_indices(structure, False)), structure.blocks)]
+    elif not (strips := _in_group(structure, q)):
+        raise MembershipError(_first_failure(structure, q))
     form = ToeplitzForm._from_strip(structure, _reduced(
-        sum(structure.mults), structure.n, _strip_rows(x, structure.blocks),
-        2 * q._den))
+        sum(structure.mults), structure.n, strips[0], 2 * q._den))
     _mark_member(form, structure)
     return form
 
@@ -248,7 +246,7 @@ def _sample_single(st, params, seeds, rnd, scalar_kw):
             raise ParameterError(
                 "sampling needs explicit params or a random source")
         params = random_free_params(data, rnd, seeds=seeds, **scalar_kw)
-    elif seeds is not None:
+    elif seeds is not None and isinstance(params, FreeParams):
         params = FreeParams(params.sub_blocks, seeds, params.skews)
     return _conjugate_by_transition(st, _sweep(data, params).assemble())
 

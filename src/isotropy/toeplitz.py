@@ -16,32 +16,25 @@ once, on one canonical integer grid (matrices.py).  Where each
 coefficient sits is one table per block shape (_placement), which every
 writer and reader of the strip uses, and the sweep's plan its shifts
 (solver._pairs).  The strip is written from canonical (grid, den) pairs
-(_strip_of), so the sweep and the generators hand over their cells without
-an ExactMatrix each, and the zero test of a cell (_is_zero_at) and the
-identity-diagonal test read the strip in place, without making the
-coefficient.  Sums, scaling, equality and the zero test are the
-strip's.  A matrix is block Toeplitz when it equals the assembly of its
-strip (_assembled, _strip_rows): the one rule that assemble, extract and
-the dense membership check read.  The flip is gathered through an index
-map made once per block shape (_flipped, _maps).  A product is one
-integer product (_sum_of_products): the left strip times the dense rows
-of the right operand is the product's strip, and those rows are read off
-the right strip's nonzeros, each moved right by u cells while it stays
-inside its block (_moved_rows), so no n x n matrix.  The commutant builder
-(commutant_basis) goes the other way: from a sparse assignment, checked as
-from_sparse checks it (_check_sparse), it writes the dense copy-major
-matrix in one pass, each coefficient row as strided slices placed by the
-same table, with no strip, assembly or Omega permutation between.
+(_strip_of), and cells are tested for zero in place (_is_zero_at).
+
+Three rules on raw strips serve the forms and the dense membership check
+alike.  A matrix is block Toeplitz when it equals the assembly of its
+strip (_assembled, _strip_rows).  A product is one integer product: the
+left strip times the dense rows of the right operand, read off its strip
+(_moved_rows), so no n x n matrix.  The congruence F X^T F Y = C holds
+when the flip's strip (_flipped, through an index map made once per block
+shape, _maps) times Y's rows equals C's strip, cross-multiplied
+(_congruent); solver.verify_congruence reads it too.  The commutant
+builder (commutant_basis) writes the dense copy-major matrix of a sparse
+assignment, checked as from_sparse checks it (_check_sparse), in one pass
+of strided slices placed by the same table.
 
 Weights add under products and stay below alpha_1, so a form whose
 nonzero coefficients all have weight >= 1 is nilpotent of index at most
 alpha_1.  The upper coupling cell (r, s, 0), r < s, has weight 0, so the
 bound does not cover X - I for every unipotent member X (README, "Known
 limitation").
-
-Membership of a product or inverse is checked where it is returned
-(solver.verify_congruence); that the product equals the dense product of
-the assemblies is a property the test suite checks.
 
 Coordinates are 0-based throughout: group indices r, s in
 [0, part_count), coefficient index j in [0, depth(r, s)).
@@ -63,9 +56,9 @@ from .errors import (
 )
 from .forms import (SegreStructure, _omega_indices, _require_square,
                     commutant_dimension)
-from .matrices import (ExactMatrix, _Z4, _first_mismatch, _permuted,
-                       _reduced, _rescaled, _sparse_rows, _sum_of_products,
-                       identity as dense_identity, zeros as dense_zeros)
+from .matrices import (ExactMatrix, _ONE4, _Z4, _first_mismatch, _grid_mul,
+                       _grid_of, _permuted, _reduced, _rescaled, _sparse_rows,
+                       _sum_of_products, zeros as dense_zeros)
 from .scalars import _from_ints
 
 __all__ = [
@@ -168,6 +161,40 @@ def _flipped(strip, blocks) -> tuple:
     return tuple(tuple(map(flat.__getitem__, idx)) for idx in _maps(blocks))
 
 
+def _moved_rows(strip, blocks) -> list:
+    """The _sparse_rows of the dense rows of the form with this strip: row
+    u of group k keeps the nonzeros of its strip rows fewer than alpha_s - u
+    cells into their block s, each moved u cells right."""
+    _, _, _, reach, step = _placement(blocks)
+    strip_rows = iter(_sparse_rows(strip))
+    rows = []
+    for alpha, m in blocks:
+        group = [next(strip_rows) for _ in range(m)]
+        rows += group
+        for u in range(1, alpha):
+            rows += [([(j + u * step[j], a, b, c, d)
+                       for j, a, b, c, d in nz if reach[j] > u], gaussian)
+                     for nz, gaussian in group]
+    return rows
+
+
+def _congruent(strip, blocks, rows, den, target, target_den) -> bool:
+    """The one congruence rule: True when F X^T F Y = target / target_den
+    for X with this raw strip and Y with these dense _sparse_rows, den their
+    dens multiplied.  The flip's strip times Y's rows is compared with the
+    target, each side times the other's den, so nothing is reduced."""
+    got = _grid_mul(_flipped(strip, blocks), rows, len(rows), f=target_den)
+    return _grid_of(got) == _rescaled(target, den)
+
+
+def _identity_strip(blocks, one) -> tuple:
+    """The strip of the identity form times one, an integer 4-tuple."""
+    _, _, cols, reach, _ = _placement(blocks)
+    return tuple((_Z4,) * c + (one,) + (_Z4,) * (len(reach) - 1 - c)
+                 for r, (_, m) in enumerate(blocks)
+                 for c in range(cols[r][r], cols[r][r] + m))
+
+
 def _check_cell(structure: SegreStructure, r: int, s: int, j: int, mat):
     if not isinstance(mat, ExactMatrix):
         raise StructureError(f"coefficient ({r}, {s}, {j}) is not an ExactMatrix")
@@ -195,12 +222,6 @@ def _strip_of(structure: SegreStructure, cells: Mapping) -> ExactMatrix:
                              _rescaled(grid, den // cell_den)):
             row[col:end] = part
     return ExactMatrix(len(rows), structure.n, tuple(map(tuple, rows)), den)
-
-
-def _pairs_of(cells: Mapping) -> dict:
-    """cells, ExactMatrix coefficients, as the (grid, den) pairs of
-    _strip_of."""
-    return {key: (x._g, x._den) for key, x in cells.items()}
 
 
 def _need_segre(structure):
@@ -255,13 +276,12 @@ class ToeplitzForm(_Immutable):
                     f"block ({r}, {s}) needs {depth} coefficients, got {len(entry)}")
             for j, mat in enumerate(entry):
                 _check_cell(structure, r, s, j, mat)
-                cells[(r, s, j)] = mat
+                cells[(r, s, j)] = mat._g, mat._den
         if len(seen) != structure.part_count ** 2:
             extra = sorted(seen - set(_block_keys(structure)))
             raise StructureError(f"unknown block keys {extra}")
         object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "_strip",
-                           _strip_of(structure, _pairs_of(cells)))
+        object.__setattr__(self, "_strip", _strip_of(structure, cells))
 
     @classmethod
     def _from_strip(cls, structure: SegreStructure,
@@ -276,14 +296,14 @@ class ToeplitzForm(_Immutable):
 
     @classmethod
     def zero(cls, structure: SegreStructure) -> "ToeplitzForm":
-        _need_segre(structure)
-        return cls._from_strip(structure, dense_zeros(sum(structure.mults), structure.n))
+        return cls.from_sparse(structure, {})
 
     @classmethod
     def identity(cls, structure: SegreStructure) -> "ToeplitzForm":
         _need_segre(structure)
-        return cls.from_sparse(structure, {
-            (r, r, 0): dense_identity(m) for r, m in enumerate(structure.mults)})
+        return cls._from_strip(structure, ExactMatrix(
+            sum(structure.mults), structure.n,
+            _identity_strip(structure.blocks, _ONE4)))
 
     @classmethod
     def from_sparse(cls, structure: SegreStructure,
@@ -292,8 +312,8 @@ class ToeplitzForm(_Immutable):
         """Form with the given (r, s, j) -> matrix entries, zeros elsewhere."""
         _need_segre(structure)
         _check_sparse(structure, entries)
-        return cls._from_strip(structure,
-                               _strip_of(structure, _pairs_of(entries)))
+        return cls._from_strip(structure, _strip_of(structure, {
+            key: (x._g, x._den) for key, x in entries.items()}))
 
     # -- access -------------------------------------------------------
 
@@ -380,24 +400,6 @@ class ToeplitzForm(_Immutable):
         return ExactMatrix(st.n, st.n, _assembled(self._strip._g, st.blocks),
                            self._strip._den)
 
-    def _moved_rows(self) -> list:
-        """The _sparse_rows of the dense matrix, in its row order, read off
-        the strip: cell-row u of group k keeps the nonzeros of the strip
-        rows of group k that lie fewer than alpha_s - u cells into their
-        block s, each moved u cells right."""
-        st = self.structure
-        _, _, _, reach, step = _placement(st.blocks)
-        strip_rows = iter(_sparse_rows(self._strip._g))
-        rows = []
-        for alpha, m in st.blocks:
-            group = [next(strip_rows) for _ in range(m)]
-            rows += group
-            for u in range(1, alpha):
-                rows += [([(j + u * step[j], a, b, c, d)
-                           for j, a, b, c, d in nz if reach[j] > u], gaussian)
-                         for nz, gaussian in group]
-        return rows
-
     @classmethod
     def extract(cls, dense: ExactMatrix,
                 structure: SegreStructure) -> "ToeplitzForm":
@@ -431,8 +433,8 @@ class ToeplitzForm(_Immutable):
         self._same_structure(other)
         st, strip = self.structure, self._strip
         return ToeplitzForm._from_strip(st, _sum_of_products(
-            ((strip._g, other._moved_rows(), strip._den * other._strip._den),),
-            strip.rows, st.n))
+            ((strip._g, _moved_rows(other._strip._g, st.blocks),
+              strip._den * other._strip._den),), strip.rows, st.n))
 
     def flip_transpose(self) -> "ToeplitzForm":
         """F X^T F for the backward block form F: coefficient (r, s, j)

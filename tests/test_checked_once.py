@@ -31,8 +31,9 @@ from isotropy.toeplitz import ToeplitzForm, commutant_basis
 
 @pytest.fixture
 def checks(monkeypatch):
-    """Counts of dense (verify_isotropy) and form (verify_congruence)
-    membership checks made while the test runs."""
+    """Counts of dense (stabilizer._in_group, which verify_isotropy and
+    to_toeplitz_coordinates call) and form (verify_congruence) membership
+    checks made while the test runs."""
     counts = {"dense": 0, "form": 0}
 
     def counting(fn, kind):
@@ -41,8 +42,8 @@ def checks(monkeypatch):
             return fn(*args)
         return counted
 
-    monkeypatch.setattr(stabilizer, "verify_isotropy",
-                        counting(stabilizer.verify_isotropy, "dense"))
+    monkeypatch.setattr(stabilizer, "_in_group",
+                        counting(stabilizer._in_group, "dense"))
     monkeypatch.setattr(solver, "verify_congruence",
                         counting(solver.verify_congruence, "form"))
     return counts
@@ -86,7 +87,8 @@ def test_factoring_a_dense_member_checks_it_once_and_the_core_once(
         checks, monkeypatch):
     # to_toeplitz_coordinates reads the strip of the transition image the
     # dense check accepted and marks the form a member, so factoring it
-    # checks only the core; no n x n assembly or transition on the way
+    # checks only the core; no n x n assembly on the way, and the one
+    # transition is the check's
     rnd = RandomSource(20261020)
     st = SegreStructure(0, [(3, 1), (2, 1), (1, 1)])
     y = _identity_diagonal_member(st, rnd)
@@ -96,19 +98,19 @@ def test_factoring_a_dense_member_checks_it_once_and_the_core_once(
     def refuse(*args, **kwargs):
         raise AssertionError("the factor path left the strip")
 
-    in_group, check = [], stabilizer._in_group
+    transitions, transition = [], stabilizer._transition_rows
     monkeypatch.setattr(ToeplitzForm, "extract", refuse)
     monkeypatch.setattr(ToeplitzForm, "assemble", refuse)
     monkeypatch.setattr(forms, "_conjugate_by_transition", refuse)
     monkeypatch.setattr(stabilizer, "_conjugate_by_transition", refuse)
-    monkeypatch.setattr(stabilizer, "_in_group",
-                        lambda *args: in_group.append(1) or check(*args))
+    monkeypatch.setattr(stabilizer, "_transition_rows", lambda *args: (
+        transitions.append(1) or transition(*args)))
     checks.update(dense=0, form=0)
     form = stabilizer.to_toeplitz_coordinates(st, q)
     assert form == y and matrices._is_member(form, st)
     core, specs = generators.factor_unipotent(st, form)
     assert len(specs) == 4 and core.has_identity_diagonal
-    assert checks == {"dense": 1, "form": 1} and in_group == [1]
+    assert checks == {"dense": 1, "form": 1} and transitions == [1]
 
 
 def test_a_corrupted_peel_fails_the_core_check(monkeypatch):
@@ -285,22 +287,22 @@ def test_the_transition_indices_are_made_once_per_structure(st, counts):
 @pytest.mark.parametrize("st", [_SINGLE, _MULTI], ids=["single", "multi"])
 def test_a_successful_check_builds_no_s_and_no_square_product(
         monkeypatch, st):
-    # the check reads Q's transition image: its one product is the flip's
-    # strip, one row per block copy, times that image
+    # the check reads Q's transition image: its one product per part is
+    # the flip's strip, one row per block copy, times the part's image
     q = stabilizer.sample_isotropy_element(st, rnd=RandomSource(20261022))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a successful check left Toeplitz coordinates")
 
     left_rows = []
-    grid_mul = stabilizer._grid_mul
+    grid_mul = toeplitz._grid_mul
     monkeypatch.setattr(forms, "_symmetric_form", refuse)
     monkeypatch.setattr(ExactMatrix, "__mul__", refuse)
-    monkeypatch.setattr(stabilizer, "_grid_mul", lambda x, *args: left_rows.append(
-        len(x)) or grid_mul(x, *args))
+    monkeypatch.setattr(toeplitz, "_grid_mul", lambda x, *args, **kw: (
+        left_rows.append(len(x)) or grid_mul(x, *args, **kw)))
     assert stabilizer.verify_isotropy(st, q)[0]
-    copies = sum(sum(part.mults) for part in st.parts)
-    assert left_rows == [copies] and copies < st.n
+    assert left_rows == [sum(part.mults) for part in st.parts]
+    assert sum(left_rows) < st.n
 
 
 def test_the_flip_is_mapped_once_per_block_shape():

@@ -12,7 +12,9 @@ command line binds some modules lazily (`name = _lazy("module")`) and
 reads names off them as attributes.
 
 Every functools cache in the package is read through .cache_info() by
-some test, so that none is kept without traffic a test has seen."""
+some test, so that none is kept without traffic a test has seen.  Two
+rules have one owner each: immutability (errors._Immutable) and the
+congruence on strips (toeplitz._congruent)."""
 
 import ast
 from pathlib import Path
@@ -266,3 +268,33 @@ def test_values_are_immutable_by_the_one_base():
         ", ".join(own)
     assert not unbased, "classes that write through object.__setattr__ " \
         "but do not derive from errors._Immutable: " + ", ".join(unbased)
+
+
+def test_the_congruence_has_one_owner():
+    """toeplitz.py owns the congruence F X^T F Y = C on strips: no other
+    package module names the flip's raw gather (_flipped) or its index map
+    (_maps), none defines a function of the rule's name (_congruent), and
+    only its two callers, the dense check and verify_congruence, name the
+    rule."""
+    flips, rules, callers = [], [], set()
+    for path in sorted(_PACKAGE.glob("*.py")):
+        if path.name == "toeplitz.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if name == "_congruent":
+                    rules.append(f"{path.name}:{node.lineno}")
+            else:
+                continue
+            if name in ("_flipped", "_maps"):
+                flips.append(f"{path.name}:{node.lineno} {name}")
+            elif name == "_congruent":
+                callers.add(path.name)
+    assert not flips, "the flip read outside toeplitz.py: " + ", ".join(flips)
+    assert not rules, "the congruence rule defined again: " + ", ".join(rules)
+    assert callers == {"solver.py", "stabilizer.py"}

@@ -4,6 +4,7 @@ import pytest
 
 import _oracles as oracle
 from isotropy.errors import (
+    IntegrityError,
     ParameterError,
     SeedConstraintError,
     SequencingError,
@@ -17,7 +18,7 @@ from isotropy.forms import (MultiSegreStructure, SegreStructure,
 from isotropy.generators import gen_V
 from isotropy.matrices import ExactMatrix, identity, zeros
 from isotropy.rng import RandomSource
-from isotropy.scalars import IMAG, parse_scalar, rat
+from isotropy.scalars import IMAG, SQRT2, parse_scalar, rat
 from isotropy import solver
 from isotropy.matrices import _sparse_rows, _sum_of_products
 from isotropy.solver import (
@@ -440,7 +441,8 @@ def test_verify_report_names_the_first_mismatch_exactly():
 def test_data_is_laid_out_once(monkeypatch):
     # B and C are laid out when the data is made, so verify_congruence
     # builds no form: after ToeplitzForm.__init__ is made to raise it still
-    # accepts a member and names the first mismatch of a non-member
+    # accepts a member and names the first mismatch of a non-member.  A
+    # success reads strips alone: no form product and no flip form
     rnd = RandomSource(20240841)
     st = _st([(3, 2), (2, 1)])
     ident = constant_data(st)
@@ -464,12 +466,83 @@ def test_data_is_laid_out_once(monkeypatch):
         raise AssertionError("a form was built")
 
     monkeypatch.setattr(ToeplitzForm, "__init__", refuse)
-    assert verify_congruence(ident, member) == (True, "")
-    assert verify_congruence(general, solution) == (True, "")
+    with monkeypatch.context() as strips_only:
+        strips_only.setattr(ToeplitzForm, "__mul__", refuse)
+        strips_only.setattr(ToeplitzForm, "flip_transpose", refuse)
+        assert verify_congruence(ident, member) == (True, "")
+        assert verify_congruence(general, solution) == (True, "")
     ok, report = verify_congruence(ident, tampered)
     assert not ok and report.startswith("block (")
     ok, report = verify_congruence(general, member)
     assert not ok and report.startswith("block (")
+
+
+def _by_definition(data, x):
+    """verify_congruence by its definition, with the public form
+    operations: F X^T F (B X) = C, and the first coefficient that differs
+    in (r, s, offset) order for the report."""
+    lhs = x.flip_transpose() * (data.b_form * x)
+    if lhs == data.c_form:
+        return True, ""
+    st = data.structure
+    for r in range(st.part_count):
+        for s in range(st.part_count):
+            for j in range(st.depth(r, s)):
+                got = lhs.coefficient(r, s, j)
+                want = data.c_form.coefficient(r, s, j)
+                if got != want:
+                    return False, (f"block ({r}, {s}) coefficient {j}: got "
+                                   f"{got.to_lists()}, want {want.to_lists()}")
+    raise AssertionError("unequal forms with equal coefficients")
+
+
+def _one_cell_changed(rnd, x, step):
+    """x with one entry of one random coefficient moved by step."""
+    st = x.structure
+    r, s = rnd.stream.below(st.part_count), rnd.stream.below(st.part_count)
+    j = rnd.stream.below(st.depth(r, s))
+    a, b = rnd.stream.below(st.mults[r]), rnd.stream.below(st.mults[s])
+    cell = ExactMatrix.build(st.mults[r], st.mults[s], lambda u, v: (
+        step if (u, v) == (a, b) else 0))
+    return x + ToeplitzForm.from_sparse(st, {(r, s, j): cell})
+
+
+def test_verify_agrees_with_its_definition():
+    # every partition with n <= 6, on identity data and on data with
+    # B != I, C != B and sqrt2 parts (dens up to 3): a solution, the
+    # solution with one cell moved by 1 and by sqrt2, and the identity
+    # data's member against the other data; the verdict and the report
+    # equal those of the public form operations, on an unmarked copy
+    rnd = RandomSource(20261037)
+    verdicts = set()
+    for n in range(1, 7):
+        for st in enumerate_structures(n, IMAG):
+            ident = constant_data(st)
+            general, seeds = _unlike_data(rnd, st, with_sqrt2=True, max_den=3)
+            member = solve_congruence(ident, random_free_params(ident, rnd))
+            solution = solve_congruence(general, random_free_params(
+                general, rnd, seeds=seeds, with_sqrt2=True, max_den=3))
+            for data, x in ((ident, member), (general, solution),
+                            (general, member)):
+                for y in (x, _one_cell_changed(rnd, x, 1),
+                          _one_cell_changed(rnd, x, SQRT2)):
+                    got = verify_congruence(data, ToeplitzForm._from_strip(
+                        st, y._strip))
+                    assert got == _by_definition(data, y), (st, got)
+                    verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_a_rule_that_disagrees_with_the_coefficients_is_a_fault(monkeypatch):
+    # the strip rule rejecting a solution whose coefficients all match C is
+    # a fault of the library, named as such, never a report of no mismatch
+    st = _st([(3, 1), (1, 2)])
+    data = constant_data(st)
+    x = solve_congruence(data, random_free_params(data, RandomSource(37)))
+    monkeypatch.setattr(solver, "_congruent", lambda *args: False)
+    with pytest.raises(IntegrityError, match="^the strip check rejected a "
+                       "form that matches C$"):
+        verify_congruence(data, ToeplitzForm._from_strip(st, x._strip))
 
 
 def test_verify_requires_matching_structure():

@@ -212,21 +212,35 @@ def test_verify_rejects_wrong_shape():
         verify_isotropy(_st([(2, 1)]), identity(3))
 
 
+_STRUCTURE = "expected SegreStructure or MultiSegreStructure, got str"
+_PARAMS = "params must be a FreeParams, got str"
+_MULTI = MultiSegreStructure([_st([(2, 1)], 0), _st([(1, 2)], 1)])
 _WRONG_TYPES = {
     "verify_isotropy(str, q)": (
-        StructureError, lambda st, q: verify_isotropy("x", q)),
+        StructureError, _STRUCTURE, lambda st, q: verify_isotropy("x", q)),
     "group_element_mul(str, [q])": (
-        StructureError, lambda st, q: group_element_mul("x", [q])),
+        StructureError, _STRUCTURE, lambda st, q: group_element_mul("x", [q])),
     "group_element_inv(str, q)": (
-        StructureError, lambda st, q: group_element_inv("x", q)),
+        StructureError, _STRUCTURE, lambda st, q: group_element_inv("x", q)),
     "verify_isotropy(st, str)": (
-        ParameterError, lambda st, q: verify_isotropy(st, "x")),
+        ParameterError, "expected an ExactMatrix, got str",
+        lambda st, q: verify_isotropy(st, "x")),
     "to_toeplitz_coordinates(st, list)": (
-        ParameterError, lambda st, q: to_toeplitz_coordinates(st, [[1]])),
+        ParameterError, "expected an ExactMatrix, got list",
+        lambda st, q: to_toeplitz_coordinates(st, [[1]])),
     "from_toeplitz_coordinates(st, str)": (
-        ParameterError, lambda st, q: from_toeplitz_coordinates(st, "x")),
+        ParameterError, "from_toeplitz_coordinates needs a ToeplitzForm, "
+        "got str", lambda st, q: from_toeplitz_coordinates(st, "x")),
     "sample_isotropy_element(st, params=str)": (
-        ParameterError, lambda st, q: sample_isotropy_element(st, params="x")),
+        ParameterError, _PARAMS,
+        lambda st, q: sample_isotropy_element(st, params="x")),
+    "sample_isotropy_element(st, params=str, seeds=list)": (
+        ParameterError, _PARAMS, lambda st, q: sample_isotropy_element(
+            st, params="x", seeds=[identity(1), identity(1)])),
+    "sample_isotropy_element(multi, params=[FreeParams, str], seeds=list)": (
+        ParameterError, _PARAMS, lambda st, q: sample_isotropy_element(
+            _MULTI, params=[FreeParams.zero(_MULTI.parts[0]), "x"],
+            seeds=[[identity(1)], [identity(2)]])),
 }
 
 
@@ -234,11 +248,12 @@ _WRONG_TYPES = {
 def test_wrong_argument_types_raise_the_package_errors(call):
     # each call reads an attribute off the wrong argument unless it is
     # checked first; the error is the package's, never AttributeError
-    error, run = _WRONG_TYPES[call]
+    error, message, run = _WRONG_TYPES[call]
     st = _st([(2, 1), (1, 1)])
     q = sample_isotropy_element(st, rnd=RandomSource(36))
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         run(st, q)
+    assert str(raised.value) == message
 
 
 def _commuting_probes(st):
@@ -387,10 +402,17 @@ def test_coordinate_maps_invert_each_other():
         assert from_toeplitz_coordinates(st, to_toeplitz_coordinates(st, q)) == q
 
 
-def test_to_toeplitz_rejects_non_members():
+def test_to_toeplitz_rejects_non_members(monkeypatch):
+    # with the report of verify_isotropy, after one dense check
     st = _st([(2, 1)])
-    with pytest.raises(MembershipError):
-        to_toeplitz_coordinates(st, identity(2).scale(rat(3)))
+    bad = identity(2).scale(rat(3))
+    report = verify_isotropy(st, bad)[1]
+    checks, check = [], stabilizer._in_group
+    monkeypatch.setattr(stabilizer, "_in_group",
+                        lambda *args: checks.append(1) or check(*args))
+    with pytest.raises(MembershipError) as raised:
+        to_toeplitz_coordinates(st, bad)
+    assert str(raised.value) == report and checks == [1]
 
 
 # ---------------------------------------------------------------------------
