@@ -109,11 +109,14 @@ def _structure_of(args):
 # eigenvalue share a kernel, so their system goes to exact elimination:
 # 2.0 s for [(20, 1), (19, 1)], 6.9 s for [(24, 2)], 168 s for [(40, 2)].
 # commutant prints about 90 bytes an entry: 2^22 entries take 9 s and
-# 391 MB.
+# 391 MB.  describe builds no matrix but lists one generator recipe per
+# coefficient slot: 2^18 recipes take 1.8-4.3 s and 272-385 MB, couplings
+# costing the most.
 _MAX_DENSE_N = 1024
 _MAX_SAMPLE_N, _MAX_SAMPLE_M = 512, 32
 _MAX_CODIM_ALPHA = 40
 _MAX_COMMUTANT_ENTRIES = 1 << 22
+_MAX_DESCRIBE_RECIPES = 1 << 18
 
 
 def _bounded_structure_of(args, max_n=_MAX_DENSE_N):
@@ -155,7 +158,17 @@ def _cmd_canonical(args):
 
 
 def _cmd_describe(args):
-    desc = stabilizer.describe_isotropy(_structure_of(args))
+    st = _structure_of(args)
+    # counted before any is built: per part, one orthogonal seed and
+    # alpha_t - 1 diagonal skews for each group t, and alpha_t couplings
+    # for each pair p < t, so sum_t (t + 1) alpha_t
+    recipes = sum((t + 1) * a for part in st.parts
+                  for t, a in enumerate(part.alphas))
+    if recipes > _MAX_DESCRIBE_RECIPES:
+        raise IsotropyError(
+            f"request too large: the description lists {recipes} generator "
+            f"recipes, and describe lists at most {_MAX_DESCRIBE_RECIPES}")
+    desc = stabilizer.describe_isotropy(st)
     return description_to_json(desc), 0
 
 

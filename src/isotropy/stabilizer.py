@@ -28,9 +28,15 @@ class IsotropyDescription(_Immutable):
 
     dimension counts free parameters; reductive_part lists the sizes of
     the orthogonal factors acting on the leading diagonal coefficients;
-    the two bounds describe the complementary normal subgroup; the
-    recipes spell out every free parameter slot.  A multi-eigenvalue
+    the recipes spell out every free parameter slot.  A multi-eigenvalue
     description carries the per-eigenvalue descriptions in parts.
+
+    unipotent_order_bound and nilpotency_class_bound are alpha_1 - 1 and
+    alpha_1, alpha_1 the largest block size (the largest over the parts).
+    They are not proven bounds on the complementary normal subgroup: on
+    [(3, 1), (2, 1)] they read 2 and 3, yet the zero-offset coupling
+    G = gen_G(structure, 0, 1, 0, [[1]]) has (G - I)^4 != 0 and
+    (G - I)^5 = 0.
     """
 
     __slots__ = ("structure", "dimension", "reductive_part",

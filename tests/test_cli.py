@@ -9,6 +9,7 @@ import time
 import pytest
 
 import isotropy
+from isotropy import cli
 from isotropy.cli import main
 from isotropy.forms import SegreStructure, commutant_dimension, symmetric_form
 from isotropy.generators import generator_from_spec
@@ -81,12 +82,51 @@ def test_dim_of_huge_alpha_runs_in_bounded_memory():
 
 def test_request_too_large_for_memory_exits_two():
     # describe lists one recipe per coefficient slot, which at alpha = 10^9
-    # does not fit: a JSON error and exit 2, not a traceback and exit 1
+    # does not fit: refused from the structure, before any recipe is built
+    start = time.monotonic()
     proc = _run_capped("describe", _HUGE_ALPHA)
+    assert time.monotonic() - start < 5
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stdout == ""
     assert json.loads(proc.stderr) == {
-        "error": "request too large: out of memory"}
+        "error": "request too large: the description lists 1000000000 "
+                 "generator recipes, and describe lists at most 262144"}
+
+
+def test_describe_counts_its_recipes_before_it_builds_them(capsys,
+                                                           monkeypatch):
+    # the bound is compared with the count of recipes describe would list:
+    # at the count it describes, one below it it refuses
+    for structure in (PAIR, _parts(_blocks((3, 2), (2, 1), (1, 3)),
+                                   _blocks((2, 1), lam="1"))):
+        code, out, _ = _run(capsys, "describe", "--structure", structure)
+        assert code == 0
+        recipes = json.loads(out)["generator_recipes"]
+        count = sum(len(kind) for part in recipes.get("parts", [recipes])
+                    for kind in part.values())
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_MAX_DESCRIBE_RECIPES", count)
+            assert _run(capsys, "describe", "--structure", structure) == (
+                0, out, "")
+            patch.setattr(cli, "_MAX_DESCRIBE_RECIPES", count - 1)
+            code, out, err = _run(capsys, "describe", "--structure", structure)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": f"request too large: the description lists {count} "
+                     "generator recipes, and describe lists at most "
+                     f"{count - 1}"}
+
+
+def test_running_out_of_memory_exits_two(capsys, monkeypatch):
+    # a request that runs out of memory past every bound: a JSON error and
+    # exit 2, not a traceback and exit 1
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "dim", exhausted)
+    code, out, err = _run(capsys, "dim", "--structure", O3)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "request too large: out of memory"}
 
 
 def _blocks(*pairs, lam="0"):

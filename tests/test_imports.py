@@ -17,6 +17,7 @@ rules have one owner each: immutability (errors._Immutable) and the
 congruence on strips (toeplitz._congruent)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -298,3 +299,24 @@ def test_the_congruence_has_one_owner():
     assert not flips, "the flip read outside toeplitz.py: " + ", ".join(flips)
     assert not rules, "the congruence rule defined again: " + ", ".join(rules)
     assert callers == {"solver.py", "stabilizer.py"}
+
+
+@pytest.mark.parametrize("path", [_TESTS / "_oracles.py",
+                                  _ROOT / "perfbench" / "oracle.py"],
+                         ids=lambda path: path.name)
+def test_the_oracles_import_only_the_standard_library(path):
+    """The two oracles, the tests' and the benchmark's, are a second code
+    path: each import statement in them names a standard-library module,
+    so neither reaches isotropy, directly or through another module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    named = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            named.append((node.lineno, "." * node.level + (node.module or "")))
+    assert named
+    foreign = [f"{path.name}:{line} {name}" for line, name in named
+               if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign, "imports outside the standard library: " + \
+        ", ".join(foreign)

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -54,9 +55,9 @@ def test_mul_matches_oracle_on_random_pairs():
     for _ in range(25):
         a = rs.matrix(3, 4)
         b = rs.matrix(4, 2)
-        got = oracle.c_grid(a * b)
-        want = oracle.mat_mul(oracle.c_grid(a), oracle.c_grid(b))
-        assert got == want
+        ga, gb, got = (oracle.grid(x) for x in (a, b, a * b))
+        assert all(map(oracle.is_gaussian, (ga, gb, got)))
+        assert got == oracle.mul(ga, gb)
 
 
 def _big(rs):
@@ -75,7 +76,7 @@ def _with_zero_lines(rs, m):
 
 
 def _assert_mul_matches_q_oracle(a, b):
-    assert _to_q(a * b) == oracle.qmat_mul(_to_q(a), _to_q(b), b.cols)
+    assert _to_q(a * b) == oracle.mul(_to_q(a), _to_q(b))
 
 
 def test_mul_matches_q_oracle_with_sqrt2_entries():
@@ -137,11 +138,8 @@ def test_sum_of_products_matches_term_by_term_sum():
             kw = {"with_sqrt2": bool(rs.stream.below(2)),
                   "max_den": rs.stream.randint(1, 9)}
             pairs.append((rs.matrix(r, k, **kw), rs.matrix(k, c, **kw)))
-        want = [[oracle.q() for _ in range(c)] for _ in range(r)]
-        for a, b in pairs:
-            term = oracle.qmat_mul(_to_q(a), _to_q(b), c)
-            want = [[oracle.qadd(x, y) for x, y in zip(rw, rt)]
-                    for rw, rt in zip(want, term)]
+        want = reduce(oracle.add, (oracle.mul(_to_q(a), _to_q(b))
+                                   for a, b in pairs))
         assert _to_q(_sum_of_products(_terms(pairs), r, c)) == want
         # a negative denominator subtracts its term
         a, b = pairs[0]
@@ -288,9 +286,9 @@ def _sparse_draws(rs, n):
 
 def _first_dependent_column(m):
     # the first column in the span of the columns before it, by the oracle
-    grid = _to_q(m)
+    den, rows = _to_q(m)
     return next(c for c in range(m.cols)
-                if oracle.qrank([row[:c + 1] for row in grid]) <= c)
+                if oracle.rank((den, [row[:c + 1] for row in rows])) <= c)
 
 
 def test_rank_of_sparse_shapes_matches_q_oracle():
@@ -384,15 +382,17 @@ def test_rank_matches_oracle():
         r = rs.stream.randint(1, 5)
         c = rs.stream.randint(1, 5)
         m = rs.matrix(r, c)
-        assert m.rank() == oracle.rank(oracle.c_grid(m))
-        assert m.cols - m.rank() == oracle.nullity(oracle.c_grid(m))
+        grid = oracle.grid(m)
+        assert oracle.is_gaussian(grid)
+        assert m.rank() == oracle.rank(grid)
+        assert m.cols - m.rank() == oracle.nullity(grid)
 
 
-_to_q = oracle.q_grid
+_to_q = oracle.grid
 
 
 def _assert_rank_matches_q_oracle(m):
-    want = oracle.qrank(_to_q(m))
+    want = oracle.rank(_to_q(m))
     assert m.rank() == want
     return want
 
@@ -483,10 +483,10 @@ def test_rank_with_large_denominators():
 def test_commutant_nullity_of_small_canonical_form():
     # S = (2-block at 0) + (1-block at 0); the 9x9 vectorized commutant
     # system S X = X S must have nullity 5, checked fully by the oracle.
-    s = oracle.block_diag(oracle.symmetric_canonical_block(2, oracle.c(0)),
-                          oracle.symmetric_canonical_block(1, oracle.c(0)))
+    s = oracle.block_diag(oracle.symmetric_canonical_block(2, (0, 0, 0, 0)),
+                          oracle.symmetric_canonical_block(1, (0, 0, 0, 0)))
     system = oracle.vectorize_commutant_system(s)
-    assert len(system) == 9 and len(system[0]) == 9
+    assert len(system[1]) == 9 and len(system[1][0]) == 9
     assert oracle.nullity(system) == 5
 
 

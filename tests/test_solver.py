@@ -694,7 +694,9 @@ def test_solution_dimension_against_tangent_oracle():
     for n in range(1, 7):
         for st in enumerate_structures(n, lam=IMAG):
             s = symmetric_form(st)
-            system = oracle.vectorize_tangent_system(oracle.c_grid(s))
+            grid = oracle.grid(s)
+            assert oracle.is_gaussian(grid)
+            system = oracle.vectorize_tangent_system(grid)
             assert solution_dimension(st) == oracle.nullity(system)
 
 

@@ -662,8 +662,9 @@ def test_commutant_dimension_examples():
 def test_commutant_dimension_matches_oracle_nullity():
     for n in range(1, 7):
         for st in enumerate_structures(n, lam=IMAG):
-            system = oracle.vectorize_commutant_system(
-                oracle.c_grid(jordan_form(st)))
+            grid = oracle.grid(jordan_form(st))
+            assert oracle.is_gaussian(grid)
+            system = oracle.vectorize_commutant_system(grid)
             assert commutant_dimension(st) == oracle.nullity(system)
 
 
