@@ -11,17 +11,23 @@ Exit codes: 0 success, 1 verification answered false, 2 bad input
 Start-up imports errors, forms, jsonio, matrices and scalars.  The other
 library modules are bound lazily and run only when a handler first reads
 from them, so a process compiles only what its command uses: dim and
-canonical nothing more, codim orbit, commutant toeplitz.  Each handler
-calls them module-qualified, and they sit in sys.modules from the start,
-so perfbench/spans.py, which wraps the package's modules from outside,
-still finds and wraps them.
+canonical nothing more, codim orbit, commutant toeplitz, describe
+stabilizer, verify stabilizer and toeplitz.  Each handler calls them
+module-qualified, and they sit in sys.modules from the start, so
+perfbench/spans.py, which wraps the package's modules from outside, still
+finds and wraps them.
+
+A well-formed command line (the command, then exact long flags, each with
+one value that does not start with "-") is read directly and does not
+load argparse; any other goes to the argparse parser, which alone reports
+usage errors and prints the help.
 """
 
-import argparse
 import importlib.util
 import json
 import os
 import sys
+import types
 
 from .errors import IntegrityError, IsotropyError, MembershipError
 from .forms import (MultiSegreStructure, SegreStructure, backward_form,
@@ -336,15 +342,18 @@ _COMMANDS = {
 }
 
 
-class _JsonErrorParser(argparse.ArgumentParser):
-    """Reports a malformed command line as a JSON error on stderr, exit 2,
-    like every other bad input."""
+def _build_parser():
+    """The argparse parser of the command line."""
+    # imported here, so that a well-formed command line does not load it
+    import argparse
 
-    def error(self, message):
-        self.exit(2, dumps_canonical({"error": message}))
+    class _JsonErrorParser(argparse.ArgumentParser):
+        """Reports a malformed command line as a JSON error on stderr,
+        exit 2, like every other bad input."""
 
+        def error(self, message):
+            self.exit(2, dumps_canonical({"error": message}))
 
-def _build_parser() -> argparse.ArgumentParser:
     parser = _JsonErrorParser(
         prog="isotropy",
         description="Exact isotropy groups of canonical complex "
@@ -369,8 +378,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The long flags of _build_parser, each with the default argparse gives
+# its value, and those whose value argparse converts with int()
+_FLAG_DEFAULTS = {"--structure": None, "--seed": None, "--params": None,
+                  "--matrix": None, "--out": None, "--max-n": 8,
+                  "--cases": None}
+_INT_FLAGS = ("--seed", "--max-n", "--cases")
+
+
+def _parse_well_formed(argv):
+    """The namespace _build_parser's parser returns for argv, when argv is
+    the command followed by exact long flags, each with one value that
+    does not start with "-"; None for any other command line."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    values = dict(_FLAG_DEFAULTS)
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in values or value.startswith("-"):
+            return None
+        if flag in _INT_FLAGS:
+            try:
+                value = int(value)
+            except ValueError:  # argparse words the error
+                return None
+        values[flag] = value
+    return types.SimpleNamespace(
+        command=argv[0],
+        **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
+
+
 def _emit(text: str, out_path):
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -378,18 +416,25 @@ def _emit(text: str, out_path):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    for name, value in vars(args).items():
-        if isinstance(value, list):  # argparse reads "--flag=--" as []
-            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_well_formed(argv)
+    if args is None:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # argparse reads "--flag=--" as []
+                parser.error(f"argument --{name.replace('_', '-')}: "
+                             "expected one argument")
     handler = _COMMANDS[args.command]
     try:
         if args.seed is not None:
             _checked_seed(args.seed, "--seed")
-        # refused before any work, which selftest would report on stderr
-        if args.out and (os.path.isdir(args.out) or not os.path.isdir(
-                os.path.dirname(args.out) or ".")):
+        # refused before any work, which selftest would report on stderr;
+        # an empty --out names no file
+        if args.out is not None and (
+                not args.out or os.path.isdir(args.out)
+                or not os.path.isdir(os.path.dirname(args.out) or ".")):
             raise IsotropyError(f"--out cannot be written: {args.out!r}")
         payload, code = handler(args)
         _emit(dumps_canonical(payload), args.out)

@@ -7,8 +7,11 @@ forms X solving the flip congruence F X^T F X = I.  An exact change of
 basis exchanges the two, so membership checks never approximate.
 """
 
+from __future__ import annotations
+
 from itertools import chain
 
+from . import solver, toeplitz
 from .errors import (IntegrityError, MembershipError, ParameterError,
                      StructureError, _Immutable)
 from .forms import (SegreStructure, _conjugate_by_transition,
@@ -17,10 +20,6 @@ from .forms import (SegreStructure, _conjugate_by_transition,
 from .matrices import (ExactMatrix, _first_mismatch, _grid_mul, _is_member,
                        _mark_member, _reduced, _sparse_rows, direct_sum)
 from .scalars import ONE, ZERO, _from_ints
-from .solver import (FreeParams, _require_congruence, _sweep, constant_data,
-                     random_free_params)
-from .toeplitz import (ToeplitzForm, _assembled, _congruent, _identity_strip,
-                       _moved_rows, _strip_rows)
 
 
 class IsotropyDescription(_Immutable):
@@ -122,10 +121,12 @@ def _in_group(structure, q: ExactMatrix):
                                                 for row in rows))):
                 return None
             rows = tuple(row[off:end] for row in rows)
-        strip = _strip_rows(rows, blocks)
-        if _assembled(strip, blocks) != rows or not _congruent(
-                strip, blocks, _moved_rows(strip, blocks), 1,
-                _identity_strip(blocks, (4 * q._den ** 2, 0, 0, 0)), 1):
+        strip = toeplitz._strip_rows(rows, blocks)
+        if toeplitz._assembled(strip, blocks) != rows \
+                or not toeplitz._congruent(
+                    strip, blocks, toeplitz._moved_rows(strip, blocks), 1,
+                    toeplitz._identity_strip(
+                        blocks, (4 * q._den ** 2, 0, 0, 0)), 1):
             return None
         strips.append(strip)
         off = end
@@ -202,10 +203,11 @@ def _require_member(structure, x, error, prefix: str):
     structure: a dense matrix by verify_isotropy, a form by the congruence
     against the identity data, once its structure matches.  A member
     already verified for structure is not checked again."""
-    if isinstance(x, ToeplitzForm):
+    if isinstance(x, toeplitz.ToeplitzForm):
         if x.structure != structure:
             raise error(prefix + "built for a different structure")
-        _require_congruence(constant_data(structure), x, error, prefix)
+        solver._require_congruence(solver.constant_data(structure), x,
+                                   error, prefix)
     elif not _is_member(x, structure):
         ok, report = verify_isotropy(structure, x)
         if not ok:
@@ -213,9 +215,9 @@ def _require_member(structure, x, error, prefix: str):
 
 
 def from_toeplitz_coordinates(structure: SegreStructure,
-                              form: ToeplitzForm) -> ExactMatrix:
+                              form: toeplitz.ToeplitzForm) -> ExactMatrix:
     """Dense member Q from a coefficient-level solution; Q is verified."""
-    if not isinstance(form, ToeplitzForm):
+    if not isinstance(form, toeplitz.ToeplitzForm):
         raise ParameterError("from_toeplitz_coordinates needs a ToeplitzForm, "
                              f"got {type(form).__name__}")
     if form.structure != structure:
@@ -226,7 +228,7 @@ def from_toeplitz_coordinates(structure: SegreStructure,
 
 
 def to_toeplitz_coordinates(structure: SegreStructure,
-                            q: ExactMatrix) -> ToeplitzForm:
+                            q: ExactMatrix) -> toeplitz.ToeplitzForm:
     """Coefficient-level solution from a dense member (inverse map): the
     strip of its transition image, marked a member; for an unmarked q, the
     strip its check (_in_group) accepted."""
@@ -235,26 +237,28 @@ def to_toeplitz_coordinates(structure: SegreStructure,
             "coefficient coordinates exist per eigenvalue; split the "
             "matrix along parts first")
     if _is_member(q, structure):
-        strips = [_strip_rows(_transition_rows(
+        strips = [toeplitz._strip_rows(_transition_rows(
             q._g, *_transition_indices(structure, False)), structure.blocks)]
     elif not (strips := _in_group(structure, q)):
         raise MembershipError(_first_failure(structure, q))
-    form = ToeplitzForm._from_strip(structure, _reduced(
+    form = toeplitz.ToeplitzForm._from_strip(structure, _reduced(
         sum(structure.mults), structure.n, strips[0], 2 * q._den))
     _mark_member(form, structure)
     return form
 
 
 def _sample_single(st, params, seeds, rnd, scalar_kw):
-    data = constant_data(st)
+    data = solver.constant_data(st)
     if params is None:
         if rnd is None:
             raise ParameterError(
                 "sampling needs explicit params or a random source")
-        params = random_free_params(data, rnd, seeds=seeds, **scalar_kw)
-    elif seeds is not None and isinstance(params, FreeParams):
-        params = FreeParams(params.sub_blocks, seeds, params.skews)
-    return _conjugate_by_transition(st, _sweep(data, params).assemble())
+        params = solver.random_free_params(data, rnd, seeds=seeds,
+                                           **scalar_kw)
+    elif seeds is not None and isinstance(params, solver.FreeParams):
+        params = solver.FreeParams(params.sub_blocks, seeds, params.skews)
+    return _conjugate_by_transition(
+        st, solver._sweep(data, params).assemble())
 
 
 def sample_isotropy_element(structure, params=None, seeds=None, rnd=None,
@@ -289,7 +293,7 @@ def sample_isotropy_element(structure, params=None, seeds=None, rnd=None,
 def _check_level(structure, elems):
     if all(isinstance(e, ExactMatrix) for e in elems):
         return "dense"
-    if all(isinstance(e, ToeplitzForm) for e in elems):
+    if all(isinstance(e, toeplitz.ToeplitzForm) for e in elems):
         if not isinstance(structure, SegreStructure):
             raise StructureError(
                 "coefficient-level elements need a single-eigenvalue "
@@ -299,7 +303,8 @@ def _check_level(structure, elems):
         "elements must be all dense matrices or all Toeplitz forms")
 
 
-def group_element_mul(structure, elems) -> ExactMatrix | ToeplitzForm:
+def group_element_mul(structure,
+                      elems) -> ExactMatrix | toeplitz.ToeplitzForm:
     """Product of members; the product is verified before it is returned.
 
     Accepts dense matrices or coefficient-level forms, never mixed.
@@ -321,7 +326,8 @@ def group_element_mul(structure, elems) -> ExactMatrix | ToeplitzForm:
     return product
 
 
-def group_element_inv(structure, elem) -> ExactMatrix | ToeplitzForm:
+def group_element_inv(structure,
+                      elem) -> ExactMatrix | toeplitz.ToeplitzForm:
     """Inverse of a member: Q^T dense, flip transpose on forms."""
     form = _check_level(structure, [elem]) == "form"
     _require_member(structure, elem, MembershipError,

@@ -451,6 +451,7 @@ _BAD_FLAGS = {
     "--bogus": ["--bogus"],
     "--seed=2**64": [f"--seed={1 << 64}"],
     "--out missing": ["--out", "missing/out.json"],
+    "--out empty": ["--out", ""],
     "--structure=--": ["--structure=--"],
 }
 _FAULT_DIGESTS = {
@@ -462,6 +463,8 @@ _FAULT_DIGESTS = {
         "ce6909b2994d55d7abb05e4ea2f7a72c575724fdac60c04f6a5e76ff15e0bdea",
     "--bogus":
         "fe02f4276609223b0d06855827b2199336e07e6f619d11835cde16bb50c2b6aa",
+    "--out empty":
+        "e048c4d8e868a6bed168f46f6876857a7406270a2d3dab21ebd487a28c6b7979",
     "--out missing":
         "e73b200475b489a1abb8efaa4ea147aa009fcc11a829f55ebe87df97ffdc011b",
     "--seed=2**64":

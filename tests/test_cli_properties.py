@@ -6,7 +6,8 @@ it refuses leaves stdout empty and one JSON object with "error" on
 stderr, and an answer is one JSON object on stdout.  A bad command line
 (an unknown flag, a seed that is not an integer in [0, 2^64), an --out
 that cannot be written, a flag with no value) exits 2 the same way, on
-every command.
+every command.  A well-formed command line, read without argparse, reads
+as argparse would read it.
 """
 
 import contextlib
@@ -22,7 +23,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from isotropy.cli import _COMMANDS, _build_parser, main  # noqa: E402
+from isotropy.cli import (_COMMANDS, _build_parser,  # noqa: E402
+                          _parse_well_formed, main)
 
 PAIR = {"lambda": "i", "blocks": [{"alpha": 2, "m": 1}, {"alpha": 1, "m": 1}]}
 WIDE = {"lambda": "1", "blocks": [{"alpha": 2, "m": 2}]}
@@ -148,7 +150,8 @@ def _exit_code(argv):
 @given(fault=st.one_of(
     st.tuples(st.just("flag"), UNKNOWN_FLAG),
     st.tuples(st.just("seed"), BAD_SEED),
-    st.tuples(st.just("out"), st.sampled_from(["directory", "missing"])),
+    st.tuples(st.just("out"), st.sampled_from(
+        ["directory", "missing", "empty"])),
     # argparse reads "--flag=--" as an empty list of values
     st.tuples(st.just("dashes"), st.sampled_from(
         [o for o in _OPTIONS if o.startswith("--") and o != "--help"]))))
@@ -168,6 +171,8 @@ def test_bad_command_line_exits_two(command, fault):
             argv.append(f"{value}=--")
         elif value == "directory":
             argv += ["--out", folder]
+        elif value == "empty":
+            argv += ["--out", ""]
         else:
             argv += ["--out", os.path.join(folder, "missing", "out.json")]
         code, out, err = _exit_code(argv)
@@ -175,3 +180,56 @@ def test_bad_command_line_exits_two(command, fault):
     assert (code, out) == (2, ""), argv
     assert "Traceback" not in err
     assert list(json.loads(err)) == ["error"]
+
+
+_LONG = [o for o in _OPTIONS if o.startswith("--") and o != "--help"]
+FLAG = st.one_of(
+    st.sampled_from(_LONG),
+    st.sampled_from(_LONG).flatmap(
+        lambda o: st.integers(3, len(o) - 1).map(lambda k: o[:k])),
+    st.sampled_from(["-h", "--help", "--bogus"]))
+VALUE = st.one_of(
+    st.sampled_from(["", "-", "--", "-1", "-x", " -2", "+3", "1_0", " 4 ",
+                     "5 5", "0x10", "describe", "{}"]),
+    st.integers(-3, 1 << 65).map(str),
+    st.text(max_size=4))
+# a flag and its value as two words, or as one: --flag=value
+FLAG_AND_VALUE = st.tuples(FLAG, VALUE).flatmap(lambda pair: st.sampled_from(
+    [list(pair), ["=".join(pair)]]))
+
+
+def _argparse_reads(argv):
+    """vars of the namespace argparse returns for argv; None where it exits
+    (an error, or the help)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example(command="sample", args=[["--seed", " +7_0 "], ["--out", ""]],
+         place=0)
+@example(command="dim", args=[["--seed", "1"], ["--seed", "2"]], place=0)
+@example(command="selftest", args=[["--max-n", "-1"]], place=0)
+@example(command="dim", args=[["--out", "-x"]], place=0)
+@given(command=st.sampled_from(sorted(_COMMANDS)),
+       args=st.lists(FLAG_AND_VALUE, max_size=4),
+       place=st.one_of(st.just(0), st.integers(1, 8)))
+def test_a_well_formed_command_line_reads_as_argparse_reads_it(
+        command, args, place):
+    # the command is put at place, or last; the direct reading declines, or
+    # gives what argparse gives, and declines no command line argparse
+    # reads that is the command and then exact long flags, each with one
+    # value not led by "-"
+    argv = [word for arg in args for word in arg]
+    argv.insert(place, command)
+    want, got = _argparse_reads(argv), _parse_well_formed(argv)
+    if got is not None:
+        assert vars(got) == want, argv
+    elif want is not None:
+        assert argv[0] != command or len(argv) % 2 == 0 \
+            or any(flag not in _LONG for flag in argv[1::2]) \
+            or any(value.startswith("-") for value in argv[2::2]), argv

@@ -7,9 +7,11 @@ or the benchmark.
 
 Two routes bind a name without a module-level import, and each counts only
 where the syntax tree of the module it names binds the name: the
-package's __getattr__ imports every public name on first access, and the
-command line binds some modules lazily (`name = _lazy("module")`) and
-reads names off them as attributes.
+package's __getattr__ imports every public name on first access, and a
+module reads names as attributes off a package module it binds whole
+(`from . import module`, or lazily on the command line as
+`name = _lazy("module")`).  A name read that way counts as read, like a
+bare name.
 
 Every functools cache in the package is read through .cache_info() by
 some test, so that none is kept without traffic a test has seen.  Two
@@ -49,6 +51,28 @@ def _lazy_modules(tree):
             and isinstance(node.value, ast.Call)
             and isinstance(node.value.func, ast.Name)
             and node.value.func.id == "_lazy"}
+
+
+def _package_modules(tree):
+    """{bound name: package module} for every module a tree binds whole:
+    `from . import module` and `name = _lazy("module")`."""
+    bound = {name: module for name, (module, _) in _lazy_modules(tree).items()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                and node.module is None:
+            bound.update((alias.asname or alias.name, alias.name)
+                         for alias in node.names)
+    return bound
+
+
+def _read_off_modules(tree):
+    """[(node, package module)] for every attribute read off a package
+    module the tree binds whole."""
+    modules = _package_modules(tree)
+    return [(node, modules[node.value.id]) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules]
 
 
 def _used(tree):
@@ -103,6 +127,9 @@ def test_every_private_name_is_read():
              for path in sorted(_PACKAGE.glob("*.py"))}
     read = {node.id for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for tree in trees.values()
+             for node, _ in _read_off_modules(tree)
+             if isinstance(node.ctx, ast.Load)}
     dead = sorted(f"{name}:{line} {binding}"
                   for name, tree in trees.items()
                   for binding, line in _defined(tree).items()
@@ -152,19 +179,15 @@ def test_every_exported_name_is_bound(path):
 
 
 def test_every_name_read_off_a_lazy_module_is_bound_there():
-    # a lazy module runs only when a command first reads from it, so a
-    # name it lacks would fail that command alone, at run time
+    # a module bound whole is read only at the call, and on the command
+    # line it runs only when a command first reads from it, so a name it
+    # lacks would fail that command alone, at run time
     missing = []
     for path in sorted(_PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        lazy = {name: _bound(_module_tree(module))
-                for name, (module, _) in _lazy_modules(tree).items()}
         missing += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
-                    for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in lazy
-                    and node.attr not in lazy[node.value.id]]
+                    for node, module in _read_off_modules(tree)
+                    if node.attr not in _bound(_module_tree(module))]
     assert not missing, "names their lazy module does not bind: " + \
         ", ".join(missing)
 
@@ -235,8 +258,10 @@ def test_the_codim_path_stays_off_the_solver():
     # orbit reads its closed forms beside the structure, so a start-up that
     # loads only what codim uses need not load the solver
     tree = ast.parse((_PACKAGE / "orbit.py").read_text())
-    imported = {node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.level}
+    imported = {module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for module in ([node.module] if node.module
+                               else [alias.name for alias in node.names])}
     assert imported == {"errors", "forms", "matrices"}
 
 
@@ -261,7 +286,8 @@ def test_values_are_immutable_by_the_one_base():
                 own += [f"{where}.{node.name}" for node in cls.body
                         if isinstance(node, ast.FunctionDef)
                         and node.name in ("__setattr__", "__delattr__")]
-            bases = {getattr(base, "id", None) for base in cls.bases}
+            bases = {getattr(base, "id", getattr(base, "attr", None))
+                     for base in cls.bases}
             if "_Immutable" not in bases and any(
                     map(_is_object_setattr, ast.walk(cls))):
                 unbased.append(where)
@@ -284,6 +310,8 @@ def test_the_congruence_has_one_owner():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
                 name = node.id
+            elif isinstance(node, ast.Attribute):  # toeplitz._congruent
+                name = node.attr
             elif isinstance(node, ast.alias):
                 name = node.name
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

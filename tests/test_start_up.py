@@ -1,8 +1,9 @@
 """What a fresh process loads: `import isotropy` runs none of the package's
 modules, the first public name loads the whole library, and each command
-of `python -m isotropy.cli` runs only the modules it reads.  A module
-bound lazily but never read does not count as loaded (its type is not
-yet types.ModuleType)."""
+of `python -m isotropy.cli` runs only the modules it reads, and imports
+argparse only for a command line it cannot read directly.  A module bound
+lazily but never read does not count as loaded (its type is not yet
+types.ModuleType)."""
 
 import ast
 import json
@@ -130,22 +131,25 @@ _RUNS = {
     "canonical": set(),
     "codim": {"orbit"},
     "commutant": {"toeplitz"},
-    "describe": {"solver", "stabilizer", "toeplitz"},
+    "describe": {"stabilizer"},
     "dim": set(),
     "factor": {"generators", "solver", "stabilizer", "toeplitz"},
     "generators": {"generators", "solver", "toeplitz"},
     "sample": {"rng", "solver", "stabilizer", "toeplitz"},
     "selftest": set(_LIBRARY) | {"acceptance"},
-    "verify": {"solver", "stabilizer", "toeplitz"},
+    "verify": {"stabilizer", "toeplitz"},
 }
 
 # `python -m isotropy.cli ARGS`, run the way -m runs it, reporting at exit
-# the modules that ran (the command line itself runs as __main__)
+# the modules that ran (the command line itself runs as __main__) and which
+# of the command-line parser's modules were imported
+_PARSING = ("argparse", "gettext", "locale")
 _CLI = """
-import atexit, json, runpy
-atexit.register(lambda: print("\\n" + json.dumps(sorted(loaded()))))
+import atexit, json, runpy, sys
+atexit.register(lambda: print("\\n" + json.dumps([
+    sorted(loaded()), [name for name in %r if name in sys.modules]])))
 runpy.run_module("isotropy.cli", run_name="__main__", alter_sys=True)
-"""
+""" % (_PARSING,)
 
 
 def test_each_command_runs_only_the_modules_it_reads(tmp_path):
@@ -161,8 +165,17 @@ def test_each_command_runs_only_the_modules_it_reads(tmp_path):
     # two processes at a time: the runs are independent of each other
     with ThreadPoolExecutor(2) as pool:
         got = dict(zip(_RUNS, pool.map(modules_run, _RUNS)))
-    assert got == {command: sorted(_START | runs)
+    # each command line is well-formed, so none loads argparse
+    assert got == {command: [sorted(_START | runs), []]
                    for command, runs in _RUNS.items()}
+
+
+def test_only_a_command_line_argparse_must_read_loads_it(tmp_path):
+    # an abbreviated flag goes to argparse, which reads it as --structure
+    got = _fresh(_CLI, "dim", "--struct", PAIR, "--out", "out.json",
+                 cwd=tmp_path)
+    assert json.loads((tmp_path / "out.json").read_text())
+    assert got == [sorted(_START), list(_PARSING)]
 
 
 # perfbench wraps the package from outside: cli_child.py imports the
