@@ -188,7 +188,7 @@ def test_every_name_read_off_a_lazy_module_is_bound_there():
         missing += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
                     for node, module in _read_off_modules(tree)
                     if node.attr not in _bound(_module_tree(module))]
-    assert not missing, "names their lazy module does not bind: " + \
+    assert not missing, "names the module they are read off lacks: " + \
         ", ".join(missing)
 
 
