@@ -21,10 +21,10 @@ exactly:
   * Omega as a matrix, and
   * the block-coordinate backward identity F = Omega^T E Omega.
 
-symmetric_block lays its block out as an integer grid over one
-denominator, and transition_matrix builds its block from entries formed
-before the walk; that the symmetric block equals P J P^{-1} is checked
-by the tests, not at run time.  symmetric_block builds each
+symmetric_block and transition_matrix lay their blocks out as integer
+grids over one denominator, with no scalar arithmetic; that the
+symmetric block equals P J P^{-1} is checked by the tests, not at run
+time.  symmetric_block builds each
 (alpha, lam) block once and symmetric_form each S once per structure,
 handing out the same immutable object.  E, Omega and F are laid out from
 index lists, and Q = P Omega X Omega^T P^{-1} is formed from a block
@@ -34,14 +34,12 @@ Toeplitz X by index too (_conjugate_by_transition), without building P.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (DimensionMismatchError, ParameterError, StructureError,
                      _Immutable)
 from .matrices import _Z4, ExactMatrix, _permutation, _reduced, direct_sum
-from .scalars import (ExactScalar, IMAG, ONE, SQRT2, ZERO, _coerce,
-                      parse_scalar)
+from .scalars import ExactScalar, ONE, ZERO, _coerce, parse_scalar
 
 
 def _as_eigenvalue(lam) -> ExactScalar:
@@ -233,24 +231,19 @@ def jordan_block(n: int, lam) -> ExactMatrix:
         n, n, lambda i, j: lam if i == j else (ONE if j == i + 1 else ZERO))
 
 
-# block-independent entries of P: 1/sqrt2, i/sqrt2 and their sum
-_W = SQRT2.inverse()
-_IW = IMAG * _W
-_CENTRE = _W + _IW
-
-
 def transition_matrix(alpha: int) -> ExactMatrix:
     """P = (I + i E)/sqrt2: symmetric, P^2 = i E, P^{-1} = (I - i E)/sqrt2.
 
-    For odd alpha the diagonal and anti-diagonal overlap in the center, so
-    the two contributions add there.
+    Laid out as an integer grid over den 2: 1/sqrt2 = sqrt2/2 on the
+    diagonal and i/sqrt2 on the anti-diagonal.  For odd alpha the two
+    overlap in the centre, where the contributions add to (1 + i) sqrt2/2.
     """
-    def entry(i, j):
-        if i + j == alpha - 1:
-            return _CENTRE if i == j else _IW
-        return _W if i == j else ZERO
-
-    return ExactMatrix.build(alpha, alpha, entry)
+    grid = [[_Z4] * alpha for _ in range(alpha)]
+    for i in range(alpha):
+        grid[i][i] = (0, 0, 1, 0)
+        grid[i][alpha - 1 - i] = (0, 0, 1, 1) if 2 * i == alpha - 1 \
+            else (0, 0, 0, 1)
+    return _reduced(alpha, alpha, tuple(map(tuple, grid)), 2)
 
 
 def symmetric_block(n: int, lam) -> ExactMatrix:
@@ -266,11 +259,11 @@ def symmetric_block(n: int, lam) -> ExactMatrix:
 
 @lru_cache(maxsize=64)
 def _symmetric_block(n: int, lam: ExactScalar) -> ExactMatrix:
-    # laid out as an integer grid over den = 2 lcm(denominators of lam):
-    # half stands for 1/2, the anti-diagonals add -+i/2 onto what is there
-    half = lcm(*(q.denominator for q in (lam.a, lam.b, lam.c, lam.d)))
-    diag = tuple(q.numerator * (2 * half // q.denominator)
-                 for q in (lam.a, lam.b, lam.c, lam.d))
+    # laid out as an integer grid over den = 2 half, half the den of lam's
+    # pair: half stands for 1/2, the anti-diagonals add -+i/2 onto what is
+    # there
+    half = lam._den
+    diag = tuple(2 * v for v in lam._v)
     grid = [[_Z4] * n for _ in range(n)]
     for i in range(n):
         grid[i][i] = diag

@@ -6,10 +6,11 @@ denominator, m = G / den: G holds its entries as integer 4-tuples
 integer.  The pair is kept in canonical form: the gcd of den and every
 component of G is 1, so the zero matrix has den = 1 and two matrices are
 equal exactly when their shapes, dens and grids are; equality and hashing
-are tuple operations.  ExactScalar entries are made only at the boundary:
-__getitem__, to_lists and repr read them off the grid, and from_rows
-and build scale scalars onto it.  Nothing else keeps a second copy of the
-entries.
+are tuple operations.  An ExactScalar is the 1 x 1 case of the same
+pair (scalars), and entries are made only at the boundary: __getitem__,
+to_lists and repr read them off the grid, and from_rows, build and scale
+read each scalar's pair onto it, with no Fraction in between.  Nothing
+else keeps a second copy of the entries.
 
 Every operation works on the grid, on one private integer kernel over the
 ring Z[i, sqrt2]:
@@ -182,15 +183,15 @@ class ExactMatrix(_Immutable):
         return self.scale(scalar)
 
     def scale(self, scalar) -> "ExactMatrix":
-        s = _from_scalars(1, 1, [[_as_scalar(scalar)]])
-        y, den = s._g[0][0], s._den
+        s = _as_scalar(scalar)
+        y = s._v
         if y[1] or y[2] or y[3]:
             g = tuple(tuple(_mul4(x, y) for x in r) for r in self._g)
         else:
             k = y[0]
             g = tuple(tuple((a * k, b * k, c * k, d * k) for a, b, c, d in r)
                       for r in self._g)
-        return _reduced(self.rows, self.cols, g, self._den * den)
+        return _reduced(self.rows, self.cols, g, self._den * s._den)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.cols, self.rows, tuple(zip(*self._g)) if self.rows else
@@ -294,18 +295,14 @@ def _canonical(grid: tuple, den: int) -> tuple:
 
 def _from_scalars(rows: int, cols: int, entries: list) -> ExactMatrix:
     """The matrix with the given rows of ExactScalars: the way in.  Its den
-    is the lcm of all their denominators (1 for none), which leaves the
-    grid canonical: each prime power of den divides exactly the
-    denominator of some part, whose scaled numerator it leaves coprime."""
-    parts = [[(x.a, x.b, x.c, x.d) for x in r] for r in entries]
-    dens = {q.denominator for r in parts for x in r for q in x}
-    den = lcm(*dens)
-    f = {q: den // q for q in dens}
+    is the lcm of their canonical dens (1 for none), which leaves the grid
+    canonical: each prime power of den divides exactly the den of some
+    entry, whose scaled 4-tuple it leaves coprime."""
+    den = lcm(*{x._den for r in entries for x in r})
     return ExactMatrix(rows, cols, tuple(
-        tuple((a.numerator * f[a.denominator], b.numerator * f[b.denominator],
-               c.numerator * f[c.denominator], d.numerator * f[d.denominator])
-              if a or b or c or d else _Z4 for a, b, c, d in r)
-        for r in parts), den)
+        tuple(x._v if x._den == den else
+              tuple(k * (den // x._den) for k in x._v) for x in r)
+        for r in entries), den)
 
 
 def _scaled_rows(m: ExactMatrix) -> tuple:

@@ -5,24 +5,27 @@ field is closed under all constructions in this package: i/2 enters through
 the symmetric canonical blocks and 1/sqrt2 through the transition matrices.
 Arithmetic is exact; there are no floats anywhere.
 
-Rationals are fractions.Fraction: arbitrary precision, auto-reduced, and
-printed as "n" or "n/d", which the string grammar below relies on.  Dense
-matrices do not hold scalars at all: matrices.ExactMatrix keeps an integer
-grid over one denominator and makes an ExactScalar only when an entry is
-read.
+A scalar is the 1 x 1 case of the integer kernel of matrices.ExactMatrix:
+one integer 4-tuple v = (a, b, c, d) over a positive den, canonical
+(gcd(den, *v) = 1), so equal scalars have equal pairs.  Its arithmetic is
+the kernel's: _mul4 for products, _divisor for inverses, sums over the lcm
+of the two dens, tuple equality.  A fractions.Fraction is made only where
+a rational enters or leaves: the arguments of ExactScalar(...), the
+read-only views .a to .d, the hash and the parser's accumulators.  The
+formatter prints each part v / den as its reduced Fraction prints, "n" or
+"n/d", which the string grammar below relies on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ScalarParseError, _Immutable
 
 Rational = Fraction
 
 _R0 = Fraction(0)
-_R2 = Fraction(2)
 
 
 def rat(num, den=None) -> Rational:
@@ -34,28 +37,42 @@ def rat(num, den=None) -> Rational:
     return Fraction(num, den)
 
 
-class ExactScalar(_Immutable):
-    """Immutable element of Q(i, sqrt2), stored as four rationals."""
+def _pair(parts) -> tuple:
+    """The canonical (v, den) of four Fractions: den is the lcm of their
+    reduced denominators, so each prime power of den divides exactly the
+    denominator of some part, whose scaled numerator it leaves coprime."""
+    den = lcm(*[q.denominator for q in parts])
+    return tuple([q.numerator * (den // q.denominator) for q in parts]), den
 
-    # _hash: hash((a, b, c, d)), or hash(a) when b = c = d = 0, so that a
-    # rational scalar hashes like the int or Fraction it equals; set on the
-    # first __hash__ call, so that caches keyed by an eigenvalue hash its
-    # four Fractions once
-    __slots__ = ("a", "b", "c", "d", "_hash")
+
+class ExactScalar(_Immutable):
+    """Immutable element of Q(i, sqrt2), stored as one canonical integer
+    pair (module docstring)."""
+
+    # _v and _den: the canonical pair.  _hash: hash((a, b, c, d)), or
+    # hash(a) when b = c = d = 0, so that a rational scalar hashes like the
+    # int or Fraction it equals; set on the first __hash__ call, so that
+    # caches keyed by an eigenvalue make its four Fractions once
+    __slots__ = ("_v", "_den", "_hash")
 
     def __init__(self, a=0, b=0, c=0, d=0):
         if any(isinstance(v, float) for v in (a, b, c, d)):
             raise TypeError("floats are not exact; pass ints, strings or rationals")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
+        v, den = _pair((Fraction(a), Fraction(b), Fraction(c), Fraction(d)))
+        object.__setattr__(self, "_v", v)
+        object.__setattr__(self, "_den", den)
+
+    # the four rational parts: read-only views of the pair
+    a = property(lambda self: Fraction(self._v[0], self._den))
+    b = property(lambda self: Fraction(self._v[1], self._den))
+    c = property(lambda self: Fraction(self._v[2], self._den))
+    d = property(lambda self: Fraction(self._v[3], self._den))
 
     # -- predicates ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return not any(self._v)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -63,8 +80,7 @@ class ExactScalar(_Immutable):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactScalar(self.a + other.a, self.b + other.b,
-                           self.c + other.c, self.d + other.d)
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
@@ -72,8 +88,7 @@ class ExactScalar(_Immutable):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactScalar(self.a - other.a, self.b - other.b,
-                           self.c - other.c, self.d - other.d)
+        return _plus(self, other, -1)
 
     def __rsub__(self, other) -> "ExactScalar":
         other = _coerce(other)
@@ -82,38 +97,23 @@ class ExactScalar(_Immutable):
         return other - self
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.a, -self.b, -self.c, -self.d)
+        return _from_ints(*(-k for k in self._v), self._den)
 
     def __mul__(self, other) -> "ExactScalar":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        if not (c1 or d1 or c2 or d2):
-            # Gaussian fast path: the bulk of the arithmetic lives here.
-            return ExactScalar(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
-        # (g1 + h1*s)(g2 + h2*s) = (g1 g2 + 2 h1 h2) + (g1 h2 + h1 g2) s
-        return ExactScalar(
-            a1 * a2 - b1 * b2 + _R2 * (c1 * c2 - d1 * d2),
-            a1 * b2 + b1 * a2 + _R2 * (c1 * d2 + d1 * c2),
-            a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
-            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
-        )
+        return _from_ints(*_mul4(self._v, other._v), self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
-        """Exact multiplicative inverse: with self = y / den, y its parts
-        scaled to integers, self^-1 = den m / norm for (m, norm) =
-        _divisor(y)."""
+        """Exact multiplicative inverse: self = v / den, so self^-1 =
+        den m / norm for (m, norm) = _divisor(v)."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero scalar")
-        parts = (self.a, self.b, self.c, self.d)
-        den = lcm(*(q.denominator for q in parts))
-        m, norm = _divisor(tuple(q.numerator * (den // q.denominator)
-                                 for q in parts))
-        return _from_ints(den * m[0], den * m[1], den * m[2], den * m[3], norm)
+        m, norm = _divisor(self._v)
+        return _from_ints(*(self._den * k for k in m), norm)
 
     def __truediv__(self, other) -> "ExactScalar":
         other = _coerce(other)
@@ -135,18 +135,7 @@ class ExactScalar(_Immutable):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # part by part as integer pairs of reduced Fractions, without
-        # Fraction.__eq__: each cache hit keyed by an eigenvalue pays this
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = other.a, other.b, other.c, other.d
-        return (a.numerator == e.numerator
-                and a.denominator == e.denominator
-                and b.numerator == f.numerator
-                and b.denominator == f.denominator
-                and c.numerator == g.numerator
-                and c.denominator == g.denominator
-                and d.numerator == h.numerator
-                and d.denominator == h.denominator)
+        return self._den == other._den and self._v == other._v
 
     def __hash__(self):
         try:
@@ -170,16 +159,43 @@ class ExactScalar(_Immutable):
 def _coerce(value) -> ExactScalar:
     if isinstance(value, ExactScalar):
         return value
-    if isinstance(value, int) or type(value) is Fraction:
-        return ExactScalar(value)
+    if type(value) is int or type(value) is Fraction:
+        return _from_ints(value.numerator, 0, 0, 0, value.denominator)
     if isinstance(value, float):
         return NotImplemented
     try:
-        # Fractions (and ints behind abstract types) still coerce exactly,
-        # and so does a string that names a rational
+        # ints and Fractions behind other types still coerce exactly, and
+        # so does a string that names a rational
         return ExactScalar(Fraction(value))
     except (TypeError, ValueError, ZeroDivisionError):
         return NotImplemented
+
+
+def _from_ints(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
+    """(a + b i + (c + d i) sqrt2) / den for integers a, b, c, d and a
+    positive integer den: the trusted constructor of the integer kernel.
+
+    The pair is reduced by one gcd and __init__'s checks and coercion are
+    skipped; an all-zero entry is the shared ZERO.
+    """
+    if not (a or b or c or d):
+        return ZERO
+    g = gcd(den, a, b, c, d)
+    if g != 1:
+        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    x = object.__new__(ExactScalar)
+    object.__setattr__(x, "_v", (a, b, c, d))
+    object.__setattr__(x, "_den", den)
+    return x
+
+
+def _plus(x: ExactScalar, y: ExactScalar, sign: int) -> ExactScalar:
+    """x + sign y over the lcm of the two dens."""
+    den = lcm(x._den, y._den)
+    f, h = den // x._den, sign * (den // y._den)
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = x._v, y._v
+    return _from_ints(a1 * f + a2 * h, b1 * f + b2 * h,
+                      c1 * f + c2 * h, d1 * f + d2 * h, den)
 
 
 ZERO = ExactScalar(0)
@@ -188,24 +204,6 @@ MINUS_ONE = ExactScalar(-1)
 IMAG = ExactScalar(0, 1)
 SQRT2 = ExactScalar(0, 0, 1)
 HALF = ExactScalar(Fraction(1, 2))
-
-
-def _from_ints(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
-    """(a + b i + (c + d i) sqrt2) / den for integers a, b, c, d and a
-    positive integer den: the trusted constructor of the integer kernel.
-
-    Each nonzero part is reduced once and __init__'s checks and
-    re-coercion are skipped; an all-zero entry is the shared ZERO.
-    """
-    if not (a or b or c or d):
-        return ZERO
-    x = object.__new__(ExactScalar)
-    put = object.__setattr__
-    put(x, "a", Fraction(a, den) if a else _R0)
-    put(x, "b", Fraction(b, den) if b else _R0)
-    put(x, "c", Fraction(c, den) if c else _R0)
-    put(x, "d", Fraction(d, den) if d else _R0)
-    return x
 
 
 def _mul4(x: tuple, y: tuple) -> tuple:
@@ -266,9 +264,9 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -313,17 +311,25 @@ def _parse_rat(ts: _TokenStream, sign: int) -> Rational:
     kind, value, pos = ts.take()
     if kind != "int":
         raise ScalarParseError(f"expected a number, got {value!r}", ts.text, pos)
-    num = int(value)
+    num = _int(value, ts.text, pos)
     if ts.peek()[0] == "/":
         ts.take()
         kind2, value2, pos2 = ts.take()
         if kind2 != "int":
             raise ScalarParseError("expected a denominator", ts.text, pos2)
-        den = int(value2)
+        den = _int(value2, ts.text, pos2)
         if den <= 0:
             raise ScalarParseError("denominator must be positive", ts.text, pos2)
         return Fraction(sign * num, den)
     return Fraction(sign * num)
+
+
+def _int(digits: str, text: str, pos: int) -> int:
+    """int(digits), which refuses only a run past the int-string limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ScalarParseError("too many digits", text, pos) from None
 
 
 def _parse_gauss(ts: _TokenStream):
@@ -401,7 +407,8 @@ def parse_scalar(text: str) -> ExactScalar:
             raise ScalarParseError(f"unexpected token {value!r}", text, pos)
         sign = 1
         first = False
-    return ExactScalar(a, b, c, d)
+    v, den = _pair((a, b, c, d))
+    return _from_ints(*v, den)
 
 
 def format_scalar(x: ExactScalar) -> str:
@@ -409,30 +416,29 @@ def format_scalar(x: ExactScalar) -> str:
 
     Emits terms in the fixed order: rational, imaginary, sqrt2 part.  The
     sqrt2 part is "c r2" when d = 0, "(c +/- d i) r2" otherwise, so output
-    always stays inside the strict grammar.
+    always stays inside the strict grammar.  Each part is read off the
+    pair (_part), so no Fraction is made.
     """
-    terms = []  # (sign, body) with sign in "+-"
-
-    def push(value: Rational, suffix: str):
-        sign = "-" if value < 0 else "+"
-        body = str(-value if value < 0 else value)
-        terms.append((sign, body + suffix))
-
-    if x.a:
-        push(x.a, "")
-    if x.b:
-        push(x.b, " i")
-    if x.c or x.d:
-        if not x.d:
-            push(x.c, " r2")
-        else:
-            inner_sign = "-" if x.d < 0 else "+"
-            inner = f"({x.c} {inner_sign} {-x.d if x.d < 0 else x.d} i) r2"
-            terms.append(("+", inner))
+    (a, b, c, d), den = x._v, x._den
+    terms = []  # signed bodies; only a rational or imaginary part has "-"
+    if a:
+        terms.append(_part(a, den))
+    if b:
+        terms.append(_part(b, den) + " i")
+    if d:
+        terms.append(f"({_part(c, den)} {'-' if d < 0 else '+'} "
+                     f"{_part(abs(d), den)} i) r2")
+    elif c:
+        terms.append(_part(c, den) + " r2")
     if not terms:
         return "0"
-    first_sign, first_body = terms[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in terms[1:]:
-        out += f" {sign} {body}"
+    out = terms[0]
+    for body in terms[1:]:
+        out += f" - {body[1:]}" if body[0] == "-" else f" + {body}"
     return out
+
+
+def _part(v: int, den: int) -> str:
+    """v / den as its reduced Fraction prints: "n", or "n/d" with d > 1."""
+    g = gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"

@@ -416,6 +416,17 @@ def test_keys_naming_one_slot_exit_two(capsys, command, structure, params):
     assert "name the same slot" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("lam, error", [
+    ("1²", "unexpected character '²' at position 1 in '1²'"),
+    ("1/" + "7" * 5000, "too many digits at position 2 in '1/" + "7" * 5000
+     + "'")], ids=["superscript", "past-int-limit"])
+def test_digits_int_refuses_exit_two_with_a_position(capsys, lam, error):
+    structure = json.dumps({"lambda": lam, "blocks": [{"alpha": 2, "m": 1}]})
+    code, out, err = _run(capsys, "dim", "--structure", structure)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": error}
+
+
 def test_missing_required_flag_exits_two(capsys):
     code, _, err = _run(capsys, "dim")
     assert code == 2

@@ -48,8 +48,12 @@ def test_a_value_refuses_set_and_del_on_every_field(name):
     assert type(value).__name__ == name
     before = hash(value) if type(value).__hash__ is not None else None
     message = f"^{name} is immutable$"
-    # every slot, public and private, and a private name it does not have
-    names = type(value).__slots__ + ("_unset",)
+    # every slot, public and private, every public property (ExactScalar's
+    # parts are read-only views of its private pair), and a private name it
+    # does not have
+    names = type(value).__slots__ + tuple(
+        n for n, v in vars(type(value)).items()
+        if isinstance(v, property) and not n.startswith("_")) + ("_unset",)
     assert any(not n.startswith("_") for n in names)
     assert any(n.startswith("_") for n in names)
     for field in names:

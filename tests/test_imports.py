@@ -14,9 +14,10 @@ module reads names as attributes off a package module it binds whole
 bare name.
 
 Every functools cache in the package is read through .cache_info() by
-some test, so that none is kept without traffic a test has seen.  Two
-rules have one owner each: immutability (errors._Immutable) and the
-congruence on strips (toeplitz._congruent)."""
+some test, so that none is kept without traffic a test has seen.  Three
+rules have one owner each: immutability (errors._Immutable), the
+congruence on strips (toeplitz._congruent) and the rational parts of a
+scalar (the views .a to .d of scalars.ExactScalar)."""
 
 import ast
 import sys
@@ -327,6 +328,21 @@ def test_the_congruence_has_one_owner():
     assert not flips, "the flip read outside toeplitz.py: " + ", ".join(flips)
     assert not rules, "the congruence rule defined again: " + ", ".join(rules)
     assert callers == {"solver.py", "stabilizer.py"}
+
+
+def test_the_parts_of_a_scalar_have_one_owner():
+    """scalars.py owns the rational views .a to .d of an ExactScalar: no
+    other package module reads an attribute of those names, so the kernel
+    reads a scalar's canonical pair and makes no Fraction of its own."""
+    reads = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in sorted(_PACKAGE.glob("*.py"))
+             if path.name != "scalars.py"
+             for node in ast.walk(ast.parse(path.read_text(),
+                                            filename=str(path)))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("a", "b", "c", "d")]
+    assert not reads, "scalar parts read outside scalars.py: " + \
+        ", ".join(reads)
 
 
 @pytest.mark.parametrize("path", [_TESTS / "_oracles.py",

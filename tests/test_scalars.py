@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from isotropy.matrices import ExactMatrix
 from isotropy.rng import RandomSource
 from isotropy.scalars import (
     ExactScalar, HALF, IMAG, MINUS_ONE, ONE, SQRT2, ZERO,
-    _divisor, _mul4, format_scalar, parse_scalar, rat,
+    _divisor, _from_ints, _mul4, format_scalar, parse_scalar, rat,
 )
 
 
@@ -104,14 +105,64 @@ def test_parse_lenient_forms():
     assert parse_scalar("1 - r2") == ONE - SQRT2
 
 
+# the exact message of malformed inputs, one or more for each message the
+# parser has, pinned from the parser that stored scalars as four Fractions
+_PARSE_ERRORS = [
+    ("", "empty scalar at position 0 in ''"),
+    (" ", "empty scalar at position 0 in ' '"),
+    ("1 +", "dangling sign at position 2 in '1 +'"),
+    ("-", "dangling sign at position 0 in '-'"),
+    ("1/0", "denominator must be positive at position 2 in '1/0'"),
+    ("1//2", "expected a denominator at position 2 in '1//2'"),
+    ("1/-2", "expected a denominator at position 2 in '1/-2'"),
+    ("1/", "expected a denominator at position 2 in '1/'"),
+    ("(1 + 2 i", "expected ')', got None at position 8 in '(1 + 2 i'"),
+    ("(1)", "expected 'r2', got None at position 3 in '(1)'"),
+    ("( ) r2", "expected a number, got ')' at position 2 in '( ) r2'"),
+    ("(1 r2) r2", "expected ')', got 'r2' at position 3 in '(1 r2) r2'"),
+    ("(1 + 2 i) i",
+     "expected 'r2', got 'i' at position 10 in '(1 + 2 i) i'"),
+    ("(1 +) r2", "expected a number, got ')' at position 4 in '(1 +) r2'"),
+    ("x", "unexpected character 'x' at position 0 in 'x'"),
+    ("r", "unexpected character 'r' at position 0 in 'r'"),
+    ("1 + $", "unexpected character '$' at position 4 in '1 + $'"),
+    ("1 2", "expected '+' or '-', got '2' at position 2 in '1 2'"),
+    ("i i", "expected '+' or '-', got 'i' at position 2 in 'i i'"),
+    ("1/2/3", "expected '+' or '-', got '/' at position 3 in '1/2/3'"),
+    ("r2 r2", "expected '+' or '-', got 'r2' at position 3 in 'r2 r2'"),
+    ("1 + - 2", "unexpected token '-' at position 4 in '1 + - 2'"),
+    (")", "unexpected token ')' at position 0 in ')'"),
+    ("/", "unexpected token '/' at position 0 in '/'"),
+]
+
+
 def test_parse_errors_have_positions():
-    for bad in ["", "1 +", "1/0", "1//2", "(1 + 2 i", "x", "1 2", "i i"]:
-        with pytest.raises(ScalarParseError):
-            parse_scalar(bad)
-    try:
-        parse_scalar("1 + $")
-    except ScalarParseError as e:
-        assert e.position == 4
+    for text, message in _PARSE_ERRORS:
+        with pytest.raises(ScalarParseError) as info:
+            parse_scalar(text)
+        assert str(info.value) == message
+        assert message.endswith(
+            f" at position {info.value.position} in {text!r}")
+
+
+def test_digits_int_refuses_are_parse_errors_with_a_position():
+    # str.isdigit takes a superscript two, which int() refuses; the
+    # tokenizer takes decimal digits alone, so it is an unexpected character
+    for text, pos in (("²", 0), ("1²", 1), ("1/²", 2), ("1 + ²/3", 4)):
+        with pytest.raises(ScalarParseError) as info:
+            parse_scalar(text)
+        assert str(info.value) == \
+            f"unexpected character '²' at position {pos} in {text!r}"
+    # int() refuses a run of digits past the interpreter's int-string limit
+    long = "1" * 5000
+    for text, pos in ((long, 0), ("1/" + long, 2), ("1 + " + long + " i", 4)):
+        with pytest.raises(ScalarParseError) as info:
+            parse_scalar(text)
+        assert str(info.value) == \
+            f"too many digits at position {pos} in {text!r}"
+        assert info.value.position == pos
+    # decimal digits of other scripts still read as int() reads them
+    assert parse_scalar("\u0661/\u0662 i") == ExactScalar(0, rat(1, 2))
 
 
 def test_format_canonical_examples():
@@ -127,14 +178,19 @@ def test_format_canonical_examples():
 
 def test_format_parse_round_trip_fuzzed():
     # 1000 pseudo-random scalars: format then parse must return the value,
-    # and formatting again must be byte-identical.
+    # and formatting again must be byte-identical.  The digest of the bytes
+    # was taken from the formatter that read four Fractions.
     rs = RandomSource(20240817)
+    digest = hashlib.sha256()
     for _ in range(1000):
         x = rs.scalar(with_i=True, with_sqrt2=True, max_num=9, max_den=7)
         text = format_scalar(x)
         back = parse_scalar(text)
         assert back == x
         assert format_scalar(back) == text
+        digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == \
+        "e7968d21c71c483012e68d44e2008040828dc7a155a57a9feeb57a76c3eaf43f"
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +351,38 @@ def test_cached_eigenvalue_lookups_make_no_fraction_comparison(monkeypatch):
             + orbit._row_key.cache_info().hits)
     assert hits > 100
     assert calls == []
+
+
+def test_the_kernel_conversions_make_no_fraction(monkeypatch):
+    # a scalar is its canonical integer pair: reading scalars onto a grid,
+    # scaling by one, formatting one and laying out the canonical blocks
+    # read and write pairs, and none of them makes a Fraction
+    from isotropy import forms
+    xs = [ExactScalar(rat(1, 2), 3), ExactScalar(0, 0, rat(-2, 3), rat(1, 5)),
+          ZERO]
+    lam = ExactScalar(rat(1, 3), -1)
+    hash(lam)  # a cache keyed by lam hashes its Fraction views once
+    forms._symmetric_block.cache_clear()
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: (
+        made.append(args) or new(cls, *args, **kw)))
+    m = ExactMatrix.from_rows([xs, xs[::-1]])
+    scaled = m.scale(xs[1])
+    texts = [format_scalar(x) for x in xs]
+    y = _from_ints(2, 0, 4, -6, 8)
+    block = forms.symmetric_block(3, lam)
+    p = forms.transition_matrix(3)
+    monkeypatch.undo()
+    assert made == []
+    assert forms._symmetric_block.cache_info().misses == 1
+    assert m.to_lists() == [xs, xs[::-1]]
+    assert scaled[1, 1] == xs[1] * xs[1] and scaled[0, 2] == ZERO
+    assert texts == ["1/2 + 3 i", "(-2/3 + 1/5 i) r2", "0"]
+    assert y == ExactScalar(rat(1, 4), 0, rat(1, 2), rat(-3, 4))
+    assert block[1, 1] == lam and block[0, 1] == HALF - IMAG / 2
+    assert p * p == IMAG * ExactMatrix.from_rows(
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
 @pytest.mark.parametrize("name", ["a", "b", "c", "d", "_hash", "other"])
