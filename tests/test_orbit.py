@@ -11,8 +11,8 @@ from isotropy.forms import (MultiSegreStructure, SegreStructure,
                             interleave_form, solution_dimension,
                             symmetric_form)
 from isotropy import matrices, orbit
-from isotropy.matrices import (ExactMatrix, cayley_orthogonal, direct_sum,
-                               identity)
+from isotropy.matrices import (_Z4, ExactMatrix, cayley_orthogonal,
+                               direct_sum, identity)
 from isotropy.orbit import (OrbitReport, _component_grids, _components,
                             _pair_rank, _structure_grids, consistency_check,
                             tangent_oracle)
@@ -501,3 +501,54 @@ def test_a_row_key_is_made_once_per_size_eigenvalue_and_den():
     for st in (alone, beside):
         assert _structure_grids(st) == _component_grids(symmetric_form(st)), st
     assert orbit._row_key.cache_info().misses == 3
+
+
+# ---------------------------------------------------------------------------
+# the pair table: what consistency_check cross-checks at run time
+# ---------------------------------------------------------------------------
+
+
+def _pair_of(st):
+    """The rank of the pair of the two groups of st (one group of two equal
+    copies, or two groups of one block each) on all Y between them."""
+    groups = _structure_grids(st)
+    if len(groups) == 1:
+        ((_, a), m), = groups
+        assert m == 2
+        return _pair_rank(a, a, _Z4, False)
+    ((ca, a), _), ((cb, b), _) = groups
+    return _pair_rank(a, b, orbit._diff(cb, ca), False)
+
+
+def test_blocks_of_one_eigenvalue_have_a_sylvester_kernel_of_the_smaller():
+    # two Jordan blocks of sizes a and b at one eigenvalue commute with a
+    # space of dimension min(a, b) of a x b matrices (Gantmacher, The
+    # Theory of Matrices, vol. 1, ch. VIII): rank a b - min(a, b)
+    for a in range(1, 24):
+        for b in range(1, 25 - a):
+            st = _st([(a, 2)] if a == b else [(a, 1), (b, 1)], 0)
+            assert _pair_of(st) == a * b - min(a, b), (a, b)
+
+
+def test_a_block_has_no_skew_commuting_matrix():
+    for a in range(1, 25):
+        ((_, grid), _), = _structure_grids(_st([(a, 1)], 0))
+        assert _pair_rank(grid, grid, _Z4, True) == a * (a - 1) // 2, a
+
+
+def test_blocks_of_two_eigenvalues_have_no_sylvester_kernel():
+    lams = (0, 1, IMAG, _ONE_R2)
+    for x, lam in enumerate(lams):
+        for mu in lams[x + 1:]:
+            for a in range(1, 9):
+                for b in range(1, 9):
+                    st = _multi((lam, [(a, 1)]), (mu, [(b, 1)]))
+                    assert _pair_of(st) == a * b, (lam, mu, a, b)
+
+
+def test_consistency_check_on_every_partition_to_twenty():
+    for n in range(2, 21):
+        for st in enumerate_structures(n, 0):
+            consistency_check(st)
+    for st in _APART + list(_MULTI_STRUCTURES) + _DENOMINATORS:
+        consistency_check(st)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,30 @@ def test_digits_int_refuses_are_parse_errors_with_a_position():
         assert info.value.position == pos
     # decimal digits of other scripts still read as int() reads them
     assert parse_scalar("\u0661/\u0662 i") == ExactScalar(0, rat(1, 2))
+
+
+# the grammar's characters, a tab, an ideographic space, an Arabic-Indic
+# three, a superscript two and two characters no token starts with
+_ALPHABET = "0123456789 +-()/ir2\t\u3000\u0663\u00b2xr"
+
+
+def test_every_outcome_of_a_random_corpus_is_pinned():
+    # 20 000 strings of up to 10 characters: the formatted value of each
+    # one that parses, the exact error text, position included, of each
+    # one that does not; the digest was taken from the character-loop
+    # tokenizer and its token-stream class
+    rnd = random.Random(20261022)
+    digest = hashlib.sha256()
+    for _ in range(20_000):
+        text = "".join(rnd.choice(_ALPHABET)
+                       for _ in range(rnd.randint(0, 10)))
+        try:
+            outcome = format_scalar(parse_scalar(text))
+        except ScalarParseError as error:
+            outcome = str(error)
+        digest.update(outcome.encode() + b"\n")
+    assert digest.hexdigest() == \
+        "a191a2d71a0cfde3ae7d4a8469502a0d02953070c3149eaf1ec228af00283f8a"
 
 
 def test_format_canonical_examples():
