@@ -31,8 +31,8 @@ import types
 
 from .errors import IntegrityError, IsotropyError, MembershipError
 from .forms import (MultiSegreStructure, SegreStructure, backward_form,
-                    codim_formula, interleave_form, solution_dimension,
-                    symmetric_form, transition_form)
+                    interleave_form, solution_dimension, symmetric_form,
+                    transition_form)
 from .jsonio import (description_to_json, dumps_canonical,
                      free_params_from_json, free_params_to_json,
                      generator_spec_from_json, generator_spec_to_json,
@@ -194,7 +194,7 @@ def _cmd_codim(args):
             f"{_MAX_CODIM_ALPHA}")
     report = orbit.consistency_check(st)
     payload = orbit_report_to_json(report)
-    return {"codimension": codim_formula(st), "report": payload}, 0
+    return {"codimension": report.codim_formula, "report": payload}, 0
 
 
 def _params_for_sampling(structure, args, rnd):

@@ -18,6 +18,7 @@ formatter prints each part v / den as its reduced Fraction prints, "n" or
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -252,76 +253,45 @@ def _divisor(y: tuple) -> tuple:
 # ---------------------------------------------------------------------
 
 
-def _tokenize(text: str):
-    tokens = []  # (kind, value, position)
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-()/":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if text.startswith("r2", i):
-            tokens.append(("r2", "r2", i))
-            i += 2
-            continue
-        if ch == "i":
-            tokens.append(("i", "i", i))
-            i += 1
-            continue
-        raise ScalarParseError(f"unexpected character {ch!r}", text, i)
+# one token after any whitespace: a run of decimal digits (group 1), a
+# symbol (group 2), or any other character, which starts no token (group
+# 3); \d and \s agree with str.isdecimal and str.isspace on every code point
+_TOKEN = re.compile(r"\s*(?:(\d+)|(r2|[-+()/i])|(\S))")
+_SIGN = {"+": 1, "-": -1}
+_UNIT = {"i": 1, "r2": 2}  # the part a bare or trailing unit names
+
+
+def _tokenize(text: str) -> list:
+    """The tokens (kind, value, position) of text, kind "int" for a digit
+    run and the symbol itself otherwise, closed by (None, None, len(text)).
+    The whole text is scanned before any token is parsed, so an unexpected
+    character is reported first wherever it stands."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        k = m.lastindex
+        if k == 3:
+            raise ScalarParseError(f"unexpected character {m[3]!r}", text,
+                                   m.start(3))
+        tokens.append(("int" if k == 1 else m[k], m[k], m.start(k)))
+    tokens.append((None, None, len(text)))
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ScalarParseError(f"expected {kind!r}, got {tok[1]!r}", self.text, tok[2])
-        return tok
-
-    def error(self, message):
-        raise ScalarParseError(message, self.text, self.peek()[2])
-
-
-def _parse_rat(ts: _TokenStream, sign: int) -> Rational:
-    kind, value, pos = ts.take()
+def _parse_rat(tokens: list, k: int, sign: int, text: str) -> tuple:
+    """(sign RAT, index of the next token) for the RAT at tokens[k]."""
+    kind, value, pos = tokens[k]
     if kind != "int":
-        raise ScalarParseError(f"expected a number, got {value!r}", ts.text, pos)
-    num = _int(value, ts.text, pos)
-    if ts.peek()[0] == "/":
-        ts.take()
-        kind2, value2, pos2 = ts.take()
-        if kind2 != "int":
-            raise ScalarParseError("expected a denominator", ts.text, pos2)
-        den = _int(value2, ts.text, pos2)
-        if den <= 0:
-            raise ScalarParseError("denominator must be positive", ts.text, pos2)
-        return Fraction(sign * num, den)
-    return Fraction(sign * num)
+        raise ScalarParseError(f"expected a number, got {value!r}", text, pos)
+    num = _int(value, text, pos)
+    if tokens[k + 1][0] != "/":
+        return Fraction(sign * num), k + 1
+    kind, value, pos = tokens[k + 2]
+    if kind != "int":
+        raise ScalarParseError("expected a denominator", text, pos)
+    den = _int(value, text, pos)
+    if den <= 0:
+        raise ScalarParseError("denominator must be positive", text, pos)
+    return Fraction(sign * num, den), k + 3
 
 
 def _int(digits: str, text: str, pos: int) -> int:
@@ -332,82 +302,70 @@ def _int(digits: str, text: str, pos: int) -> int:
         raise ScalarParseError("too many digits", text, pos) from None
 
 
-def _parse_gauss(ts: _TokenStream):
-    """Signed Gaussian sum (used inside parentheses): RAT, RAT i, mixes."""
-    ga, gb = _R0, _R0
-    sign = 1
-    first = True
+def _parse_gauss(tokens: list, k: int, sign: int, parts: list,
+                 text: str) -> int:
+    """Add sign times the signed Gaussian sum (RAT, RAT i, mixes) inside
+    parentheses from tokens[k] to the sqrt2 parts; the next index."""
+    kind = tokens[k][0]
     while True:
-        kind, _, _ = ts.peek()
-        if kind in ("+", "-"):
-            ts.take()
-            sign = 1 if kind == "+" else -1
-        elif not first:
-            break
-        if ts.peek()[0] == "i":
-            ts.take()
-            gb += sign
+        term = sign
+        if kind in _SIGN:
+            term *= _SIGN[kind]
+            k += 1
+        if tokens[k][0] == "i":
+            parts[3] += term
+            k += 1
         else:
-            value = _parse_rat(ts, sign)
-            if ts.peek()[0] == "i":
-                ts.take()
-                gb += value
+            value, k = _parse_rat(tokens, k, term, text)
+            if tokens[k][0] == "i":
+                parts[3] += value
+                k += 1
             else:
-                ga += value
-        sign = 1
-        first = False
-        if ts.peek()[0] == ")":
-            break
-    return ga, gb
+                parts[2] += value
+        kind = tokens[k][0]
+        if kind not in _SIGN:
+            return k
 
 
 def parse_scalar(text: str) -> ExactScalar:
     """Parse a scalar string. Raises ScalarParseError with a position."""
-    ts = _TokenStream(text)
-    if not ts.tokens:
+    tokens = _tokenize(text)
+    if len(tokens) == 1:
         raise ScalarParseError("empty scalar", text, 0)
-    a = b = c = d = _R0
-    sign = 1
-    first = True
-    while ts.peek()[0] is not None:
-        kind, value, pos = ts.peek()
-        if kind in ("+", "-"):
-            ts.take()
-            sign = 1 if kind == "+" else -1
-            if ts.peek()[0] is None:
+    parts = [_R0] * 4  # the rational, i, sqrt2 and i sqrt2 parts
+    k = 0
+    while tokens[k][0] is not None:
+        kind, value, pos = tokens[k]
+        sign = 1
+        if kind in _SIGN:
+            sign = _SIGN[kind]
+            k += 1
+            if tokens[k][0] is None:
                 raise ScalarParseError("dangling sign", text, pos)
-        elif not first:
-            raise ScalarParseError(f"expected '+' or '-', got {value!r}", text, pos)
-        kind, value, pos = ts.peek()
+        elif k:
+            raise ScalarParseError(f"expected '+' or '-', got {value!r}",
+                                   text, pos)
+        kind, value, pos = tokens[k]
         if kind == "(":
-            ts.take()
-            ga, gb = _parse_gauss(ts)
-            ts.expect(")")
-            ts.expect("r2")
-            c += sign * ga
-            d += sign * gb
-        elif kind == "i":
-            ts.take()
-            b += sign
-        elif kind == "r2":
-            ts.take()
-            c += sign
+            k = _parse_gauss(tokens, k + 1, sign, parts, text)
+            for want in (")", "r2"):
+                got, value, pos = tokens[k]
+                if got != want:
+                    raise ScalarParseError(
+                        f"expected {want!r}, got {value!r}", text, pos)
+                k += 1
+        elif kind in _UNIT:
+            parts[_UNIT[kind]] += sign
+            k += 1
         elif kind == "int":
-            value = _parse_rat(ts, sign)
-            nxt = ts.peek()[0]
-            if nxt == "i":
-                ts.take()
-                b += value
-            elif nxt == "r2":
-                ts.take()
-                c += value
-            else:
-                a += value
+            value, k = _parse_rat(tokens, k, sign, text)
+            part = _UNIT.get(tokens[k][0], 0)
+            parts[part] += value
+            if part:
+                k += 1
         else:
             raise ScalarParseError(f"unexpected token {value!r}", text, pos)
-        sign = 1
-        first = False
-    v, den = _pair((a, b, c, d))
+    v, den = _pair(parts)
     return _from_ints(*v, den)
 
 

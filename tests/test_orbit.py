@@ -299,12 +299,18 @@ def test_consistency_check_at_n_40():
 
 def test_orbit_report_validates_invariants():
     st = _st([(2, 1)])
-    with pytest.raises(IntegrityError):
-        OrbitReport(st, 2, 5, 0, 1, 2)
-    with pytest.raises(IntegrityError):
-        OrbitReport(st, 2, 2, 0, 1, 1)
     report = OrbitReport(st, 2, 2, 0, 1, 2)
     assert report == consistency_check(st)
+
+
+def test_consistency_check_refuses_an_oracle_that_disagrees(monkeypatch):
+    # one rank too many: the oracle's codimension falls one short
+    rank = orbit._pairwise_rank
+    monkeypatch.setattr(orbit, "_pairwise_rank",
+                        lambda groups, skew: rank(groups, skew) + 1)
+    with pytest.raises(IntegrityError) as err:
+        consistency_check(_st([(2, 1), (1, 1)], 0))
+    assert str(err.value) == "formula codim 4 != tangent oracle codim 3"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from isotropy.matrices import ExactMatrix
 from isotropy.rng import RandomSource
 from isotropy.scalars import (
     ExactScalar, HALF, IMAG, MINUS_ONE, ONE, SQRT2, ZERO,
-    _divisor, _from_ints, _mul4, format_scalar, parse_scalar, rat,
+    _TOKEN, _divisor, _from_ints, _mul4, format_scalar, parse_scalar, rat,
 )
 
 
@@ -188,6 +189,20 @@ def test_every_outcome_of_a_random_corpus_is_pinned():
         digest.update(outcome.encode() + b"\n")
     assert digest.hexdigest() == \
         "a191a2d71a0cfde3ae7d4a8469502a0d02953070c3149eaf1ec228af00283f8a"
+
+
+def test_the_scanner_reads_digits_and_spaces_as_str_does():
+    # the character loop the scanner replaced took str.isdecimal characters
+    # as digits and skipped str.isspace ones; its \d and \s must agree with
+    # them on every code point
+    wrong = []
+    for code in range(sys.maxunicode + 1):
+        ch = chr(code)
+        m = _TOKEN.match(ch)
+        if ((m is None) != ch.isspace()
+                or (m is not None and m.lastindex == 1) != ch.isdecimal()):
+            wrong.append(code)
+    assert wrong == []
 
 
 def test_format_canonical_examples():
