@@ -19,19 +19,18 @@ coupling generators off an arbitrary identity-diagonal solution until only
 a block-diagonal (gen_V shaped) core remains.
 
 Each function takes its congruence data from solver.constant_data, which
-checks the diagonal blocks once per structure and blocks, and reads B_r
-off that data; the skew slots come from solver._slots.  A coupling form
-is built in one place (_coupling_form), as a strip written from cells the
-package computed out of checked inputs, without a second check of their
-ranges and shapes.  Those cells are canonical (grid, den) pairs: the
-powers are integer products, and the Catalan coefficients enter as cached
-integer ratios (_catalan); gen_V halves a skew by doubling its den.
+checks the diagonal blocks once per structure and blocks, and reads B_r off
+that data; the skews are checked by the solver (FreeParams).  A coupling
+form is built in one place (_coupling_form), as a strip written from cells
+the package computed out of checked inputs, without a second check of their
+ranges and shapes.  Those cells are canonical (grid, den) pairs: the powers
+are integer products, and the Catalan coefficients enter as cached integer
+ratios (_catalan); gen_V halves a skew by doubling its den.
 factor_unipotent tests cells for zero on the residual's strip
 (ToeplitzForm._is_zero_at) and makes a coefficient matrix only for a cell it
-peels.  Every form a
-function here returns is verified once by solver._require_congruence:
-each generator, and factor_unipotent's core; the coupling forms
-factor_unipotent peels off internally are not.
+peels.  Every form a function here returns is verified once by
+solver._require_congruence: each generator, and factor_unipotent's core; the
+coupling forms factor_unipotent peels off internally are not.
 """
 
 from __future__ import annotations
@@ -52,9 +51,8 @@ from .forms import SegreStructure
 from .matrices import (ExactMatrix, _canonical, _identity_grid, _pair_mul,
                        _reduced, _rescaled, _sparse_rows)
 from .scalars import ExactScalar, HALF, rat
-from .solver import (FreeParams, _check_keys, _diagonal_blocks,
-                     _need_single, _require_congruence, _slots,
-                     constant_data, solve_congruence)
+from .solver import (FreeParams, _diagonal_blocks, _need_single,
+                     _require_congruence, constant_data, solve_congruence)
 from .toeplitz import ToeplitzForm, _strip_of
 
 __all__ = [
@@ -102,23 +100,6 @@ def catalan_series(count: int) -> list[ExactScalar]:
 
 
 # ---------------------------------------------------------------------------
-# shared validation
-# ---------------------------------------------------------------------------
-
-
-def _checked_skews(structure: SegreStructure, skews: Mapping) -> dict:
-    _check_keys("skew", skews,
-                {key for key, _, _ in _slots(structure) if len(key) == 2})
-    for (r, j), mat in skews.items():
-        m = structure.mults[r]
-        if mat.rows != m or mat.cols != m:
-            raise ParameterError(f"skew ({r}, {j}) must be {m}x{m}")
-        if not mat.is_skew:
-            raise ParameterError(f"skew ({r}, {j}) is not skew-symmetric")
-    return dict(skews)
-
-
-# ---------------------------------------------------------------------------
 # diagonal family
 # ---------------------------------------------------------------------------
 
@@ -133,14 +114,14 @@ def gen_V(structure: SegreStructure, b_diag: Sequence[ExactMatrix] | None,
     skews Z_n / 2, which verifies the result once.
     """
     data = constant_data(structure, b_diag)
-    skews = _checked_skews(structure, skews)
     zero = FreeParams.zero(structure)
-    # half a checked skew is skew, its grid over twice the den: the skews
-    # are not checked again
+    given = FreeParams(zero.sub_blocks, zero.diag_seeds, skews)
+    # half a skew is skew, its grid over twice the den, so the halves skip
+    # the skewness check; the sweep checks their keys and shapes
     return solve_congruence(data, FreeParams._of_skews(
         zero.sub_blocks, zero.diag_seeds,
         {key: _reduced(mat.rows, mat.cols, mat._g, 2 * mat._den)
-         for key, mat in skews.items()}))
+         for key, mat in given.skews.items()}))
 
 
 def gen_W(structure: SegreStructure, skews: Mapping) -> ToeplitzForm:

@@ -148,7 +148,10 @@ class ExactMatrix(_Immutable):
         return self._combine(other, -1)
 
     def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
-        """self + sign other over the lcm of the two dens."""
+        """self + sign other over the lcm of the two dens; NotImplemented
+        for an operand that is not an ExactMatrix."""
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         self._need_same_shape(other)
         den = lcm(self._den, other._den)
         f, h = den // self._den, sign * (den // other._den)

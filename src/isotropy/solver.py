@@ -23,8 +23,8 @@ CongruenceData checks B and C and lays out their forms once; constant_data
 makes the self-congruence data B = C = diag(B_r, 0, ..., 0) once per
 structure and diagonal blocks, without a second check (_lay_out), so
 identity data ranks nothing.  The free-parameter slots are walked in one
-place (_slots); parameters made from skews already checked skip the check
-(FreeParams._of_skews).  Forms built from checked or computed coefficients
+place (_slots); parameters whose skews the package drew or has checked
+skip the skewness check (FreeParams._of_skews).  Forms built from checked or computed coefficients
 are written as strips directly, and membership is checked once, on what is
 returned.  verify_congruence tests the congruence by the rule the dense
 check reads too (toeplitz._congruent), on strips, and _require_congruence
@@ -525,4 +525,4 @@ def random_free_params(data: CongruenceData, rnd,
             skews[key] = rnd.skew(rows, **scalar_kw)
         else:
             sub[key] = rnd.matrix(rows, cols, **scalar_kw)
-    return FreeParams(sub, seeds, skews)
+    return FreeParams._of_skews(sub, seeds, skews)

@@ -256,7 +256,8 @@ def _sample_single(st, params, seeds, rnd, scalar_kw):
         params = solver.random_free_params(data, rnd, seeds=seeds,
                                            **scalar_kw)
     elif seeds is not None and isinstance(params, solver.FreeParams):
-        params = solver.FreeParams(params.sub_blocks, seeds, params.skews)
+        params = solver.FreeParams._of_skews(params.sub_blocks, seeds,
+                                             params.skews)
     return _conjugate_by_transition(
         st, solver._sweep(data, params).assemble())
 

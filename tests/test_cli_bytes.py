@@ -432,6 +432,22 @@ def test_keys_off_bytes(capsys, command, blocks, params):
     assert got == _CHECK_DIGESTS[f"{command}_keys_off"]
 
 
+# the W spec with its first skew symmetric rather than skew: refused by
+# the solver's one skew check
+W_SPEC_NOT_SKEW = json.dumps({"kind": "W", "skews": dict(
+    json.loads(W_SPEC)["skews"], **{"1,1": _m(2, 2, "0", "1", "1", "0")})})
+
+
+@pytest.mark.parametrize("lam", LAMS)
+def test_generators_refuses_a_skew_that_is_not_skew(capsys, lam):
+    code = main(["generators", "--structure", _structure(lam, BIG_BLOCKS),
+                 "--params", W_SPEC_NOT_SKEW])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "skew parameter (0, 1) is not skew-symmetric"}
+
+
 # The faults kept fixed as examples in test_cli_properties.py: three
 # malformed requests, and four bad command lines, each on every command
 # after a valid request.  (stdout, stderr, exit code) of the runs of one
@@ -602,6 +618,10 @@ _LIBRARY_ERRORS = {
     "conjugate_by_omega": _SHAPE_EXPECTED,
     "gen_W skews": ("ParameterError",
                     "skew keys off: missing [(1, 1)], extra [(2, 1)]"),
+    "gen_W skew shape": ("ParameterError", "skew (0, 1) has wrong shape"),
+    **dict.fromkeys(
+        ["gen_W skew not skew", "gen_W skew not a matrix"],
+        ("ParameterError", "skew parameter (0, 1) is not skew-symmetric")),
     "sample skews": ("ParameterError",
                      "skew keys off: missing [(1, 1)], extra [(2, 1)]"),
     "sample sub-blocks": ("ParameterError",
@@ -692,6 +712,12 @@ def _library_calls(lam):
         "conjugate_by_omega":
             lambda: conjugate_by_omega(small, five, "to_dense"),
         "gen_W skews": lambda: gen_W(uni, skews),
+        "gen_W skew shape":
+            lambda: gen_W(uni, {**zero.skews, (0, 1): zeros(3, 3)}),
+        "gen_W skew not skew":
+            lambda: gen_W(uni, {**zero.skews, (0, 1): identity(2)}),
+        "gen_W skew not a matrix":
+            lambda: gen_W(uni, {**zero.skews, (0, 1): "x"}),
         "sample skews": lambda: sample_isotropy_element(uni, params=FreeParams(
             zero.sub_blocks, zero.diag_seeds, skews)),
         "sample sub-blocks": lambda: sample_isotropy_element(

@@ -295,11 +295,29 @@ def test_gen_g_random_structures_residuals():
                     assert ok, report
 
 
+def _closed_form_is_the_sweep(st, b_diag, rnd) -> int:
+    """gen_G (the Catalan closed form, _coupling_form) at every (p, t, k)
+    of st against the general solution with a random coupling F as its
+    only nonzero free parameter, sub-block (t, p, k), at identity seeds
+    and zero skews; returns the number of cases."""
+    data = constant_data(st, b_diag)
+    zero = solver.FreeParams.zero(st)
+    cases = 0
+    for p in range(st.part_count):
+        for t in range(p + 1, st.part_count):
+            for k in range(st.alphas[t]):
+                f = rnd.matrix(st.mults[t], st.mults[p])
+                params = solver.FreeParams({**zero.sub_blocks, (t, p, k): f},
+                                           zero.diag_seeds, zero.skews)
+                assert gen_G(st, p, t, k, f, b_diag) == \
+                    solver.solve_congruence(data, params), (st, p, t, k)
+                cases += 1
+    return cases
+
+
 def test_gen_g_is_the_sweep_at_its_one_sub_block():
-    # the closed form (Catalan corrections) against the general solution
-    # with the coupling as its only nonzero free parameter, identity seeds
-    # and zero skews, with and without diagonal data; the first
-    # multiplicity is raised so that couplings are not all 1 x 1
+    # with and without diagonal data; the first multiplicity is raised so
+    # that couplings are not all 1 x 1
     rnd = RandomSource(20241025)
     cases = 0
     for n in range(1, 9):
@@ -307,19 +325,25 @@ def test_gen_g_is_the_sweep_at_its_one_sub_block():
             st = _st([(alpha, m + (r == 0))
                       for r, (alpha, m) in enumerate(st.blocks)])
             for b_diag in (None, [rnd.symmetric_nonsingular(m) for m in st.mults]):
-                data = constant_data(st, b_diag)
-                for p in range(st.part_count):
-                    for t in range(p + 1, st.part_count):
-                        for k in range(st.alphas[t]):
-                            f = rnd.matrix(st.mults[t], st.mults[p])
-                            zero = solver.FreeParams.zero(st)
-                            params = solver.FreeParams(
-                                {**zero.sub_blocks, (t, p, k): f},
-                                zero.diag_seeds, zero.skews)
-                            assert gen_G(st, p, t, k, f, b_diag) == \
-                                solver.solve_congruence(data, params)
-                            cases += 1
+                cases += _closed_form_is_the_sweep(st, b_diag, rnd)
     assert cases == 164
+
+
+def test_the_closed_form_is_the_general_solver_on_every_partition():
+    # every partition with n <= 8 and at least two groups, at 0, 1 and i;
+    # then at 0 with random symmetric nonsingular diagonal blocks, n <= 7
+    rnd = RandomSource(20261022)
+    plain = with_blocks = 0
+    for n in range(2, 9):
+        for lam in (ZERO, parse_scalar("1"), IMAG):
+            for st in enumerate_structures(n, lam=lam):
+                if st.part_count >= 2:
+                    plain += _closed_form_is_the_sweep(st, None, rnd)
+                    if lam == ZERO and n <= 7:
+                        with_blocks += _closed_form_is_the_sweep(
+                            st, [rnd.symmetric_nonsingular(m)
+                                 for m in st.mults], rnd)
+    assert (plain, with_blocks) == (246, 43)
 
 
 def test_gen_g_rejects_bad_indices():
@@ -382,6 +406,17 @@ def test_zero_offset_coupling_can_exceed_alpha1_bound():
     nil = g - ToeplitzForm.identity(st)
     assert not (nil * nil).is_zero
     assert _power_vanishes(g, st.n)
+
+
+def test_the_known_coupling_of_nilpotency_index_five():
+    # n = 5, alpha_1 = 3: G - I has index 5, past the alpha_1 bound that
+    # acceptance check 5 asserts (the known limitation)
+    st = _st([(3, 1), (2, 1)])
+    nil = gen_G(st, 0, 1, 0, ExactMatrix.from_rows([[1]])) \
+        - ToeplitzForm.identity(st)
+    fourth = nil * nil * nil * nil
+    assert not fourth.is_zero
+    assert (fourth * nil).is_zero
 
 
 def test_all_generators_nilpotent_within_n():

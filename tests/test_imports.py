@@ -330,6 +330,33 @@ def test_the_congruence_has_one_owner():
     assert callers == {"solver.py", "stabilizer.py"}
 
 
+def test_the_free_parameters_have_one_owner():
+    """solver.py owns the free parameters' checks: no other package module
+    names the key check (_check_keys), and none but matrices.py, which
+    defines it and checks cayley_orthogonal's input with it, reads .is_skew,
+    so a skew is checked once, by FreeParams."""
+    keys, skews = [], []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        if path.name == "solver.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+                if name == "is_skew" and path.name != "matrices.py":
+                    skews.append(f"{path.name}:{node.lineno}")
+            else:
+                continue
+            if name == "_check_keys":
+                keys.append(f"{path.name}:{node.lineno}")
+    assert not keys, "the key check named outside solver.py: " + ", ".join(keys)
+    assert not skews, "skewness read outside solver.py and matrices.py: " \
+        + ", ".join(skews)
+
+
 def test_the_parts_of_a_scalar_have_one_owner():
     """scalars.py owns the rational views .a to .d of an ExactScalar: no
     other package module reads an attribute of those names, so the kernel

@@ -50,6 +50,22 @@ def test_arithmetic_against_hand_values():
     assert (-a + a).is_zero
 
 
+def test_sum_with_a_foreign_operand_is_a_type_error():
+    # NotImplemented from both sides, so Python raises TypeError; two
+    # matrices of different shapes still raise DimensionMismatchError
+    for other in ("x", 1, ONE, None):
+        for combine in (lambda: identity(2) + other,
+                        lambda: identity(2) - other,
+                        lambda: other + identity(2),
+                        lambda: other - identity(2)):
+            with pytest.raises(TypeError):
+                combine()
+    with pytest.raises(DimensionMismatchError):
+        identity(2) + identity(3)
+    with pytest.raises(DimensionMismatchError):
+        identity(2) - zeros(2, 3)
+
+
 def test_mul_matches_oracle_on_random_pairs():
     rs = RandomSource(555)
     for _ in range(25):
