@@ -232,6 +232,9 @@ class FreeParams(_Immutable):
 
     def __init__(self, sub_blocks: Mapping, diag_seeds: Sequence[ExactMatrix],
                  skews: Mapping):
+        if not isinstance(skews, Mapping):
+            raise ParameterError(
+                f"skews must be a mapping, got {type(skews).__name__}")
         for key, mat in skews.items():
             if not isinstance(mat, ExactMatrix) or not mat.is_skew:
                 raise ParameterError(f"skew parameter {key} is not skew-symmetric")

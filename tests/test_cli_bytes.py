@@ -622,6 +622,9 @@ _LIBRARY_ERRORS = {
     **dict.fromkeys(
         ["gen_W skew not skew", "gen_W skew not a matrix"],
         ("ParameterError", "skew parameter (0, 1) is not skew-symmetric")),
+    **dict.fromkeys(
+        ["gen_W skews not a mapping", "FreeParams skews not a mapping"],
+        ("ParameterError", "skews must be a mapping, got list")),
     "sample skews": ("ParameterError",
                      "skew keys off: missing [(1, 1)], extra [(2, 1)]"),
     "sample sub-blocks": ("ParameterError",
@@ -718,6 +721,10 @@ def _library_calls(lam):
             lambda: gen_W(uni, {**zero.skews, (0, 1): identity(2)}),
         "gen_W skew not a matrix":
             lambda: gen_W(uni, {**zero.skews, (0, 1): "x"}),
+        "gen_W skews not a mapping":
+            lambda: gen_W(uni, list(zero.skews.items())),
+        "FreeParams skews not a mapping": lambda: FreeParams(
+            zero.sub_blocks, zero.diag_seeds, list(zero.skews.items())),
         "sample skews": lambda: sample_isotropy_element(uni, params=FreeParams(
             zero.sub_blocks, zero.diag_seeds, skews)),
         "sample sub-blocks": lambda: sample_isotropy_element(
